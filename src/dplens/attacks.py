@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import rankdata
 
 from .clipping import ClippingRule, privatize_gradient
 
@@ -205,6 +203,10 @@ def fit_mia_classifier(
     falls below 1e-6 or the epoch cap is reached.  Deterministic: features
     are standardised and the optimiser starts from zero.
     """
+    # scipy is imported where used: importing it with the package would more
+    # than double the start-up time of every subcommand
+    from scipy.optimize import minimize
+
     x = dataset.features[dataset.train_idx]
     y = dataset.labels[dataset.train_idx]
     if len(np.unique(y)) < 2:
@@ -253,6 +255,8 @@ class MiaReport:
 
 def auc_from_scores(scores: Array, labels: Array) -> float:
     """Rank-statistic AUC with midrank tie handling."""
+    from scipy.stats import rankdata
+
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -298,6 +297,15 @@ CONFIG_SCHEMAS = {
 }
 
 
+# one validator per subcommand: jsonschema.validate would check the schema
+# itself against the metaschema on every call, which costs far more than
+# validating a config
+_VALIDATORS = {
+    command: jsonschema.validators.validator_for(schema)(schema)
+    for command, schema in CONFIG_SCHEMAS.items()
+}
+
+
 def load_config(path: str | Path, command: str) -> dict:
     """Read and schema-validate a JSON config for one subcommand."""
     try:
@@ -308,10 +316,9 @@ def load_config(path: str | Path, command: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config {path} fails validation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config {path} fails validation: {error.message}")
     return cfg
 
 
@@ -871,7 +878,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted for compatibility; seeds always run one after another, in order",
+        )
     return parser
 
 
@@ -896,12 +906,7 @@ def run_subcommand(argv: list[str]) -> int:
             cfg = dict(cfg)
             cfg["seeds"] = seeds
         runner = _RUNNERS[args.command]
-        if args.jobs > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(runner, cfg, seed, outdir) for seed in seeds]
-                paths = [p for f in futures for p in f.result()]
-        else:
-            paths = [p for seed in seeds for p in runner(cfg, seed, outdir)]
+        paths = [p for seed in seeds for p in runner(cfg, seed, outdir)]
         for path in paths:
             print(path)
         return 0

@@ -1,9 +1,12 @@
 """Stochastic curvature probes: trace, quadratic form, and tr(H Sigma).
 
-All estimators consume a Hessian-vector-product action ``v -> H v`` rather
-than a materialised matrix, so they scale to any model that can provide the
-action.  Estimates are reported with standard errors and are reproducible
-under a fixed generator.
+All estimators consume a block Hessian action ``V -> H V`` rather than a
+materialised matrix, so they scale to any model that can provide the
+action.  The action takes a ``(k, d)`` array whose rows are directions and
+returns the ``(k, d)`` array of the Hessian applied to each row, so every
+estimator applies the Hessian to all of its directions in one call (a task's
+``hvp_block``).  Estimates are reported with standard errors and are
+reproducible under a fixed generator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,17 @@ from typing import Callable
 import numpy as np
 
 Array = np.ndarray
-HvpAction = Callable[[Array], Array]
+HvpBlockAction = Callable[[Array], Array]
+
+
+def _row_forms(vs: Array, hvp_action: HvpBlockAction) -> Array:
+    """The quadratic forms v_j^T H v_j of the rows of ``vs``, in one block call."""
+    hvs = np.asarray(hvp_action(vs), dtype=float)
+    if hvs.shape != vs.shape:
+        raise ValueError(
+            f"hvp action returned shape {hvs.shape}, expected {vs.shape}"
+        )
+    return np.einsum("ij,ij->i", vs, hvs)
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,7 @@ class HessianStats:
 
 
 def hutchinson_trace(
-    hvp_action: HvpAction,
+    hvp_action: HvpBlockAction,
     d: int,
     k: int,
     rng: np.random.Generator,
@@ -64,10 +77,7 @@ def hutchinson_trace(
         vs = rng.integers(0, 2, size=(k, d)) * 2.0 - 1.0
     else:
         raise ValueError(f"unknown probe distribution {probes!r}")
-    values = np.empty(k)
-    for j in range(k):
-        hv = np.asarray(hvp_action(vs[j]), dtype=float)
-        values[j] = vs[j] @ hv
+    values = _row_forms(vs, hvp_action)
     if not np.all(np.isfinite(values)):
         raise ValueError("hvp action produced non-finite values")
     return TraceEstimate(
@@ -76,19 +86,14 @@ def hutchinson_trace(
     )
 
 
-def quadratic_form(g: Array, hvp_action: HvpAction) -> float:
-    """g^T H g through one application of the Hessian action."""
+def quadratic_form(g: Array, hvp_action: HvpBlockAction) -> float:
+    """g^T H g through one application of the Hessian action to the row g."""
     g = np.asarray(g, dtype=float)
-    hg = np.asarray(hvp_action(g), dtype=float)
-    if hg.shape != g.shape:
-        raise ValueError(
-            f"hvp action returned shape {hg.shape}, expected {g.shape}"
-        )
-    return float(g @ hg)
+    return float(_row_forms(g[None, :], hvp_action)[0])
 
 
 def trace_h_sigma(
-    per_sample_grads: Array, g_hat: Array, hvp_action: HvpAction
+    per_sample_grads: Array, g_hat: Array, hvp_action: HvpBlockAction
 ) -> TraceEstimate:
     """Estimate tr(H Sigma) = E[(g_i - G)^T H (g_i - G)] from a batch.
 
@@ -100,10 +105,7 @@ def trace_h_sigma(
     if m < 2:
         raise ValueError("need at least 2 samples")
     g_hat = np.asarray(g_hat, dtype=float)
-    centered = grads - g_hat[None, :]
-    values = np.empty(m)
-    for i in range(m):
-        values[i] = centered[i] @ np.asarray(hvp_action(centered[i]), dtype=float)
+    values = _row_forms(grads - g_hat[None, :], hvp_action)
     correction = m / (m - 1)
     return TraceEstimate(
         estimate=float(correction * values.mean()),
@@ -116,12 +118,13 @@ def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> H
 
     Fills a :class:`HessianStats` from the batch-mean gradient, a Hutchinson
     trace with k probes, and the centered tr(H Sigma) estimator, all sharing
-    the batch Hessian action.
+    the batch Hessian action: one per-sample-gradient pass and three block
+    Hessian applications (the probes, the centered gradients, and g_hat).
     """
     w = np.asarray(w, dtype=float)
     grads = task.per_sample_gradients(w, batch)
     g_hat = grads.mean(axis=0)
-    action = lambda v: task.hvp(w, batch, v)
+    action = lambda vs: task.hvp_block(w, batch, vs)
     trace = hutchinson_trace(action, task.dimension, k, rng)
     hs = trace_h_sigma(grads, g_hat, action)
     return HessianStats(

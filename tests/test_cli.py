@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from dplens.cli import (
+    CONFIG_SCHEMAS,
     ConfigError,
     canonical_config,
     emit_svg_lineplot,
@@ -66,6 +68,21 @@ class TestConfigHandling:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError):
             load_config(path, "sweep-batch")
+
+    def test_every_schema_passes_the_metaschema(self):
+        for schema in CONFIG_SCHEMAS.values():
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_validation_message_is_jsonschemas_best_match(self, tmp_path):
+        payload = sweep_config()
+        payload["inputs"]["g_norm_sq"] = "one"
+        payload["surprise"] = 1
+        path = write_config(tmp_path, payload)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, CONFIG_SCHEMAS["sweep-batch"])
+        with pytest.raises(ConfigError) as got:
+            load_config(path, "sweep-batch")
+        assert str(got.value) == f"config {path} fails validation: {expected.value.message}"
 
     def test_canonical_form_stable(self):
         cfg = sweep_config()

@@ -9,7 +9,7 @@ from dplens.hessian import (
     stats_snapshot,
     trace_h_sigma,
 )
-from dplens.model import QuadraticTask, population_stats
+from dplens.model import QuadraticTask, TinyMlpTask, population_stats
 
 
 def diag_action(values):
@@ -88,7 +88,7 @@ class TestQuadraticForm:
         a = m @ m.T
         g = rng.standard_normal(6)
         dense = float(g @ a @ g)
-        assert quadratic_form(g, lambda v: a @ v) == pytest.approx(dense, rel=1e-10)
+        assert quadratic_form(g, lambda V: V @ a) == pytest.approx(dense, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ class TestTraceHSigma:
         w = np.ones(d)
         batch = task.draw_batch(rng, 100_000)
         grads = task.per_sample_gradients(w, batch)
-        est = trace_h_sigma(grads, grads.mean(axis=0), lambda v: task.a @ v)
+        est = trace_h_sigma(grads, grads.mean(axis=0), lambda V: V @ task.a)
         # exact tr(A A S A^T) = d for identity matrices
         assert abs(est.estimate - d) <= 3.0 * est.standard_error
 
@@ -152,6 +152,25 @@ class TestSnapshot:
         a = stats_snapshot(task, np.ones(3), batch, 50, np.random.default_rng(1))
         b = stats_snapshot(task, np.ones(3), batch, 50, np.random.default_rng(1))
         assert a == b
+
+    def test_snapshot_one_gradient_pass_and_three_block_calls(self):
+        calls = {"per_sample_gradients": 0, "hvp_block": 0}
+
+        class CountingMlp(TinyMlpTask):
+            def per_sample_gradients(self, w, batch):
+                calls["per_sample_gradients"] += 1
+                return super().per_sample_gradients(w, batch)
+
+            def hvp_block(self, w, batch, vs):
+                calls["hvp_block"] += 1
+                return super().hvp_block(w, batch, vs)
+
+        task = CountingMlp(n_in=3, hidden=8, n_out=2, teacher_seed=1)
+        rng = np.random.default_rng(0)
+        w = task.random_parameters(rng)
+        snap = stats_snapshot(task, w, task.draw_batch(rng, 20), 16, rng)
+        assert calls == {"per_sample_gradients": 1, "hvp_block": 3}
+        assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)
 
 
 class TestStatsTypesAndCsv:

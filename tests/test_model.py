@@ -60,7 +60,9 @@ def test_gradient_matches_finite_differences(task, w, sample_of):
         assert np.linalg.norm(analytic - numeric) / scale <= 1e-4
 
 
-@pytest.mark.parametrize("task", [quadratic_case(), logistic_case()], ids=["quad", "logi"])
+@pytest.mark.parametrize(
+    "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
+)
 def test_hvp_linear_and_symmetric(task):
     rng = np.random.default_rng(1)
     w = 0.3 * rng.standard_normal(task.dimension)
@@ -73,7 +75,47 @@ def test_hvp_linear_and_symmetric(task):
     assert np.linalg.norm(combo - parts) <= 1e-8 * max(np.linalg.norm(parts), 1.0)
     lhs = u @ task.hvp(w, batch, v)
     rhs = v @ task.hvp(w, batch, u)
-    assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize(
+    "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
+)
+def test_hvp_block_rows_match_hvp_for_any_block_size(task):
+    rng = np.random.default_rng(4)
+    w = 0.3 * rng.standard_normal(task.dimension)
+    batch = task.draw_batch(rng, 8)
+    vs = rng.standard_normal((81, task.dimension))
+    rows = np.array([task.hvp(w, batch, v) for v in vs])
+    scale = max(np.abs(rows).max(), 1.0)
+    for size in (1, 7, 81):
+        block = np.concatenate(
+            [task.hvp_block(w, batch, vs[i : i + size]) for i in range(0, len(vs), size)]
+        )
+        assert np.abs(block - rows).max() <= 1e-12 * scale, size
+    with pytest.raises(ValueError):
+        task.hvp_block(w, batch, vs[0])
+    with pytest.raises(ValueError):
+        task.hvp_block(w, batch, vs[:, 1:])
+
+
+def test_mlp_hvp_block_matches_gradient_finite_difference():
+    task = mlp_case()
+    rng = np.random.default_rng(5)
+    w = task.random_parameters(rng)
+    batch = task.draw_batch(rng, 16)
+    vs = rng.standard_normal((5, task.dimension))
+
+    def batch_gradient(p):
+        return task.per_sample_gradients(p, batch).mean(axis=0)
+
+    # reference: central difference of the batch gradient along each row
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(w))
+    for v, hv in zip(vs, task.hvp_block(w, batch, vs)):
+        v_norm = np.linalg.norm(v)
+        step = (h / v_norm) * v
+        ref = (batch_gradient(w + step) - batch_gradient(w - step)) * (v_norm / (2 * h))
+        assert np.linalg.norm(hv - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 def test_mlp_hvp_matches_directional_second_difference():
