@@ -618,12 +618,17 @@ def _run_train(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         hessian_probes=cfg.get("hessian_probes", 0),
     )
     path = outdir / _seed_name("train", seed, cfg)
-    path.write_text(run.to_csv(_decelerator_of(sigma, cfg["batch_size"])),
+    path.write_text(run.to_csv(_decelerator_of(cfg["batch_size"])),
                     encoding="utf-8", newline="\n")
     return [path] + _maybe_plot(cfg, path, outdir)
 
 
-def _decelerator_of(sigma: float, batch_size: int):
+def _decelerator_of(batch_size: int):
+    """sigma^2 tr(H) / B per record.
+
+    The paper's decelerator also divides by c^2; no run records c yet.
+    """
+
     def compute(record: trainer.IterationRecord) -> float:
         if record.hessian is None or record.sigma == 0.0:
             return 0.0
@@ -658,7 +663,7 @@ def _run_continual(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         hessian_probes=cfg.get("hessian_probes", 0),
     )
     path = outdir / _seed_name("continual", seed, cfg)
-    path.write_text(run.to_csv(_decelerator_of(sigma, cfg["batch_size"])),
+    path.write_text(run.to_csv(_decelerator_of(cfg["batch_size"])),
                     encoding="utf-8", newline="\n")
     return [path] + _maybe_plot(cfg, path, outdir)
 

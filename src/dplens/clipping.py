@@ -7,15 +7,26 @@ per-sample contribution has norm at most 1 (unit sensitivity):
 * AUTO:             ``C = 1/|g|``
 
 The privatized gradient of a batch is ``(sum_i C_i g_i + sigma * N(0, I)) / B``.
+
+This module owns the clip policy; tasks only see it as a map from per-sample
+gradient norms to weights (:func:`clip_weights`).  A task's fused
+``loss_and_weighted_gradient_sum`` returns the mean batch loss and
+``sum_i C_i g_i`` from one forward and one backward pass, so a training step
+never needs the ``(B, d)`` matrix of per-sample gradients: the norms can come
+from layer factors (ghost clipping) and the weighted sum from one weighted
+back-propagation.  :func:`noised_mean` then adds the Gaussian noise and
+averages; it is the one noise step of every DP gradient in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 Array = np.ndarray
+NormWeights = Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,45 @@ def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
     return np.where(g_norms == 0.0, 1.0 / rule.r, factors)
 
 
-def _clipped_sums(grads: Array, rule: ClippingRule | None) -> Array:
-    """Sum of clipped per-sample gradients along axis -2 (rule=None: raw sum)."""
+def clip_weights(rule: ClippingRule | None) -> NormWeights | None:
+    """The map from per-sample gradient norms to the clip weights C_i of ``rule``.
+
+    ``None`` (no clipping) maps to ``None``: every weight is 1 and the
+    weighted sum is the plain sum.
+    """
     if rule is None:
+        return None
+    return lambda g_norms: clip_factors(g_norms, rule)
+
+
+def weighted_gradient_sums(grads: Array, weight_of_norms: NormWeights | None) -> Array:
+    """``sum_i C_i g_i`` along axis -2, with ``C = weight_of_norms(|g_i|)``.
+
+    ``weight_of_norms=None`` gives the raw sum.
+    """
+    if weight_of_norms is None:
         return grads.sum(axis=-2)
-    norms = np.linalg.norm(grads, axis=-1)
-    factors = clip_factors(norms, rule)
+    factors = weight_of_norms(np.linalg.norm(grads, axis=-1))
     return np.einsum("...i,...ij->...j", factors, grads)
+
+
+def noised_mean(
+    totals: Array, b: int, sigma: float, rng: np.random.Generator | None
+) -> Array:
+    """``(totals + sigma * N(0, I)) / b``, with one noise draw per row of ``totals``.
+
+    The noise is ``sigma * rng.standard_normal(totals.shape)``; with
+    ``sigma=0`` nothing is drawn and the generator is left untouched.
+    """
+    if b < 1:
+        raise ValueError("need a nonempty batch of 1-D gradients")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if sigma > 0:
+        if rng is None:
+            raise ValueError("sigma > 0 requires a random generator")
+        totals = totals + sigma * rng.standard_normal(totals.shape)
+    return totals / b
 
 
 def privatize_gradient(
@@ -95,15 +138,8 @@ def privatize_gradient(
     grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=float))
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise ValueError("need a nonempty batch of 1-D gradients")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    b, d = grads.shape
-    total = _clipped_sums(grads, rule)
-    if sigma > 0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires a random generator")
-        total = total + sigma * rng.standard_normal(d)
-    return total / b
+    total = weighted_gradient_sums(grads, clip_weights(rule))
+    return noised_mean(total, grads.shape[0], sigma, rng)
 
 
 def privatize_gradient_many(
@@ -122,15 +158,8 @@ def privatize_gradient_many(
     grads = np.asarray(per_sample_grads, dtype=float)
     if grads.ndim != 3 or grads.shape[1] == 0:
         raise ValueError("expected shape (trials, B, d) with B >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    trials, b, d = grads.shape
-    totals = _clipped_sums(grads, rule)
-    if sigma > 0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires a random generator")
-        totals = totals + sigma * rng.standard_normal((trials, d))
-    return totals / b
+    totals = weighted_gradient_sums(grads, clip_weights(rule))
+    return noised_mean(totals, grads.shape[1], sigma, rng)
 
 
 @dataclass(frozen=True)

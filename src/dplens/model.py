@@ -1,8 +1,10 @@
 """Synthetic differentiable tasks with per-sample gradients and Hessian access.
 
-Every task exposes the same surface: per-sample loss/gradient, block
-Hessian-vector products of the mean batch loss (``hvp_block``, with ``hvp``
-its one-vector form), and seeded sample drawing.
+Every task exposes the same surface: per-sample loss/gradient, the fused
+training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss and a
+norm-weighted sum of per-sample gradients), block Hessian-vector products of
+the mean batch loss (``hvp_block``, with ``hvp`` its one-vector form), and
+seeded sample drawing.
 The quadratic task additionally carries exact population oracles (gradient,
 Hessian, per-sample gradient covariance) so that every stochastic estimator
 in this package can be checked against ground truth.
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+from .clipping import NormWeights, weighted_gradient_sums
 
 Array = np.ndarray
 
@@ -65,6 +69,20 @@ class DifferentiableTask(abc.ABC):
     @abc.abstractmethod
     def batch_loss(self, w: Array, batch: Any) -> float:
         """Mean loss over a batch."""
+
+    def loss_and_weighted_gradient_sum(
+        self, w: Array, batch: Any, weight_of_norms: NormWeights | None = None
+    ) -> tuple[float, Array]:
+        """Mean batch loss and ``sum_i C_i g_i`` over the batch's per-sample gradients.
+
+        ``C = weight_of_norms(norms)`` maps the ``(m,)`` per-sample gradient
+        norms to weights; with ``None`` the sum is the plain ``sum_i g_i``.
+        This default stacks the per-sample gradients; a task that can get the
+        norms and the weighted sum from its layer factors overrides it.
+        """
+        loss = self.batch_loss(w, batch)
+        grads = self.per_sample_gradients(w, batch)
+        return loss, weighted_gradient_sums(grads, weight_of_norms)
 
     @abc.abstractmethod
     def hvp_block(self, w: Array, batch: Any, vs: Array) -> Array:
@@ -152,7 +170,7 @@ class QuadraticTask(DifferentiableTask):
         w = self._check_dim(w)
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
         r = w[None, :] - batch
-        return 0.5 * float(np.mean(np.einsum("ij,jk,ik->i", r, self.a, r)))
+        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r @ self.a, r)))
 
     def hvp_block(self, w: Array, batch: Any, vs: Array) -> Array:
         self._check_dim(w)
@@ -189,7 +207,7 @@ class QuadraticTask(DifferentiableTask):
         """Vectorised population loss for a stack of parameter vectors."""
         ws = np.atleast_2d(np.asarray(ws, dtype=float))
         r = ws - self.x_mean[None, :]
-        return 0.5 * np.einsum("ij,jk,ik->i", r, self.a, r) + self._noise_loss
+        return 0.5 * np.einsum("ij,ij->i", r @ self.a, r) + self._noise_loss
 
 
 @dataclass(frozen=True)
@@ -324,6 +342,10 @@ class LogisticTask(DifferentiableTask):
         return len(np.atleast_1d(batch))
 
 
+def _row_sq_norms(a: Array) -> Array:
+    return np.einsum("ij,ij->i", a, a)
+
+
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
@@ -333,11 +355,25 @@ class TinyMlpTask(DifferentiableTask):
 
     Inputs are standard normal; targets come from a frozen teacher network
     of the same architecture plus optional label noise, so the problem is
-    realisable up to the noise floor.  Per-sample gradients are analytic, and
-    so is the HVP: a forward-and-backward R-operator pass (Pearlmutter 1994)
-    differentiates the batch gradient along each direction exactly, giving
-    an exactly symmetric operator.  Blocks of directions are processed
-    ``HVP_CHUNK_ROWS`` rows at a time, so the ``(rows, m, hidden)``
+    realisable up to the noise floor.  Per-sample gradients are analytic.
+
+    A training step takes one forward and one backward pass and never builds
+    the ``(m, d)`` per-sample gradient matrix.  Sample i's gradient is rank 1
+    in each layer: ``delta1_i x_i^T`` and ``delta1_i`` for (W1, b1),
+    ``r_i h_i^T`` and ``r_i`` for (W2, b2), with residual r_i, hidden
+    activation h_i and hidden-layer error
+    ``delta1_i = (W2^T r_i) * (1 - h_i^2)``.  So its norm comes from the
+    layer factors (ghost clipping)::
+
+        |g_i|^2 = |delta1_i|^2 (|x_i|^2 + 1) + |r_i|^2 (|h_i|^2 + 1)
+
+    and the weighted sum ``sum_i C_i g_i`` is one weighted back-propagation:
+    ``(C delta1)^T X``, ``sum C delta1``, ``(C r)^T H``, ``sum C r``.
+
+    The HVP is analytic too: a forward-and-backward R-operator pass
+    (Pearlmutter 1994) differentiates the batch gradient along each direction
+    exactly, giving an exactly symmetric operator.  Blocks of directions are
+    processed ``HVP_CHUNK_ROWS`` rows at a time, so the ``(rows, m, hidden)``
     intermediates stay near 1 MiB for batches up to 256 samples however many
     directions are passed.
     """
@@ -423,28 +459,49 @@ class TinyMlpTask(DifferentiableTask):
         batch = (np.atleast_2d(x), np.atleast_2d(y))
         return self.per_sample_gradients(w, batch)[0]
 
-    def per_sample_gradients(self, w: Array, batch: tuple[Array, Array]) -> Array:
+    def _forward_backward(self, w: Array, batch: tuple[Array, Array]):
+        """Inputs x, hidden activations h, residuals r and hidden errors delta1."""
         w1, b1, w2, b2 = self._unpack(self._check_dim(w))
         x, y = batch
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        m = x.shape[0]
         hidden = np.tanh(x @ w1.T + b1)
         resid = hidden @ w2.T + b2 - y
-        g_w2 = np.einsum("mo,mh->moh", resid, hidden)
-        g_b2 = resid
-        g_hidden = resid @ w2
-        g_z1 = g_hidden * (1.0 - hidden * hidden)
+        g_z1 = (resid @ w2) * (1.0 - hidden * hidden)
+        return x, hidden, resid, g_z1
+
+    def per_sample_gradients(self, w: Array, batch: tuple[Array, Array]) -> Array:
+        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        m = x.shape[0]
         g_w1 = np.einsum("mh,mi->mhi", g_z1, x)
-        g_b1 = g_z1
+        g_w2 = np.einsum("mo,mh->moh", resid, hidden)
         return np.concatenate(
-            [g_w1.reshape(m, -1), g_b1, g_w2.reshape(m, -1), g_b2], axis=1
+            [g_w1.reshape(m, -1), g_z1, g_w2.reshape(m, -1), resid], axis=1
         )
 
     def batch_loss(self, w: Array, batch: tuple[Array, Array]) -> float:
         x, y = batch
         resid = self.forward(w, x) - np.atleast_2d(np.asarray(y, dtype=float))
         return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+
+    def loss_and_weighted_gradient_sum(
+        self,
+        w: Array,
+        batch: tuple[Array, Array],
+        weight_of_norms: NormWeights | None = None,
+    ) -> tuple[float, Array]:
+        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        # the same arithmetic as batch_loss, so the two losses agree exactly
+        loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+        if weight_of_norms is not None:
+            sq_norms = _row_sq_norms(g_z1) * (_row_sq_norms(x) + 1.0)
+            sq_norms += _row_sq_norms(resid) * (_row_sq_norms(hidden) + 1.0)
+            weights = weight_of_norms(np.sqrt(sq_norms))[:, None]
+            g_z1 = weights * g_z1
+            resid = weights * resid
+        return loss, self._pack(
+            g_z1.T @ x, g_z1.sum(axis=0), resid.T @ hidden, resid.sum(axis=0)
+        )
 
     def hvp_block(self, w: Array, batch: tuple[Array, Array], vs: Array) -> Array:
         w1, b1, w2, b2 = self._unpack(self._check_dim(w))

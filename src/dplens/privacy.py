@@ -21,6 +21,7 @@ functions remain the primary interface.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import log_ndtr, ndtr
@@ -28,6 +29,7 @@ from scipy.special import log_ndtr, ndtr
 MU_BRACKET = (1e-8, 1e4)
 SIGMA_MAX = 1e6
 _BISECTION_STEPS = 200
+_LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 
 class CalibrationError(ArithmeticError):
@@ -102,9 +104,13 @@ def mu_to_log_delta(mu: float, epsilon: float) -> float:
 
 
 def mu_to_delta(mu: float, epsilon: float) -> float:
-    """delta(eps; mu) of the Gaussian-DP duality; increasing in mu."""
+    """delta(eps; mu) of the Gaussian-DP duality; increasing in mu.
+
+    A delta below the smallest normal double reads 0.0: a subnormal keeps too
+    few significant bits for :func:`delta_to_mu` to recover mu from it.
+    """
     log_delta = mu_to_log_delta(mu, epsilon)
-    if log_delta < -745.0:
+    if log_delta < _LOG_SMALLEST_NORMAL:
         return 0.0
     return math.exp(log_delta)
 

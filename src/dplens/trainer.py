@@ -15,7 +15,13 @@ from typing import Any
 
 import numpy as np
 
-from .clipping import ClippingRule, privatize_gradient, privatize_gradient_many
+from .clipping import (
+    ClippingRule,
+    clip_weights,
+    noised_mean,
+    privatize_gradient,
+    privatize_gradient_many,
+)
 from .hessian import HessianStats, stats_snapshot
 from .model import DifferentiableTask, QuadraticTask
 from .predictor import AlphaSchedule, alpha_schedule_value
@@ -105,6 +111,19 @@ def optimizer_direction(
     return m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer), new
 
 
+def _private_gradient(
+    task: DifferentiableTask,
+    w: Array,
+    batch: Any,
+    rule: ClippingRule | None,
+    sigma: float,
+    rng: np.random.Generator | None,
+) -> Array:
+    """``(sum_i C_i g_i + sigma * N(0, I)) / B`` from the task's fused pass."""
+    _, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
+    return noised_mean(total, task.batch_size_of(batch), sigma, rng)
+
+
 def dp_sgd_step(
     task: DifferentiableTask,
     w: Array,
@@ -115,8 +134,7 @@ def dp_sgd_step(
     rng: np.random.Generator | None,
 ) -> Array:
     """One plain-SGD step on the privatized batch gradient."""
-    grads = task.per_sample_gradients(w, batch)
-    g = privatize_gradient(grads, rule, sigma, rng)
+    g = _private_gradient(task, w, batch, rule, sigma, rng)
     if config.weight_decay > 0:
         g = g + config.weight_decay * w
     return w - config.eta * g
@@ -136,8 +154,7 @@ def dp_adam_step(
     if config.kind not in ("adam", "sgd_momentum"):
         raise ValueError("stateful step requires kind 'adam' or 'sgd_momentum'")
     state.check_dim(task.dimension)
-    grads = task.per_sample_gradients(w, batch)
-    g = privatize_gradient(grads, rule, sigma, rng)
+    g = _private_gradient(task, w, batch, rule, sigma, rng)
     direction, new_state = optimizer_direction(g, w, config, state)
     return w - config.eta * direction, new_state
 
@@ -362,6 +379,7 @@ def continual_pretrain(
         raise ValueError("only binary alpha schedules drive the two-phase loop")
     if rule is None:
         rule = ClippingRule.reparam(1.0)
+    weights = clip_weights(rule)
 
     total_steps = epochs * steps_per_epoch
     init_rng, val_rng, data_rng, noise_rng, probe_rng, head_rng = rng.spawn(6)
@@ -387,20 +405,18 @@ def continual_pretrain(
         if schedule is not None and phase == "public":
             if alpha_schedule_value(schedule, t) == 0.0:
                 _switch(t)
-        task = task_public if phase == "public" else task_private
+        public = phase == "public"
+        task = task_public if public else task_private
         batch = task.draw_batch(data_rng, batch_size)
-        train_loss = task.batch_loss(w, batch)
+        train_loss, total = task.loss_and_weighted_gradient_sum(
+            w, batch, None if public else weights
+        )
         if not math.isfinite(train_loss):
             run.aborted = True
             run.abort_reason = f"non-finite training loss at iteration {t}"
             break
-        grads = task.per_sample_gradients(w, batch)
-        if phase == "public":
-            g = grads.mean(axis=0)
-            sigma_t = 0.0
-        else:
-            g = privatize_gradient(grads, rule, sigma, noise_rng)
-            sigma_t = sigma
+        sigma_t = 0.0 if public else sigma
+        g = noised_mean(total, batch_size, sigma_t, noise_rng)
         direction, state = optimizer_direction(g, w, config, state)
         w = w - config.eta * direction
 
@@ -535,14 +551,14 @@ def four_way_comparison(
         state = OptimizerState.zeros(task.dimension)
         run = TrainRun()
         phase = "public" if arm_rule is None and arm_sigma == 0.0 else "private"
+        weights = clip_weights(arm_rule)
         for t, batch in enumerate(batches):
-            train_loss = task.batch_loss(w, batch)
+            train_loss, total = task.loss_and_weighted_gradient_sum(w, batch, weights)
             if not math.isfinite(train_loss):
                 run.aborted = True
                 run.abort_reason = f"non-finite training loss at iteration {t}"
                 break
-            grads = task.per_sample_gradients(w, batch)
-            g = privatize_gradient(grads, arm_rule, arm_sigma, noise_rng)
+            g = noised_mean(total, batch_size, arm_sigma, noise_rng)
             direction, state = optimizer_direction(g, w, config, state)
             w = w - config.eta * direction
             val = task.batch_loss(w, eval_set) if t == steps - 1 else None

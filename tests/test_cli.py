@@ -17,6 +17,15 @@ from dplens.cli import (
 from dplens.model import QuadraticTask, TinyMlpTask
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# the subcommand each shipped config is written for
+SHIPPED_CONFIGS = {
+    "breakdown.json": "fig-breakdown",
+    "calibrate_bench.json": "calibrate",
+    "continual_demo.json": "continual",
+    "fourway_mlp.json": "fourway",
+    "mia_toy.json": "mia",
+    "oracle_small.json": "oracle",
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -208,6 +217,40 @@ class TestSubcommands:
         )
         phases = [line.split(",")[1] for line in lines[1:]]
         assert "public" in phases
+
+    def test_every_config_is_listed(self):
+        assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+    def test_shipped_config_runs(self, name, tmp_path):
+        command = SHIPPED_CONFIGS[name]
+        argv = [command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]
+        assert run_subcommand(argv) == 0
+        assert list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["train", "fourway"])
+    def test_mlp_training_never_builds_per_sample_gradients(
+        self, command, tmp_path, monkeypatch
+    ):
+        def refuse(self, w, batch):
+            raise AssertionError("a training step built the per-sample gradient matrix")
+
+        monkeypatch.setattr(TinyMlpTask, "per_sample_gradients", refuse)
+        payload = {
+            "schema": 1,
+            "task": {"kind": "tinymlp", "n_in": 3, "hidden": 8, "n_out": 2},
+            "optimizer": {"kind": "adam", "eta": 0.01},
+            "clipping": {"kind": "reparam", "r": 1.0},
+            "sigma": 0.5,
+            "steps": 5,
+            "batch_size": 16,
+        }
+        if command == "train":
+            payload["mode"] = "dp"
+        path = write_config(tmp_path, payload)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5 * (4 if command == "fourway" else 1)
 
     def test_seed_sweep_with_jobs(self, tmp_path):
         payload = sweep_config()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dplens.clipping import ClippingRule, clip_factors
 from dplens.model import (
     LogisticTask,
     QuadraticTask,
@@ -144,6 +147,42 @@ def test_mlp_hvp_homogeneous():
     v = rng.standard_normal(task.dimension)
     assert np.allclose(task.hvp(w, batch, 2.5 * v), 2.5 * task.hvp(w, batch, v), rtol=1e-6)
     assert np.array_equal(task.hvp(w, batch, np.zeros(task.dimension)), np.zeros(task.dimension))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=12),
+    scale=st.floats(min_value=0.1, max_value=3.0),
+    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule.reparam(0.7)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, rule):
+    task = mlp_case()
+    rng = np.random.default_rng(seed)
+    w = task.random_parameters(rng, scale)
+    x, y = task.draw_batch(rng, m)
+    # row 0's target is the model's own prediction, so its gradient is exactly 0
+    y[0] = task.forward(w, x)[0]
+    batch = (x, y)
+    grads = task.per_sample_gradients(w, batch)
+    norms = np.linalg.norm(grads, axis=1)
+    assert norms[0] == 0.0
+    seen = []
+
+    def weight_of_norms(g_norms):
+        seen.append(g_norms)
+        return clip_factors(g_norms, rule)
+
+    loss, total = task.loss_and_weighted_gradient_sum(
+        w, batch, None if rule is None else weight_of_norms
+    )
+    assert loss == task.batch_loss(w, batch)
+    factors = np.ones(m) if rule is None else clip_factors(norms, rule)
+    if rule is not None:
+        (ghost_norms,) = seen
+        assert np.allclose(ghost_norms, norms, rtol=1e-12, atol=0.0)
+    # the scale of the sum's terms, so cancellation between rows does not matter
+    assert np.linalg.norm(total - factors @ grads) <= 1e-12 * (factors @ norms)
 
 
 class TestPopulationStats:
