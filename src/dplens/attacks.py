@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import ClippingRule, privatize_gradient
+from .clipping import ClippingRule, clip_weights, noised_mean
 
 Array = np.ndarray
 
@@ -49,19 +49,6 @@ class SoftmaxModel:
         return log_norm - z[np.arange(len(ys)), np.asarray(ys, dtype=int)]
 
 
-def _softmax_grads(model: SoftmaxModel, xs: Array, ys: Array) -> Array:
-    """Per-sample cross-entropy gradients, flattened to (m, k*(d+1))."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.asarray(ys, dtype=int)
-    z = model.batch_logits(xs)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(len(ys)), ys] -= 1.0
-    g_w = np.einsum("mk,md->mkd", p, xs)
-    return np.concatenate([g_w.reshape(len(ys), -1), p], axis=1)
-
-
 def fit_softmax(
     xs: Array,
     ys: Array,
@@ -78,18 +65,40 @@ def fit_softmax(
     With ``sigma > 0`` (and ordinarily a clipping rule) every step uses the
     privatized batch gradient, so the result is a DP-trained model; with
     ``sigma = 0`` and no rule it is plain gradient descent.
+
+    Each epoch makes one pass and never builds per-sample gradients.  The
+    gradient of example i is the outer product of its residual
+    ``P_i = softmax(W x_i + b) - onehot(y_i)`` with ``[x_i, 1]``, so its norm
+    follows from ``|g_i|^2 = |P_i|^2 (|x_i|^2 + 1)`` and the clipped sum
+    ``sum_i C_i g_i`` is ``(C P)^T X`` for W and ``sum_i C_i P_i`` for b: one
+    (k, m) by (m, d) product instead of an (m, k(d+1)) matrix.  The sum is
+    averaged and noised by :func:`clipping.noised_mean` in the
+    ``[W row-major, b]`` layout, so the noise draws are those of
+    :func:`clipping.privatize_gradient` on the per-sample matrix.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=int)
-    d = xs.shape[1]
-    model = SoftmaxModel(np.zeros((n_classes, d)), np.zeros(n_classes))
+    m, d = xs.shape
+    weights, bias = np.zeros((n_classes, d)), np.zeros(n_classes)
+    weight_of_norms = clip_weights(rule)
+    sq_norms_x1 = np.einsum("md,md->m", xs, xs) + 1.0
+    cols = np.arange(m)
     for _ in range(epochs):
-        grads = _softmax_grads(model, xs, ys)
-        g = privatize_gradient(grads, rule, sigma, rng)
-        g_w = g[: n_classes * d].reshape(n_classes, d)
-        g_b = g[n_classes * d :]
-        model = SoftmaxModel(model.weights - lr * g_w, model.bias - lr * g_b)
-    return model
+        # P is held as its (k, m) transpose, so the reductions over the k classes
+        # run vectorised over the m examples
+        p = weights @ xs.T + bias[:, None]
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        p[ys, cols] -= 1.0
+        if weight_of_norms is not None:
+            norms = np.sqrt(np.einsum("km,km->m", p, p) * sq_norms_x1)
+            p *= weight_of_norms(norms)
+        total = np.concatenate([(p @ xs).ravel(), p.sum(axis=1)])
+        g = noised_mean(total, m, sigma, rng)
+        weights = weights - lr * g[: n_classes * d].reshape(n_classes, d)
+        bias = bias - lr * g[n_classes * d :]
+    return SoftmaxModel(weights, bias)
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,14 @@ class MiaClassifier:
     feature_mean: Array
     feature_scale: Array
 
-    def scores(self, features: Array) -> Array:
+    def logits(self, features: Array) -> Array:
+        """The attack's log-odds of membership; it ranks without saturating."""
         z = (np.atleast_2d(features) - self.feature_mean) / self.feature_scale
-        return 1.0 / (1.0 + np.exp(-(z @ self.coef + self.intercept)))
+        return z @ self.coef + self.intercept
+
+    def scores(self, features: Array) -> Array:
+        """Membership probabilities: the sigmoid of :meth:`logits`, without overflow."""
+        return 0.5 * (1.0 + np.tanh(0.5 * self.logits(features)))
 
 
 def fit_mia_classifier(
@@ -228,7 +242,8 @@ def fit_mia_classifier(
     def objective(theta):
         margins = signs * (design @ theta)
         losses = np.logaddexp(0.0, -margins)
-        grad_scale = -signs * weights / (1.0 + np.exp(margins))
+        # 1 / (1 + e^margin), without overflow at large margins
+        grad_scale = -signs * weights * np.exp(-np.logaddexp(0.0, margins))
         return float(weights @ losses), design.T @ grad_scale
 
     result = minimize(
@@ -253,29 +268,47 @@ class MiaReport:
     auc: float
 
 
+def _midranks(values: Array) -> Array:
+    """1-based ranks of ``values``, each tie run given the mean rank of the run.
+
+    Equal to ``scipy.stats.rankdata(values)`` (method "average"): the mean of
+    the ranks ``start+1 .. end`` of a run is ``(start + end + 1) / 2``, an
+    exact half.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_from_scores(scores: Array, labels: Array) -> float:
     """Rank-statistic AUC with midrank tie handling."""
-    from scipy.stats import rankdata
-
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
-    """Threshold-0.5 classification metrics plus rank AUC on the test split."""
+    """Threshold-0.5 classification metrics plus rank AUC on the test split.
+
+    Both come from the attack's logits: a score of 0.5 is a logit of 0, and
+    ranking logits keeps the order that saturated scores of 0.0 or 1.0 lose.
+    """
     if len(dataset.test_idx) == 0:
         raise ValueError("empty test split")
     x = dataset.features[dataset.test_idx]
     y = dataset.labels[dataset.test_idx]
-    scores = classifier.scores(x)
-    pred = (scores >= 0.5).astype(float)
+    logits = classifier.logits(x)
+    pred = (logits >= 0.0).astype(float)
     tp = float(np.sum((pred == 1) & (y == 1)))
     fp = float(np.sum((pred == 1) & (y == 0)))
     fn = float(np.sum((pred == 0) & (y == 1)))
@@ -288,7 +321,7 @@ def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=auc_from_scores(scores, y),
+        auc=auc_from_scores(logits, y),
     )
 
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplens.attacks import (
     MiaClassifier,
@@ -15,7 +22,9 @@ from dplens.attacks import (
     two_blob_data,
     MIA_CSV_HEADER,
 )
-from dplens.clipping import ClippingRule
+from dplens.clipping import ClippingRule, privatize_gradient
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def toy_model(n_classes=2, dim=4, seed=0):
@@ -220,3 +229,133 @@ class TestSoftmaxTraining:
         batched = model.example_losses(xs, ys)
         singles = [model.example_loss(x, y) for x, y in zip(xs, ys)]
         assert np.allclose(batched, singles)
+
+
+def reference_fit_softmax(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
+    """Softmax training from the explicit (m, k(d+1)) per-sample gradient matrix."""
+    m, d = xs.shape
+    weights, bias = np.zeros((n_classes, d)), np.zeros(n_classes)
+    for _ in range(epochs):
+        z = xs @ weights.T + bias
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(m), ys] -= 1.0
+        grads = np.concatenate([np.einsum("mk,md->mkd", p, xs).reshape(m, -1), p], axis=1)
+        g = privatize_gradient(grads, rule, sigma, rng)
+        weights = weights - lr * g[: n_classes * d].reshape(n_classes, d)
+        bias = bias - lr * g[n_classes * d :]
+    return weights, bias
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=16),
+    d=st.integers(min_value=1, max_value=6),
+    n_classes=st.integers(min_value=2, max_value=4),
+    epochs=st.integers(min_value=1, max_value=6),
+    scale=st.floats(min_value=0.05, max_value=5.0),
+    sigma=st.sampled_from([0.0, 0.3, 2.0]),
+    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule.reparam(0.7)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_fit_softmax_matches_per_sample_gradient_reference(
+    seed, m, d, n_classes, epochs, scale, sigma, rule
+):
+    data = np.random.default_rng(seed)
+    xs = scale * data.standard_normal((m, d))
+    ys = data.integers(0, n_classes, size=m)
+    model = fit_softmax(
+        xs, ys, n_classes, epochs, 0.5, np.random.default_rng(seed), sigma=sigma, rule=rule
+    )
+    ref_rng = np.random.default_rng(seed)
+    weights, bias = reference_fit_softmax(xs, ys, n_classes, epochs, 0.5, ref_rng, sigma, rule)
+    # W and b as one parameter vector: b alone is a sum of residuals that can
+    # cancel to far below the scale of its rounding errors
+    got = np.concatenate([model.weights.ravel(), model.bias])
+    want = np.concatenate([weights.ravel(), bias])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestFitSoftmaxChecks:
+    def test_negative_sigma_rejected(self):
+        x, y = two_blob_data(10, 3, np.random.default_rng(30))
+        with pytest.raises(ValueError, match="sigma"):
+            fit_softmax(x, y, 2, 3, 0.5, np.random.default_rng(0), sigma=-1.0)
+
+    def test_sigma_without_generator_rejected(self):
+        x, y = two_blob_data(10, 3, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="random generator"):
+            fit_softmax(x, y, 2, 3, 0.5, sigma=1.0, rule=ClippingRule.auto())
+
+    def test_zero_sigma_draws_no_noise(self):
+        x, y = two_blob_data(10, 3, np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        before = rng.bit_generator.state
+        fit_softmax(x, y, 2, 3, 0.5, rng, rule=ClippingRule.auto())
+        assert rng.bit_generator.state == before
+
+
+@given(
+    ranks=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_auc_matches_scipy_rankdata_reference_under_ties(ranks, seed):
+    from scipy.stats import rankdata
+
+    scores = np.asarray(ranks, dtype=float) * 0.25
+    labels = np.random.default_rng(seed).integers(0, 2, size=len(scores))
+    labels[:2] = [0, 1]
+    n_pos, n_neg = int(labels.sum()), int((1 - labels).sum())
+    expected = (float(rankdata(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (
+        n_pos * n_neg
+    )
+    assert auc_from_scores(scores, labels) == expected
+
+
+def test_saturated_logits_still_separate_members():
+    # logits of -2000 and below: every score is exactly 0.0, yet members rank higher
+    labels = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    feats = np.array([[-40.0], [-41.0], [-42.0], [-50.0], [-51.0], [-52.0]])
+    clf = MiaClassifier(
+        coef=np.array([50.0]), intercept=0.0,
+        feature_mean=np.zeros(1), feature_scale=np.ones(1),
+    )
+    assert np.all(clf.scores(feats) == 0.0)
+    ds = MiaDataset(features=feats, labels=labels,
+                    train_idx=np.arange(6), test_idx=np.arange(6))
+    report = evaluate_mia(clf, ds)
+    assert report.auc == 1.0
+    assert report.accuracy == 0.5  # every logit is below the 0.5-score threshold
+
+
+def test_scores_are_the_sigmoid_of_the_logits():
+    clf = MiaClassifier(
+        coef=np.array([1.0, -2.0]), intercept=0.25,
+        feature_mean=np.zeros(2), feature_scale=np.ones(2),
+    )
+    feats = np.array([[0.0, 0.0], [3.0, 1.0], [-400.0, 400.0], [900.0, -900.0]])
+    s = clf.logits(feats)
+    expected = np.concatenate([1.0 / (1.0 + np.exp(-s[:2])), [0.0, 1.0]])
+    assert np.allclose(clf.scores(feats), expected, rtol=1e-14, atol=0.0)
+
+
+def test_mia_run_does_not_import_scipy_stats(tmp_path):
+    script = (
+        "import sys\n"
+        "from dplens.cli import run_subcommand\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported at start-up'\n"
+        f"code = run_subcommand(['mia', '--config', {str(ROOT / 'configs' / 'mia_toy.json')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.glob("mia*.csv"))) == 5
