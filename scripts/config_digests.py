@@ -1,0 +1,72 @@
+"""SHA-256 of every file each shipped and benchmark config writes.
+
+Runs every ``configs/*.json`` and, for each workload in ``bench/workloads.py``,
+the configs of workload seed 1, repetitions 0 to 2, through
+``dplens.cli.run_subcommand``, each into its own temporary directory.  Prints
+one ``<config>/<file> <sha256>`` line per output file.  Running it on two
+checkouts and diffing the output shows whether a change moved any output byte.
+
+    python3 scripts/config_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from dplens.cli import run_subcommand  # noqa: E402
+from workloads import WORKLOADS, config_for  # noqa: E402
+
+# the subcommand each shipped config is written for
+SHIPPED = {
+    "breakdown.json": "fig-breakdown",
+    "calibrate_bench.json": "calibrate",
+    "continual_demo.json": "continual",
+    "fourway_mlp.json": "fourway",
+    "mia_toy.json": "mia",
+    "oracle_small.json": "oracle",
+}
+BENCH_SEED = 1
+BENCH_REPS = range(3)
+
+
+def _runs(scratch: Path):
+    """(label, subcommand, config path) of every config to digest."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield f"configs/{path.name}", SHIPPED[path.name], path
+    for name, workload in sorted(WORKLOADS.items()):
+        for rep in BENCH_REPS:
+            label = f"bench/{name}-{BENCH_SEED}-{rep}"
+            path = scratch / f"{name}-{rep}.json"
+            path.write_text(json.dumps(config_for(workload, BENCH_SEED, rep)), encoding="utf-8")
+            yield label, workload.command, path
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for label, command, config in _runs(scratch):
+            outdir = scratch / label.replace("/", "_")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_subcommand([command, "--config", str(config), "--out", str(outdir)])
+            if code != 0:
+                print(f"{label} exit {code}")
+                failed += 1
+                continue
+            for out in sorted(p for p in outdir.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(out.read_bytes()).hexdigest()
+                print(f"{label}/{out.relative_to(outdir)} {digest}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,7 +65,6 @@ from .predictor import (
 )
 from .privacy import (
     CalibrationError,
-    GdpParams,
     PrivacyBudget,
     calibrate_sigma,
     complement_to_mu,
@@ -84,11 +83,9 @@ from .trainer import (
     SwitchPolicy,
     TrainRun,
     continual_pretrain,
-    dp_adam_step,
-    dp_sgd_step,
+    dp_step,
     empirical_improvement_oracle,
     four_way_comparison,
-    mixed_gradient,
 )
 
 __version__ = "0.1.0"

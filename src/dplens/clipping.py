@@ -9,13 +9,15 @@ per-sample contribution has norm at most 1 (unit sensitivity):
 The privatized gradient of a batch is ``(sum_i C_i g_i + sigma * N(0, I)) / B``.
 
 This module owns the clip policy; tasks only see it as a map from per-sample
-gradient norms to weights (:func:`clip_weights`).  A task's fused
-``loss_and_weighted_gradient_sum`` returns the mean batch loss and
-``sum_i C_i g_i`` from one forward and one backward pass, so a training step
-never needs the ``(B, d)`` matrix of per-sample gradients: the norms can come
-from layer factors (ghost clipping) and the weighted sum from one weighted
-back-propagation.  :func:`noised_mean` then adds the Gaussian noise and
-averages; it is the one noise step of every DP gradient in the package.
+gradient norms to weights (:func:`clip_weights`).  ``trainer.dp_step`` is the
+one training step: the task's fused ``loss_and_weighted_gradient_sum`` returns
+the mean batch loss and ``sum_i C_i g_i`` from one forward and one backward
+pass (the norms can come from layer factors, ghost clipping), so no step
+builds the ``(B, d)`` matrix of per-sample gradients; :func:`noised_mean` then
+adds the Gaussian noise and averages.  :func:`noised_mean` is the one noise
+step of every DP gradient in the package, also under
+:func:`privatize_gradient` and :func:`privatize_gradient_many`, which take
+explicit per-sample gradient stacks.
 """
 
 from __future__ import annotations
@@ -72,13 +74,10 @@ def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
     g_norms = np.asarray(g_norms, dtype=float)
     if np.any(g_norms < 0):
         raise ValueError("gradient norms must be nonnegative")
-    with np.errstate(divide="ignore"):
-        inv = np.where(g_norms > 0, 1.0 / np.where(g_norms > 0, g_norms, 1.0), 0.0)
     if rule.kind == "auto":
-        return inv
-    factors = np.minimum(inv, 1.0 / rule.r)
-    # zero-norm samples clip at the threshold rate, matching clip_factor
-    return np.where(g_norms == 0.0, 1.0 / rule.r, factors)
+        return np.divide(1.0, g_norms, out=np.zeros_like(g_norms), where=g_norms > 0)
+    # min(1/|g|, 1/R), and 1/R for a zero norm, as in clip_factor
+    return 1.0 / np.maximum(g_norms, rule.r)
 
 
 def clip_weights(rule: ClippingRule | None) -> NormWeights | None:

@@ -11,7 +11,6 @@ reproducible under a fixed generator.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,21 +135,3 @@ def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> H
         standard_error_tr_h=trace.standard_error,
     )
 
-
-STATS_CSV_HEADER = "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
-
-
-def stats_csv(rows: list[tuple[int, HessianStats, float]]) -> str:
-    """Render per-iteration curvature rows as CSV text.
-
-    Each row is ``(iteration, stats, decelerator)``; callers supply the
-    decelerator because it depends on the run's (sigma, c, B) context.
-    """
-    out = io.StringIO()
-    out.write(STATS_CSV_HEADER + "\n")
-    for iteration, stats, decel in rows:
-        out.write(
-            f"{iteration},{stats.tr_h!r},{stats.tr_h_sigma!r},"
-            f"{stats.g_h_g!r},{stats.g_norm_sq!r},{decel!r}\n"
-        )
-    return out.getvalue()

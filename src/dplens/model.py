@@ -1,10 +1,11 @@
 """Synthetic differentiable tasks with per-sample gradients and Hessian access.
 
-Every task exposes the same surface: per-sample loss/gradient, the fused
-training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss and a
-norm-weighted sum of per-sample gradients), block Hessian-vector products of
-the mean batch loss (``hvp_block``, with ``hvp`` its one-vector form), and
-seeded sample drawing.
+Every task exposes the same batched surface, the methods the training loops
+and curvature probes call: the mean batch loss (``batch_loss``), the stacked
+``(m, d)`` per-sample gradients, the fused training-step pass
+(``loss_and_weighted_gradient_sum``: mean batch loss and a norm-weighted sum
+of per-sample gradients), block Hessian-vector products of the mean batch
+loss (``hvp_block``), and seeded batch drawing.
 The quadratic task additionally carries exact population oracles (gradient,
 Hessian, per-sample gradient covariance) so that every stochastic estimator
 in this package can be checked against ground truth.
@@ -55,14 +56,6 @@ class DifferentiableTask(abc.ABC):
         """Number of trainable parameters."""
 
     @abc.abstractmethod
-    def loss(self, w: Array, sample: Any) -> float:
-        """Loss of parameters ``w`` on a single sample."""
-
-    @abc.abstractmethod
-    def per_sample_gradient(self, w: Array, sample: Any) -> Array:
-        """Gradient of ``loss(w, sample)`` with respect to ``w``."""
-
-    @abc.abstractmethod
     def per_sample_gradients(self, w: Array, batch: Any) -> Array:
         """Stacked per-sample gradients for a batch, shape ``(m, d)``."""
 
@@ -90,14 +83,6 @@ class DifferentiableTask(abc.ABC):
 
         Row ``j`` of the result is the Hessian applied to row ``j`` of ``vs``.
         """
-
-    def hvp(self, w: Array, batch: Any, v: Array) -> Array:
-        """Hessian-vector product of the mean batch loss at ``w``."""
-        return self.hvp_block(w, batch, self._check_dim(v)[None, :])[0]
-
-    @abc.abstractmethod
-    def sample_draw(self, rng: np.random.Generator) -> Any:
-        """Draw one sample from the task's data distribution."""
 
     @abc.abstractmethod
     def draw_batch(self, rng: np.random.Generator, m: int) -> Any:
@@ -152,15 +137,6 @@ class QuadraticTask(DifferentiableTask):
     def dimension(self) -> int:
         return self._d
 
-    def loss(self, w: Array, sample: Array) -> float:
-        w = self._check_dim(w)
-        r = w - np.asarray(sample, dtype=float)
-        return 0.5 * float(r @ self.a @ r)
-
-    def per_sample_gradient(self, w: Array, sample: Array) -> Array:
-        w = self._check_dim(w)
-        return self.a @ (w - np.asarray(sample, dtype=float))
-
     def per_sample_gradients(self, w: Array, batch: Array) -> Array:
         w = self._check_dim(w)
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
@@ -175,9 +151,6 @@ class QuadraticTask(DifferentiableTask):
     def hvp_block(self, w: Array, batch: Any, vs: Array) -> Array:
         self._check_dim(w)
         return self._check_block(vs) @ self.a
-
-    def sample_draw(self, rng: np.random.Generator) -> Array:
-        return self.x_mean + self._s_factor @ rng.standard_normal(self._d)
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         z = rng.standard_normal((m, self._d))
@@ -292,21 +265,6 @@ class LogisticTask(DifferentiableTask):
         z = np.asarray(x, dtype=float) @ np.asarray(w, dtype=float)
         return _sigmoid(z)
 
-    def loss(self, w: Array, sample: int) -> float:
-        w = self._check_dim(w)
-        x = self.features[int(sample)]
-        y = self.labels[int(sample)]
-        z = float(x @ w)
-        # log(1 + e^z) - y z, computed stably
-        return float(np.logaddexp(0.0, z) - y * z)
-
-    def per_sample_gradient(self, w: Array, sample: int) -> Array:
-        w = self._check_dim(w)
-        x = self.features[int(sample)]
-        y = self.labels[int(sample)]
-        p = _sigmoid(float(x @ w))
-        return (p - y) * x
-
     def per_sample_gradients(self, w: Array, batch: Array) -> Array:
         w = self._check_dim(w)
         idx = np.asarray(batch, dtype=int)
@@ -331,9 +289,6 @@ class LogisticTask(DifferentiableTask):
         p = _sigmoid(x @ w)
         scale = p * (1.0 - p)
         return ((vs @ x.T) * scale) @ x / len(idx)
-
-    def sample_draw(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.n_examples()))
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         return rng.integers(self.n_examples(), size=m)
@@ -380,10 +335,6 @@ class TinyMlpTask(DifferentiableTask):
 
     MAX_WIDTH = 64
     HVP_CHUNK_ROWS = 8
-
-    # the benchmark tracer (bench/tracer.py) wraps the methods it finds in a
-    # task class's own namespace, so the inherited hvp is bound here too
-    hvp = DifferentiableTask.hvp
 
     def __init__(
         self,
@@ -447,17 +398,6 @@ class TinyMlpTask(DifferentiableTask):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         hidden = np.tanh(x @ w1.T + b1)
         return hidden @ w2.T + b2
-
-    def loss(self, w: Array, sample: tuple[Array, Array]) -> float:
-        x, y = sample
-        pred = self.forward(w, np.atleast_2d(x))[0]
-        r = pred - np.asarray(y, dtype=float)
-        return 0.5 * float(r @ r)
-
-    def per_sample_gradient(self, w: Array, sample: tuple[Array, Array]) -> Array:
-        x, y = sample
-        batch = (np.atleast_2d(x), np.atleast_2d(y))
-        return self.per_sample_gradients(w, batch)[0]
 
     def _forward_backward(self, w: Array, batch: tuple[Array, Array]):
         """Inputs x, hidden activations h, residuals r and hidden errors delta1."""
@@ -531,10 +471,6 @@ class TinyMlpTask(DifferentiableTask):
                 r_resid.sum(axis=1),
             )
         return out / x.shape[0]
-
-    def sample_draw(self, rng: np.random.Generator) -> tuple[Array, Array]:
-        x, y = self.draw_batch(rng, 1)
-        return x[0], y[0]
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> tuple[Array, Array]:
         x = rng.standard_normal((m, self.n_in))

@@ -460,19 +460,6 @@ def normalize_post_processor() -> PostProcessor:
     return PostProcessor(value=value, jacobian_action=jacobian_action)
 
 
-def sign_post_processor() -> PostProcessor:
-    """Coordinate-wise sign post-processor (zero Jacobian a.e.)."""
-
-    def value(g: Array) -> Array:
-        return np.sign(np.asarray(g, dtype=float))
-
-    def jacobian_action(g: Array, v: Array) -> Array:
-        del g
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    return PostProcessor(value=value, jacobian_action=jacobian_action)
-
-
 def general_optimizer_improvement(
     post: PostProcessor,
     gradient: Array,

@@ -56,22 +56,6 @@ class PrivacyBudget:
             raise ValueError("delta must be below 1/n for a dataset of size n")
 
 
-@dataclass(frozen=True)
-class GdpParams:
-    """A mu-GDP guarantee, optionally with the mechanism that produced it."""
-
-    mu: float
-    n: int | None = None
-    batch_size: int | None = None
-    iterations: int | None = None
-    sample_budget: int | None = None
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-
 def _check_mu_eps(mu: float, epsilon: float) -> None:
     if mu <= 0:
         raise ValueError("mu must be positive")

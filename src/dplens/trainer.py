@@ -1,6 +1,11 @@
-"""Training loops: DP and plain SGD/momentum/Adam, mixed gradients, the
-public-then-private continual pre-training state machine, and the
-Monte-Carlo oracle that validates the closed-form improvement predictors.
+"""Training loops: the public-then-private continual pre-training state
+machine, the four-way clip/noise comparison, and the Monte-Carlo oracle that
+validates the closed-form improvement predictors.
+
+Every training step of both loops is one :func:`dp_step`: the task's fused
+loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD,
+momentum or Adam update.  Public, clipped-only, noised-only and DP steps
+differ only in the clipping rule and sigma passed to it.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
@@ -15,13 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .clipping import (
-    ClippingRule,
-    clip_weights,
-    noised_mean,
-    privatize_gradient,
-    privatize_gradient_many,
-)
+from .clipping import ClippingRule, clip_weights, noised_mean, privatize_gradient_many
 from .hessian import HessianStats, stats_snapshot
 from .model import DifferentiableTask, QuadraticTask
 from .predictor import AlphaSchedule, alpha_schedule_value
@@ -72,11 +71,6 @@ class OptimizerState:
     def copy(self) -> "OptimizerState":
         return OptimizerState(t=self.t, m=self.m.copy(), v=self.v.copy(), b=self.b.copy())
 
-    def check_dim(self, d: int) -> None:
-        for name in ("m", "v", "b"):
-            if getattr(self, name).shape != (d,):
-                raise ValueError(f"state {name} has wrong shape")
-
     def apply_reset(self, policy: str) -> None:
         """Re-initialise part of the state when switching training phases."""
         if policy not in RESET_POLICIES:
@@ -111,36 +105,7 @@ def optimizer_direction(
     return m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer), new
 
 
-def _private_gradient(
-    task: DifferentiableTask,
-    w: Array,
-    batch: Any,
-    rule: ClippingRule | None,
-    sigma: float,
-    rng: np.random.Generator | None,
-) -> Array:
-    """``(sum_i C_i g_i + sigma * N(0, I)) / B`` from the task's fused pass."""
-    _, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
-    return noised_mean(total, task.batch_size_of(batch), sigma, rng)
-
-
-def dp_sgd_step(
-    task: DifferentiableTask,
-    w: Array,
-    batch: Any,
-    rule: ClippingRule | None,
-    sigma: float,
-    config: OptimizerConfig,
-    rng: np.random.Generator | None,
-) -> Array:
-    """One plain-SGD step on the privatized batch gradient."""
-    g = _private_gradient(task, w, batch, rule, sigma, rng)
-    if config.weight_decay > 0:
-        g = g + config.weight_decay * w
-    return w - config.eta * g
-
-
-def dp_adam_step(
+def dp_step(
     task: DifferentiableTask,
     w: Array,
     batch: Any,
@@ -149,47 +114,23 @@ def dp_adam_step(
     config: OptimizerConfig,
     state: OptimizerState,
     rng: np.random.Generator | None,
-) -> tuple[Array, OptimizerState]:
-    """One stateful step (Adam or momentum SGD) on the privatized gradient."""
-    if config.kind not in ("adam", "sgd_momentum"):
-        raise ValueError("stateful step requires kind 'adam' or 'sgd_momentum'")
-    state.check_dim(task.dimension)
-    g = _private_gradient(task, w, batch, rule, sigma, rng)
-    direction, new_state = optimizer_direction(g, w, config, state)
-    return w - config.eta * direction, new_state
+) -> tuple[float, Array, OptimizerState]:
+    """One training step; returns ``(loss, w_next, state_next)``.
 
-
-def mixed_gradient(
-    public_batch_grads: Array | None,
-    private_batch_grads: Array | None,
-    alpha: float,
-    rule: ClippingRule | None,
-    sigma: float,
-    rng: np.random.Generator | None,
-) -> Array:
-    """Convex combination of a public mean gradient and a privatized one.
-
-    g = alpha * mean(public) + (1 - alpha) * privatized(private).  A side
-    with zero weight may be omitted entirely.
+    The task's fused pass gives the mean batch loss and ``sum_i C_i g_i``;
+    the privatized gradient ``(sum_i C_i g_i + sigma * N(0, I)) / B`` goes
+    through ``optimizer_direction`` and ``w_next = w - eta * direction``.
+    ``rule=None`` sums the raw gradients and ``sigma=0`` draws no noise, so
+    the same step serves public, clipped-only, noised-only and DP training.
+    A non-finite loss returns ``(loss, w, state)`` at once: no noise is
+    drawn and nothing is updated.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-
-    def _nonempty(grads):
-        return grads is not None and np.atleast_2d(np.asarray(grads)).shape[0] > 0
-
-    result = None
-    if alpha > 0.0:
-        if not _nonempty(public_batch_grads):
-            raise ValueError("public batch required when alpha > 0")
-        pub = np.atleast_2d(np.asarray(public_batch_grads, dtype=float)).mean(axis=0)
-        result = alpha * pub
-    if alpha < 1.0:
-        if not _nonempty(private_batch_grads):
-            raise ValueError("private batch required when alpha < 1")
-        priv = privatize_gradient(private_batch_grads, rule, sigma, rng)
-        result = (1.0 - alpha) * priv if result is None else result + (1.0 - alpha) * priv
-    return result
+    loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
+    if not math.isfinite(loss):
+        return loss, w, state
+    g = noised_mean(total, task.batch_size_of(batch), sigma, rng)
+    direction, state = optimizer_direction(g, w, config, state)
+    return loss, w - config.eta * direction, state
 
 
 @dataclass
@@ -200,13 +141,10 @@ class SwitchPolicy:
     non-improvement streak; a new best resets it; anything in between leaves
     it unchanged.  The policy fires once, when the streak reaches
     ``patience``.  With patience 1 this is exactly the single-step rule
-    "switch when the loss goes up".  Alternatively, a measured optimal
-    private batch size can trigger the switch when it drops to
-    ``b_star_threshold``.
+    "switch when the loss goes up".
     """
 
     patience: int = 1
-    b_star_threshold: float | None = None
     _prev: float | None = field(default=None, repr=False)
     _best: float = field(default=math.inf, repr=False)
     _streak: int = field(default=0, repr=False)
@@ -229,17 +167,6 @@ class SwitchPolicy:
             self._best = value
         self._prev = value
         if self._streak >= self.patience:
-            self.fired = True
-            return True
-        return False
-
-    def observe_b_star(self, b_star: float) -> bool:
-        """Feed a measured B*; True exactly when it first drops to threshold."""
-        if self.b_star_threshold is None:
-            raise ValueError("no B* threshold configured")
-        if self.fired:
-            return False
-        if b_star <= self.b_star_threshold:
             self.fired = True
             return True
         return False
@@ -379,7 +306,6 @@ def continual_pretrain(
         raise ValueError("only binary alpha schedules drive the two-phase loop")
     if rule is None:
         rule = ClippingRule.reparam(1.0)
-    weights = clip_weights(rule)
 
     total_steps = epochs * steps_per_epoch
     init_rng, val_rng, data_rng, noise_rng, probe_rng, head_rng = rng.spawn(6)
@@ -408,17 +334,14 @@ def continual_pretrain(
         public = phase == "public"
         task = task_public if public else task_private
         batch = task.draw_batch(data_rng, batch_size)
-        train_loss, total = task.loss_and_weighted_gradient_sum(
-            w, batch, None if public else weights
+        sigma_t = 0.0 if public else sigma
+        train_loss, w, state = dp_step(
+            task, w, batch, None if public else rule, sigma_t, config, state, noise_rng
         )
         if not math.isfinite(train_loss):
             run.aborted = True
             run.abort_reason = f"non-finite training loss at iteration {t}"
             break
-        sigma_t = 0.0 if public else sigma
-        g = noised_mean(total, batch_size, sigma_t, noise_rng)
-        direction, state = optimizer_direction(g, w, config, state)
-        w = w - config.eta * direction
 
         stats = None
         if hessian_probes > 0:
@@ -551,16 +474,14 @@ def four_way_comparison(
         state = OptimizerState.zeros(task.dimension)
         run = TrainRun()
         phase = "public" if arm_rule is None and arm_sigma == 0.0 else "private"
-        weights = clip_weights(arm_rule)
         for t, batch in enumerate(batches):
-            train_loss, total = task.loss_and_weighted_gradient_sum(w, batch, weights)
+            train_loss, w, state = dp_step(
+                task, w, batch, arm_rule, arm_sigma, config, state, noise_rng
+            )
             if not math.isfinite(train_loss):
                 run.aborted = True
                 run.abort_reason = f"non-finite training loss at iteration {t}"
                 break
-            g = noised_mean(total, batch_size, arm_sigma, noise_rng)
-            direction, state = optimizer_direction(g, w, config, state)
-            w = w - config.eta * direction
             val = task.batch_loss(w, eval_set) if t == steps - 1 else None
             run.records.append(
                 IterationRecord(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dplens.clipping import (
@@ -33,11 +33,30 @@ class TestClipFactor:
     def test_auto_zero_norm_sentinel(self):
         assert clip_factor(0.0, AUTO) == 0.0
 
-    def test_vectorised_matches_scalar(self):
-        norms = np.array([0.0, 0.3, 1.0, 2.5, 10.0])
-        for rule in (AUTO, REPARAM1, ClippingRule.reparam(3.0)):
-            expected = [clip_factor(n, rule) for n in norms]
-            assert np.allclose(clip_factors(norms, rule), expected)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1e12, allow_subnormal=False),
+                st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-8, 8)),
+            ),
+            max_size=40,
+        ),
+        st.one_of(st.just(AUTO), st.floats(1e-3, 1e3).map(ClippingRule.reparam)),
+    )
+    @example([0.3, 1.0, 2.5, 10.0], AUTO)
+    @example([0.3, 1.0, 2.5, 10.0], REPARAM1)
+    @example([0.3, 1.0, 2.5, 10.0], ClippingRule.reparam(3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_matches_scalar(self, norms, rule):
+        # zero and the threshold itself are the boundary cases of both rules
+        norms = np.array(norms + [0.0, rule.r])
+        expected = np.array([clip_factor(n, rule) for n in norms])
+        assert np.array_equal(clip_factors(norms, rule), expected)
+
+    def test_vectorised_negative_norm_rejected(self):
+        for rule in (AUTO, REPARAM1):
+            with pytest.raises(ValueError):
+                clip_factors(np.array([1.0, -1e-12]), rule)
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),

@@ -5,11 +5,11 @@ from dplens.hessian import (
     HessianStats,
     hutchinson_trace,
     quadratic_form,
-    stats_csv,
     stats_snapshot,
     trace_h_sigma,
 )
 from dplens.model import QuadraticTask, TinyMlpTask, population_stats
+from dplens.trainer import IterationRecord, TrainRun
 
 
 def diag_action(values):
@@ -182,7 +182,12 @@ class TestStatsTypesAndCsv:
 
     def test_csv_layout(self):
         stats = HessianStats(2.0, 3.0, 4.0, 5.0, probe_count=10, standard_error_tr_h=0.1)
-        text = stats_csv([(0, stats, 6.0)])
-        lines = text.strip().split("\n")
-        assert lines[0] == "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
-        assert lines[1] == "0,2.0,3.0,4.0,5.0,6.0"
+        record = IterationRecord(
+            iteration=0, phase="private", alpha=0.0, train_loss=1.5, val_loss=None,
+            sigma=0.5, hessian=stats,
+        )
+        text = TrainRun(records=[record]).to_csv(decelerator_of=lambda r: 6.0)
+        header, row = (line.split(",") for line in text.strip().split("\n"))
+        assert ",".join(header[:1] + header[6:]) == "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
+        assert ",".join(row[:1] + row[6:]) == "0,2.0,3.0,4.0,5.0,6.0"
+        assert ",".join(row[1:6]) == "private,0.0,1.5,,0.5"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dplens.clipping import ClippingRule, clip_factors
 from dplens.model import (
+    DifferentiableTask,
     LogisticTask,
     QuadraticTask,
     TinyMlpTask,
@@ -34,31 +35,41 @@ def mlp_case(seed=11):
     return TinyMlpTask(n_in=3, hidden=8, n_out=2, teacher_seed=seed, noise_std=0.1)
 
 
-def fd_gradient(task, w, sample, h=1e-6):
+def fd_gradient(task, w, batch, h=1e-6):
     g = np.zeros_like(w)
     for i in range(len(w)):
         e = np.zeros_like(w)
         e[i] = h
-        g[i] = (task.loss(w + e, sample) - task.loss(w - e, sample)) / (2 * h)
+        g[i] = (task.batch_loss(w + e, batch) - task.batch_loss(w - e, batch)) / (2 * h)
     return g
 
 
+def hvp(task, w, batch, v):
+    """H v for one direction, through the task's block action."""
+    return task.hvp_block(w, batch, v[None, :])[0]
+
+
+def test_task_interface_is_the_batched_methods():
+    assert DifferentiableTask.__abstractmethods__ == {
+        "dimension",
+        "per_sample_gradients",
+        "batch_loss",
+        "hvp_block",
+        "draw_batch",
+        "batch_size_of",
+    }
+
+
 @pytest.mark.parametrize(
-    "task,w,sample_of",
-    [
-        (quadratic_case(), None, lambda t, r: t.sample_draw(r)),
-        (logistic_case(), None, lambda t, r: t.sample_draw(r)),
-        (mlp_case(), None, lambda t, r: t.sample_draw(r)),
-    ],
-    ids=["quadratic", "logistic", "mlp"],
+    "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quadratic", "logistic", "mlp"]
 )
-def test_gradient_matches_finite_differences(task, w, sample_of):
+def test_gradient_matches_finite_differences(task):
     rng = np.random.default_rng(0)
     for probe in range(3):
         w = 0.5 * rng.standard_normal(task.dimension)
-        sample = sample_of(task, rng)
-        analytic = task.per_sample_gradient(w, sample)
-        numeric = fd_gradient(task, w, sample)
+        batch = task.draw_batch(rng, 1)
+        analytic = task.per_sample_gradients(w, batch)[0]
+        numeric = fd_gradient(task, w, batch)
         scale = max(np.linalg.norm(analytic), 1.0)
         assert np.linalg.norm(analytic - numeric) / scale <= 1e-4
 
@@ -73,11 +84,11 @@ def test_hvp_linear_and_symmetric(task):
     u = rng.standard_normal(task.dimension)
     v = rng.standard_normal(task.dimension)
     a_coef, b_coef = 1.7, -0.4
-    combo = task.hvp(w, batch, a_coef * u + b_coef * v)
-    parts = a_coef * task.hvp(w, batch, u) + b_coef * task.hvp(w, batch, v)
+    combo = hvp(task, w, batch, a_coef * u + b_coef * v)
+    parts = a_coef * hvp(task, w, batch, u) + b_coef * hvp(task, w, batch, v)
     assert np.linalg.norm(combo - parts) <= 1e-8 * max(np.linalg.norm(parts), 1.0)
-    lhs = u @ task.hvp(w, batch, v)
-    rhs = v @ task.hvp(w, batch, u)
+    lhs = u @ hvp(task, w, batch, v)
+    rhs = v @ hvp(task, w, batch, u)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -89,7 +100,7 @@ def test_hvp_block_rows_match_hvp_for_any_block_size(task):
     w = 0.3 * rng.standard_normal(task.dimension)
     batch = task.draw_batch(rng, 8)
     vs = rng.standard_normal((81, task.dimension))
-    rows = np.array([task.hvp(w, batch, v) for v in vs])
+    rows = np.array([hvp(task, w, batch, v) for v in vs])
     scale = max(np.abs(rows).max(), 1.0)
     for size in (1, 7, 81):
         block = np.concatenate(
@@ -128,7 +139,7 @@ def test_mlp_hvp_matches_directional_second_difference():
     batch = task.draw_batch(rng, 16)
     for _ in range(3):
         v = rng.standard_normal(task.dimension)
-        quad = v @ task.hvp(w, batch, v)
+        quad = v @ hvp(task, w, batch, v)
         # independent oracle: second central difference of the batch loss
         h = np.finfo(float).eps ** 0.25 * (1 + np.linalg.norm(w)) / np.linalg.norm(v)
         second = (
@@ -145,8 +156,8 @@ def test_mlp_hvp_homogeneous():
     w = task.random_parameters(rng)
     batch = task.draw_batch(rng, 8)
     v = rng.standard_normal(task.dimension)
-    assert np.allclose(task.hvp(w, batch, 2.5 * v), 2.5 * task.hvp(w, batch, v), rtol=1e-6)
-    assert np.array_equal(task.hvp(w, batch, np.zeros(task.dimension)), np.zeros(task.dimension))
+    assert np.allclose(hvp(task, w, batch, 2.5 * v), 2.5 * hvp(task, w, batch, v), rtol=1e-6)
+    assert np.array_equal(hvp(task, w, batch, np.zeros(task.dimension)), np.zeros(task.dimension))
 
 
 @given(
@@ -289,7 +300,7 @@ class TestTaskConstruction:
         batch = task.draw_batch(rng, 12)
         for _ in range(5):
             v = rng.standard_normal(task.dimension)
-            assert v @ task.hvp(w, batch, v) >= -1e-12
+            assert v @ hvp(task, w, batch, v) >= -1e-12
 
     def test_mlp_width_cap(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dplens.privacy import (
     CalibrationError,
-    GdpParams,
     PrivacyBudget,
     calibrate_sigma,
     complement_to_mu,
@@ -202,10 +201,3 @@ class TestBudgetTypes:
             PrivacyBudget(epsilon=0.0, delta=1e-6)
         with pytest.raises(ValueError):
             PrivacyBudget(epsilon=1.0, delta=0.0)
-        with pytest.raises(ValueError):
-            GdpParams(mu=0.0)
-
-    def test_gdp_params_carry_context(self):
-        params = GdpParams(mu=1.0, n=100, batch_size=10, iterations=5, sample_budget=50, sigma=2.0)
-        assert params.mu == 1.0
-        assert params.sample_budget == 50

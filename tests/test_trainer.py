@@ -6,16 +6,16 @@ import pytest
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
 from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv, delta_l_pub
+from dplens import trainer
 from dplens.trainer import (
+    FOUR_WAY_ARMS,
     OptimizerConfig,
     OptimizerState,
     SwitchPolicy,
     continual_pretrain,
-    dp_adam_step,
-    dp_sgd_step,
+    dp_step,
     empirical_improvement_oracle,
     four_way_comparison,
-    mixed_gradient,
     optimizer_direction,
 )
 
@@ -29,6 +29,25 @@ def small_quadratic(d=4, cov=0.02, seed=0):
     return QuadraticTask(a, np.zeros(d), cov * np.eye(d))
 
 
+def count_dp_steps(monkeypatch):
+    """Patch ``trainer.dp_step`` to count its calls; returns the live counter."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dp_step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "dp_step", counted)
+    return calls
+
+
+def first_step(task, w, batch, rule, sigma, config, rng=None, state=None):
+    """``dp_step`` from a fresh optimizer state; returns (loss, w_next, state_next)."""
+    if state is None:
+        state = OptimizerState.zeros(task.dimension)
+    return dp_step(task, w, batch, rule, sigma, config, state, rng)
+
+
 class TestSteps:
     def test_convex_descent(self):
         task = small_quadratic()
@@ -36,7 +55,7 @@ class TestSteps:
         w = 0.4 * np.ones(task.dimension)
         config = OptimizerConfig(kind="sgd", eta=0.5)
         batch = task.draw_batch(rng, 32)
-        w_next = dp_sgd_step(task, w, batch, REPARAM1, 0.0, config, None)
+        _, w_next, _ = first_step(task, w, batch, REPARAM1, 0.0, config)
         assert task.population_loss(w_next) < task.population_loss(w)
 
     def test_noiseless_no_clip_is_vanilla_sgd(self):
@@ -45,18 +64,46 @@ class TestSteps:
         w = 0.2 * np.ones(task.dimension)
         batch = task.draw_batch(rng, 16)
         config = OptimizerConfig(kind="sgd", eta=0.3)
-        stepped = dp_sgd_step(task, w, batch, None, 0.0, config, None)
+        loss, stepped, _ = first_step(task, w, batch, None, 0.0, config)
         vanilla = w - config.eta * task.per_sample_gradients(w, batch).mean(axis=0)
         assert np.allclose(stepped, vanilla, rtol=1e-14)
+        assert loss == task.batch_loss(w, batch)
 
     def test_fixed_seed_bit_identical(self):
         task = small_quadratic()
         w = 0.2 * np.ones(task.dimension)
         batch = task.draw_batch(np.random.default_rng(3), 8)
         config = OptimizerConfig(kind="sgd", eta=0.3)
-        a = dp_sgd_step(task, w, batch, REPARAM1, 0.8, config, np.random.default_rng(7))
-        b = dp_sgd_step(task, w, batch, REPARAM1, 0.8, config, np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        a = first_step(task, w, batch, REPARAM1, 0.8, config, np.random.default_rng(7))
+        b = first_step(task, w, batch, REPARAM1, 0.8, config, np.random.default_rng(7))
+        assert np.array_equal(a[1], b[1])
+        assert a[0] == b[0]
+
+    def test_auto_clipped_step_averages_unit_gradients(self):
+        task = small_quadratic()
+        rng = np.random.default_rng(8)
+        w = 0.5 * np.ones(task.dimension)
+        batch = task.draw_batch(rng, 8)
+        config = OptimizerConfig(kind="sgd", eta=0.2)
+        _, w_next, _ = first_step(task, w, batch, ClippingRule.auto(), 0.0, config)
+        grads = task.per_sample_gradients(w, batch)
+        normalized = grads / np.linalg.norm(grads, axis=1, keepdims=True)
+        assert np.allclose((w - w_next) / config.eta, normalized.mean(axis=0), rtol=1e-12)
+
+    def test_non_finite_loss_draws_no_noise_and_keeps_parameters(self):
+        task = small_quadratic()
+        w = 0.2 * np.ones(task.dimension)
+        batch = task.draw_batch(np.random.default_rng(3), 8)
+        batch[2, 0] = np.nan
+        config = OptimizerConfig(kind="adam", eta=0.1)
+        state = OptimizerState.zeros(task.dimension)
+        rng = np.random.default_rng(7)
+        loss, w_next, state_next = dp_step(task, w, batch, REPARAM1, 0.8, config, state, rng)
+        assert math.isnan(loss)
+        assert w_next is w and state_next is state
+        assert state.t == 0
+        # the generator is untouched: its next draw is the first draw of a fresh one
+        assert rng.standard_normal() == np.random.default_rng(7).standard_normal()
 
 
 class TestAdamStep:
@@ -66,8 +113,7 @@ class TestAdamStep:
         w = np.array([0.5, -0.4, 0.3, -0.2])
         batch = task.draw_batch(rng, 8)
         config = OptimizerConfig(kind="adam", eta=0.01)
-        state = OptimizerState.zeros(task.dimension)
-        w_next, state_next = dp_adam_step(task, w, batch, None, 0.0, config, state, None)
+        _, w_next, state_next = first_step(task, w, batch, None, 0.0, config)
         g = task.per_sample_gradients(w, batch).mean(axis=0)
         direction = (w - w_next) / config.eta
         # hand evaluation at t=1: m_hat = g, v_hat = g^2, so p = g/(|g|+1e-8)
@@ -84,7 +130,7 @@ class TestAdamStep:
         state = OptimizerState.zeros(task.dimension)
         state.m = np.ones(task.dimension)  # stale state must not matter
         state.v = np.ones(task.dimension)
-        w_next, _ = dp_adam_step(task, w, batch, None, 0.0, config, state, None)
+        _, w_next, _ = first_step(task, w, batch, None, 0.0, config, state=state)
         g = task.per_sample_gradients(w, batch).mean(axis=0)
         expected = w - config.eta * g / (np.abs(g) + 1e-8)
         assert np.allclose(w_next, expected, rtol=1e-12)
@@ -95,8 +141,7 @@ class TestAdamStep:
         w = 0.3 * np.ones(task.dimension)
         batch = task.draw_batch(rng, 8)
         config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.0, weight_decay=0.5)
-        state = OptimizerState.zeros(task.dimension)
-        w_next, _ = dp_adam_step(task, w, batch, None, 0.0, config, state, None)
+        _, w_next, _ = first_step(task, w, batch, None, 0.0, config)
         g = task.per_sample_gradients(w, batch).mean(axis=0)
         assert np.allclose(w_next, w - config.eta * (g + 0.5 * w), rtol=1e-12)
 
@@ -109,44 +154,31 @@ class TestAdamStep:
         assert np.allclose(d1, [1.0, 0.0])
         assert np.allclose(d2, [1.9, 0.0])
 
-    def test_wrong_kind_rejected(self):
+    def test_momentum_steps_carry_the_buffer(self):
         task = small_quadratic()
-        config = OptimizerConfig(kind="sgd", eta=0.1)
-        with pytest.raises(ValueError):
-            dp_adam_step(
-                task, np.zeros(4), task.draw_batch(np.random.default_rng(0), 4),
-                None, 0.0, config, OptimizerState.zeros(4), None,
-            )
-
-
-class TestMixedGradient:
-    def test_pure_public(self):
-        rng = np.random.default_rng(7)
-        pub = rng.standard_normal((8, 3))
-        out = mixed_gradient(pub, None, 1.0, None, 0.0, None)
-        assert np.allclose(out, pub.mean(axis=0))
-
-    def test_pure_private_clipped(self):
-        rng = np.random.default_rng(8)
-        priv = rng.standard_normal((8, 3))
-        out = mixed_gradient(None, priv, 0.0, ClippingRule.auto(), 0.0, None)
-        normalized = priv / np.linalg.norm(priv, axis=1, keepdims=True)
-        assert np.allclose(out, normalized.mean(axis=0))
-
-    def test_identical_batches_half_mix(self):
         rng = np.random.default_rng(9)
-        grads = 0.1 * rng.standard_normal((6, 4))
-        out = mixed_gradient(grads, grads, 0.5, REPARAM1, 0.0, None)
-        assert np.allclose(out, grads.mean(axis=0), rtol=1e-12)
+        w = 0.3 * np.ones(task.dimension)
+        batches = [task.draw_batch(rng, 8) for _ in range(2)]
+        config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.9)
+        _, w1, state = first_step(task, w, batches[0], None, 0.0, config)
+        _, w2, state = dp_step(task, w1, batches[1], None, 0.0, config, state, None)
+        g0 = task.per_sample_gradients(w, batches[0]).mean(axis=0)
+        g1 = task.per_sample_gradients(w1, batches[1]).mean(axis=0)
+        assert np.allclose(w2, w1 - config.eta * (0.9 * g0 + g1), rtol=1e-12)
+        assert state.t == 2
 
-    def test_missing_sides_rejected(self):
-        grads = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            mixed_gradient(None, grads, 0.5, None, 0.0, None)
-        with pytest.raises(ValueError):
-            mixed_gradient(grads, None, 0.5, None, 0.0, None)
-        with pytest.raises(ValueError):
-            mixed_gradient(grads, grads, 1.5, None, 0.0, None)
+    def test_fixed_seed_bit_identical_adam(self):
+        task = small_quadratic()
+        w = 0.2 * np.ones(task.dimension)
+        batch = task.draw_batch(np.random.default_rng(3), 8)
+        config = OptimizerConfig(kind="adam", eta=0.05)
+        runs = [
+            first_step(task, w, batch, ClippingRule.auto(), 0.8, config, np.random.default_rng(7))
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert np.array_equal(runs[0][2].m, runs[1][2].m)
+        assert np.array_equal(runs[0][2].v, runs[1][2].v)
 
 
 class TestSwitchPolicy:
@@ -171,16 +203,6 @@ class TestSwitchPolicy:
         fired = [policy.observe(v) for v in (1.0, 2.0, 3.0, 4.0)]
         assert fired == [False, True, False, False]
 
-    def test_b_star_threshold_mode(self):
-        policy = SwitchPolicy(patience=1, b_star_threshold=100.0)
-        assert policy.observe_b_star(707.0) is False
-        assert policy.observe_b_star(99.0) is True
-        assert policy.observe_b_star(10.0) is False  # already fired
-
-    def test_b_star_without_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            SwitchPolicy(patience=1).observe_b_star(1.0)
-
     def test_patience_validated(self):
         with pytest.raises(ValueError):
             SwitchPolicy(patience=0)
@@ -203,6 +225,12 @@ class TestContinualPretrain:
         )
         defaults.update(kwargs)
         return continual_pretrain(task, task, **defaults)
+
+    def test_every_step_is_one_dp_step(self, monkeypatch):
+        calls = count_dp_steps(monkeypatch)
+        run = self._run()
+        assert len(run.records) == 12 * 5
+        assert len(calls) == len(run.records)
 
     def test_switch_fires_and_audit_passes(self):
         run = self._run()
@@ -405,6 +433,16 @@ class TestFourWay:
         )
         for name in a:
             assert a[name].records == b[name].records
+
+    def test_every_step_of_every_arm_is_one_dp_step(self, monkeypatch):
+        calls = count_dp_steps(monkeypatch)
+        steps = 7
+        runs = four_way_comparison(
+            self._task(), OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, steps,
+            np.random.default_rng(23), batch_size=8, eval_size=32,
+        )
+        assert all(len(run.records) == steps for run in runs.values())
+        assert len(calls) == len(FOUR_WAY_ARMS) * steps
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
