@@ -31,16 +31,8 @@ class SoftmaxModel:
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
-    def logits(self, x: Array) -> Array:
-        return self.weights @ np.asarray(x, dtype=float) + self.bias
-
     def batch_logits(self, xs: Array) -> Array:
         return np.atleast_2d(np.asarray(xs, dtype=float)) @ self.weights.T + self.bias
-
-    def example_loss(self, x: Array, y: int) -> float:
-        z = self.logits(x)
-        z = z - z.max()
-        return float(np.log(np.exp(z).sum()) - z[int(y)])
 
     def example_losses(self, xs: Array, ys: Array) -> Array:
         z = self.batch_logits(xs)
@@ -73,8 +65,9 @@ def fit_softmax(
     ``sum_i C_i g_i`` is ``(C P)^T X`` for W and ``sum_i C_i P_i`` for b: one
     (k, m) by (m, d) product instead of an (m, k(d+1)) matrix.  The sum is
     averaged and noised by :func:`clipping.noised_mean` in the
-    ``[W row-major, b]`` layout, so the noise draws are those of
-    :func:`clipping.privatize_gradient` on the per-sample matrix.
+    ``[W row-major, b]`` layout, so the result and the noise draws are those
+    of clipping and noising the explicit ``(m, k(d+1))`` per-sample gradient
+    matrix.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=int)
@@ -207,15 +200,13 @@ class MiaClassifier:
         return 0.5 * (1.0 + np.tanh(0.5 * self.logits(features)))
 
 
-def fit_mia_classifier(
-    dataset: MiaDataset, epochs: int = 50, class_reweighting: bool = True
-) -> MiaClassifier:
+def fit_mia_classifier(dataset: MiaDataset, epochs: int = 50) -> MiaClassifier:
     """Fit the attack's logistic regression on the training split.
 
-    Quasi-second-order (L-BFGS) minimisation of the (optionally
-    inverse-frequency weighted) logistic loss, run until the gradient norm
-    falls below 1e-6 or the epoch cap is reached.  Deterministic: features
-    are standardised and the optimiser starts from zero.
+    Quasi-second-order (L-BFGS) minimisation of the inverse-frequency
+    weighted logistic loss, run until the gradient norm falls below 1e-6 or
+    the epoch cap is reached.  Deterministic: features are standardised and
+    the optimiser starts from zero.
     """
     # scipy is imported where used: importing it with the package would more
     # than double the start-up time of every subcommand
@@ -229,12 +220,9 @@ def fit_mia_classifier(
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
     z = (x - mean) / scale
-    if class_reweighting:
-        n = len(y)
-        n_pos = float(y.sum())
-        weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-    else:
-        weights = np.ones(len(y))
+    n = len(y)
+    n_pos = float(y.sum())
+    weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
 
     design = np.concatenate([z, np.ones((len(y), 1))], axis=1)
     signs = 2.0 * y - 1.0
@@ -322,17 +310,6 @@ def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
         recall=recall,
         f1=f1,
         auc=auc_from_scores(logits, y),
-    )
-
-
-MIA_CSV_HEADER = "model_id,epsilon,accuracy,precision,recall,f1,auc"
-
-
-def mia_csv_row(model_id: str, epsilon: float | str, report: MiaReport) -> str:
-    eps = repr(epsilon) if isinstance(epsilon, float) else str(epsilon)
-    return (
-        f"{model_id},{eps},{report.accuracy!r},{report.precision!r},"
-        f"{report.recall!r},{report.f1!r},{report.auc!r}"
     )
 
 

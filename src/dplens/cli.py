@@ -1,8 +1,10 @@
 """Experiment driver: JSON configs in, CSV tables and SVG line plots out.
 
 Every subcommand is a pure function of (config, seed): rerunning with the
-same inputs reproduces the output bytes.  Exit codes: 0 success, 1 config
-error, 2 numerical error.
+same inputs reproduces the output bytes.  Every CSV table is written by one
+writer, ``_write_csv``.  Exit codes: 0 success, 1 config error, 2 numerical
+error, including a training run aborted on a non-finite loss, whose partial
+CSV is kept.
 """
 
 from __future__ import annotations
@@ -146,11 +148,12 @@ _SCHEDULE_SCHEMA = {
     },
 }
 
-_COMMON = {
+_SEEDED = {
     "schema": {"const": SCHEMA_VERSION},
     "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-    "plot": _PLOT_SCHEMA,
 }
+# every subcommand but mia writes a numeric table that can be plotted
+_COMMON = {**_SEEDED, "plot": _PLOT_SCHEMA}
 
 CONFIG_SCHEMAS = {
     "calibrate": {
@@ -280,7 +283,7 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "n_members", "n_nonmembers", "dim", "epochs", "lr",
                      "epsilon", "delta"],
         "properties": {
-            **_COMMON,
+            **_SEEDED,
             "n_members": _POS_INT,
             "n_nonmembers": _POS_INT,
             "dim": _POS_INT,
@@ -453,10 +456,56 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: list[list]) -> Path:
+    """Write one table; every CSV the subcommands produce goes through here."""
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
+
+
+TRAIN_CSV_HEADER = "iter,phase,alpha,train_loss,val_loss,sigma"
+_HESSIAN_COLUMNS = ",tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
+
+
+def _record_row(r: trainer.IterationRecord) -> list:
+    val = "" if r.val_loss is None else r.val_loss
+    return [r.iteration, r.phase, r.alpha, r.train_loss, val, r.sigma]
+
+
+def _run_table(run: trainer.TrainRun, batch_size: int) -> tuple[str, list[list]]:
+    """Header and rows of a per-iteration log.
+
+    The Hessian columns appear when any record has curvature stats; a record
+    without them leaves those cells empty.  The decelerator column is
+    sigma^2 tr(H) / B: the paper's form also divides by c^2, and no run
+    records c yet.
+    """
+    rows = [_record_row(r) for r in run.records]
+    if all(r.hessian is None for r in run.records):
+        return TRAIN_CSV_HEADER, rows
+    for row, r in zip(rows, run.records):
+        h = r.hessian
+        if h is None:
+            row += [""] * 5
+        else:
+            decel = 0.0 if r.sigma == 0.0 else r.sigma**2 * h.tr_h / batch_size
+            row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
+    return TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows
+
+
+def _check_not_aborted(runs: list[trainer.TrainRun], path: Path) -> None:
+    """Raise once the partial log is written if a run was aborted (exit code 2)."""
+    for run in runs:
+        if run.aborted:
+            raise FloatingPointError(f"{run.abort_reason}; partial log kept in {path}")
+
+
+MIA_CSV_HEADER = "model_id,epsilon,accuracy,precision,recall,f1,auc"
+
+
+def _mia_row(model_id: str, epsilon: float, report: attacks.MiaReport) -> list:
+    return [model_id, epsilon, report.accuracy, report.precision, report.recall,
+            report.f1, report.auc]
 
 
 # --------------------------------------------------------------------------
@@ -617,24 +666,11 @@ def _run_train(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         schedule=schedule,
         hessian_probes=cfg.get("hessian_probes", 0),
     )
-    path = outdir / _seed_name("train", seed, cfg)
-    path.write_text(run.to_csv(_decelerator_of(cfg["batch_size"])),
-                    encoding="utf-8", newline="\n")
+    path = _write_csv(
+        outdir / _seed_name("train", seed, cfg), *_run_table(run, cfg["batch_size"])
+    )
+    _check_not_aborted([run], path)
     return [path] + _maybe_plot(cfg, path, outdir)
-
-
-def _decelerator_of(batch_size: int):
-    """sigma^2 tr(H) / B per record.
-
-    The paper's decelerator also divides by c^2; no run records c yet.
-    """
-
-    def compute(record: trainer.IterationRecord) -> float:
-        if record.hessian is None or record.sigma == 0.0:
-            return 0.0
-        return record.sigma**2 * record.hessian.tr_h / batch_size
-
-    return compute
 
 
 def _run_continual(cfg: dict, seed: int, outdir: Path) -> list[Path]:
@@ -662,9 +698,10 @@ def _run_continual(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         val_size=cfg.get("val_size", 1024),
         hessian_probes=cfg.get("hessian_probes", 0),
     )
-    path = outdir / _seed_name("continual", seed, cfg)
-    path.write_text(run.to_csv(_decelerator_of(cfg["batch_size"])),
-                    encoding="utf-8", newline="\n")
+    path = _write_csv(
+        outdir / _seed_name("continual", seed, cfg), *_run_table(run, cfg["batch_size"])
+    )
+    _check_not_aborted([run], path)
     return [path] + _maybe_plot(cfg, path, outdir)
 
 
@@ -681,13 +718,13 @@ def _run_fourway(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         batch_size=cfg["batch_size"],
         eval_size=cfg.get("eval_size", 512),
     )
-    rows = []
-    for arm in trainer.FOUR_WAY_ARMS:
-        for r in runs[arm].records:
-            val = "" if r.val_loss is None else r.val_loss
-            rows.append([arm, r.iteration, r.phase, r.alpha, r.train_loss, val, r.sigma])
-    header = "arm," + trainer.TRAIN_CSV_HEADER
-    path = _write_csv(outdir / _seed_name("fourway", seed, cfg), header, rows)
+    rows = [
+        [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
+    ]
+    path = _write_csv(
+        outdir / _seed_name("fourway", seed, cfg), "arm," + TRAIN_CSV_HEADER, rows
+    )
+    _check_not_aborted(list(runs.values()), path)
     return [path] + _maybe_plot(cfg, path, outdir)
 
 
@@ -708,7 +745,7 @@ def _run_mia(cfg: dict, seed: int, outdir: Path) -> list[Path]:
             sigma=sigma, rule=clipping.ClippingRule.auto(),
         ),
     }
-    lines = [attacks.MIA_CSV_HEADER]
+    rows = []
     for model_id, model in models.items():
         dataset = attacks.build_mia_dataset(
             model, (x_mem, y_mem), (x_non, y_non),
@@ -717,10 +754,8 @@ def _run_mia(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         )
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
-        lines.append(attacks.mia_csv_row(model_id, eps, report))
-    path = outdir / _seed_name("mia", seed, cfg)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return [path]
+        rows.append(_mia_row(model_id, eps, report))
+    return [_write_csv(outdir / _seed_name("mia", seed, cfg), MIA_CSV_HEADER, rows)]
 
 
 _RUNNERS = {

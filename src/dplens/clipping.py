@@ -16,8 +16,8 @@ pass (the norms can come from layer factors, ghost clipping), so no step
 builds the ``(B, d)`` matrix of per-sample gradients; :func:`noised_mean` then
 adds the Gaussian noise and averages.  :func:`noised_mean` is the one noise
 step of every DP gradient in the package, also under
-:func:`privatize_gradient` and :func:`privatize_gradient_many`, which take
-explicit per-sample gradient stacks.
+:func:`privatize_gradient_many`, which takes explicit stacks of per-sample
+gradients for the Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -53,30 +53,19 @@ class ClippingRule:
         return cls(kind="reparam", r=float(r))
 
 
-def clip_factor(g_norm: float, rule: ClippingRule) -> float:
-    """Scalar C multiplying a per-sample gradient of the given norm.
-
-    A zero-norm gradient under AUTO clipping returns 0.0: the sample's
-    contribution C * g is the zero vector either way, and this keeps the
-    factor finite for downstream averaging.
-    """
-    if g_norm < 0:
-        raise ValueError("gradient norm must be nonnegative")
-    if rule.kind == "auto":
-        return 0.0 if g_norm == 0.0 else 1.0 / g_norm
-    if g_norm == 0.0:
-        return 1.0 / rule.r
-    return min(1.0 / g_norm, 1.0 / rule.r)
-
-
 def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
-    """Vectorised :func:`clip_factor` over an array of norms."""
+    """The clip factor C of each per-sample gradient norm in ``g_norms``.
+
+    A zero norm gets 1/R under re-parameterised clipping and 0.0 under AUTO:
+    the sample's contribution C g is the zero vector either way, and this
+    keeps every factor finite.
+    """
     g_norms = np.asarray(g_norms, dtype=float)
     if np.any(g_norms < 0):
         raise ValueError("gradient norms must be nonnegative")
     if rule.kind == "auto":
         return np.divide(1.0, g_norms, out=np.zeros_like(g_norms), where=g_norms > 0)
-    # min(1/|g|, 1/R), and 1/R for a zero norm, as in clip_factor
+    # min(1/|g|, 1/R), and 1/R for a zero norm
     return 1.0 / np.maximum(g_norms, rule.r)
 
 
@@ -121,26 +110,6 @@ def noised_mean(
     return totals / b
 
 
-def privatize_gradient(
-    per_sample_grads: Array,
-    rule: ClippingRule | None,
-    sigma: float,
-    rng: np.random.Generator | None = None,
-) -> Array:
-    """Clipped, noised, batch-averaged gradient.
-
-    Returns ``(sum_i C_i g_i + sigma * N(0, I_d)) / B``.  With ``rule=None``
-    the raw per-sample gradients are summed (no clipping).  With ``sigma=0``
-    no noise is drawn and the generator is left untouched, so the output is
-    deterministic.
-    """
-    grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=float))
-    if grads.ndim != 2 or grads.shape[0] == 0:
-        raise ValueError("need a nonempty batch of 1-D gradients")
-    total = weighted_gradient_sums(grads, clip_weights(rule))
-    return noised_mean(total, grads.shape[0], sigma, rng)
-
-
 def privatize_gradient_many(
     per_sample_grads: Array,
     rule: ClippingRule | None,
@@ -149,44 +118,12 @@ def privatize_gradient_many(
 ) -> Array:
     """Privatized gradients for a stack of independent batches.
 
-    ``per_sample_grads`` has shape ``(trials, B, d)``; each trial gets an
-    independent noise draw.  Shares the clipping/noising kernel with
-    :func:`privatize_gradient` so Monte-Carlo consumers exercise the same
-    mechanism.
+    ``per_sample_grads`` has shape ``(trials, B, d)``; each trial gets
+    ``(sum_i C_i g_i + sigma * N(0, I)) / B`` with an independent noise draw.  The Monte-Carlo oracle steps through it, with
+    the clip weights and :func:`noised_mean` of every training step.
     """
     grads = np.asarray(per_sample_grads, dtype=float)
     if grads.ndim != 3 or grads.shape[1] == 0:
         raise ValueError("expected shape (trials, B, d) with B >= 1")
     totals = weighted_gradient_sums(grads, clip_weights(rule))
     return noised_mean(totals, grads.shape[1], sigma, rng)
-
-
-@dataclass(frozen=True)
-class ClippingDiagnostic:
-    """Batch-level clipping bias summary."""
-
-    c_hat: float
-    cosine: float
-
-
-def clipping_bias_diagnostic(
-    per_sample_grads: Array, rule: ClippingRule
-) -> ClippingDiagnostic:
-    """Mean clip factor and alignment between clipped and raw gradient sums.
-
-    ``c_hat`` estimates the linearisation scale c ~ E[C_i]; ``cosine`` is the
-    cosine of the angle between ``sum_i C_i g_i`` and ``sum_i g_i`` and equals
-    1 exactly when all per-sample gradients are parallel.
-    """
-    grads = np.atleast_2d(np.asarray(per_sample_grads, dtype=float))
-    if grads.shape[0] == 0:
-        raise ValueError("need a nonempty batch")
-    norms = np.linalg.norm(grads, axis=1)
-    factors = clip_factors(norms, rule)
-    clipped_sum = factors @ grads
-    raw_sum = grads.sum(axis=0)
-    denom = np.linalg.norm(clipped_sum) * np.linalg.norm(raw_sum)
-    if denom == 0.0:
-        raise ValueError("cosine undefined: a gradient sum is the zero vector")
-    cosine = float(clipped_sum @ raw_sum / denom)
-    return ClippingDiagnostic(c_hat=float(factors.mean()), cosine=cosine)

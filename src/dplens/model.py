@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -165,9 +165,6 @@ class QuadraticTask(DifferentiableTask):
         w = self._check_dim(w)
         return self.a @ (w - self.x_mean)
 
-    def population_hessian(self) -> Array:
-        return self.a
-
     def gradient_covariance(self) -> Array:
         return self.a @ self.s @ self.a.T
 
@@ -188,8 +185,6 @@ class PopulationStats:
     """Exact closed-form statistics of a quadratic task at a point."""
 
     gradient: Array
-    h_action: Callable[[Array], Array]
-    sigma_action: Callable[[Array], Array]
     g_norm_sq: float
     g_h_g: float
     tr_h: float
@@ -197,44 +192,19 @@ class PopulationStats:
 
 
 def population_stats(task: QuadraticTask, w: Array) -> PopulationStats:
-    """Exact (G, H action, Sigma action, |G|^2, G^T H G, tr H, tr H Sigma)."""
+    """Exact (G, |G|^2, G^T H G, tr H, tr H Sigma)."""
     if not isinstance(task, QuadraticTask):
         raise TypeError("population_stats requires a QuadraticTask")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (task.dimension,):
-        raise ValueError(
-            f"parameter vector has shape {w.shape}, expected ({task.dimension},)"
-        )
     g = task.population_gradient(w)
     a = task.a
     sigma = task.gradient_covariance()
     return PopulationStats(
         gradient=g,
-        h_action=lambda v: a @ v,
-        sigma_action=lambda v: sigma @ v,
         g_norm_sq=float(g @ g),
         g_h_g=float(g @ a @ g),
         tr_h=float(np.trace(a)),
         tr_h_sigma=float(np.trace(a @ sigma)),
     )
-
-
-def empirical_moments(
-    task: DifferentiableTask, w: Array, m: int, rng: np.random.Generator
-) -> tuple[Array, Array]:
-    """Sample mean and unbiased covariance of per-sample gradients.
-
-    Returns ``(g_hat, sigma_hat)`` with the (m - 1)-denominator covariance;
-    converges to the exact (G, Sigma) of a QuadraticTask as m grows.
-    """
-    if m < 2:
-        raise ValueError(f"need at least 2 samples for a covariance, got m={m}")
-    batch = task.draw_batch(rng, m)
-    grads = task.per_sample_gradients(w, batch)
-    g_hat = grads.mean(axis=0)
-    centered = grads - g_hat[None, :]
-    sigma_hat = centered.T @ centered / (m - 1)
-    return g_hat, sigma_hat
 
 
 class LogisticTask(DifferentiableTask):
@@ -260,10 +230,6 @@ class LogisticTask(DifferentiableTask):
 
     def n_examples(self) -> int:
         return self.features.shape[0]
-
-    def predict_proba(self, w: Array, x: Array) -> Array:
-        z = np.asarray(x, dtype=float) @ np.asarray(w, dtype=float)
-        return _sigmoid(z)
 
     def per_sample_gradients(self, w: Array, batch: Array) -> Array:
         w = self._check_dim(w)

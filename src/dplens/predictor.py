@@ -13,10 +13,10 @@ Maximising over eta and normalising per processed sample yields
 
 whose private-only extra denominator term sigma^2 tr(H)/(B c^2) (the
 "decelerator") quantifies the slowdown caused by noising and clipping.
-This module provides those forms plus the induced optima (learning rate,
-batch size, public/private mixing ratio), the public special case
-(c=1, sigma=0), scale-invariant optimizer and cross-measure variants, and
-cumulative schedule comparisons.  All functions are pure.
+This module provides those forms, the induced optima (batch size,
+public/private mixing ratio) and cumulative schedule comparisons.  The
+public special case is c=1, sigma=0: :func:`delta_l_priv` at those values,
+and :func:`delta_l_pub_star`.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
-
-Array = np.ndarray
+from typing import Sequence
 
 
 class NonPositiveCurvatureError(ArithmeticError):
@@ -41,10 +37,6 @@ class NoInteriorOptimumError(ArithmeticError):
 
 class SaddleOrDegenerateError(ArithmeticError):
     """The bivariate quadratic has no interior maximum."""
-
-
-class ScaleInvarianceError(ValueError):
-    """The supplied post-processor is not scale-invariant."""
 
 
 @dataclass(frozen=True)
@@ -126,24 +118,6 @@ def delta_l_priv(eta: float, inputs: ImprovementInputs) -> float:
     return eta * c * inputs.g_norm_sq - 0.5 * eta * eta * curvature
 
 
-def delta_l_pub(eta: float, b: float, inputs: ImprovementInputs) -> float:
-    """Noiseless, unclipped special case of :func:`delta_l_priv`."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if b <= 0:
-        raise ValueError("batch size must be positive")
-    curvature = inputs.g_h_g + inputs.tr_h_sigma / b
-    return eta * inputs.g_norm_sq - 0.5 * eta * eta * curvature
-
-
-def _priv_star_denominator(b: float, inputs: ImprovementInputs) -> float:
-    return (
-        b * inputs.g_h_g
-        + inputs.tr_h_sigma
-        + inputs.sigma**2 * inputs.tr_h / (b * inputs.c**2)
-    )
-
-
 def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
     """Per-sample improvement at the optimal learning rate, batch size B.
 
@@ -154,7 +128,11 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
         raise ValueError("batch size must be positive")
     if inputs.g_norm_sq == 0.0:
         return 0.0
-    denom = _priv_star_denominator(b, inputs)
+    denom = (
+        b * inputs.g_h_g
+        + inputs.tr_h_sigma
+        + inputs.sigma**2 * inputs.tr_h / (b * inputs.c**2)
+    )
     if denom <= 0:
         raise NonPositiveCurvatureError(
             f"denominator {denom:g} is not positive at B={b:g}"
@@ -176,23 +154,6 @@ def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
     return 0.5 * inputs.g_norm_sq**2 / denom
 
 
-def optimal_eta(inputs: ImprovementInputs) -> float:
-    """Learning rate maximising :func:`delta_l_priv`.
-
-    Analysis-only: it depends on oracle statistics of the data, so using it
-    adaptively inside a private training run would not be permissible.
-    """
-    b, c, sigma = inputs.batch_size, inputs.c, inputs.sigma
-    curvature = (
-        c * c * inputs.g_h_g
-        + c * c * inputs.tr_h_sigma / b
-        + sigma * sigma * inputs.tr_h / (b * b)
-    )
-    if curvature <= 0:
-        raise NonPositiveCurvatureError("improvement is not concave in eta")
-    return c * inputs.g_norm_sq / curvature
-
-
 def decelerator(inputs: ImprovementInputs) -> float:
     """The private-only denominator term sigma^2 tr(H) / (B c^2)."""
     return inputs.sigma**2 * inputs.tr_h / (inputs.batch_size * inputs.c**2)
@@ -202,7 +163,8 @@ def optimal_batch_dp(inputs: ImprovementInputs) -> float:
     """Batch size maximising the private per-sample improvement.
 
     Balances the B G^T H G and decelerator terms:
-    B* = sqrt(sigma^2 tr(H) / (c^2 G^T H G)).
+    B* = sqrt(sigma^2 tr(H) / (c^2 G^T H G)).  At B* the private per-sample
+    improvement equals the public one at batch size 2 B*.
     """
     if inputs.sigma == 0.0:
         raise NoInteriorOptimumError(
@@ -213,48 +175,6 @@ def optimal_batch_dp(inputs: ImprovementInputs) -> float:
     if inputs.tr_h <= 0:
         raise NonPositiveCurvatureError("tr(H) must be positive")
     return math.sqrt(inputs.sigma**2 * inputs.tr_h / (inputs.c**2 * inputs.g_h_g))
-
-
-@dataclass(frozen=True)
-class TwiceBatchIdentity:
-    lhs: float
-    rhs: float
-    relative_gap: float
-
-
-def twice_batch_identity(inputs: ImprovementInputs) -> TwiceBatchIdentity:
-    """Public improvement at 2 B* versus private improvement at B*.
-
-    The two sides agree algebraically; the reported relative gap is pure
-    floating-point noise.
-    """
-    b_star = optimal_batch_dp(inputs)
-    lhs = delta_l_pub_star(2.0 * b_star, inputs)
-    rhs = delta_l_priv_star(b_star, inputs)
-    scale = max(abs(lhs), abs(rhs), np.finfo(float).tiny)
-    return TwiceBatchIdentity(lhs=lhs, rhs=rhs, relative_gap=abs(lhs - rhs) / scale)
-
-
-def data_efficiency_condition(
-    inputs: ImprovementInputs,
-    b_nondp: float | None = None,
-    threshold: float = 0.1,
-) -> bool:
-    """Whether private training sits in the data-efficient regime.
-
-    Tests B* << tr(H Sigma) / (2 G^T H G), with "<<" operationalised as a
-    multiplicative threshold (default 0.1).  When sigma = 0 there is no B*;
-    half the supplied non-private batch size stands in for it.
-    """
-    if inputs.sigma > 0:
-        b_value = optimal_batch_dp(inputs)
-    elif b_nondp is not None:
-        b_value = 0.5 * b_nondp
-    else:
-        raise ValueError("sigma = 0 requires b_nondp to supply the batch scale")
-    if inputs.g_h_g <= 0:
-        raise NonPositiveCurvatureError("G^T H G must be positive")
-    return bool(b_value < threshold * inputs.tr_h_sigma / (2.0 * inputs.g_h_g))
 
 
 # -- mixed public/private training -------------------------------------------
@@ -421,131 +341,6 @@ def alpha_schedule_value(schedule: AlphaSchedule, t: int) -> float:
     if schedule.kind == "only_public":
         return 1.0
     return 0.0
-
-
-# -- generalisations ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PostProcessor:
-    """A gradient post-processor p with its Jacobian action at a point."""
-
-    value: Callable[[Array], Array]
-    jacobian_action: Callable[[Array, Array], Array]
-
-
-def normalize_post_processor() -> PostProcessor:
-    """The gradient-normalisation post-processor p(G) = G / |G|.
-
-    Its Jacobian at G is the scaled tangent projector (I - u u^T)/|G| with
-    u = G/|G|, which is what the closed form below consumes.
-    """
-
-    def value(g: Array) -> Array:
-        g = np.asarray(g, dtype=float)
-        norm = np.linalg.norm(g)
-        if norm == 0:
-            raise ValueError("cannot normalise the zero gradient")
-        return g / norm
-
-    def jacobian_action(g: Array, v: Array) -> Array:
-        g = np.asarray(g, dtype=float)
-        v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(g)
-        if norm == 0:
-            raise ValueError("cannot normalise the zero gradient")
-        u = g / norm
-        return (v - (u @ v) * u) / norm
-
-    return PostProcessor(value=value, jacobian_action=jacobian_action)
-
-
-def general_optimizer_improvement(
-    post: PostProcessor,
-    gradient: Array,
-    inputs: ImprovementInputs,
-    hvp_action: Callable[[Array], Array],
-    grad_samples: Array,
-    probes: int = 100,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Optimal per-sample improvement for a scale-invariant post-processor.
-
-    Evaluates |p^T G|^2 / (2 (B p^T H p + tr(J^T H J Sigma)
-    + sigma^2 tr(J^T H J)/(B c^2))) with p = p(G) and J = p'(G).  The trace
-    terms are estimated stochastically through the composed action
-    v -> J^T H J v (as probe quadratic forms (J v)^T H (J v)) and the
-    centered per-sample quadratic forms.  Scale invariance is verified
-    numerically before anything else runs.
-    """
-    g = np.asarray(gradient, dtype=float)
-    p = np.asarray(post.value(g), dtype=float)
-    p_doubled = np.asarray(post.value(2.0 * g), dtype=float)
-    if np.linalg.norm(p_doubled - p) > 1e-8:
-        raise ScaleInvarianceError("post-processor output changes under rescaling")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if probes < 2:
-        raise ValueError("need at least 2 probes")
-
-    b, c, sigma = inputs.batch_size, inputs.c, inputs.sigma
-    p_h_p = float(p @ np.asarray(hvp_action(p), dtype=float))
-
-    d = g.shape[0]
-    probe_vals = np.empty(probes)
-    for j in range(probes):
-        v = rng.standard_normal(d)
-        jv = np.asarray(post.jacobian_action(g, v), dtype=float)
-        probe_vals[j] = jv @ np.asarray(hvp_action(jv), dtype=float)
-    tr_jhj = float(probe_vals.mean())
-
-    grads = np.atleast_2d(np.asarray(grad_samples, dtype=float))
-    m = grads.shape[0]
-    if m < 2:
-        raise ValueError("need at least 2 gradient samples")
-    centered = grads - grads.mean(axis=0)[None, :]
-    sample_vals = np.empty(m)
-    for i in range(m):
-        ji = np.asarray(post.jacobian_action(g, centered[i]), dtype=float)
-        sample_vals[i] = ji @ np.asarray(hvp_action(ji), dtype=float)
-    tr_jhj_sigma = float(m / (m - 1) * sample_vals.mean())
-
-    denom = b * p_h_p + tr_jhj_sigma + sigma**2 * tr_jhj / (b * c**2)
-    if denom <= 0:
-        raise NonPositiveCurvatureError(
-            f"denominator {denom:g} is not positive"
-        )
-    return 0.5 * float(p @ g) ** 2 / denom
-
-
-@dataclass(frozen=True)
-class CrossMeasureInputs:
-    """Statistics of an evaluation loss different from the training loss."""
-
-    inner_product: float  # G_other^T G
-    g_h_other_g: float  # G^T H_other G
-    tr_h_other: float
-    tr_h_other_sigma: float
-
-
-def cross_measure_improvement(
-    inputs: ImprovementInputs, other: CrossMeasureInputs
-) -> float:
-    """Optimal per-sample improvement of an auxiliary performance measure.
-
-    Training steps on the primary loss; the measure being improved has its
-    own gradient/Hessian statistics.  With the auxiliary measure equal to
-    the training loss this reduces exactly to :func:`delta_l_priv_star`.
-    """
-    b, c, sigma = inputs.batch_size, inputs.c, inputs.sigma
-    denom = (
-        b * other.g_h_other_g
-        + other.tr_h_other_sigma
-        + sigma**2 * other.tr_h_other / (b * c**2)
-    )
-    if denom <= 0:
-        raise NonPositiveCurvatureError(f"denominator {denom:g} is not positive")
-    return 0.5 * other.inner_product**2 / denom
 
 
 # -- cumulative schedules ------------------------------------------------------

@@ -10,12 +10,11 @@ the GDP parameter of subsampled noisy SGD with unit per-step sensitivity
 
 and the exact noise calibration obtained by inverting the two maps.
 
-delta itself saturates in double precision at both ends (underflow to 0 for
-strong privacy at large epsilon, rounding to 1 for very large mu), so two
-companion representations are provided: log(delta) and 1 - delta.  Round
-trips across the whole mu range route through whichever representation keeps
-the value away from the floating-point cliff; the plain (epsilon, delta)
-functions remain the primary interface.
+delta itself underflows to 0 in double precision for strong privacy at large
+epsilon, so the duality is also provided in log(delta), which stays finite
+and keeps mu recoverable across the whole mu range, including where delta is
+within rounding of 1.  The plain (epsilon, delta) functions remain the
+primary interface.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 
 MU_BRACKET = (1e-8, 1e4)
 SIGMA_MAX = 1e6
@@ -56,13 +55,6 @@ class PrivacyBudget:
             raise ValueError("delta must be below 1/n for a dataset of size n")
 
 
-def _check_mu_eps(mu: float, epsilon: float) -> None:
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-
-
 def _log1mexp(q: float) -> float:
     """log(1 - e^q) for q < 0, stable across the whole range."""
     if q < -math.log(2.0):
@@ -77,7 +69,10 @@ def mu_to_log_delta(mu: float, epsilon: float) -> float:
     which is exact in exact arithmetic and avoids the subtractive cancellation
     of the direct formula in the deep-tail regime.
     """
-    _check_mu_eps(mu, epsilon)
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
     a = -epsilon / mu + mu / 2.0
     b = -epsilon / mu - mu / 2.0
     log_a = float(log_ndtr(a))
@@ -97,29 +92,6 @@ def mu_to_delta(mu: float, epsilon: float) -> float:
     if log_delta < _LOG_SMALLEST_NORMAL:
         return 0.0
     return math.exp(log_delta)
-
-
-def mu_to_delta_complement(mu: float, epsilon: float) -> float:
-    """1 - delta(eps; mu), accurate when delta is within rounding of 1."""
-    _check_mu_eps(mu, epsilon)
-    a = -epsilon / mu + mu / 2.0
-    b = -epsilon / mu - mu / 2.0
-    log_b = float(log_ndtr(b))
-    second = math.exp(epsilon + log_b) if epsilon + log_b > -745.0 else 0.0
-    return float(ndtr(-a)) + second
-
-
-def _bisect_mu(above_target, lo: float, hi: float) -> float:
-    """Smallest mu at which the monotone predicate flips true."""
-    for _ in range(_BISECTION_STEPS):
-        mid = math.sqrt(lo * hi)  # log-space midpoint: the bracket spans decades
-        if above_target(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def delta_to_mu(epsilon: float, delta: float) -> float:
@@ -147,27 +119,15 @@ def log_delta_to_mu(epsilon: float, log_delta: float) -> float:
             f"no mu in [{lo:g}, {hi:g}] attains log delta={log_delta:g} "
             f"at epsilon={epsilon:g}"
         )
-    return _bisect_mu(lambda mu: mu_to_log_delta(mu, epsilon) >= log_delta, lo, hi)
-
-
-def complement_to_mu(epsilon: float, one_minus_delta: float) -> float:
-    """Inverse duality parameterised by 1 - delta (decreasing in mu)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not 0.0 < one_minus_delta < 1.0:
-        raise ValueError("1 - delta must lie strictly in (0, 1)")
-    lo, hi = MU_BRACKET
-    if (
-        mu_to_delta_complement(lo, epsilon) < one_minus_delta
-        or mu_to_delta_complement(hi, epsilon) > one_minus_delta
-    ):
-        raise CalibrationError(
-            f"no mu in [{lo:g}, {hi:g}] attains the requested complement "
-            f"{one_minus_delta:g} at epsilon={epsilon:g}"
-        )
-    return _bisect_mu(
-        lambda mu: mu_to_delta_complement(mu, epsilon) <= one_minus_delta, lo, hi
-    )
+    for _ in range(_BISECTION_STEPS):
+        mid = math.sqrt(lo * hi)  # log-space midpoint: the bracket spans decades
+        if mu_to_log_delta(mid, epsilon) >= log_delta:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def mu_of_noisy_sgd(b: int, n: int, t: int, sigma: float) -> float:

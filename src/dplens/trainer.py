@@ -13,7 +13,6 @@ generators; identical seeds and configurations produce bit-identical runs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -183,13 +182,9 @@ class IterationRecord:
     hessian: HessianStats | None = None
 
 
-TRAIN_CSV_HEADER = "iter,phase,alpha,train_loss,val_loss,sigma"
-_HESSIAN_COLUMNS = ",tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
-
-
 @dataclass
 class TrainRun:
-    """Per-iteration log of one training run."""
+    """Per-iteration log of one training run; ``cli`` writes it as CSV."""
 
     records: list[IterationRecord] = field(default_factory=list)
     switch_iteration: int | None = None
@@ -198,57 +193,6 @@ class TrainRun:
     momentum_norm_after_reset: float | None = None
     aborted: bool = False
     abort_reason: str | None = None
-
-    def phases(self) -> list[str]:
-        return [r.phase for r in self.records]
-
-    def audit_phase_order(self) -> bool:
-        """True when the phase log never returns from private to public."""
-        seen_private = False
-        for record in self.records:
-            if record.phase == "private":
-                seen_private = True
-            elif seen_private:
-                return False
-        return True
-
-    def final_train_loss(self) -> float:
-        if not self.records:
-            raise ValueError("empty run")
-        return self.records[-1].train_loss
-
-    def final_val_loss(self) -> float:
-        for record in reversed(self.records):
-            if record.val_loss is not None:
-                return record.val_loss
-        raise ValueError("run has no validation readings")
-
-    def to_csv(self, decelerator_of=None) -> str:
-        """CSV per-iteration log; Hessian columns appear when any are present.
-
-        ``decelerator_of`` maps an IterationRecord with Hessian stats to the
-        decelerator value for that iteration (defaults to 0 when absent).
-        """
-        with_hessian = any(r.hessian is not None for r in self.records)
-        out = io.StringIO()
-        out.write(TRAIN_CSV_HEADER + (_HESSIAN_COLUMNS if with_hessian else "") + "\n")
-        for r in self.records:
-            val = "" if r.val_loss is None else repr(r.val_loss)
-            out.write(
-                f"{r.iteration},{r.phase},{r.alpha!r},{r.train_loss!r},{val},{r.sigma!r}"
-            )
-            if with_hessian:
-                if r.hessian is None:
-                    out.write(",,,,,")
-                else:
-                    h = r.hessian
-                    decel = decelerator_of(r) if decelerator_of is not None else 0.0
-                    out.write(
-                        f",{h.tr_h!r},{h.tr_h_sigma!r},{h.g_h_g!r},"
-                        f"{h.g_norm_sq!r},{decel!r}"
-                    )
-            out.write("\n")
-        return out.getvalue()
 
 
 def _initial_parameters(

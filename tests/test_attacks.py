@@ -18,11 +18,11 @@ from dplens.attacks import (
     evaluate_mia,
     fit_mia_classifier,
     fit_softmax,
-    mia_csv_row,
     two_blob_data,
-    MIA_CSV_HEADER,
 )
-from dplens.clipping import ClippingRule, privatize_gradient
+from dplens.cli import MIA_CSV_HEADER, _mia_row, _write_csv
+from dplens.clipping import ClippingRule
+from reference import privatize_gradient
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,11 +200,14 @@ class TestEvaluate:
             expected = 2 * report.precision * report.recall / (report.precision + report.recall)
             assert report.f1 == pytest.approx(expected)
 
-    def test_csv_row(self):
+    def test_csv_row(self, tmp_path):
         report = MiaReport(accuracy=0.5, precision=0.5, recall=0.25, f1=1 / 3, auc=0.5)
-        row = mia_csv_row("nondp", float("inf"), report)
-        assert row.startswith("nondp,inf,0.5,0.5,0.25,")
-        assert MIA_CSV_HEADER == "model_id,epsilon,accuracy,precision,recall,f1,auc"
+        path = _write_csv(
+            tmp_path / "mia.csv", MIA_CSV_HEADER, [_mia_row("nondp", float("inf"), report)]
+        )
+        header, row = path.read_text().splitlines()
+        assert header == "model_id,epsilon,accuracy,precision,recall,f1,auc"
+        assert row == f"nondp,inf,0.5,0.5,0.25,{1 / 3!r},0.5"
 
 
 class TestSoftmaxTraining:
@@ -227,7 +230,13 @@ class TestSoftmaxTraining:
         xs = rng.standard_normal((10, 4))
         ys = rng.integers(0, 3, size=10)
         batched = model.example_losses(xs, ys)
-        singles = [model.example_loss(x, y) for x, y in zip(xs, ys)]
+
+        def example_loss(x, y):
+            z = model.weights @ x + model.bias
+            z = z - z.max()
+            return float(np.log(np.exp(z).sum()) - z[y])
+
+        singles = [example_loss(x, y) for x, y in zip(xs, ys)]
         assert np.allclose(batched, singles)
 
 

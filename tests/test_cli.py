@@ -93,6 +93,18 @@ class TestConfigHandling:
             load_config(path, "sweep-batch")
         assert str(got.value) == f"config {path} fails validation: {expected.value.message}"
 
+    def test_mia_rejects_plot(self, tmp_path, capsys):
+        # the mia table is written without a plot, so the schema takes none
+        payload = json.loads((CONFIG_DIR / "mia_toy.json").read_text())
+        payload["plot"] = {"columns": ["epsilon", "auc"]}
+        path = write_config(tmp_path, payload)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, CONFIG_SCHEMAS["mia"])
+        code = run_subcommand(["mia", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert expected.value.message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
+
     def test_canonical_form_stable(self):
         cfg = sweep_config()
         canon = canonical_config(cfg)
@@ -251,6 +263,33 @@ class TestSubcommands:
         assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 0
         rows = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
         assert len(rows) == 5 * (4 if command == "fourway" else 1)
+
+    @pytest.mark.parametrize("command", ["train", "continual", "fourway"])
+    def test_diverged_run_keeps_partial_csv_and_exits_2(self, command, tmp_path, capsys):
+        payload = {
+            "schema": 1,
+            "task": {"kind": "quadratic", "dimension": 4},
+            "optimizer": {"kind": "sgd", "eta": 50.0},
+            "mode": "public",
+            "steps": 400,
+            "batch_size": 8,
+        }
+        if command == "continual":
+            payload["task_public"] = payload.pop("task")
+            del payload["mode"]
+            payload.update(sigma=0.5, epochs=1, steps_per_epoch=payload.pop("steps"))
+        elif command == "fourway":
+            del payload["mode"]
+            payload["sigma"] = 0.5
+        path = write_config(tmp_path, payload)
+        code = run_subcommand([command, "--config", str(path), "--out", str(tmp_path)])
+        csv = tmp_path / f"{command}.csv"
+        assert code == 2
+        assert "non-finite training loss at iteration" in capsys.readouterr().err
+        rows = csv.read_text().splitlines()[1:]
+        assert 0 < len(rows) < 400 * (4 if command == "fourway" else 1)
+        if command == "train":
+            assert len(rows) == 92
 
     def test_seed_sweep_with_jobs(self, tmp_path):
         payload = sweep_config()

@@ -9,6 +9,7 @@ from dplens.hessian import (
     trace_h_sigma,
 )
 from dplens.model import QuadraticTask, TinyMlpTask, population_stats
+from dplens.cli import _run_table, _write_csv
 from dplens.trainer import IterationRecord, TrainRun
 
 
@@ -180,14 +181,15 @@ class TestStatsTypesAndCsv:
         with pytest.raises(ValueError):
             HessianStats(1.0, 1.0, 1.0, 1.0, probe_count=5, standard_error_tr_h=-1.0)
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         stats = HessianStats(2.0, 3.0, 4.0, 5.0, probe_count=10, standard_error_tr_h=0.1)
         record = IterationRecord(
             iteration=0, phase="private", alpha=0.0, train_loss=1.5, val_loss=None,
             sigma=0.5, hessian=stats,
         )
-        text = TrainRun(records=[record]).to_csv(decelerator_of=lambda r: 6.0)
-        header, row = (line.split(",") for line in text.strip().split("\n"))
+        # batch size 4: decelerator sigma^2 tr_H / B = 0.25 * 2.0 / 4
+        path = _write_csv(tmp_path / "run.csv", *_run_table(TrainRun(records=[record]), 4))
+        header, row = (line.split(",") for line in path.read_text().strip().split("\n"))
         assert ",".join(header[:1] + header[6:]) == "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
-        assert ",".join(row[:1] + row[6:]) == "0,2.0,3.0,4.0,5.0,6.0"
+        assert ",".join(row[:1] + row[6:]) == "0,2.0,3.0,4.0,5.0,0.125"
         assert ",".join(row[1:6]) == "private,0.0,1.5,,0.5"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dplens.predictor as pred
-from dplens.model import QuadraticTask, population_stats
 
 PRETRAIN = pred.ImprovementInputs(
     g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4, sigma=0.5, c=1.0, batch_size=1000
@@ -45,8 +44,10 @@ class TestDeltaLPriv:
                 batch_size=inputs.batch_size,
             )
             eta = rng.uniform(0.01, 1.0)
-            assert pred.delta_l_priv(eta, inputs) == pred.delta_l_pub(
-                eta, inputs.batch_size, inputs
+            # plain SGD: eta |G|^2 - eta^2/2 (G^T H G + tr(H Sigma)/B)
+            public = inputs.g_h_g + inputs.tr_h_sigma / inputs.batch_size
+            assert pred.delta_l_priv(eta, inputs) == (
+                eta * inputs.g_norm_sq - 0.5 * eta * eta * public
             )
 
     def test_vanishes_as_eta_to_zero(self):
@@ -86,7 +87,11 @@ class TestDeltaLPrivStar:
             inputs = random_inputs(rng)
             b = inputs.batch_size
             star = pred.delta_l_priv_star(b, inputs)
-            eta_c = pred.optimal_eta(inputs)
+            curvature = (
+                inputs.c**2 * (inputs.g_h_g + inputs.tr_h_sigma / b)
+                + inputs.sigma**2 * inputs.tr_h / b**2
+            )
+            eta_c = inputs.c * inputs.g_norm_sq / curvature
             grid = eta_c * 10 ** np.linspace(-1, 1, 4001)
             best = max(pred.delta_l_priv(e, inputs) for e in grid) / b
             assert star >= best - 1e-12
@@ -176,16 +181,22 @@ class TestOptimalBatch:
             pred.optimal_batch_dp(bad)
 
 
+def twice_batch_sides(inputs):
+    """Public improvement at 2 B* and private improvement at B*."""
+    b_star = pred.optimal_batch_dp(inputs)
+    return pred.delta_l_pub_star(2.0 * b_star, inputs), pred.delta_l_priv_star(b_star, inputs)
+
+
 class TestTwiceBatchIdentity:
     def test_random_inputs(self):
         rng = np.random.default_rng(10)
         for _ in range(10_000):
-            result = pred.twice_batch_identity(random_inputs(rng))
-            assert result.relative_gap <= 1e-12
+            lhs, rhs = twice_batch_sides(random_inputs(rng))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_paper_parameters(self):
-        result = pred.twice_batch_identity(PRETRAIN)
-        assert result.lhs == pytest.approx(result.rhs, rel=1e-14)
+        lhs, rhs = twice_batch_sides(PRETRAIN)
+        assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_fails_off_optimum(self):
         inputs = PRETRAIN
@@ -196,25 +207,12 @@ class TestTwiceBatchIdentity:
 
 
 class TestDataEfficiency:
+    # the data-efficient regime: B* << tr(H Sigma) / (2 G^T H G)
     def test_finetuning_regime(self):
-        assert pred.data_efficiency_condition(FINETUNE, threshold=1.0) is True
+        assert pred.optimal_batch_dp(FINETUNE) < FINETUNE.tr_h_sigma / (2.0 * FINETUNE.g_h_g)
 
     def test_pretraining_regime(self):
-        assert pred.data_efficiency_condition(PRETRAIN, threshold=1.0) is False
-
-    def test_zero_tr_h_sigma(self):
-        inputs = pred.ImprovementInputs(
-            g_norm_sq=1.0, g_h_g=1.0, tr_h=1.0, tr_h_sigma=0.0, sigma=1.0, batch_size=10.0
-        )
-        assert pred.data_efficiency_condition(inputs) is False
-
-    def test_sigma_zero_uses_half_b_nondp(self):
-        inputs = random_inputs(np.random.default_rng(11), sigma=0.0)
-        assert pred.data_efficiency_condition(
-            inputs, b_nondp=1e-6, threshold=1.0
-        ) is True
-        with pytest.raises(ValueError):
-            pred.data_efficiency_condition(inputs)
+        assert pred.optimal_batch_dp(PRETRAIN) > PRETRAIN.tr_h_sigma / (2.0 * PRETRAIN.g_h_g)
 
 
 def random_mix(rng, sigma=None):
@@ -258,13 +256,14 @@ class TestMixedImprovement:
         for _ in range(30):
             mix = random_mix(rng)
             eta0 = rng.uniform(0.001, 0.5)
-            base = pred.ImprovementInputs(
+            # the public special case of delta_l_priv: sigma = 0, c = 1
+            public = pred.ImprovementInputs(
                 g_norm_sq=mix.g_norm_sq, g_h_g=mix.g_h_g, tr_h=mix.tr_h,
-                tr_h_sigma=mix.tr_h_sigma, sigma=mix.sigma, c=mix.c,
+                tr_h_sigma=mix.tr_h_sigma, sigma=0.0, c=1.0,
                 batch_size=mix.b_public,
             )
             assert pred.mixed_improvement(eta0, 0.0, mix) == pytest.approx(
-                pred.delta_l_pub(eta0, mix.b_public, base), rel=1e-12
+                pred.delta_l_priv(eta0, public), rel=1e-12
             )
 
     def test_private_only_reduction(self):
@@ -399,142 +398,6 @@ class TestAlphaSchedules:
             pred.AlphaSchedule.indicator(1.5, 10)
         with pytest.raises(ValueError):
             pred.alpha_schedule_value(pred.AlphaSchedule.only_public(), -1)
-
-
-class TestGeneralOptimizer:
-    def test_normalizer_jacobian_matches_finite_differences(self):
-        post = pred.normalize_post_processor()
-        g = np.array([1.0, 0.0])
-        # analytic projector at (1,0): rows [[0,0],[0,1]]
-        assert np.allclose(post.jacobian_action(g, np.array([1.0, 0.0])), [0.0, 0.0])
-        assert np.allclose(post.jacobian_action(g, np.array([0.0, 1.0])), [0.0, 1.0])
-        rng = np.random.default_rng(20)
-        g = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        h = 1e-6
-        fd = (post.value(g + h * v) - post.value(g - h * v)) / (2 * h)
-        assert np.allclose(post.jacobian_action(g, v), fd, atol=1e-6)
-
-    def test_scale_invariance_of_normalizer(self):
-        post = pred.normalize_post_processor()
-        g = np.array([3.0, 4.0])
-        assert np.allclose(post.value(2.0 * g), post.value(g))
-
-    def test_non_invariant_rejected(self):
-        post = pred.PostProcessor(value=lambda g: g, jacobian_action=lambda g, v: v)
-        inputs = random_inputs(np.random.default_rng(21))
-        with pytest.raises(pred.ScaleInvarianceError):
-            pred.general_optimizer_improvement(
-                post, np.ones(3), inputs, lambda v: v, np.eye(3), rng=np.random.default_rng(0)
-            )
-
-    def test_flat_hessian_rejected(self):
-        post = pred.normalize_post_processor()
-        inputs = random_inputs(np.random.default_rng(22))
-        with pytest.raises(pred.NonPositiveCurvatureError):
-            pred.general_optimizer_improvement(
-                post,
-                np.array([1.0, 2.0]),
-                inputs,
-                lambda v: np.zeros_like(v),
-                np.random.default_rng(1).standard_normal((20, 2)),
-                rng=np.random.default_rng(2),
-            )
-
-    def test_matches_dense_oracle_on_quadratic(self):
-        rng = np.random.default_rng(23)
-        d = 6
-        m = rng.standard_normal((d, d))
-        a = m @ m.T / d + np.eye(d)
-        task = QuadraticTask(a, np.zeros(d), 0.5 * np.eye(d))
-        w = rng.standard_normal(d)
-        stats = population_stats(task, w)
-        g = stats.gradient
-        inputs = pred.ImprovementInputs(
-            g_norm_sq=stats.g_norm_sq, g_h_g=stats.g_h_g, tr_h=stats.tr_h,
-            tr_h_sigma=stats.tr_h_sigma, sigma=0.7, c=0.9, batch_size=32.0,
-        )
-        post = pred.normalize_post_processor()
-        # dense oracle: build the projector J explicitly and take exact traces
-        norm = np.linalg.norm(g)
-        u = g / norm
-        jac = (np.eye(d) - np.outer(u, u)) / norm
-        p = u
-        sigma_mat = task.gradient_covariance()
-        denom = (
-            inputs.batch_size * (p @ a @ p)
-            + np.trace(jac.T @ a @ jac @ sigma_mat)
-            + inputs.sigma**2 * np.trace(jac.T @ a @ jac) / (inputs.batch_size * inputs.c**2)
-        )
-        exact = 0.5 * (p @ g) ** 2 / denom
-        grad_samples = task.per_sample_gradients(w, task.draw_batch(rng, 60_000))
-        value = pred.general_optimizer_improvement(
-            post, g, inputs, lambda v: a @ v, grad_samples, probes=4000,
-            rng=np.random.default_rng(3),
-        )
-        assert value == pytest.approx(exact, rel=0.05)
-
-
-class TestCrossMeasure:
-    def test_same_measure_reduces_exactly(self):
-        rng = np.random.default_rng(24)
-        for _ in range(100):
-            inputs = random_inputs(rng)
-            other = pred.CrossMeasureInputs(
-                inner_product=inputs.g_norm_sq,
-                g_h_other_g=inputs.g_h_g,
-                tr_h_other=inputs.tr_h,
-                tr_h_other_sigma=inputs.tr_h_sigma,
-            )
-            assert pred.cross_measure_improvement(inputs, other) == pred.delta_l_priv_star(
-                inputs.batch_size, inputs
-            )
-
-    def test_orthogonal_gradients_zero(self):
-        inputs = random_inputs(np.random.default_rng(25))
-        other = pred.CrossMeasureInputs(
-            inner_product=0.0, g_h_other_g=1.0, tr_h_other=1.0, tr_h_other_sigma=1.0
-        )
-        assert pred.cross_measure_improvement(inputs, other) == 0.0
-
-    def test_matches_grid_optimum_of_cross_quadratic(self):
-        rng = np.random.default_rng(26)
-        d = 5
-        m1 = rng.standard_normal((d, d))
-        m2 = rng.standard_normal((d, d))
-        a = m1 @ m1.T / d + np.eye(d)  # training-loss Hessian (unused in value)
-        a_other = m2 @ m2.T / d + 0.5 * np.eye(d)
-        task = QuadraticTask(a, np.zeros(d), 0.4 * np.eye(d))
-        w = rng.standard_normal(d)
-        g = task.population_gradient(w)
-        g_other = a_other @ (w - 0.3 * np.ones(d))
-        sigma_mat = task.gradient_covariance()
-        b, c, sig = 24.0, 0.8, 0.6
-        inputs = pred.ImprovementInputs(
-            g_norm_sq=float(g @ g), g_h_g=float(g @ a @ g), tr_h=float(np.trace(a)),
-            tr_h_sigma=float(np.trace(a @ sigma_mat)), sigma=sig, c=c, batch_size=b,
-        )
-        other = pred.CrossMeasureInputs(
-            inner_product=float(g_other @ g),
-            g_h_other_g=float(g @ a_other @ g),
-            tr_h_other=float(np.trace(a_other)),
-            tr_h_other_sigma=float(np.trace(a_other @ sigma_mat)),
-        )
-        value = pred.cross_measure_improvement(inputs, other)
-
-        # 1-D grid oracle on the cross-measure quadratic in eta
-        def cross_quadratic(eta):
-            lin = eta * c * other.inner_product
-            quad = (
-                c**2 * other.g_h_other_g
-                + c**2 * other.tr_h_other_sigma / b
-                + sig**2 * other.tr_h_other / b**2
-            )
-            return lin - 0.5 * eta**2 * quad
-
-        grid = 10 ** np.linspace(-6, 2, 200_001)
-        best = max(cross_quadratic(e) for e in grid) / b
-        assert value == pytest.approx(best, rel=1e-6)
 
 
 class TestScheduleCumulative:

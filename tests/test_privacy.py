@@ -9,12 +9,10 @@ from dplens.privacy import (
     CalibrationError,
     PrivacyBudget,
     calibrate_sigma,
-    complement_to_mu,
     delta_to_mu,
     log_delta_to_mu,
     mu_of_noisy_sgd,
     mu_to_delta,
-    mu_to_delta_complement,
     mu_to_log_delta,
     sigma_sq_over_b,
     sigma_sq_over_b_expansion,
@@ -50,13 +48,6 @@ class TestDuality:
         with pytest.raises(ValueError):
             mu_to_delta(-1.0, 1.0)
 
-    def test_complement_consistent_with_delta(self):
-        for mu in (0.3, 1.0, 3.0):
-            for eps in (0.0, 0.7, 2.0):
-                assert mu_to_delta_complement(mu, eps) == pytest.approx(
-                    1.0 - mu_to_delta(mu, eps), rel=1e-10
-                )
-
 
 class TestInverseDuality:
     def test_round_trip_07(self):
@@ -83,22 +74,18 @@ class TestInverseDuality:
     @settings(max_examples=80, deadline=None)
     def test_plain_round_trip_where_representable(self, mu, eps):
         # beyond mu ~ 13 the slope d(delta)/d(mu) falls under the float
-        # granularity of delta near 1; the dual-channel test covers that
+        # granularity of delta near 1; the log-delta round trip covers that
         delta = mu_to_delta(mu, eps)
         if not 0.0 < delta < 1.0:
             return
         assert delta_to_mu(eps, delta) == pytest.approx(mu, abs=1e-6)
 
-    def test_full_range_round_trip_dual_channel(self):
-        # near delta = 1 the float channel saturates; the complement (and,
-        # for deep tails, log-delta) channels carry the information instead
+    def test_full_range_round_trip_through_log_delta(self):
+        # log delta keeps mu recoverable where delta underflows to 0 (deep
+        # tails) and where it rounds to 1 (large mu)
         for mu in np.geomspace(0.05, 50.0, 25):
             for eps in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-                log_delta = mu_to_log_delta(mu, eps)
-                if log_delta > math.log(0.5):
-                    recovered = complement_to_mu(eps, mu_to_delta_complement(mu, eps))
-                else:
-                    recovered = log_delta_to_mu(eps, log_delta)
+                recovered = log_delta_to_mu(eps, mu_to_log_delta(mu, eps))
                 assert recovered == pytest.approx(mu, abs=1e-6)
 
 
