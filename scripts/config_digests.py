@@ -1,7 +1,8 @@
 """SHA-256 of every file each shipped and benchmark config writes.
 
-Runs every ``configs/*.json`` and, for each workload in ``bench/workloads.py``,
-the configs of workload seed 1, repetitions 0 to 2, through
+Runs every ``configs/*.json``, two of them again with a ``plot`` of their
+training table added, and, for each workload in ``bench/workloads.py``, the
+configs of workload seed 1, repetitions 0 to 2, through
 ``dplens.cli.run_subcommand``, each into its own temporary directory.  Prints
 one ``<config>/<file> <sha256>`` line per output file.  Running it on two
 checkouts and diffing the output shows whether a change moved any output byte.
@@ -34,6 +35,12 @@ SHIPPED = {
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
 }
+# plots of training tables: most continual rows have empty val_loss and tr_H
+# cells, and the fourway table holds five seeds on a log y axis
+PLOTS = {
+    "continual_demo.json": {"columns": ["iter", "val_loss", "tr_H"]},
+    "fourway_mlp.json": {"columns": ["iter", "train_loss"], "y_scale": "log"},
+}
 BENCH_SEED = 1
 BENCH_REPS = range(3)
 
@@ -42,6 +49,11 @@ def _runs(scratch: Path):
     """(label, subcommand, config path) of every config to digest."""
     for path in sorted((ROOT / "configs").glob("*.json")):
         yield f"configs/{path.name}", SHIPPED[path.name], path
+    for name, plot in sorted(PLOTS.items()):
+        path = scratch / f"plot-{name}"
+        cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**cfg, "plot": plot}), encoding="utf-8")
+        yield f"configs/{name}+plot", SHIPPED[name], path
     for name, workload in sorted(WORKLOADS.items()):
         for rep in BENCH_REPS:
             label = f"bench/{name}-{BENCH_SEED}-{rep}"

@@ -1,10 +1,14 @@
 """Experiment driver: JSON configs in, CSV tables and SVG line plots out.
 
-Every subcommand is a pure function of (config, seed): rerunning with the
-same inputs reproduces the output bytes.  Every CSV table is written by one
-writer, ``_write_csv``.  Exit codes: 0 success, 1 config error, 2 numerical
-error, including a training run aborted on a non-finite loss, whose partial
-CSV is kept.
+Every subcommand is a pure function of (config, seed): its runner in
+``_RUNNERS`` takes the config and one seed and returns a :class:`Table`, the
+header, rows and abort reason of its output, and touches no file.  Rerunning
+with the same inputs reproduces the table.  Only :func:`run_subcommand` writes
+files: per seed it names the CSV (``_seed_name``), writes it (``_write_csv``)
+and, when the config asks for a ``plot``, draws the SVG from the same
+in-memory table (:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config
+error, 2 numerical error, including a training run aborted on a non-finite
+loss, whose partial CSV is kept and gets no plot.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -382,13 +387,6 @@ def task_from_config(cfg: dict, rng: np.random.Generator):
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
-def optimizer_from_config(cfg: dict | None) -> trainer.OptimizerConfig:
-    try:
-        return trainer.OptimizerConfig(**(cfg or {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def clipping_from_config(cfg: dict | None) -> clipping.ClippingRule | None:
     if cfg is None:
         return clipping.ClippingRule.reparam(1.0)
@@ -400,18 +398,15 @@ def clipping_from_config(cfg: dict | None) -> clipping.ClippingRule | None:
 
 
 def inputs_from_config(cfg: dict) -> predictor.ImprovementInputs:
-    try:
-        return predictor.ImprovementInputs(
-            g_norm_sq=cfg["g_norm_sq"],
-            g_h_g=cfg["g_h_g"],
-            tr_h=cfg["tr_h"],
-            tr_h_sigma=cfg["tr_h_sigma"],
-            sigma=cfg["sigma"],
-            c=cfg.get("c", 1.0),
-            batch_size=cfg.get("batch_size", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return predictor.ImprovementInputs(
+        g_norm_sq=cfg["g_norm_sq"],
+        g_h_g=cfg["g_h_g"],
+        tr_h=cfg["tr_h"],
+        tr_h_sigma=cfg["tr_h_sigma"],
+        sigma=cfg["sigma"],
+        c=cfg.get("c", 1.0),
+        batch_size=cfg.get("batch_size", 1.0),
+    )
 
 
 def schedule_from_config(cfg: dict | None) -> predictor.AlphaSchedule | None:
@@ -445,8 +440,22 @@ def _resolve_sigma(cfg: dict, batch_size: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# CSV helpers
+# tables
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Table:
+    """One subcommand's output for one seed, before anything is written.
+
+    ``header`` is the CSV header line, ``rows`` the cell values (an empty
+    string is an empty cell), and ``abort_reason`` says why a training run
+    stopped early, or is None for a complete table.
+    """
+
+    header: str
+    rows: list[list]
+    abort_reason: str | None = None
 
 
 def _fmt(value) -> str:
@@ -455,10 +464,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows: list[list]) -> Path:
+def _write_csv(path: Path, table: Table) -> Path:
     """Write one table; every CSV the subcommands produce goes through here."""
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines = [table.header]
+    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -472,8 +481,8 @@ def _record_row(r: trainer.IterationRecord) -> list:
     return [r.iteration, r.phase, r.alpha, r.train_loss, val, r.sigma]
 
 
-def _run_table(run: trainer.TrainRun, batch_size: int) -> tuple[str, list[list]]:
-    """Header and rows of a per-iteration log.
+def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
+    """The per-iteration log of one run, with its abort reason.
 
     The Hessian columns appear when any record has curvature stats; a record
     without them leaves those cells empty.  The decelerator column is
@@ -482,7 +491,7 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> tuple[str, list[list]]
     """
     rows = [_record_row(r) for r in run.records]
     if all(r.hessian is None for r in run.records):
-        return TRAIN_CSV_HEADER, rows
+        return Table(TRAIN_CSV_HEADER, rows, run.abort_reason)
     for row, r in zip(rows, run.records):
         h = r.hessian
         if h is None:
@@ -490,14 +499,7 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> tuple[str, list[list]]
         else:
             decel = 0.0 if r.sigma == 0.0 else r.sigma**2 * h.tr_h / batch_size
             row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
-    return TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows
-
-
-def _check_not_aborted(runs: list[trainer.TrainRun], path: Path) -> None:
-    """Raise once the partial log is written if a run was aborted (exit code 2)."""
-    for run in runs:
-        if run.aborted:
-            raise FloatingPointError(f"{run.abort_reason}; partial log kept in {path}")
+    return Table(TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows, run.abort_reason)
 
 
 MIA_CSV_HEADER = "model_id,epsilon,accuracy,precision,recall,f1,auc"
@@ -509,11 +511,11 @@ def _mia_row(model_id: str, epsilon: float, report: attacks.MiaReport) -> list:
 
 
 # --------------------------------------------------------------------------
-# subcommand implementations (each a pure function of config + seed)
+# subcommand runners: each a pure function (config, seed) -> Table
 # --------------------------------------------------------------------------
 
 
-def _run_calibrate(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_calibrate(cfg: dict, seed: int) -> Table:
     budget = privacy.PrivacyBudget(cfg["epsilon"], cfg["delta"])
     n, s = cfg["n"], cfg["sample_budget"]
     rows = []
@@ -523,10 +525,7 @@ def _run_calibrate(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         mu = privacy.mu_of_noisy_sgd(b, n, t, sigma)
         delta = privacy.mu_to_delta(mu, budget.epsilon)
         rows.append([b, t, sigma, mu, budget.epsilon, delta])
-    path = _write_csv(
-        outdir / _seed_name("calibrate", seed, cfg), "B,T,sigma,mu,epsilon,delta", rows
-    )
-    return [path] + _maybe_plot(cfg, path, outdir)
+    return Table("B,T,sigma,mu,epsilon,delta", rows)
 
 
 PREDICT_HEADER = "B,delta_pub_star,delta_priv_star,decelerator,B_star,alpha_star"
@@ -556,24 +555,16 @@ def _predict_row(base: predictor.ImprovementInputs, b: float, b_pub, b_priv) -> 
     ]
 
 
-def _run_predict(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_sweep_batch(cfg: dict, seed: int) -> Table:
+    """One row per ``batch_grid`` entry; ``predict`` has no grid and gets the
+    one row at the inputs' own batch size."""
     base = inputs_from_config(cfg["inputs"])
-    rows = [_predict_row(base, base.batch_size, cfg.get("b_public"), cfg.get("b_private"))]
-    path = _write_csv(outdir / _seed_name("predict", seed, cfg), PREDICT_HEADER, rows)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    grid = cfg.get("batch_grid", [base.batch_size])
+    rows = [_predict_row(base, b, cfg.get("b_public"), cfg.get("b_private")) for b in grid]
+    return Table(PREDICT_HEADER, rows)
 
 
-def _run_sweep_batch(cfg: dict, seed: int, outdir: Path) -> list[Path]:
-    base = inputs_from_config(cfg["inputs"])
-    rows = [
-        _predict_row(base, b, cfg.get("b_public"), cfg.get("b_private"))
-        for b in cfg["batch_grid"]
-    ]
-    path = _write_csv(outdir / _seed_name("sweep-batch", seed, cfg), PREDICT_HEADER, rows)
-    return [path] + _maybe_plot(cfg, path, outdir)
-
-
-def _run_fig_breakdown(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
     rows = []
     for name in sorted(cfg["cases"]):
         base = inputs_from_config(cfg["cases"][name])
@@ -600,11 +591,10 @@ def _run_fig_breakdown(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         "case,B,b_ghg,tr_h_sigma,decelerator,denominator_priv,denominator_pub,"
         "delta_priv_star,delta_pub_star,B_star"
     )
-    path = _write_csv(outdir / _seed_name("fig-breakdown", seed, cfg), header, rows)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    return Table(header, rows)
 
 
-def _run_oracle(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_oracle(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
     if not isinstance(task, QuadraticTask):
@@ -635,15 +625,13 @@ def _run_oracle(cfg: dict, seed: int, outdir: Path) -> list[Path]:
                     [eta, b, sigma, result.mean_improvement, result.standard_error,
                      closed, z]
                 )
-    header = "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
-    path = _write_csv(outdir / _seed_name("oracle", seed, cfg), header, rows)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    return Table("eta,B,sigma,mc_mean,mc_se,closed_form,z_score", rows)
 
 
-def _run_train(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_train(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
-    config = optimizer_from_config(cfg.get("optimizer"))
+    config = trainer.OptimizerConfig(**cfg["optimizer"])
     mode = cfg["mode"]
     sigma = 0.0 if mode == "public" else _resolve_sigma(cfg, cfg["batch_size"])
     rule = clipping_from_config(cfg.get("clipping"))
@@ -666,20 +654,16 @@ def _run_train(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         schedule=schedule,
         hessian_probes=cfg.get("hessian_probes", 0),
     )
-    path = _write_csv(
-        outdir / _seed_name("train", seed, cfg), *_run_table(run, cfg["batch_size"])
-    )
-    _check_not_aborted([run], path)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    return _run_table(run, cfg["batch_size"])
 
 
-def _run_continual(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_continual(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
         task_from_config(cfg["task_private"], rng) if "task_private" in cfg else task_pub
     )
-    config = optimizer_from_config(cfg.get("optimizer"))
+    config = trainer.OptimizerConfig(**cfg["optimizer"])
     sigma = _resolve_sigma(cfg, cfg["batch_size"])
     run = trainer.continual_pretrain(
         task_pub,
@@ -698,19 +682,15 @@ def _run_continual(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         val_size=cfg.get("val_size", 1024),
         hessian_probes=cfg.get("hessian_probes", 0),
     )
-    path = _write_csv(
-        outdir / _seed_name("continual", seed, cfg), *_run_table(run, cfg["batch_size"])
-    )
-    _check_not_aborted([run], path)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    return _run_table(run, cfg["batch_size"])
 
 
-def _run_fourway(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_fourway(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
     runs = trainer.four_way_comparison(
         task,
-        optimizer_from_config(cfg.get("optimizer")),
+        trainer.OptimizerConfig(**cfg["optimizer"]),
         cfg["sigma"],
         clipping_from_config(cfg.get("clipping")),
         cfg["steps"],
@@ -721,14 +701,11 @@ def _run_fourway(cfg: dict, seed: int, outdir: Path) -> list[Path]:
     rows = [
         [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
     ]
-    path = _write_csv(
-        outdir / _seed_name("fourway", seed, cfg), "arm," + TRAIN_CSV_HEADER, rows
-    )
-    _check_not_aborted(list(runs.values()), path)
-    return [path] + _maybe_plot(cfg, path, outdir)
+    aborted = [runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS if runs[arm].aborted]
+    return Table("arm," + TRAIN_CSV_HEADER, rows, aborted[0] if aborted else None)
 
 
-def _run_mia(cfg: dict, seed: int, outdir: Path) -> list[Path]:
+def _run_mia(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     n_mem, n_non, dim = cfg["n_members"], cfg["n_nonmembers"], cfg["dim"]
     separation = cfg.get("separation", 2.0)
@@ -755,12 +732,12 @@ def _run_mia(cfg: dict, seed: int, outdir: Path) -> list[Path]:
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
         rows.append(_mia_row(model_id, eps, report))
-    return [_write_csv(outdir / _seed_name("mia", seed, cfg), MIA_CSV_HEADER, rows)]
+    return Table(MIA_CSV_HEADER, rows)
 
 
 _RUNNERS = {
     "calibrate": _run_calibrate,
-    "predict": _run_predict,
+    "predict": _run_sweep_batch,
     "sweep-batch": _run_sweep_batch,
     "oracle": _run_oracle,
     "train": _run_train,
@@ -777,19 +754,6 @@ def _seed_name(command: str, seed: int, cfg: dict) -> str:
     return f"{stem}_seed{seed}.csv" if multi else f"{stem}.csv"
 
 
-def _maybe_plot(cfg: dict, csv_path: Path, outdir: Path) -> list[Path]:
-    plot = cfg.get("plot")
-    if plot is None:
-        return []
-    svg = emit_svg_lineplot(
-        csv_path,
-        plot["columns"],
-        (plot.get("x_scale", "linear"), plot.get("y_scale", "linear")),
-        out_path=outdir / (csv_path.stem + ".svg"),
-    )
-    return [svg]
-
-
 # --------------------------------------------------------------------------
 # SVG line plots
 # --------------------------------------------------------------------------
@@ -798,35 +762,18 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H, _MARGIN = 640, 480, 60
 
 
-def _read_csv_columns(csv_path: Path, wanted: list[str]) -> dict[str, list[float]]:
-    try:
-        lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read CSV {csv_path}: {exc}") from exc
-    if not lines:
-        raise ValueError(f"CSV {csv_path} is empty")
-    header = lines[0].split(",")
+def _plot_columns(table: Table, wanted: list[str]) -> list[tuple[float, ...]]:
+    """The ``wanted`` columns as floats, over the rows with no empty cell in them."""
+    header = table.header.split(",")
     for name in wanted:
         if name not in header:
-            raise ValueError(f"CSV {csv_path} has no column {name!r}")
-    idx = {name: header.index(name) for name in wanted}
-    data: dict[str, list[float]] = {name: [] for name in wanted}
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        values = {}
-        for name in wanted:
-            cell = cells[idx[name]]
-            if cell == "":
-                break
-            values[name] = float(cell)
-        else:
-            for name in wanted:
-                data[name].append(values[name])
-    if not data[wanted[0]]:
-        raise ValueError(f"CSV {csv_path} has no plottable rows")
-    return data
+            raise ValueError(f"table has no column {name!r}")
+    idx = [header.index(name) for name in wanted]
+    points = [[row[i] for i in idx] for row in table.rows]
+    points = [[float(v) for v in cells] for cells in points if "" not in cells]
+    if not points:
+        raise ValueError("table has no plottable rows")
+    return list(zip(*points))
 
 
 def _scaled(values: list[float], scale: str, lo: float, hi: float, out_lo, out_hi):
@@ -840,23 +787,21 @@ def _scaled(values: list[float], scale: str, lo: float, hi: float, out_lo, out_h
 
 
 def emit_svg_lineplot(
-    csv_path: str | Path,
+    table: Table,
     columns: list[str],
+    out_path: str | Path,
     scales: tuple[str, str] = ("linear", "linear"),
-    out_path: str | Path | None = None,
 ) -> Path:
-    """Render one polyline per y-column against the first (x) column.
+    """Write one polyline per y-column against the first (x) column to ``out_path``.
 
-    The output bytes are a pure function of the CSV contents and arguments:
-    fixed canvas, fixed palette, fixed float formatting, no timestamps.
+    Rows with an empty cell in any of ``columns`` are left out.  The output
+    bytes are a pure function of the table and arguments: fixed canvas, fixed
+    palette, fixed float formatting, no timestamps.
     """
     if len(columns) < 2:
         raise ValueError("need an x column and at least one y column")
     x_scale, y_scale = scales
-    csv_path = Path(csv_path)
-    data = _read_csv_columns(csv_path, list(columns))
-    xs = data[columns[0]]
-    ys = [data[name] for name in columns[1:]]
+    xs, *ys = _plot_columns(table, list(columns))
     x_lo, x_hi = min(xs), max(xs)
     all_y = [v for series in ys for v in series]
     y_lo, y_hi = min(all_y), max(all_y)
@@ -900,7 +845,7 @@ def emit_svg_lineplot(
         f'text-anchor="end">{y_hi:.6g}</text>'
     )
     parts.append("</svg>")
-    out = Path(out_path) if out_path is not None else csv_path.with_suffix(".svg")
+    out = Path(out_path)
     out.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
     return out
 
@@ -945,8 +890,19 @@ def run_subcommand(argv: list[str]) -> int:
         if args.seed is not None:
             cfg = dict(cfg)
             cfg["seeds"] = seeds
-        runner = _RUNNERS[args.command]
-        paths = [p for seed in seeds for p in runner(cfg, seed, outdir)]
+        plot = cfg.get("plot")
+        paths = []
+        for seed in seeds:
+            table = _RUNNERS[args.command](cfg, seed)
+            csv = _write_csv(outdir / _seed_name(args.command, seed, cfg), table)
+            paths.append(csv)
+            if table.abort_reason is not None:
+                raise FloatingPointError(f"{table.abort_reason}; partial log kept in {csv}")
+            if plot is not None:
+                scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
+                paths.append(
+                    emit_svg_lineplot(table, plot["columns"], csv.with_suffix(".svg"), scales)
+                )
         for path in paths:
             print(path)
         return 0

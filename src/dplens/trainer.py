@@ -56,19 +56,22 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Step counter plus Adam moments and the momentum buffer."""
+    """Step counter, first moment ``m`` and Adam's second moment ``v``.
+
+    ``m`` is Adam's first moment under ``adam`` and the momentum buffer under
+    ``sgd_momentum``, so the ``reset_m`` policy zeroes it for either kind.
+    """
 
     t: int
     m: Array
     v: Array
-    b: Array
 
     @classmethod
     def zeros(cls, d: int) -> "OptimizerState":
-        return cls(t=0, m=np.zeros(d), v=np.zeros(d), b=np.zeros(d))
+        return cls(t=0, m=np.zeros(d), v=np.zeros(d))
 
     def copy(self) -> "OptimizerState":
-        return OptimizerState(t=self.t, m=self.m.copy(), v=self.v.copy(), b=self.b.copy())
+        return OptimizerState(t=self.t, m=self.m.copy(), v=self.v.copy())
 
     def apply_reset(self, policy: str) -> None:
         """Re-initialise part of the state when switching training phases."""
@@ -76,7 +79,6 @@ class OptimizerState:
             raise ValueError(f"unknown reset policy {policy!r}")
         if policy == "reset_m":
             self.m = np.zeros_like(self.m)
-            self.b = np.zeros_like(self.b)
         elif policy == "reset_v":
             self.v = np.zeros_like(self.v)
         elif policy == "reset_t":
@@ -95,8 +97,8 @@ def optimizer_direction(
     if config.kind == "sgd":
         return g, new
     if config.kind == "sgd_momentum":
-        new.b = config.mu * state.b + g
-        return new.b, new
+        new.m = config.mu * state.m + g
+        return new.m, new
     new.m = config.beta1 * state.m + (1.0 - config.beta1) * g
     new.v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
     m_hat = new.m / (1.0 - config.beta1**new.t)
@@ -188,9 +190,6 @@ class TrainRun:
 
     records: list[IterationRecord] = field(default_factory=list)
     switch_iteration: int | None = None
-    reset_policy: str | None = None
-    momentum_norm_before_reset: float | None = None
-    momentum_norm_after_reset: float | None = None
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -217,7 +216,7 @@ def continual_pretrain(
     *,
     batch_size: int = 32,
     steps_per_epoch: int = 50,
-    rule: ClippingRule | None = None,
+    rule: ClippingRule | None = ClippingRule.reparam(1.0),
     schedule: AlphaSchedule | None = None,
     reset_policy: str = "reset_m",
     head_reinit: bool = False,
@@ -233,8 +232,9 @@ def continual_pretrain(
     partially re-initialised per ``reset_policy`` (first moment by default)
     and, optionally, the task's output-parameter block is re-drawn.  Passing
     a binary alpha schedule instead forces the phase change at a fixed
-    iteration with no early stopping.  Training aborts with a diagnostic
-    record if the loss turns non-finite.
+    iteration with no early stopping.  Private steps clip with ``rule``, and
+    ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  Training
+    aborts with a diagnostic record if the loss turns non-finite.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -248,15 +248,13 @@ def continual_pretrain(
         "only_private",
     ):
         raise ValueError("only binary alpha schedules drive the two-phase loop")
-    if rule is None:
-        rule = ClippingRule.reparam(1.0)
 
     total_steps = epochs * steps_per_epoch
     init_rng, val_rng, data_rng, noise_rng, probe_rng, head_rng = rng.spawn(6)
     w = _initial_parameters(task_public, init_rng, w0)
     val_set = task_public.draw_batch(val_rng, val_size)
     state = OptimizerState.zeros(task_public.dimension)
-    run = TrainRun(reset_policy=reset_policy)
+    run = TrainRun()
     phase = "public"
     if schedule is not None and alpha_schedule_value(schedule, 0) == 0.0:
         phase = "private"
@@ -264,9 +262,7 @@ def continual_pretrain(
     def _switch(now: int) -> None:
         nonlocal phase
         run.switch_iteration = now
-        run.momentum_norm_before_reset = float(np.linalg.norm(state.m))
         state.apply_reset(reset_policy)
-        run.momentum_norm_after_reset = float(np.linalg.norm(state.m))
         if head_reinit:
             _reinit_head(task_private, w, head_rng)
         phase = "private"

@@ -20,7 +20,7 @@ from dplens.attacks import (
     fit_softmax,
     two_blob_data,
 )
-from dplens.cli import MIA_CSV_HEADER, _mia_row, _write_csv
+from dplens.cli import MIA_CSV_HEADER, Table, _mia_row, _write_csv
 from dplens.clipping import ClippingRule
 from reference import privatize_gradient
 
@@ -203,7 +203,7 @@ class TestEvaluate:
     def test_csv_row(self, tmp_path):
         report = MiaReport(accuracy=0.5, precision=0.5, recall=0.25, f1=1 / 3, auc=0.5)
         path = _write_csv(
-            tmp_path / "mia.csv", MIA_CSV_HEADER, [_mia_row("nondp", float("inf"), report)]
+            tmp_path / "mia.csv", Table(MIA_CSV_HEADER, [_mia_row("nondp", float("inf"), report)])
         )
         header, row = path.read_text().splitlines()
         assert header == "model_id,epsilon,accuracy,precision,recall,f1,auc"

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dplens.cli import (
+    _RUNNERS,
     CONFIG_SCHEMAS,
     ConfigError,
+    Table,
     canonical_config,
     emit_svg_lineplot,
     load_config,
@@ -240,6 +242,46 @@ class TestSubcommands:
         assert run_subcommand(argv) == 0
         assert list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+    def test_runner_returns_a_table_and_writes_nothing(self, name, tmp_path, monkeypatch):
+        command = SHIPPED_CONFIGS[name]
+        cfg = load_config(CONFIG_DIR / name, command)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DPLENS_OUT", str(tmp_path))
+        table = _RUNNERS[command](cfg, cfg.get("seeds", [0])[0])
+        assert isinstance(table, Table)
+        assert table.rows and table.abort_reason is None
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "continual"])
+    def test_clipping_none_leaves_private_steps_unclipped(self, command, tmp_path):
+        # per-sample gradient norms of this quadratic are well above 1, so a
+        # run that clipped at R = 1 would read differently from the unclipped one
+        payload = {
+            "schema": 1,
+            "task": {"kind": "quadratic", "dimension": 4},
+            "optimizer": {"kind": "sgd", "eta": 0.1},
+            "sigma": 0.5,
+            "mode": "dp",
+            "steps": 20,
+            "batch_size": 8,
+        }
+        if command == "continual":
+            payload["task_public"] = payload.pop("task")
+            del payload["mode"]
+            payload.update(epochs=1, steps_per_epoch=payload.pop("steps"),
+                           schedule={"kind": "only_private"})
+        logs = {}
+        for clip in ({"kind": "none"}, {"kind": "reparam", "r": 1.0}):
+            payload["clipping"] = clip
+            kind = clip["kind"]
+            path = write_config(tmp_path, payload, f"{kind}.json")
+            out = tmp_path / kind
+            assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 0
+            logs[kind] = (out / f"{command}.csv").read_text().splitlines()
+        assert logs["none"][:2] == logs["reparam"][:2]  # same start, same first batch
+        assert logs["none"][2:] != logs["reparam"][2:]
+
     @pytest.mark.parametrize("command", ["train", "fourway"])
     def test_mlp_training_never_builds_per_sample_gradients(
         self, command, tmp_path, monkeypatch
@@ -273,6 +315,7 @@ class TestSubcommands:
             "mode": "public",
             "steps": 400,
             "batch_size": 8,
+            "plot": {"columns": ["iter", "train_loss"]},
         }
         if command == "continual":
             payload["task_public"] = payload.pop("task")
@@ -290,6 +333,7 @@ class TestSubcommands:
         assert 0 < len(rows) < 400 * (4 if command == "fourway" else 1)
         if command == "train":
             assert len(rows) == 92
+        assert not list(tmp_path.glob("*.svg"))
 
     def test_seed_sweep_with_jobs(self, tmp_path):
         payload = sweep_config()
@@ -333,39 +377,35 @@ class TestSubcommands:
 
 
 class TestSvg:
-    def _csv(self, tmp_path, rows, header="x,y"):
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
-        return path
-
     def test_two_columns_single_polyline(self, tmp_path):
-        path = self._csv(tmp_path, ["1,2", "2,4", "3,1"])
-        svg = emit_svg_lineplot(path, ["x", "y"])
+        table = Table("x,y", [[1, 2], [2, 4], [3, 1]])
+        svg = emit_svg_lineplot(table, ["x", "y"], tmp_path / "plot.svg")
         text = svg.read_text()
         assert text.count("<polyline") == 1
 
     def test_empty_csv_rejected(self, tmp_path):
-        path = self._csv(tmp_path, [])
-        with pytest.raises(ValueError):
-            emit_svg_lineplot(path, ["x", "y"])
+        # a header with no rows, or no row without an empty cell, has nothing to plot
+        for rows in ([], [[1, ""], ["", 2]]):
+            with pytest.raises(ValueError):
+                emit_svg_lineplot(Table("x,y", rows), ["x", "y"], tmp_path / "plot.svg")
 
     def test_missing_column_rejected(self, tmp_path):
-        path = self._csv(tmp_path, ["1,2"])
+        table = Table("x,y", [[1, 2]])
         with pytest.raises(ValueError):
-            emit_svg_lineplot(path, ["x", "z"])
+            emit_svg_lineplot(table, ["x", "z"], tmp_path / "plot.svg")
 
     def test_byte_identical_outputs(self, tmp_path):
-        path = self._csv(tmp_path, ["1,2", "2,4", "3,1"])
-        a = emit_svg_lineplot(path, ["x", "y"], out_path=tmp_path / "a.svg")
-        b = emit_svg_lineplot(path, ["x", "y"], out_path=tmp_path / "b.svg")
+        table = Table("x,y", [[1, 2], [2, 4], [3, 1]])
+        a = emit_svg_lineplot(table, ["x", "y"], tmp_path / "a.svg")
+        b = emit_svg_lineplot(table, ["x", "y"], tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
     def test_log_scale_rejects_nonpositive(self, tmp_path):
-        path = self._csv(tmp_path, ["0,1", "1,2"])
+        table = Table("x,y", [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
-            emit_svg_lineplot(path, ["x", "y"], scales=("log", "linear"))
+            emit_svg_lineplot(table, ["x", "y"], tmp_path / "plot.svg", scales=("log", "linear"))
 
     def test_multiple_series(self, tmp_path):
-        path = self._csv(tmp_path, ["1,2,3", "2,4,5"], header="x,y1,y2")
-        svg = emit_svg_lineplot(path, ["x", "y1", "y2"])
+        table = Table("x,y1,y2", [[1, 2, 3], [2, 4, 5]])
+        svg = emit_svg_lineplot(table, ["x", "y1", "y2"], tmp_path / "plot.svg")
         assert svg.read_text().count("<polyline") == 2

@@ -188,7 +188,7 @@ class TestStatsTypesAndCsv:
             sigma=0.5, hessian=stats,
         )
         # batch size 4: decelerator sigma^2 tr_H / B = 0.25 * 2.0 / 4
-        path = _write_csv(tmp_path / "run.csv", *_run_table(TrainRun(records=[record]), 4))
+        path = _write_csv(tmp_path / "run.csv", _run_table(TrainRun(records=[record]), 4))
         header, row = (line.split(",") for line in path.read_text().strip().split("\n"))
         assert ",".join(header[:1] + header[6:]) == "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
         assert ",".join(row[:1] + row[6:]) == "0,2.0,3.0,4.0,5.0,0.125"

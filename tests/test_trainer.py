@@ -261,14 +261,35 @@ class TestContinualPretrain:
             else:
                 assert record.sigma == 0.4 and record.alpha == 0.0
 
-    def test_momentum_reset_applied(self):
-        run = self._run(reset_policy="reset_m")
-        assert run.momentum_norm_before_reset > 0.0
-        assert run.momentum_norm_after_reset == 0.0
+    def _reset_norms(self, monkeypatch, **kwargs):
+        """Norms of the first moment just before and after the switch's reset."""
+        norms = []
+        apply_reset = OptimizerState.apply_reset
 
-    def test_no_reset_keeps_momentum(self):
-        run = self._run(reset_policy="none")
-        assert run.momentum_norm_after_reset == run.momentum_norm_before_reset > 0.0
+        def spy(state, policy):
+            before = float(np.linalg.norm(state.m))
+            apply_reset(state, policy)
+            norms.append((before, float(np.linalg.norm(state.m))))
+
+        monkeypatch.setattr(OptimizerState, "apply_reset", spy)
+        self._run(**kwargs)
+        [pair] = norms
+        return pair
+
+    def test_momentum_reset_applied(self, monkeypatch):
+        before, after = self._reset_norms(monkeypatch, reset_policy="reset_m")
+        assert before > 0.0
+        assert after == 0.0
+
+    def test_no_reset_keeps_momentum(self, monkeypatch):
+        before, after = self._reset_norms(monkeypatch, reset_policy="none")
+        assert after == before > 0.0
+
+    def test_momentum_reset_zeroes_the_sgd_momentum_buffer(self, monkeypatch):
+        config = OptimizerConfig(kind="sgd_momentum", eta=0.05, mu=0.9)
+        before, after = self._reset_norms(monkeypatch, config=config, reset_policy="reset_m")
+        assert before > 0.0
+        assert after == 0.0
 
     def test_all_reset_policies_produce_valid_runs(self):
         for policy in ("none", "reset_m", "reset_v", "reset_t"):
@@ -329,13 +350,13 @@ class TestContinualPretrain:
     def test_hessian_probes_recorded_and_csv(self, tmp_path):
         run = self._run(epochs=2, hessian_probes=8)
         assert all(r.hessian is not None for r in run.records)
-        text = _write_csv(tmp_path / "run.csv", *_run_table(run, 16)).read_text()
+        text = _write_csv(tmp_path / "run.csv", _run_table(run, 16)).read_text()
         header = text.splitlines()[0]
         assert header == "iter,phase,alpha,train_loss,val_loss,sigma,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
 
     def test_csv_without_hessian(self, tmp_path):
         run = self._run(epochs=2)
-        lines = _write_csv(tmp_path / "run.csv", *_run_table(run, 16)).read_text().splitlines()
+        lines = _write_csv(tmp_path / "run.csv", _run_table(run, 16)).read_text().splitlines()
         assert lines[0] == "iter,phase,alpha,train_loss,val_loss,sigma"
         # val_loss cell is empty except at epoch boundaries
         first = lines[1].split(",")
