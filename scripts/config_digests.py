@@ -4,10 +4,15 @@ Runs every ``configs/*.json``, two of them again with a ``plot`` of their
 training table added, and, for each workload in ``bench/workloads.py``, the
 configs of workload seed 1, repetitions 0 to 2, through
 ``dplens.cli.run_subcommand``, each into its own temporary directory.  Prints
-one ``<config>/<file> <sha256>`` line per output file.  Running it on two
-checkouts and diffing the output shows whether a change moved any output byte.
+one ``<config>/<file> <sha256>`` line per output file.  BLAS runs on one
+thread, as in ``bench/run.py``, so the bytes do not depend on the thread count.
 
-    python3 scripts/config_digests.py
+``scripts/config_digests.txt`` holds the committed output; this checks that
+no output byte moved (no diff output, exit 0):
+
+    python3 scripts/config_digests.py | diff scripts/config_digests.txt -
+
+A change that moves output bytes on purpose commits the new output with it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]

@@ -27,10 +27,6 @@ class SoftmaxModel:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("weights must be (k, d) with a matching bias")
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
     def batch_logits(self, xs: Array) -> Array:
         return np.atleast_2d(np.asarray(xs, dtype=float)) @ self.weights.T + self.bias
 

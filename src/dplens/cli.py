@@ -629,32 +629,23 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
 
 
 def _run_train(cfg: dict, seed: int) -> Table:
-    rng = np.random.default_rng(seed)
-    task = task_from_config(cfg["task"], rng)
-    config = trainer.OptimizerConfig(**cfg["optimizer"])
-    mode = cfg["mode"]
-    sigma = 0.0 if mode == "public" else _resolve_sigma(cfg, cfg["batch_size"])
-    rule = clipping_from_config(cfg.get("clipping"))
-    schedule = (
-        predictor.AlphaSchedule.only_public()
-        if mode == "public"
-        else predictor.AlphaSchedule.only_private()
-    )
-    run = trainer.continual_pretrain(
-        task,
-        task,
-        config,
-        trainer.SwitchPolicy(patience=1),
-        sigma,
-        epochs=1,
-        rng=rng,
-        batch_size=cfg["batch_size"],
-        steps_per_epoch=cfg["steps"],
-        rule=rule,
-        schedule=schedule,
-        hessian_probes=cfg.get("hessian_probes", 0),
-    )
-    return _run_table(run, cfg["batch_size"])
+    """A ``train`` run is a one-phase ``continual`` run of the same config.
+
+    ``task`` is the public task, ``steps`` steps make one epoch, and a
+    one-sided schedule keeps every step public (sigma 0) in ``public`` mode
+    and private in ``dp`` mode.
+    """
+    public = cfg["mode"] == "public"
+    one_phase = {
+        **cfg,
+        "task_public": cfg["task"],
+        "epochs": 1,
+        "steps_per_epoch": cfg["steps"],
+        "schedule": {"kind": "only_public" if public else "only_private"},
+    }
+    if public:
+        one_phase["sigma"] = 0.0
+    return _run_continual(one_phase, seed)
 
 
 def _run_continual(cfg: dict, seed: int) -> Table:
@@ -701,8 +692,8 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
     rows = [
         [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
     ]
-    aborted = [runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS if runs[arm].aborted]
-    return Table("arm," + TRAIN_CSV_HEADER, rows, aborted[0] if aborted else None)
+    reasons = (runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS)
+    return Table("arm," + TRAIN_CSV_HEADER, rows, next(filter(None, reasons), None))
 
 
 def _run_mia(cfg: dict, seed: int) -> Table:
@@ -762,18 +753,32 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H, _MARGIN = 640, 480, 60
 
 
-def _plot_columns(table: Table, wanted: list[str]) -> list[tuple[float, ...]]:
-    """The ``wanted`` columns as floats, over the rows with no empty cell in them."""
+def _plot_series(table: Table, wanted: list[str]) -> list[list[tuple[float, float]]]:
+    """(x, y) points of each later ``wanted`` column against the first, over
+    the rows where both cells are non-empty."""
     header = table.header.split(",")
     for name in wanted:
         if name not in header:
             raise ValueError(f"table has no column {name!r}")
-    idx = [header.index(name) for name in wanted]
-    points = [[row[i] for i in idx] for row in table.rows]
-    points = [[float(v) for v in cells] for cells in points if "" not in cells]
-    if not points:
+    ix, *iys = [header.index(name) for name in wanted]
+    series = [
+        [(float(row[ix]), float(row[iy])) for row in table.rows
+         if row[ix] != "" and row[iy] != ""]
+        for iy in iys
+    ]
+    if not any(series):
         raise ValueError("table has no plottable rows")
-    return list(zip(*points))
+    return series
+
+
+def _segments(points: list[tuple[float, float]]) -> list[list[tuple[float, float]]]:
+    """Split a series into runs in which x never decreases."""
+    runs: list[list[tuple[float, float]]] = []
+    for point in points:
+        if not runs or point[0] < runs[-1][-1][0]:
+            runs.append([])
+        runs[-1].append(point)
+    return runs
 
 
 def _scaled(values: list[float], scale: str, lo: float, hi: float, out_lo, out_hi):
@@ -792,20 +797,22 @@ def emit_svg_lineplot(
     out_path: str | Path,
     scales: tuple[str, str] = ("linear", "linear"),
 ) -> Path:
-    """Write one polyline per y-column against the first (x) column to ``out_path``.
+    """Plot each y-column against the first (x) column into ``out_path``.
 
-    Rows with an empty cell in any of ``columns`` are left out.  The output
+    Each y-column is drawn in one colour over the rows where both it and x
+    are non-empty, one polyline per run of rows in which x never decreases,
+    so the stacked arms of a ``fourway`` table get one line each.  The output
     bytes are a pure function of the table and arguments: fixed canvas, fixed
     palette, fixed float formatting, no timestamps.
     """
     if len(columns) < 2:
         raise ValueError("need an x column and at least one y column")
     x_scale, y_scale = scales
-    xs, *ys = _plot_columns(table, list(columns))
-    x_lo, x_hi = min(xs), max(xs)
-    all_y = [v for series in ys for v in series]
+    series = _plot_series(table, list(columns))
+    all_x = [x for points in series for x, _ in points]
+    all_y = [y for points in series for _, y in points]
+    x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    px = _scaled(xs, x_scale, x_lo, x_hi, _MARGIN, _W - _MARGIN)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -815,14 +822,17 @@ def emit_svg_lineplot(
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
     ]
-    for i, (name, series) in enumerate(zip(columns[1:], ys)):
-        py = _scaled(series, y_scale, y_lo, y_hi, _H - _MARGIN, _MARGIN)
-        points = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(px, py))
+    for i, (name, points) in enumerate(zip(columns[1:], series)):
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
+        for run in _segments(points):
+            xs, ys = zip(*run)
+            px = _scaled(xs, x_scale, x_lo, x_hi, _MARGIN, _W - _MARGIN)
+            py = _scaled(ys, y_scale, y_lo, y_hi, _H - _MARGIN, _MARGIN)
+            coords = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(px, py))
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{coords}"/>'
+            )
         parts.append(
             f'<text x="{_W - _MARGIN + 5}" y="{_MARGIN + 14 * i + 10}" '
             f'font-size="10" fill="{color}">{name}</text>'

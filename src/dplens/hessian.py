@@ -44,12 +44,9 @@ class HessianStats:
     tr_h_sigma: float
     g_h_g: float
     g_norm_sq: float
-    probe_count: int
     standard_error_tr_h: float
 
     def __post_init__(self):
-        if self.probe_count < 1:
-            raise ValueError("probe_count must be positive")
         if self.standard_error_tr_h < 0:
             raise ValueError("standard error must be nonnegative")
 
@@ -59,24 +56,15 @@ def hutchinson_trace(
     d: int,
     k: int,
     rng: np.random.Generator,
-    probes: str = "gaussian",
 ) -> TraceEstimate:
-    """Randomized trace estimate mean_j v_j^T H v_j over k isotropic probes.
+    """Randomized trace estimate mean_j v_j^T H v_j over k Gaussian probes.
 
-    Gaussian probes are the default; Rademacher probes are available for
-    variance reduction.  Unbiased for any symmetric operator; the standard
-    error is the sample standard deviation of the per-probe values over
-    sqrt(k).
+    Unbiased for any symmetric operator; the standard error is the sample
+    standard deviation of the per-probe values over sqrt(k).
     """
     if k < 2:
         raise ValueError("need k >= 2 probes to report a standard error")
-    if probes == "gaussian":
-        vs = rng.standard_normal((k, d))
-    elif probes == "rademacher":
-        vs = rng.integers(0, 2, size=(k, d)) * 2.0 - 1.0
-    else:
-        raise ValueError(f"unknown probe distribution {probes!r}")
-    values = _row_forms(vs, hvp_action)
+    values = _row_forms(rng.standard_normal((k, d)), hvp_action)
     if not np.all(np.isfinite(values)):
         raise ValueError("hvp action produced non-finite values")
     return TraceEstimate(
@@ -131,7 +119,6 @@ def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> H
         tr_h_sigma=hs.estimate,
         g_h_g=quadratic_form(g_hat, action),
         g_norm_sq=float(g_hat @ g_hat),
-        probe_count=k,
         standard_error_tr_h=trace.standard_error,
     )
 

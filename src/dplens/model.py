@@ -184,7 +184,6 @@ class QuadraticTask(DifferentiableTask):
 class PopulationStats:
     """Exact closed-form statistics of a quadratic task at a point."""
 
-    gradient: Array
     g_norm_sq: float
     g_h_g: float
     tr_h: float
@@ -192,14 +191,13 @@ class PopulationStats:
 
 
 def population_stats(task: QuadraticTask, w: Array) -> PopulationStats:
-    """Exact (G, |G|^2, G^T H G, tr H, tr H Sigma)."""
+    """Exact (|G|^2, G^T H G, tr H, tr H Sigma) at w."""
     if not isinstance(task, QuadraticTask):
         raise TypeError("population_stats requires a QuadraticTask")
     g = task.population_gradient(w)
     a = task.a
     sigma = task.gradient_covariance()
     return PopulationStats(
-        gradient=g,
         g_norm_sq=float(g @ g),
         g_h_g=float(g @ a @ g),
         tr_h=float(np.trace(a)),

@@ -1,11 +1,15 @@
-"""Training loops: the public-then-private continual pre-training state
-machine, the four-way clip/noise comparison, and the Monte-Carlo oracle that
-validates the closed-form improvement predictors.
+"""Training: the public-then-private continual pre-training loop, the
+four-way clip/noise comparison, and the Monte-Carlo oracle that validates the
+closed-form improvement predictors.
 
-Every training step of both loops is one :func:`dp_step`: the task's fused
-loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD,
-momentum or Adam update.  Public, clipped-only, noised-only and DP steps
-differ only in the clipping rule and sigma passed to it.
+There is one training loop, ``_train_loop``: public steps, then at most one
+permanent switch to private steps.  :func:`continual_pretrain` runs it once.
+Each arm of :func:`four_way_comparison` is a one-phase run of it, public
+throughout for plain SGD and private throughout for the other three, and so
+is the ``train`` subcommand.  Every step of the loop is one :func:`dp_step`:
+the task's fused loss and clipped-gradient-sum pass, the Gaussian noise, and
+the SGD, momentum or Adam update.  Public, clipped-only, noised-only and DP
+steps differ only in the clipping rule and sigma passed to it.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
@@ -13,6 +17,7 @@ generators; identical seeds and configurations produce bit-identical runs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -186,11 +191,12 @@ class IterationRecord:
 
 @dataclass
 class TrainRun:
-    """Per-iteration log of one training run; ``cli`` writes it as CSV."""
+    """Per-iteration log of one training run; ``cli`` writes it as CSV.
+
+    ``abort_reason`` says why the run stopped early, or is None if it did not.
+    """
 
     records: list[IterationRecord] = field(default_factory=list)
-    switch_iteration: int | None = None
-    aborted: bool = False
     abort_reason: str | None = None
 
 
@@ -203,6 +209,73 @@ def _initial_parameters(
     if initializer is not None:
         return initializer(rng)
     return 0.1 * rng.standard_normal(task.dimension)
+
+
+def _train_loop(
+    task_public: DifferentiableTask, task_private: DifferentiableTask,
+    config: OptimizerConfig, w: Array, val_set: Any,
+    switch: SwitchPolicy | None, schedule: AlphaSchedule | None,
+    sigma: float, rule: ClippingRule | None,
+    data_rng: np.random.Generator, noise_rng: np.random.Generator,
+    probe_rng: np.random.Generator | None = None,
+    head_rng: np.random.Generator | None = None,
+    *, total_steps: int, steps_per_epoch: int, batch_size: int,
+    reset_policy: str = "reset_m", head_reinit: bool = False, hessian_probes: int = 0,
+) -> TrainRun:
+    """The one training loop: public steps, then at most one switch to private.
+
+    A public step is :func:`dp_step` with no clipping and sigma 0; a private
+    step uses ``rule`` and ``sigma``.  The run starts private when
+    ``schedule`` gives alpha 0 at iteration 0.  Otherwise it switches when
+    ``schedule`` first gives alpha 0 or, with no schedule, when ``switch``
+    fires on the held-out loss, which is measured on ``val_set`` after every
+    ``steps_per_epoch`` steps.  The switch applies ``reset_policy`` to the
+    optimizer state and, with ``head_reinit``, re-draws the output block.
+    A one-sided schedule makes a one-phase run.  A non-finite loss ends the
+    run with ``abort_reason`` set and the records so far kept.
+    """
+    state = OptimizerState.zeros(task_public.dimension)
+    run = TrainRun()
+    public = schedule is None or alpha_schedule_value(schedule, 0) != 0.0
+    fired = False
+    for t in range(total_steps):
+        if public and schedule is not None:
+            fired = alpha_schedule_value(schedule, t) == 0.0
+        if public and fired:
+            state.apply_reset(reset_policy)
+            if head_reinit:
+                _reinit_head(task_private, w, head_rng)
+            public = False
+        task = task_public if public else task_private
+        batch = task.draw_batch(data_rng, batch_size)
+        sigma_t = 0.0 if public else sigma
+        train_loss, w, state = dp_step(
+            task, w, batch, None if public else rule, sigma_t, config, state, noise_rng
+        )
+        if not math.isfinite(train_loss):
+            run.abort_reason = f"non-finite training loss at iteration {t}"
+            break
+
+        stats = None
+        if hessian_probes > 0:
+            stats = stats_snapshot(task, w, batch, hessian_probes, probe_rng)
+        val_loss = None
+        if (t + 1) % steps_per_epoch == 0:
+            val_loss = task_public.batch_loss(w, val_set)
+        run.records.append(
+            IterationRecord(
+                iteration=t,
+                phase="public" if public else "private",
+                alpha=1.0 if public else 0.0,
+                train_loss=train_loss,
+                val_loss=val_loss,
+                sigma=sigma_t,
+                hessian=stats,
+            )
+        )
+        if schedule is None and public and val_loss is not None:
+            fired = switch.observe(val_loss)
+    return run
 
 
 def continual_pretrain(
@@ -242,72 +315,20 @@ def continual_pretrain(
         raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
     if reset_policy not in RESET_POLICIES:
         raise ValueError(f"unknown reset policy {reset_policy!r}")
-    if schedule is not None and schedule.kind not in (
-        "indicator",
-        "only_public",
-        "only_private",
-    ):
+    binary = ("indicator", "only_public", "only_private")
+    if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
 
-    total_steps = epochs * steps_per_epoch
     init_rng, val_rng, data_rng, noise_rng, probe_rng, head_rng = rng.spawn(6)
     w = _initial_parameters(task_public, init_rng, w0)
     val_set = task_public.draw_batch(val_rng, val_size)
-    state = OptimizerState.zeros(task_public.dimension)
-    run = TrainRun()
-    phase = "public"
-    if schedule is not None and alpha_schedule_value(schedule, 0) == 0.0:
-        phase = "private"
-
-    def _switch(now: int) -> None:
-        nonlocal phase
-        run.switch_iteration = now
-        state.apply_reset(reset_policy)
-        if head_reinit:
-            _reinit_head(task_private, w, head_rng)
-        phase = "private"
-
-    for t in range(total_steps):
-        if schedule is not None and phase == "public":
-            if alpha_schedule_value(schedule, t) == 0.0:
-                _switch(t)
-        public = phase == "public"
-        task = task_public if public else task_private
-        batch = task.draw_batch(data_rng, batch_size)
-        sigma_t = 0.0 if public else sigma
-        train_loss, w, state = dp_step(
-            task, w, batch, None if public else rule, sigma_t, config, state, noise_rng
-        )
-        if not math.isfinite(train_loss):
-            run.aborted = True
-            run.abort_reason = f"non-finite training loss at iteration {t}"
-            break
-
-        stats = None
-        if hessian_probes > 0:
-            stats = stats_snapshot(task, w, batch, hessian_probes, probe_rng)
-        val_loss = None
-        if (t + 1) % steps_per_epoch == 0:
-            val_loss = task_public.batch_loss(w, val_set)
-        run.records.append(
-            IterationRecord(
-                iteration=t,
-                phase=phase,
-                alpha=1.0 if phase == "public" else 0.0,
-                train_loss=train_loss,
-                val_loss=val_loss,
-                sigma=sigma_t,
-                hessian=stats,
-            )
-        )
-        if (
-            schedule is None
-            and val_loss is not None
-            and phase == "public"
-            and switch.observe(val_loss)
-        ):
-            _switch(t + 1)
-    return run
+    return _train_loop(
+        task_public, task_private, config, w, val_set, switch, schedule, sigma, rule,
+        data_rng, noise_rng, probe_rng, head_rng,
+        total_steps=epochs * steps_per_epoch, steps_per_epoch=steps_per_epoch,
+        batch_size=batch_size, reset_policy=reset_policy, head_reinit=head_reinit,
+        hessian_probes=hessian_probes,
+    )
 
 
 def _reinit_head(task, w: Array, rng: np.random.Generator) -> None:
@@ -388,10 +409,12 @@ def four_way_comparison(
     """Four training arms on one shared data stream.
 
     Arms: plain SGD, clipped SGD without noise, noisy SGD without clipping,
-    and full DP-SGD.  All arms consume the identical batch sequence and
-    start from the same parameters; each noisy arm owns a separate noise
-    substream, so arms differ only where the algorithm differs.  A shared
-    held-out set is evaluated at the final iterate of each arm.
+    and full DP-SGD, each a one-phase run of the training loop: public for
+    ``sgd``, private with its own rule and sigma for the others.  All arms
+    start from the same parameters and replay one data stream, each from its
+    own copy of the data generator; each owns a separate noise substream, so
+    arms differ only where the algorithm differs.  A shared held-out set is
+    evaluated at the final iterate of each arm.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive to make the noisy arms distinct")
@@ -399,7 +422,6 @@ def four_way_comparison(
         raise ValueError("need at least one step")
     init_rng, data_rng, eval_rng, *noise_rngs = rng.spawn(3 + len(FOUR_WAY_ARMS))
     w_init = _initial_parameters(task, init_rng, w0)
-    batches = [task.draw_batch(data_rng, batch_size) for _ in range(steps)]
     eval_set = task.draw_batch(eval_rng, eval_size)
 
     arms = {
@@ -408,30 +430,12 @@ def four_way_comparison(
         "sgd_noise": (None, sigma),
         "dp_sgd": (rule, sigma),
     }
-    runs: dict[str, TrainRun] = {}
-    for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs):
-        w = w_init.copy()
-        state = OptimizerState.zeros(task.dimension)
-        run = TrainRun()
-        phase = "public" if arm_rule is None and arm_sigma == 0.0 else "private"
-        for t, batch in enumerate(batches):
-            train_loss, w, state = dp_step(
-                task, w, batch, arm_rule, arm_sigma, config, state, noise_rng
-            )
-            if not math.isfinite(train_loss):
-                run.aborted = True
-                run.abort_reason = f"non-finite training loss at iteration {t}"
-                break
-            val = task.batch_loss(w, eval_set) if t == steps - 1 else None
-            run.records.append(
-                IterationRecord(
-                    iteration=t,
-                    phase=phase,
-                    alpha=1.0 if phase == "public" else 0.0,
-                    train_loss=train_loss,
-                    val_loss=val,
-                    sigma=arm_sigma,
-                )
-            )
-        runs[name] = run
-    return runs
+    return {
+        name: _train_loop(
+            task, task, config, w_init.copy(), eval_set, None,
+            AlphaSchedule.only_public() if name == "sgd" else AlphaSchedule.only_private(),
+            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng,
+            total_steps=steps, steps_per_epoch=steps, batch_size=batch_size,
+        )
+        for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs)
+    }

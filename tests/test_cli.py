@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -34,6 +35,11 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def polyline_points(svg_text):
+    """The points of each polyline of an SVG, in document order."""
+    return [points.split() for points in re.findall(r'points="([^"]*)"', svg_text)]
 
 
 def sweep_config():
@@ -282,6 +288,34 @@ class TestSubcommands:
         assert logs["none"][:2] == logs["reparam"][:2]  # same start, same first batch
         assert logs["none"][2:] != logs["reparam"][2:]
 
+    @pytest.mark.parametrize("mode", ["public", "dp"])
+    def test_train_is_a_one_phase_continual_run(self, mode, tmp_path):
+        train = {
+            "schema": 1,
+            "task": {"kind": "quadratic", "dimension": 4},
+            "optimizer": {"kind": "adam", "eta": 0.05},
+            "clipping": {"kind": "auto"},
+            "sigma": 0.5,
+            "mode": mode,
+            "steps": 12,
+            "batch_size": 8,
+            "hessian_probes": 4,
+        }
+        continual = {key: value for key, value in train.items()
+                     if key not in ("task", "mode", "steps")}
+        continual.update(
+            task_public=train["task"], epochs=1, steps_per_epoch=train["steps"],
+            schedule={"kind": "only_public" if mode == "public" else "only_private"},
+        )
+        csvs = {}
+        for command, payload in (("train", train), ("continual", continual)):
+            path = write_config(tmp_path, payload, f"{command}.json")
+            assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+            csvs[command] = (tmp_path / f"{command}.csv").read_bytes()
+        assert csvs["train"] == csvs["continual"]
+        phases = {line.split(b",")[1] for line in csvs["train"].splitlines()[1:]}
+        assert phases == {b"public" if mode == "public" else b"private"}
+
     @pytest.mark.parametrize("command", ["train", "fourway"])
     def test_mlp_training_never_builds_per_sample_gradients(
         self, command, tmp_path, monkeypatch
@@ -409,3 +443,21 @@ class TestSvg:
         table = Table("x,y1,y2", [[1, 2, 3], [2, 4, 5]])
         svg = emit_svg_lineplot(table, ["x", "y1", "y2"], tmp_path / "plot.svg")
         assert svg.read_text().count("<polyline") == 2
+
+    def test_series_splits_where_x_steps_back(self, tmp_path):
+        # a fourway-shaped table: four arms, each over iterations 0..n-1
+        n = 6
+        rows = [[arm, t, 1.0 + k + 0.1 * t] for k, arm in enumerate("abcd") for t in range(n)]
+        table = Table("arm,iter,train_loss", rows)
+        text = emit_svg_lineplot(table, ["iter", "train_loss"], tmp_path / "plot.svg").read_text()
+        lines = polyline_points(text)
+        assert [len(points) for points in lines] == [n] * 4
+        assert len(set(re.findall(r'<polyline[^>]*stroke="([^"]+)"', text))) == 1
+
+    def test_each_series_keeps_its_own_rows(self, tmp_path):
+        cfg = load_config(CONFIG_DIR / "continual_demo.json", "continual")
+        table = _RUNNERS["continual"](cfg, 0)
+        columns = ["iter", "val_loss", "tr_H"]
+        text = emit_svg_lineplot(table, columns, tmp_path / "plot.svg").read_text()
+        # val_loss is set at the 10 epoch ends, tr_H on all 80 rows
+        assert [len(points) for points in polyline_points(text)] == [10, 80]

@@ -40,14 +40,6 @@ class TestHutchinson:
         with pytest.raises(ValueError):
             hutchinson_trace(lambda v: v * np.inf, 3, 5, np.random.default_rng(0))
 
-    def test_rademacher_probes(self):
-        est = hutchinson_trace(
-            diag_action([1, 2, 3]), 3, 2000, np.random.default_rng(3), probes="rademacher"
-        )
-        # Rademacher probes estimate a diagonal trace with zero variance
-        assert est.estimate == pytest.approx(6.0)
-        assert est.standard_error == pytest.approx(0.0, abs=1e-12)
-
     def test_unbiased_over_runs(self):
         action = diag_action([1, 2, 3, 4, 5])
         rng = np.random.default_rng(4)
@@ -177,12 +169,10 @@ class TestSnapshot:
 class TestStatsTypesAndCsv:
     def test_validation(self):
         with pytest.raises(ValueError):
-            HessianStats(1.0, 1.0, 1.0, 1.0, probe_count=0, standard_error_tr_h=0.0)
-        with pytest.raises(ValueError):
-            HessianStats(1.0, 1.0, 1.0, 1.0, probe_count=5, standard_error_tr_h=-1.0)
+            HessianStats(1.0, 1.0, 1.0, 1.0, standard_error_tr_h=-1.0)
 
     def test_csv_layout(self, tmp_path):
-        stats = HessianStats(2.0, 3.0, 4.0, 5.0, probe_count=10, standard_error_tr_h=0.1)
+        stats = HessianStats(2.0, 3.0, 4.0, 5.0, standard_error_tr_h=0.1)
         record = IterationRecord(
             iteration=0, phase="private", alpha=0.0, train_loss=1.5, val_loss=None,
             sigma=0.5, hessian=stats,

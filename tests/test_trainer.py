@@ -27,6 +27,11 @@ def phase_log(run):
     return [r.phase for r in run.records]
 
 
+def switch_iteration(run):
+    """The iteration of the first private record, or None if there is none."""
+    return next((r.iteration for r in run.records if r.phase == "private"), None)
+
+
 def phase_order_ok(run):
     """True when the phase log never returns from private to public."""
     seen_private = False
@@ -54,6 +59,19 @@ def count_dp_steps(monkeypatch):
         return dp_step(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "dp_step", counted)
+    return calls
+
+
+def count_loop_runs(monkeypatch):
+    """Patch the shared training loop to count its runs; returns the live counter."""
+    calls = []
+    loop = trainer._train_loop
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_train_loop", counted)
     return calls
 
 
@@ -248,9 +266,14 @@ class TestContinualPretrain:
         assert len(run.records) == 12 * 5
         assert len(calls) == len(run.records)
 
+    def test_one_run_of_the_shared_loop(self, monkeypatch):
+        loops = count_loop_runs(monkeypatch)
+        self._run()
+        assert len(loops) == 1
+
     def test_switch_fires_and_audit_passes(self):
         run = self._run()
-        assert run.switch_iteration is not None
+        assert switch_iteration(run) is not None
         assert phase_order_ok(run)
         phases = phase_log(run)
         assert phases[0] == "public"
@@ -295,7 +318,7 @@ class TestContinualPretrain:
         for policy in ("none", "reset_m", "reset_v", "reset_t"):
             run = self._run(reset_policy=policy)
             assert phase_order_ok(run)
-            assert not run.aborted
+            assert run.abort_reason is None
 
     def test_indicator_schedule_flips_at_fraction(self):
         total = 60  # 12 epochs x 5 steps
@@ -304,7 +327,7 @@ class TestContinualPretrain:
         cut = int(math.ceil(0.4 * total))
         assert all(p == "public" for p in phases[:cut])
         assert all(p == "private" for p in phases[cut:])
-        assert run.switch_iteration == cut
+        assert switch_iteration(run) == cut
 
     def test_only_public_schedule_never_switches(self):
         run = self._run(schedule=AlphaSchedule.only_public())
@@ -318,14 +341,13 @@ class TestContinualPretrain:
         a = self._run(rng=np.random.default_rng(123))
         b = self._run(rng=np.random.default_rng(123))
         assert a.records == b.records
-        assert a.switch_iteration == b.switch_iteration
+        assert switch_iteration(a) == switch_iteration(b)
 
     def test_divergence_aborts_with_diagnostic(self):
         run = self._run(
             config=OptimizerConfig(kind="sgd", eta=1e6),
             schedule=AlphaSchedule.only_public(),
         )
-        assert run.aborted
         assert "non-finite" in run.abort_reason
         assert run.records  # partial log retained
 
@@ -480,6 +502,17 @@ class TestFourWay:
         )
         assert all(len(run.records) == steps for run in runs.values())
         assert len(calls) == len(FOUR_WAY_ARMS) * steps
+
+    def test_each_arm_is_a_one_phase_run_of_the_shared_loop(self, monkeypatch):
+        loops = count_loop_runs(monkeypatch)
+        runs = four_way_comparison(
+            self._task(), OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 5,
+            np.random.default_rng(24), batch_size=8, eval_size=32,
+        )
+        assert len(loops) == len(FOUR_WAY_ARMS)
+        for name in FOUR_WAY_ARMS:
+            phase = "public" if name == "sgd" else "private"
+            assert phase_log(runs[name]) == [phase] * 5
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
