@@ -15,7 +15,6 @@ from .hessian import (
     HessianStats,
     TraceEstimate,
     hutchinson_trace,
-    quadratic_form,
     stats_snapshot,
     trace_h_sigma,
 )

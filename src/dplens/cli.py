@@ -327,6 +327,17 @@ def load_config(path: str | Path, command: str) -> dict:
     error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config {path} fails validation: {error.message}")
+    # a curvature snapshot reports the trace's standard error over the probes
+    # and estimates tr(H Sigma) from the spread of the batch's gradients
+    probes = cfg.get("hessian_probes", 0)
+    if probes == 1:
+        raise ConfigError(
+            f"config {path} fails validation: hessian_probes must be 0 or at least 2"
+        )
+    if probes and cfg["batch_size"] == 1:
+        raise ConfigError(
+            f"config {path} fails validation: hessian_probes needs batch_size of at least 2"
+        )
     return cfg
 
 

@@ -4,8 +4,20 @@ Every task exposes the same batched surface, the methods the training loops
 and curvature probes call: the mean batch loss (``batch_loss``), the stacked
 ``(m, d)`` per-sample gradients, the fused training-step pass
 (``loss_and_weighted_gradient_sum``: mean batch loss and a norm-weighted sum
-of per-sample gradients), block Hessian-vector products of the mean batch
-loss (``hvp_block``), and seeded batch drawing.
+of per-sample gradients), the Hessian quadratic forms of the mean batch loss
+(``hessian_forms``), the batch gradient with the forms of its centered
+per-sample gradients (``gradient_hessian_forms``), and seeded batch drawing.
+
+The curvature probes read the Hessian H only through the diagonal forms
+``v_j^T H v_j`` of a block of directions, never through the vectors ``H v_j``,
+so the forms are the one way a task applies its Hessian.  For the batch loss
+``L = (1/m) sum_s l_s`` the form along v is the second derivative of L on the
+line ``w + t v``::
+
+    v^T H v = d^2/dt^2 L(w + t v) at t = 0
+
+which a second-order forward-mode pass along v gives.
+
 The quadratic task additionally carries exact population oracles (gradient,
 Hessian, per-sample gradient covariance) so that every stochastic estimator
 in this package can be checked against ground truth.
@@ -44,7 +56,7 @@ def _psd_factor(mat: Array) -> Array:
 
 
 class DifferentiableTask(abc.ABC):
-    """A loss landscape with per-sample gradients and batch Hessian action.
+    """A loss landscape with per-sample gradients and batch Hessian forms.
 
     Instances are immutable after construction and safe for concurrent
     reads; all randomness flows through caller-owned generators.
@@ -78,11 +90,26 @@ class DifferentiableTask(abc.ABC):
         return loss, weighted_gradient_sums(grads, weight_of_norms)
 
     @abc.abstractmethod
-    def hvp_block(self, w: Array, batch: Any, vs: Array) -> Array:
-        """Rows of ``H V`` for the mean batch loss at ``w``, ``vs`` of shape ``(k, d)``.
+    def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
+        """The ``(k,)`` forms ``v_j^T H v_j`` of the mean batch loss at ``w``.
 
-        Row ``j`` of the result is the Hessian applied to row ``j`` of ``vs``.
+        ``vs`` has shape ``(k, d)`` and row ``j`` is the direction ``v_j``.
         """
+
+    def gradient_hessian_forms(self, w: Array, batch: Any) -> tuple[Array, Array, float]:
+        """Batch gradient ``g_hat``, centered forms, and ``g_hat^T H g_hat``.
+
+        The centered forms are the ``(m,)`` values
+        ``(g_i - g_hat)^T H (g_i - g_hat)`` over the batch's per-sample
+        gradients ``g_i``, with H the Hessian of the mean batch loss.  This
+        default stacks the per-sample gradients and makes one
+        :meth:`hessian_forms` call on the centered rows and ``g_hat``; a task
+        that can get the forms from its layer factors overrides it.
+        """
+        grads = self.per_sample_gradients(w, batch)
+        g_hat = grads.mean(axis=0)
+        forms = self.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
+        return g_hat, forms[:-1], float(forms[-1])
 
     @abc.abstractmethod
     def draw_batch(self, rng: np.random.Generator, m: int) -> Any:
@@ -148,9 +175,10 @@ class QuadraticTask(DifferentiableTask):
         r = w[None, :] - batch
         return 0.5 * float(np.mean(np.einsum("ij,ij->i", r @ self.a, r)))
 
-    def hvp_block(self, w: Array, batch: Any, vs: Array) -> Array:
+    def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
         self._check_dim(w)
-        return self._check_block(vs) @ self.a
+        vs = self._check_block(vs)
+        return np.einsum("ij,ij->i", vs, vs @ self.a)
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         z = rng.standard_normal((m, self._d))
@@ -245,14 +273,13 @@ class LogisticTask(DifferentiableTask):
         z = x @ w
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
-    def hvp_block(self, w: Array, batch: Array, vs: Array) -> Array:
+    def hessian_forms(self, w: Array, batch: Array, vs: Array) -> Array:
         w = self._check_dim(w)
         vs = self._check_block(vs)
         idx = np.asarray(batch, dtype=int)
         x = self.features[idx]
         p = _sigmoid(x @ w)
-        scale = p * (1.0 - p)
-        return ((vs @ x.T) * scale) @ x / len(idx)
+        return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(idx)
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         return rng.integers(self.n_examples(), size=m)
@@ -289,16 +316,49 @@ class TinyMlpTask(DifferentiableTask):
     and the weighted sum ``sum_i C_i g_i`` is one weighted back-propagation:
     ``(C delta1)^T X``, ``sum C delta1``, ``(C r)^T H``, ``sum C r``.
 
-    The HVP is analytic too: a forward-and-backward R-operator pass
-    (Pearlmutter 1994) differentiates the batch gradient along each direction
-    exactly, giving an exactly symmetric operator.  Blocks of directions are
-    processed ``HVP_CHUNK_ROWS`` rows at a time, so the ``(rows, m, hidden)``
-    intermediates stay near 1 MiB for batches up to 256 samples however many
-    directions are passed.
+    The Hessian forms are analytic too.  Along a direction
+    ``v = (V1, c1, V2, c2)`` sample j's pre-activation, hidden activation and
+    output move at the rates (a forward R-pass, Pearlmutter 1994)::
+
+        dz1_j = V1 x_j + c1,   dh_j = s_j * dz1_j,   dout_j = W2 dh_j + V2 h_j + c2
+
+    with slope ``s_j = 1 - h_j^2``, and the second derivative of
+    ``0.5 |r_j|^2`` along v is, since ``W2^T r_j * s_j = delta1_j``::
+
+        v^T H_j v = |dout_j|^2 + 2 (V2^T r_j) . dh_j - 2 sum_h (delta1_j * h_j)_h dz1_jh^2
+
+    So beyond the batch's own forward and backward pass, each direction costs
+    one forward R-pass and no backward R-pass.  Directions are
+    processed a chunk at a time, as many rows as keep each
+    ``(rows, m, hidden)`` intermediate within ``CHUNK_FLOATS`` float64s
+    (256 KiB): for the widest hidden layer, 8 rows at m = 64, 2 rows at
+    m = 256, and one row at a time from m = 512 on, where each intermediate
+    is ``m * hidden * 8`` bytes.
+
+    The centered forms ``(g_i - g_hat)^T H (g_i - g_hat)`` of the batch's own
+    gradients come from the layer factors, with no ``(m, d)`` matrix either.
+    Stack the batch's ``x_j``, ``h_j``, ``r_j`` and ``delta1_j`` as the rows
+    of X, A, R and Delta.  Along the centered gradient of sample i, sample
+    j's rates are::
+
+        dz1_ij = K_ij delta1_i - mu_j                  K  = X X^T + 1
+        V2 h_j + c2 = Ka_ij r_i - nu_j                  Ka = A A^T + 1
+        V2^T r_j = (R R^T)_ij h_i - rho_j
+
+    where ``mu_j``, ``nu_j`` and ``rho_j`` are the same rates along
+    ``g_hat``, e.g. ``mu = K^T Delta / m``.  Putting them into the form above
+    turns each of its three terms into ``(m, m)`` products of inner size
+    ``hidden``, plus an ``(n_out, m, m)`` array for ``dout``.  The terms
+    that do not depend on i are terms of ``g_hat^T H g_hat``, so the same
+    pass gives that form too.  Sample rows i are processed a chunk at a
+    time, keeping the ``(n_out, rows, m)`` array within ``CHUNK_FLOATS``
+    float64s.
     """
 
     MAX_WIDTH = 64
-    HVP_CHUNK_ROWS = 8
+    # float64s in a chunk's largest intermediate array: 2**15 * 8 B = 256 KiB,
+    # small enough to stay in cache between the passes over it
+    CHUNK_FLOATS = 2**15
 
     def __init__(
         self,
@@ -403,38 +463,80 @@ class TinyMlpTask(DifferentiableTask):
             weights = weight_of_norms(np.sqrt(sq_norms))[:, None]
             g_z1 = weights * g_z1
             resid = weights * resid
-        return loss, self._pack(
-            g_z1.T @ x, g_z1.sum(axis=0), resid.T @ hidden, resid.sum(axis=0)
-        )
+        return loss, self._gradient_sum(x, hidden, resid, g_z1)
 
-    def hvp_block(self, w: Array, batch: tuple[Array, Array], vs: Array) -> Array:
-        w1, b1, w2, b2 = self._unpack(self._check_dim(w))
+    def _gradient_sum(self, x: Array, hidden: Array, resid: Array, g_z1: Array) -> Array:
+        """``sum_i g_i`` from the layer factors of the per-sample gradients."""
+        return self._pack(g_z1.T @ x, g_z1.sum(axis=0), resid.T @ hidden, resid.sum(axis=0))
+
+    def _rates(self, x: Array, hidden: Array, w2: Array, vs: Array) -> tuple[Array, Array]:
+        """Rates ``dz1`` and ``dout`` of every sample along each row of ``vs``.
+
+        Shapes ``(k, m, hidden)`` and ``(k, m, n_out)`` for ``vs`` of shape
+        ``(k, d)``.
+        """
+        v1, c1, v2, c2 = self._unpack(vs)
+        # a C-ordered V1^T keeps the stacked product on BLAS
+        r_z1 = x @ np.ascontiguousarray(np.swapaxes(v1, 1, 2)) + c1[:, None, :]
+        r_hidden = (1.0 - hidden * hidden) * r_z1
+        r_out = (r_hidden.reshape(-1, self.hidden) @ w2.T).reshape(*r_z1.shape[:2], -1)
+        r_out += hidden @ np.swapaxes(v2, 1, 2) + c2[:, None, :]
+        return r_z1, r_out
+
+    def hessian_forms(self, w: Array, batch: tuple[Array, Array], vs: Array) -> Array:
+        w2 = self._unpack(self._check_dim(w))[2]
         vs = self._check_block(vs)
-        x, y = batch
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        hidden = np.tanh(x @ w1.T + b1)
+        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        m = x.shape[0]
         slope = 1.0 - hidden * hidden
-        resid = hidden @ w2.T + b2 - y
-        # g_hidden * d(slope)/d(hidden), the tanh curvature term
-        curve = -2.0 * (resid @ w2) * hidden
-        out = np.empty_like(vs)
-        for start in range(0, vs.shape[0], self.HVP_CHUNK_ROWS):
-            v1, c1, v2, c2 = self._unpack(vs[start : start + self.HVP_CHUNK_ROWS])
-            # forward R-pass: directional derivatives of z1, hidden and resid,
-            # each of shape (rows, m, width)
-            r_z1 = x @ v1.transpose(0, 2, 1) + c1[:, None, :]
-            r_hidden = slope * r_z1
-            r_resid = r_hidden @ w2.T + hidden @ v2.transpose(0, 2, 1) + c2[:, None, :]
-            # backward R-pass: directional derivatives of the summed gradients
-            r_g_z1 = slope * (resid @ v2 + r_resid @ w2) + curve * r_hidden
-            out[start : start + len(c1)] = self._pack(
-                r_g_z1.transpose(0, 2, 1) @ x,
-                r_g_z1.sum(axis=1),
-                r_resid.transpose(0, 2, 1) @ hidden + resid.T @ r_hidden,
-                r_resid.sum(axis=1),
+        curve = (-2.0 * g_z1 * hidden).ravel()
+        rows = max(1, self.CHUNK_FLOATS // (m * self.hidden))
+        out = np.empty(vs.shape[0])
+        for start in range(0, vs.shape[0], rows):
+            chunk = vs[start : start + rows]
+            r_z1, r_out = self._rates(x, hidden, w2, chunk)
+            v2 = self._unpack(chunk)[2]
+            out[start : start + len(chunk)] = (
+                np.einsum("kmo,kmo->k", r_out, r_out)
+                + 2.0 * np.einsum("koh,koh->k", v2, resid.T @ (slope * r_z1))
+                + (r_z1 * r_z1).reshape(len(chunk), -1) @ curve
             )
-        return out / x.shape[0]
+        return out / m
+
+    def gradient_hessian_forms(
+        self, w: Array, batch: tuple[Array, Array]
+    ) -> tuple[Array, Array, float]:
+        w2 = self._unpack(self._check_dim(w))[2]
+        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        m = x.shape[0]
+        slope = 1.0 - hidden * hidden
+        curve = -2.0 * g_z1 * hidden
+        g_hat = self._gradient_sum(x, hidden, resid, g_z1) / m
+        # rates along g_hat: mu = dz1, e = dout, rho_j = V2_bar^T r_j
+        mu, e = (rate[0] for rate in self._rates(x, hidden, w2, g_hat[None, :]))
+        rho = resid @ self._unpack(g_hat)[2]
+        s_mu = slope * mu
+        # the terms of g_hat's form other than |e_j|^2, which every centered form shares
+        shared = 2.0 * np.vdot(rho, s_mu) + np.vdot(curve, mu * mu)
+        forms = np.empty(m)
+        rows = max(1, self.CHUNK_FLOATS // (m * self.n_out))
+        for start in range(0, m, rows):
+            part = slice(start, start + rows)
+            delta, h_i, r_i = g_z1[part], hidden[part], resid[part]
+            k = x[part] @ x.T + 1.0
+            ka = h_i @ hidden.T + 1.0
+            # dout_ij, shape (n_out, rows, m)
+            r_out = (
+                k * ((w2[:, None, :] * delta) @ slope.T)
+                + ka * r_i.T[:, :, None]
+                - e.T[:, None, :]
+            )
+            # (V2^T r_j) . dh_ij and the tanh-curvature term, less their shared parts
+            cross = (r_i @ resid.T) * (k * ((h_i * delta) @ slope.T) - h_i @ s_mu.T)
+            cross -= k * (delta @ (rho * slope).T)
+            curv = k * (k * ((delta * delta) @ curve.T) - 2.0 * (delta @ (curve * mu).T))
+            forms[part] = np.einsum("oim,oim->i", r_out, r_out) + (2.0 * cross + curv).sum(axis=1)
+        return g_hat, (forms + shared) / m, float((np.vdot(e, e) + shared) / m)
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> tuple[Array, Array]:
         x = rng.standard_normal((m, self.n_in))

@@ -113,6 +113,29 @@ class TestConfigHandling:
         assert expected.value.message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
+    def test_single_hessian_probe_rejected_at_load(self, tmp_path, capsys):
+        payload = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
+        payload["hessian_probes"] = 1
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match="hessian_probes must be 0 or at least 2"):
+            load_config(path, "continual")
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "hessian_probes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["train", "continual"])
+    def test_hessian_probes_with_batch_size_one_rejected_at_load(self, command, tmp_path):
+        payload = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
+        if command == "train":
+            payload = {key: payload[key] for key in ("schema", "optimizer", "hessian_probes")}
+            payload.update(task={"kind": "quadratic", "dimension": 3}, steps=2, mode="public")
+        payload["batch_size"] = 1
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match="hessian_probes needs batch_size of at least 2"):
+            load_config(path, command)
+        payload["hessian_probes"] = 0
+        assert load_config(write_config(tmp_path, payload), command) == payload
+
     def test_canonical_form_stable(self):
         cfg = sweep_config()
         canon = canonical_config(cfg)

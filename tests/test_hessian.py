@@ -4,7 +4,6 @@ import pytest
 from dplens.hessian import (
     HessianStats,
     hutchinson_trace,
-    quadratic_form,
     stats_snapshot,
     trace_h_sigma,
 )
@@ -14,13 +13,26 @@ from dplens.trainer import IterationRecord, TrainRun
 
 
 def diag_action(values):
+    """Forms v_j^T D v_j of the rows of a block, for D = diag(values)."""
     d = np.asarray(values, dtype=float)
-    return lambda v: d * v
+    return lambda vs: (vs * vs) @ d
+
+
+def identity_action(vs):
+    return np.einsum("ij,ij->i", vs, vs)
+
+
+def zero_action(vs):
+    return np.zeros(len(vs))
+
+
+def centered_forms(grads, forms_action):
+    return forms_action(grads - grads.mean(axis=0))
 
 
 class TestHutchinson:
     def test_identity_within_three_se(self):
-        est = hutchinson_trace(lambda v: v, 10, 10_000, np.random.default_rng(0))
+        est = hutchinson_trace(identity_action, 10, 10_000, np.random.default_rng(0))
         assert abs(est.estimate - 10.0) <= 3.0 * est.standard_error
 
     def test_diag_1_to_5(self):
@@ -28,17 +40,17 @@ class TestHutchinson:
         assert abs(est.estimate - 15.0) <= 3.0 * est.standard_error
 
     def test_zero_operator_exact(self):
-        est = hutchinson_trace(lambda v: np.zeros_like(v), 7, 100, np.random.default_rng(2))
+        est = hutchinson_trace(zero_action, 7, 100, np.random.default_rng(2))
         assert est.estimate == 0.0
         assert est.standard_error == 0.0
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            hutchinson_trace(lambda v: v, 3, 1, np.random.default_rng(0))
+            hutchinson_trace(identity_action, 3, 1, np.random.default_rng(0))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            hutchinson_trace(lambda v: v * np.inf, 3, 5, np.random.default_rng(0))
+            hutchinson_trace(lambda vs: identity_action(vs) * np.inf, 3, 5, np.random.default_rng(0))
 
     def test_unbiased_over_runs(self):
         action = diag_action([1, 2, 3, 4, 5])
@@ -69,35 +81,42 @@ class TestHutchinson:
 
 
 class TestQuadraticForm:
+    """The forms v^T H v that every estimator reads, on the quadratic task."""
+
     def test_hand_case(self):
-        assert quadratic_form(np.array([1.0, 0.0]), diag_action([2, 3])) == 2.0
+        task = QuadraticTask(np.diag([2.0, 3.0]), np.zeros(2), np.eye(2))
+        assert task.hessian_forms(np.zeros(2), None, np.array([[1.0, 0.0]])).tolist() == [2.0]
 
     def test_zero_gradient(self):
-        assert quadratic_form(np.zeros(4), diag_action([1, 2, 3, 4])) == 0.0
+        task = QuadraticTask(np.diag([1.0, 2.0, 3.0, 4.0]), np.zeros(4), np.eye(4))
+        assert task.hessian_forms(np.zeros(4), None, np.zeros((1, 4))).tolist() == [0.0]
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((6, 6))
         a = m @ m.T
-        g = rng.standard_normal(6)
-        dense = float(g @ a @ g)
-        assert quadratic_form(g, lambda V: V @ a) == pytest.approx(dense, rel=1e-10)
+        task = QuadraticTask(a, np.zeros(6), np.eye(6))
+        gs = rng.standard_normal((3, 6))
+        dense = [float(g @ a @ g) for g in gs]
+        assert task.hessian_forms(np.zeros(6), None, gs) == pytest.approx(dense, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            quadratic_form(np.ones(3), lambda v: np.ones(4))
+            hutchinson_trace(lambda vs: np.ones(len(vs) + 1), 3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            trace_h_sigma(np.ones((3, 1)))
 
 
 class TestTraceHSigma:
     def test_identical_gradients_zero(self):
         grads = np.tile([1.0, 2.0], (6, 1))
-        est = trace_h_sigma(grads, grads.mean(axis=0), diag_action([1, 1]))
+        est = trace_h_sigma(centered_forms(grads, diag_action([1, 1])))
         assert est.estimate == 0.0
 
     def test_zero_hessian_zero(self):
         rng = np.random.default_rng(7)
         grads = rng.standard_normal((10, 3))
-        est = trace_h_sigma(grads, grads.mean(axis=0), lambda v: np.zeros_like(v))
+        est = trace_h_sigma(centered_forms(grads, zero_action))
         assert est.estimate == 0.0
 
     def test_quadratic_task_oracle(self):
@@ -106,14 +125,14 @@ class TestTraceHSigma:
         rng = np.random.default_rng(8)
         w = np.ones(d)
         batch = task.draw_batch(rng, 100_000)
-        grads = task.per_sample_gradients(w, batch)
-        est = trace_h_sigma(grads, grads.mean(axis=0), lambda V: V @ task.a)
+        _, centered, _ = task.gradient_hessian_forms(w, batch)
+        est = trace_h_sigma(centered)
         # exact tr(A A S A^T) = d for identity matrices
         assert abs(est.estimate - d) <= 3.0 * est.standard_error
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            trace_h_sigma(np.ones((1, 2)), np.ones(2), diag_action([1, 1]))
+            trace_h_sigma(np.ones(1))
 
 
 class TestSnapshot:
@@ -146,23 +165,26 @@ class TestSnapshot:
         b = stats_snapshot(task, np.ones(3), batch, 50, np.random.default_rng(1))
         assert a == b
 
-    def test_snapshot_one_gradient_pass_and_three_block_calls(self):
-        calls = {"per_sample_gradients": 0, "hvp_block": 0}
+    def test_snapshot_one_forms_call_and_one_gradient_forms_call(self):
+        calls = {"hessian_forms": 0, "gradient_hessian_forms": 0}
 
         class CountingMlp(TinyMlpTask):
             def per_sample_gradients(self, w, batch):
-                calls["per_sample_gradients"] += 1
-                return super().per_sample_gradients(w, batch)
+                raise AssertionError("a snapshot built the per-sample gradient matrix")
 
-            def hvp_block(self, w, batch, vs):
-                calls["hvp_block"] += 1
-                return super().hvp_block(w, batch, vs)
+            def hessian_forms(self, w, batch, vs):
+                calls["hessian_forms"] += 1
+                return super().hessian_forms(w, batch, vs)
+
+            def gradient_hessian_forms(self, w, batch):
+                calls["gradient_hessian_forms"] += 1
+                return super().gradient_hessian_forms(w, batch)
 
         task = CountingMlp(n_in=3, hidden=8, n_out=2, teacher_seed=1)
         rng = np.random.default_rng(0)
         w = task.random_parameters(rng)
         snap = stats_snapshot(task, w, task.draw_batch(rng, 20), 16, rng)
-        assert calls == {"per_sample_gradients": 1, "hvp_block": 3}
+        assert calls == {"hessian_forms": 1, "gradient_hessian_forms": 1}
         assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)
 
 

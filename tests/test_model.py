@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dplens.clipping import ClippingRule, clip_factors
+from dplens.hessian import stats_snapshot
 from dplens.model import (
     DifferentiableTask,
     LogisticTask,
@@ -45,9 +48,14 @@ def fd_gradient(task, w, batch, h=1e-6):
     return g
 
 
-def hvp(task, w, batch, v):
-    """H v for one direction, through the task's block action."""
-    return task.hvp_block(w, batch, v[None, :])[0]
+def form(task, w, batch, v):
+    """v^T H v for one direction, through the task's block forms."""
+    return task.hessian_forms(w, batch, v[None, :])[0]
+
+
+def bilinear(task, w, batch, u, v):
+    """u^T H v by polarization of the forms."""
+    return (form(task, w, batch, u + v) - form(task, w, batch, u - v)) / 4.0
 
 
 def test_task_interface_is_the_batched_methods():
@@ -55,7 +63,7 @@ def test_task_interface_is_the_batched_methods():
         "dimension",
         "per_sample_gradients",
         "batch_loss",
-        "hvp_block",
+        "hessian_forms",
         "draw_batch",
         "batch_size_of",
     }
@@ -79,42 +87,44 @@ def test_gradient_matches_finite_differences(task):
     "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
 )
 def test_hvp_linear_and_symmetric(task):
+    # the forms polarize to u^T H v, which must be linear in v and symmetric
     rng = np.random.default_rng(1)
     w = 0.3 * rng.standard_normal(task.dimension)
     batch = task.draw_batch(rng, 8)
-    u = rng.standard_normal(task.dimension)
-    v = rng.standard_normal(task.dimension)
+    u, v, z = rng.standard_normal((3, task.dimension))
     a_coef, b_coef = 1.7, -0.4
-    combo = hvp(task, w, batch, a_coef * u + b_coef * v)
-    parts = a_coef * hvp(task, w, batch, u) + b_coef * hvp(task, w, batch, v)
-    assert np.linalg.norm(combo - parts) <= 1e-8 * max(np.linalg.norm(parts), 1.0)
-    lhs = u @ hvp(task, w, batch, v)
-    rhs = v @ hvp(task, w, batch, u)
+    combo = bilinear(task, w, batch, z, a_coef * u + b_coef * v)
+    parts = a_coef * bilinear(task, w, batch, z, u) + b_coef * bilinear(task, w, batch, z, v)
+    scale = max(abs(form(task, w, batch, r)) for r in (u, v, z))
+    assert abs(combo - parts) <= 1e-10 * max(scale, 1.0)
+    lhs = bilinear(task, w, batch, u, v)
+    rhs = bilinear(task, w, batch, v, u)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
 @pytest.mark.parametrize(
     "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
 )
-def test_hvp_block_rows_match_hvp_for_any_block_size(task):
+def test_hessian_forms_rows_match_single_rows_for_any_block_size(task):
     rng = np.random.default_rng(4)
     w = 0.3 * rng.standard_normal(task.dimension)
     batch = task.draw_batch(rng, 8)
     vs = rng.standard_normal((81, task.dimension))
-    rows = np.array([hvp(task, w, batch, v) for v in vs])
+    rows = np.array([form(task, w, batch, v) for v in vs])
     scale = max(np.abs(rows).max(), 1.0)
     for size in (1, 7, 81):
         block = np.concatenate(
-            [task.hvp_block(w, batch, vs[i : i + size]) for i in range(0, len(vs), size)]
+            [task.hessian_forms(w, batch, vs[i : i + size]) for i in range(0, len(vs), size)]
         )
+        assert block.shape == (81,)
         assert np.abs(block - rows).max() <= 1e-12 * scale, size
     with pytest.raises(ValueError):
-        task.hvp_block(w, batch, vs[0])
+        task.hessian_forms(w, batch, vs[0])
     with pytest.raises(ValueError):
-        task.hvp_block(w, batch, vs[:, 1:])
+        task.hessian_forms(w, batch, vs[:, 1:])
 
 
-def test_mlp_hvp_block_matches_gradient_finite_difference():
+def test_mlp_hessian_forms_match_gradient_finite_difference():
     task = mlp_case()
     rng = np.random.default_rng(5)
     w = task.random_parameters(rng)
@@ -124,13 +134,13 @@ def test_mlp_hvp_block_matches_gradient_finite_difference():
     def batch_gradient(p):
         return task.per_sample_gradients(p, batch).mean(axis=0)
 
-    # reference: central difference of the batch gradient along each row
+    # reference: v^T times the central difference of the batch gradient along v
     h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(w))
-    for v, hv in zip(vs, task.hvp_block(w, batch, vs)):
+    for v, got in zip(vs, task.hessian_forms(w, batch, vs)):
         v_norm = np.linalg.norm(v)
         step = (h / v_norm) * v
-        ref = (batch_gradient(w + step) - batch_gradient(w - step)) * (v_norm / (2 * h))
-        assert np.linalg.norm(hv - ref) <= 1e-6 * np.linalg.norm(ref)
+        hv = (batch_gradient(w + step) - batch_gradient(w - step)) * (v_norm / (2 * h))
+        assert abs(got - v @ hv) <= 1e-6 * v_norm * np.linalg.norm(hv)
 
 
 def test_mlp_hvp_matches_directional_second_difference():
@@ -140,7 +150,7 @@ def test_mlp_hvp_matches_directional_second_difference():
     batch = task.draw_batch(rng, 16)
     for _ in range(3):
         v = rng.standard_normal(task.dimension)
-        quad = v @ hvp(task, w, batch, v)
+        quad = form(task, w, batch, v)
         # independent oracle: second central difference of the batch loss
         h = np.finfo(float).eps ** 0.25 * (1 + np.linalg.norm(w)) / np.linalg.norm(v)
         second = (
@@ -152,13 +162,14 @@ def test_mlp_hvp_matches_directional_second_difference():
 
 
 def test_mlp_hvp_homogeneous():
+    # the forms are homogeneous of degree 2
     task = mlp_case()
     rng = np.random.default_rng(3)
     w = task.random_parameters(rng)
     batch = task.draw_batch(rng, 8)
     v = rng.standard_normal(task.dimension)
-    assert np.allclose(hvp(task, w, batch, 2.5 * v), 2.5 * hvp(task, w, batch, v), rtol=1e-6)
-    assert np.array_equal(hvp(task, w, batch, np.zeros(task.dimension)), np.zeros(task.dimension))
+    assert form(task, w, batch, 2.5 * v) == pytest.approx(6.25 * form(task, w, batch, v), rel=1e-6)
+    assert form(task, w, batch, np.zeros(task.dimension)) == 0.0
 
 
 @given(
@@ -195,6 +206,53 @@ def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, ru
         assert np.allclose(ghost_norms, norms, rtol=1e-12, atol=0.0)
     # the scale of the sum's terms, so cancellation between rows does not matter
     assert np.linalg.norm(total - factors @ grads) <= 1e-12 * (factors @ norms)
+
+
+class StackedMlp(TinyMlpTask):
+    """The MLP with the generic, per-sample-gradient curvature path."""
+
+    gradient_hessian_forms = DifferentiableTask.gradient_hessian_forms
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=2, max_value=64),
+    scale=st.floats(min_value=0.1, max_value=3.0),
+    widths=st.tuples(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=3),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
+    n_in, hidden, n_out = widths
+    shape = dict(n_in=n_in, hidden=hidden, n_out=n_out, teacher_seed=seed % 997, noise_std=0.1)
+    task = TinyMlpTask(**shape)
+    rng = np.random.default_rng(seed)
+    w = task.random_parameters(rng, scale)
+    x, y = task.draw_batch(rng, m)
+    # row 0's target is the model's own prediction, so its gradient is exactly 0
+    y[0] = task.forward(w, x)[0]
+    batch = (x, y)
+    grads = task.per_sample_gradients(w, batch)
+    assert not grads[0].any()
+
+    g_hat, forms, g_h_g = task.gradient_hessian_forms(w, batch)
+    ref_g, ref_forms, ref_g_h_g = DifferentiableTask.gradient_hessian_forms(task, w, batch)
+    assert forms.shape == (m,)
+    # the scale of the forms, so cancellation inside one form does not matter
+    tol = 1e-10 * np.abs(ref_forms).sum()
+    assert np.abs(forms - ref_forms).max() <= tol
+    assert abs(g_h_g - ref_g_h_g) <= tol
+    assert np.linalg.norm(g_hat - ref_g) <= 1e-12 * np.linalg.norm(grads, axis=1).sum()
+
+    snap = stats_snapshot(task, w, batch, 4, np.random.default_rng(seed))
+    ref = stats_snapshot(StackedMlp(**shape), w, batch, 4, np.random.default_rng(seed))
+    for field in fields(ref):
+        assert getattr(snap, field.name) == pytest.approx(
+            getattr(ref, field.name), rel=1e-12, abs=0.0
+        ), field.name
 
 
 class TestPopulationStats:
@@ -293,7 +351,7 @@ class TestTaskConstruction:
         batch = task.draw_batch(rng, 12)
         for _ in range(5):
             v = rng.standard_normal(task.dimension)
-            assert v @ hvp(task, w, batch, v) >= -1e-12
+            assert form(task, w, batch, v) >= -1e-12
 
     def test_mlp_width_cap(self):
         with pytest.raises(ValueError):
