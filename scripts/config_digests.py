@@ -43,6 +43,7 @@ SHIPPED = {
     "fourway_mlp.json": "fourway",
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
+    "sweep_batch.json": "sweep-batch",
 }
 # plots of training tables: most continual rows have empty val_loss and tr_H
 # cells, and the fourway table holds five seeds on a log y axis

@@ -28,6 +28,7 @@ SHIPPED_CONFIGS = {
     "fourway_mlp.json": "fourway",
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
+    "sweep_batch.json": "sweep-batch",
 }
 
 
