@@ -12,8 +12,8 @@ membership-inference harness.
 
 from .clipping import ClippingRule, clip_factors
 from .hessian import (
+    Estimate,
     HessianStats,
-    TraceEstimate,
     hutchinson_trace,
     stats_snapshot,
     trace_h_sigma,
@@ -21,7 +21,6 @@ from .hessian import (
 from .model import (
     DifferentiableTask,
     LogisticTask,
-    PopulationStats,
     QuadraticTask,
     TinyMlpTask,
     population_stats,
@@ -29,7 +28,6 @@ from .model import (
 from .predictor import (
     AlphaSchedule,
     ImprovementInputs,
-    MixInputs,
     NoInteriorOptimumError,
     NonPositiveCurvatureError,
     SaddleOrDegenerateError,

@@ -191,17 +191,13 @@ class MiaClassifier:
         z = (np.atleast_2d(features) - self.feature_mean) / self.feature_scale
         return z @ self.coef + self.intercept
 
-    def scores(self, features: Array) -> Array:
-        """Membership probabilities: the sigmoid of :meth:`logits`, without overflow."""
-        return 0.5 * (1.0 + np.tanh(0.5 * self.logits(features)))
 
-
-def fit_mia_classifier(dataset: MiaDataset, epochs: int = 50) -> MiaClassifier:
+def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
     """Fit the attack's logistic regression on the training split.
 
     Quasi-second-order (L-BFGS) minimisation of the inverse-frequency
     weighted logistic loss, run until the gradient norm falls below 1e-6 or
-    the epoch cap is reached.  Deterministic: features are standardised and
+    for at most 50 iterations.  Deterministic: features are standardised and
     the optimiser starts from zero.
     """
     # scipy is imported where used: importing it with the package would more
@@ -235,7 +231,7 @@ def fit_mia_classifier(dataset: MiaDataset, epochs: int = 50) -> MiaClassifier:
         np.zeros(design.shape[1]),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": epochs, "gtol": 1e-6},
+        options={"maxiter": 50, "gtol": 1e-6},
     )
     theta = result.x
     return MiaClassifier(

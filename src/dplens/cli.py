@@ -8,7 +8,7 @@ files: per seed it names the CSV (``_seed_name``), writes it (``_write_csv``)
 and, when the config asks for a ``plot``, draws the SVG from the same
 in-memory table (:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config
 error, 2 numerical error, including a training run aborted on a non-finite
-loss, whose partial CSV is kept and gets no plot.
+loss or curvature statistic, whose partial CSV is kept and gets no plot.
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ from . import attacks, clipping, predictor, privacy, trainer
 from .model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = (
-    "calibrate",
-    "predict",
-    "sweep-batch",
-    "oracle",
-    "train",
-    "continual",
-    "fourway",
-    "mia",
-    "fig-breakdown",
-)
 
 
 class ConfigError(Exception):
@@ -497,8 +486,8 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
 
     The Hessian columns appear when any record has curvature stats; a record
     without them leaves those cells empty.  The decelerator column is
-    sigma^2 tr(H) / B: the paper's form also divides by c^2, and no run
-    records c yet.
+    :func:`predictor.decelerator` at c = 1, sigma^2 tr(H) / B: the paper's
+    form divides by c^2, and no run records c yet.
     """
     rows = [_record_row(r) for r in run.records]
     if all(r.hessian is None for r in run.records):
@@ -508,7 +497,9 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
         if h is None:
             row += [""] * 5
         else:
-            decel = 0.0 if r.sigma == 0.0 else r.sigma**2 * h.tr_h / batch_size
+            decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
+                predictor.ImprovementInputs.from_stats(h, r.sigma, batch_size, c=1.0)
+            )
             row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
     return Table(TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows, run.abort_reason)
 
@@ -548,12 +539,9 @@ def _predict_row(base: predictor.ImprovementInputs, b: float, b_pub, b_priv) -> 
         b_star = predictor.optimal_batch_dp(inputs)
     except predictor.NoInteriorOptimumError:
         b_star = ""
-    mix = predictor.MixInputs.from_improvement(
-        inputs, b_public=b_pub if b_pub is not None else b,
-        b_private=b_priv if b_priv is not None else b,
-    )
+    private = inputs.with_batch(b_priv) if b_priv is not None else inputs
     try:
-        alpha = predictor.optimal_mix_alpha(mix)
+        alpha = predictor.optimal_mix_alpha(private, b_pub if b_pub is not None else b)
     except predictor.SaddleOrDegenerateError:
         alpha = ""
     return [
@@ -618,24 +606,13 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     for eta in cfg["eta_grid"]:
         for b in cfg["batch_grid"]:
             for sigma in cfg["sigma_grid"]:
-                inputs = predictor.ImprovementInputs(
-                    g_norm_sq=stats.g_norm_sq,
-                    g_h_g=stats.g_h_g,
-                    tr_h=stats.tr_h,
-                    tr_h_sigma=stats.tr_h_sigma,
-                    sigma=sigma,
-                    c=1.0,
-                    batch_size=b,
-                )
+                inputs = predictor.ImprovementInputs.from_stats(stats, sigma, b)
                 closed = predictor.delta_l_priv(eta, inputs)
-                result = trainer.empirical_improvement_oracle(
+                mc = trainer.empirical_improvement_oracle(
                     task, w, eta, b, rule, sigma, cfg["trials"], rng
                 )
-                z = (result.mean_improvement - closed) / result.standard_error
-                rows.append(
-                    [eta, b, sigma, result.mean_improvement, result.standard_error,
-                     closed, z]
-                )
+                z = (mc.estimate - closed) / mc.standard_error
+                rows.append([eta, b, sigma, mc.estimate, mc.standard_error, closed, z])
     return Table("eta,B,sigma,mc_mean,mc_se,closed_form,z_score", rows)
 
 
@@ -879,7 +856,7 @@ def emit_svg_lineplot(
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dplens", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)

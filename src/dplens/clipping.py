@@ -119,8 +119,9 @@ def privatize_gradient_many(
     """Privatized gradients for a stack of independent batches.
 
     ``per_sample_grads`` has shape ``(trials, B, d)``; each trial gets
-    ``(sum_i C_i g_i + sigma * N(0, I)) / B`` with an independent noise draw.  The Monte-Carlo oracle steps through it, with
-    the clip weights and :func:`noised_mean` of every training step.
+    ``(sum_i C_i g_i + sigma * N(0, I)) / B`` with an independent noise
+    draw.  The Monte-Carlo oracle steps through it, with the clip weights
+    and :func:`noised_mean` of every training step.
     """
     grads = np.asarray(per_sample_grads, dtype=float)
     if grads.ndim != 3 or grads.shape[1] == 0:

@@ -11,7 +11,8 @@ standard errors and are reproducible under a fixed generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,9 @@ FormsAction = Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
-class TraceEstimate:
+class Estimate:
+    """A Monte-Carlo estimate and its standard error."""
+
     estimate: float
     standard_error: float
 
@@ -46,7 +49,7 @@ def hutchinson_trace(
     d: int,
     k: int,
     rng: np.random.Generator,
-) -> TraceEstimate:
+) -> Estimate:
     """Randomized trace estimate mean_j v_j^T H v_j over k Gaussian probes.
 
     Unbiased for any symmetric operator; the standard error is the sample
@@ -58,14 +61,14 @@ def hutchinson_trace(
     if values.shape != (k,):
         raise ValueError(f"forms action returned shape {values.shape}, expected ({k},)")
     if not np.all(np.isfinite(values)):
-        raise ValueError("forms action produced non-finite values")
-    return TraceEstimate(
+        raise FloatingPointError("forms action produced non-finite values")
+    return Estimate(
         estimate=float(values.mean()),
         standard_error=float(values.std(ddof=1) / np.sqrt(k)),
     )
 
 
-def trace_h_sigma(centered_forms: Array) -> TraceEstimate:
+def trace_h_sigma(centered_forms: Array) -> Estimate:
     """Estimate tr(H Sigma) = E[(g_i - G)^T H (g_i - G)] from a batch.
 
     Takes the ``(m,)`` centered forms ``(g_i - g_hat)^T H (g_i - g_hat)`` of
@@ -79,7 +82,7 @@ def trace_h_sigma(centered_forms: Array) -> TraceEstimate:
     if m < 2:
         raise ValueError("need at least 2 samples")
     correction = m / (m - 1)
-    return TraceEstimate(
+    return Estimate(
         estimate=float(correction * values.mean()),
         standard_error=float(correction * values.std(ddof=1) / np.sqrt(m)),
     )
@@ -91,18 +94,23 @@ def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> H
     Fills a :class:`HessianStats` from one ``gradient_hessian_forms`` call
     (the batch-mean gradient g_hat, the centered forms behind tr(H Sigma),
     and g_hat^T H g_hat) and one ``hessian_forms`` call on the k Hutchinson
-    probes.
+    probes.  Raises :class:`FloatingPointError`, and emits no warning, when
+    a statistic overflows or is not a number, as at a diverged iterate.
     """
     w = np.asarray(w, dtype=float)
-    g_hat, centered, g_h_g = task.gradient_hessian_forms(w, batch)
-    trace = hutchinson_trace(
-        lambda vs: task.hessian_forms(w, batch, vs), task.dimension, k, rng
-    )
-    hs = trace_h_sigma(centered)
-    return HessianStats(
-        tr_h=trace.estimate,
-        tr_h_sigma=hs.estimate,
-        g_h_g=g_h_g,
-        g_norm_sq=float(g_hat @ g_hat),
-        standard_error_tr_h=trace.standard_error,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_hat, centered, g_h_g = task.gradient_hessian_forms(w, batch)
+        trace = hutchinson_trace(
+            lambda vs: task.hessian_forms(w, batch, vs), task.dimension, k, rng
+        )
+        hs = trace_h_sigma(centered)
+        stats = HessianStats(
+            tr_h=trace.estimate,
+            tr_h_sigma=hs.estimate,
+            g_h_g=g_h_g,
+            g_norm_sq=float(g_hat @ g_hat),
+            standard_error_tr_h=trace.standard_error,
+        )
+    if not all(map(math.isfinite, astuple(stats))):
+        raise FloatingPointError("curvature statistics are not finite")
+    return stats

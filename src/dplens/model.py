@@ -20,18 +20,20 @@ which a second-order forward-mode pass along v gives.
 
 The quadratic task additionally carries exact population oracles (gradient,
 Hessian, per-sample gradient covariance) so that every stochastic estimator
-in this package can be checked against ground truth.
+in this package can be checked against ground truth.  :func:`population_stats`
+gives its exact statistics as the same :class:`~dplens.hessian.HessianStats`
+that a measured snapshot fills, with a zero standard error.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .clipping import NormWeights, weighted_gradient_sums
+from .hessian import HessianStats
 
 Array = np.ndarray
 
@@ -208,28 +210,19 @@ class QuadraticTask(DifferentiableTask):
         return 0.5 * np.einsum("ij,ij->i", r @ self.a, r) + self._noise_loss
 
 
-@dataclass(frozen=True)
-class PopulationStats:
-    """Exact closed-form statistics of a quadratic task at a point."""
-
-    g_norm_sq: float
-    g_h_g: float
-    tr_h: float
-    tr_h_sigma: float
-
-
-def population_stats(task: QuadraticTask, w: Array) -> PopulationStats:
-    """Exact (|G|^2, G^T H G, tr H, tr H Sigma) at w."""
+def population_stats(task: QuadraticTask, w: Array) -> HessianStats:
+    """Exact (|G|^2, G^T H G, tr H, tr H Sigma) at w, with zero standard error."""
     if not isinstance(task, QuadraticTask):
         raise TypeError("population_stats requires a QuadraticTask")
     g = task.population_gradient(w)
     a = task.a
     sigma = task.gradient_covariance()
-    return PopulationStats(
-        g_norm_sq=float(g @ g),
-        g_h_g=float(g @ a @ g),
+    return HessianStats(
         tr_h=float(np.trace(a)),
         tr_h_sigma=float(np.trace(a @ sigma)),
+        g_h_g=float(g @ a @ g),
+        g_norm_sq=float(g @ g),
+        standard_error_tr_h=0.0,
     )
 
 

@@ -14,9 +14,13 @@ Maximising over eta and normalising per processed sample yields
 whose private-only extra denominator term sigma^2 tr(H)/(B c^2) (the
 "decelerator") quantifies the slowdown caused by noising and clipping.
 This module provides those forms, the induced optima (batch size,
-public/private mixing ratio) and cumulative schedule comparisons.  The
-public special case is c=1, sigma=0: :func:`delta_l_priv` at those values,
-and :func:`delta_l_pub_star`.  All functions are pure.
+public/private mixing ratio) and cumulative schedule comparisons.  Every
+form reads one :class:`ImprovementInputs`; :meth:`ImprovementInputs.from_stats`
+builds it from exact or measured curvature statistics.  The public special
+case is sigma = 0: :func:`delta_l_pub_star` is :func:`delta_l_priv_star`
+there.  The mixed public/private forms take the inputs, whose ``batch_size``
+is the private batch, plus the public batch size ``b_public``.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+from .hessian import HessianStats
 
 
 class NonPositiveCurvatureError(ArithmeticError):
@@ -61,45 +67,23 @@ class ImprovementInputs:
         if self.batch_size <= 0:
             raise ValueError("batch size must be positive")
 
+    @classmethod
+    def from_stats(
+        cls, stats: HessianStats, sigma: float, batch_size: float, c: float = 1.0
+    ) -> "ImprovementInputs":
+        """Predictor inputs from exact or measured curvature statistics."""
+        return cls(
+            g_norm_sq=stats.g_norm_sq,
+            g_h_g=stats.g_h_g,
+            tr_h=stats.tr_h,
+            tr_h_sigma=stats.tr_h_sigma,
+            sigma=sigma,
+            c=c,
+            batch_size=batch_size,
+        )
+
     def with_batch(self, batch_size: float) -> "ImprovementInputs":
         return replace(self, batch_size=batch_size)
-
-
-@dataclass(frozen=True)
-class MixInputs:
-    """Improvement statistics for mixed public/private training."""
-
-    g_norm_sq: float
-    g_h_g: float
-    tr_h: float
-    tr_h_sigma: float
-    sigma: float
-    c: float
-    b_public: float
-    b_private: float
-
-    def __post_init__(self):
-        if self.b_public <= 0 or self.b_private <= 0:
-            raise ValueError("both batch sizes must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if not 0.0 < self.c <= 1.0:
-            raise ValueError("clip scale c must lie in (0, 1]")
-
-    @classmethod
-    def from_improvement(
-        cls, inputs: ImprovementInputs, b_public: float, b_private: float
-    ) -> "MixInputs":
-        return cls(
-            g_norm_sq=inputs.g_norm_sq,
-            g_h_g=inputs.g_h_g,
-            tr_h=inputs.tr_h,
-            tr_h_sigma=inputs.tr_h_sigma,
-            sigma=inputs.sigma,
-            c=inputs.c,
-            b_public=b_public,
-            b_private=b_private,
-        )
 
 
 # -- single-route improvement forms -----------------------------------------
@@ -121,8 +105,8 @@ def delta_l_priv(eta: float, inputs: ImprovementInputs) -> float:
 def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
     """Per-sample improvement at the optimal learning rate, batch size B.
 
-    Equals max_eta delta_l_priv(eta) / B; at sigma = 0 it coincides exactly
-    with :func:`delta_l_pub_star`.
+    Equals max_eta delta_l_priv(eta) / B; at sigma = 0 it is
+    :func:`delta_l_pub_star`.
     """
     if b <= 0:
         raise ValueError("batch size must be positive")
@@ -142,16 +126,7 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
 
 def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
     """Per-sample improvement of plain SGD at the optimal learning rate."""
-    if b <= 0:
-        raise ValueError("batch size must be positive")
-    if inputs.g_norm_sq == 0.0:
-        return 0.0
-    denom = b * inputs.g_h_g + inputs.tr_h_sigma
-    if denom <= 0:
-        raise NonPositiveCurvatureError(
-            f"denominator {denom:g} is not positive at B={b:g}"
-        )
-    return 0.5 * inputs.g_norm_sq**2 / denom
+    return delta_l_priv_star(b, replace(inputs, sigma=0.0))
 
 
 def decelerator(inputs: ImprovementInputs) -> float:
@@ -181,28 +156,33 @@ def optimal_batch_dp(inputs: ImprovementInputs) -> float:
 
 
 def mixed_quadratic_coefficients(
-    mix: MixInputs,
+    inputs: ImprovementInputs, b_public: float
 ) -> tuple[float, float, float, float, float]:
     """Coefficients (A, B, C, D, E) of the bivariate improvement quadratic.
 
     The improvement as a function of the split learning rates
     (eta_pub, eta_priv) is -(A eta_pub^2 + B eta_priv^2 + C eta_pub
-    + D eta_priv + E eta_pub eta_priv).
+    + D eta_priv + E eta_pub eta_priv).  The public mini-batch has
+    ``b_public`` samples and the private one ``inputs.batch_size``.
     """
-    c = mix.c
-    a = 0.5 * mix.g_h_g + 0.5 * mix.tr_h_sigma / mix.b_public
+    if b_public <= 0:
+        raise ValueError("public batch size must be positive")
+    c, b_private = inputs.c, inputs.batch_size
+    a = 0.5 * inputs.g_h_g + 0.5 * inputs.tr_h_sigma / b_public
     b = (
-        0.5 * c * c * mix.g_h_g
-        + 0.5 * c * c * mix.tr_h_sigma / mix.b_private
-        + 0.5 * mix.sigma**2 * mix.tr_h / mix.b_private**2
+        0.5 * c * c * inputs.g_h_g
+        + 0.5 * c * c * inputs.tr_h_sigma / b_private
+        + 0.5 * inputs.sigma**2 * inputs.tr_h / b_private**2
     )
-    c_lin = -mix.g_norm_sq
-    d_lin = -c * mix.g_norm_sq
-    e = c * mix.g_h_g
+    c_lin = -inputs.g_norm_sq
+    d_lin = -c * inputs.g_norm_sq
+    e = c * inputs.g_h_g
     return a, b, c_lin, d_lin, e
 
 
-def mixed_improvement(eta0: float, eta1: float, mix: MixInputs) -> float:
+def mixed_improvement(
+    eta0: float, eta1: float, inputs: ImprovementInputs, b_public: float
+) -> float:
     """Expected one-step improvement of the mixed gradient.
 
     ``eta0`` scales the public mini-batch mean, ``eta1`` the privatized
@@ -211,7 +191,7 @@ def mixed_improvement(eta0: float, eta1: float, mix: MixInputs) -> float:
     """
     if eta0 < 0 or eta1 < 0:
         raise ValueError("split learning rates must be nonnegative")
-    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(mix)
+    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public)
     return -(
         a * eta0 * eta0
         + b * eta1 * eta1
@@ -221,8 +201,10 @@ def mixed_improvement(eta0: float, eta1: float, mix: MixInputs) -> float:
     )
 
 
-def _mixed_stationary_point(mix: MixInputs) -> tuple[float, float, float]:
-    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(mix)
+def _mixed_stationary_point(
+    inputs: ImprovementInputs, b_public: float
+) -> tuple[float, float, float]:
+    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public)
     det = 4.0 * a * b - e * e
     if det <= 0 or a <= 0:
         raise SaddleOrDegenerateError(
@@ -234,35 +216,35 @@ def _mixed_stationary_point(mix: MixInputs) -> tuple[float, float, float]:
     return eta0, eta1, value
 
 
-def optimal_mixed_improvement(mix: MixInputs) -> float:
+def optimal_mixed_improvement(inputs: ImprovementInputs, b_public: float) -> float:
     """Improvement at the jointly optimal split learning rates."""
-    return _mixed_stationary_point(mix)[2]
+    return _mixed_stationary_point(inputs, b_public)[2]
 
 
-def only_public_optimum(mix: MixInputs) -> float:
+def only_public_optimum(inputs: ImprovementInputs, b_public: float) -> float:
     """Best improvement restricted to the public gradient alone."""
-    a, _, c_lin, _, _ = mixed_quadratic_coefficients(mix)
+    a, _, c_lin, _, _ = mixed_quadratic_coefficients(inputs, b_public)
     if a <= 0:
         raise SaddleOrDegenerateError("public-only improvement is unbounded")
     return c_lin**2 / (4.0 * a)
 
 
-def only_private_optimum(mix: MixInputs) -> float:
+def only_private_optimum(inputs: ImprovementInputs, b_public: float) -> float:
     """Best improvement restricted to the privatized gradient alone."""
-    _, b, _, d_lin, _ = mixed_quadratic_coefficients(mix)
+    _, b, _, d_lin, _ = mixed_quadratic_coefficients(inputs, b_public)
     if b <= 0:
         raise SaddleOrDegenerateError("private-only improvement is unbounded")
     return d_lin**2 / (4.0 * b)
 
 
-def optimal_mix_alpha(mix: MixInputs) -> float:
+def optimal_mix_alpha(inputs: ImprovementInputs, b_public: float) -> float:
     """Optimal public weight alpha* = eta0* / (eta0* + eta1*).
 
     Strictly interior in (0, 1) whenever the quadratic has an interior
     maximum: both data kinds help.  Out-of-range values under extreme
     inputs are clamped with a warning.
     """
-    eta0, eta1, _ = _mixed_stationary_point(mix)
+    eta0, eta1, _ = _mixed_stationary_point(inputs, b_public)
     total = eta0 + eta1
     if total <= 0:
         raise SaddleOrDegenerateError("optimal split learning rates are degenerate")

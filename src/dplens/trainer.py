@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .clipping import ClippingRule, clip_weights, noised_mean, privatize_gradient_many
-from .hessian import HessianStats, stats_snapshot
+from .hessian import Estimate, HessianStats, stats_snapshot
 from .model import DifferentiableTask, QuadraticTask
 from .predictor import AlphaSchedule, alpha_schedule_value
 
@@ -231,8 +231,9 @@ def _train_loop(
     fires on the held-out loss, which is measured on ``val_set`` after every
     ``steps_per_epoch`` steps.  The switch applies ``reset_policy`` to the
     optimizer state and, with ``head_reinit``, re-draws the output block.
-    A one-sided schedule makes a one-phase run.  A non-finite loss ends the
-    run with ``abort_reason`` set and the records so far kept.
+    A one-sided schedule makes a one-phase run.  A non-finite loss, or a
+    curvature snapshot with a non-finite statistic, ends the run with
+    ``abort_reason`` set and the records before that iteration kept.
     """
     state = OptimizerState.zeros(task_public.dimension)
     run = TrainRun()
@@ -258,7 +259,11 @@ def _train_loop(
 
         stats = None
         if hessian_probes > 0:
-            stats = stats_snapshot(task, w, batch, hessian_probes, probe_rng)
+            try:
+                stats = stats_snapshot(task, w, batch, hessian_probes, probe_rng)
+            except FloatingPointError:
+                run.abort_reason = f"non-finite curvature at iteration {t}"
+                break
         val_loss = None
         if (t + 1) % steps_per_epoch == 0:
             val_loss = task_public.batch_loss(w, val_set)
@@ -340,12 +345,6 @@ def _reinit_head(task, w: Array, rng: np.random.Generator) -> None:
     w[sl] = 0.1 * rng.standard_normal(sl.stop - sl.start)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    mean_improvement: float
-    standard_error: float
-
-
 def empirical_improvement_oracle(
     task: QuadraticTask,
     w: Array,
@@ -355,7 +354,7 @@ def empirical_improvement_oracle(
     sigma: float,
     trials: int,
     rng: np.random.Generator,
-) -> OracleResult:
+) -> Estimate:
     """Monte-Carlo estimate of the expected one-step population-loss drop.
 
     Each trial draws a fresh batch and noise, takes one privatized SGD step,
@@ -385,8 +384,8 @@ def empirical_improvement_oracle(
         pieces.append(loss_before - task.population_losses(w_next))
         done += n
     improvements = np.concatenate(pieces)
-    return OracleResult(
-        mean_improvement=float(improvements.mean()),
+    return Estimate(
+        estimate=float(improvements.mean()),
         standard_error=float(improvements.std(ddof=1) / np.sqrt(trials)),
     )
 

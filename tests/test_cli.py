@@ -91,6 +91,9 @@ class TestConfigHandling:
         for schema in CONFIG_SCHEMAS.values():
             jsonschema.validators.validator_for(schema).check_schema(schema)
 
+    def test_every_subcommand_has_a_schema_and_a_runner(self):
+        assert sorted(CONFIG_SCHEMAS) == sorted(_RUNNERS)
+
     def test_validation_message_is_jsonschemas_best_match(self, tmp_path):
         payload = sweep_config()
         payload["inputs"]["g_norm_sq"] = "one"
@@ -364,8 +367,17 @@ class TestSubcommands:
         rows = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
         assert len(rows) == 5 * (4 if command == "fourway" else 1)
 
-    @pytest.mark.parametrize("command", ["train", "continual", "fourway"])
-    def test_diverged_run_keeps_partial_csv_and_exits_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,probes",
+        [
+            pytest.param("train", 0, id="train"),
+            pytest.param("continual", 0, id="continual"),
+            pytest.param("fourway", 0, id="fourway"),
+            pytest.param("train", 4, id="train-probes"),
+            pytest.param("continual", 4, id="continual-probes"),
+        ],
+    )
+    def test_diverged_run_keeps_partial_csv_and_exits_2(self, command, probes, tmp_path, capsys):
         payload = {
             "schema": 1,
             "task": {"kind": "quadratic", "dimension": 4},
@@ -382,16 +394,42 @@ class TestSubcommands:
         elif command == "fourway":
             del payload["mode"]
             payload["sigma"] = 0.5
+        if probes:
+            payload["hessian_probes"] = probes
         path = write_config(tmp_path, payload)
         code = run_subcommand([command, "--config", str(path), "--out", str(tmp_path)])
         csv = tmp_path / f"{command}.csv"
         assert code == 2
-        assert "non-finite training loss at iteration" in capsys.readouterr().err
+        # the iterate after step 91 overflows the curvature statistics, and
+        # step 92's loss overflows
+        reason = "non-finite curvature" if probes else "non-finite training loss"
+        assert f"{reason} at iteration" in capsys.readouterr().err
         rows = csv.read_text().splitlines()[1:]
         assert 0 < len(rows) < 400 * (4 if command == "fourway" else 1)
         if command == "train":
-            assert len(rows) == 92
+            assert len(rows) == (91 if probes else 92)
+        assert not re.search(r"inf|nan", csv.read_text())
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_diverged_mlp_curvature_keeps_partial_csv_and_exits_2(self, tmp_path, capsys):
+        # the loss stays finite while the curvature statistics overflow
+        payload = {
+            "schema": 1,
+            "task_public": {"kind": "tinymlp", "n_in": 8, "hidden": 16, "n_out": 4},
+            "optimizer": {"kind": "sgd", "eta": 1e6},
+            "sigma": 0.5,
+            "epochs": 2,
+            "steps_per_epoch": 50,
+            "batch_size": 16,
+            "hessian_probes": 4,
+        }
+        path = write_config(tmp_path, payload)
+        code = run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite curvature at iteration" in capsys.readouterr().err
+        text = (tmp_path / "continual.csv").read_text()
+        assert 0 < len(text.splitlines()[1:]) < 100
+        assert not re.search(r"inf|nan", text)
 
     def test_seed_sweep_with_jobs(self, tmp_path):
         payload = sweep_config()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dplens.clipping import ClippingRule, clip_factors
-from dplens.hessian import stats_snapshot
+from dplens.hessian import HessianStats, stats_snapshot
 from dplens.model import (
     DifferentiableTask,
     LogisticTask,
@@ -259,6 +259,8 @@ class TestPopulationStats:
     def test_identity_case(self):
         task = QuadraticTask(np.eye(3), np.zeros(3), np.eye(3))
         stats = population_stats(task, np.array([1.0, 0.0, 0.0]))
+        assert isinstance(stats, HessianStats)
+        assert stats.standard_error_tr_h == 0.0
         assert stats.g_norm_sq == 1.0
         assert stats.g_h_g == 1.0
         assert stats.tr_h == 3.0

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,68 +217,59 @@ class TestDataEfficiency:
 
 
 def random_mix(rng, sigma=None):
+    """Inputs whose batch_size is the private batch, and a public batch size."""
     v = rng.uniform(0.1, 10.0, size=4)
-    return pred.MixInputs(
-        g_norm_sq=v[0],
-        g_h_g=v[1],
-        tr_h=v[2],
-        tr_h_sigma=v[3],
-        sigma=rng.uniform(0.05, 3.0) if sigma is None else sigma,
-        c=rng.uniform(0.1, 1.0),
-        b_public=rng.uniform(1.0, 1000.0),
-        b_private=rng.uniform(1.0, 1000.0),
+    sigma = rng.uniform(0.05, 3.0) if sigma is None else sigma
+    c = rng.uniform(0.1, 1.0)
+    b_public = rng.uniform(1.0, 1000.0)
+    inputs = pred.ImprovementInputs(
+        g_norm_sq=v[0], g_h_g=v[1], tr_h=v[2], tr_h_sigma=v[3],
+        sigma=sigma, c=c, batch_size=rng.uniform(1.0, 1000.0),
     )
+    return inputs, b_public
 
 
-def mixed_improvement_direct(eta0, eta1, mix):
+def mixed_improvement_direct(eta0, eta1, inputs, b_public):
     """Independent route: expectation/covariance of the mixed gradient."""
     eta = eta0 + eta1
     if eta == 0.0:
         return 0.0
     alpha = eta0 / eta
-    mean_scale = alpha + (1.0 - alpha) * mix.c
+    b_private = inputs.batch_size
+    mean_scale = alpha + (1.0 - alpha) * inputs.c
     cov_tr_h_sigma = (
-        alpha**2 / mix.b_public + (1.0 - alpha) ** 2 * mix.c**2 / mix.b_private
-    ) * mix.tr_h_sigma
-    cov_noise = (1.0 - alpha) ** 2 * mix.sigma**2 * mix.tr_h / mix.b_private**2
+        alpha**2 / b_public + (1.0 - alpha) ** 2 * inputs.c**2 / b_private
+    ) * inputs.tr_h_sigma
+    cov_noise = (1.0 - alpha) ** 2 * inputs.sigma**2 * inputs.tr_h / b_private**2
     return (
-        eta * mean_scale * mix.g_norm_sq
-        - 0.5 * eta**2 * (cov_tr_h_sigma + cov_noise + mean_scale**2 * mix.g_h_g)
+        eta * mean_scale * inputs.g_norm_sq
+        - 0.5 * eta**2 * (cov_tr_h_sigma + cov_noise + mean_scale**2 * inputs.g_h_g)
     )
 
 
 class TestMixedImprovement:
     def test_zero_at_origin(self):
         mix = random_mix(np.random.default_rng(12))
-        assert pred.mixed_improvement(0.0, 0.0, mix) == 0.0
+        assert pred.mixed_improvement(0.0, 0.0, *mix) == 0.0
 
     def test_public_only_reduction(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            mix = random_mix(rng)
+            inputs, b_public = random_mix(rng)
             eta0 = rng.uniform(0.001, 0.5)
             # the public special case of delta_l_priv: sigma = 0, c = 1
-            public = pred.ImprovementInputs(
-                g_norm_sq=mix.g_norm_sq, g_h_g=mix.g_h_g, tr_h=mix.tr_h,
-                tr_h_sigma=mix.tr_h_sigma, sigma=0.0, c=1.0,
-                batch_size=mix.b_public,
-            )
-            assert pred.mixed_improvement(eta0, 0.0, mix) == pytest.approx(
+            public = replace(inputs, sigma=0.0, c=1.0, batch_size=b_public)
+            assert pred.mixed_improvement(eta0, 0.0, inputs, b_public) == pytest.approx(
                 pred.delta_l_priv(eta0, public), rel=1e-12
             )
 
     def test_private_only_reduction(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
-            mix = random_mix(rng)
+            inputs, b_public = random_mix(rng)
             eta1 = rng.uniform(0.001, 0.5)
-            base = pred.ImprovementInputs(
-                g_norm_sq=mix.g_norm_sq, g_h_g=mix.g_h_g, tr_h=mix.tr_h,
-                tr_h_sigma=mix.tr_h_sigma, sigma=mix.sigma, c=mix.c,
-                batch_size=mix.b_private,
-            )
-            assert pred.mixed_improvement(0.0, eta1, mix) == pytest.approx(
-                pred.delta_l_priv(eta1, base), rel=1e-12
+            assert pred.mixed_improvement(0.0, eta1, inputs, b_public) == pytest.approx(
+                pred.delta_l_priv(eta1, inputs), rel=1e-12
             )
 
     def test_matches_mean_covariance_route(self):
@@ -285,47 +277,53 @@ class TestMixedImprovement:
         for _ in range(200):
             mix = random_mix(rng)
             eta0, eta1 = rng.uniform(0.0, 0.5, size=2)
-            assert pred.mixed_improvement(eta0, eta1, mix) == pytest.approx(
-                mixed_improvement_direct(eta0, eta1, mix), rel=1e-10, abs=1e-12
+            assert pred.mixed_improvement(eta0, eta1, *mix) == pytest.approx(
+                mixed_improvement_direct(eta0, eta1, *mix), rel=1e-10, abs=1e-12
             )
 
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
-            pred.mixed_improvement(-0.1, 0.1, random_mix(np.random.default_rng(16)))
+            pred.mixed_improvement(-0.1, 0.1, *random_mix(np.random.default_rng(16)))
+
+    @pytest.mark.parametrize("b_public", [0.0, -1.0])
+    def test_nonpositive_public_batch_rejected(self, b_public):
+        inputs, _ = random_mix(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="public batch size"):
+            pred.mixed_quadratic_coefficients(inputs, b_public)
+
+
+def mix_inputs(sigma, c, b_private=64.0, **stats):
+    return pred.ImprovementInputs(**stats, sigma=sigma, c=c, batch_size=b_private)
+
+
+SYMMETRIC = dict(g_norm_sq=2.0, g_h_g=1.5, tr_h=3.0, tr_h_sigma=2.0)
 
 
 class TestOptimalMixAlpha:
     def test_symmetric_case(self):
-        mix = pred.MixInputs(
-            g_norm_sq=2.0, g_h_g=1.5, tr_h=3.0, tr_h_sigma=2.0,
-            sigma=0.0, c=1.0, b_public=64.0, b_private=64.0,
-        )
-        assert pred.optimal_mix_alpha(mix) == pytest.approx(0.5, abs=1e-12)
+        inputs = mix_inputs(0.0, 1.0, **SYMMETRIC)
+        assert pred.optimal_mix_alpha(inputs, 64.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_large_noise_limit(self):
-        alphas = []
-        for sigma in (1.0, 10.0, 100.0, 1000.0):
-            mix = pred.MixInputs(
-                g_norm_sq=2.0, g_h_g=1.5, tr_h=3.0, tr_h_sigma=2.0,
-                sigma=sigma, c=0.8, b_public=64.0, b_private=64.0,
-            )
-            alphas.append(pred.optimal_mix_alpha(mix))
+        alphas = [
+            pred.optimal_mix_alpha(mix_inputs(sigma, 0.8, **SYMMETRIC), 64.0)
+            for sigma in (1.0, 10.0, 100.0, 1000.0)
+        ]
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
         assert alphas[-1] > 0.999
 
     def test_paper_style_case(self):
-        mix = pred.MixInputs(
-            g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4,
-            sigma=0.5, c=1.0, b_public=1000.0, b_private=1000.0,
+        inputs = mix_inputs(
+            0.5, 1.0, b_private=1000.0, g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4
         )
-        assert pred.optimal_mix_alpha(mix) == pytest.approx(7.0 / 9.0, rel=1e-12)
+        assert pred.optimal_mix_alpha(inputs, 1000.0) == pytest.approx(7.0 / 9.0, rel=1e-12)
 
     def test_matches_two_dim_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             mix = random_mix(rng)
-            alpha_closed = pred.optimal_mix_alpha(mix)
-            a, b, c_lin, d_lin, e = pred.mixed_quadratic_coefficients(mix)
+            alpha_closed = pred.optimal_mix_alpha(*mix)
+            a, b, c_lin, d_lin, e = pred.mixed_quadratic_coefficients(*mix)
             det = 4 * a * b - e * e
             x0 = -(2 * b * c_lin - d_lin * e) / det
             y0 = -(2 * a * d_lin - c_lin * e) / det
@@ -340,31 +338,31 @@ class TestOptimalMixAlpha:
     def test_eq10_closed_form_equivalence(self):
         rng = np.random.default_rng(18)
         for _ in range(300):
-            mix = random_mix(rng)
-            alpha = pred.optimal_mix_alpha(mix)
+            inputs, b_public = random_mix(rng)
+            alpha = pred.optimal_mix_alpha(inputs, b_public)
+            b_private, c = inputs.batch_size, inputs.c
             ratio = (
-                (1.0 / mix.c)
-                * (mix.tr_h_sigma * mix.b_private / mix.b_public)
-                / (mix.tr_h_sigma + mix.sigma**2 * mix.tr_h / (mix.b_private * mix.c**2))
+                (1.0 / c)
+                * (inputs.tr_h_sigma * b_private / b_public)
+                / (inputs.tr_h_sigma + inputs.sigma**2 * inputs.tr_h / (b_private * c**2))
             )
             assert alpha == pytest.approx(1.0 / (ratio + 1.0), rel=1e-9)
 
     def test_degenerate_rejected(self):
-        mix = pred.MixInputs(
-            g_norm_sq=1.0, g_h_g=0.0, tr_h=0.0, tr_h_sigma=0.0,
-            sigma=0.0, c=1.0, b_public=10.0, b_private=10.0,
+        inputs = mix_inputs(
+            0.0, 1.0, b_private=10.0, g_norm_sq=1.0, g_h_g=0.0, tr_h=0.0, tr_h_sigma=0.0
         )
         with pytest.raises(pred.SaddleOrDegenerateError):
-            pred.optimal_mix_alpha(mix)
+            pred.optimal_mix_alpha(inputs, 10.0)
 
     def test_mixed_beats_both_pure_strategies(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
             mix = random_mix(rng)  # sigma > 0 by construction
-            mixed = pred.optimal_mixed_improvement(mix)
-            assert mixed > pred.only_public_optimum(mix)
-            assert mixed > pred.only_private_optimum(mix)
-            assert 0.0 < pred.optimal_mix_alpha(mix) < 1.0
+            mixed = pred.optimal_mixed_improvement(*mix)
+            assert mixed > pred.only_public_optimum(*mix)
+            assert mixed > pred.only_private_optimum(*mix)
+            assert 0.0 < pred.optimal_mix_alpha(*mix) < 1.0
 
 
 class TestAlphaSchedules:
@@ -494,4 +492,4 @@ class TestMonotonicities:
             warnings.simplefilter("error")
             rng = np.random.default_rng(32)
             for _ in range(200):
-                pred.optimal_mix_alpha(random_mix(rng))
+                pred.optimal_mix_alpha(*random_mix(rng))

@@ -392,7 +392,7 @@ class TestImprovementOracle:
             task, np.ones(task.dimension), 0.0, 8, REPARAM1, 0.5, 200,
             np.random.default_rng(13),
         )
-        assert result.mean_improvement == 0.0
+        assert result.estimate == 0.0
         assert result.standard_error == 0.0
 
     def test_matches_public_closed_form(self):
@@ -403,13 +403,10 @@ class TestImprovementOracle:
 
         stats = population_stats(task, w)
         eta, b = 0.3, 16
-        inputs = ImprovementInputs(
-            g_norm_sq=stats.g_norm_sq, g_h_g=stats.g_h_g, tr_h=stats.tr_h,
-            tr_h_sigma=stats.tr_h_sigma, sigma=0.0, c=1.0, batch_size=b,
-        )
+        inputs = ImprovementInputs.from_stats(stats, 0.0, b)
         closed = delta_l_priv(eta, inputs)
         result = empirical_improvement_oracle(task, w, eta, b, None, 0.0, 20_000, rng)
-        assert abs(result.mean_improvement - closed) <= 3.0 * result.standard_error
+        assert abs(result.estimate - closed) <= 3.0 * result.standard_error
 
     def test_large_noise_negative_improvement(self):
         task = small_quadratic(cov=0.05, seed=16)
@@ -419,15 +416,12 @@ class TestImprovementOracle:
 
         stats = population_stats(task, w)
         eta, b, sigma = 0.5, 4, 8.0
-        inputs = ImprovementInputs(
-            g_norm_sq=stats.g_norm_sq, g_h_g=stats.g_h_g, tr_h=stats.tr_h,
-            tr_h_sigma=stats.tr_h_sigma, sigma=sigma, c=1.0, batch_size=b,
-        )
+        inputs = ImprovementInputs.from_stats(stats, sigma, b)
         closed = delta_l_priv(eta, inputs)
         assert closed < 0
         result = empirical_improvement_oracle(task, w, eta, b, None, sigma, 20_000, rng)
-        assert result.mean_improvement < 0
-        assert abs(result.mean_improvement - closed) <= 3.0 * result.standard_error
+        assert result.estimate < 0
+        assert abs(result.estimate - closed) <= 3.0 * result.standard_error
 
     def test_too_few_trials_rejected(self):
         task = small_quadratic()
