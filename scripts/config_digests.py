@@ -44,6 +44,7 @@ SHIPPED = {
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
     "sweep_batch.json": "sweep-batch",
+    "train_logistic.json": "train",
 }
 # plots of training tables: most continual rows have empty val_loss and tr_H
 # cells, and the fourway table holds five seeds on a log y axis

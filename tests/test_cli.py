@@ -29,6 +29,7 @@ SHIPPED_CONFIGS = {
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
     "sweep_batch.json": "sweep-batch",
+    "train_logistic.json": "train",
 }
 
 
