@@ -33,6 +33,7 @@ from .predictor import (
     SaddleOrDegenerateError,
     alpha_schedule_value,
     decelerator,
+    denominator,
     delta_l_priv,
     delta_l_priv_star,
     delta_l_pub_star,

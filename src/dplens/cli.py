@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import jsonschema
@@ -570,17 +570,15 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
         b_star = predictor.optimal_batch_dp(base) if base.sigma > 0 else ""
         for b in cfg["batch_grid"]:
             inputs = base.with_batch(b)
-            decel = predictor.decelerator(inputs)
-            denom_pub = b * inputs.g_h_g + inputs.tr_h_sigma
             rows.append(
                 [
                     name,
                     b,
                     b * inputs.g_h_g,
                     inputs.tr_h_sigma,
-                    decel,
-                    denom_pub + decel,
-                    denom_pub,
+                    predictor.decelerator(inputs),
+                    predictor.denominator(b, inputs),
+                    predictor.denominator(b, replace(inputs, sigma=0.0)),
                     predictor.delta_l_priv_star(b, inputs),
                     predictor.delta_l_pub_star(b, inputs),
                     b_star,

@@ -12,12 +12,11 @@ This module owns the clip policy; tasks only see it as a map from per-sample
 gradient norms to weights (:func:`clip_weights`).  ``trainer.dp_step`` is the
 one training step: the task's fused ``loss_and_weighted_gradient_sum`` returns
 the mean batch loss and ``sum_i C_i g_i`` from one forward and one backward
-pass (the norms can come from layer factors, ghost clipping), so no step
-builds the ``(B, d)`` matrix of per-sample gradients; :func:`noised_mean` then
-adds the Gaussian noise and averages.  :func:`noised_mean` is the one noise
-step of every DP gradient in the package, also under
-:func:`privatize_gradient_many`, which takes explicit stacks of per-sample
-gradients for the Monte-Carlo oracle.
+pass, and :func:`noised_mean` then adds the Gaussian noise and averages.
+:func:`noised_mean` is the one noise step of every DP gradient in the
+package.  :func:`weighted_gradient_sums` weights explicit per-sample
+gradients, as the quadratic task's closed form and the Monte-Carlo oracle
+give them.
 """
 
 from __future__ import annotations
@@ -108,23 +107,3 @@ def noised_mean(
             raise ValueError("sigma > 0 requires a random generator")
         totals = totals + sigma * rng.standard_normal(totals.shape)
     return totals / b
-
-
-def privatize_gradient_many(
-    per_sample_grads: Array,
-    rule: ClippingRule | None,
-    sigma: float,
-    rng: np.random.Generator | None = None,
-) -> Array:
-    """Privatized gradients for a stack of independent batches.
-
-    ``per_sample_grads`` has shape ``(trials, B, d)``; each trial gets
-    ``(sum_i C_i g_i + sigma * N(0, I)) / B`` with an independent noise
-    draw.  The Monte-Carlo oracle steps through it, with the clip weights
-    and :func:`noised_mean` of every training step.
-    """
-    grads = np.asarray(per_sample_grads, dtype=float)
-    if grads.ndim != 3 or grads.shape[1] == 0:
-        raise ValueError("expected shape (trials, B, d) with B >= 1")
-    totals = weighted_gradient_sums(grads, clip_weights(rule))
-    return noised_mean(totals, grads.shape[1], sigma, rng)

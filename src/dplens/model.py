@@ -1,12 +1,13 @@
-"""Synthetic differentiable tasks with per-sample gradients and Hessian access.
+"""Synthetic differentiable tasks with batched gradient and Hessian access.
 
 Every task exposes the same batched surface, the methods the training loops
-and curvature probes call: the mean batch loss (``batch_loss``), the stacked
-``(m, d)`` per-sample gradients, the fused training-step pass
-(``loss_and_weighted_gradient_sum``: mean batch loss and a norm-weighted sum
-of per-sample gradients), the Hessian quadratic forms of the mean batch loss
-(``hessian_forms``), the batch gradient with the forms of its centered
-per-sample gradients (``gradient_hessian_forms``), and seeded batch drawing.
+and curvature probes call: the mean batch loss (``batch_loss``), the fused
+training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss and
+a norm-weighted sum of per-sample gradients), the Hessian quadratic forms of
+the mean batch loss (``hessian_forms``), the batch gradient with the forms of
+its centered per-sample gradients (``gradient_hessian_forms``), and seeded
+batch drawing.  Each task has its own closed forms for them; the logistic
+and MLP ones never build the ``(m, d)`` matrix of per-sample gradients.
 
 The curvature probes read the Hessian H only through the diagonal forms
 ``v_j^T H v_j`` of a block of directions, never through the vectors ``H v_j``,
@@ -19,8 +20,9 @@ line ``w + t v``::
 which a second-order forward-mode pass along v gives.
 
 The quadratic task additionally carries exact population oracles (gradient,
-Hessian, per-sample gradient covariance) so that every stochastic estimator
-in this package can be checked against ground truth.  :func:`population_stats`
+Hessian, per-sample gradient covariance) and its closed-form per-sample
+gradients, so that every stochastic estimator in this package can be checked
+against ground truth.  :func:`population_stats`
 gives its exact statistics as the same :class:`~dplens.hessian.HessianStats`
 that a measured snapshot fills, with a zero standard error.
 """
@@ -58,7 +60,7 @@ def _psd_factor(mat: Array) -> Array:
 
 
 class DifferentiableTask(abc.ABC):
-    """A loss landscape with per-sample gradients and batch Hessian forms.
+    """A loss landscape with a fused gradient pass and batch Hessian forms.
 
     Instances are immutable after construction and safe for concurrent
     reads; all randomness flows through caller-owned generators.
@@ -70,13 +72,10 @@ class DifferentiableTask(abc.ABC):
         """Number of trainable parameters."""
 
     @abc.abstractmethod
-    def per_sample_gradients(self, w: Array, batch: Any) -> Array:
-        """Stacked per-sample gradients for a batch, shape ``(m, d)``."""
-
-    @abc.abstractmethod
     def batch_loss(self, w: Array, batch: Any) -> float:
         """Mean loss over a batch."""
 
+    @abc.abstractmethod
     def loss_and_weighted_gradient_sum(
         self, w: Array, batch: Any, weight_of_norms: NormWeights | None = None
     ) -> tuple[float, Array]:
@@ -84,12 +83,8 @@ class DifferentiableTask(abc.ABC):
 
         ``C = weight_of_norms(norms)`` maps the ``(m,)`` per-sample gradient
         norms to weights; with ``None`` the sum is the plain ``sum_i g_i``.
-        This default stacks the per-sample gradients; a task that can get the
-        norms and the weighted sum from its layer factors overrides it.
+        The loss is bit-identical to :meth:`batch_loss`.
         """
-        loss = self.batch_loss(w, batch)
-        grads = self.per_sample_gradients(w, batch)
-        return loss, weighted_gradient_sums(grads, weight_of_norms)
 
     @abc.abstractmethod
     def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
@@ -98,20 +93,14 @@ class DifferentiableTask(abc.ABC):
         ``vs`` has shape ``(k, d)`` and row ``j`` is the direction ``v_j``.
         """
 
+    @abc.abstractmethod
     def gradient_hessian_forms(self, w: Array, batch: Any) -> tuple[Array, Array, float]:
         """Batch gradient ``g_hat``, centered forms, and ``g_hat^T H g_hat``.
 
         The centered forms are the ``(m,)`` values
         ``(g_i - g_hat)^T H (g_i - g_hat)`` over the batch's per-sample
-        gradients ``g_i``, with H the Hessian of the mean batch loss.  This
-        default stacks the per-sample gradients and makes one
-        :meth:`hessian_forms` call on the centered rows and ``g_hat``; a task
-        that can get the forms from its layer factors overrides it.
+        gradients ``g_i``, with H the Hessian of the mean batch loss.
         """
-        grads = self.per_sample_gradients(w, batch)
-        g_hat = grads.mean(axis=0)
-        forms = self.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
-        return g_hat, forms[:-1], float(forms[-1])
 
     @abc.abstractmethod
     def draw_batch(self, rng: np.random.Generator, m: int) -> Any:
@@ -166,21 +155,33 @@ class QuadraticTask(DifferentiableTask):
     def dimension(self) -> int:
         return self._d
 
-    def per_sample_gradients(self, w: Array, batch: Array) -> Array:
+    def _residuals(self, w: Array, batch: Array) -> Array:
+        """The rows ``w - x_i``; sample i's gradient is ``A (w - x_i)``."""
         w = self._check_dim(w)
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        return (w[None, :] - batch) @ self.a
+        return w[None, :] - np.atleast_2d(np.asarray(batch, dtype=float))
 
     def batch_loss(self, w: Array, batch: Array) -> float:
-        w = self._check_dim(w)
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        r = w[None, :] - batch
+        r = self._residuals(w, batch)
         return 0.5 * float(np.mean(np.einsum("ij,ij->i", r @ self.a, r)))
+
+    def loss_and_weighted_gradient_sum(
+        self, w: Array, batch: Array, weight_of_norms: NormWeights | None = None
+    ) -> tuple[float, Array]:
+        r = self._residuals(w, batch)
+        grads = r @ self.a
+        loss = 0.5 * float(np.mean(np.einsum("ij,ij->i", grads, r)))
+        return loss, weighted_gradient_sums(grads, weight_of_norms)
 
     def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
         self._check_dim(w)
         vs = self._check_block(vs)
         return np.einsum("ij,ij->i", vs, vs @ self.a)
+
+    def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
+        grads = self.per_sample_gradients(w, batch)
+        g_hat = grads.mean(axis=0)
+        forms = self.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
+        return g_hat, forms[:-1], float(forms[-1])
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         z = rng.standard_normal((m, self._d))
@@ -190,6 +191,10 @@ class QuadraticTask(DifferentiableTask):
         return np.atleast_2d(batch).shape[0]
 
     # exact oracles -------------------------------------------------------
+
+    def per_sample_gradients(self, w: Array, batch: Array) -> Array:
+        """The ``(m, d)`` per-sample gradients ``A (w - x_i)``, one row each."""
+        return self._residuals(w, batch) @ self.a
 
     def population_gradient(self, w: Array) -> Array:
         w = self._check_dim(w)
@@ -232,6 +237,14 @@ class LogisticTask(DifferentiableTask):
     Samples are row indices into the dataset; the Hessian of the mean batch
     loss is the standard ``(1/m) sum s_i x_i x_i^T`` with s_i = p_i (1 - p_i),
     hence always PSD.
+
+    Sample i's gradient is ``g_i = a_i x_i`` with ``a = p - y``, so no pass
+    builds the ``(m, d)`` per-sample gradient matrix: ``|g_i| = |a_i| |x_i|``
+    and ``sum_i C_i g_i = X^T (C a)``.  With ``K = X X^T`` and ``u = X g_hat``,
+    the centered gradient of sample i moves sample j's logit at the rate
+    ``(g_i - g_hat) . x_j = a_i K_ij - u_j``, so its form is
+    ``(1/m) sum_j s_j (a_i K_ij - u_j)^2`` and
+    ``g_hat^T H g_hat = (1/m) sum_j s_j u_j^2``.
     """
 
     def __init__(self, features: Array, labels: Array):
@@ -247,35 +260,47 @@ class LogisticTask(DifferentiableTask):
     def dimension(self) -> int:
         return self._d
 
-    def n_examples(self) -> int:
-        return self.features.shape[0]
-
-    def per_sample_gradients(self, w: Array, batch: Array) -> Array:
+    def _logits(self, w: Array, batch: Array) -> tuple[Array, Array, Array]:
+        """Features x, labels y and logits ``z = x w`` of the batch's samples."""
         w = self._check_dim(w)
         idx = np.asarray(batch, dtype=int)
         x = self.features[idx]
-        y = self.labels[idx]
-        p = _sigmoid(x @ w)
-        return (p - y)[:, None] * x
+        return x, self.labels[idx], x @ w
 
     def batch_loss(self, w: Array, batch: Array) -> float:
-        w = self._check_dim(w)
-        idx = np.asarray(batch, dtype=int)
-        x = self.features[idx]
-        y = self.labels[idx]
-        z = x @ w
+        _, y, z = self._logits(w, batch)
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
+    def loss_and_weighted_gradient_sum(
+        self, w: Array, batch: Array, weight_of_norms: NormWeights | None = None
+    ) -> tuple[float, Array]:
+        x, y, z = self._logits(w, batch)
+        # the same arithmetic as batch_loss, so the two losses agree exactly
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        a = _sigmoid(z) - y
+        if weight_of_norms is not None:
+            a = weight_of_norms(np.abs(a) * np.sqrt(_row_sq_norms(x))) * a
+        return loss, a @ x
+
     def hessian_forms(self, w: Array, batch: Array, vs: Array) -> Array:
-        w = self._check_dim(w)
         vs = self._check_block(vs)
-        idx = np.asarray(batch, dtype=int)
-        x = self.features[idx]
-        p = _sigmoid(x @ w)
-        return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(idx)
+        x, _, z = self._logits(w, batch)
+        p = _sigmoid(z)
+        return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(z)
+
+    def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
+        x, y, z = self._logits(w, batch)
+        m = len(z)
+        p = _sigmoid(z)
+        a = p - y
+        slope = p * (1.0 - p)
+        g_hat = a @ x / m
+        u = x @ g_hat
+        rates = a[:, None] * (x @ x.T) - u
+        return g_hat, rates**2 @ slope / m, float(slope @ (u * u) / m)
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
-        return rng.integers(self.n_examples(), size=m)
+        return rng.integers(len(self.labels), size=m)
 
     def batch_size_of(self, batch: Array) -> int:
         return len(np.atleast_1d(batch))
@@ -294,7 +319,7 @@ class TinyMlpTask(DifferentiableTask):
 
     Inputs are standard normal; targets come from a frozen teacher network
     of the same architecture plus optional label noise, so the problem is
-    realisable up to the noise floor.  Per-sample gradients are analytic.
+    realisable up to the noise floor.
 
     A training step takes one forward and one backward pass and never builds
     the ``(m, d)`` per-sample gradient matrix.  Sample i's gradient is rank 1
@@ -426,15 +451,6 @@ class TinyMlpTask(DifferentiableTask):
         resid = hidden @ w2.T + b2 - y
         g_z1 = (resid @ w2) * (1.0 - hidden * hidden)
         return x, hidden, resid, g_z1
-
-    def per_sample_gradients(self, w: Array, batch: tuple[Array, Array]) -> Array:
-        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
-        m = x.shape[0]
-        g_w1 = np.einsum("mh,mi->mhi", g_z1, x)
-        g_w2 = np.einsum("mo,mh->moh", resid, hidden)
-        return np.concatenate(
-            [g_w1.reshape(m, -1), g_z1, g_w2.reshape(m, -1), resid], axis=1
-        )
 
     def batch_loss(self, w: Array, batch: tuple[Array, Array]) -> float:
         x, y = batch

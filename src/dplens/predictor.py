@@ -18,7 +18,7 @@ public/private mixing ratio) and cumulative schedule comparisons.  Every
 form reads one :class:`ImprovementInputs`; :meth:`ImprovementInputs.from_stats`
 builds it from exact or measured curvature statistics.  The public special
 case is sigma = 0: :func:`delta_l_pub_star` is :func:`delta_l_priv_star`
-there.  The mixed public/private forms take the inputs, whose ``batch_size``
+there.  :func:`denominator` is the one source of the denominator above.  The mixed public/private forms take the inputs, whose ``batch_size``
 is the private batch, plus the public batch size ``b_public``.  All
 functions are pure.
 """
@@ -112,11 +112,7 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
         raise ValueError("batch size must be positive")
     if inputs.g_norm_sq == 0.0:
         return 0.0
-    denom = (
-        b * inputs.g_h_g
-        + inputs.tr_h_sigma
-        + inputs.sigma**2 * inputs.tr_h / (b * inputs.c**2)
-    )
+    denom = denominator(b, inputs)
     if denom <= 0:
         raise NonPositiveCurvatureError(
             f"denominator {denom:g} is not positive at B={b:g}"
@@ -127,6 +123,11 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
 def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
     """Per-sample improvement of plain SGD at the optimal learning rate."""
     return delta_l_priv_star(b, replace(inputs, sigma=0.0))
+
+
+def denominator(b: float, inputs: ImprovementInputs) -> float:
+    """The denominator B G^T H G + tr(H Sigma) + sigma^2 tr(H)/(B c^2) of dL*(B)."""
+    return b * inputs.g_h_g + inputs.tr_h_sigma + decelerator(inputs.with_batch(b))
 
 
 def decelerator(inputs: ImprovementInputs) -> float:

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .clipping import ClippingRule, clip_weights, noised_mean, privatize_gradient_many
+from .clipping import ClippingRule, clip_weights, noised_mean, weighted_gradient_sums
 from .hessian import Estimate, HessianStats, stats_snapshot
 from .model import DifferentiableTask, QuadraticTask
 from .predictor import AlphaSchedule, alpha_schedule_value
@@ -128,10 +128,11 @@ def dp_step(
     through ``optimizer_direction`` and ``w_next = w - eta * direction``.
     ``rule=None`` sums the raw gradients and ``sigma=0`` draws no noise, so
     the same step serves public, clipped-only, noised-only and DP training.
-    A non-finite loss returns ``(loss, w, state)`` at once: no noise is
-    drawn and nothing is updated.
+    A non-finite loss returns ``(loss, w, state)`` at once, with no overflow
+    warning: no noise is drawn and nothing is updated.
     """
-    loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
     if not math.isfinite(loss):
         return loss, w, state
     g = noised_mean(total, task.batch_size_of(batch), sigma, rng)
@@ -379,7 +380,7 @@ def empirical_improvement_oracle(
         n = min(chunk, trials - done)
         samples = task.draw_batch(rng, n * b).reshape(n, b, d)
         grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
-        steps = privatize_gradient_many(grads, rule, sigma, rng)
+        steps = noised_mean(weighted_gradient_sums(grads, clip_weights(rule)), b, sigma, rng)
         w_next = w[None, :] - eta * steps
         pieces.append(loss_before - task.population_losses(w_next))
         done += n

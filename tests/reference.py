@@ -1,13 +1,48 @@
 """Reference implementations the tests compare the package against.
 
 Each is the plain, per-sample form of something the package computes in a
-vectorised or fused way: the scalar clip factor, the privatized gradient of
-an explicit per-sample gradient matrix, and the empirical gradient moments.
+vectorised or fused way: the stacked per-sample gradients of each task, the
+curvature forms of those stacked gradients, the scalar clip factor, the
+privatized gradient of an explicit per-sample gradient matrix, and the
+empirical gradient moments.
 """
 
 import numpy as np
 
 from dplens.clipping import clip_weights, noised_mean, weighted_gradient_sums
+from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, _sigmoid
+
+
+def per_sample_gradients(task, w, batch):
+    """The ``(m, d)`` per-sample gradients of a batch, one row per sample."""
+    w = np.asarray(w, dtype=float)
+    if isinstance(task, QuadraticTask):
+        return (w[None, :] - np.atleast_2d(batch)) @ task.a
+    if isinstance(task, LogisticTask):
+        x = task.features[batch]
+        return (_sigmoid(x @ w) - task.labels[batch])[:, None] * x
+    if isinstance(task, TinyMlpTask):
+        # sample loss 0.5 |W2 h + b2 - y|^2 with h = tanh(W1 x + b1), as ``forward``
+        w1, b1, w2, b2 = task._unpack(w)
+        x, y = batch
+        h = np.tanh(x @ w1.T + b1)
+        r = h @ w2.T + b2 - y
+        delta = (r @ w2) * (1.0 - h * h)
+        outer = [np.einsum("mi,mj->mij", u, v).reshape(len(x), -1) for u, v in ((delta, x), (r, h))]
+        return np.concatenate([outer[0], delta, outer[1], r], axis=1)
+    raise TypeError(f"no per-sample gradients for {type(task).__name__}")
+
+
+def stacked_gradient_hessian_forms(task, w, batch):
+    """``gradient_hessian_forms`` from the stacked per-sample gradients.
+
+    One ``hessian_forms`` call on the centered rows and ``g_hat`` gives the
+    centered forms and ``g_hat^T H g_hat``.
+    """
+    grads = per_sample_gradients(task, w, batch)
+    g_hat = grads.mean(axis=0)
+    forms = task.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
+    return g_hat, forms[:-1], float(forms[-1])
 
 
 def clip_factor(g_norm, rule):
@@ -49,7 +84,7 @@ def empirical_moments(task, w, m, rng):
     if m < 2:
         raise ValueError(f"need at least 2 samples for a covariance, got m={m}")
     batch = task.draw_batch(rng, m)
-    grads = task.per_sample_gradients(w, batch)
+    grads = per_sample_gradients(task, w, batch)
     g_hat = grads.mean(axis=0)
     centered = grads - g_hat[None, :]
     sigma_hat = centered.T @ centered / (m - 1)

@@ -169,9 +169,6 @@ class TestSnapshot:
         calls = {"hessian_forms": 0, "gradient_hessian_forms": 0}
 
         class CountingMlp(TinyMlpTask):
-            def per_sample_gradients(self, w, batch):
-                raise AssertionError("a snapshot built the per-sample gradient matrix")
-
             def hessian_forms(self, w, batch, vs):
                 calls["hessian_forms"] += 1
                 return super().hessian_forms(w, batch, vs)
@@ -185,6 +182,8 @@ class TestSnapshot:
         w = task.random_parameters(rng)
         snap = stats_snapshot(task, w, task.draw_batch(rng, 20), 16, rng)
         assert calls == {"hessian_forms": 1, "gradient_hessian_forms": 1}
+        # the MLP has no way to build the per-sample gradient matrix
+        assert not hasattr(TinyMlpTask, "per_sample_gradients")
         assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)
 
 

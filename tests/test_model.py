@@ -1,4 +1,5 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dplens.model import (
     _sigmoid,
     population_stats,
 )
-from reference import empirical_moments
+from reference import empirical_moments, per_sample_gradients, stacked_gradient_hessian_forms
 
 
 def quadratic_case(d=4, seed=3):
@@ -61,9 +62,10 @@ def bilinear(task, w, batch, u, v):
 def test_task_interface_is_the_batched_methods():
     assert DifferentiableTask.__abstractmethods__ == {
         "dimension",
-        "per_sample_gradients",
         "batch_loss",
+        "loss_and_weighted_gradient_sum",
         "hessian_forms",
+        "gradient_hessian_forms",
         "draw_batch",
         "batch_size_of",
     }
@@ -77,7 +79,7 @@ def test_gradient_matches_finite_differences(task):
     for probe in range(3):
         w = 0.5 * rng.standard_normal(task.dimension)
         batch = task.draw_batch(rng, 1)
-        analytic = task.per_sample_gradients(w, batch)[0]
+        analytic = per_sample_gradients(task, w, batch)[0]
         numeric = fd_gradient(task, w, batch)
         scale = max(np.linalg.norm(analytic), 1.0)
         assert np.linalg.norm(analytic - numeric) / scale <= 1e-4
@@ -132,7 +134,7 @@ def test_mlp_hessian_forms_match_gradient_finite_difference():
     vs = rng.standard_normal((5, task.dimension))
 
     def batch_gradient(p):
-        return task.per_sample_gradients(p, batch).mean(axis=0)
+        return per_sample_gradients(task, p, batch).mean(axis=0)
 
     # reference: v^T times the central difference of the batch gradient along v
     h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(w))
@@ -187,7 +189,7 @@ def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, ru
     # row 0's target is the model's own prediction, so its gradient is exactly 0
     y[0] = task.forward(w, x)[0]
     batch = (x, y)
-    grads = task.per_sample_gradients(w, batch)
+    grads = per_sample_gradients(task, w, batch)
     norms = np.linalg.norm(grads, axis=1)
     assert norms[0] == 0.0
     seen = []
@@ -206,12 +208,6 @@ def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, ru
         assert np.allclose(ghost_norms, norms, rtol=1e-12, atol=0.0)
     # the scale of the sum's terms, so cancellation between rows does not matter
     assert np.linalg.norm(total - factors @ grads) <= 1e-12 * (factors @ norms)
-
-
-class StackedMlp(TinyMlpTask):
-    """The MLP with the generic, per-sample-gradient curvature path."""
-
-    gradient_hessian_forms = DifferentiableTask.gradient_hessian_forms
 
 
 @given(
@@ -235,11 +231,11 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     # row 0's target is the model's own prediction, so its gradient is exactly 0
     y[0] = task.forward(w, x)[0]
     batch = (x, y)
-    grads = task.per_sample_gradients(w, batch)
+    grads = per_sample_gradients(task, w, batch)
     assert not grads[0].any()
 
     g_hat, forms, g_h_g = task.gradient_hessian_forms(w, batch)
-    ref_g, ref_forms, ref_g_h_g = DifferentiableTask.gradient_hessian_forms(task, w, batch)
+    ref_g, ref_forms, ref_g_h_g = stacked_gradient_hessian_forms(task, w, batch)
     assert forms.shape == (m,)
     # the scale of the forms, so cancellation inside one form does not matter
     tol = 1e-10 * np.abs(ref_forms).sum()
@@ -248,11 +244,76 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     assert np.linalg.norm(g_hat - ref_g) <= 1e-12 * np.linalg.norm(grads, axis=1).sum()
 
     snap = stats_snapshot(task, w, batch, 4, np.random.default_rng(seed))
-    ref = stats_snapshot(StackedMlp(**shape), w, batch, 4, np.random.default_rng(seed))
+    stacked = SimpleNamespace(
+        dimension=task.dimension,
+        hessian_forms=task.hessian_forms,
+        gradient_hessian_forms=lambda w, batch: stacked_gradient_hessian_forms(task, w, batch),
+    )
+    ref = stats_snapshot(stacked, w, batch, 4, np.random.default_rng(seed))
     for field in fields(ref):
         assert getattr(snap, field.name) == pytest.approx(
             getattr(ref, field.name), rel=1e-12, abs=0.0
         ), field.name
+
+
+def logistic_batch_with_zero_row(seed, m, scale):
+    """A logistic task, parameters, and a batch whose sample 0 has zero features."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 5))
+    x[0] = 0.0  # so sample 0's gradient is exactly 0
+    task = LogisticTask(x, (rng.random(40) < 0.5).astype(int))
+    batch = rng.integers(40, size=m)
+    batch[0] = 0
+    return task, scale * rng.standard_normal(5), batch
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=12),
+    scale=st.floats(min_value=0.1, max_value=3.0),
+    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule.reparam(0.7)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_logistic_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, rule):
+    task, w, batch = logistic_batch_with_zero_row(seed, m, scale)
+    grads = per_sample_gradients(task, w, batch)
+    norms = np.linalg.norm(grads, axis=1)
+    assert norms[0] == 0.0
+    seen = []
+
+    def weight_of_norms(g_norms):
+        seen.append(g_norms)
+        return clip_factors(g_norms, rule)
+
+    loss, total = task.loss_and_weighted_gradient_sum(
+        w, batch, None if rule is None else weight_of_norms
+    )
+    assert loss == task.batch_loss(w, batch)
+    factors = np.ones(m) if rule is None else clip_factors(norms, rule)
+    if rule is not None:
+        (ghost_norms,) = seen
+        assert np.allclose(ghost_norms, norms, rtol=1e-12, atol=0.0)
+    assert np.linalg.norm(total - factors @ grads) <= 1e-12 * (factors @ norms)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=2, max_value=64),
+    scale=st.floats(min_value=0.1, max_value=3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_logistic_ghost_curvature_matches_stacked_gradients(seed, m, scale):
+    task, w, batch = logistic_batch_with_zero_row(seed, m, scale)
+    grads = per_sample_gradients(task, w, batch)
+    g_hat, forms, g_h_g = task.gradient_hessian_forms(w, batch)
+    ref_g, ref_forms, ref_g_h_g = stacked_gradient_hessian_forms(task, w, batch)
+    assert forms.shape == (m,)
+    tol = 1e-10 * np.abs(ref_forms).sum()
+    assert np.abs(forms - ref_forms).max() <= tol
+    assert abs(g_h_g - ref_g_h_g) <= tol
+    assert np.linalg.norm(g_hat - ref_g) <= 1e-12 * np.linalg.norm(grads, axis=1).sum()
+    # sample 0's centered gradient is -g_hat
+    assert forms[0] == pytest.approx(g_h_g, rel=1e-12, abs=0.0)
 
 
 class TestPopulationStats:
@@ -314,7 +375,7 @@ class TestEmpiricalMoments:
         w = np.ones(task.dimension)
         m = 10_000
         batch = task.draw_batch(rng, m)
-        grads = task.per_sample_gradients(w, batch)
+        grads = per_sample_gradients(task, w, batch)
         g_hat = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(m)
         g = task.population_gradient(w)

@@ -98,6 +98,16 @@ class TestDeltaLPrivStar:
             assert star >= best - 1e-12
             assert star == pytest.approx(best, rel=1e-6)
 
+    def test_is_half_the_squared_gradient_norm_over_the_denominator(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            inputs = random_inputs(rng)
+            b = rng.uniform(1, 500)
+            denom = pred.denominator(b, inputs)
+            assert pred.delta_l_priv_star(b, inputs) == 0.5 * inputs.g_norm_sq**2 / denom
+            public = pred.denominator(b, replace(inputs, sigma=0.0))
+            assert public + pred.decelerator(inputs.with_batch(b)) == denom
+
     def test_negative_curvature_rejected(self):
         inputs = pred.ImprovementInputs(
             g_norm_sq=1.0, g_h_g=-5.0, tr_h=1.0, tr_h_sigma=0.1, sigma=0.0, batch_size=10.0
