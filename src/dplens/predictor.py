@@ -18,9 +18,10 @@ public/private mixing ratio) and cumulative schedule comparisons.  Every
 form reads one :class:`ImprovementInputs`; :meth:`ImprovementInputs.from_stats`
 builds it from exact or measured curvature statistics.  The public special
 case is sigma = 0: :func:`delta_l_pub_star` is :func:`delta_l_priv_star`
-there.  :func:`denominator` is the one source of the denominator above.  The mixed public/private forms take the inputs, whose ``batch_size``
-is the private batch, plus the public batch size ``b_public``.  All
-functions are pure.
+there.  :func:`denominator` is the one source of the denominator of dL*(B).
+The mixed public/private forms take the inputs, whose ``batch_size`` is the
+private batch, plus the public batch size ``b_public``.  All functions are
+pure.
 """
 
 from __future__ import annotations

@@ -129,4 +129,3 @@ class TestPrivatizeGradient:
             privatize_gradient(np.ones((2, 2)), AUTO, -0.1)
         with pytest.raises(ValueError):
             privatize_gradient(np.ones((2, 2)), AUTO, 1.0, None)
-
