@@ -346,6 +346,12 @@ def _reinit_head(task, w: Array, rng: np.random.Generator) -> None:
     w[sl] = 0.1 * rng.standard_normal(sl.stop - sl.start)
 
 
+# The oracle's draw-order unit (floats of samples per chunk) and its memory
+# bound (floats of per-sample gradients per block); see the docstring below.
+_ORACLE_CHUNK_FLOATS = 2_000_000
+_ORACLE_BLOCK_FLOATS = 2**15
+
+
 def empirical_improvement_oracle(
     task: QuadraticTask,
     w: Array,
@@ -363,6 +369,16 @@ def empirical_improvement_oracle(
     task makes both evaluations closed-form, so the only error is sampling
     noise.  This is the toolkit's independent check of the improvement
     predictors.
+
+    Trials run in chunks of ``_ORACLE_CHUNK_FLOATS / (b d)`` trials, and the
+    chunk is the unit of draw order: all of a chunk's samples come from
+    ``rng`` first, then all of its noise.  The chunk size therefore fixes
+    every output byte.  Within a chunk, samples are drawn and reduced to
+    ``sum_i C_i g_i`` in blocks of ``_ORACLE_BLOCK_FLOATS / (b d)`` trials
+    (at least one), so the largest transient is one block's ``(k b, d)``
+    gradients, not the chunk's.  Splitting a normal draw into consecutive
+    pieces gives the same stream, and every other step works row by row, so
+    the block size moves no byte.
     """
     if not isinstance(task, QuadraticTask):
         raise TypeError("the improvement oracle requires a QuadraticTask")
@@ -372,19 +388,24 @@ def empirical_improvement_oracle(
         raise ValueError("eta must be nonnegative")
     w = np.asarray(w, dtype=float)
     d = task.dimension
+    weights = clip_weights(rule)
     loss_before = task.population_loss(w)
-    chunk = max(1, int(2_000_000 / (b * d)))  # bound transient memory
-    pieces = []
+    chunk = max(1, int(_ORACLE_CHUNK_FLOATS / (b * d)))
+    block = max(1, _ORACLE_BLOCK_FLOATS // (b * d))
+    improvements = np.empty(trials)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        samples = task.draw_batch(rng, n * b).reshape(n, b, d)
-        grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
-        steps = noised_mean(weighted_gradient_sums(grads, clip_weights(rule)), b, sigma, rng)
+        totals = np.empty((n, d))
+        for start in range(0, n, block):
+            k = min(block, n - start)
+            samples = task.draw_batch(rng, k * b)
+            grads = task.per_sample_gradients(w, samples)
+            totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
+        steps = noised_mean(totals, b, sigma, rng)
         w_next = w[None, :] - eta * steps
-        pieces.append(loss_before - task.population_losses(w_next))
+        improvements[done:done + n] = loss_before - task.population_losses(w_next)
         done += n
-    improvements = np.concatenate(pieces)
     return Estimate(
         estimate=float(improvements.mean()),
         standard_error=float(improvements.std(ddof=1) / np.sqrt(trials)),

@@ -3,8 +3,9 @@
 Each is the plain, per-sample form of something the package computes in a
 vectorised or fused way: the stacked per-sample gradients of each task, the
 curvature forms of those stacked gradients, the scalar clip factor, the
-privatized gradient of an explicit per-sample gradient matrix, and the
-empirical gradient moments.
+privatized gradient of an explicit per-sample gradient matrix, the
+empirical gradient moments, and the improvement oracle that stacks each
+chunk's ``(trials, B, d)`` gradients at once.
 """
 
 import numpy as np
@@ -89,3 +90,29 @@ def empirical_moments(task, w, m, rng):
     centered = grads - g_hat[None, :]
     sigma_hat = centered.T @ centered / (m - 1)
     return g_hat, sigma_hat
+
+
+def stacked_improvement_oracle(task, w, eta, b, rule, sigma, trials, rng):
+    """``trainer.empirical_improvement_oracle`` with each chunk's gradients
+    stacked as one ``(n, B, d)`` array, as the oracle computed them before it
+    reduced them block by block.  Returns the improvement's (estimate,
+    standard error)."""
+    w = np.asarray(w, dtype=float)
+    d = task.dimension
+    loss_before = task.population_loss(w)
+    chunk = max(1, int(2_000_000 / (b * d)))  # bound transient memory
+    pieces = []
+    done = 0
+    while done < trials:
+        n = min(chunk, trials - done)
+        samples = task.draw_batch(rng, n * b).reshape(n, b, d)
+        grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
+        steps = noised_mean(weighted_gradient_sums(grads, clip_weights(rule)), b, sigma, rng)
+        w_next = w[None, :] - eta * steps
+        pieces.append(loss_before - task.population_losses(w_next))
+        done += n
+    improvements = np.concatenate(pieces)
+    return (
+        float(improvements.mean()),
+        float(improvements.std(ddof=1) / np.sqrt(trials)),
+    )

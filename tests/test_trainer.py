@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dplens.trainer import (
     four_way_comparison,
     optimizer_direction,
 )
-from reference import per_sample_gradients
+from reference import per_sample_gradients, stacked_improvement_oracle
 
 REPARAM1 = ClippingRule.reparam(1.0)
 
@@ -431,6 +432,65 @@ class TestImprovementOracle:
                 task, np.ones(task.dimension), 0.1, 4, None, 0.0, 99,
                 np.random.default_rng(0),
             )
+
+
+def wide_quadratic(d, seed=20):
+    """A d-dimensional quadratic with a dense A and a dense sample covariance."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d))
+    f = rng.standard_normal((d, d))
+    return QuadraticTask(m @ m.T / d + 0.1 * np.eye(d), rng.standard_normal(d),
+                         0.001 * (f @ f.T / d))
+
+
+class TestStreamedOracle:
+    """The oracle reduces each chunk block by block; the bytes are those of
+    the stacked reference, and the generator ends in the same state."""
+
+    @pytest.mark.parametrize(
+        "d, b, trials, rule, sigma",
+        [
+            # 122/122/6-trial chunks in blocks of 2
+            (64, 256, 250, ClippingRule.reparam(0.5), 0.5),
+            (64, 256, 250, None, 0.5),
+            (64, 256, 250, ClippingRule.auto(), 0.0),
+            # b d > 2^15: one-trial blocks, 30/30/30/10-trial chunks
+            (64, 1024, 100, ClippingRule.auto(), 0.5),
+            (64, 1024, 100, None, 0.0),
+            # blocks of 3 with a one-trial remainder in a 208-trial chunk
+            (48, 200, 250, ClippingRule.reparam(0.5), 0.5),
+            # one chunk, and a block longer than it
+            (4, 8, 300, ClippingRule.reparam(0.5), 0.5),
+        ],
+    )
+    def test_matches_stacked_reference(self, d, b, trials, rule, sigma):
+        task = wide_quadratic(d)
+        w = task.x_mean + 0.3 * np.random.default_rng(21).standard_normal(d)
+        rng = np.random.default_rng(22)
+        ref_rng = np.random.default_rng(22)
+        result = empirical_improvement_oracle(task, w, 0.2, b, rule, sigma, trials, rng)
+        estimate, standard_error = stacked_improvement_oracle(
+            task, w, 0.2, b, rule, sigma, trials, ref_rng
+        )
+        assert result.estimate == estimate
+        assert result.standard_error == standard_error
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_traced_peak_is_one_block(self):
+        # the oracle_quad shape: one (trials, B, d) array of a 122-trial
+        # chunk is 15 MiB, and the stacked form holds about five at once
+        task = wide_quadratic(64)
+        w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
+        rng = np.random.default_rng(24)
+        tracemalloc.start()
+        try:
+            empirical_improvement_oracle(
+                task, w, 0.2, 256, ClippingRule.reparam(1.0), 0.5, 250, rng
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestFourWay:
