@@ -15,15 +15,18 @@ epsilon, so the duality is also provided in log(delta), which stays finite
 and keeps mu recoverable across the whole mu range, including where delta is
 within rounding of 1.  The plain (epsilon, delta) functions remain the
 primary interface.
+
+scipy supplies log Phi (``scipy.special.log_ndtr``).  It loads on the first
+call of :func:`mu_to_log_delta`, not with the package, so subcommands that
+never account for privacy do not pay its import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-
-from scipy.special import log_ndtr
 
 MU_BRACKET = (1e-8, 1e4)
 SIGMA_MAX = 1e6
@@ -62,6 +65,14 @@ def _log1mexp(q: float) -> float:
     return math.log(-math.expm1(q))
 
 
+@functools.cache
+def _log_ndtr():
+    """scipy's log Phi, imported on first use and then held."""
+    from scipy.special import log_ndtr
+
+    return log_ndtr
+
+
 def mu_to_log_delta(mu: float, epsilon: float) -> float:
     """log delta(eps; mu), finite even where delta underflows to zero.
 
@@ -73,6 +84,7 @@ def mu_to_log_delta(mu: float, epsilon: float) -> float:
         raise ValueError("mu must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    log_ndtr = _log_ndtr()
     a = -epsilon / mu + mu / 2.0
     b = -epsilon / mu - mu / 2.0
     log_a = float(log_ndtr(a))

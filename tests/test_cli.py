@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -525,3 +528,29 @@ class TestSvg:
         text = emit_svg_lineplot(table, columns, tmp_path / "plot.svg").read_text()
         # val_loss is set at the 10 epoch ends, tr_H on all 80 rows
         assert [len(points) for points in polyline_points(text)] == [10, 80]
+
+
+def test_scipy_loads_with_privacy_accounting_only(tmp_path):
+    # a fresh process shows what the import and each run load: the oracle
+    # and a train run with an explicit sigma need no scipy, and a continual
+    # run that calibrates sigma from its privacy block loads it
+    script = (
+        "import sys\n"
+        "from dplens.cli import run_subcommand\n"
+        "def run(command, name):\n"
+        f"    path = {str(CONFIG_DIR)!r} + '/' + name\n"
+        f"    assert run_subcommand([command, '--config', path, '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported with dplens.cli'\n"
+        "run('oracle', 'oracle_small.json')\n"
+        "run('train', 'train_logistic.json')\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported by a run with no accounting'\n"
+        "run('continual', 'continual_demo.json')\n"
+        "assert 'scipy.special' in sys.modules, 'calibrating sigma did not load scipy'\n"
+    )
+    env = dict(os.environ)
+    src = str(CONFIG_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
