@@ -498,7 +498,7 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
             row += [""] * 5
         else:
             decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
-                predictor.ImprovementInputs.from_stats(h, r.sigma, batch_size, c=1.0)
+                batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma, batch_size, c=1.0)
             )
             row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
     return Table(TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows, run.abort_reason)
@@ -548,7 +548,7 @@ def _predict_row(base: predictor.ImprovementInputs, b: float, b_pub, b_priv) -> 
         b,
         predictor.delta_l_pub_star(b, inputs),
         predictor.delta_l_priv_star(b, inputs),
-        predictor.decelerator(inputs),
+        predictor.decelerator(b, inputs),
         b_star,
         alpha,
     ]
@@ -576,7 +576,7 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
                     b,
                     b * inputs.g_h_g,
                     inputs.tr_h_sigma,
-                    predictor.decelerator(inputs),
+                    predictor.decelerator(b, inputs),
                     predictor.denominator(b, inputs),
                     predictor.denominator(b, replace(inputs, sigma=0.0)),
                     predictor.delta_l_priv_star(b, inputs),

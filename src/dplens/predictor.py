@@ -128,12 +128,12 @@ def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
 
 def denominator(b: float, inputs: ImprovementInputs) -> float:
     """The denominator B G^T H G + tr(H Sigma) + sigma^2 tr(H)/(B c^2) of dL*(B)."""
-    return b * inputs.g_h_g + inputs.tr_h_sigma + decelerator(inputs.with_batch(b))
+    return b * inputs.g_h_g + inputs.tr_h_sigma + decelerator(b, inputs)
 
 
-def decelerator(inputs: ImprovementInputs) -> float:
-    """The private-only denominator term sigma^2 tr(H) / (B c^2)."""
-    return inputs.sigma**2 * inputs.tr_h / (inputs.batch_size * inputs.c**2)
+def decelerator(b: float, inputs: ImprovementInputs) -> float:
+    """The private-only denominator term sigma^2 tr(H) / (B c^2) at batch size B."""
+    return inputs.sigma**2 * inputs.tr_h / (b * inputs.c**2)
 
 
 def optimal_batch_dp(inputs: ImprovementInputs) -> float:

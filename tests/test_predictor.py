@@ -106,7 +106,7 @@ class TestDeltaLPrivStar:
             denom = pred.denominator(b, inputs)
             assert pred.delta_l_priv_star(b, inputs) == 0.5 * inputs.g_norm_sq**2 / denom
             public = pred.denominator(b, replace(inputs, sigma=0.0))
-            assert public + pred.decelerator(inputs.with_batch(b)) == denom
+            assert public + pred.decelerator(b, inputs) == denom
 
     def test_negative_curvature_rejected(self):
         inputs = pred.ImprovementInputs(
@@ -142,19 +142,17 @@ class TestDeltaLPub:
 class TestDecelerator:
     def test_zero_noise_vanishes(self):
         inputs = random_inputs(np.random.default_rng(7), sigma=0.0)
-        assert pred.decelerator(inputs) == 0.0
+        assert pred.decelerator(inputs.batch_size, inputs) == 0.0
 
     def test_pretraining_parameters(self):
-        assert pred.decelerator(PRETRAIN.with_batch(1000.0)) == pytest.approx(5e4)
+        assert pred.decelerator(1000.0, PRETRAIN) == pytest.approx(5e4)
 
     def test_finetuning_parameters(self):
-        assert pred.decelerator(FINETUNE.with_batch(1000.0)) == pytest.approx(500.0)
+        assert pred.decelerator(1000.0, FINETUNE) == pytest.approx(500.0)
 
     def test_decreasing_in_batch(self):
         inputs = random_inputs(np.random.default_rng(8))
-        assert pred.decelerator(inputs.with_batch(100.0)) < pred.decelerator(
-            inputs.with_batch(10.0)
-        )
+        assert pred.decelerator(100.0, inputs) < pred.decelerator(10.0, inputs)
 
 
 def grid_argmax_batch(inputs, lo=1.0, hi=1e6, points=2_000_001):
