@@ -30,22 +30,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is first imported
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from dplens.cli import run_subcommand  # noqa: E402
+from test_cli import SHIPPED_CONFIGS  # noqa: E402
 from workloads import WORKLOADS, config_for  # noqa: E402
 
-# the subcommand each shipped config is written for
-SHIPPED = {
-    "breakdown.json": "fig-breakdown",
-    "calibrate_bench.json": "calibrate",
-    "continual_demo.json": "continual",
-    "fourway_mlp.json": "fourway",
-    "mia_toy.json": "mia",
-    "oracle_small.json": "oracle",
-    "sweep_batch.json": "sweep-batch",
-    "train_logistic.json": "train",
-}
 # plots of training tables: most continual rows have empty val_loss and tr_H
 # cells, and the fourway table holds five seeds on a log y axis
 PLOTS = {
@@ -59,12 +49,12 @@ BENCH_REPS = range(3)
 def _runs(scratch: Path):
     """(label, subcommand, config path) of every config to digest."""
     for path in sorted((ROOT / "configs").glob("*.json")):
-        yield f"configs/{path.name}", SHIPPED[path.name], path
+        yield f"configs/{path.name}", SHIPPED_CONFIGS[path.name], path
     for name, plot in sorted(PLOTS.items()):
         path = scratch / f"plot-{name}"
         cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
         path.write_text(json.dumps({**cfg, "plot": plot}), encoding="utf-8")
-        yield f"configs/{name}+plot", SHIPPED[name], path
+        yield f"configs/{name}+plot", SHIPPED_CONFIGS[name], path
     for name, workload in sorted(WORKLOADS.items()):
         for rep in BENCH_REPS:
             label = f"bench/{name}-{BENCH_SEED}-{rep}"

@@ -23,7 +23,8 @@ from dplens.cli import (
 from dplens.model import QuadraticTask, TinyMlpTask
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-# the subcommand each shipped config is written for
+# the subcommand each shipped config is written for; scripts/config_digests.py
+# reads this map too
 SHIPPED_CONFIGS = {
     "breakdown.json": "fig-breakdown",
     "calibrate_bench.json": "calibrate",
@@ -31,6 +32,7 @@ SHIPPED_CONFIGS = {
     "fourway_mlp.json": "fourway",
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
+    "predict.json": "predict",
     "sweep_batch.json": "sweep-batch",
     "train_logistic.json": "train",
 }
@@ -148,6 +150,27 @@ class TestConfigHandling:
         cfg = sweep_config()
         canon = canonical_config(cfg)
         assert canonical_config(json.loads(canon)) == canon
+
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("predict", {"inputs": {**sweep_config()["inputs"], "batch_size": 0}}),
+            ("sweep-batch", {"batch_grid": [10.0, 0.0]}),
+            ("sweep-batch", {"b_private": 0}),
+            ("sweep-batch", {"b_public": 0}),
+            ("fig-breakdown", {"batch_grid": [10.0, 0.0]}),
+            ("fig-breakdown", {"batch_grid": [10.0, -5.0]}),
+        ],
+    )
+    def test_nonpositive_batch_size_is_a_config_error(self, command, change, tmp_path, capsys):
+        payload = {**sweep_config(), **change}
+        if command == "predict":
+            del payload["batch_grid"]
+        if command == "fig-breakdown":
+            payload["cases"] = {"case": payload.pop("inputs")}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         payload = sweep_config()
