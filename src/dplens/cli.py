@@ -39,8 +39,10 @@ class ConfigError(Exception):
 # --------------------------------------------------------------------------
 
 _NUM = {"type": "number"}
+_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _NUM_GRID = {"type": "array", "items": _NUM, "minItems": 1}
+_POS_NUM_GRID = {"type": "array", "items": _POS_NUM, "minItems": 1}
 _INT_GRID = {"type": "array", "items": _POS_INT, "minItems": 1}
 
 _TASK_SCHEMA = {
@@ -113,7 +115,7 @@ _INPUTS_SCHEMA = {
         "tr_h_sigma": _NUM,
         "sigma": _NUM,
         "c": _NUM,
-        "batch_size": _NUM,
+        "batch_size": _POS_NUM,
     },
 }
 
@@ -170,8 +172,8 @@ CONFIG_SCHEMAS = {
         "properties": {
             **_COMMON,
             "inputs": _INPUTS_SCHEMA,
-            "b_public": _NUM,
-            "b_private": _NUM,
+            "b_public": _POS_NUM,
+            "b_private": _POS_NUM,
         },
     },
     "sweep-batch": {
@@ -181,9 +183,9 @@ CONFIG_SCHEMAS = {
         "properties": {
             **_COMMON,
             "inputs": _INPUTS_SCHEMA,
-            "batch_grid": _NUM_GRID,
-            "b_public": _NUM,
-            "b_private": _NUM,
+            "batch_grid": _POS_NUM_GRID,
+            "b_public": _POS_NUM,
+            "b_private": _POS_NUM,
         },
     },
     "fig-breakdown": {
@@ -197,7 +199,7 @@ CONFIG_SCHEMAS = {
                 "minProperties": 1,
                 "additionalProperties": _INPUTS_SCHEMA,
             },
-            "batch_grid": _NUM_GRID,
+            "batch_grid": _POS_NUM_GRID,
         },
     },
     "oracle": {
@@ -398,15 +400,9 @@ def clipping_from_config(cfg: dict | None) -> clipping.ClippingRule | None:
 
 
 def inputs_from_config(cfg: dict) -> predictor.ImprovementInputs:
-    return predictor.ImprovementInputs(
-        g_norm_sq=cfg["g_norm_sq"],
-        g_h_g=cfg["g_h_g"],
-        tr_h=cfg["tr_h"],
-        tr_h_sigma=cfg["tr_h_sigma"],
-        sigma=cfg["sigma"],
-        c=cfg.get("c", 1.0),
-        batch_size=cfg.get("batch_size", 1.0),
-    )
+    """The predictor inputs of an ``inputs`` block: every key but ``batch_size``."""
+    fields = {key: value for key, value in cfg.items() if key != "batch_size"}
+    return predictor.ImprovementInputs(**fields)
 
 
 def schedule_from_config(cfg: dict | None) -> predictor.AlphaSchedule | None:
@@ -498,7 +494,7 @@ def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
             row += [""] * 5
         else:
             decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
-                batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma, batch_size, c=1.0)
+                batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma)
             )
             row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
     return Table(TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows, run.abort_reason)
@@ -533,15 +529,13 @@ def _run_calibrate(cfg: dict, seed: int) -> Table:
 PREDICT_HEADER = "B,delta_pub_star,delta_priv_star,decelerator,B_star,alpha_star"
 
 
-def _predict_row(base: predictor.ImprovementInputs, b: float, b_pub, b_priv) -> list:
-    inputs = base.with_batch(b)
+def _predict_row(inputs: predictor.ImprovementInputs, b: float, b_public, b_private) -> list:
     try:
         b_star = predictor.optimal_batch_dp(inputs)
     except predictor.NoInteriorOptimumError:
         b_star = ""
-    private = inputs.with_batch(b_priv) if b_priv is not None else inputs
     try:
-        alpha = predictor.optimal_mix_alpha(private, b_pub if b_pub is not None else b)
+        alpha = predictor.optimal_mix_alpha(inputs, b_public, b_private)
     except predictor.SaddleOrDegenerateError:
         alpha = ""
     return [
@@ -556,20 +550,21 @@ def _predict_row(base: predictor.ImprovementInputs, b: float, b_pub, b_priv) -> 
 
 def _run_sweep_batch(cfg: dict, seed: int) -> Table:
     """One row per ``batch_grid`` entry; ``predict`` has no grid and gets the
-    one row at the inputs' own batch size."""
-    base = inputs_from_config(cfg["inputs"])
-    grid = cfg.get("batch_grid", [base.batch_size])
-    rows = [_predict_row(base, b, cfg.get("b_public"), cfg.get("b_private")) for b in grid]
+    one row at ``inputs.batch_size``.  The mixing batches default to the row's B."""
+    inputs = inputs_from_config(cfg["inputs"])
+    grid = cfg.get("batch_grid", [cfg["inputs"].get("batch_size", 1.0)])
+    rows = [
+        _predict_row(inputs, b, cfg.get("b_public", b), cfg.get("b_private", b)) for b in grid
+    ]
     return Table(PREDICT_HEADER, rows)
 
 
 def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
     rows = []
     for name in sorted(cfg["cases"]):
-        base = inputs_from_config(cfg["cases"][name])
-        b_star = predictor.optimal_batch_dp(base) if base.sigma > 0 else ""
+        inputs = inputs_from_config(cfg["cases"][name])
+        b_star = predictor.optimal_batch_dp(inputs) if inputs.sigma > 0 else ""
         for b in cfg["batch_grid"]:
-            inputs = base.with_batch(b)
             rows.append(
                 [
                     name,
@@ -604,8 +599,8 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     for eta in cfg["eta_grid"]:
         for b in cfg["batch_grid"]:
             for sigma in cfg["sigma_grid"]:
-                inputs = predictor.ImprovementInputs.from_stats(stats, sigma, b)
-                closed = predictor.delta_l_priv(eta, inputs)
+                inputs = predictor.ImprovementInputs.from_stats(stats, sigma)
+                closed = predictor.delta_l_priv(eta, b, inputs)
                 mc = trainer.empirical_improvement_oracle(
                     task, w, eta, b, rule, sigma, cfg["trials"], rng
                 )

@@ -19,9 +19,9 @@ form reads one :class:`ImprovementInputs`; :meth:`ImprovementInputs.from_stats`
 builds it from exact or measured curvature statistics.  The public special
 case is sigma = 0: :func:`delta_l_pub_star` is :func:`delta_l_priv_star`
 there.  :func:`denominator` is the one source of the denominator of dL*(B).
-The mixed public/private forms take the inputs, whose ``batch_size`` is the
-private batch, plus the public batch size ``b_public``.  All functions are
-pure.
+The inputs hold no batch size: every form that depends on B takes it as an
+argument, and the mixed public/private forms take the public and the private
+batch sizes ``b_public`` and ``b_private``.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class ImprovementInputs:
     tr_h_sigma: float
     sigma: float
     c: float = 1.0
-    batch_size: float = 1.0
 
     def __post_init__(self):
         if self.g_norm_sq < 0:
@@ -65,12 +64,10 @@ class ImprovementInputs:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 < self.c <= 1.0:
             raise ValueError("clip scale c must lie in (0, 1]")
-        if self.batch_size <= 0:
-            raise ValueError("batch size must be positive")
 
     @classmethod
     def from_stats(
-        cls, stats: HessianStats, sigma: float, batch_size: float, c: float = 1.0
+        cls, stats: HessianStats, sigma: float, c: float = 1.0
     ) -> "ImprovementInputs":
         """Predictor inputs from exact or measured curvature statistics."""
         return cls(
@@ -80,21 +77,19 @@ class ImprovementInputs:
             tr_h_sigma=stats.tr_h_sigma,
             sigma=sigma,
             c=c,
-            batch_size=batch_size,
         )
-
-    def with_batch(self, batch_size: float) -> "ImprovementInputs":
-        return replace(self, batch_size=batch_size)
 
 
 # -- single-route improvement forms -----------------------------------------
 
 
-def delta_l_priv(eta: float, inputs: ImprovementInputs) -> float:
-    """Expected one-step improvement of privatized SGD at learning rate eta."""
+def delta_l_priv(eta: float, b: float, inputs: ImprovementInputs) -> float:
+    """Expected one-step improvement of privatized SGD at learning rate eta, batch B."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    b, c, sigma = inputs.batch_size, inputs.c, inputs.sigma
+    if b <= 0:
+        raise ValueError("batch size must be positive")
+    c, sigma = inputs.c, inputs.sigma
     curvature = (
         c * c * inputs.g_h_g
         + c * c * inputs.tr_h_sigma / b
@@ -106,7 +101,7 @@ def delta_l_priv(eta: float, inputs: ImprovementInputs) -> float:
 def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
     """Per-sample improvement at the optimal learning rate, batch size B.
 
-    Equals max_eta delta_l_priv(eta) / B; at sigma = 0 it is
+    Equals max_eta delta_l_priv(eta, B) / B; at sigma = 0 it is
     :func:`delta_l_pub_star`.
     """
     if b <= 0:
@@ -158,18 +153,20 @@ def optimal_batch_dp(inputs: ImprovementInputs) -> float:
 
 
 def mixed_quadratic_coefficients(
-    inputs: ImprovementInputs, b_public: float
+    inputs: ImprovementInputs, b_public: float, b_private: float
 ) -> tuple[float, float, float, float, float]:
     """Coefficients (A, B, C, D, E) of the bivariate improvement quadratic.
 
     The improvement as a function of the split learning rates
     (eta_pub, eta_priv) is -(A eta_pub^2 + B eta_priv^2 + C eta_pub
     + D eta_priv + E eta_pub eta_priv).  The public mini-batch has
-    ``b_public`` samples and the private one ``inputs.batch_size``.
+    ``b_public`` samples and the private one ``b_private``.
     """
     if b_public <= 0:
         raise ValueError("public batch size must be positive")
-    c, b_private = inputs.c, inputs.batch_size
+    if b_private <= 0:
+        raise ValueError("private batch size must be positive")
+    c = inputs.c
     a = 0.5 * inputs.g_h_g + 0.5 * inputs.tr_h_sigma / b_public
     b = (
         0.5 * c * c * inputs.g_h_g
@@ -183,7 +180,7 @@ def mixed_quadratic_coefficients(
 
 
 def mixed_improvement(
-    eta0: float, eta1: float, inputs: ImprovementInputs, b_public: float
+    eta0: float, eta1: float, inputs: ImprovementInputs, b_public: float, b_private: float
 ) -> float:
     """Expected one-step improvement of the mixed gradient.
 
@@ -193,7 +190,7 @@ def mixed_improvement(
     """
     if eta0 < 0 or eta1 < 0:
         raise ValueError("split learning rates must be nonnegative")
-    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public)
+    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public, b_private)
     return -(
         a * eta0 * eta0
         + b * eta1 * eta1
@@ -204,9 +201,9 @@ def mixed_improvement(
 
 
 def _mixed_stationary_point(
-    inputs: ImprovementInputs, b_public: float
+    inputs: ImprovementInputs, b_public: float, b_private: float
 ) -> tuple[float, float, float]:
-    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public)
+    a, b, c_lin, d_lin, e = mixed_quadratic_coefficients(inputs, b_public, b_private)
     det = 4.0 * a * b - e * e
     if det <= 0 or a <= 0:
         raise SaddleOrDegenerateError(
@@ -218,35 +215,43 @@ def _mixed_stationary_point(
     return eta0, eta1, value
 
 
-def optimal_mixed_improvement(inputs: ImprovementInputs, b_public: float) -> float:
+def optimal_mixed_improvement(
+    inputs: ImprovementInputs, b_public: float, b_private: float
+) -> float:
     """Improvement at the jointly optimal split learning rates."""
-    return _mixed_stationary_point(inputs, b_public)[2]
+    return _mixed_stationary_point(inputs, b_public, b_private)[2]
 
 
-def only_public_optimum(inputs: ImprovementInputs, b_public: float) -> float:
+def only_public_optimum(
+    inputs: ImprovementInputs, b_public: float, b_private: float
+) -> float:
     """Best improvement restricted to the public gradient alone."""
-    a, _, c_lin, _, _ = mixed_quadratic_coefficients(inputs, b_public)
+    a, _, c_lin, _, _ = mixed_quadratic_coefficients(inputs, b_public, b_private)
     if a <= 0:
         raise SaddleOrDegenerateError("public-only improvement is unbounded")
     return c_lin**2 / (4.0 * a)
 
 
-def only_private_optimum(inputs: ImprovementInputs, b_public: float) -> float:
+def only_private_optimum(
+    inputs: ImprovementInputs, b_public: float, b_private: float
+) -> float:
     """Best improvement restricted to the privatized gradient alone."""
-    _, b, _, d_lin, _ = mixed_quadratic_coefficients(inputs, b_public)
+    _, b, _, d_lin, _ = mixed_quadratic_coefficients(inputs, b_public, b_private)
     if b <= 0:
         raise SaddleOrDegenerateError("private-only improvement is unbounded")
     return d_lin**2 / (4.0 * b)
 
 
-def optimal_mix_alpha(inputs: ImprovementInputs, b_public: float) -> float:
+def optimal_mix_alpha(
+    inputs: ImprovementInputs, b_public: float, b_private: float
+) -> float:
     """Optimal public weight alpha* = eta0* / (eta0* + eta1*).
 
     Strictly interior in (0, 1) whenever the quadratic has an interior
     maximum: both data kinds help.  Out-of-range values under extreme
     inputs are clamped with a warning.
     """
-    eta0, eta1, _ = _mixed_stationary_point(inputs, b_public)
+    eta0, eta1, _ = _mixed_stationary_point(inputs, b_public, b_private)
     total = eta0 + eta1
     if total <= 0:
         raise SaddleOrDegenerateError("optimal split learning rates are degenerate")
@@ -338,14 +343,14 @@ class ScheduleComparison:
 
 
 def schedule_cumulative(
-    stats_sequence: Sequence[ImprovementInputs], s: float
+    stats_sequence: Sequence[ImprovementInputs], b: float, s: float
 ) -> ScheduleComparison:
     """Cumulative optimal improvement of a public-then-private schedule.
 
-    Sums the per-sample optimal improvements over the iteration sequence,
-    activating each step's decelerator only from iteration s*T onward, and
-    compares against the fully public sum.  The gap is exactly the total
-    improvement forfeited to the decelerator.
+    Sums the per-sample optimal improvements at batch size B over the
+    iteration sequence, activating each step's decelerator only from
+    iteration s*T onward, and compares against the fully public sum.  The
+    gap is exactly the total improvement forfeited to the decelerator.
     """
     if len(stats_sequence) == 0:
         raise ValueError("need a nonempty sequence")
@@ -356,10 +361,10 @@ def schedule_cumulative(
     mixed = 0.0
     public = 0.0
     for t, inputs in enumerate(stats_sequence):
-        pub_t = delta_l_pub_star(inputs.batch_size, inputs)
+        pub_t = delta_l_pub_star(b, inputs)
         public += pub_t
         if t < cutoff:
             mixed += pub_t
         else:
-            mixed += delta_l_priv_star(inputs.batch_size, inputs)
+            mixed += delta_l_priv_star(b, inputs)
     return ScheduleComparison(mixed_sum=mixed, public_sum=public, gap=public - mixed)

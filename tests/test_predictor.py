@@ -10,31 +10,32 @@ from hypothesis import strategies as st
 import dplens.predictor as pred
 
 PRETRAIN = pred.ImprovementInputs(
-    g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4, sigma=0.5, c=1.0, batch_size=1000
+    g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4, sigma=0.5, c=1.0
 )
 FINETUNE = pred.ImprovementInputs(
-    g_norm_sq=1.0, g_h_g=1e2, tr_h=2e6, tr_h_sigma=2e4, sigma=0.5, c=1.0, batch_size=1000
+    g_norm_sq=1.0, g_h_g=1e2, tr_h=2e6, tr_h_sigma=2e4, sigma=0.5, c=1.0
 )
 
 
 def random_inputs(rng, sigma=None, batch=None):
+    """Random inputs and a batch size, drawn unless ``batch`` is given."""
     v = rng.uniform(0.1, 10.0, size=4)
-    return pred.ImprovementInputs(
+    inputs = pred.ImprovementInputs(
         g_norm_sq=v[0],
         g_h_g=v[1],
         tr_h=v[2],
         tr_h_sigma=v[3],
         sigma=rng.uniform(0.05, 3.0) if sigma is None else sigma,
         c=rng.uniform(0.1, 1.0),
-        batch_size=rng.uniform(1.0, 1000.0) if batch is None else batch,
     )
+    return inputs, rng.uniform(1.0, 1000.0) if batch is None else batch
 
 
 class TestDeltaLPriv:
     def test_noiseless_unclipped_equals_public(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            inputs = random_inputs(rng, sigma=0.0)
+            inputs, b = random_inputs(rng, sigma=0.0)
             inputs = pred.ImprovementInputs(
                 g_norm_sq=inputs.g_norm_sq,
                 g_h_g=inputs.g_h_g,
@@ -42,51 +43,49 @@ class TestDeltaLPriv:
                 tr_h_sigma=inputs.tr_h_sigma,
                 sigma=0.0,
                 c=1.0,
-                batch_size=inputs.batch_size,
             )
             eta = rng.uniform(0.01, 1.0)
             # plain SGD: eta |G|^2 - eta^2/2 (G^T H G + tr(H Sigma)/B)
-            public = inputs.g_h_g + inputs.tr_h_sigma / inputs.batch_size
-            assert pred.delta_l_priv(eta, inputs) == (
+            public = inputs.g_h_g + inputs.tr_h_sigma / b
+            assert pred.delta_l_priv(eta, b, inputs) == (
                 eta * inputs.g_norm_sq - 0.5 * eta * eta * public
             )
 
     def test_vanishes_as_eta_to_zero(self):
-        inputs = random_inputs(np.random.default_rng(1))
-        assert abs(pred.delta_l_priv(1e-12, inputs)) < 1e-10
+        inputs, b = random_inputs(np.random.default_rng(1))
+        assert abs(pred.delta_l_priv(1e-12, b, inputs)) < 1e-10
 
     def test_hand_evaluation(self):
         inputs = pred.ImprovementInputs(
-            g_norm_sq=1.0, g_h_g=1.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0, c=1.0, batch_size=1.0
+            g_norm_sq=1.0, g_h_g=1.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0, c=1.0
         )
-        assert pred.delta_l_priv(1.0, inputs) == -0.5
+        assert pred.delta_l_priv(1.0, 1.0, inputs) == -0.5
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
-            pred.delta_l_priv(0.0, PRETRAIN)
+            pred.delta_l_priv(0.0, 1000.0, PRETRAIN)
         with pytest.raises(ValueError):
-            pred.delta_l_priv(-0.1, PRETRAIN)
+            pred.delta_l_priv(-0.1, 1000.0, PRETRAIN)
 
 
 class TestDeltaLPrivStar:
     def test_reduces_to_public_at_sigma_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            inputs = random_inputs(rng, sigma=0.0)
+            inputs, _ = random_inputs(rng, sigma=0.0)
             b = rng.uniform(1, 500)
             assert pred.delta_l_priv_star(b, inputs) == pred.delta_l_pub_star(b, inputs)
 
     def test_zero_gradient(self):
         inputs = pred.ImprovementInputs(
-            g_norm_sq=0.0, g_h_g=1.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0, batch_size=4.0
+            g_norm_sq=0.0, g_h_g=1.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0
         )
         assert pred.delta_l_priv_star(4.0, inputs) == 0.0
 
     def test_matches_grid_maximum_over_eta(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            inputs = random_inputs(rng)
-            b = inputs.batch_size
+            inputs, b = random_inputs(rng)
             star = pred.delta_l_priv_star(b, inputs)
             curvature = (
                 inputs.c**2 * (inputs.g_h_g + inputs.tr_h_sigma / b)
@@ -94,14 +93,14 @@ class TestDeltaLPrivStar:
             )
             eta_c = inputs.c * inputs.g_norm_sq / curvature
             grid = eta_c * 10 ** np.linspace(-1, 1, 4001)
-            best = max(pred.delta_l_priv(e, inputs) for e in grid) / b
+            best = max(pred.delta_l_priv(e, b, inputs) for e in grid) / b
             assert star >= best - 1e-12
             assert star == pytest.approx(best, rel=1e-6)
 
     def test_is_half_the_squared_gradient_norm_over_the_denominator(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            inputs = random_inputs(rng)
+            inputs, _ = random_inputs(rng)
             b = rng.uniform(1, 500)
             denom = pred.denominator(b, inputs)
             assert pred.delta_l_priv_star(b, inputs) == 0.5 * inputs.g_norm_sq**2 / denom
@@ -110,7 +109,7 @@ class TestDeltaLPrivStar:
 
     def test_negative_curvature_rejected(self):
         inputs = pred.ImprovementInputs(
-            g_norm_sq=1.0, g_h_g=-5.0, tr_h=1.0, tr_h_sigma=0.1, sigma=0.0, batch_size=10.0
+            g_norm_sq=1.0, g_h_g=-5.0, tr_h=1.0, tr_h_sigma=0.1, sigma=0.0
         )
         with pytest.raises(pred.NonPositiveCurvatureError):
             pred.delta_l_priv_star(10.0, inputs)
@@ -118,11 +117,11 @@ class TestDeltaLPrivStar:
 
 class TestDeltaLPub:
     def test_decreasing_in_batch(self):
-        inputs = random_inputs(np.random.default_rng(4))
+        inputs, _ = random_inputs(np.random.default_rng(4))
         assert pred.delta_l_pub_star(20.0, inputs) < pred.delta_l_pub_star(10.0, inputs)
 
     def test_small_batch_limit(self):
-        inputs = random_inputs(np.random.default_rng(5))
+        inputs, _ = random_inputs(np.random.default_rng(5))
         limit = 0.5 * inputs.g_norm_sq**2 / inputs.tr_h_sigma
         assert pred.delta_l_pub_star(1e-9, inputs) == pytest.approx(limit, rel=1e-6)
 
@@ -132,17 +131,16 @@ class TestDeltaLPub:
             v = rng.uniform(0.01, 10.0, size=5)
             inputs = pred.ImprovementInputs(
                 g_norm_sq=v[0], g_h_g=v[1], tr_h=v[2], tr_h_sigma=v[3],
-                sigma=0.0, c=1.0, batch_size=v[4] + 0.1,
+                sigma=0.0, c=1.0,
             )
-            assert pred.delta_l_priv_star(inputs.batch_size, inputs) == pred.delta_l_pub_star(
-                inputs.batch_size, inputs
-            )
+            b = v[4] + 0.1
+            assert pred.delta_l_priv_star(b, inputs) == pred.delta_l_pub_star(b, inputs)
 
 
 class TestDecelerator:
     def test_zero_noise_vanishes(self):
-        inputs = random_inputs(np.random.default_rng(7), sigma=0.0)
-        assert pred.decelerator(inputs.batch_size, inputs) == 0.0
+        inputs, b = random_inputs(np.random.default_rng(7), sigma=0.0)
+        assert pred.decelerator(b, inputs) == 0.0
 
     def test_pretraining_parameters(self):
         assert pred.decelerator(1000.0, PRETRAIN) == pytest.approx(5e4)
@@ -151,7 +149,7 @@ class TestDecelerator:
         assert pred.decelerator(1000.0, FINETUNE) == pytest.approx(500.0)
 
     def test_decreasing_in_batch(self):
-        inputs = random_inputs(np.random.default_rng(8))
+        inputs, _ = random_inputs(np.random.default_rng(8))
         assert pred.decelerator(100.0, inputs) < pred.decelerator(10.0, inputs)
 
 
@@ -180,11 +178,11 @@ class TestOptimalBatch:
 
     def test_sigma_zero_has_no_interior_optimum(self):
         with pytest.raises(pred.NoInteriorOptimumError):
-            pred.optimal_batch_dp(random_inputs(np.random.default_rng(9), sigma=0.0))
+            pred.optimal_batch_dp(random_inputs(np.random.default_rng(9), sigma=0.0)[0])
 
     def test_nonpositive_curvature_rejected(self):
         bad = pred.ImprovementInputs(
-            g_norm_sq=1.0, g_h_g=0.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0, batch_size=10.0
+            g_norm_sq=1.0, g_h_g=0.0, tr_h=1.0, tr_h_sigma=1.0, sigma=1.0
         )
         with pytest.raises(pred.NonPositiveCurvatureError):
             pred.optimal_batch_dp(bad)
@@ -200,7 +198,7 @@ class TestTwiceBatchIdentity:
     def test_random_inputs(self):
         rng = np.random.default_rng(10)
         for _ in range(10_000):
-            lhs, rhs = twice_batch_sides(random_inputs(rng))
+            lhs, rhs = twice_batch_sides(random_inputs(rng)[0])
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_paper_parameters(self):
@@ -225,25 +223,23 @@ class TestDataEfficiency:
 
 
 def random_mix(rng, sigma=None):
-    """Inputs whose batch_size is the private batch, and a public batch size."""
+    """Inputs, a public batch size and a private batch size."""
     v = rng.uniform(0.1, 10.0, size=4)
     sigma = rng.uniform(0.05, 3.0) if sigma is None else sigma
     c = rng.uniform(0.1, 1.0)
     b_public = rng.uniform(1.0, 1000.0)
     inputs = pred.ImprovementInputs(
-        g_norm_sq=v[0], g_h_g=v[1], tr_h=v[2], tr_h_sigma=v[3],
-        sigma=sigma, c=c, batch_size=rng.uniform(1.0, 1000.0),
+        g_norm_sq=v[0], g_h_g=v[1], tr_h=v[2], tr_h_sigma=v[3], sigma=sigma, c=c
     )
-    return inputs, b_public
+    return inputs, b_public, rng.uniform(1.0, 1000.0)
 
 
-def mixed_improvement_direct(eta0, eta1, inputs, b_public):
+def mixed_improvement_direct(eta0, eta1, inputs, b_public, b_private):
     """Independent route: expectation/covariance of the mixed gradient."""
     eta = eta0 + eta1
     if eta == 0.0:
         return 0.0
     alpha = eta0 / eta
-    b_private = inputs.batch_size
     mean_scale = alpha + (1.0 - alpha) * inputs.c
     cov_tr_h_sigma = (
         alpha**2 / b_public + (1.0 - alpha) ** 2 * inputs.c**2 / b_private
@@ -263,22 +259,22 @@ class TestMixedImprovement:
     def test_public_only_reduction(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            inputs, b_public = random_mix(rng)
+            inputs, b_public, b_private = random_mix(rng)
             eta0 = rng.uniform(0.001, 0.5)
             # the public special case of delta_l_priv: sigma = 0, c = 1
-            public = replace(inputs, sigma=0.0, c=1.0, batch_size=b_public)
-            assert pred.mixed_improvement(eta0, 0.0, inputs, b_public) == pytest.approx(
-                pred.delta_l_priv(eta0, public), rel=1e-12
-            )
+            public = replace(inputs, sigma=0.0, c=1.0)
+            assert pred.mixed_improvement(
+                eta0, 0.0, inputs, b_public, b_private
+            ) == pytest.approx(pred.delta_l_priv(eta0, b_public, public), rel=1e-12)
 
     def test_private_only_reduction(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
-            inputs, b_public = random_mix(rng)
+            inputs, b_public, b_private = random_mix(rng)
             eta1 = rng.uniform(0.001, 0.5)
-            assert pred.mixed_improvement(0.0, eta1, inputs, b_public) == pytest.approx(
-                pred.delta_l_priv(eta1, inputs), rel=1e-12
-            )
+            assert pred.mixed_improvement(
+                0.0, eta1, inputs, b_public, b_private
+            ) == pytest.approx(pred.delta_l_priv(eta1, b_private, inputs), rel=1e-12)
 
     def test_matches_mean_covariance_route(self):
         rng = np.random.default_rng(15)
@@ -295,13 +291,13 @@ class TestMixedImprovement:
 
     @pytest.mark.parametrize("b_public", [0.0, -1.0])
     def test_nonpositive_public_batch_rejected(self, b_public):
-        inputs, _ = random_mix(np.random.default_rng(16))
+        inputs, _, b_private = random_mix(np.random.default_rng(16))
         with pytest.raises(ValueError, match="public batch size"):
-            pred.mixed_quadratic_coefficients(inputs, b_public)
+            pred.mixed_quadratic_coefficients(inputs, b_public, b_private)
 
 
-def mix_inputs(sigma, c, b_private=64.0, **stats):
-    return pred.ImprovementInputs(**stats, sigma=sigma, c=c, batch_size=b_private)
+def mix_inputs(sigma, c, **stats):
+    return pred.ImprovementInputs(**stats, sigma=sigma, c=c)
 
 
 SYMMETRIC = dict(g_norm_sq=2.0, g_h_g=1.5, tr_h=3.0, tr_h_sigma=2.0)
@@ -310,21 +306,20 @@ SYMMETRIC = dict(g_norm_sq=2.0, g_h_g=1.5, tr_h=3.0, tr_h_sigma=2.0)
 class TestOptimalMixAlpha:
     def test_symmetric_case(self):
         inputs = mix_inputs(0.0, 1.0, **SYMMETRIC)
-        assert pred.optimal_mix_alpha(inputs, 64.0) == pytest.approx(0.5, abs=1e-12)
+        assert pred.optimal_mix_alpha(inputs, 64.0, 64.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_large_noise_limit(self):
         alphas = [
-            pred.optimal_mix_alpha(mix_inputs(sigma, 0.8, **SYMMETRIC), 64.0)
+            pred.optimal_mix_alpha(mix_inputs(sigma, 0.8, **SYMMETRIC), 64.0, 64.0)
             for sigma in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
         assert alphas[-1] > 0.999
 
     def test_paper_style_case(self):
-        inputs = mix_inputs(
-            0.5, 1.0, b_private=1000.0, g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4
-        )
-        assert pred.optimal_mix_alpha(inputs, 1000.0) == pytest.approx(7.0 / 9.0, rel=1e-12)
+        inputs = mix_inputs(0.5, 1.0, g_norm_sq=1.0, g_h_g=1e2, tr_h=2e8, tr_h_sigma=2e4)
+        alpha = pred.optimal_mix_alpha(inputs, 1000.0, 1000.0)
+        assert alpha == pytest.approx(7.0 / 9.0, rel=1e-12)
 
     def test_matches_two_dim_grid(self):
         rng = np.random.default_rng(17)
@@ -346,9 +341,9 @@ class TestOptimalMixAlpha:
     def test_eq10_closed_form_equivalence(self):
         rng = np.random.default_rng(18)
         for _ in range(300):
-            inputs, b_public = random_mix(rng)
-            alpha = pred.optimal_mix_alpha(inputs, b_public)
-            b_private, c = inputs.batch_size, inputs.c
+            inputs, b_public, b_private = random_mix(rng)
+            alpha = pred.optimal_mix_alpha(inputs, b_public, b_private)
+            c = inputs.c
             ratio = (
                 (1.0 / c)
                 * (inputs.tr_h_sigma * b_private / b_public)
@@ -357,11 +352,9 @@ class TestOptimalMixAlpha:
             assert alpha == pytest.approx(1.0 / (ratio + 1.0), rel=1e-9)
 
     def test_degenerate_rejected(self):
-        inputs = mix_inputs(
-            0.0, 1.0, b_private=10.0, g_norm_sq=1.0, g_h_g=0.0, tr_h=0.0, tr_h_sigma=0.0
-        )
+        inputs = mix_inputs(0.0, 1.0, g_norm_sq=1.0, g_h_g=0.0, tr_h=0.0, tr_h_sigma=0.0)
         with pytest.raises(pred.SaddleOrDegenerateError):
-            pred.optimal_mix_alpha(inputs, 10.0)
+            pred.optimal_mix_alpha(inputs, 10.0, 10.0)
 
     def test_mixed_beats_both_pure_strategies(self):
         rng = np.random.default_rng(19)
@@ -371,6 +364,29 @@ class TestOptimalMixAlpha:
             assert mixed > pred.only_public_optimum(*mix)
             assert mixed > pred.only_private_optimum(*mix)
             assert 0.0 < pred.optimal_mix_alpha(*mix) < 1.0
+
+
+# each closed form that takes a batch size checks it, one call per argument
+BATCH_CHECKS = {
+    "delta_l_priv": (lambda b: pred.delta_l_priv(0.1, b, PRETRAIN), "batch size"),
+    "delta_l_priv_star": (lambda b: pred.delta_l_priv_star(b, PRETRAIN), "batch size"),
+    "coefficients_public": (
+        lambda b: pred.mixed_quadratic_coefficients(PRETRAIN, b, 64.0), "public batch size"
+    ),
+    "coefficients_private": (
+        lambda b: pred.mixed_quadratic_coefficients(PRETRAIN, 64.0, b), "private batch size"
+    ),
+    "alpha_public": (lambda b: pred.optimal_mix_alpha(PRETRAIN, b, 64.0), "public batch size"),
+    "alpha_private": (lambda b: pred.optimal_mix_alpha(PRETRAIN, 64.0, b), "private batch size"),
+}
+
+
+@pytest.mark.parametrize("b", [0.0, -5.0])
+@pytest.mark.parametrize("name", sorted(BATCH_CHECKS))
+def test_nonpositive_batch_size_rejected(name, b):
+    call, what = BATCH_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{what} must be positive$"):
+        call(b)
 
 
 class TestAlphaSchedules:
@@ -408,22 +424,22 @@ class TestAlphaSchedules:
 
 class TestScheduleCumulative:
     def _sequence(self, rng, n, sigma):
-        return [random_inputs(rng, sigma=sigma, batch=64.0) for _ in range(n)]
+        return [random_inputs(rng, sigma=sigma, batch=64.0)[0] for _ in range(n)]
 
     def test_no_noise_no_gap(self):
         seq = self._sequence(np.random.default_rng(27), 20, 0.0)
-        result = pred.schedule_cumulative(seq, 0.5)
+        result = pred.schedule_cumulative(seq, 64.0, 0.5)
         assert result.gap == 0.0
 
     def test_fully_public_no_gap(self):
         seq = self._sequence(np.random.default_rng(28), 20, 1.0)
-        result = pred.schedule_cumulative(seq, 1.0)
+        result = pred.schedule_cumulative(seq, 64.0, 1.0)
         assert result.gap == 0.0
         assert result.mixed_sum == result.public_sum
 
     def test_mixed_below_public(self):
         seq = self._sequence(np.random.default_rng(29), 30, 0.8)
-        result = pred.schedule_cumulative(seq, 0.4)
+        result = pred.schedule_cumulative(seq, 64.0, 0.4)
         assert result.mixed_sum <= result.public_sum
         assert result.gap >= 0.0
 
@@ -444,18 +460,18 @@ class TestScheduleCumulative:
             seq.append(
                 pred.ImprovementInputs(
                     g_norm_sq=v[0], g_h_g=v[1], tr_h=v[2], tr_h_sigma=v[3],
-                    sigma=sigma, c=1.0, batch_size=64.0,
+                    sigma=sigma, c=1.0,
                 )
             )
-        result = pred.schedule_cumulative(seq, s)
+        result = pred.schedule_cumulative(seq, 64.0, s)
         assert result.gap <= 0.01 * result.public_sum
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pred.schedule_cumulative([], 0.5)
+            pred.schedule_cumulative([], 64.0, 0.5)
         with pytest.raises(ValueError):
             pred.schedule_cumulative(
-                self._sequence(np.random.default_rng(31), 3, 0.5), 1.5
+                self._sequence(np.random.default_rng(31), 3, 0.5), 64.0, 1.5
             )
 
 
@@ -465,15 +481,15 @@ class TestMonotonicities:
     def test_priv_star_monotone_in_c_and_sigma(self, c, sigma):
         base = pred.ImprovementInputs(
             g_norm_sq=2.0, g_h_g=1.0, tr_h=5.0, tr_h_sigma=3.0,
-            sigma=sigma, c=c, batch_size=16.0,
+            sigma=sigma, c=c,
         )
         poorer_c = pred.ImprovementInputs(
             g_norm_sq=2.0, g_h_g=1.0, tr_h=5.0, tr_h_sigma=3.0,
-            sigma=sigma, c=c - 0.1, batch_size=16.0,
+            sigma=sigma, c=c - 0.1,
         )
         noisier = pred.ImprovementInputs(
             g_norm_sq=2.0, g_h_g=1.0, tr_h=5.0, tr_h_sigma=3.0,
-            sigma=sigma + 0.1, c=c, batch_size=16.0,
+            sigma=sigma + 0.1, c=c,
         )
         b = 16.0
         assert pred.delta_l_priv_star(b, base) >= pred.delta_l_priv_star(b, poorer_c)

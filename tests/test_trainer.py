@@ -405,8 +405,8 @@ class TestImprovementOracle:
 
         stats = population_stats(task, w)
         eta, b = 0.3, 16
-        inputs = ImprovementInputs.from_stats(stats, 0.0, b)
-        closed = delta_l_priv(eta, inputs)
+        inputs = ImprovementInputs.from_stats(stats, 0.0)
+        closed = delta_l_priv(eta, b, inputs)
         result = empirical_improvement_oracle(task, w, eta, b, None, 0.0, 20_000, rng)
         assert abs(result.estimate - closed) <= 3.0 * result.standard_error
 
@@ -418,8 +418,8 @@ class TestImprovementOracle:
 
         stats = population_stats(task, w)
         eta, b, sigma = 0.5, 4, 8.0
-        inputs = ImprovementInputs.from_stats(stats, sigma, b)
-        closed = delta_l_priv(eta, inputs)
+        inputs = ImprovementInputs.from_stats(stats, sigma)
+        closed = delta_l_priv(eta, b, inputs)
         assert closed < 0
         result = empirical_improvement_oracle(task, w, eta, b, None, sigma, 20_000, rng)
         assert result.estimate < 0
