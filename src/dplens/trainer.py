@@ -65,6 +65,8 @@ class OptimizerState:
 
     ``m`` is Adam's first moment under ``adam`` and the momentum buffer under
     ``sgd_momentum``, so the ``reset_m`` policy zeroes it for either kind.
+    Nothing writes into ``m`` or ``v``: a step or a reset binds new arrays, so
+    successive states may share the arrays a step leaves alone.
     """
 
     t: int
@@ -74,9 +76,6 @@ class OptimizerState:
     @classmethod
     def zeros(cls, d: int) -> "OptimizerState":
         return cls(t=0, m=np.zeros(d), v=np.zeros(d))
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(t=self.t, m=self.m.copy(), v=self.v.copy())
 
     def apply_reset(self, policy: str) -> None:
         """Re-initialise part of the state when switching training phases."""
@@ -97,18 +96,18 @@ def optimizer_direction(
     g = np.asarray(g, dtype=float)
     if config.weight_decay > 0:
         g = g + config.weight_decay * w
-    new = state.copy()
-    new.t = state.t + 1
+    t = state.t + 1
     if config.kind == "sgd":
-        return g, new
+        return g, OptimizerState(t, state.m, state.v)
     if config.kind == "sgd_momentum":
-        new.m = config.mu * state.m + g
-        return new.m, new
-    new.m = config.beta1 * state.m + (1.0 - config.beta1) * g
-    new.v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
-    m_hat = new.m / (1.0 - config.beta1**new.t)
-    v_hat = new.v / (1.0 - config.beta2**new.t)
-    return m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer), new
+        m = config.mu * state.m + g
+        return m, OptimizerState(t, m, state.v)
+    m = config.beta1 * state.m + (1.0 - config.beta1) * g
+    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    direction = m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer)
+    return direction, OptimizerState(t, m, v)
 
 
 def dp_step(
