@@ -366,13 +366,11 @@ class TestOptimalMixAlpha:
             assert 0.0 < pred.optimal_mix_alpha(*mix) < 1.0
 
 
-# each closed form that takes a batch size checks it, one call per argument
+# each closed form that takes a batch size checks it, one call per argument;
+# TestMixedImprovement checks the public batch of mixed_quadratic_coefficients
 BATCH_CHECKS = {
     "delta_l_priv": (lambda b: pred.delta_l_priv(0.1, b, PRETRAIN), "batch size"),
     "delta_l_priv_star": (lambda b: pred.delta_l_priv_star(b, PRETRAIN), "batch size"),
-    "coefficients_public": (
-        lambda b: pred.mixed_quadratic_coefficients(PRETRAIN, b, 64.0), "public batch size"
-    ),
     "coefficients_private": (
         lambda b: pred.mixed_quadratic_coefficients(PRETRAIN, 64.0, b), "private batch size"
     ),
