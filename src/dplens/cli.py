@@ -9,6 +9,10 @@ and, when the config asks for a ``plot``, draws the SVG from the same
 in-memory table (:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config
 error, 2 numerical error, including a training run aborted on a non-finite
 loss or curvature statistic, whose partial CSV is kept and gets no plot.
+
+Each config block goes straight to its constructor as keyword arguments, and
+a run option the config leaves out is left out of the call, so each default
+is written once, in the signature of the function that receives it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """The run configuration is missing, malformed, or out of contract."""
 
 
@@ -115,8 +119,12 @@ _INPUTS_SCHEMA = {
         "tr_h_sigma": _NUM,
         "sigma": _NUM,
         "c": _NUM,
-        "batch_size": _POS_NUM,
     },
+}
+# predict's one row is at inputs.batch_size, which is no predictor input
+_PREDICT_INPUTS_SCHEMA = {
+    **_INPUTS_SCHEMA,
+    "properties": {**_INPUTS_SCHEMA["properties"], "batch_size": _POS_NUM},
 }
 
 _PLOT_SCHEMA = {
@@ -171,7 +179,7 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "inputs"],
         "properties": {
             **_COMMON,
-            "inputs": _INPUTS_SCHEMA,
+            "inputs": _PREDICT_INPUTS_SCHEMA,
             "b_public": _POS_NUM,
             "b_private": _POS_NUM,
         },
@@ -296,13 +304,19 @@ CONFIG_SCHEMAS = {
 }
 
 
+# JSON Schema's "integer" admits 5.0; the runners pass integer fields on to
+# range() and array shapes, so only a Python int (not a bool) is one here
+_BASE_VALIDATOR = jsonschema.validators.validator_for({})
+_STRICT_VALIDATOR = jsonschema.validators.extend(
+    _BASE_VALIDATOR,
+    type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
 # one validator per subcommand: jsonschema.validate would check the schema
 # itself against the metaschema on every call, which costs far more than
 # validating a config
-_VALIDATORS = {
-    command: jsonschema.validators.validator_for(schema)(schema)
-    for command, schema in CONFIG_SCHEMAS.items()
-}
+_VALIDATORS = {command: _STRICT_VALIDATOR(schema) for command, schema in CONFIG_SCHEMAS.items()}
 
 
 def load_config(path: str | Path, command: str) -> dict:
@@ -320,7 +334,7 @@ def load_config(path: str | Path, command: str) -> dict:
         raise ConfigError(f"config {path} fails validation: {error.message}")
     # a curvature snapshot reports the trace's standard error over the probes
     # and estimates tr(H Sigma) from the spread of the batch's gradients
-    probes = cfg.get("hessian_probes", 0)
+    probes = cfg.get("hessian_probes")
     if probes == 1:
         raise ConfigError(
             f"config {path} fails validation: hessian_probes must be 0 or at least 2"
@@ -379,48 +393,19 @@ def task_from_config(cfg: dict, rng: np.random.Generator):
             if key not in cfg:
                 raise ConfigError(f"tinymlp task needs {key}")
         return TinyMlpTask(
-            n_in=cfg["n_in"],
-            hidden=cfg["hidden"],
-            n_out=cfg["n_out"],
-            teacher_seed=cfg.get("teacher_seed", 0),
-            noise_std=cfg.get("noise_std", 0.0),
-            target_scale=cfg.get("target_scale", 1.0),
+            **_given(cfg, "n_in", "hidden", "n_out", "teacher_seed", "noise_std", "target_scale")
         )
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
-def clipping_from_config(cfg: dict | None) -> clipping.ClippingRule | None:
-    if cfg is None:
-        return clipping.ClippingRule.reparam(1.0)
-    if cfg["kind"] == "none":
-        return None
-    if cfg["kind"] == "auto":
-        return clipping.ClippingRule.auto()
-    return clipping.ClippingRule.reparam(cfg.get("r", 1.0))
+def _given(cfg: dict, *keys: str) -> dict:
+    """The ``keys`` that ``cfg`` sets, so the callee's signature owns each default."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
-def inputs_from_config(cfg: dict) -> predictor.ImprovementInputs:
-    """The predictor inputs of an ``inputs`` block: every key but ``batch_size``."""
-    fields = {key: value for key, value in cfg.items() if key != "batch_size"}
-    return predictor.ImprovementInputs(**fields)
-
-
-def schedule_from_config(cfg: dict | None) -> predictor.AlphaSchedule | None:
-    if cfg is None:
-        return None
-    kind = cfg["kind"]
-    try:
-        if kind == "indicator":
-            return predictor.AlphaSchedule.indicator(cfg["s"], cfg["total"])
-        if kind == "dpmd":
-            return predictor.AlphaSchedule.dpmd(cfg["k"])
-        if kind == "sample":
-            return predictor.AlphaSchedule.sample(cfg["n_pub"], cfg["n_priv"])
-        if kind == "only_public":
-            return predictor.AlphaSchedule.only_public()
-        return predictor.AlphaSchedule.only_private()
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad schedule config: {exc}") from exc
+def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
+    """``None`` for ``"kind": "none"``, else the block's rule; ``{}`` is the default rule."""
+    return None if block.get("kind") == "none" else clipping.ClippingRule(**block)
 
 
 def _resolve_sigma(cfg: dict, batch_size: int) -> float:
@@ -549,10 +534,12 @@ def _predict_row(inputs: predictor.ImprovementInputs, b: float, b_public, b_priv
 
 
 def _run_sweep_batch(cfg: dict, seed: int) -> Table:
-    """One row per ``batch_grid`` entry; ``predict`` has no grid and gets the
-    one row at ``inputs.batch_size``.  The mixing batches default to the row's B."""
-    inputs = inputs_from_config(cfg["inputs"])
-    grid = cfg.get("batch_grid", [cfg["inputs"].get("batch_size", 1.0)])
+    """One row per B: each ``batch_grid`` entry for ``sweep-batch``, and for
+    ``predict``, which has no grid, ``inputs.batch_size`` (1 when unset).
+    ``b_public`` and ``b_private`` default to the row's B."""
+    block = dict(cfg["inputs"])
+    grid = cfg.get("batch_grid") or [block.pop("batch_size", 1.0)]
+    inputs = predictor.ImprovementInputs(**block)
     rows = [
         _predict_row(inputs, b, cfg.get("b_public", b), cfg.get("b_private", b)) for b in grid
     ]
@@ -562,7 +549,7 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
 def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
     rows = []
     for name in sorted(cfg["cases"]):
-        inputs = inputs_from_config(cfg["cases"][name])
+        inputs = predictor.ImprovementInputs(**cfg["cases"][name])
         b_star = predictor.optimal_batch_dp(inputs) if inputs.sigma > 0 else ""
         for b in cfg["batch_grid"]:
             rows.append(
@@ -591,7 +578,7 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     task = task_from_config(cfg["task"], rng)
     if not isinstance(task, QuadraticTask):
         raise ConfigError("the oracle subcommand requires a quadratic task")
-    rule = clipping_from_config(cfg.get("clipping"))
+    rule = clipping_from_config(cfg.get("clipping", {}))
     offset = cfg.get("offset_scale", 1.0)
     w = task.x_mean + offset * np.ones(task.dimension) / math.sqrt(task.dimension)
     stats = population_stats(task, w)
@@ -637,22 +624,20 @@ def _run_continual(cfg: dict, seed: int) -> Table:
     )
     config = trainer.OptimizerConfig(**cfg["optimizer"])
     sigma = _resolve_sigma(cfg, cfg["batch_size"])
+    schedule = cfg.get("schedule")
     run = trainer.continual_pretrain(
         task_pub,
         task_priv,
         config,
-        trainer.SwitchPolicy(patience=cfg.get("patience", 1)),
+        trainer.SwitchPolicy(**_given(cfg, "patience")),
         sigma,
         epochs=cfg["epochs"],
         rng=rng,
         batch_size=cfg["batch_size"],
         steps_per_epoch=cfg["steps_per_epoch"],
-        rule=clipping_from_config(cfg.get("clipping")),
-        schedule=schedule_from_config(cfg.get("schedule")),
-        reset_policy=cfg.get("reset_policy", "reset_m"),
-        head_reinit=cfg.get("head_reinit", False),
-        val_size=cfg.get("val_size", 1024),
-        hessian_probes=cfg.get("hessian_probes", 0),
+        rule=clipping_from_config(cfg.get("clipping", {})),
+        schedule=None if schedule is None else predictor.AlphaSchedule(**schedule),
+        **_given(cfg, "reset_policy", "head_reinit", "val_size", "hessian_probes"),
     )
     return _run_table(run, cfg["batch_size"])
 
@@ -664,11 +649,11 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
         task,
         trainer.OptimizerConfig(**cfg["optimizer"]),
         cfg["sigma"],
-        clipping_from_config(cfg.get("clipping")),
+        clipping_from_config(cfg.get("clipping", {})),
         cfg["steps"],
         rng,
         batch_size=cfg["batch_size"],
-        eval_size=cfg.get("eval_size", 512),
+        **_given(cfg, "eval_size"),
     )
     rows = [
         [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
@@ -680,10 +665,11 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
 def _run_mia(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     n_mem, n_non, dim = cfg["n_members"], cfg["n_nonmembers"], cfg["dim"]
-    separation = cfg.get("separation", 2.0)
-    label_flip = cfg.get("label_flip", 0.15)
-    x_mem, y_mem = attacks.two_blob_data(n_mem, dim, rng, separation, label_flip)
-    x_non, y_non = attacks.two_blob_data(n_non, dim, rng, separation, label_flip)
+    # two_blob_data draws clean labels by default; the audit flips some, since
+    # only memorisable labels give the overfit model a membership signal
+    blobs = {**_given(cfg, "separation"), "label_flip": cfg.get("label_flip", 0.15)}
+    x_mem, y_mem = attacks.two_blob_data(n_mem, dim, rng, **blobs)
+    x_non, y_non = attacks.two_blob_data(n_non, dim, rng, **blobs)
 
     budget = privacy.PrivacyBudget(cfg["epsilon"], cfg["delta"], dataset_size=n_mem)
     sigma = privacy.calibrate_sigma(n_mem, n_mem, n_mem * cfg["epochs"], budget)
@@ -699,7 +685,7 @@ def _run_mia(cfg: dict, seed: int) -> Table:
         dataset = attacks.build_mia_dataset(
             model, (x_mem, y_mem), (x_non, y_non),
             cfg.get("split_fraction", 0.5), rng,
-            member_train_fraction=cfg.get("member_train_fraction", 0.1),
+            **_given(cfg, "member_train_fraction"),
         )
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
@@ -897,9 +883,6 @@ def run_subcommand(argv: list[str]) -> int:
         for path in paths:
             print(path)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -32,9 +32,9 @@ NormWeights = Callable[[Array], Array]
 
 @dataclass(frozen=True)
 class ClippingRule:
-    """Per-sample clipping rule; construct via :meth:`auto` or :meth:`reparam`."""
+    """Per-sample clipping rule; ``ClippingRule()`` is re-parameterised at R = 1."""
 
-    kind: str
+    kind: str = "reparam"
     r: float = 1.0
 
     def __post_init__(self):
@@ -48,7 +48,7 @@ class ClippingRule:
         return cls(kind="auto")
 
     @classmethod
-    def reparam(cls, r: float = 1.0) -> "ClippingRule":
+    def reparam(cls, r: float) -> "ClippingRule":
         return cls(kind="reparam", r=float(r))
 
 

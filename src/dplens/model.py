@@ -403,13 +403,13 @@ class TinyMlpTask(DifferentiableTask):
     def dimension(self) -> int:
         return self._d
 
-    def random_parameters(self, rng: np.random.Generator, scale: float = 1.0) -> Array:
+    def random_parameters(self, rng: np.random.Generator) -> Array:
         """Glorot-style random parameter vector."""
         w1 = rng.standard_normal((self.hidden, self.n_in)) / np.sqrt(self.n_in)
         b1 = np.zeros(self.hidden)
         w2 = rng.standard_normal((self.n_out, self.hidden)) / np.sqrt(self.hidden)
         b2 = np.zeros(self.n_out)
-        return scale * self._pack(w1, b1, w2, b2)
+        return self._pack(w1, b1, w2, b2)
 
     def _pack(self, w1, b1, w2, b2) -> Array:
         """Flatten the blocks along their last axes; leading axes index vectors."""

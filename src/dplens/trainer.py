@@ -217,10 +217,9 @@ def _train_loop(
     switch: SwitchPolicy | None, schedule: AlphaSchedule | None,
     sigma: float, rule: ClippingRule | None,
     data_rng: np.random.Generator, noise_rng: np.random.Generator,
-    probe_rng: np.random.Generator | None = None,
-    head_rng: np.random.Generator | None = None,
+    probe_rng: np.random.Generator | None, head_rng: np.random.Generator | None,
     *, total_steps: int, steps_per_epoch: int, batch_size: int,
-    reset_policy: str = "reset_m", head_reinit: bool = False, hessian_probes: int = 0,
+    reset_policy: str, head_reinit: bool, hessian_probes: int,
 ) -> TrainRun:
     """The one training loop: public steps, then at most one switch to private.
 
@@ -294,7 +293,7 @@ def continual_pretrain(
     *,
     batch_size: int = 32,
     steps_per_epoch: int = 50,
-    rule: ClippingRule | None = ClippingRule.reparam(1.0),
+    rule: ClippingRule | None = ClippingRule(),
     schedule: AlphaSchedule | None = None,
     reset_policy: str = "reset_m",
     head_reinit: bool = False,
@@ -454,8 +453,9 @@ def four_way_comparison(
         name: _train_loop(
             task, task, config, w_init.copy(), eval_set, None,
             AlphaSchedule.only_public() if name == "sgd" else AlphaSchedule.only_private(),
-            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng,
+            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng, None, None,
             total_steps=steps, steps_per_epoch=steps, batch_size=batch_size,
+            reset_policy="none", head_reinit=False, hessian_probes=0,
         )
         for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs)
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,10 @@ from dplens.cli import (
     run_subcommand,
     task_from_config,
 )
+from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
+from dplens.predictor import AlphaSchedule, ImprovementInputs
+from dplens.trainer import OptimizerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # the subcommand each shipped config is written for; scripts/config_digests.py
@@ -47,6 +51,26 @@ def write_config(tmp_path, payload, name="config.json"):
 def polyline_points(svg_text):
     """The points of each polyline of an SVG, in document order."""
     return [points.split() for points in re.findall(r'points="([^"]*)"', svg_text)]
+
+
+def train_config():
+    return {
+        "schema": 1,
+        "task": {"kind": "quadratic", "dimension": 4},
+        "optimizer": {"kind": "sgd", "eta": 0.1},
+        "sigma": 0.5,
+        "mode": "dp",
+        "steps": 5,
+        "batch_size": 8,
+    }
+
+
+def continual_config():
+    payload = train_config()
+    del payload["mode"]
+    payload.update(task_public=payload.pop("task"), epochs=1,
+                   steps_per_epoch=payload.pop("steps"))
+    return payload
 
 
 def sweep_config():
@@ -171,6 +195,80 @@ class TestConfigHandling:
         path = write_config(tmp_path, payload)
         assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-batch", "fig-breakdown"])
+    def test_inputs_batch_size_only_in_predict(self, command, tmp_path, capsys):
+        # only predict reads inputs.batch_size; the grid commands take B from batch_grid
+        payload = sweep_config()
+        payload["inputs"]["batch_size"] = 7
+        if command == "fig-breakdown":
+            payload["cases"] = {"case": payload.pop("inputs")}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"steps": 5.0},
+            {"batch_size": 8.0},
+            {"task": {"kind": "tinymlp", "n_in": 2.0, "hidden": 4, "n_out": 1}},
+            {"seeds": [1.0]},
+        ],
+        ids=["steps", "batch_size", "n_in", "seeds"],
+    )
+    def test_integral_float_in_integer_field_is_a_config_error(self, change, tmp_path, capsys):
+        path = write_config(tmp_path, {**train_config(), **change})
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"schedule": {"kind": "indicator", "total": 5}},
+            {"schedule": {"kind": "indicator", "s": 0.5}},
+            {"schedule": {"kind": "dpmd"}},
+            {"schedule": {"kind": "sample", "n_pub": 0, "n_priv": 0}},
+            {"clipping": {"kind": "reparam", "r": 0}},
+        ],
+        ids=["indicator-no-s", "indicator-no-total", "dpmd-no-k", "sample-empty", "reparam-r0"],
+    )
+    def test_bad_block_is_a_config_error(self, change, tmp_path, capsys):
+        # the constructors' own checks reject these blocks, after validation passes
+        path = write_config(tmp_path, {**continual_config(), **change})
+        assert load_config(path, "continual")
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "block, constructor",
+        [
+            ("optimizer", OptimizerConfig),
+            ("clipping", ClippingRule),
+            ("schedule", AlphaSchedule),
+            ("inputs", ImprovementInputs),
+        ],
+    )
+    def test_block_keys_are_the_constructor_fields(self, block, constructor):
+        # a block goes to its constructor as keyword arguments, so the keys a
+        # schema accepts are the constructor's fields; predict's one row is at
+        # inputs.batch_size, its only key that is no ImprovementInputs field
+        fields = {field.name for field in dataclasses.fields(constructor)}
+        schemas = {
+            command: schema["properties"][block]
+            for command, schema in CONFIG_SCHEMAS.items()
+            if block in schema["properties"]
+        }
+        if block == "inputs":
+            cases = CONFIG_SCHEMAS["fig-breakdown"]["properties"]["cases"]
+            schemas["fig-breakdown"] = cases["additionalProperties"]
+        assert schemas
+        for command, schema in schemas.items():
+            extra = {"batch_size"} if command == "predict" else set()
+            assert set(schema["properties"]) == fields | extra, command
 
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         payload = sweep_config()
@@ -341,6 +439,18 @@ class TestSubcommands:
             logs[kind] = (out / f"{command}.csv").read_text().splitlines()
         assert logs["none"][:2] == logs["reparam"][:2]  # same start, same first batch
         assert logs["none"][2:] != logs["reparam"][2:]
+
+    def test_missing_clipping_block_is_reparam_at_one(self, tmp_path):
+        csvs = []
+        for name, clip in (("absent", None), ("reparam", {"kind": "reparam", "r": 1.0})):
+            payload = train_config()
+            if clip is not None:
+                payload["clipping"] = clip
+            out = tmp_path / name
+            path = write_config(tmp_path, payload, f"{name}.json")
+            assert run_subcommand(["train", "--config", str(path), "--out", str(out)]) == 0
+            csvs.append((out / "train.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("mode", ["public", "dp"])
     def test_train_is_a_one_phase_continual_run(self, mode, tmp_path):

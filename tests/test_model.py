@@ -184,7 +184,7 @@ def test_mlp_hvp_homogeneous():
 def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, rule):
     task = mlp_case()
     rng = np.random.default_rng(seed)
-    w = task.random_parameters(rng, scale)
+    w = scale * task.random_parameters(rng)
     x, y = task.draw_batch(rng, m)
     # row 0's target is the model's own prediction, so its gradient is exactly 0
     y[0] = task.forward(w, x)[0]
@@ -226,7 +226,7 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     shape = dict(n_in=n_in, hidden=hidden, n_out=n_out, teacher_seed=seed % 997, noise_std=0.1)
     task = TinyMlpTask(**shape)
     rng = np.random.default_rng(seed)
-    w = task.random_parameters(rng, scale)
+    w = scale * task.random_parameters(rng)
     x, y = task.draw_batch(rng, m)
     # row 0's target is the model's own prediction, so its gradient is exactly 0
     y[0] = task.forward(w, x)[0]
