@@ -5,6 +5,10 @@ from a model's output logits and scalar loss, labelled 1 for training
 members and 0 for non-members, then reports threshold metrics and AUC on a
 balanced held-out split.  AUC near 0.5 means the model leaks little
 membership signal.
+
+The target, :class:`SoftmaxTask`, is trained with or without DP by full-batch
+:func:`trainer.dp_step` calls; this module draws no noise and updates no
+parameters.
 """
 
 from __future__ import annotations
@@ -13,81 +17,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clipping import ClippingRule, clip_weights, noised_mean
+from .clipping import NormWeights
 
 Array = np.ndarray
 
 
-class SoftmaxModel:
-    """Linear softmax classifier used as the attack target at desk scale."""
+class SoftmaxTask:
+    """Linear softmax classifier on one training set: the attack target.
 
-    def __init__(self, weights: Array, bias: Array):
-        self.weights = np.asarray(weights, dtype=float)
-        self.bias = np.asarray(bias, dtype=float)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("weights must be (k, d) with a matching bias")
+    Parameters are ``[W row-major, b]``; every batch is the whole set (``None``).
+    Example i's gradient is the outer product of ``P_i = softmax(W x_i + b) -
+    onehot(y_i)`` with ``[x_i, 1]``, so ``|g_i|^2 = |P_i|^2 (|x_i|^2 + 1)`` and
+    ``sum_i C_i g_i`` is ``(C P)^T X`` for W and ``sum_i C_i P_i`` for b, with
+    no (m, k(d+1)) per-sample gradient matrix; the mean loss comes from the
+    same pass.  The one-hot labels and ``|x_i|^2 + 1`` are computed once per set.
+    """
 
-    def batch_logits(self, xs: Array) -> Array:
-        return np.atleast_2d(np.asarray(xs, dtype=float)) @ self.weights.T + self.bias
+    def __init__(self, xs: Array, ys: Array, n_classes: int):
+        self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        m, d = self.xs.shape
+        self.n_classes = n_classes
+        self.dimension = n_classes * (d + 1)
+        self._onehot = np.zeros((n_classes, m))
+        self._onehot[np.asarray(ys, dtype=int), np.arange(m)] = 1.0
+        self._sq_norms_x1 = np.einsum("md,md->m", self.xs, self.xs) + 1.0
 
-    def example_losses(self, xs: Array, ys: Array) -> Array:
-        z = self.batch_logits(xs)
+    def _unpack(self, w: Array) -> tuple[Array, Array]:
+        return w[: -self.n_classes].reshape(self.n_classes, -1), w[-self.n_classes :]
+
+    def logits(self, w: Array, xs: Array) -> Array:
+        weights, bias = self._unpack(w)
+        return np.atleast_2d(np.asarray(xs, dtype=float)) @ weights.T + bias
+
+    def example_losses(self, w: Array, xs: Array, ys: Array) -> Array:
+        z = self.logits(w, xs)
         z = z - z.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(z).sum(axis=1))
         return log_norm - z[np.arange(len(ys)), np.asarray(ys, dtype=int)]
 
-
-def fit_softmax(
-    xs: Array,
-    ys: Array,
-    n_classes: int,
-    epochs: int,
-    lr: float,
-    rng: np.random.Generator | None = None,
-    *,
-    sigma: float = 0.0,
-    rule: ClippingRule | None = None,
-) -> SoftmaxModel:
-    """Full-batch gradient training of the toy classifier.
-
-    With ``sigma > 0`` (and ordinarily a clipping rule) every step uses the
-    privatized batch gradient, so the result is a DP-trained model; with
-    ``sigma = 0`` and no rule it is plain gradient descent.
-
-    Each epoch makes one pass and never builds per-sample gradients.  The
-    gradient of example i is the outer product of its residual
-    ``P_i = softmax(W x_i + b) - onehot(y_i)`` with ``[x_i, 1]``, so its norm
-    follows from ``|g_i|^2 = |P_i|^2 (|x_i|^2 + 1)`` and the clipped sum
-    ``sum_i C_i g_i`` is ``(C P)^T X`` for W and ``sum_i C_i P_i`` for b: one
-    (k, m) by (m, d) product instead of an (m, k(d+1)) matrix.  The sum is
-    averaged and noised by :func:`clipping.noised_mean` in the
-    ``[W row-major, b]`` layout, so the result and the noise draws are those
-    of clipping and noising the explicit ``(m, k(d+1))`` per-sample gradient
-    matrix.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.asarray(ys, dtype=int)
-    m, d = xs.shape
-    weights, bias = np.zeros((n_classes, d)), np.zeros(n_classes)
-    weight_of_norms = clip_weights(rule)
-    sq_norms_x1 = np.einsum("md,md->m", xs, xs) + 1.0
-    cols = np.arange(m)
-    for _ in range(epochs):
+    def loss_and_weighted_gradient_sum(
+        self, w: Array, batch: None, weight_of_norms: NormWeights | None = None
+    ) -> tuple[float, Array]:
+        weights, bias = self._unpack(w)
         # P is held as its (k, m) transpose, so the reductions over the k classes
         # run vectorised over the m examples
-        p = weights @ xs.T + bias[:, None]
-        p -= p.max(axis=0)
-        np.exp(p, out=p)
-        p /= p.sum(axis=0)
-        p[ys, cols] -= 1.0
+        z = weights @ self.xs.T + bias[:, None]
+        z -= z.max(axis=0)
+        p = np.exp(z)
+        norm = p.sum(axis=0)
+        p /= norm
+        loss = float(np.log(norm).sum() - np.vdot(self._onehot, z)) / len(norm)
+        p -= self._onehot
         if weight_of_norms is not None:
-            norms = np.sqrt(np.einsum("km,km->m", p, p) * sq_norms_x1)
-            p *= weight_of_norms(norms)
-        total = np.concatenate([(p @ xs).ravel(), p.sum(axis=1)])
-        g = noised_mean(total, m, sigma, rng)
-        weights = weights - lr * g[: n_classes * d].reshape(n_classes, d)
-        bias = bias - lr * g[n_classes * d :]
-    return SoftmaxModel(weights, bias)
+            p *= weight_of_norms(np.sqrt(np.einsum("km,km->m", p, p) * self._sq_norms_x1))
+        return loss, np.concatenate([(p @ self.xs).ravel(), p.sum(axis=1)])
+
+    def batch_size_of(self, batch: None) -> int:
+        return self.xs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -111,14 +97,15 @@ def _row_keys(xs: Array) -> set[bytes]:
 
 
 def build_mia_dataset(
-    model: SoftmaxModel,
+    target: SoftmaxTask,
+    w: Array,
     member_set: tuple[Array, Array],
     nonmember_set: tuple[Array, Array],
-    split_fraction: float,
     rng: np.random.Generator,
+    split_fraction: float = 0.5,
     member_train_fraction: float = 0.1,
 ) -> MiaDataset:
-    """Assemble attack features and a balanced test split.
+    """Assemble attack features of the target at ``w`` and a balanced test split.
 
     The test split takes ``split_fraction`` of the non-members plus the same
     number of members; the attack's training split gets all remaining
@@ -133,6 +120,8 @@ def build_mia_dataset(
         raise ValueError("member and non-member sets must be nonempty")
     if not 0.0 < split_fraction < 1.0:
         raise ValueError("split fraction must lie in (0, 1)")
+    if not 0.0 < member_train_fraction <= 1.0:
+        raise ValueError("member train fraction must lie in (0, 1]")
     if _row_keys(x_mem) & _row_keys(x_non):
         raise ValueError("member and non-member sets overlap")
 
@@ -149,8 +138,8 @@ def build_mia_dataset(
     train_mem = remaining[:n_train_mem]
 
     def _features(xs, ys):
-        losses = model.example_losses(xs, ys)
-        return np.concatenate([model.batch_logits(xs), losses[:, None]], axis=1)
+        losses = target.example_losses(w, xs, ys)
+        return np.concatenate([target.logits(w, xs), losses[:, None]], axis=1)
 
     feats = np.concatenate(
         [
@@ -314,6 +303,8 @@ def two_blob_data(
     The flipped labels are only memorisable, not learnable, which is what
     gives an overfit model its membership signal.
     """
+    if not 0.0 <= label_flip <= 1.0:
+        raise ValueError("label flip rate must lie in [0, 1]")
     y = rng.integers(0, 2, size=n)
     centers = (y[:, None] - 0.5) * separation
     x = rng.standard_normal((n, dim))

@@ -662,6 +662,20 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
     return Table("arm," + TRAIN_CSV_HEADER, rows, next(filter(None, reasons), None))
 
 
+def _fit_target(
+    task: attacks.SoftmaxTask, epochs: int, lr: float,
+    rule: clipping.ClippingRule | None, sigma: float, rng: np.random.Generator | None,
+) -> np.ndarray:
+    """``epochs`` full-batch SGD steps from zero; a non-finite loss is a FloatingPointError."""
+    config = trainer.OptimizerConfig(eta=lr)
+    w, state = np.zeros(task.dimension), trainer.OptimizerState.zeros(task.dimension)
+    for epoch in range(epochs):
+        loss, w, state = trainer.dp_step(task, w, None, rule, sigma, config, state, rng)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+    return w
+
+
 def _run_mia(cfg: dict, seed: int) -> Table:
     rng = np.random.default_rng(seed)
     n_mem, n_non, dim = cfg["n_members"], cfg["n_nonmembers"], cfg["dim"]
@@ -673,19 +687,17 @@ def _run_mia(cfg: dict, seed: int) -> Table:
 
     budget = privacy.PrivacyBudget(cfg["epsilon"], cfg["delta"], dataset_size=n_mem)
     sigma = privacy.calibrate_sigma(n_mem, n_mem, n_mem * cfg["epochs"], budget)
-    models = {
-        "nondp": attacks.fit_softmax(x_mem, y_mem, 2, cfg["epochs"], cfg["lr"]),
-        "dp": attacks.fit_softmax(
-            x_mem, y_mem, 2, cfg["epochs"], cfg["lr"], rng,
-            sigma=sigma, rule=clipping.ClippingRule.auto(),
-        ),
+    target = attacks.SoftmaxTask(x_mem, y_mem, 2)
+    epochs, lr = cfg["epochs"], cfg["lr"]
+    weights = {
+        "nondp": _fit_target(target, epochs, lr, None, 0.0, None),
+        "dp": _fit_target(target, epochs, lr, clipping.ClippingRule.auto(), sigma, rng),
     }
     rows = []
-    for model_id, model in models.items():
+    for model_id, w in weights.items():
         dataset = attacks.build_mia_dataset(
-            model, (x_mem, y_mem), (x_non, y_non),
-            cfg.get("split_fraction", 0.5), rng,
-            **_given(cfg, "member_train_fraction"),
+            target, w, (x_mem, y_mem), (x_non, y_non), rng,
+            **_given(cfg, "split_fraction", "member_train_fraction"),
         )
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")

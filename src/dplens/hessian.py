@@ -5,8 +5,8 @@ materialised Hessian or the products ``H v_j``, so they scale to any model
 that can give the forms.  A forms action takes a ``(k, d)`` array whose rows
 are directions and returns the ``(k,)`` forms of its rows in one call (a
 task's ``hessian_forms``); the centered forms of a batch's own gradients
-come from the task's ``gradient_hessian_forms``.  Estimates are reported with
-standard errors and are reproducible under a fixed generator.
+come from the task's ``gradient_hessian_forms``.  The trace estimate carries
+its standard error, and all are reproducible under a fixed generator.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def hutchinson_trace(
     )
 
 
-def trace_h_sigma(centered_forms: Array) -> Estimate:
+def trace_h_sigma(centered_forms: Array) -> float:
     """Estimate tr(H Sigma) = E[(g_i - G)^T H (g_i - G)] from a batch.
 
     Takes the ``(m,)`` centered forms ``(g_i - g_hat)^T H (g_i - g_hat)`` of
@@ -81,11 +81,7 @@ def trace_h_sigma(centered_forms: Array) -> Estimate:
     m = values.shape[0]
     if m < 2:
         raise ValueError("need at least 2 samples")
-    correction = m / (m - 1)
-    return Estimate(
-        estimate=float(correction * values.mean()),
-        standard_error=float(correction * values.std(ddof=1) / np.sqrt(m)),
-    )
+    return float(m / (m - 1) * values.mean())
 
 
 def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> HessianStats:
@@ -103,10 +99,9 @@ def stats_snapshot(task, w: Array, batch, k: int, rng: np.random.Generator) -> H
         trace = hutchinson_trace(
             lambda vs: task.hessian_forms(w, batch, vs), task.dimension, k, rng
         )
-        hs = trace_h_sigma(centered)
         stats = HessianStats(
             tr_h=trace.estimate,
-            tr_h_sigma=hs.estimate,
+            tr_h_sigma=trace_h_sigma(centered),
             g_h_g=g_h_g,
             g_norm_sq=float(g_hat @ g_hat),
             standard_error_tr_h=trace.standard_error,

@@ -6,10 +6,11 @@ There is one training loop, ``_train_loop``: public steps, then at most one
 permanent switch to private steps.  :func:`continual_pretrain` runs it once.
 Each arm of :func:`four_way_comparison` is a one-phase run of it, public
 throughout for plain SGD and private throughout for the other three, and so
-is the ``train`` subcommand.  Every step of the loop is one :func:`dp_step`:
-the task's fused loss and clipped-gradient-sum pass, the Gaussian noise, and
-the SGD, momentum or Adam update.  Public, clipped-only, noised-only and DP
-steps differ only in the clipping rule and sigma passed to it.
+is the ``train`` subcommand.  Every training step in the package, the loop's
+and the membership-inference target's, is one :func:`dp_step`: the task's
+fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD,
+momentum or Adam update.  Public, clipped-only, noised-only and DP steps
+differ only in the clipping rule and sigma passed to it.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.

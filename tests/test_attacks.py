@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,24 +14,26 @@ from dplens.attacks import (
     MiaClassifier,
     MiaDataset,
     MiaReport,
-    SoftmaxModel,
+    SoftmaxTask,
     auc_from_scores,
     build_mia_dataset,
     evaluate_mia,
     fit_mia_classifier,
-    fit_softmax,
     two_blob_data,
 )
-from dplens.cli import MIA_CSV_HEADER, Table, _mia_row, _write_csv
+from dplens.cli import MIA_CSV_HEADER, Table, _fit_target, _mia_row, _write_csv, run_subcommand
 from dplens.clipping import ClippingRule
+from dplens.trainer import OptimizerConfig, OptimizerState, dp_step
 from reference import privatize_gradient
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def toy_model(n_classes=2, dim=4, seed=0):
+def toy_target(n_classes=2, dim=4, seed=0):
+    """A target task and random weights with zero bias; the features read only the weights."""
     rng = np.random.default_rng(seed)
-    return SoftmaxModel(rng.standard_normal((n_classes, dim)), np.zeros(n_classes))
+    w = np.concatenate([rng.standard_normal(n_classes * dim), np.zeros(n_classes)])
+    return SoftmaxTask(np.zeros((1, dim)), [0], n_classes), w
 
 
 def blobs(n, dim, seed):
@@ -41,7 +45,7 @@ class TestBuildDataset:
         rng = np.random.default_rng(1)
         members = blobs(100, 4, 2)
         nonmembers = blobs(100, 4, 3)
-        ds = build_mia_dataset(toy_model(), members, nonmembers, 0.5, rng)
+        ds = build_mia_dataset(*toy_target(), members, nonmembers, rng, 0.5)
         test_labels = ds.labels[ds.test_idx]
         assert (test_labels == 1).sum() == 50
         assert (test_labels == 0).sum() == 50
@@ -50,29 +54,29 @@ class TestBuildDataset:
         members = blobs(20, 3, 4)
         overlap = (members[0][:10], members[1][:10])
         with pytest.raises(ValueError):
-            build_mia_dataset(toy_model(2, 3), members, overlap, 0.5, np.random.default_rng(0))
+            build_mia_dataset(*toy_target(2, 3), members, overlap, np.random.default_rng(0))
 
     def test_empty_rejected(self):
         members = blobs(20, 3, 5)
         empty = (np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
-            build_mia_dataset(toy_model(2, 3), members, empty, 0.5, np.random.default_rng(0))
+            build_mia_dataset(*toy_target(2, 3), members, empty, np.random.default_rng(0))
 
     def test_feature_dimension_is_classes_plus_one(self):
-        model = toy_model(n_classes=3, dim=5, seed=6)
+        target = toy_target(n_classes=3, dim=5, seed=6)
         members = blobs(30, 5, 7)
         # labels must be valid class ids for the 3-class model
         members = (members[0], members[1] % 3)
         nonmembers = blobs(30, 5, 8)
         nonmembers = (nonmembers[0], nonmembers[1] % 3)
-        ds = build_mia_dataset(model, members, nonmembers, 0.5, np.random.default_rng(9))
+        ds = build_mia_dataset(*target, members, nonmembers, np.random.default_rng(9))
         assert ds.features.shape[1] == 4
 
     def test_deterministic_under_seed(self):
         members = blobs(40, 4, 10)
         nonmembers = blobs(40, 4, 11)
-        a = build_mia_dataset(toy_model(), members, nonmembers, 0.5, np.random.default_rng(12))
-        b = build_mia_dataset(toy_model(), members, nonmembers, 0.5, np.random.default_rng(12))
+        a = build_mia_dataset(*toy_target(), members, nonmembers, np.random.default_rng(12))
+        b = build_mia_dataset(*toy_target(), members, nonmembers, np.random.default_rng(12))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.train_idx, b.train_idx)
 
@@ -80,8 +84,8 @@ class TestBuildDataset:
         members = blobs(100, 4, 13)
         nonmembers = blobs(100, 4, 14)
         ds = build_mia_dataset(
-            toy_model(), members, nonmembers, 0.4, np.random.default_rng(15),
-            member_train_fraction=0.1,
+            *toy_target(), members, nonmembers, np.random.default_rng(15),
+            split_fraction=0.4, member_train_fraction=0.1,
         )
         train_labels = ds.labels[ds.train_idx]
         assert (train_labels == 1).sum() == 10
@@ -210,37 +214,51 @@ class TestEvaluate:
         assert row == f"nondp,inf,0.5,0.5,0.25,{1 / 3!r},0.5"
 
 
+AUTO = ClippingRule.auto()
+
+
 class TestSoftmaxTraining:
     def test_nondp_fits_separable_blobs(self):
         x, y = two_blob_data(200, 4, np.random.default_rng(21), separation=4.0)
-        model = fit_softmax(x, y, 2, epochs=300, lr=0.5)
-        pred = np.argmax(model.batch_logits(x), axis=1)
+        task = SoftmaxTask(x, y, 2)
+        w = _fit_target(task, 300, 0.5, None, 0.0, None)
+        pred = np.argmax(task.logits(w, x), axis=1)
         assert (pred == y).mean() >= 0.95
 
     def test_dp_training_is_seed_deterministic(self):
         x, y = two_blob_data(50, 3, np.random.default_rng(22))
-        kwargs = dict(sigma=2.0, rule=ClippingRule.auto())
-        a = fit_softmax(x, y, 2, 30, 0.5, np.random.default_rng(5), **kwargs)
-        b = fit_softmax(x, y, 2, 30, 0.5, np.random.default_rng(5), **kwargs)
-        assert np.array_equal(a.weights, b.weights)
+        task = SoftmaxTask(x, y, 2)
+        a = _fit_target(task, 30, 0.5, AUTO, 2.0, np.random.default_rng(5))
+        b = _fit_target(task, 30, 0.5, AUTO, 2.0, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
     def test_example_losses_match_scalar_path(self):
-        model = toy_model(3, 4, seed=23)
+        task, w = toy_target(3, 4, seed=23)
+        weights, bias = w[:12].reshape(3, 4), w[12:]
         rng = np.random.default_rng(24)
         xs = rng.standard_normal((10, 4))
         ys = rng.integers(0, 3, size=10)
-        batched = model.example_losses(xs, ys)
+        batched = task.example_losses(w, xs, ys)
 
         def example_loss(x, y):
-            z = model.weights @ x + model.bias
+            z = weights @ x + bias
             z = z - z.max()
             return float(np.log(np.exp(z).sum()) - z[y])
 
         singles = [example_loss(x, y) for x, y in zip(xs, ys)]
         assert np.allclose(batched, singles)
 
+    def test_step_loss_is_the_mean_example_loss(self):
+        rng = np.random.default_rng(25)
+        xs = 3.0 * rng.standard_normal((20, 5))
+        ys = rng.integers(0, 3, size=20)
+        task = SoftmaxTask(xs, ys, 3)
+        w = rng.standard_normal(task.dimension)
+        loss, _ = task.loss_and_weighted_gradient_sum(w, None)
+        assert loss == pytest.approx(task.example_losses(w, xs, ys).mean(), rel=1e-13)
 
-def reference_fit_softmax(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
+
+def reference_softmax_training(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
     """Softmax training from the explicit (m, k(d+1)) per-sample gradient matrix."""
     m, d = xs.shape
     weights, bias = np.zeros((n_classes, d)), np.zeros(n_classes)
@@ -267,40 +285,43 @@ def reference_fit_softmax(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
     rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule.reparam(0.7)]),
 )
 @settings(max_examples=80, deadline=None)
-def test_fit_softmax_matches_per_sample_gradient_reference(
+def test_dp_steps_on_softmax_task_match_per_sample_gradient_reference(
     seed, m, d, n_classes, epochs, scale, sigma, rule
 ):
     data = np.random.default_rng(seed)
     xs = scale * data.standard_normal((m, d))
     ys = data.integers(0, n_classes, size=m)
-    model = fit_softmax(
-        xs, ys, n_classes, epochs, 0.5, np.random.default_rng(seed), sigma=sigma, rule=rule
-    )
+    task = SoftmaxTask(xs, ys, n_classes)
+    got = _fit_target(task, epochs, 0.5, rule, sigma, np.random.default_rng(seed))
     ref_rng = np.random.default_rng(seed)
-    weights, bias = reference_fit_softmax(xs, ys, n_classes, epochs, 0.5, ref_rng, sigma, rule)
+    weights, bias = reference_softmax_training(
+        xs, ys, n_classes, epochs, 0.5, ref_rng, sigma, rule
+    )
     # W and b as one parameter vector: b alone is a sum of residuals that can
     # cancel to far below the scale of its rounding errors
-    got = np.concatenate([model.weights.ravel(), model.bias])
     want = np.concatenate([weights.ravel(), bias])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-class TestFitSoftmaxChecks:
+class TestSoftmaxDpStepChecks:
+    def _step(self, sigma, rule, rng):
+        task = SoftmaxTask(*two_blob_data(10, 3, np.random.default_rng(30)), 2)
+        state = OptimizerState.zeros(task.dimension)
+        w = np.zeros(task.dimension)
+        return dp_step(task, w, None, rule, sigma, OptimizerConfig(eta=0.5), state, rng)
+
     def test_negative_sigma_rejected(self):
-        x, y = two_blob_data(10, 3, np.random.default_rng(30))
         with pytest.raises(ValueError, match="sigma"):
-            fit_softmax(x, y, 2, 3, 0.5, np.random.default_rng(0), sigma=-1.0)
+            self._step(-1.0, None, np.random.default_rng(0))
 
     def test_sigma_without_generator_rejected(self):
-        x, y = two_blob_data(10, 3, np.random.default_rng(31))
         with pytest.raises(ValueError, match="random generator"):
-            fit_softmax(x, y, 2, 3, 0.5, sigma=1.0, rule=ClippingRule.auto())
+            self._step(1.0, AUTO, None)
 
     def test_zero_sigma_draws_no_noise(self):
-        x, y = two_blob_data(10, 3, np.random.default_rng(32))
         rng = np.random.default_rng(33)
         before = rng.bit_generator.state
-        fit_softmax(x, y, 2, 3, 0.5, rng, rule=ClippingRule.auto())
+        self._step(0.0, AUTO, rng)
         assert rng.bit_generator.state == before
 
 
@@ -357,3 +378,41 @@ def test_mia_run_does_not_import_scipy_stats(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert len(list(tmp_path.glob("mia*.csv"))) == 5
+
+
+def run_mia(tmp_path, **changes):
+    """The exit code of ``mia`` on seed 0 of the shipped toy config, with ``changes``."""
+    payload = {**json.loads((ROOT / "configs" / "mia_toy.json").read_text()), "seeds": [0]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**payload, **changes}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_subcommand(["mia", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_overflowing_target_training_exits_2_without_csv(tmp_path, capsys):
+    assert run_mia(tmp_path, lr=1e308) == 2
+    assert "numerical error: non-finite training loss" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.5])
+def test_nonpositive_learning_rate_exits_1_without_csv(lr, tmp_path, capsys):
+    assert run_mia(tmp_path, lr=lr) == 1
+    assert "learning rate must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("member_train_fraction", -1.0),
+        ("member_train_fraction", 0.0),
+        ("label_flip", 2.0),
+        ("label_flip", -0.3),
+    ],
+)
+def test_out_of_range_fraction_exits_1_without_csv(key, value, tmp_path, capsys):
+    assert run_mia(tmp_path, **{key: value}) == 1
+    assert "must lie in" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
