@@ -666,13 +666,19 @@ def _fit_target(
     task: attacks.SoftmaxTask, epochs: int, lr: float,
     rule: clipping.ClippingRule | None, sigma: float, rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """``epochs`` full-batch SGD steps from zero; a non-finite loss is a FloatingPointError."""
+    """``epochs`` full-batch SGD steps from zero.
+
+    A non-finite loss, or non-finite weights after the last step, is a
+    FloatingPointError.
+    """
     config = trainer.OptimizerConfig(eta=lr)
     w, state = np.zeros(task.dimension), trainer.OptimizerState.zeros(task.dimension)
     for epoch in range(epochs):
         loss, w, state = trainer.dp_step(task, w, None, rule, sigma, config, state, rng)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError("non-finite target weights after training")
     return w
 
 

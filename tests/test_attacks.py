@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,79 @@ class TestFitClassifier:
         )
         report = evaluate_mia(fit_mia_classifier(ds), ds)
         assert abs(report.auc - 0.5) <= 0.1
+
+    def test_separable_split_gives_finite_coefficients_and_full_auc(self):
+        # the weighted loss has no minimiser here; the fit stops on its
+        # gradient tolerance with finite coefficients and no warning
+        rng = np.random.default_rng(18)
+        feats = np.concatenate([rng.uniform(1.0, 3.0, (80, 2)), rng.uniform(-3.0, -1.0, (80, 2))])
+        labels = np.concatenate([np.ones(80), np.zeros(80)])
+        ds = MiaDataset(
+            features=feats, labels=labels,
+            train_idx=np.r_[0:20, 80:140], test_idx=np.r_[20:80, 140:160],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clf = fit_mia_classifier(ds)
+            report = evaluate_mia(clf, ds)
+        assert np.all(np.isfinite(clf.coef)) and math.isfinite(clf.intercept)
+        assert report.auc == 1.0
+
+    def test_fit_matches_scipy_lbfgs_reference(self):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(19)
+        feats = np.concatenate(
+            [rng.standard_normal((40, 3)) + [0.8, 0.0, -0.5], rng.standard_normal((160, 3))]
+        ) * [1.0, 10.0, 0.1]
+        labels = np.concatenate([np.ones(40), np.zeros(160)])
+        ds = MiaDataset(
+            features=feats, labels=labels,
+            train_idx=np.arange(0, 200, 2), test_idx=np.arange(1, 200, 2),
+        )
+        clf = fit_mia_classifier(ds)
+
+        x, y = feats[ds.train_idx], labels[ds.train_idx]
+        design = np.column_stack([(x - x.mean(axis=0)) / x.std(axis=0), np.ones(len(y))])
+        weights = np.where(y == 1, len(y) / (2 * y.sum()), len(y) / (2 * (len(y) - y.sum())))
+        signs = 2 * y - 1
+
+        def objective(theta):
+            margins = signs * (design @ theta)
+            slopes = -signs * weights * np.exp(-np.logaddexp(0.0, margins))
+            return weights @ np.logaddexp(0.0, -margins), design.T @ slopes
+
+        # ftol is lowered too: its default stops L-BFGS-B about 3e-6 from the optimum
+        reference = minimize(
+            objective, np.zeros(4), jac=True, method="L-BFGS-B",
+            options={"gtol": 1e-12, "ftol": 1e-15},
+        ).x
+        np.testing.assert_allclose(np.append(clf.coef, clf.intercept), reference, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "case", ["nan-feature", "overflowing-scale", "singular-system", "non-finite-step"]
+    )
+    def test_failed_fit_is_a_floating_point_error(self, case, monkeypatch):
+        rng = np.random.default_rng(20)
+        feats = rng.standard_normal((40, 3))
+        if case == "nan-feature":
+            feats[-1, 0] = np.nan  # in the test split: a fit checks both
+        if case == "overflowing-scale":
+            feats *= 1e300
+        if case == "singular-system":
+            def solve(a, b):
+                raise np.linalg.LinAlgError("Singular matrix")
+            monkeypatch.setattr(np.linalg, "solve", solve)
+        if case == "non-finite-step":
+            monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        ds = MiaDataset(
+            features=feats, labels=np.tile([1.0, 0.0], 20),
+            train_idx=np.arange(20), test_idx=np.arange(20, 40),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                fit_mia_classifier(ds)
 
     def test_dataset_requires_both_classes_per_split(self):
         feats = np.zeros((4, 2))
@@ -393,6 +467,16 @@ def run_mia(tmp_path, **changes):
 def test_overflowing_target_training_exits_2_without_csv(tmp_path, capsys):
     assert run_mia(tmp_path, lr=1e308) == 2
     assert "numerical error: non-finite training loss" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("lr", [1e308, 1e300])
+def test_target_diverging_in_its_last_step_exits_2_without_csv(lr, tmp_path, capsys):
+    # one epoch: the only loss is checked before the update, so the huge
+    # weights reach the attack, whose features overflow (1e308) or whose
+    # standardisation does (1e300); run_mia turns any RuntimeWarning into an error
+    assert run_mia(tmp_path, lr=lr, epochs=1) == 2
+    assert "numerical error" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*.csv"))
 
 
