@@ -16,14 +16,13 @@ and keeps mu recoverable across the whole mu range, including where delta is
 within rounding of 1.  The plain (epsilon, delta) functions remain the
 primary interface.
 
-scipy supplies log Phi (``scipy.special.log_ndtr``).  It loads on the first
-call of :func:`mu_to_log_delta`, not with the package, so subcommands that
-never account for privacy do not pay its import.
+log Phi is :func:`log_ndtr`, built on ``math.erfc`` and, in the far lower
+tail, the Mills-ratio series, so accounting loads nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -65,12 +64,29 @@ def _log1mexp(q: float) -> float:
     return math.log(-math.expm1(q))
 
 
-@functools.cache
-def _log_ndtr():
-    """scipy's log Phi, imported on first use and then held."""
-    from scipy.special import log_ndtr
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-    return log_ndtr
+
+def log_ndtr(a: float) -> float:
+    """log Phi(a), the log of the standard normal CDF, for every float ``a``.
+
+    Above -1, log1p(-Q(a)) with the upper tail Q(a) = erfc(a/sqrt 2)/2 keeps
+    the relative accuracy of log Phi near 0; on (-20, -1], Phi(a) =
+    erfc(-a/sqrt 2)/2 is accurate as it stands; below -20, where erfc nears
+    underflow, log Phi(a) = -a^2/2 - log(-a sqrt(2 pi)) + log(1 - 1/a^2 +
+    3/a^4 - ...), and the first nine terms of that Mills-ratio series leave
+    an error below 2e-16 at a = -20, less further out.
+    """
+    if a > -1.0:
+        return math.log1p(-0.5 * math.erfc(a * _SQRT_HALF))
+    if a > -20.0:
+        return math.log(0.5 * math.erfc(-a * _SQRT_HALF))
+    # the series' coefficients are (-1)^k (2k - 1)!!, in Horner form in 1/a^2
+    x = 1.0 / (a * a)
+    series = 1.0 + x * (-1.0 + x * (3.0 + x * (-15.0 + x * (105.0 + x * (
+        -945.0 + x * (10395.0 + x * (-135135.0 + x * 2027025.0)))))))
+    return -0.5 * a * a - _LOG_SQRT_2PI - math.log(-a) + math.log(series)
 
 
 def mu_to_log_delta(mu: float, epsilon: float) -> float:
@@ -84,11 +100,10 @@ def mu_to_log_delta(mu: float, epsilon: float) -> float:
         raise ValueError("mu must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    log_ndtr = _log_ndtr()
     a = -epsilon / mu + mu / 2.0
     b = -epsilon / mu - mu / 2.0
-    log_a = float(log_ndtr(a))
-    q = epsilon + float(log_ndtr(b)) - log_a
+    log_a = log_ndtr(a)
+    q = epsilon + log_ndtr(b) - log_a
     # q < 0 always (delta > 0); guard rounding that pushes it to 0
     q = min(q, -1e-17)
     return log_a + _log1mexp(q)

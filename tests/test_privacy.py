@@ -11,6 +11,7 @@ from dplens.privacy import (
     calibrate_sigma,
     delta_to_mu,
     log_delta_to_mu,
+    log_ndtr,
     mu_of_noisy_sgd,
     mu_to_delta,
     mu_to_log_delta,
@@ -21,6 +22,24 @@ from dplens.privacy import (
 BENCH_N = 10**6
 BENCH_S = 10**6
 BENCH_BUDGET = PrivacyBudget(epsilon=1.0, delta=1e-6)
+
+
+def test_log_ndtr_matches_scipy_reference():
+    from scipy.special import log_ndtr as reference
+
+    # dense around the branch points -20 and -1, log-spaced down to -3e4
+    grid = np.concatenate(
+        [
+            -np.logspace(math.log10(3e4), math.log10(20.0), 4001),
+            np.linspace(-20.5, -19.5, 2001),
+            np.linspace(-20.0, 40.0, 12001),
+            np.linspace(-1.5, -0.5, 2001),
+            np.nextafter([-20.0, -1.0], [-np.inf, np.inf]),
+        ]
+    )
+    got = np.array([log_ndtr(float(a)) for a in grid])
+    ref = reference(grid)
+    np.testing.assert_array_less(np.abs(got - ref), 1e-15 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestDuality:
