@@ -94,6 +94,9 @@ _CLIPPING_SCHEMA = {
         "kind": {"enum": ["auto", "reparam", "none"]},
         "r": _NUM,
     },
+    # only re-parameterised clipping reads the threshold R
+    "if": {"required": ["r"]},
+    "then": {"properties": {"kind": {"const": "reparam"}}},
 }
 
 _PRIVACY_SCHEMA = {

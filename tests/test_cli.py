@@ -224,6 +224,17 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("kind", ["auto", "none"])
+    def test_clipping_threshold_only_with_reparam(self, kind, tmp_path, capsys):
+        # no code reads r unless the rule is re-parameterised
+        payload = {**train_config(), "clipping": {"kind": kind, "r": 5.0}}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        payload["clipping"] = {"kind": "reparam", "r": 5.0}
+        assert load_config(write_config(tmp_path, payload), "train") == payload
+
     @pytest.mark.parametrize(
         "change",
         [
