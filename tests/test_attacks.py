@@ -133,9 +133,12 @@ class TestFitClassifier:
 
     def test_separable_split_gives_finite_coefficients_and_full_auc(self):
         # the weighted loss has no minimiser here; the fit stops on its
-        # gradient tolerance with finite coefficients and no warning
+        # gradient tolerance with finite coefficients and no warning.  The
+        # second column is twice the first, so without the ridge every
+        # Newton system is singular
         rng = np.random.default_rng(18)
-        feats = np.concatenate([rng.uniform(1.0, 3.0, (80, 2)), rng.uniform(-3.0, -1.0, (80, 2))])
+        sides = np.concatenate([rng.uniform(1.0, 3.0, 80), rng.uniform(-3.0, -1.0, 80)])
+        feats = np.column_stack([sides, 2.0 * sides, rng.standard_normal(160)])
         labels = np.concatenate([np.ones(80), np.zeros(80)])
         ds = MiaDataset(
             features=feats, labels=labels,
