@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -431,6 +434,28 @@ def test_saturated_logits_still_separate_members():
     report = evaluate_mia(clf, ds)
     assert report.auc == 1.0
     assert report.accuracy == 0.5  # every logit is below the 0.5-score threshold
+
+
+def test_mia_run_does_not_import_scipy_stats(tmp_path):
+    script = (
+        "import sys\n"
+        "from dplens.cli import run_subcommand\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported at start-up'\n"
+        f"code = run_subcommand(['mia', '--config', {str(ROOT / 'configs' / 'mia_toy.json')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.glob("mia*.csv"))) == 5
 
 
 def run_mia(tmp_path, **changes):
