@@ -34,6 +34,7 @@ from .predictor import (
     alpha_schedule_value,
     decelerator,
     denominator,
+    denominator_pub,
     delta_l_priv,
     delta_l_priv_star,
     delta_l_pub_star,

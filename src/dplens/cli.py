@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -563,7 +563,7 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
                     inputs.tr_h_sigma,
                     predictor.decelerator(b, inputs),
                     predictor.denominator(b, inputs),
-                    predictor.denominator(b, replace(inputs, sigma=0.0)),
+                    predictor.denominator_pub(b, inputs),
                     predictor.delta_l_priv_star(b, inputs),
                     predictor.delta_l_pub_star(b, inputs),
                     b_star,

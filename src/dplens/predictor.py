@@ -17,8 +17,10 @@ This module provides those forms, the induced optima (batch size,
 public/private mixing ratio) and cumulative schedule comparisons.  Every
 form reads one :class:`ImprovementInputs`; :meth:`ImprovementInputs.from_stats`
 builds it from exact or measured curvature statistics.  The public special
-case is sigma = 0: :func:`delta_l_pub_star` is :func:`delta_l_priv_star`
-there.  :func:`denominator` is the one source of the denominator of dL*(B).
+case is sigma = 0: :func:`delta_l_pub_star` equals :func:`delta_l_priv_star`
+there and reads no sigma.  :func:`denominator_pub` is the one source
+of the noiseless part B G^T H G + tr(H Sigma) of the denominator of dL*(B),
+and :func:`denominator` adds the decelerator to it.
 The inputs hold no batch size: every form that depends on B takes it as an
 argument, and the mixed public/private forms take the public and the private
 batch sizes ``b_public`` and ``b_private``.  All functions are pure.
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .hessian import HessianStats
 
@@ -104,11 +106,28 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
     Equals max_eta delta_l_priv(eta, B) / B; at sigma = 0 it is
     :func:`delta_l_pub_star`.
     """
+    return _per_sample_star(b, inputs, denominator)
+
+
+def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
+    """Per-sample improvement of plain SGD at the optimal learning rate.
+
+    Reads no sigma: it is :func:`delta_l_priv_star` at sigma = 0.
+    """
+    return _per_sample_star(b, inputs, denominator_pub)
+
+
+def _per_sample_star(
+    b: float,
+    inputs: ImprovementInputs,
+    denominator_of: Callable[[float, ImprovementInputs], float],
+) -> float:
+    """|G|^4 / (2 D) for the denominator D = ``denominator_of(b, inputs)``."""
     if b <= 0:
         raise ValueError("batch size must be positive")
     if inputs.g_norm_sq == 0.0:
         return 0.0
-    denom = denominator(b, inputs)
+    denom = denominator_of(b, inputs)
     if denom <= 0:
         raise NonPositiveCurvatureError(
             f"denominator {denom:g} is not positive at B={b:g}"
@@ -116,14 +135,14 @@ def delta_l_priv_star(b: float, inputs: ImprovementInputs) -> float:
     return 0.5 * inputs.g_norm_sq**2 / denom
 
 
-def delta_l_pub_star(b: float, inputs: ImprovementInputs) -> float:
-    """Per-sample improvement of plain SGD at the optimal learning rate."""
-    return delta_l_priv_star(b, replace(inputs, sigma=0.0))
-
-
 def denominator(b: float, inputs: ImprovementInputs) -> float:
     """The denominator B G^T H G + tr(H Sigma) + sigma^2 tr(H)/(B c^2) of dL*(B)."""
-    return b * inputs.g_h_g + inputs.tr_h_sigma + decelerator(b, inputs)
+    return denominator_pub(b, inputs) + decelerator(b, inputs)
+
+
+def denominator_pub(b: float, inputs: ImprovementInputs) -> float:
+    """The noiseless denominator B G^T H G + tr(H Sigma): the sigma = 0 case."""
+    return b * inputs.g_h_g + inputs.tr_h_sigma
 
 
 def decelerator(b: float, inputs: ImprovementInputs) -> float:

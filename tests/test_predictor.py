@@ -137,6 +137,37 @@ class TestDeltaLPub:
             assert pred.delta_l_priv_star(b, inputs) == pred.delta_l_pub_star(b, inputs)
 
 
+    @given(
+        g_norm_sq=st.floats(min_value=0.0, max_value=1e300),
+        g_h_g=st.floats(min_value=-1e300, max_value=1e300),
+        tr_h=st.floats(min_value=-1e300, max_value=1e300),
+        tr_h_sigma=st.floats(min_value=-1e300, max_value=1e300),
+        sigma=st.floats(min_value=0.0, max_value=1e300),
+        c=st.floats(min_value=1e-100, max_value=1.0),
+        b=st.floats(min_value=1e-100, max_value=1e300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_public_denominator_is_the_sigma_zero_denominator_bit_for_bit(
+        self, g_norm_sq, g_h_g, tr_h, tr_h_sigma, sigma, c, b
+    ):
+        inputs = pred.ImprovementInputs(g_norm_sq, g_h_g, tr_h, tr_h_sigma, sigma, c)
+        noiseless = replace(inputs, sigma=0.0)
+        public = pred.denominator_pub(b, inputs)
+        # the full denominator at sigma = 0, written out term by term
+        reference = b * g_h_g + tr_h_sigma + pred.decelerator(b, noiseless)
+        # adding the zero decelerator changes at most the sign of a zero sum
+        assert public.hex() == reference.hex() or public == reference == 0.0
+        assert pred.denominator(b, noiseless) == reference
+
+        def outcome(star, x):
+            try:
+                return star(b, x).hex()
+            except ArithmeticError as exc:  # a nonpositive denominator, or |G|^4 overflows
+                return type(exc).__name__
+
+        assert outcome(pred.delta_l_pub_star, inputs) == outcome(pred.delta_l_priv_star, noiseless)
+
+
 class TestDecelerator:
     def test_zero_noise_vanishes(self):
         inputs, b = random_inputs(np.random.default_rng(7), sigma=0.0)
