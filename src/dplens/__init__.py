@@ -14,7 +14,6 @@ from .clipping import ClippingRule, clip_factors
 from .hessian import (
     Estimate,
     HessianStats,
-    hutchinson_trace,
     stats_snapshot,
     trace_h_sigma,
 )

@@ -335,14 +335,9 @@ def load_config(path: str | Path, command: str) -> dict:
     error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config {path} fails validation: {error.message}")
-    # a curvature snapshot reports the trace's standard error over the probes
-    # and estimates tr(H Sigma) from the spread of the batch's gradients
-    probes = cfg.get("hessian_probes")
-    if probes == 1:
-        raise ConfigError(
-            f"config {path} fails validation: hessian_probes must be 0 or at least 2"
-        )
-    if probes and cfg["batch_size"] == 1:
+    # any positive hessian_probes turns on a curvature snapshot per step,
+    # whose tr(H Sigma) estimate needs the spread of two or more gradients
+    if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         raise ConfigError(
             f"config {path} fails validation: hessian_probes needs batch_size of at least 2"
         )
@@ -640,7 +635,8 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         steps_per_epoch=cfg["steps_per_epoch"],
         rule=clipping_from_config(cfg.get("clipping", {})),
         schedule=None if schedule is None else predictor.AlphaSchedule(**schedule),
-        **_given(cfg, "reset_policy", "head_reinit", "val_size", "hessian_probes"),
+        curvature=bool(cfg.get("hessian_probes")),
+        **_given(cfg, "reset_policy", "head_reinit", "val_size"),
     )
     return _run_table(run, cfg["batch_size"])
 

@@ -1,19 +1,22 @@
 """Synthetic differentiable tasks with batched gradient and Hessian access.
 
 Every task exposes the same batched surface, the methods the training loops
-and curvature probes call: the mean batch loss (``batch_loss``), the fused
-training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss and
-a norm-weighted sum of per-sample gradients), the Hessian quadratic forms of
-the mean batch loss (``hessian_forms``), the batch gradient with the forms of
-its centered per-sample gradients (``gradient_hessian_forms``), and seeded
-batch drawing.  Each task has its own closed forms for them; the logistic
-and MLP ones never build the ``(m, d)`` matrix of per-sample gradients.
+and the curvature snapshot call: the mean batch loss (``batch_loss``), the
+fused training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss
+and a norm-weighted sum of per-sample gradients), the batch gradient with the
+Hessian forms of its centered per-sample gradients
+(``gradient_hessian_forms``), the exact trace of the Hessian of the mean
+batch loss (``hessian_trace``), and seeded batch drawing.  Each task has its
+own closed forms for them; the logistic and MLP ones never build the
+``(m, d)`` matrix of per-sample gradients.
 
-The curvature probes read the Hessian H only through the diagonal forms
-``v_j^T H v_j`` of a block of directions, never through the vectors ``H v_j``,
-so the forms are the one way a task applies its Hessian.  For the batch loss
-``L = (1/m) sum_s l_s`` the form along v is the second derivative of L on the
-line ``w + t v``::
+No method builds the Hessian H or a product ``H v``.  The snapshot reads H
+through the diagonal forms ``v_j^T H v_j`` of the batch's own gradients and
+through tr(H), which each task gives in closed form from the same factors.
+``hessian_forms`` gives the forms of any block of directions; it is the
+reference the other two are checked against (tr(H) is the sum of the forms
+on the identity).  For the batch loss ``L = (1/m) sum_s l_s`` the form along
+v is the second derivative of L on the line ``w + t v``::
 
     v^T H v = d^2/dt^2 L(w + t v) at t = 0
 
@@ -60,7 +63,7 @@ def _psd_factor(mat: Array) -> Array:
 
 
 class DifferentiableTask(abc.ABC):
-    """A loss landscape with a fused gradient pass and batch Hessian forms.
+    """A loss landscape with a fused gradient pass, batch Hessian forms and tr(H).
 
     Instances are immutable after construction and safe for concurrent
     reads; all randomness flows through caller-owned generators.
@@ -91,6 +94,13 @@ class DifferentiableTask(abc.ABC):
         """The ``(k,)`` forms ``v_j^T H v_j`` of the mean batch loss at ``w``.
 
         ``vs`` has shape ``(k, d)`` and row ``j`` is the direction ``v_j``.
+        """
+
+    @abc.abstractmethod
+    def hessian_trace(self, w: Array, batch: Any) -> float:
+        """The exact trace of the Hessian of the mean batch loss at ``w``.
+
+        Equals ``hessian_forms(w, batch, np.eye(d)).sum()`` up to rounding.
         """
 
     @abc.abstractmethod
@@ -177,6 +187,10 @@ class QuadraticTask(DifferentiableTask):
         vs = self._check_block(vs)
         return np.einsum("ij,ij->i", vs, vs @ self.a)
 
+    def hessian_trace(self, w: Array, batch: Any) -> float:
+        self._check_dim(w)
+        return float(np.trace(self.a))
+
     def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
         grads = self.per_sample_gradients(w, batch)
         g_hat = grads.mean(axis=0)
@@ -223,7 +237,7 @@ def population_stats(task: QuadraticTask, w: Array) -> HessianStats:
     a = task.a
     sigma = task.gradient_covariance()
     return HessianStats(
-        tr_h=float(np.trace(a)),
+        tr_h=task.hessian_trace(w, None),
         tr_h_sigma=float(np.trace(a @ sigma)),
         g_h_g=float(g @ a @ g),
         g_norm_sq=float(g @ g),
@@ -244,7 +258,8 @@ class LogisticTask(DifferentiableTask):
     the centered gradient of sample i moves sample j's logit at the rate
     ``(g_i - g_hat) . x_j = a_i K_ij - u_j``, so its form is
     ``(1/m) sum_j s_j (a_i K_ij - u_j)^2`` and
-    ``g_hat^T H g_hat = (1/m) sum_j s_j u_j^2``.
+    ``g_hat^T H g_hat = (1/m) sum_j s_j u_j^2``.  The trace is
+    ``tr(H) = (1/m) sum_j s_j |x_j|^2``.
     """
 
     def __init__(self, features: Array, labels: Array):
@@ -287,6 +302,11 @@ class LogisticTask(DifferentiableTask):
         x, _, z = self._logits(w, batch)
         p = _sigmoid(z)
         return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(z)
+
+    def hessian_trace(self, w: Array, batch: Array) -> float:
+        x, _, z = self._logits(w, batch)
+        p = _sigmoid(z)
+        return float((p * (1.0 - p)) @ _row_sq_norms(x) / len(z))
 
     def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
         x, y, z = self._logits(w, batch)
@@ -371,6 +391,17 @@ class TinyMlpTask(DifferentiableTask):
     pass gives that form too.  Sample rows i are processed a chunk at a
     time, keeping the ``(n_out, rows, m)`` array within ``CHUNK_FLOATS``
     float64s.
+
+    The trace sums the form over the unit directions (diagonal-curvature
+    back-propagation, Becker & LeCun 1988).  A unit direction in (W2, b2)
+    moves only ``dout``, by ``h_jh`` or 1; a unit direction on entry
+    ``(h, i)`` of (W1, b1) has ``dz1_j = x_ji e_h`` (1 for b1) and adds
+    ``x_ji^2 (s_jh^2 |W2[:, h]|^2 - 2 delta1_jh h_jh)``.  So::
+
+        tr(H) = (1/m) sum_j [n_out (|h_j|^2 + 1)
+                             + (|x_j|^2 + 1) sum_h (s_jh^2 |W2[:, h]|^2 - 2 delta1_jh h_jh)]
+
+    from the batch's own forward and backward pass.
     """
 
     MAX_WIDTH = 64
@@ -511,6 +542,15 @@ class TinyMlpTask(DifferentiableTask):
                 + (r_z1 * r_z1).reshape(len(chunk), -1) @ curve
             )
         return out / m
+
+    def hessian_trace(self, w: Array, batch: tuple[Array, Array]) -> float:
+        w2 = self._unpack(self._check_dim(w))[2]
+        x, hidden, _, g_z1 = self._forward_backward(w, batch)
+        slope = 1.0 - hidden * hidden
+        per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
+        per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
+        traces = self.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
+        return float(traces.mean())
 
     def gradient_hessian_forms(
         self, w: Array, batch: tuple[Array, Array]

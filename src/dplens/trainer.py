@@ -218,9 +218,9 @@ def _train_loop(
     switch: SwitchPolicy | None, schedule: AlphaSchedule | None,
     sigma: float, rule: ClippingRule | None,
     data_rng: np.random.Generator, noise_rng: np.random.Generator,
-    probe_rng: np.random.Generator | None, head_rng: np.random.Generator | None,
+    head_rng: np.random.Generator | None,
     *, total_steps: int, steps_per_epoch: int, batch_size: int,
-    reset_policy: str, head_reinit: bool, hessian_probes: int,
+    reset_policy: str, head_reinit: bool, curvature: bool,
 ) -> TrainRun:
     """The one training loop: public steps, then at most one switch to private.
 
@@ -231,8 +231,10 @@ def _train_loop(
     fires on the held-out loss, which is measured on ``val_set`` after every
     ``steps_per_epoch`` steps.  The switch applies ``reset_policy`` to the
     optimizer state and, with ``head_reinit``, re-draws the output block.
-    A one-sided schedule makes a one-phase run.  A non-finite loss, or a
-    curvature snapshot with a non-finite statistic, ends the run with
+    A one-sided schedule makes a one-phase run.  With ``curvature``, each
+    record carries a :func:`~dplens.hessian.stats_snapshot` of the step's
+    task at the updated parameters on the step's batch.  A non-finite loss,
+    or a snapshot with a non-finite statistic, ends the run with
     ``abort_reason`` set and the records before that iteration kept.
     """
     state = OptimizerState.zeros(task_public.dimension)
@@ -258,9 +260,9 @@ def _train_loop(
             break
 
         stats = None
-        if hessian_probes > 0:
+        if curvature:
             try:
-                stats = stats_snapshot(task, w, batch, hessian_probes, probe_rng)
+                stats = stats_snapshot(task, w, batch)
             except FloatingPointError:
                 run.abort_reason = f"non-finite curvature at iteration {t}"
                 break
@@ -300,7 +302,7 @@ def continual_pretrain(
     head_reinit: bool = False,
     val_size: int = 1024,
     w0: Array | None = None,
-    hessian_probes: int = 0,
+    curvature: bool = False,
 ) -> TrainRun:
     """Two-phase training: public steps, then a permanent switch to DP steps.
 
@@ -311,8 +313,9 @@ def continual_pretrain(
     and, optionally, the task's output-parameter block is re-drawn.  Passing
     a binary alpha schedule instead forces the phase change at a fixed
     iteration with no early stopping.  Private steps clip with ``rule``, and
-    ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  Training
-    aborts with a diagnostic record if the loss turns non-finite.
+    ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  With
+    ``curvature``, every record carries the step's curvature statistics.
+    Training aborts with a diagnostic record if the loss turns non-finite.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -324,15 +327,17 @@ def continual_pretrain(
     if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
 
-    init_rng, val_rng, data_rng, noise_rng, probe_rng, head_rng = rng.spawn(6)
+    # the fifth stream fed the curvature probes of an earlier trace estimate;
+    # it stays spawned so that head re-draws keep their bytes
+    init_rng, val_rng, data_rng, noise_rng, _, head_rng = rng.spawn(6)
     w = _initial_parameters(task_public, init_rng, w0)
     val_set = task_public.draw_batch(val_rng, val_size)
     return _train_loop(
         task_public, task_private, config, w, val_set, switch, schedule, sigma, rule,
-        data_rng, noise_rng, probe_rng, head_rng,
+        data_rng, noise_rng, head_rng,
         total_steps=epochs * steps_per_epoch, steps_per_epoch=steps_per_epoch,
         batch_size=batch_size, reset_policy=reset_policy, head_reinit=head_reinit,
-        hessian_probes=hessian_probes,
+        curvature=curvature,
     )
 
 
@@ -454,9 +459,9 @@ def four_way_comparison(
         name: _train_loop(
             task, task, config, w_init.copy(), eval_set, None,
             AlphaSchedule.only_public() if name == "sgd" else AlphaSchedule.only_private(),
-            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng, None, None,
+            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng, None,
             total_steps=steps, steps_per_epoch=steps, batch_size=batch_size,
-            reset_policy="none", head_reinit=False, hessian_probes=0,
+            reset_policy="none", head_reinit=False, curvature=False,
         )
         for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs)
     }

@@ -147,15 +147,20 @@ class TestConfigHandling:
         assert expected.value.message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
-    def test_single_hessian_probe_rejected_at_load(self, tmp_path, capsys):
+    def test_single_hessian_probe_writes_the_bytes_of_sixteen(self, tmp_path):
+        # hessian_probes is an on/off switch: the trace is exact, so the count
+        # is not read, and any positive value writes the same curvature columns
         payload = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
-        payload["hessian_probes"] = 1
-        path = write_config(tmp_path, payload)
-        with pytest.raises(ConfigError, match="hessian_probes must be 0 or at least 2"):
-            load_config(path, "continual")
-        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert "hessian_probes" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        outputs = {}
+        for probes in (0, 1, 16):
+            payload["hessian_probes"] = probes
+            out = tmp_path / str(probes)
+            path = write_config(tmp_path, payload)
+            assert load_config(path, "continual") == payload
+            assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
+            outputs[probes] = (out / "continual.csv").read_bytes()
+        assert outputs[1] == outputs[16]
+        assert b"tr_H" in outputs[1] and b"tr_H" not in outputs[0]
 
     @pytest.mark.parametrize("command", ["train", "continual"])
     def test_hessian_probes_with_batch_size_one_rejected_at_load(self, command, tmp_path):

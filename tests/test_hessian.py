@@ -1,13 +1,16 @@
+import inspect
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from dplens.hessian import (
     HessianStats,
-    hutchinson_trace,
     stats_snapshot,
     trace_h_sigma,
 )
-from dplens.model import QuadraticTask, TinyMlpTask, population_stats
+from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
 from dplens.cli import _run_table, _write_csv
 from dplens.trainer import IterationRecord, TrainRun
 
@@ -18,10 +21,6 @@ def diag_action(values):
     return lambda vs: (vs * vs) @ d
 
 
-def identity_action(vs):
-    return np.einsum("ij,ij->i", vs, vs)
-
-
 def zero_action(vs):
     return np.zeros(len(vs))
 
@@ -30,54 +29,95 @@ def centered_forms(grads, forms_action):
     return forms_action(grads - grads.mean(axis=0))
 
 
+def diag_quadratic(values):
+    d = len(values)
+    return QuadraticTask(np.diag(np.asarray(values, dtype=float)), np.zeros(d), np.eye(d))
+
+
+def three_tasks():
+    """A quadratic, a logistic and an MLP task, each with parameters and a batch."""
+    rng = np.random.default_rng(12)
+    quad = diag_quadratic([0.5, 1.0, 2.0])
+    logistic = LogisticTask(rng.standard_normal((30, 4)), (rng.random(30) < 0.5).astype(int))
+    mlp = TinyMlpTask(n_in=3, hidden=8, n_out=2, teacher_seed=1, noise_std=0.1)
+    return [
+        (task, 0.5 * rng.standard_normal(task.dimension), task.draw_batch(rng, 16))
+        for task in (quad, logistic, mlp)
+    ]
+
+
 class TestHutchinson:
+    """The exact tr(H) that took the place of the Hutchinson probe estimate.
+
+    Each test keeps the name of the probe test it replaces and checks the
+    exact counterpart of that claim: no probes, no standard error, no draws.
+    """
+
     def test_identity_within_three_se(self):
-        est = hutchinson_trace(identity_action, 10, 10_000, np.random.default_rng(0))
-        assert abs(est.estimate - 10.0) <= 3.0 * est.standard_error
+        task = QuadraticTask(np.eye(10), np.zeros(10), np.eye(10))
+        snap = stats_snapshot(task, np.ones(10), task.draw_batch(np.random.default_rng(0), 5))
+        assert snap.tr_h == 10.0
+        assert snap.standard_error_tr_h == 0.0
 
     def test_diag_1_to_5(self):
-        est = hutchinson_trace(diag_action([1, 2, 3, 4, 5]), 5, 10_000, np.random.default_rng(1))
-        assert abs(est.estimate - 15.0) <= 3.0 * est.standard_error
+        assert diag_quadratic([1, 2, 3, 4, 5]).hessian_trace(np.zeros(5), None) == 15.0
 
     def test_zero_operator_exact(self):
-        est = hutchinson_trace(zero_action, 7, 100, np.random.default_rng(2))
-        assert est.estimate == 0.0
-        assert est.standard_error == 0.0
+        assert diag_quadratic([0, 0, 0]).hessian_trace(np.ones(3), None) == 0.0
+        # zero features give a zero logistic Hessian at any parameters
+        task = LogisticTask(np.zeros((4, 3)), [0, 1, 0, 1])
+        assert task.hessian_trace(np.ones(3), np.arange(4)) == 0.0
 
     def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            hutchinson_trace(identity_action, 3, 1, np.random.default_rng(0))
+        # there is no probe count; tr(H Sigma) still needs two samples
+        task = diag_quadratic([1, 2, 3])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            stats_snapshot(task, np.ones(3), task.draw_batch(np.random.default_rng(0), 1))
 
     def test_nonfinite_rejected(self):
+        class InfiniteTrace(QuadraticTask):
+            def hessian_trace(self, w, batch):
+                return math.inf
+
+        task = InfiniteTrace(np.eye(3), np.zeros(3), np.eye(3))
+        batch = task.draw_batch(np.random.default_rng(0), 4)
         with pytest.raises(FloatingPointError):
-            hutchinson_trace(lambda vs: identity_action(vs) * np.inf, 3, 5, np.random.default_rng(0))
+            stats_snapshot(task, np.ones(3), batch)
+        # a diverged MLP iterate overflows the trace itself, with no warning
+        mlp = TinyMlpTask(n_in=3, hidden=8, n_out=2, teacher_seed=1)
+        w = 1e200 * mlp.random_parameters(np.random.default_rng(1))
+        mlp_batch = mlp.draw_batch(np.random.default_rng(2), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not math.isfinite(mlp.hessian_trace(w, mlp_batch))
+            with pytest.raises(FloatingPointError):
+                stats_snapshot(mlp, w, mlp_batch)
 
     def test_unbiased_over_runs(self):
-        action = diag_action([1, 2, 3, 4, 5])
+        # the batch trace is exact for its batch, and its mean over batches
+        # drawn with replacement is the trace over the whole data set
         rng = np.random.default_rng(4)
-        estimates, ses = [], []
-        for _ in range(50):
-            est = hutchinson_trace(action, 5, 200, rng)
-            estimates.append(est.estimate)
-            ses.append(est.standard_error)
-        pooled_se = np.mean(ses) / np.sqrt(50)
-        assert abs(np.mean(estimates) - 15.0) <= 3.0 * pooled_se
+        task = LogisticTask(rng.standard_normal((200, 5)), (rng.random(200) < 0.5).astype(int))
+        w = rng.standard_normal(5)
+        full = task.hessian_trace(w, np.arange(200))
+        traces = [task.hessian_trace(w, task.draw_batch(rng, 20)) for _ in range(400)]
+        assert abs(np.mean(traces) - full) <= 3.0 * np.std(traces, ddof=1) / np.sqrt(400)
 
     def test_se_scales_inverse_sqrt_k(self):
-        action = diag_action(np.arange(1.0, 9.0))
-        rng = np.random.default_rng(5)
-        normalized = []
-        for k in (100, 1000, 10_000):
-            est = hutchinson_trace(action, 8, k, rng)
-            normalized.append(est.standard_error * np.sqrt(k))
-        center = np.mean(normalized)
-        assert np.all(np.abs(np.asarray(normalized) - center) <= 0.2 * center)
+        # an exact trace has a zero standard error on every task
+        for task, w, batch in three_tasks():
+            snap = stats_snapshot(task, w, batch)
+            assert snap.standard_error_tr_h == 0.0
+            assert snap.tr_h == task.hessian_trace(w, batch)
 
     def test_reproducible_under_seed(self):
-        action = diag_action([2, 2, 2])
-        a = hutchinson_trace(action, 3, 64, np.random.default_rng(11))
-        b = hutchinson_trace(action, 3, 64, np.random.default_rng(11))
-        assert a == b
+        # a snapshot takes no generator and draws from no global one either
+        assert list(inspect.signature(stats_snapshot).parameters) == ["task", "w", "batch"]
+        for task, w, batch in three_tasks():
+            before = np.random.get_state()[1].copy()
+            assert stats_snapshot(task, w, batch) == stats_snapshot(task, w, batch)
+            assert np.array_equal(np.random.get_state()[1], before)
 
 
 class TestQuadraticForm:
@@ -102,7 +142,7 @@ class TestQuadraticForm:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            hutchinson_trace(lambda vs: np.ones(len(vs) + 1), 3, 4, np.random.default_rng(0))
+            diag_quadratic([1, 2, 3]).hessian_trace(np.ones(4), None)
         with pytest.raises(ValueError):
             trace_h_sigma(np.ones((3, 1)))
 
@@ -142,8 +182,9 @@ class TestSnapshot:
         task = QuadraticTask(a, np.zeros(5), 0.3 * np.eye(5))
         w = rng.standard_normal(5)
         exact = population_stats(task, w)
-        snap = stats_snapshot(task, w, task.draw_batch(rng, 40_000), 4000, rng)
-        assert abs(snap.tr_h - exact.tr_h) <= 3 * snap.standard_error_tr_h
+        snap = stats_snapshot(task, w, task.draw_batch(rng, 40_000))
+        assert snap.tr_h == exact.tr_h
+        assert snap.standard_error_tr_h == exact.standard_error_tr_h == 0.0
         assert snap.tr_h_sigma == pytest.approx(exact.tr_h_sigma, rel=0.05)
         assert snap.g_norm_sq == pytest.approx(exact.g_norm_sq, rel=0.05)
         assert snap.g_h_g == pytest.approx(exact.g_h_g, rel=0.05)
@@ -151,7 +192,7 @@ class TestSnapshot:
     def test_flat_landscape_all_zero(self):
         task = QuadraticTask(np.zeros((3, 3)), np.zeros(3), np.eye(3))
         rng = np.random.default_rng(10)
-        snap = stats_snapshot(task, np.ones(3), task.draw_batch(rng, 50), 16, rng)
+        snap = stats_snapshot(task, np.ones(3), task.draw_batch(rng, 50))
         assert snap.tr_h == 0.0
         assert snap.tr_h_sigma == 0.0
         assert snap.g_h_g == 0.0
@@ -160,17 +201,21 @@ class TestSnapshot:
     def test_snapshot_deterministic(self):
         task = QuadraticTask(np.eye(3), np.zeros(3), np.eye(3))
         batch = task.draw_batch(np.random.default_rng(0), 30)
-        a = stats_snapshot(task, np.ones(3), batch, 50, np.random.default_rng(1))
-        b = stats_snapshot(task, np.ones(3), batch, 50, np.random.default_rng(1))
+        a = stats_snapshot(task, np.ones(3), batch)
+        b = stats_snapshot(task, np.ones(3), batch)
         assert a == b
 
     def test_snapshot_one_forms_call_and_one_gradient_forms_call(self):
-        calls = {"hessian_forms": 0, "gradient_hessian_forms": 0}
+        calls = {"hessian_forms": 0, "hessian_trace": 0, "gradient_hessian_forms": 0}
 
         class CountingMlp(TinyMlpTask):
             def hessian_forms(self, w, batch, vs):
                 calls["hessian_forms"] += 1
                 return super().hessian_forms(w, batch, vs)
+
+            def hessian_trace(self, w, batch):
+                calls["hessian_trace"] += 1
+                return super().hessian_trace(w, batch)
 
             def gradient_hessian_forms(self, w, batch):
                 calls["gradient_hessian_forms"] += 1
@@ -179,8 +224,8 @@ class TestSnapshot:
         task = CountingMlp(n_in=3, hidden=8, n_out=2, teacher_seed=1)
         rng = np.random.default_rng(0)
         w = task.random_parameters(rng)
-        snap = stats_snapshot(task, w, task.draw_batch(rng, 20), 16, rng)
-        assert calls == {"hessian_forms": 1, "gradient_hessian_forms": 1}
+        snap = stats_snapshot(task, w, task.draw_batch(rng, 20))
+        assert calls == {"hessian_forms": 0, "hessian_trace": 1, "gradient_hessian_forms": 1}
         # the MLP has no way to build the per-sample gradient matrix
         assert not hasattr(TinyMlpTask, "per_sample_gradients")
         assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)

@@ -65,6 +65,7 @@ def test_task_interface_is_the_batched_methods():
         "batch_loss",
         "loss_and_weighted_gradient_sum",
         "hessian_forms",
+        "hessian_trace",
         "gradient_hessian_forms",
         "draw_batch",
         "batch_size_of",
@@ -124,6 +125,26 @@ def test_hessian_forms_rows_match_single_rows_for_any_block_size(task):
         task.hessian_forms(w, batch, vs[0])
     with pytest.raises(ValueError):
         task.hessian_forms(w, batch, vs[:, 1:])
+
+
+def trace_from_forms(task, w, batch):
+    """tr(H) as the sum of the forms on the identity: the reference for hessian_trace."""
+    return task.hessian_forms(w, batch, np.eye(task.dimension)).sum()
+
+
+@pytest.mark.parametrize(
+    "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
+)
+def test_hessian_trace_is_the_sum_of_the_forms_on_the_identity(task):
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 17):
+        w = 0.5 * rng.standard_normal(task.dimension)
+        batch = task.draw_batch(rng, m)
+        trace = task.hessian_trace(w, batch)
+        assert isinstance(trace, float)
+        assert trace == pytest.approx(trace_from_forms(task, w, batch), rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError):
+        task.hessian_trace(w[1:], batch)
 
 
 def test_mlp_hessian_forms_match_gradient_finite_difference():
@@ -243,13 +264,15 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     assert abs(g_h_g - ref_g_h_g) <= tol
     assert np.linalg.norm(g_hat - ref_g) <= 1e-12 * np.linalg.norm(grads, axis=1).sum()
 
-    snap = stats_snapshot(task, w, batch, 4, np.random.default_rng(seed))
+    trace = task.hessian_trace(w, batch)
+    assert trace == pytest.approx(trace_from_forms(task, w, batch), rel=1e-12, abs=0.0)
+
+    snap = stats_snapshot(task, w, batch)
     stacked = SimpleNamespace(
-        dimension=task.dimension,
-        hessian_forms=task.hessian_forms,
+        hessian_trace=lambda w, batch: trace_from_forms(task, w, batch),
         gradient_hessian_forms=lambda w, batch: stacked_gradient_hessian_forms(task, w, batch),
     )
-    ref = stats_snapshot(stacked, w, batch, 4, np.random.default_rng(seed))
+    ref = stats_snapshot(stacked, w, batch)
     for field in fields(ref):
         assert getattr(snap, field.name) == pytest.approx(
             getattr(ref, field.name), rel=1e-12, abs=0.0

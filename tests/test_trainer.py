@@ -372,7 +372,7 @@ class TestContinualPretrain:
         assert phase_order_ok(run)
 
     def test_hessian_probes_recorded_and_csv(self, tmp_path):
-        run = self._run(epochs=2, hessian_probes=8)
+        run = self._run(epochs=2, curvature=True)
         assert all(r.hessian is not None for r in run.records)
         text = _write_csv(tmp_path / "run.csv", _run_table(run, 16)).read_text()
         header = text.splitlines()[0]
