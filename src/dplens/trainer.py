@@ -327,8 +327,8 @@ def continual_pretrain(
     if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
 
-    # the fifth stream fed the curvature probes of an earlier trace estimate;
-    # it stays spawned so that head re-draws keep their bytes
+    # nothing draws from the fifth stream; it is spawned so that head_rng
+    # stays the sixth, which keeps the bytes of every head re-draw
     init_rng, val_rng, data_rng, noise_rng, _, head_rng = rng.spawn(6)
     w = _initial_parameters(task_public, init_rng, w0)
     val_set = task_public.draw_batch(val_rng, val_size)
