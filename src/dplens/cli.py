@@ -13,11 +13,18 @@ loss or curvature statistic, whose partial CSV is kept and gets no plot.
 Each config block goes straight to its constructor as keyword arguments, and
 a run option the config leaves out is left out of the call, so each default
 is written once, in the signature of the function that receives it.
+
+Configs are checked against ``CONFIG_SCHEMAS``, plain JSON Schema, by a
+validator in this module that implements the keywords those schemas use
+(:func:`validation_message`).  It reports the error that jsonschema's
+``best_match`` would, with an integer type that admits only a Python int, but
+needs no jsonschema: a run imports numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,7 +32,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import attacks, clipping, predictor, privacy, trainer
@@ -146,13 +152,14 @@ _SCHEDULE_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["indicator", "dpmd", "sample", "only_public", "only_private"]},
+        # the two-phase loop runs only the binary schedules
+        "kind": {"enum": ["indicator", "only_public", "only_private"]},
         "s": _NUM,
         "total": _POS_INT,
-        "k": _POS_INT,
-        "n_pub": {"type": "integer", "minimum": 0},
-        "n_priv": {"type": "integer", "minimum": 0},
     },
+    # s and total are the indicator's fields: a field beside kind needs it
+    "if": {"minProperties": 2},
+    "then": {"properties": {"kind": {"const": "indicator"}}},
 }
 
 _SEEDED = {
@@ -307,19 +314,109 @@ CONFIG_SCHEMAS = {
 }
 
 
+# --------------------------------------------------------------------------
+# config validation
+# --------------------------------------------------------------------------
+
 # JSON Schema's "integer" admits 5.0; the runners pass integer fields on to
 # range() and array shapes, so only a Python int (not a bool) is one here
-_BASE_VALIDATOR = jsonschema.validators.validator_for({})
-_STRICT_VALIDATOR = jsonschema.validators.extend(
-    _BASE_VALIDATOR,
-    type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
-    ),
-)
-# one validator per subcommand: jsonschema.validate would check the schema
-# itself against the metaschema on every call, which costs far more than
-# validating a config
-_VALIDATORS = {command: _STRICT_VALIDATOR(schema) for command, schema in CONFIG_SCHEMAS.items()}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+def _is_type(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+
+
+def _equal(a, b) -> bool:
+    """JSON equality, as ``enum`` and ``const`` use it: True is not 1, False is not 0."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield ``(rank, message)`` for each way ``value`` breaks ``schema``.
+
+    Implements the JSON Schema keywords that ``CONFIG_SCHEMAS`` uses, and no
+    other: any other keyword raises NotImplementedError.  Errors come in
+    schema-keyword order with jsonschema's messages, and ``rank`` is the key
+    of ``jsonschema.exceptions.relevance``: (-depth, instance path, whether
+    ``value`` misses the type ``schema`` declares).  So the first error of
+    maximal rank is the one ``jsonschema.exceptions.best_match`` picks.
+    """
+    rank = (-len(path), path, "type" not in schema or not _is_type(value, schema["type"]))
+    for keyword, arg in schema.items():
+        message = None
+        if keyword == "type":
+            if not _is_type(value, arg):
+                message = f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if not any(_equal(each, value) for each in arg):
+                message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "const":
+            if not _equal(value, arg):
+                message = f"{arg!r} was expected"
+        elif keyword == "minimum":
+            if _is_type(value, "number") and value < arg:
+                message = f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if _is_type(value, "number") and value <= arg:
+                message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                message = f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif keyword == "minProperties":
+            if isinstance(value, dict) and len(value) < arg:
+                message = f"{value!r} " + (
+                    "should be non-empty" if arg == 1 else "does not have enough properties"
+                )
+        elif keyword == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield rank, f"{name!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, path + (name,))
+        elif keyword == "additionalProperties":
+            if isinstance(value, dict):
+                extras = [name for name in value if name not in schema.get("properties", {})]
+                if isinstance(arg, dict):
+                    for name in extras:
+                        yield from _schema_errors(value[name], arg, path + (name,))
+                elif arg is False and extras:
+                    names = ", ".join(repr(name) for name in sorted(extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (index,))
+        elif keyword == "if":
+            if "then" in schema and next(_schema_errors(value, arg, path), None) is None:
+                yield from _schema_errors(value, schema["then"], path)
+        elif keyword != "then":  # "then" is read by "if"
+            raise NotImplementedError(f"config schemas may not use the keyword {keyword!r}")
+        if message is not None:
+            yield rank, message
+
+
+def validation_message(value, schema: dict) -> str | None:
+    """The message of the error ``jsonschema.exceptions.best_match`` picks
+    when ``value`` breaks ``schema``, or None when it satisfies it."""
+    error = max(_schema_errors(value, schema), key=lambda e: e[0], default=None)
+    return None if error is None else error[1]
 
 
 def load_config(path: str | Path, command: str) -> dict:
@@ -332,9 +429,9 @@ def load_config(path: str | Path, command: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config {path} fails validation: {error.message}")
+    message = validation_message(cfg, CONFIG_SCHEMAS[command])
+    if message is not None:
+        raise ConfigError(f"config {path} fails validation: {message}")
     # any positive hessian_probes turns on a curvature snapshot per step,
     # whose tr(H Sigma) estimate needs the spread of two or more gradients
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
@@ -849,6 +946,7 @@ def emit_svg_lineplot(
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dplens", description=__doc__)
     sub = parser.add_subparsers(dest="command")

@@ -132,7 +132,17 @@ def _per_sample_star(
         raise NonPositiveCurvatureError(
             f"denominator {denom:g} is not positive at B={b:g}"
         )
-    return 0.5 * inputs.g_norm_sq**2 / denom
+    return 0.5 * _g_fourth(inputs) / denom
+
+
+def _g_fourth(inputs: ImprovementInputs) -> float:
+    """|G|^4; an OverflowError that names it when a float cannot hold it."""
+    try:
+        return inputs.g_norm_sq**2
+    except OverflowError as exc:
+        raise OverflowError(
+            f"|G|^4 overflows a float at g_norm_sq = {inputs.g_norm_sq:g}"
+        ) from exc
 
 
 def denominator(b: float, inputs: ImprovementInputs) -> float:
@@ -230,7 +240,8 @@ def _mixed_stationary_point(
         )
     eta0 = -(2.0 * b * c_lin - d_lin * e) / det
     eta1 = -(2.0 * a * d_lin - c_lin * e) / det
-    value = (b * c_lin**2 + a * d_lin**2 - c_lin * d_lin * e) / det
+    # c_lin^2 is |G|^4, and d_lin^2 = c^2 |G|^4 fits wherever it does, as c <= 1
+    value = (b * _g_fourth(inputs) + a * d_lin**2 - c_lin * d_lin * e) / det
     return eta0, eta1, value
 
 

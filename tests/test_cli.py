@@ -12,6 +12,7 @@ import pytest
 
 from dplens.cli import (
     _RUNNERS,
+    _build_parser,
     CONFIG_SCHEMAS,
     ConfigError,
     Table,
@@ -109,6 +110,16 @@ class TestConfigHandling:
     def test_unknown_subcommand_exit_1(self):
         assert run_subcommand(["frobnicate"]) == 1
         assert run_subcommand([]) == 1
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+        path = write_config(tmp_path, sweep_config())
+        for _ in range(2):
+            run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path),
+                            "--jobs", "2"])
+        run_subcommand(["frobnicate"])
+        run_subcommand([])
+        assert _build_parser.cache_info().misses == 1
 
     def test_wrong_schema_version_rejected(self, tmp_path):
         payload = sweep_config()
@@ -245,16 +256,37 @@ class TestConfigHandling:
         [
             {"schedule": {"kind": "indicator", "total": 5}},
             {"schedule": {"kind": "indicator", "s": 0.5}},
-            {"schedule": {"kind": "dpmd"}},
-            {"schedule": {"kind": "sample", "n_pub": 0, "n_priv": 0}},
             {"clipping": {"kind": "reparam", "r": 0}},
         ],
-        ids=["indicator-no-s", "indicator-no-total", "dpmd-no-k", "sample-empty", "reparam-r0"],
+        ids=["indicator-no-s", "indicator-no-total", "reparam-r0"],
     )
     def test_bad_block_is_a_config_error(self, change, tmp_path, capsys):
         # the constructors' own checks reject these blocks, after validation passes
         path = write_config(tmp_path, {**continual_config(), **change})
         assert load_config(path, "continual")
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"kind": "dpmd"},
+            {"kind": "sample", "n_pub": 0, "n_priv": 0},
+            {"kind": "dpmd", "k": 3},
+            {"kind": "only_public", "s": 0.3, "k": 2},
+            {"kind": "only_public", "s": 0.3},
+            {"kind": "only_private", "total": 5},
+        ],
+        ids=["dpmd-no-k", "sample-empty", "dpmd", "only_public-s-k", "only_public-s",
+             "only_private-total"],
+    )
+    def test_schedule_the_loop_does_not_run_rejected_at_load(self, schedule, tmp_path, capsys):
+        # the two-phase loop runs only binary schedules, and only the
+        # indicator reads s and total
+        path = write_config(tmp_path, {**continual_config(), "schedule": schedule})
+        with pytest.raises(ConfigError, match="fails validation"):
+            load_config(path, "continual")
         assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
@@ -271,8 +303,11 @@ class TestConfigHandling:
     def test_block_keys_are_the_constructor_fields(self, block, constructor):
         # a block goes to its constructor as keyword arguments, so the keys a
         # schema accepts are the constructor's fields; predict's one row is at
-        # inputs.batch_size, its only key that is no ImprovementInputs field
+        # inputs.batch_size, its only key that is no ImprovementInputs field,
+        # and the loop runs no schedule that reads k, n_pub or n_priv
         fields = {field.name for field in dataclasses.fields(constructor)}
+        if block == "schedule":
+            fields -= {"k", "n_pub", "n_priv"}
         schemas = {
             command: schema["properties"][block]
             for command, schema in CONFIG_SCHEMAS.items()
@@ -285,6 +320,14 @@ class TestConfigHandling:
         for command, schema in schemas.items():
             extra = {"batch_size"} if command == "predict" else set()
             assert set(schema["properties"]) == fields | extra, command
+
+    @pytest.mark.parametrize("command", ["predict", "sweep-batch"])
+    def test_g_fourth_overflow_is_named(self, command, tmp_path, capsys):
+        payload = json.loads((CONFIG_DIR / f"{command.replace('-', '_')}.json").read_text())
+        payload["inputs"]["g_norm_sq"] = 1e155
+        path = write_config(tmp_path, payload)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "numerical error: |G|^4 overflows a float" in capsys.readouterr().err
 
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         payload = sweep_config()

@@ -125,6 +125,22 @@ class TestDeltaLPub:
         limit = 0.5 * inputs.g_norm_sq**2 / inputs.tr_h_sigma
         assert pred.delta_l_pub_star(1e-9, inputs) == pytest.approx(limit, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda x: pred.delta_l_pub_star(10.0, x),
+            lambda x: pred.delta_l_priv_star(10.0, x),
+            lambda x: pred.optimal_mixed_improvement(x, 10.0, 10.0),
+        ],
+        ids=["pub", "priv", "mixed"],
+    )
+    def test_g_fourth_overflow_names_g_fourth(self, form):
+        # |G|^2 = 1e155 squares past the largest float, about 1.8e308
+        inputs = pred.ImprovementInputs(1e155, 1.0, 1.0, 1.0, 0.5, 0.8)
+        message = r"\|G\|\^4 overflows a float at g_norm_sq = 1e\+155"
+        with pytest.raises(OverflowError, match=message):
+            form(inputs)
+
     def test_identity_sweep(self):
         rng = np.random.default_rng(6)
         for _ in range(10_000):
