@@ -330,8 +330,6 @@ def _is_type(value, name: str) -> bool:
 
 def _equal(a, b) -> bool:
     """JSON equality, as ``enum`` and ``const`` use it: True is not 1, False is not 0."""
-    if a is b:
-        return True
     if isinstance(a, str) or isinstance(b, str):
         return a == b
     if isinstance(a, list) and isinstance(b, list):
@@ -339,7 +337,7 @@ def _equal(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
     if isinstance(a, bool) or isinstance(b, bool):
-        return False
+        return a is b
     return a == b
 
 
