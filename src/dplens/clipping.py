@@ -60,7 +60,7 @@ def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
     keeps every factor finite.
     """
     g_norms = np.asarray(g_norms, dtype=float)
-    if np.any(g_norms < 0):
+    if (g_norms < 0).any():
         raise ValueError("gradient norms must be nonnegative")
     if rule.kind == "auto":
         return np.divide(1.0, g_norms, out=np.zeros_like(g_norms), where=g_norms > 0)

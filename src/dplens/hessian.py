@@ -1,18 +1,19 @@
 """Curvature statistics of a batch: tr(H), tr(H Sigma) and the batch gradient's form.
 
-A snapshot reads the Hessian H of a task's mean batch loss through two task
-calls and builds neither H nor any product ``H v``.  The task's
-``gradient_hessian_forms`` gives the batch-mean gradient g_hat, the centered
-forms ``(g_i - g_hat)^T H (g_i - g_hat)`` of the batch's own per-sample
-gradients, and ``g_hat^T H g_hat``; its ``hessian_trace`` gives tr(H) in
-closed form.  tr(H Sigma) is estimated from the centered forms; the other
-statistics are exact for the batch, and no snapshot draws a random number.
+A snapshot reads the Hessian H of a task's mean batch loss through one task
+call, one forward and backward pass of the batch, and builds neither H nor
+any product ``H v``.  The task's ``gradient_hessian_forms`` gives the
+batch-mean gradient g_hat, the centered forms ``(g_i - g_hat)^T H (g_i -
+g_hat)`` of the batch's own per-sample gradients, ``g_hat^T H g_hat``, and
+tr(H) in closed form.  tr(H Sigma) is estimated from the centered forms; the
+other statistics are exact for the batch, and no snapshot draws a random
+number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,23 +66,25 @@ def trace_h_sigma(centered_forms: Array) -> float:
 def stats_snapshot(task, w: Array, batch) -> HessianStats:
     """Curvature statistics of a task's mean batch loss at parameters ``w``.
 
-    Fills a :class:`HessianStats` from one ``gradient_hessian_forms`` call
-    (the batch-mean gradient g_hat, the centered forms behind tr(H Sigma),
-    and g_hat^T H g_hat) and one ``hessian_trace`` call (the exact tr(H), so
-    its standard error is 0, as in :func:`~dplens.model.population_stats`).
-    Raises :class:`FloatingPointError`, and emits no warning, when a
-    statistic overflows or is not a number, as at a diverged iterate.
+    Fills a :class:`HessianStats` from one ``gradient_hessian_forms`` call:
+    the batch-mean gradient g_hat, the centered forms behind tr(H Sigma),
+    g_hat^T H g_hat, and the exact tr(H), so its standard error is 0, as in
+    :func:`~dplens.model.population_stats`.  Raises
+    :class:`FloatingPointError`, and emits no warning, when a statistic
+    overflows or is not a number, as at a diverged iterate.
     """
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_hat, centered, g_h_g = task.gradient_hessian_forms(w, batch)
-        stats = HessianStats(
-            tr_h=task.hessian_trace(w, batch),
-            tr_h_sigma=trace_h_sigma(centered),
-            g_h_g=g_h_g,
-            g_norm_sq=float(g_hat @ g_hat),
-            standard_error_tr_h=0.0,
-        )
-    if not all(map(math.isfinite, astuple(stats))):
+        g_hat, centered, g_h_g, tr_h = task.gradient_hessian_forms(w, batch)
+        tr_h_sigma = trace_h_sigma(centered)
+        g_norm_sq = float(g_hat @ g_hat)
+    # the fifth field, the standard error, is the constant 0.0
+    if not all(map(math.isfinite, (tr_h, tr_h_sigma, g_h_g, g_norm_sq))):
         raise FloatingPointError("curvature statistics are not finite")
-    return stats
+    return HessianStats(
+        tr_h=tr_h,
+        tr_h_sigma=tr_h_sigma,
+        g_h_g=g_h_g,
+        g_norm_sq=g_norm_sq,
+        standard_error_tr_h=0.0,
+    )

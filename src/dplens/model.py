@@ -3,20 +3,20 @@
 Every task exposes the same batched surface, the methods the training loops
 and the curvature snapshot call: the mean batch loss (``batch_loss``), the
 fused training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss
-and a norm-weighted sum of per-sample gradients), the batch gradient with the
-Hessian forms of its centered per-sample gradients
-(``gradient_hessian_forms``), the exact trace of the Hessian of the mean
-batch loss (``hessian_trace``), and seeded batch drawing.  Each task has its
-own closed forms for them; the logistic and MLP ones never build the
-``(m, d)`` matrix of per-sample gradients.
+and a norm-weighted sum of per-sample gradients), the curvature pass
+(``gradient_hessian_forms``: the batch gradient, the Hessian forms of its
+centered per-sample gradients, and the exact trace of the Hessian of the mean
+batch loss), and seeded batch drawing.  Each task has its own closed forms
+for them; the logistic and MLP ones never build the ``(m, d)`` matrix of
+per-sample gradients.
 
 No method builds the Hessian H or a product ``H v``.  The snapshot reads H
 through the diagonal forms ``v_j^T H v_j`` of the batch's own gradients and
-through tr(H), which each task gives in closed form from the same factors.
-``hessian_forms`` gives the forms of any block of directions; it is the
-reference the other two are checked against (tr(H) is the sum of the forms
-on the identity).  For the batch loss ``L = (1/m) sum_s l_s`` the form along
-v is the second derivative of L on the line ``w + t v``::
+through tr(H), which each task gives in closed form from the factors of the
+same pass.  ``hessian_forms`` gives the forms of any block of directions; it
+is the reference the curvature pass is checked against (tr(H) is the sum of
+the forms on the identity).  For the batch loss ``L = (1/m) sum_s l_s`` the
+form along v is the second derivative of L on the line ``w + t v``::
 
     v^T H v = d^2/dt^2 L(w + t v) at t = 0
 
@@ -63,7 +63,7 @@ def _psd_factor(mat: Array) -> Array:
 
 
 class DifferentiableTask(abc.ABC):
-    """A loss landscape with a fused gradient pass, batch Hessian forms and tr(H).
+    """A loss landscape with a fused gradient pass and a curvature pass.
 
     Instances are immutable after construction and safe for concurrent
     reads; all randomness flows through caller-owned generators.
@@ -97,19 +97,16 @@ class DifferentiableTask(abc.ABC):
         """
 
     @abc.abstractmethod
-    def hessian_trace(self, w: Array, batch: Any) -> float:
-        """The exact trace of the Hessian of the mean batch loss at ``w``.
-
-        Equals ``hessian_forms(w, batch, np.eye(d)).sum()`` up to rounding.
-        """
-
-    @abc.abstractmethod
-    def gradient_hessian_forms(self, w: Array, batch: Any) -> tuple[Array, Array, float]:
-        """Batch gradient ``g_hat``, centered forms, and ``g_hat^T H g_hat``.
+    def gradient_hessian_forms(
+        self, w: Array, batch: Any
+    ) -> tuple[Array, Array, float, float]:
+        """Batch gradient ``g_hat``, centered forms, ``g_hat^T H g_hat`` and tr(H).
 
         The centered forms are the ``(m,)`` values
         ``(g_i - g_hat)^T H (g_i - g_hat)`` over the batch's per-sample
-        gradients ``g_i``, with H the Hessian of the mean batch loss.
+        gradients ``g_i``, with H the Hessian of the mean batch loss.  The
+        exact trace ``tr_h`` equals ``hessian_forms(w, batch, np.eye(d)).sum()``
+        up to rounding, and comes from the same pass.
         """
 
     @abc.abstractmethod
@@ -187,15 +184,13 @@ class QuadraticTask(DifferentiableTask):
         vs = self._check_block(vs)
         return np.einsum("ij,ij->i", vs, vs @ self.a)
 
-    def hessian_trace(self, w: Array, batch: Any) -> float:
-        self._check_dim(w)
-        return float(np.trace(self.a))
-
-    def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
+    def gradient_hessian_forms(
+        self, w: Array, batch: Array
+    ) -> tuple[Array, Array, float, float]:
         grads = self.per_sample_gradients(w, batch)
         g_hat = grads.mean(axis=0)
         forms = self.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
-        return g_hat, forms[:-1], float(forms[-1])
+        return g_hat, forms[:-1], float(forms[-1]), float(np.trace(self.a))
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         z = rng.standard_normal((m, self._d))
@@ -237,7 +232,7 @@ def population_stats(task: QuadraticTask, w: Array) -> HessianStats:
     a = task.a
     sigma = task.gradient_covariance()
     return HessianStats(
-        tr_h=task.hessian_trace(w, None),
+        tr_h=float(np.trace(a)),
         tr_h_sigma=float(np.trace(a @ sigma)),
         g_h_g=float(g @ a @ g),
         g_norm_sq=float(g @ g),
@@ -303,12 +298,9 @@ class LogisticTask(DifferentiableTask):
         p = _sigmoid(z)
         return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(z)
 
-    def hessian_trace(self, w: Array, batch: Array) -> float:
-        x, _, z = self._logits(w, batch)
-        p = _sigmoid(z)
-        return float((p * (1.0 - p)) @ _row_sq_norms(x) / len(z))
-
-    def gradient_hessian_forms(self, w: Array, batch: Array) -> tuple[Array, Array, float]:
+    def gradient_hessian_forms(
+        self, w: Array, batch: Array
+    ) -> tuple[Array, Array, float, float]:
         x, y, z = self._logits(w, batch)
         m = len(z)
         p = _sigmoid(z)
@@ -317,7 +309,8 @@ class LogisticTask(DifferentiableTask):
         g_hat = a @ x / m
         u = x @ g_hat
         rates = a[:, None] * (x @ x.T) - u
-        return g_hat, rates**2 @ slope / m, float(slope @ (u * u) / m)
+        tr_h = float(slope @ _row_sq_norms(x) / m)
+        return g_hat, rates**2 @ slope / m, float(slope @ (u * u) / m), tr_h
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         return rng.integers(len(self.labels), size=m)
@@ -401,7 +394,9 @@ class TinyMlpTask(DifferentiableTask):
         tr(H) = (1/m) sum_j [n_out (|h_j|^2 + 1)
                              + (|x_j|^2 + 1) sum_h (s_jh^2 |W2[:, h]|^2 - 2 delta1_jh h_jh)]
 
-    from the batch's own forward and backward pass.
+    ``gradient_hessian_forms`` reads it off the factors ``x``, ``h``,
+    ``delta1``, ``s`` and ``W2`` of the one forward and backward pass that
+    also gives the centered forms, so a curvature snapshot makes one pass.
     """
 
     MAX_WIDTH = 64
@@ -543,28 +538,26 @@ class TinyMlpTask(DifferentiableTask):
             )
         return out / m
 
-    def hessian_trace(self, w: Array, batch: tuple[Array, Array]) -> float:
-        w2 = self._unpack(self._check_dim(w))[2]
-        x, hidden, _, g_z1 = self._forward_backward(w, batch)
-        slope = 1.0 - hidden * hidden
-        per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
-        per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
-        traces = self.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
-        return float(traces.mean())
-
     def gradient_hessian_forms(
         self, w: Array, batch: tuple[Array, Array]
-    ) -> tuple[Array, Array, float]:
+    ) -> tuple[Array, Array, float, float]:
         w2 = self._unpack(self._check_dim(w))[2]
         x, hidden, resid, g_z1 = self._forward_backward(w, batch)
         m = x.shape[0]
         slope = 1.0 - hidden * hidden
         curve = -2.0 * g_z1 * hidden
+        # each sample's diagonal of H, summed (the class docstring's tr(H))
+        per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
+        per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
+        traces = self.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
         g_hat = self._gradient_sum(x, hidden, resid, g_z1) / m
         # rates along g_hat: mu = dz1, e = dout, rho_j = V2_bar^T r_j
-        mu, e = (rate[0] for rate in self._rates(x, hidden, w2, g_hat[None, :]))
-        rho = resid @ self._unpack(g_hat)[2]
+        v1, c1, v2, c2 = self._unpack(g_hat)
+        mu = x @ v1.T + c1
         s_mu = slope * mu
+        e = s_mu @ w2.T
+        e += hidden @ v2.T + c2
+        rho = resid @ v2
         # the terms of g_hat's form other than |e_j|^2, which every centered form shares
         shared = 2.0 * np.vdot(rho, s_mu) + np.vdot(curve, mu * mu)
         forms = np.empty(m)
@@ -585,7 +578,8 @@ class TinyMlpTask(DifferentiableTask):
             cross -= k * (delta @ (rho * slope).T)
             curv = k * (k * ((delta * delta) @ curve.T) - 2.0 * (delta @ (curve * mu).T))
             forms[part] = np.einsum("oim,oim->i", r_out, r_out) + (2.0 * cross + curv).sum(axis=1)
-        return g_hat, (forms + shared) / m, float((np.vdot(e, e) + shared) / m)
+        g_h_g = float((np.vdot(e, e) + shared) / m)
+        return g_hat, (forms + shared) / m, g_h_g, float(traces.mean())
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> tuple[Array, Array]:
         x = rng.standard_normal((m, self.n_in))

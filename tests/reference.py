@@ -34,16 +34,22 @@ def per_sample_gradients(task, w, batch):
     raise TypeError(f"no per-sample gradients for {type(task).__name__}")
 
 
+def trace_from_forms(task, w, batch):
+    """tr(H) as the sum of the forms on the identity."""
+    return task.hessian_forms(w, batch, np.eye(task.dimension)).sum()
+
+
 def stacked_gradient_hessian_forms(task, w, batch):
     """``gradient_hessian_forms`` from the stacked per-sample gradients.
 
     One ``hessian_forms`` call on the centered rows and ``g_hat`` gives the
-    centered forms and ``g_hat^T H g_hat``.
+    centered forms and ``g_hat^T H g_hat``; a second one, on the identity,
+    gives tr(H).
     """
     grads = per_sample_gradients(task, w, batch)
     g_hat = grads.mean(axis=0)
     forms = task.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
-    return g_hat, forms[:-1], float(forms[-1])
+    return g_hat, forms[:-1], float(forms[-1]), trace_from_forms(task, w, batch)
 
 
 def clip_factor(g_norm, rule):

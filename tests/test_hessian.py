@@ -34,6 +34,11 @@ def diag_quadratic(values):
     return QuadraticTask(np.diag(np.asarray(values, dtype=float)), np.zeros(d), np.eye(d))
 
 
+def trace_of(task, w, batch):
+    """The exact tr(H), the fourth output of the task's curvature pass."""
+    return task.gradient_hessian_forms(w, batch)[3]
+
+
 def three_tasks():
     """A quadratic, a logistic and an MLP task, each with parameters and a batch."""
     rng = np.random.default_rng(12)
@@ -60,13 +65,13 @@ class TestHutchinson:
         assert snap.standard_error_tr_h == 0.0
 
     def test_diag_1_to_5(self):
-        assert diag_quadratic([1, 2, 3, 4, 5]).hessian_trace(np.zeros(5), None) == 15.0
+        assert trace_of(diag_quadratic([1, 2, 3, 4, 5]), np.zeros(5), np.ones((2, 5))) == 15.0
 
     def test_zero_operator_exact(self):
-        assert diag_quadratic([0, 0, 0]).hessian_trace(np.ones(3), None) == 0.0
+        assert trace_of(diag_quadratic([0, 0, 0]), np.ones(3), np.zeros((2, 3))) == 0.0
         # zero features give a zero logistic Hessian at any parameters
         task = LogisticTask(np.zeros((4, 3)), [0, 1, 0, 1])
-        assert task.hessian_trace(np.ones(3), np.arange(4)) == 0.0
+        assert trace_of(task, np.ones(3), np.arange(4)) == 0.0
 
     def test_k_below_two_rejected(self):
         # there is no probe count; tr(H Sigma) still needs two samples
@@ -76,8 +81,8 @@ class TestHutchinson:
 
     def test_nonfinite_rejected(self):
         class InfiniteTrace(QuadraticTask):
-            def hessian_trace(self, w, batch):
-                return math.inf
+            def gradient_hessian_forms(self, w, batch):
+                return (*super().gradient_hessian_forms(w, batch)[:3], math.inf)
 
         task = InfiniteTrace(np.eye(3), np.zeros(3), np.eye(3))
         batch = task.draw_batch(np.random.default_rng(0), 4)
@@ -90,7 +95,7 @@ class TestHutchinson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
-                assert not math.isfinite(mlp.hessian_trace(w, mlp_batch))
+                assert not math.isfinite(trace_of(mlp, w, mlp_batch))
             with pytest.raises(FloatingPointError):
                 stats_snapshot(mlp, w, mlp_batch)
 
@@ -100,8 +105,8 @@ class TestHutchinson:
         rng = np.random.default_rng(4)
         task = LogisticTask(rng.standard_normal((200, 5)), (rng.random(200) < 0.5).astype(int))
         w = rng.standard_normal(5)
-        full = task.hessian_trace(w, np.arange(200))
-        traces = [task.hessian_trace(w, task.draw_batch(rng, 20)) for _ in range(400)]
+        full = trace_of(task, w, np.arange(200))
+        traces = [trace_of(task, w, task.draw_batch(rng, 20)) for _ in range(400)]
         assert abs(np.mean(traces) - full) <= 3.0 * np.std(traces, ddof=1) / np.sqrt(400)
 
     def test_se_scales_inverse_sqrt_k(self):
@@ -109,7 +114,7 @@ class TestHutchinson:
         for task, w, batch in three_tasks():
             snap = stats_snapshot(task, w, batch)
             assert snap.standard_error_tr_h == 0.0
-            assert snap.tr_h == task.hessian_trace(w, batch)
+            assert snap.tr_h == trace_of(task, w, batch)
 
     def test_reproducible_under_seed(self):
         # a snapshot takes no generator and draws from no global one either
@@ -142,7 +147,7 @@ class TestQuadraticForm:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            diag_quadratic([1, 2, 3]).hessian_trace(np.ones(4), None)
+            diag_quadratic([1, 2, 3]).gradient_hessian_forms(np.ones(4), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             trace_h_sigma(np.ones((3, 1)))
 
@@ -163,7 +168,7 @@ class TestTraceHSigma:
         rng = np.random.default_rng(8)
         w = np.ones(d)
         batch = task.draw_batch(rng, 100_000)
-        _, centered, _ = task.gradient_hessian_forms(w, batch)
+        _, centered, _, _ = task.gradient_hessian_forms(w, batch)
         m = len(centered)
         standard_error = m / (m - 1) * centered.std(ddof=1) / np.sqrt(m)
         # exact tr(A A S A^T) = d for identity matrices
@@ -205,30 +210,43 @@ class TestSnapshot:
         b = stats_snapshot(task, np.ones(3), batch)
         assert a == b
 
-    def test_snapshot_one_forms_call_and_one_gradient_forms_call(self):
-        calls = {"hessian_forms": 0, "hessian_trace": 0, "gradient_hessian_forms": 0}
+    def test_snapshot_makes_one_task_call_and_one_pass(self):
+        calls = {}
 
-        class CountingMlp(TinyMlpTask):
+        def count(name):
+            calls[name] = calls.get(name, 0) + 1
+
+        class Counting:
             def hessian_forms(self, w, batch, vs):
-                calls["hessian_forms"] += 1
+                count("hessian_forms")
                 return super().hessian_forms(w, batch, vs)
 
-            def hessian_trace(self, w, batch):
-                calls["hessian_trace"] += 1
-                return super().hessian_trace(w, batch)
-
             def gradient_hessian_forms(self, w, batch):
-                calls["gradient_hessian_forms"] += 1
+                count("gradient_hessian_forms")
                 return super().gradient_hessian_forms(w, batch)
 
-        task = CountingMlp(n_in=3, hidden=8, n_out=2, teacher_seed=1)
+        class CountingMlp(Counting, TinyMlpTask):
+            def _forward_backward(self, w, batch):
+                count("pass")
+                return super()._forward_backward(w, batch)
+
+        class CountingLogistic(Counting, LogisticTask):
+            def _logits(self, w, batch):
+                count("pass")
+                return super()._logits(w, batch)
+
         rng = np.random.default_rng(0)
-        w = task.random_parameters(rng)
-        snap = stats_snapshot(task, w, task.draw_batch(rng, 20))
-        assert calls == {"hessian_forms": 0, "hessian_trace": 1, "gradient_hessian_forms": 1}
+        mlp = CountingMlp(n_in=3, hidden=8, n_out=2, teacher_seed=1)
+        labels = (rng.random(30) < 0.5).astype(int)
+        logistic = CountingLogistic(rng.standard_normal((30, 4)), labels)
+        for task, w in ((mlp, mlp.random_parameters(rng)), (logistic, rng.standard_normal(4))):
+            batch = task.draw_batch(rng, 20)
+            calls.clear()
+            snap = stats_snapshot(task, w, batch)
+            assert calls == {"gradient_hessian_forms": 1, "pass": 1}, type(task).__name__
+            assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)
         # the MLP has no way to build the per-sample gradient matrix
         assert not hasattr(TinyMlpTask, "per_sample_gradients")
-        assert np.isfinite(snap.tr_h) and np.isfinite(snap.tr_h_sigma)
 
 
 class TestStatsTypesAndCsv:

@@ -16,7 +16,12 @@ from dplens.model import (
     _sigmoid,
     population_stats,
 )
-from reference import empirical_moments, per_sample_gradients, stacked_gradient_hessian_forms
+from reference import (
+    empirical_moments,
+    per_sample_gradients,
+    stacked_gradient_hessian_forms,
+    trace_from_forms,
+)
 
 
 def quadratic_case(d=4, seed=3):
@@ -65,7 +70,6 @@ def test_task_interface_is_the_batched_methods():
         "batch_loss",
         "loss_and_weighted_gradient_sum",
         "hessian_forms",
-        "hessian_trace",
         "gradient_hessian_forms",
         "draw_batch",
         "batch_size_of",
@@ -127,11 +131,6 @@ def test_hessian_forms_rows_match_single_rows_for_any_block_size(task):
         task.hessian_forms(w, batch, vs[:, 1:])
 
 
-def trace_from_forms(task, w, batch):
-    """tr(H) as the sum of the forms on the identity: the reference for hessian_trace."""
-    return task.hessian_forms(w, batch, np.eye(task.dimension)).sum()
-
-
 @pytest.mark.parametrize(
     "task", [quadratic_case(), logistic_case(), mlp_case()], ids=["quad", "logi", "mlp"]
 )
@@ -140,11 +139,11 @@ def test_hessian_trace_is_the_sum_of_the_forms_on_the_identity(task):
     for m in (1, 2, 17):
         w = 0.5 * rng.standard_normal(task.dimension)
         batch = task.draw_batch(rng, m)
-        trace = task.hessian_trace(w, batch)
+        trace = task.gradient_hessian_forms(w, batch)[3]
         assert isinstance(trace, float)
         assert trace == pytest.approx(trace_from_forms(task, w, batch), rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
-        task.hessian_trace(w[1:], batch)
+        task.gradient_hessian_forms(w[1:], batch)
 
 
 def test_mlp_hessian_forms_match_gradient_finite_difference():
@@ -255,21 +254,18 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     grads = per_sample_gradients(task, w, batch)
     assert not grads[0].any()
 
-    g_hat, forms, g_h_g = task.gradient_hessian_forms(w, batch)
-    ref_g, ref_forms, ref_g_h_g = stacked_gradient_hessian_forms(task, w, batch)
+    g_hat, forms, g_h_g, trace = task.gradient_hessian_forms(w, batch)
+    ref_g, ref_forms, ref_g_h_g, ref_trace = stacked_gradient_hessian_forms(task, w, batch)
     assert forms.shape == (m,)
     # the scale of the forms, so cancellation inside one form does not matter
     tol = 1e-10 * np.abs(ref_forms).sum()
     assert np.abs(forms - ref_forms).max() <= tol
     assert abs(g_h_g - ref_g_h_g) <= tol
     assert np.linalg.norm(g_hat - ref_g) <= 1e-12 * np.linalg.norm(grads, axis=1).sum()
-
-    trace = task.hessian_trace(w, batch)
-    assert trace == pytest.approx(trace_from_forms(task, w, batch), rel=1e-12, abs=0.0)
+    assert trace == pytest.approx(ref_trace, rel=1e-12, abs=0.0)
 
     snap = stats_snapshot(task, w, batch)
     stacked = SimpleNamespace(
-        hessian_trace=lambda w, batch: trace_from_forms(task, w, batch),
         gradient_hessian_forms=lambda w, batch: stacked_gradient_hessian_forms(task, w, batch),
     )
     ref = stats_snapshot(stacked, w, batch)
@@ -328,8 +324,8 @@ def test_logistic_fused_pass_matches_explicit_per_sample_gradients(seed, m, scal
 def test_logistic_ghost_curvature_matches_stacked_gradients(seed, m, scale):
     task, w, batch = logistic_batch_with_zero_row(seed, m, scale)
     grads = per_sample_gradients(task, w, batch)
-    g_hat, forms, g_h_g = task.gradient_hessian_forms(w, batch)
-    ref_g, ref_forms, ref_g_h_g = stacked_gradient_hessian_forms(task, w, batch)
+    g_hat, forms, g_h_g, _ = task.gradient_hessian_forms(w, batch)
+    ref_g, ref_forms, ref_g_h_g, _ = stacked_gradient_hessian_forms(task, w, batch)
     assert forms.shape == (m,)
     tol = 1e-10 * np.abs(ref_forms).sum()
     assert np.abs(forms - ref_forms).max() <= tol
