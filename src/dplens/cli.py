@@ -449,24 +449,30 @@ def canonical_config(cfg: dict) -> str:
 # --------------------------------------------------------------------------
 
 
+def _quadratic_diagonal(cfg: dict, name: str, d: int) -> np.ndarray:
+    """The ``(d,)`` diagonal from ``<name>_diag``, else ``<name>_scale`` (default 1) times I."""
+    key = f"{name}_diag"
+    if key in cfg:
+        values = np.asarray(cfg[key], dtype=float)
+        if values.shape != (d,):
+            raise ConfigError(f"{key} length must match dimension")
+    else:
+        key = f"{name}_scale"
+        values = np.full(d, float(cfg.get(key, 1.0)))
+    # NaN fails both comparisons
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise ConfigError(f"{key} must be finite and nonnegative")
+    return values
+
+
 def task_from_config(cfg: dict, rng: np.random.Generator):
     kind = cfg["kind"]
     if kind == "quadratic":
         d = cfg.get("dimension")
         if d is None:
             raise ConfigError("quadratic task needs a dimension")
-        if "hessian_diag" in cfg:
-            a = np.diag(np.asarray(cfg["hessian_diag"], dtype=float))
-            if a.shape[0] != d:
-                raise ConfigError("hessian_diag length must match dimension")
-        else:
-            a = cfg.get("hessian_scale", 1.0) * np.eye(d)
-        if "covariance_diag" in cfg:
-            s = np.diag(np.asarray(cfg["covariance_diag"], dtype=float))
-            if s.shape[0] != d:
-                raise ConfigError("covariance_diag length must match dimension")
-        else:
-            s = cfg.get("covariance_scale", 1.0) * np.eye(d)
+        a = _quadratic_diagonal(cfg, "hessian", d)
+        s = _quadratic_diagonal(cfg, "covariance", d)
         x_mean = np.asarray(cfg.get("x_mean", np.zeros(d)), dtype=float)
         if x_mean.shape != (d,):
             raise ConfigError("x_mean length must match dimension")
@@ -523,8 +529,8 @@ class Table:
     """One subcommand's output for one seed, before anything is written.
 
     ``header`` is the CSV header line, ``rows`` the cell values (an empty
-    string is an empty cell), and ``abort_reason`` says why a training run
-    stopped early, or is None for a complete table.
+    string is an empty cell), and ``abort_reason`` says why a training or
+    oracle run stopped early, or is None for a complete table.
     """
 
     header: str
@@ -666,7 +672,12 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
     return Table(header, rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_oracle(cfg: dict, seed: int) -> Table:
+    """One row per (eta, B, sigma) cell.  An overflow shows as the first cell
+    whose mc_mean, mc_se or closed_form is not finite: the table ends before
+    it, with ``abort_reason`` set, and no RuntimeWarning is printed."""
+    header = "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
     if not isinstance(task, QuadraticTask):
@@ -684,9 +695,12 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
                 mc = trainer.empirical_improvement_oracle(
                     task, w, eta, b, rule, sigma, cfg["trials"], rng
                 )
+                if not all(map(math.isfinite, (mc.estimate, mc.standard_error, closed))):
+                    reason = f"non-finite oracle cell at eta={eta}, B={b}, sigma={sigma}"
+                    return Table(header, rows, reason)
                 z = (mc.estimate - closed) / mc.standard_error
                 rows.append([eta, b, sigma, mc.estimate, mc.standard_error, closed, z])
-    return Table("eta,B,sigma,mc_mean,mc_se,closed_form,z_score", rows)
+    return Table(header, rows)
 
 
 def _run_train(cfg: dict, seed: int) -> Table:

@@ -86,7 +86,8 @@ def weighted_gradient_sums(grads: Array, weight_of_norms: NormWeights | None) ->
     """
     if weight_of_norms is None:
         return grads.sum(axis=-2)
-    factors = weight_of_norms(np.linalg.norm(grads, axis=-1))
+    # what np.linalg.norm computes, without its copy from grads.conj()
+    factors = weight_of_norms(np.sqrt(np.add.reduce(grads * grads, axis=-1)))
     return np.einsum("...i,...ij->...j", factors, grads)
 
 

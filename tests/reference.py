@@ -4,13 +4,15 @@ Each is the plain, per-sample form of something the package computes in a
 vectorised or fused way: the stacked per-sample gradients of each task, the
 curvature forms of those stacked gradients, the scalar clip factor, the
 privatized gradient of an explicit per-sample gradient matrix, the
-empirical gradient moments, and the improvement oracle that stacks each
-chunk's ``(trials, B, d)`` gradients at once.
+empirical gradient moments, the improvement oracle that stacks each
+chunk's ``(trials, B, d)`` gradients at once, and the quadratic task's
+formulas on the dense ``(d, d)`` matrices of its diagonal A and S.
 """
 
 import numpy as np
 
 from dplens.clipping import clip_weights, noised_mean, weighted_gradient_sums
+from dplens.hessian import HessianStats
 from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, _sigmoid
 
 
@@ -18,7 +20,7 @@ def per_sample_gradients(task, w, batch):
     """The ``(m, d)`` per-sample gradients of a batch, one row per sample."""
     w = np.asarray(w, dtype=float)
     if isinstance(task, QuadraticTask):
-        return (w[None, :] - np.atleast_2d(batch)) @ task.a
+        return DenseQuadratic(task).per_sample_gradients(w, batch)
     if isinstance(task, LogisticTask):
         x = task.features[batch]
         return (_sigmoid(x @ w) - task.labels[batch])[:, None] * x
@@ -122,3 +124,67 @@ def stacked_improvement_oracle(task, w, eta, b, rule, sigma, trials, rng):
         float(improvements.mean()),
         float(improvements.std(ddof=1) / np.sqrt(trials)),
     )
+
+
+class DenseQuadratic:
+    """A ``QuadraticTask``'s formulas on the dense matrices ``A = diag(a)``
+    and ``S = diag(s)``: a draw through the ``eigh`` factor F of S, products
+    with A, and traces of matrix products.
+
+    Each entry of these products has one nonzero term, so every result equals
+    the task's elementwise one bit for bit whenever ``eigh`` keeps the order
+    of S's diagonal: for S a scale times I or a sorted diagonal, as a config
+    builds it.  An unsorted diagonal is drawn in ``eigh``'s ascending order.
+    """
+
+    def __init__(self, task):
+        self.dimension = task.dimension
+        self.x_mean = task.x_mean
+        self.a = np.diag(task.a)
+        self.s = np.diag(task.s)
+        vals, vecs = np.linalg.eigh(self.s)
+        self.s_factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        self.sigma = self.a @ self.s @ self.a.T
+        self.noise_loss = 0.5 * float(np.trace(self.a @ self.s))
+
+    def draw_batch(self, rng, m):
+        z = rng.standard_normal((m, self.dimension))
+        return self.x_mean[None, :] + z @ self.s_factor.T
+
+    def per_sample_gradients(self, w, batch):
+        return (w[None, :] - np.atleast_2d(batch)) @ self.a
+
+    def batch_loss(self, w, batch):
+        r = w[None, :] - np.atleast_2d(batch)
+        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r @ self.a, r)))
+
+    def weighted_gradient_sum(self, w, batch, weight_of_norms):
+        """``sum_i C_i g_i`` with the norms from ``np.linalg.norm``."""
+        grads = self.per_sample_gradients(w, batch)
+        if weight_of_norms is None:
+            return grads.sum(axis=0)
+        factors = weight_of_norms(np.linalg.norm(grads, axis=-1))
+        return np.einsum("i,ij->j", factors, grads)
+
+    def hessian_forms(self, vs):
+        return np.einsum("ij,ij->i", vs, vs @ self.a)
+
+    def population_gradient(self, w):
+        return self.a @ (w - self.x_mean)
+
+    def population_loss(self, w):
+        return float(self.population_losses(w[None, :])[0])
+
+    def population_losses(self, ws):
+        r = np.atleast_2d(ws) - self.x_mean[None, :]
+        return 0.5 * np.einsum("ij,ij->i", r @ self.a, r) + self.noise_loss
+
+    def population_stats(self, w):
+        g = self.population_gradient(w)
+        return HessianStats(
+            tr_h=float(np.trace(self.a)),
+            tr_h_sigma=float(np.trace(self.a @ self.sigma)),
+            g_h_g=float(g @ self.a @ g),
+            g_norm_sq=float(g @ g),
+            standard_error_tr_h=0.0,
+        )

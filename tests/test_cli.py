@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -349,8 +350,8 @@ class TestTaskFromConfig:
             rng,
         )
         assert isinstance(task, QuadraticTask)
-        assert np.allclose(np.diag(task.a), [1.0, 2.0, 3.0])
-        assert np.allclose(task.s, 0.5 * np.eye(3))
+        assert np.array_equal(task.a, [1.0, 2.0, 3.0])
+        assert np.array_equal(task.s, [0.5, 0.5, 0.5])
 
     def test_quadratic_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -358,6 +359,27 @@ class TestTaskFromConfig:
                 {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0, 3.0]},
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0],
+                             ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize(
+        "key", ["hessian_diag", "covariance_diag", "hessian_scale", "covariance_scale"]
+    )
+    def test_quadratic_entries_must_be_finite_and_nonnegative(self, key, bad, tmp_path, capsys):
+        task = {"kind": "quadratic", "dimension": 2,
+                key: [1.0, bad] if key.endswith("_diag") else bad}
+        payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
+                   "sigma_grid": [0.0], "trials": 200}
+        with pytest.raises(ConfigError, match=f"{key} must be finite and nonnegative"):
+            task_from_config(task, np.random.default_rng(0))
+        # json writes NaN and Infinity as the bare tokens json.loads reads back
+        path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand(["oracle", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"config error: {key} must be finite and nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_tinymlp(self):
         task = task_from_config(
@@ -434,6 +456,33 @@ class TestSubcommands:
         zs = [abs(float(line.split(",")[6])) for line in lines[1:]]
         assert len(zs) == 8
         assert sum(z <= 4.0 for z in zs) >= 7
+
+    @pytest.mark.parametrize(
+        "scales, sigma_grid, kept",
+        [((1e200, 1e200), [0.0], 0), ((0.5, 0.001), [0.0, 1e200], 1)],
+        ids=["first-cell", "second-cell"],
+    )
+    def test_oracle_non_finite_cell_keeps_rows_before_it_and_exits_2(
+        self, scales, sigma_grid, kept, tmp_path, capsys
+    ):
+        # finite, schema-valid values whose products overflow: with both
+        # scales at 1e200 the first cell is all nan, and sigma = 1e200
+        # overflows the noised step
+        task = {"kind": "quadratic", "dimension": 8, "hessian_scale": scales[0],
+                "covariance_scale": scales[1]}
+        payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
+                   "sigma_grid": sigma_grid, "trials": 200}
+        path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand(["oracle", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"non-finite oracle cell at eta=0.1, B=4, sigma={sigma_grid[-1]}" in err
+        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        assert lines[0] == "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
+        assert len(lines) == 1 + kept
+        assert not re.search(r"inf|nan", "\n".join(lines))
 
     def test_continual_demo(self, tmp_path):
         code = run_subcommand(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dplens.clipping import ClippingRule, clip_factors, noised_mean
+from dplens.clipping import ClippingRule, clip_factors, noised_mean, weighted_gradient_sums
 from reference import clip_factor, privatize_gradient
 
 AUTO = ClippingRule.auto()
@@ -129,3 +129,19 @@ class TestPrivatizeGradient:
             privatize_gradient(np.ones((2, 2)), AUTO, -0.1)
         with pytest.raises(ValueError):
             privatize_gradient(np.ones((2, 2)), AUTO, 1.0, None)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (4, 9, 64), (2, 3, 200)])
+def test_weighted_sums_take_the_norms_of_linalg_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    grads = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    seen = []
+
+    def weight_of_norms(norms):
+        seen.append(norms)
+        return clip_factors(norms, REPARAM1)
+
+    total = weighted_gradient_sums(grads, weight_of_norms)
+    want = np.linalg.norm(grads, axis=-1)
+    assert np.array_equal(seen[0], want)
+    assert np.array_equal(total, np.einsum("...i,...ij->...j", clip_factors(want, REPARAM1), grads))

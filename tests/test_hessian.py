@@ -31,7 +31,7 @@ def centered_forms(grads, forms_action):
 
 def diag_quadratic(values):
     d = len(values)
-    return QuadraticTask(np.diag(np.asarray(values, dtype=float)), np.zeros(d), np.eye(d))
+    return QuadraticTask(np.asarray(values, dtype=float), np.zeros(d), np.ones(d))
 
 
 def trace_of(task, w, batch):
@@ -59,7 +59,7 @@ class TestHutchinson:
     """
 
     def test_identity_within_three_se(self):
-        task = QuadraticTask(np.eye(10), np.zeros(10), np.eye(10))
+        task = QuadraticTask(np.ones(10), np.zeros(10), np.ones(10))
         snap = stats_snapshot(task, np.ones(10), task.draw_batch(np.random.default_rng(0), 5))
         assert snap.tr_h == 10.0
         assert snap.standard_error_tr_h == 0.0
@@ -84,7 +84,7 @@ class TestHutchinson:
             def gradient_hessian_forms(self, w, batch):
                 return (*super().gradient_hessian_forms(w, batch)[:3], math.inf)
 
-        task = InfiniteTrace(np.eye(3), np.zeros(3), np.eye(3))
+        task = InfiniteTrace(np.ones(3), np.zeros(3), np.ones(3))
         batch = task.draw_batch(np.random.default_rng(0), 4)
         with pytest.raises(FloatingPointError):
             stats_snapshot(task, np.ones(3), batch)
@@ -129,20 +129,19 @@ class TestQuadraticForm:
     """The forms v^T H v that every estimator reads, on the quadratic task."""
 
     def test_hand_case(self):
-        task = QuadraticTask(np.diag([2.0, 3.0]), np.zeros(2), np.eye(2))
+        task = QuadraticTask(np.array([2.0, 3.0]), np.zeros(2), np.ones(2))
         assert task.hessian_forms(np.zeros(2), None, np.array([[1.0, 0.0]])).tolist() == [2.0]
 
     def test_zero_gradient(self):
-        task = QuadraticTask(np.diag([1.0, 2.0, 3.0, 4.0]), np.zeros(4), np.eye(4))
+        task = QuadraticTask(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4), np.ones(4))
         assert task.hessian_forms(np.zeros(4), None, np.zeros((1, 4))).tolist() == [0.0]
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
-        m = rng.standard_normal((6, 6))
-        a = m @ m.T
-        task = QuadraticTask(a, np.zeros(6), np.eye(6))
+        a = np.geomspace(0.1, 5.0, 6)[rng.permutation(6)]
+        task = QuadraticTask(a, rng.standard_normal(6), np.ones(6))
         gs = rng.standard_normal((3, 6))
-        dense = [float(g @ a @ g) for g in gs]
+        dense = [float(g @ np.diag(a) @ g) for g in gs]
         assert task.hessian_forms(np.zeros(6), None, gs) == pytest.approx(dense, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
@@ -164,7 +163,7 @@ class TestTraceHSigma:
 
     def test_quadratic_task_oracle(self):
         d = 4
-        task = QuadraticTask(np.eye(d), np.zeros(d), np.eye(d))
+        task = QuadraticTask(np.ones(d), np.zeros(d), np.ones(d))
         rng = np.random.default_rng(8)
         w = np.ones(d)
         batch = task.draw_batch(rng, 100_000)
@@ -182,9 +181,9 @@ class TestTraceHSigma:
 class TestSnapshot:
     def test_matches_population_stats(self):
         rng = np.random.default_rng(9)
-        m = rng.standard_normal((5, 5))
-        a = m @ m.T / 5 + np.eye(5)
-        task = QuadraticTask(a, np.zeros(5), 0.3 * np.eye(5))
+        a = np.geomspace(0.5, 8.0, 5)[rng.permutation(5)]
+        s = 0.3 * np.geomspace(0.2, 2.0, 5)[rng.permutation(5)]
+        task = QuadraticTask(a, rng.standard_normal(5), s)
         w = rng.standard_normal(5)
         exact = population_stats(task, w)
         snap = stats_snapshot(task, w, task.draw_batch(rng, 40_000))
@@ -195,7 +194,7 @@ class TestSnapshot:
         assert snap.g_h_g == pytest.approx(exact.g_h_g, rel=0.05)
 
     def test_flat_landscape_all_zero(self):
-        task = QuadraticTask(np.zeros((3, 3)), np.zeros(3), np.eye(3))
+        task = QuadraticTask(np.zeros(3), np.zeros(3), np.ones(3))
         rng = np.random.default_rng(10)
         snap = stats_snapshot(task, np.ones(3), task.draw_batch(rng, 50))
         assert snap.tr_h == 0.0
@@ -204,7 +203,7 @@ class TestSnapshot:
         assert snap.g_norm_sq == 0.0
 
     def test_snapshot_deterministic(self):
-        task = QuadraticTask(np.eye(3), np.zeros(3), np.eye(3))
+        task = QuadraticTask(np.ones(3), np.zeros(3), np.ones(3))
         batch = task.draw_batch(np.random.default_rng(0), 30)
         a = stats_snapshot(task, np.ones(3), batch)
         b = stats_snapshot(task, np.ones(3), batch)

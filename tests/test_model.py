@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dplens.clipping import ClippingRule, clip_factors
+from dplens.cli import task_from_config
+from dplens.clipping import ClippingRule, clip_factors, clip_weights
 from dplens.hessian import HessianStats, stats_snapshot
 from dplens.model import (
     DifferentiableTask,
@@ -16,20 +17,23 @@ from dplens.model import (
     _sigmoid,
     population_stats,
 )
+from dplens.trainer import empirical_improvement_oracle
 from reference import (
+    DenseQuadratic,
     empirical_moments,
     per_sample_gradients,
     stacked_gradient_hessian_forms,
+    stacked_improvement_oracle,
     trace_from_forms,
 )
 
 
 def quadratic_case(d=4, seed=3):
+    """Diagonals of A and S with distinct entries spread over 16x, in shuffled
+    order, and a nonzero mean."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d))
-    a = m @ m.T / d + 0.5 * np.eye(d)
-    s_m = rng.standard_normal((d, d))
-    s = s_m @ s_m.T / d
+    a = np.geomspace(0.25, 4.0, d)[rng.permutation(d)]
+    s = np.geomspace(1.0 / 16.0, 1.0, d)[rng.permutation(d)]
     x_mean = rng.standard_normal(d)
     return QuadraticTask(a, x_mean, s)
 
@@ -335,9 +339,64 @@ def test_logistic_ghost_curvature_matches_stacked_gradients(seed, m, scale):
     assert forms[0] == pytest.approx(g_h_g, rel=1e-12, abs=0.0)
 
 
+# quadratic task blocks of configs whose bytes the dense formulas fix: scales
+# times I, a hessian_diag, and a sorted covariance_diag
+DENSE_CASES = {
+    "oracle_small": {"dimension": 8, "hessian_scale": 0.5, "covariance_scale": 0.001},
+    "oracle_quad": {"dimension": 64, "covariance_scale": 0.001},
+    "defaults": {"dimension": 4},
+    "scales": {"dimension": 17, "hessian_scale": 7.3, "covariance_scale": 3.0,
+               "x_mean": [0.1 * (i - 8) for i in range(17)]},
+    "hessian_diag": {"dimension": 5, "hessian_diag": [0.1, 0.3, 1.0, 2.5, 9.0],
+                     "covariance_scale": 0.2, "x_mean": [1.0, -2.0, 0.5, 0.0, 3.0]},
+    "covariance_diag": {"dimension": 6, "hessian_scale": 2.0,
+                        "covariance_diag": [0.01, 0.02, 0.05, 0.1, 0.5, 1.0]},
+    # long enough that a pairwise sum and a dot product round differently
+    "both_diags": {"dimension": 40, "hessian_diag": np.geomspace(0.05, 20.0, 40).tolist(),
+                   "covariance_diag": np.geomspace(0.001, 0.3, 40).tolist()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_quadratic_matches_the_dense_formulas_bit_for_bit(case):
+    task = task_from_config({"kind": "quadratic", **DENSE_CASES[case]}, None)
+    dense = DenseQuadratic(task)
+    d = task.dimension
+    batch = task.draw_batch(np.random.default_rng(1), 33)
+    assert np.array_equal(batch, dense.draw_batch(np.random.default_rng(1), 33))
+    rng = np.random.default_rng(2)
+    w = task.x_mean + 0.5 * rng.standard_normal(d)
+    assert np.array_equal(task.per_sample_gradients(w, batch), dense.per_sample_gradients(w, batch))
+    assert task.batch_loss(w, batch) == dense.batch_loss(w, batch)
+    for rule in (None, ClippingRule.auto(), ClippingRule.reparam(0.7)):
+        loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
+        assert loss == dense.batch_loss(w, batch)
+        assert np.array_equal(total, dense.weighted_gradient_sum(w, batch, clip_weights(rule)))
+    vs = rng.standard_normal((5, d))
+    assert np.array_equal(task.hessian_forms(w, batch, vs), dense.hessian_forms(vs))
+    assert task.gradient_hessian_forms(w, batch)[3] == float(np.trace(dense.a))
+    assert np.array_equal(task.population_gradient(w), dense.population_gradient(w))
+    assert np.array_equal(np.diag(task.gradient_covariance()), dense.sigma)
+    ws = w + rng.standard_normal((7, d))
+    assert np.array_equal(task.population_losses(ws), dense.population_losses(ws))
+    assert population_stats(task, w) == dense.population_stats(w)
+
+
+@pytest.mark.parametrize("case", ["oracle_small", "hessian_diag"])
+def test_oracle_on_the_quadratic_matches_the_dense_formulas_bit_for_bit(case):
+    task = task_from_config({"kind": "quadratic", **DENSE_CASES[case]}, None)
+    w = task.x_mean + 0.3
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = empirical_improvement_oracle(task, w, 0.2, 16, ClippingRule.reparam(1.0), 0.2, 300, rng)
+    want = stacked_improvement_oracle(
+        DenseQuadratic(task), w, 0.2, 16, ClippingRule.reparam(1.0), 0.2, 300, ref_rng
+    )
+    assert (got.estimate, got.standard_error) == want
+
+
 class TestPopulationStats:
     def test_identity_case(self):
-        task = QuadraticTask(np.eye(3), np.zeros(3), np.eye(3))
+        task = QuadraticTask(np.ones(3), np.zeros(3), np.ones(3))
         stats = population_stats(task, np.array([1.0, 0.0, 0.0]))
         assert isinstance(stats, HessianStats)
         assert stats.standard_error_tr_h == 0.0
@@ -347,15 +406,15 @@ class TestPopulationStats:
         assert stats.tr_h_sigma == 3.0
 
     def test_zero_covariance(self):
-        task = QuadraticTask(np.diag([1.0, 2.0]), np.zeros(2), np.zeros((2, 2)))
+        task = QuadraticTask(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
         stats = population_stats(task, np.array([0.5, 0.5]))
         assert stats.tr_h_sigma == 0.0
-        assert np.array_equal(task.gradient_covariance(), np.zeros((2, 2)))
+        assert np.array_equal(task.gradient_covariance(), np.zeros(2))
 
     def test_diag_123_dense_oracle(self):
         a = np.diag([1.0, 2.0, 3.0])
         s = np.eye(3)
-        task = QuadraticTask(a, np.zeros(3), s)
+        task = QuadraticTask(np.diag(a), np.zeros(3), np.diag(s))
         stats = population_stats(task, np.ones(3))
         # dense matrix-product oracle for tr(A A S A^T)
         oracle = float(np.trace(a @ a @ s @ a.T))
@@ -370,7 +429,7 @@ class TestPopulationStats:
 
 class TestEmpiricalMoments:
     def test_zero_covariance_exact(self):
-        task = QuadraticTask(np.diag([1.0, 2.0]), np.zeros(2), np.zeros((2, 2)))
+        task = QuadraticTask(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
         g_hat, sigma_hat = empirical_moments(task, np.ones(2), 50, np.random.default_rng(0))
         assert np.array_equal(sigma_hat, np.zeros((2, 2)))
         assert np.allclose(g_hat, task.population_gradient(np.ones(2)))
@@ -400,19 +459,30 @@ class TestEmpiricalMoments:
         g = task.population_gradient(w)
         assert np.all(np.abs(g_hat - g) <= 3.0 * se)
         _, sigma_hat = empirical_moments(task, w, m, np.random.default_rng(7))
-        sigma = task.gradient_covariance()
+        sigma = np.diag(task.gradient_covariance())
         rel = np.linalg.norm(sigma_hat - sigma) / np.linalg.norm(sigma)
         assert rel <= 0.1
 
 
 class TestTaskConstruction:
-    def test_asymmetric_hessian_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticTask(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), np.eye(2))
-
     def test_indefinite_hessian_rejected(self):
         with pytest.raises(ValueError):
-            QuadraticTask(np.diag([1.0, -1.0]), np.zeros(2), np.eye(2))
+            QuadraticTask(np.array([1.0, -1.0]), np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("slot", ["a", "s"])
+    def test_diagonal_entries_must_be_finite_and_nonnegative(self, slot, bad):
+        diagonals = {"a": np.ones(2), "s": np.ones(2)}
+        diagonals[slot][1] = bad
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            QuadraticTask(diagonals["a"], np.zeros(2), diagonals["s"])
+
+    def test_matrix_rejected(self):
+        # A and S are given as their diagonals
+        with pytest.raises(ValueError, match="diagonal"):
+            QuadraticTask(np.eye(2), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="diagonal"):
+            QuadraticTask(np.ones(2), np.zeros(2), np.eye(2))
 
     def test_logistic_labels_validated(self):
         with pytest.raises(ValueError):
@@ -444,6 +514,6 @@ class TestTaskConstruction:
         rng = np.random.default_rng(10)
         w = rng.standard_normal(task.dimension)
         batch = task.draw_batch(rng, 200_000)
-        mc = np.mean([0.5 * (w - x) @ task.a @ (w - x) for x in batch[:5000]])
+        mc = np.mean([0.5 * ((w - x) * task.a) @ (w - x) for x in batch[:5000]])
         exact = task.population_loss(w)
         assert mc == pytest.approx(exact, rel=0.1)

@@ -46,10 +46,12 @@ def phase_order_ok(run):
 
 
 def small_quadratic(d=4, cov=0.02, seed=0):
+    """Diagonals of A and of S / cov with distinct entries spread over 12.5x,
+    in shuffled order, and a nonzero mean."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d))
-    a = 0.3 * (m @ m.T / d) + 0.4 * np.eye(d)
-    return QuadraticTask(a, np.zeros(d), cov * np.eye(d))
+    a = np.geomspace(0.08, 1.0, d)[rng.permutation(d)]
+    s = cov * np.geomspace(0.2, 2.5, d)[rng.permutation(d)]
+    return QuadraticTask(a, 0.1 * rng.standard_normal(d), s)
 
 
 def count_dp_steps(monkeypatch):
@@ -435,12 +437,12 @@ class TestImprovementOracle:
 
 
 def wide_quadratic(d, seed=20):
-    """A d-dimensional quadratic with a dense A and a dense sample covariance."""
+    """A d-dimensional quadratic whose diagonals of A and S have distinct
+    entries spread over 20x and 50x, in shuffled order, and a nonzero mean."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d))
-    f = rng.standard_normal((d, d))
-    return QuadraticTask(m @ m.T / d + 0.1 * np.eye(d), rng.standard_normal(d),
-                         0.001 * (f @ f.T / d))
+    a = np.geomspace(0.1, 2.0, d)[rng.permutation(d)]
+    s = 0.001 * np.geomspace(0.05, 2.5, d)[rng.permutation(d)]
+    return QuadraticTask(a, rng.standard_normal(d), s)
 
 
 class TestStreamedOracle:
