@@ -47,10 +47,6 @@ class ClippingRule:
     def auto(cls) -> "ClippingRule":
         return cls(kind="auto")
 
-    @classmethod
-    def reparam(cls, r: float) -> "ClippingRule":
-        return cls(kind="reparam", r=float(r))
-
 
 def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
     """The clip factor C of each per-sample gradient norm in ``g_norms``.

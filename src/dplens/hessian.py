@@ -7,7 +7,8 @@ batch-mean gradient g_hat, the centered forms ``(g_i - g_hat)^T H (g_i -
 g_hat)`` of the batch's own per-sample gradients, ``g_hat^T H g_hat``, and
 tr(H) in closed form.  tr(H Sigma) is estimated from the centered forms; the
 other statistics are exact for the batch, and no snapshot draws a random
-number.
+number.  The forms along an arbitrary block of directions, which no snapshot
+needs, live in ``tests/reference.py`` as the check on each task's pass.
 """
 
 from __future__ import annotations

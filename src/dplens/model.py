@@ -1,4 +1,4 @@
-"""Synthetic differentiable tasks with batched gradient and Hessian access.
+"""Synthetic differentiable tasks with a batched training pass and curvature pass.
 
 Every task exposes the same batched surface, the methods the training loops
 and the curvature snapshot call: the mean batch loss (``batch_loss``), the
@@ -11,16 +11,11 @@ for them; the logistic and MLP ones never build the ``(m, d)`` matrix of
 per-sample gradients.
 
 No method builds the Hessian H or a product ``H v``.  The snapshot reads H
-through the diagonal forms ``v_j^T H v_j`` of the batch's own gradients and
-through tr(H), which each task gives in closed form from the factors of the
-same pass.  ``hessian_forms`` gives the forms of any block of directions; it
-is the reference the curvature pass is checked against (tr(H) is the sum of
-the forms on the identity).  For the batch loss ``L = (1/m) sum_s l_s`` the
-form along v is the second derivative of L on the line ``w + t v``::
-
-    v^T H v = d^2/dt^2 L(w + t v) at t = 0
-
-which a second-order forward-mode pass along v gives.
+through the forms ``v^T H v`` along the batch's own centered gradients and
+its mean gradient, and through tr(H), which each task gives in closed form
+from the factors of the same pass.  ``tests/reference.py`` computes the
+forms along any block of directions from the stacked per-sample gradients,
+and the tests check the curvature pass against it.
 
 The quadratic task additionally carries exact population oracles (gradient,
 Hessian, per-sample gradient covariance) and its closed-form per-sample
@@ -83,13 +78,6 @@ class DifferentiableTask(abc.ABC):
         """
 
     @abc.abstractmethod
-    def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
-        """The ``(k,)`` forms ``v_j^T H v_j`` of the mean batch loss at ``w``.
-
-        ``vs`` has shape ``(k, d)`` and row ``j`` is the direction ``v_j``.
-        """
-
-    @abc.abstractmethod
     def gradient_hessian_forms(
         self, w: Array, batch: Any
     ) -> tuple[Array, Array, float, float]:
@@ -97,9 +85,11 @@ class DifferentiableTask(abc.ABC):
 
         The centered forms are the ``(m,)`` values
         ``(g_i - g_hat)^T H (g_i - g_hat)`` over the batch's per-sample
-        gradients ``g_i``, with H the Hessian of the mean batch loss.  The
-        exact trace ``tr_h`` equals ``hessian_forms(w, batch, np.eye(d)).sum()``
-        up to rounding, and comes from the same pass.
+        gradients ``g_i``, with H the Hessian of the mean batch loss, and
+        ``tr_h`` is the exact trace of H, the sum of the forms on the unit
+        directions.  All four come from one pass and equal, up to rounding,
+        the reference in ``tests/reference.py`` that forms them from the
+        stacked per-sample gradients.
         """
 
     @abc.abstractmethod
@@ -117,14 +107,6 @@ class DifferentiableTask(abc.ABC):
                 f"parameter vector has shape {w.shape}, expected ({self.dimension},)"
             )
         return w
-
-    def _check_block(self, vs: Array) -> Array:
-        vs = np.asarray(vs, dtype=float)
-        if vs.ndim != 2 or vs.shape[1] != self.dimension:
-            raise ValueError(
-                f"direction block has shape {vs.shape}, expected (k, {self.dimension})"
-            )
-        return vs
 
 
 class QuadraticTask(DifferentiableTask):
@@ -150,12 +132,13 @@ class QuadraticTask(DifferentiableTask):
         self.x_mean = np.asarray(x_mean, dtype=float)
         if self.x_mean.shape != (d,):
             raise ValueError(f"x_mean shape {self.x_mean.shape} != ({d},)")
+        if not np.all(np.isfinite(self.x_mean)):
+            raise ValueError("x_mean must have finite entries")
         self.s = _as_diagonal(s, "S")
         if self.s.shape != (d,):
             raise ValueError("S dimension mismatch with A")
         self._d = d
         self._s_sqrt = np.sqrt(self.s)
-        self._noise_loss = 0.5 * float(np.sum(self.a * self.s))
 
     @property
     def dimension(self) -> int:
@@ -178,17 +161,14 @@ class QuadraticTask(DifferentiableTask):
         loss = 0.5 * float(np.mean(np.einsum("ij,ij->i", grads, r)))
         return loss, weighted_gradient_sums(grads, weight_of_norms)
 
-    def hessian_forms(self, w: Array, batch: Any, vs: Array) -> Array:
-        self._check_dim(w)
-        vs = self._check_block(vs)
-        return np.einsum("ij,ij->i", vs, vs * self.a)
-
     def gradient_hessian_forms(
         self, w: Array, batch: Array
     ) -> tuple[Array, Array, float, float]:
         grads = self.per_sample_gradients(w, batch)
         g_hat = grads.mean(axis=0)
-        forms = self.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
+        # v^T A v of the centered rows and of g_hat, stacked
+        vs = np.vstack([grads - g_hat[None, :], g_hat])
+        forms = np.einsum("ij,ij->i", vs, vs * self.a)
         return g_hat, forms[:-1], float(forms[-1]), float(self.a.sum())
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
@@ -225,7 +205,9 @@ class QuadraticTask(DifferentiableTask):
         """Vectorised population loss for a stack of parameter vectors."""
         ws = np.atleast_2d(np.asarray(ws, dtype=float))
         r = ws - self.x_mean[None, :]
-        return 0.5 * np.einsum("ij,ij->i", r * self.a, r) + self._noise_loss
+        # 0.5 tr(A S), the loss's noise floor, computed where it is read: a task
+        # whose A S overflows then warns only if a run asks for its loss
+        return 0.5 * np.einsum("ij,ij->i", r * self.a, r) + 0.5 * float(np.sum(self.a * self.s))
 
 
 def population_stats(task: QuadraticTask, w: Array) -> HessianStats:
@@ -295,12 +277,6 @@ class LogisticTask(DifferentiableTask):
             a = weight_of_norms(np.abs(a) * np.sqrt(_row_sq_norms(x))) * a
         return loss, a @ x
 
-    def hessian_forms(self, w: Array, batch: Array, vs: Array) -> Array:
-        vs = self._check_block(vs)
-        x, _, z = self._logits(w, batch)
-        p = _sigmoid(z)
-        return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(z)
-
     def gradient_hessian_forms(
         self, w: Array, batch: Array
     ) -> tuple[Array, Array, float, float]:
@@ -350,30 +326,23 @@ class TinyMlpTask(DifferentiableTask):
     and the weighted sum ``sum_i C_i g_i`` is one weighted back-propagation:
     ``(C delta1)^T X``, ``sum C delta1``, ``(C r)^T H``, ``sum C r``.
 
-    The Hessian forms are analytic too.  Along a direction
-    ``v = (V1, c1, V2, c2)`` sample j's pre-activation, hidden activation and
-    output move at the rates (a forward R-pass, Pearlmutter 1994)::
+    The curvature pass is analytic too, and builds no ``(m, d)`` matrix
+    either.  Along a direction ``v = (V1, c1, V2, c2)`` sample j's
+    pre-activation, hidden activation and output move at the rates (a
+    forward R-pass, Pearlmutter 1994)::
 
         dz1_j = V1 x_j + c1,   dh_j = s_j * dz1_j,   dout_j = W2 dh_j + V2 h_j + c2
 
-    with slope ``s_j = 1 - h_j^2``, and the second derivative of
-    ``0.5 |r_j|^2`` along v is, since ``W2^T r_j * s_j = delta1_j``::
+    with slope ``s_j = 1 - h_j^2``.  The form ``v^T H v`` of the mean batch
+    loss is the mean over j of the second derivative of ``0.5 |r_j|^2`` along
+    v, which is, since ``W2^T r_j * s_j = delta1_j``::
 
         v^T H_j v = |dout_j|^2 + 2 (V2^T r_j) . dh_j - 2 sum_h (delta1_j * h_j)_h dz1_jh^2
 
-    So beyond the batch's own forward and backward pass, each direction costs
-    one forward R-pass and no backward R-pass.  Directions are
-    processed a chunk at a time, as many rows as keep each
-    ``(rows, m, hidden)`` intermediate within ``CHUNK_FLOATS`` float64s
-    (256 KiB): for the widest hidden layer, 8 rows at m = 64, 2 rows at
-    m = 256, and one row at a time from m = 512 on, where each intermediate
-    is ``m * hidden * 8`` bytes.
-
     The centered forms ``(g_i - g_hat)^T H (g_i - g_hat)`` of the batch's own
-    gradients come from the layer factors, with no ``(m, d)`` matrix either.
-    Stack the batch's ``x_j``, ``h_j``, ``r_j`` and ``delta1_j`` as the rows
-    of X, A, R and Delta.  Along the centered gradient of sample i, sample
-    j's rates are::
+    gradients come from the layer factors.  Stack the batch's ``x_j``,
+    ``h_j``, ``r_j`` and ``delta1_j`` as the rows of X, A, R and Delta.
+    Along the centered gradient of sample i, sample j's rates are::
 
         dz1_ij = K_ij delta1_i - mu_j                  K  = X X^T + 1
         V2 h_j + c2 = Ka_ij r_i - nu_j                  Ka = A A^T + 1
@@ -385,8 +354,8 @@ class TinyMlpTask(DifferentiableTask):
     ``hidden``, plus an ``(n_out, m, m)`` array for ``dout``.  The terms
     that do not depend on i are terms of ``g_hat^T H g_hat``, so the same
     pass gives that form too.  Sample rows i are processed a chunk at a
-    time, keeping the ``(n_out, rows, m)`` array within ``CHUNK_FLOATS``
-    float64s.
+    time, as many rows as keep the ``(n_out, rows, m)`` array within
+    ``CHUNK_FLOATS`` float64s.
 
     The trace sums the form over the unit directions (diagonal-curvature
     back-propagation, Becker & LeCun 1988).  A unit direction in (W2, b2)
@@ -403,8 +372,9 @@ class TinyMlpTask(DifferentiableTask):
     """
 
     MAX_WIDTH = 64
-    # float64s in a chunk's largest intermediate array: 2**15 * 8 B = 256 KiB,
-    # small enough to stay in cache between the passes over it
+    # float64s in the (n_out, rows, m) array of a chunk of sample rows:
+    # 2**15 * 8 B = 256 KiB, small enough to stay in cache between the passes
+    # over it
     CHUNK_FLOATS = 2**15
 
     def __init__(
@@ -506,40 +476,6 @@ class TinyMlpTask(DifferentiableTask):
     def _gradient_sum(self, x: Array, hidden: Array, resid: Array, g_z1: Array) -> Array:
         """``sum_i g_i`` from the layer factors of the per-sample gradients."""
         return self._pack(g_z1.T @ x, g_z1.sum(axis=0), resid.T @ hidden, resid.sum(axis=0))
-
-    def _rates(self, x: Array, hidden: Array, w2: Array, vs: Array) -> tuple[Array, Array]:
-        """Rates ``dz1`` and ``dout`` of every sample along each row of ``vs``.
-
-        Shapes ``(k, m, hidden)`` and ``(k, m, n_out)`` for ``vs`` of shape
-        ``(k, d)``.
-        """
-        v1, c1, v2, c2 = self._unpack(vs)
-        # a C-ordered V1^T keeps the stacked product on BLAS
-        r_z1 = x @ np.ascontiguousarray(np.swapaxes(v1, 1, 2)) + c1[:, None, :]
-        r_hidden = (1.0 - hidden * hidden) * r_z1
-        r_out = (r_hidden.reshape(-1, self.hidden) @ w2.T).reshape(*r_z1.shape[:2], -1)
-        r_out += hidden @ np.swapaxes(v2, 1, 2) + c2[:, None, :]
-        return r_z1, r_out
-
-    def hessian_forms(self, w: Array, batch: tuple[Array, Array], vs: Array) -> Array:
-        w2 = self._unpack(self._check_dim(w))[2]
-        vs = self._check_block(vs)
-        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
-        m = x.shape[0]
-        slope = 1.0 - hidden * hidden
-        curve = (-2.0 * g_z1 * hidden).ravel()
-        rows = max(1, self.CHUNK_FLOATS // (m * self.hidden))
-        out = np.empty(vs.shape[0])
-        for start in range(0, vs.shape[0], rows):
-            chunk = vs[start : start + rows]
-            r_z1, r_out = self._rates(x, hidden, w2, chunk)
-            v2 = self._unpack(chunk)[2]
-            out[start : start + len(chunk)] = (
-                np.einsum("kmo,kmo->k", r_out, r_out)
-                + 2.0 * np.einsum("koh,koh->k", v2, resid.T @ (slope * r_z1))
-                + (r_z1 * r_z1).reshape(len(chunk), -1) @ curve
-            )
-        return out / m
 
     def gradient_hessian_forms(
         self, w: Array, batch: tuple[Array, Array]

@@ -327,10 +327,6 @@ class AlphaSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
     @classmethod
-    def indicator(cls, s: float, total: int) -> "AlphaSchedule":
-        return cls(kind="indicator", s=s, total=total)
-
-    @classmethod
     def dpmd(cls, k: int) -> "AlphaSchedule":
         return cls(kind="dpmd", k=k)
 

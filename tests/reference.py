@@ -2,11 +2,12 @@
 
 Each is the plain, per-sample form of something the package computes in a
 vectorised or fused way: the stacked per-sample gradients of each task, the
-curvature forms of those stacked gradients, the scalar clip factor, the
-privatized gradient of an explicit per-sample gradient matrix, the
-empirical gradient moments, the improvement oracle that stacks each
-chunk's ``(trials, B, d)`` gradients at once, and the quadratic task's
-formulas on the dense ``(d, d)`` matrices of its diagonal A and S.
+Hessian forms along any block of directions and along those stacked
+gradients, the scalar clip factor, the privatized gradient of an explicit
+per-sample gradient matrix, the empirical gradient moments, the improvement
+oracle that stacks each chunk's ``(trials, B, d)`` gradients at once, and
+the quadratic task's formulas on the dense ``(d, d)`` matrices of its
+diagonal A and S.
 """
 
 import numpy as np
@@ -14,6 +15,16 @@ import numpy as np
 from dplens.clipping import clip_weights, noised_mean, weighted_gradient_sums
 from dplens.hessian import HessianStats
 from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, _sigmoid
+
+
+def _mlp_factors(task, w, batch):
+    """Inputs x, hidden activations h, residuals r and hidden errors delta of
+    sample loss 0.5 |W2 h + b2 - y|^2 with h = tanh(W1 x + b1), as ``forward``."""
+    w1, b1, w2, b2 = task._unpack(w)
+    x, y = batch
+    h = np.tanh(x @ w1.T + b1)
+    r = h @ w2.T + b2 - y
+    return x, h, r, (r @ w2) * (1.0 - h * h)
 
 
 def per_sample_gradients(task, w, batch):
@@ -25,32 +36,60 @@ def per_sample_gradients(task, w, batch):
         x = task.features[batch]
         return (_sigmoid(x @ w) - task.labels[batch])[:, None] * x
     if isinstance(task, TinyMlpTask):
-        # sample loss 0.5 |W2 h + b2 - y|^2 with h = tanh(W1 x + b1), as ``forward``
-        w1, b1, w2, b2 = task._unpack(w)
-        x, y = batch
-        h = np.tanh(x @ w1.T + b1)
-        r = h @ w2.T + b2 - y
-        delta = (r @ w2) * (1.0 - h * h)
+        x, h, r, delta = _mlp_factors(task, w, batch)
         outer = [np.einsum("mi,mj->mij", u, v).reshape(len(x), -1) for u, v in ((delta, x), (r, h))]
         return np.concatenate([outer[0], delta, outer[1], r], axis=1)
     raise TypeError(f"no per-sample gradients for {type(task).__name__}")
 
 
+def hessian_forms(task, w, batch, vs):
+    """The ``(k,)`` forms ``v_j^T H v_j`` of the mean batch loss at ``w``, for
+    the rows ``v_j`` of the ``(k, d)`` block ``vs``.
+
+    The quadratic's are ``v^T A v`` on the dense A; the logistic's are
+    ``(1/m) sum_i p_i (1 - p_i) (v . x_i)^2``; the MLP's come from one
+    forward R-pass along each row (Pearlmutter 1994), as ``TinyMlpTask``'s
+    docstring derives them, with every direction's rates held at once.
+    """
+    w = np.asarray(w, dtype=float)
+    if isinstance(task, QuadraticTask):
+        return DenseQuadratic(task).hessian_forms(vs)
+    if isinstance(task, LogisticTask):
+        x = task.features[batch]
+        p = _sigmoid(x @ w)
+        return ((vs @ x.T) ** 2 * (p * (1.0 - p))).sum(axis=1) / len(x)
+    if isinstance(task, TinyMlpTask):
+        x, h, r, delta = _mlp_factors(task, w, batch)
+        w2 = task._unpack(w)[2]
+        v1, c1, v2, c2 = task._unpack(vs)
+        # rates of every sample along every row, shapes (k, m, hidden) and (k, m, n_out)
+        dz1 = np.einsum("mi,khi->kmh", x, v1) + c1[:, None, :]
+        dh = (1.0 - h * h) * dz1
+        dout = dh @ w2.T + np.einsum("mh,koh->kmo", h, v2) + c2[:, None, :]
+        forms = (
+            np.einsum("kmo,kmo->k", dout, dout)
+            + 2.0 * np.einsum("mo,koh,kmh->k", r, v2, dh)
+            - 2.0 * np.einsum("mh,kmh->k", delta * h, dz1 * dz1)
+        )
+        return forms / len(x)
+    raise TypeError(f"no Hessian forms for {type(task).__name__}")
+
+
 def trace_from_forms(task, w, batch):
     """tr(H) as the sum of the forms on the identity."""
-    return task.hessian_forms(w, batch, np.eye(task.dimension)).sum()
+    return hessian_forms(task, w, batch, np.eye(task.dimension)).sum()
 
 
 def stacked_gradient_hessian_forms(task, w, batch):
     """``gradient_hessian_forms`` from the stacked per-sample gradients.
 
-    One ``hessian_forms`` call on the centered rows and ``g_hat`` gives the
-    centered forms and ``g_hat^T H g_hat``; a second one, on the identity,
-    gives tr(H).
+    One :func:`hessian_forms` call on the centered rows and ``g_hat`` gives
+    the centered forms and ``g_hat^T H g_hat``; a second one, on the
+    identity, gives tr(H).
     """
     grads = per_sample_gradients(task, w, batch)
     g_hat = grads.mean(axis=0)
-    forms = task.hessian_forms(w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
+    forms = hessian_forms(task, w, batch, np.vstack([grads - g_hat[None, :], g_hat]))
     return g_hat, forms[:-1], float(forms[-1]), trace_from_forms(task, w, batch)
 
 

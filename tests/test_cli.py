@@ -381,6 +381,35 @@ class TestTaskFromConfig:
         assert f"config error: {key} must be finite and nonnegative" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["oracle", "train"])
+    def test_x_mean_entries_must_be_finite(self, command, bad, tmp_path, capsys):
+        task = {"kind": "quadratic", "dimension": 2, "x_mean": [bad, 1.0]}
+        if command == "oracle":
+            payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
+                       "sigma_grid": [0.0], "trials": 200}
+        else:
+            payload = {**train_config(), "task": task}
+        path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "config error: x_mean must have finite entries" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_noise_loss_is_left_to_the_run(self, tmp_path, capsys):
+        # 0.5 tr(A S) overflows, but train never asks for the population
+        # loss: it exits 2 on its first loss, and nothing warns on the way
+        task = {"kind": "quadratic", "dimension": 4, "hessian_scale": 1e200,
+                "covariance_scale": 1e200}
+        path = write_config(tmp_path, {**train_config(), "task": task})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite training loss at iteration 0" in capsys.readouterr().err
+
     def test_tinymlp(self):
         task = task_from_config(
             {"kind": "tinymlp", "n_in": 2, "hidden": 4, "n_out": 1},

@@ -7,7 +7,7 @@ from dplens.clipping import ClippingRule, clip_factors, noised_mean, weighted_gr
 from reference import clip_factor, privatize_gradient
 
 AUTO = ClippingRule.auto()
-REPARAM1 = ClippingRule.reparam(1.0)
+REPARAM1 = ClippingRule(r=1.0)
 
 
 class TestClipFactor:
@@ -35,11 +35,11 @@ class TestClipFactor:
             ),
             max_size=40,
         ),
-        st.one_of(st.just(AUTO), st.floats(1e-3, 1e3).map(ClippingRule.reparam)),
+        st.one_of(st.just(AUTO), st.floats(1e-3, 1e3).map(lambda r: ClippingRule(r=r))),
     )
     @example([0.3, 1.0, 2.5, 10.0], AUTO)
     @example([0.3, 1.0, 2.5, 10.0], REPARAM1)
-    @example([0.3, 1.0, 2.5, 10.0], ClippingRule.reparam(3.0))
+    @example([0.3, 1.0, 2.5, 10.0], ClippingRule(r=3.0))
     @settings(max_examples=300, deadline=None)
     def test_vectorised_matches_scalar(self, norms, rule):
         # zero and the threshold itself are the boundary cases of both rules
@@ -59,7 +59,7 @@ class TestClipFactor:
     @settings(max_examples=200, deadline=None)
     def test_sensitivity_bound(self, g_norm, r):
         # clipped contribution never exceeds unit norm; AUTO attains it
-        assert g_norm * clip_factor(g_norm, ClippingRule.reparam(r)) <= 1.0 + 1e-12
+        assert g_norm * clip_factor(g_norm, ClippingRule(r=r)) <= 1.0 + 1e-12
         assert g_norm * clip_factor(g_norm, AUTO) == pytest.approx(1.0)
 
     @given(
@@ -70,7 +70,7 @@ class TestClipFactor:
     def test_auto_dominates_reparam(self, g_norm, r):
         # the zero-gradient sentinel is excluded: both rules contribute the
         # zero vector there, so no factor comparison is meaningful
-        assert clip_factor(g_norm, AUTO) >= clip_factor(g_norm, ClippingRule.reparam(r)) - 1e-15
+        assert clip_factor(g_norm, AUTO) >= clip_factor(g_norm, ClippingRule(r=r)) - 1e-15
 
 
 class TestPrivatizeGradient:

@@ -13,6 +13,7 @@ from dplens.hessian import (
 from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
 from dplens.cli import _run_table, _write_csv
 from dplens.trainer import IterationRecord, TrainRun
+from reference import stacked_gradient_hessian_forms
 
 
 def diag_action(values):
@@ -125,24 +126,38 @@ class TestHutchinson:
             assert np.array_equal(np.random.get_state()[1], before)
 
 
+def quadratic_forms(task, w, batch):
+    """The quadratic's centered forms and gHg, checked bit for bit against the
+    dense forms ``v^T A v`` on the stacked centered rows and g_hat."""
+    _, centered, g_h_g, _ = task.gradient_hessian_forms(w, batch)
+    _, want, want_g_h_g, _ = stacked_gradient_hessian_forms(task, w, batch)
+    assert np.array_equal(centered, want) and g_h_g == want_g_h_g
+    return centered.tolist(), g_h_g
+
+
 class TestQuadraticForm:
     """The forms v^T H v that every estimator reads, on the quadratic task."""
 
     def test_hand_case(self):
+        # gradients (1, 0) and (3, 0): centered (-1, 0) and (1, 0), g_hat (2, 0)
         task = QuadraticTask(np.array([2.0, 3.0]), np.zeros(2), np.ones(2))
-        assert task.hessian_forms(np.zeros(2), None, np.array([[1.0, 0.0]])).tolist() == [2.0]
+        batch = np.array([[-0.5, 0.0], [-1.5, 0.0]])
+        assert quadratic_forms(task, np.zeros(2), batch) == ([2.0, 2.0], 8.0)
 
     def test_zero_gradient(self):
+        # every sample at w: zero gradients, so zero forms
         task = QuadraticTask(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4), np.ones(4))
-        assert task.hessian_forms(np.zeros(4), None, np.zeros((1, 4))).tolist() == [0.0]
+        assert quadratic_forms(task, np.zeros(4), np.zeros((3, 4))) == ([0.0] * 3, 0.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
         a = np.geomspace(0.1, 5.0, 6)[rng.permutation(6)]
         task = QuadraticTask(a, rng.standard_normal(6), np.ones(6))
-        gs = rng.standard_normal((3, 6))
-        dense = [float(g @ np.diag(a) @ g) for g in gs]
-        assert task.hessian_forms(np.zeros(6), None, gs) == pytest.approx(dense, rel=1e-10)
+        w = rng.standard_normal(6)
+        batch = task.draw_batch(rng, 3)
+        gs = task.per_sample_gradients(w, batch)
+        dense = [float(g @ np.diag(a) @ g) for g in gs - gs.mean(axis=0)]
+        assert quadratic_forms(task, w, batch)[0] == pytest.approx(dense, rel=1e-10)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -216,10 +231,6 @@ class TestSnapshot:
             calls[name] = calls.get(name, 0) + 1
 
         class Counting:
-            def hessian_forms(self, w, batch, vs):
-                count("hessian_forms")
-                return super().hessian_forms(w, batch, vs)
-
             def gradient_hessian_forms(self, w, batch):
                 count("gradient_hessian_forms")
                 return super().gradient_hessian_forms(w, batch)

@@ -450,7 +450,7 @@ class TestAlphaSchedules:
         assert pred.alpha_schedule_value(schedule, 7) == 0.25
 
     def test_indicator(self):
-        schedule = pred.AlphaSchedule.indicator(0.3, 10)
+        schedule = pred.AlphaSchedule("indicator", s=0.3, total=10)
         values = [pred.alpha_schedule_value(schedule, t) for t in range(10)]
         assert values == [1.0, 1.0, 1.0] + [0.0] * 7
 
@@ -462,7 +462,7 @@ class TestAlphaSchedules:
         with pytest.raises(ValueError):
             pred.AlphaSchedule.dpmd(0)
         with pytest.raises(ValueError):
-            pred.AlphaSchedule.indicator(1.5, 10)
+            pred.AlphaSchedule("indicator", s=1.5, total=10)
         with pytest.raises(ValueError):
             pred.alpha_schedule_value(pred.AlphaSchedule.only_public(), -1)
 

@@ -22,7 +22,7 @@ from dplens.trainer import (
 )
 from reference import per_sample_gradients, stacked_improvement_oracle
 
-REPARAM1 = ClippingRule.reparam(1.0)
+REPARAM1 = ClippingRule(r=1.0)
 
 
 def phase_log(run):
@@ -326,7 +326,7 @@ class TestContinualPretrain:
 
     def test_indicator_schedule_flips_at_fraction(self):
         total = 60  # 12 epochs x 5 steps
-        run = self._run(schedule=AlphaSchedule.indicator(0.4, total))
+        run = self._run(schedule=AlphaSchedule("indicator", s=0.4, total=total))
         phases = phase_log(run)
         cut = int(math.ceil(0.4 * total))
         assert all(p == "public" for p in phases[:cut])
@@ -367,7 +367,7 @@ class TestContinualPretrain:
             rng=rng,
             batch_size=8,
             steps_per_epoch=4,
-            schedule=AlphaSchedule.indicator(0.5, 16),
+            schedule=AlphaSchedule("indicator", s=0.5, total=16),
             head_reinit=True,
             val_size=32,
         )
@@ -453,16 +453,16 @@ class TestStreamedOracle:
         "d, b, trials, rule, sigma",
         [
             # 122/122/6-trial chunks in blocks of 2
-            (64, 256, 250, ClippingRule.reparam(0.5), 0.5),
+            (64, 256, 250, ClippingRule(r=0.5), 0.5),
             (64, 256, 250, None, 0.5),
             (64, 256, 250, ClippingRule.auto(), 0.0),
             # b d > 2^15: one-trial blocks, 30/30/30/10-trial chunks
             (64, 1024, 100, ClippingRule.auto(), 0.5),
             (64, 1024, 100, None, 0.0),
             # blocks of 3 with a one-trial remainder in a 208-trial chunk
-            (48, 200, 250, ClippingRule.reparam(0.5), 0.5),
+            (48, 200, 250, ClippingRule(r=0.5), 0.5),
             # one chunk, and a block longer than it
-            (4, 8, 300, ClippingRule.reparam(0.5), 0.5),
+            (4, 8, 300, ClippingRule(r=0.5), 0.5),
         ],
     )
     def test_matches_stacked_reference(self, d, b, trials, rule, sigma):
@@ -487,7 +487,7 @@ class TestStreamedOracle:
         tracemalloc.start()
         try:
             empirical_improvement_oracle(
-                task, w, 0.2, 256, ClippingRule.reparam(1.0), 0.5, 250, rng
+                task, w, 0.2, 256, ClippingRule(r=1.0), 0.5, 250, rng
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
