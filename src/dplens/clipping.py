@@ -102,5 +102,10 @@ def noised_mean(
     if sigma > 0:
         if rng is None:
             raise ValueError("sigma > 0 requires a random generator")
-        totals = totals + sigma * rng.standard_normal(totals.shape)
+        # sigma * z + totals, then / b, in the one new array; totals is left as is
+        noised = rng.standard_normal(totals.shape)
+        noised *= sigma
+        noised += totals
+        noised /= b
+        return noised
     return totals / b

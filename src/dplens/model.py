@@ -369,6 +369,12 @@ class TinyMlpTask(DifferentiableTask):
     ``gradient_hessian_forms`` reads it off the factors ``x``, ``h``,
     ``delta1``, ``s`` and ``W2`` of the one forward and backward pass that
     also gives the centered forms, so a curvature snapshot makes one pass.
+
+    Each pass writes only into arrays it has just allocated itself, never
+    into ``w``, the batch's ``x`` and ``y`` or the teacher, and its in-place
+    steps keep the rounding order of the plain expressions (only ``a + b``
+    as ``b + a`` and ``a b`` as ``b a``), so ``tests/reference.py`` checks
+    them bit for bit.
     """
 
     MAX_WIDTH = 64
@@ -394,6 +400,11 @@ class TinyMlpTask(DifferentiableTask):
         self.hidden = hidden
         self.n_out = n_out
         self.noise_std = float(noise_std)
+        # NaN fails both comparisons
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
+        if not np.isfinite(target_scale):
+            raise ValueError("target_scale must be finite")
         self._d = hidden * (n_in + 1) + n_out * (hidden + 1)
         teacher_rng = np.random.default_rng(teacher_seed)
         self._teacher = self.random_parameters(teacher_rng) * target_scale
@@ -433,28 +444,43 @@ class TinyMlpTask(DifferentiableTask):
         """Index range of the output-layer block (W2 and b2)."""
         return slice(self.hidden * (self.n_in + 1), self._d)
 
+    def _hidden_and_output(self, w: Array, x: Array) -> tuple[Array, Array]:
+        """Hidden activations ``tanh(x W1^T + b1)`` and outputs ``h W2^T + b2``
+        of a checked ``w``, each a new array."""
+        w1, b1, w2, b2 = self._unpack(w)
+        hidden = x @ w1.T
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        out = hidden @ w2.T
+        out += b2
+        return hidden, out
+
     def forward(self, w: Array, x: Array) -> Array:
         """Batched forward pass; x has shape (m, n_in)."""
-        w1, b1, w2, b2 = self._unpack(self._check_dim(w))
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        hidden = np.tanh(x @ w1.T + b1)
-        return hidden @ w2.T + b2
+        return self._hidden_and_output(self._check_dim(w), x)[1]
 
     def _forward_backward(self, w: Array, batch: tuple[Array, Array]):
-        """Inputs x, hidden activations h, residuals r and hidden errors delta1."""
-        w1, b1, w2, b2 = self._unpack(self._check_dim(w))
+        """Inputs x, hidden activations h, residuals r, hidden errors delta1
+        and tanh slopes ``s = 1 - h^2``."""
+        w = self._check_dim(w)
         x, y = batch
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        hidden = np.tanh(x @ w1.T + b1)
-        resid = hidden @ w2.T + b2 - y
-        g_z1 = (resid @ w2) * (1.0 - hidden * hidden)
-        return x, hidden, resid, g_z1
+        hidden, resid = self._hidden_and_output(w, x)
+        resid -= y
+        slope = hidden * hidden
+        np.subtract(1.0, slope, out=slope)
+        g_z1 = resid @ self._unpack(w)[2]
+        g_z1 *= slope
+        return x, hidden, resid, g_z1, slope
 
     def batch_loss(self, w: Array, batch: tuple[Array, Array]) -> float:
         x, y = batch
-        resid = self.forward(w, x) - np.atleast_2d(np.asarray(y, dtype=float))
-        return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+        resid = self.forward(w, x)
+        resid -= np.atleast_2d(np.asarray(y, dtype=float))
+        resid *= resid
+        return 0.5 * float(np.mean(np.sum(resid, axis=1)))
 
     def loss_and_weighted_gradient_sum(
         self,
@@ -462,69 +488,113 @@ class TinyMlpTask(DifferentiableTask):
         batch: tuple[Array, Array],
         weight_of_norms: NormWeights | None = None,
     ) -> tuple[float, Array]:
-        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        x, hidden, resid, g_z1, _ = self._forward_backward(w, batch)
         # the same arithmetic as batch_loss, so the two losses agree exactly
         loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
         if weight_of_norms is not None:
-            sq_norms = _row_sq_norms(g_z1) * (_row_sq_norms(x) + 1.0)
-            sq_norms += _row_sq_norms(resid) * (_row_sq_norms(hidden) + 1.0)
+            sq_norms = _row_sq_norms(x)
+            sq_norms += 1.0
+            sq_norms *= _row_sq_norms(g_z1)
+            head = _row_sq_norms(hidden)
+            head += 1.0
+            head *= _row_sq_norms(resid)
+            sq_norms += head
             weights = weight_of_norms(np.sqrt(sq_norms))[:, None]
-            g_z1 = weights * g_z1
-            resid = weights * resid
+            g_z1 *= weights
+            resid *= weights
         return loss, self._gradient_sum(x, hidden, resid, g_z1)
 
     def _gradient_sum(self, x: Array, hidden: Array, resid: Array, g_z1: Array) -> Array:
         """``sum_i g_i`` from the layer factors of the per-sample gradients."""
-        return self._pack(g_z1.T @ x, g_z1.sum(axis=0), resid.T @ hidden, resid.sum(axis=0))
+        total = np.empty(self._d)
+        w1, b1, w2, b2 = self._unpack(total)
+        np.matmul(g_z1.T, x, out=w1)
+        g_z1.sum(axis=0, out=b1)
+        np.matmul(resid.T, hidden, out=w2)
+        resid.sum(axis=0, out=b2)
+        return total
 
     def gradient_hessian_forms(
         self, w: Array, batch: tuple[Array, Array]
     ) -> tuple[Array, Array, float, float]:
         w2 = self._unpack(self._check_dim(w))[2]
-        x, hidden, resid, g_z1 = self._forward_backward(w, batch)
+        x, hidden, resid, g_z1, slope = self._forward_backward(w, batch)
         m = x.shape[0]
-        slope = 1.0 - hidden * hidden
-        curve = -2.0 * g_z1 * hidden
+        curve = g_z1 * -2.0
+        curve *= hidden
         # each sample's diagonal of H, summed (the class docstring's tr(H))
         per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
         per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
-        traces = self.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
-        g_hat = self._gradient_sum(x, hidden, resid, g_z1) / m
+        traces = _row_sq_norms(x)
+        traces += 1.0
+        traces *= per_unit
+        head = _row_sq_norms(hidden)
+        head += 1.0
+        head *= self.n_out
+        traces += head
+        g_hat = self._gradient_sum(x, hidden, resid, g_z1)
+        g_hat /= m
         # rates along g_hat: mu = dz1, e = dout, rho_j = V2_bar^T r_j
         v1, c1, v2, c2 = self._unpack(g_hat)
-        mu = x @ v1.T + c1
+        mu = x @ v1.T
+        mu += c1
         s_mu = slope * mu
         e = s_mu @ w2.T
-        e += hidden @ v2.T + c2
+        head_rate = hidden @ v2.T
+        head_rate += c2
+        e += head_rate
         rho = resid @ v2
         # the terms of g_hat's form other than |e_j|^2, which every centered form shares
         shared = 2.0 * np.vdot(rho, s_mu) + np.vdot(curve, mu * mu)
+        # the chunk loop's factors that do not depend on the rows
+        rho_slope_t = (rho * slope).T
+        curve_mu_t = (curve * mu).T
+        w2_rows = w2[:, None, :]
+        e_t = e.T[:, None, :]
         forms = np.empty(m)
         rows = max(1, self.CHUNK_FLOATS // (m * self.n_out))
         for start in range(0, m, rows):
             part = slice(start, start + rows)
             delta, h_i, r_i = g_z1[part], hidden[part], resid[part]
-            k = x[part] @ x.T + 1.0
-            ka = h_i @ hidden.T + 1.0
+            k = x[part] @ x.T
+            k += 1.0
+            ka = h_i @ hidden.T
+            ka += 1.0
             # dout_ij, shape (n_out, rows, m)
-            r_out = (
-                k * ((w2[:, None, :] * delta) @ slope.T)
-                + ka * r_i.T[:, :, None]
-                - e.T[:, None, :]
-            )
+            r_out = (w2_rows * delta) @ slope.T
+            r_out *= k
+            r_out += ka * r_i.T[:, :, None]
+            r_out -= e_t
             # (V2^T r_j) . dh_ij and the tanh-curvature term, less their shared parts
-            cross = (r_i @ resid.T) * (k * ((h_i * delta) @ slope.T) - h_i @ s_mu.T)
-            cross -= k * (delta @ (rho * slope).T)
-            curv = k * (k * ((delta * delta) @ curve.T) - 2.0 * (delta @ (curve * mu).T))
-            forms[part] = np.einsum("oim,oim->i", r_out, r_out) + (2.0 * cross + curv).sum(axis=1)
+            rate = (h_i * delta) @ slope.T
+            rate *= k
+            rate -= h_i @ s_mu.T
+            cross = r_i @ resid.T
+            cross *= rate
+            rate = delta @ rho_slope_t
+            rate *= k
+            cross -= rate
+            curv = (delta * delta) @ curve.T
+            curv *= k
+            rate = delta @ curve_mu_t
+            rate *= 2.0
+            curv -= rate
+            curv *= k
+            cross *= 2.0
+            cross += curv
+            forms[part] = np.einsum("oim,oim->i", r_out, r_out) + cross.sum(axis=1)
         g_h_g = float((np.vdot(e, e) + shared) / m)
-        return g_hat, (forms + shared) / m, g_h_g, float(traces.mean())
+        forms += shared
+        forms /= m
+        return g_hat, forms, g_h_g, float(traces.mean())
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> tuple[Array, Array]:
         x = rng.standard_normal((m, self.n_in))
         y = self.forward(self._teacher, x)
         if self.noise_std > 0.0:
-            y = y + self.noise_std * rng.standard_normal(y.shape)
+            noise = rng.standard_normal(y.shape)
+            noise *= self.noise_std
+            y += noise
         return x, y
 
     def batch_size_of(self, batch: tuple[Array, Array]) -> int:

@@ -103,11 +103,21 @@ def optimizer_direction(
     if config.kind == "sgd_momentum":
         m = config.mu * state.m + g
         return m, OptimizerState(t, m, state.v)
-    m = config.beta1 * state.m + (1.0 - config.beta1) * g
-    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    direction = m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer)
+    # Adam, each of m, v and the direction built in its own new array with the
+    # rounding of beta1 m + (1 - beta1) g, beta2 v + (1 - beta2) g g and
+    # m_hat / (sqrt(v_hat) + epsilon); scratch holds each term in turn
+    m = state.m * config.beta1
+    scratch = g * (1.0 - config.beta1)
+    m += scratch
+    v = state.v * config.beta2
+    np.multiply(g, 1.0 - config.beta2, out=scratch)
+    scratch *= g
+    v += scratch
+    direction = m / (1.0 - config.beta1**t)
+    np.divide(v, 1.0 - config.beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += config.epsilon_stabilizer
+    direction /= scratch
     return direction, OptimizerState(t, m, v)
 
 

@@ -5,16 +5,17 @@ vectorised or fused way: the stacked per-sample gradients of each task, the
 Hessian forms along any block of directions and along those stacked
 gradients, the scalar clip factor, the privatized gradient of an explicit
 per-sample gradient matrix, the empirical gradient moments, the improvement
-oracle that stacks each chunk's ``(trials, B, d)`` gradients at once, and
-the quadratic task's formulas on the dense ``(d, d)`` matrices of its
-diagonal A and S.
+oracle that stacks each chunk's ``(trials, B, d)`` gradients at once, the
+quadratic task's formulas on the dense ``(d, d)`` matrices of its
+diagonal A and S, and the plain, allocating expressions of the MLP passes,
+the Adam step and the noise step that the package computes in place.
 """
 
 import numpy as np
 
 from dplens.clipping import clip_weights, noised_mean, weighted_gradient_sums
 from dplens.hessian import HessianStats
-from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, _sigmoid
+from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, _row_sq_norms, _sigmoid
 
 
 def _mlp_factors(task, w, batch):
@@ -227,3 +228,99 @@ class DenseQuadratic:
             g_norm_sq=float(g @ g),
             standard_error_tr_h=0.0,
         )
+
+
+# the plain expressions of the in-place passes -------------------------------
+
+
+def mlp_forward(task, w, x):
+    """``TinyMlpTask.forward`` as one expression."""
+    w1, b1, w2, b2 = task._unpack(w)
+    return np.tanh(x @ w1.T + b1) @ w2.T + b2
+
+
+def mlp_batch_loss(task, w, batch):
+    """``TinyMlpTask.batch_loss`` as one expression."""
+    resid = mlp_forward(task, w, batch[0]) - batch[1]
+    return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+
+
+def mlp_draw_batch(task, rng, m):
+    """``TinyMlpTask.draw_batch`` with the label noise added as one expression."""
+    x = rng.standard_normal((m, task.n_in))
+    y = mlp_forward(task, task._teacher, x)
+    if task.noise_std > 0.0:
+        y = y + task.noise_std * rng.standard_normal(y.shape)
+    return x, y
+
+
+def _mlp_gradient_sum(task, x, h, r, delta):
+    return task._pack(delta.T @ x, delta.sum(axis=0), r.T @ h, r.sum(axis=0))
+
+
+def mlp_loss_and_weighted_gradient_sum(task, w, batch, weight_of_norms):
+    """``TinyMlpTask.loss_and_weighted_gradient_sum``, each step a new array."""
+    x, h, r, delta = _mlp_factors(task, w, batch)
+    loss = 0.5 * float(np.mean(np.sum(r * r, axis=1)))
+    if weight_of_norms is not None:
+        sq_norms = _row_sq_norms(delta) * (_row_sq_norms(x) + 1.0)
+        sq_norms += _row_sq_norms(r) * (_row_sq_norms(h) + 1.0)
+        weights = weight_of_norms(np.sqrt(sq_norms))[:, None]
+        delta = weights * delta
+        r = weights * r
+    return loss, _mlp_gradient_sum(task, x, h, r, delta)
+
+
+def mlp_gradient_hessian_forms(task, w, batch):
+    """``TinyMlpTask.gradient_hessian_forms``, each step a new array, with the
+    same chunks of sample rows."""
+    w2 = task._unpack(w)[2]
+    x, hidden, resid, g_z1 = _mlp_factors(task, w, batch)
+    m = x.shape[0]
+    slope = 1.0 - hidden * hidden
+    curve = -2.0 * g_z1 * hidden
+    per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
+    per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
+    traces = task.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
+    g_hat = _mlp_gradient_sum(task, x, hidden, resid, g_z1) / m
+    v1, c1, v2, c2 = task._unpack(g_hat)
+    mu = x @ v1.T + c1
+    s_mu = slope * mu
+    e = s_mu @ w2.T
+    e += hidden @ v2.T + c2
+    rho = resid @ v2
+    shared = 2.0 * np.vdot(rho, s_mu) + np.vdot(curve, mu * mu)
+    forms = np.empty(m)
+    rows = max(1, task.CHUNK_FLOATS // (m * task.n_out))
+    for start in range(0, m, rows):
+        part = slice(start, start + rows)
+        delta, h_i, r_i = g_z1[part], hidden[part], resid[part]
+        k = x[part] @ x.T + 1.0
+        ka = h_i @ hidden.T + 1.0
+        r_out = (
+            k * ((w2[:, None, :] * delta) @ slope.T)
+            + ka * r_i.T[:, :, None]
+            - e.T[:, None, :]
+        )
+        cross = (r_i @ resid.T) * (k * ((h_i * delta) @ slope.T) - h_i @ s_mu.T)
+        cross -= k * (delta @ (rho * slope).T)
+        curv = k * (k * ((delta * delta) @ curve.T) - 2.0 * (delta @ (curve * mu).T))
+        forms[part] = np.einsum("oim,oim->i", r_out, r_out) + (2.0 * cross + curv).sum(axis=1)
+    g_h_g = float((np.vdot(e, e) + shared) / m)
+    return g_hat, (forms + shared) / m, g_h_g, float(traces.mean())
+
+
+def adam_direction(g, config, state):
+    """The Adam branch of ``trainer.optimizer_direction`` on a decayed gradient
+    ``g``: the direction and the new ``(t, m, v)``."""
+    t = state.t + 1
+    m = config.beta1 * state.m + (1.0 - config.beta1) * g
+    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    return m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer), (t, m, v)
+
+
+def plain_noised_mean(totals, b, sigma, rng):
+    """``clipping.noised_mean`` for ``sigma > 0`` as one expression."""
+    return (totals + sigma * rng.standard_normal(totals.shape)) / b

@@ -398,6 +398,30 @@ class TestTaskFromConfig:
         assert "config error: x_mean must have finite entries" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("noise_std", -0.5, "noise_std must be finite and nonnegative"),
+            ("noise_std", float("nan"), "noise_std must be finite and nonnegative"),
+            ("noise_std", float("inf"), "noise_std must be finite and nonnegative"),
+            ("target_scale", float("inf"), "target_scale must be finite"),
+            ("target_scale", float("-inf"), "target_scale must be finite"),
+            ("target_scale", float("nan"), "target_scale must be finite"),
+        ],
+        ids=["noise-negative", "noise-nan", "noise-inf", "scale-inf", "scale-neginf", "scale-nan"],
+    )
+    def test_tinymlp_noise_and_scale_must_be_valid(self, key, bad, message, tmp_path, capsys):
+        # a negative or NaN noise_std once trained without label noise, and a
+        # non-finite target_scale ended the run with exit 2 on its first loss
+        task = {"kind": "tinymlp", "n_in": 3, "hidden": 4, "n_out": 2, key: bad}
+        path = write_config(tmp_path, {**train_config(), "task": task})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_overflowing_noise_loss_is_left_to_the_run(self, tmp_path, capsys):
         # 0.5 tr(A S) overflows, but train never asks for the population
         # loss: it exits 2 on its first loss, and nothing warns on the way
