@@ -492,13 +492,8 @@ class TinyMlpTask(DifferentiableTask):
         # the same arithmetic as batch_loss, so the two losses agree exactly
         loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
         if weight_of_norms is not None:
-            sq_norms = _row_sq_norms(x)
-            sq_norms += 1.0
-            sq_norms *= _row_sq_norms(g_z1)
-            head = _row_sq_norms(hidden)
-            head += 1.0
-            head *= _row_sq_norms(resid)
-            sq_norms += head
+            sq_norms = _row_sq_norms(g_z1) * (_row_sq_norms(x) + 1.0)
+            sq_norms += _row_sq_norms(resid) * (_row_sq_norms(hidden) + 1.0)
             weights = weight_of_norms(np.sqrt(sq_norms))[:, None]
             g_z1 *= weights
             resid *= weights
@@ -520,37 +515,24 @@ class TinyMlpTask(DifferentiableTask):
         w2 = self._unpack(self._check_dim(w))[2]
         x, hidden, resid, g_z1, slope = self._forward_backward(w, batch)
         m = x.shape[0]
-        curve = g_z1 * -2.0
-        curve *= hidden
+        curve = -2.0 * g_z1 * hidden
         # each sample's diagonal of H, summed (the class docstring's tr(H))
         per_unit = (slope * slope) @ np.einsum("oh,oh->h", w2, w2)
         per_unit -= 2.0 * np.einsum("jh,jh->j", g_z1, hidden)
-        traces = _row_sq_norms(x)
-        traces += 1.0
-        traces *= per_unit
-        head = _row_sq_norms(hidden)
-        head += 1.0
-        head *= self.n_out
-        traces += head
-        g_hat = self._gradient_sum(x, hidden, resid, g_z1)
-        g_hat /= m
+        traces = self.n_out * (_row_sq_norms(hidden) + 1.0) + (_row_sq_norms(x) + 1.0) * per_unit
+        g_hat = self._gradient_sum(x, hidden, resid, g_z1) / m
         # rates along g_hat: mu = dz1, e = dout, rho_j = V2_bar^T r_j
         v1, c1, v2, c2 = self._unpack(g_hat)
-        mu = x @ v1.T
-        mu += c1
+        mu = x @ v1.T + c1
         s_mu = slope * mu
         e = s_mu @ w2.T
-        head_rate = hidden @ v2.T
-        head_rate += c2
-        e += head_rate
+        e += hidden @ v2.T + c2
         rho = resid @ v2
         # the terms of g_hat's form other than |e_j|^2, which every centered form shares
         shared = 2.0 * np.vdot(rho, s_mu) + np.vdot(curve, mu * mu)
         # the chunk loop's factors that do not depend on the rows
         rho_slope_t = (rho * slope).T
         curve_mu_t = (curve * mu).T
-        w2_rows = w2[:, None, :]
-        e_t = e.T[:, None, :]
         forms = np.empty(m)
         rows = max(1, self.CHUNK_FLOATS // (m * self.n_out))
         for start in range(0, m, rows):
@@ -561,10 +543,10 @@ class TinyMlpTask(DifferentiableTask):
             ka = h_i @ hidden.T
             ka += 1.0
             # dout_ij, shape (n_out, rows, m)
-            r_out = (w2_rows * delta) @ slope.T
+            r_out = (w2[:, None, :] * delta) @ slope.T
             r_out *= k
             r_out += ka * r_i.T[:, :, None]
-            r_out -= e_t
+            r_out -= e.T[:, None, :]
             # (V2^T r_j) . dh_ij and the tanh-curvature term, less their shared parts
             rate = (h_i * delta) @ slope.T
             rate *= k
@@ -584,9 +566,7 @@ class TinyMlpTask(DifferentiableTask):
             cross += curv
             forms[part] = np.einsum("oim,oim->i", r_out, r_out) + cross.sum(axis=1)
         g_h_g = float((np.vdot(e, e) + shared) / m)
-        forms += shared
-        forms /= m
-        return g_hat, forms, g_h_g, float(traces.mean())
+        return g_hat, (forms + shared) / m, g_h_g, float(traces.mean())
 
     def draw_batch(self, rng: np.random.Generator, m: int) -> tuple[Array, Array]:
         x = rng.standard_normal((m, self.n_in))
