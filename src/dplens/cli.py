@@ -228,9 +228,10 @@ CONFIG_SCHEMAS = {
             **_COMMON,
             "task": _TASK_SCHEMA,
             "clipping": _CLIPPING_SCHEMA,
-            "eta_grid": _NUM_GRID,
+            "eta_grid": _POS_NUM_GRID,
             "batch_grid": _INT_GRID,
-            "sigma_grid": _NUM_GRID,
+            "sigma_grid": {"type": "array", "items": {"type": "number", "minimum": 0},
+                           "minItems": 1},
             "trials": _POS_INT,
             "offset_scale": _NUM,
         },
@@ -674,9 +675,15 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_oracle(cfg: dict, seed: int) -> Table:
-    """One row per (eta, B, sigma) cell.  An overflow shows as the first cell
-    whose mc_mean, mc_se or closed_form is not finite: the table ends before
-    it, with ``abort_reason`` set, and no RuntimeWarning is printed."""
+    """One row per (eta, B, sigma) cell, in that order.
+
+    One oracle call per B covers its whole (sigma, eta) grid, so the cells of
+    one B share their sample batches and the cells of one (B, sigma) their
+    noise: each cell's z-score is N(0, 1) up to sampling, but the z-scores of
+    cells with the same B are correlated, most strongly across eta at one
+    sigma.  An overflow shows as the first cell, in row order, whose
+    mc_mean, mc_se or closed_form is not finite: the table ends before it,
+    with ``abort_reason`` set, and no RuntimeWarning is printed."""
     header = "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
@@ -686,15 +693,18 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     offset = cfg.get("offset_scale", 1.0)
     w = task.x_mean + offset * np.ones(task.dimension) / math.sqrt(task.dimension)
     stats = population_stats(task, w)
+    etas, sigmas = cfg["eta_grid"], cfg["sigma_grid"]
+    grids = [
+        trainer.empirical_improvement_oracle(task, w, etas, b, rule, sigmas, cfg["trials"], rng)
+        for b in cfg["batch_grid"]
+    ]
     rows = []
-    for eta in cfg["eta_grid"]:
-        for b in cfg["batch_grid"]:
-            for sigma in cfg["sigma_grid"]:
+    for j, eta in enumerate(etas):
+        for b, grid in zip(cfg["batch_grid"], grids):
+            for sigma, cells in zip(sigmas, grid):
                 inputs = predictor.ImprovementInputs.from_stats(stats, sigma)
                 closed = predictor.delta_l_priv(eta, b, inputs)
-                mc = trainer.empirical_improvement_oracle(
-                    task, w, eta, b, rule, sigma, cfg["trials"], rng
-                )
+                mc = cells[j]
                 if not all(map(math.isfinite, (mc.estimate, mc.standard_error, closed))):
                     reason = f"non-finite oracle cell at eta={eta}, B={b}, sigma={sigma}"
                     return Table(header, rows, reason)

@@ -12,6 +12,12 @@ fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD,
 momentum or Adam update.  Public, clipped-only, noised-only and DP steps
 differ only in the clipping rule and sigma passed to it.
 
+:func:`empirical_improvement_oracle` covers one batch size's whole
+(sigma, eta) grid in one call: every cell reduces the same sample batches
+(common random numbers), and the cells of one sigma share the noise too.
+Each cell's trials stay i.i.d., but the z-scores of cells that share a batch
+size are correlated.
+
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -369,44 +375,57 @@ _ORACLE_BLOCK_FLOATS = 2**15
 def empirical_improvement_oracle(
     task: QuadraticTask,
     w: Array,
-    eta: float,
+    etas: Sequence[float],
     b: int,
     rule: ClippingRule | None,
-    sigma: float,
+    sigmas: Sequence[float],
     trials: int,
     rng: np.random.Generator,
-) -> Estimate:
-    """Monte-Carlo estimate of the expected one-step population-loss drop.
+) -> list[list[Estimate]]:
+    """Monte-Carlo estimates of the expected one-step population-loss drop
+    at batch size ``b``, one per (sigma, eta) cell of the two grids.
 
-    Each trial draws a fresh batch and noise, takes one privatized SGD step,
-    and evaluates the exact population loss before and after; the quadratic
-    task makes both evaluations closed-form, so the only error is sampling
-    noise.  This is the toolkit's independent check of the improvement
-    predictors.
+    Returns ``estimates[i][j]`` for ``sigmas[i]`` and ``etas[j]``.  Each trial
+    draws a fresh batch, and for each sigma fresh noise, takes one privatized
+    SGD step per eta, and evaluates the exact population loss before and
+    after; the quadratic task makes both evaluations closed-form, so the only
+    error is sampling noise.  This is the toolkit's independent check of the
+    improvement predictors.
+
+    The cells share their batches (common random numbers): trial t of every
+    cell reduces the same samples, and the cells of one sigma also share the
+    noise.  Within a cell the trials stay i.i.d., so each cell's mean and
+    standard error, and its z-score against the closed form, have the
+    distribution a call for that cell alone would give them; but the z-scores
+    of different cells are correlated, most strongly between two etas at one
+    sigma, whose steps differ only in length.
 
     Trials run in chunks of ``_ORACLE_CHUNK_FLOATS / (b d)`` trials, and the
     chunk is the unit of draw order: all of a chunk's samples come from
-    ``rng`` first, then all of its noise.  The chunk size therefore fixes
-    every output byte.  Within a chunk, samples are drawn and reduced to
-    ``sum_i C_i g_i`` in blocks of ``_ORACLE_BLOCK_FLOATS / (b d)`` trials
-    (at least one), so the largest transient is one block's ``(k b, d)``
-    gradients, not the chunk's.  Splitting a normal draw into consecutive
-    pieces gives the same stream, and every other step works row by row, so
-    the block size moves no byte.
+    ``rng`` first, then the noise of each sigma in grid order (sigma 0 draws
+    none).  The chunk size therefore fixes every output byte, and a 1x1 grid
+    draws what a chunk of samples and then its noise always drew.  Within a
+    chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in blocks of
+    ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one), so the largest
+    transient is one block's ``(k b, d)`` gradients, not the chunk's.
+    Splitting a normal draw into consecutive pieces gives the same stream, and
+    every other step works row by row, so the block size moves no byte.
     """
     if not isinstance(task, QuadraticTask):
         raise TypeError("the improvement oracle requires a QuadraticTask")
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if eta < 0:
+    if any(eta < 0 for eta in etas):
         raise ValueError("eta must be nonnegative")
+    if any(sigma < 0 for sigma in sigmas):
+        raise ValueError("sigma must be nonnegative")
     w = np.asarray(w, dtype=float)
     d = task.dimension
     weights = clip_weights(rule)
     loss_before = task.population_loss(w)
     chunk = max(1, int(_ORACLE_CHUNK_FLOATS / (b * d)))
     block = max(1, _ORACLE_BLOCK_FLOATS // (b * d))
-    improvements = np.empty(trials)
+    improvements = np.empty((len(sigmas), len(etas), trials))
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
@@ -416,14 +435,25 @@ def empirical_improvement_oracle(
             samples = task.draw_batch(rng, k * b)
             grads = task.per_sample_gradients(w, samples)
             totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
-        steps = noised_mean(totals, b, sigma, rng)
-        w_next = w[None, :] - eta * steps
-        improvements[done:done + n] = loss_before - task.population_losses(w_next)
+        w_next = np.empty_like(totals)
+        for i, sigma in enumerate(sigmas):
+            steps = noised_mean(totals, b, sigma, rng)
+            for j, eta in enumerate(etas):
+                # w - eta * steps, in one array reused across the cells
+                np.multiply(steps, eta, out=w_next)
+                np.subtract(w, w_next, out=w_next)
+                improvements[i, j, done:done + n] = loss_before - task.population_losses(w_next)
         done += n
-    return Estimate(
-        estimate=float(improvements.mean()),
-        standard_error=float(improvements.std(ddof=1) / np.sqrt(trials)),
-    )
+    return [
+        [
+            Estimate(
+                estimate=float(cell.mean()),
+                standard_error=float(cell.std(ddof=1) / np.sqrt(trials)),
+            )
+            for cell in row
+        ]
+        for row in improvements
+    ]
 
 
 FOUR_WAY_ARMS = ("sgd", "sgd_clip", "sgd_noise", "dp_sgd")

@@ -140,30 +140,36 @@ def empirical_moments(task, w, m, rng):
     return g_hat, sigma_hat
 
 
-def stacked_improvement_oracle(task, w, eta, b, rule, sigma, trials, rng):
+def stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng):
     """``trainer.empirical_improvement_oracle`` with each chunk's gradients
     stacked as one ``(n, B, d)`` array, as the oracle computed them before it
-    reduced them block by block.  Returns the improvement's (estimate,
-    standard error)."""
+    reduced them block by block, and with each chunk's draws in the oracle's
+    order: its samples, then the noise of each sigma in turn.  Returns the
+    improvement's (estimate, standard error) per sigma, per eta."""
     w = np.asarray(w, dtype=float)
     d = task.dimension
     loss_before = task.population_loss(w)
     chunk = max(1, int(2_000_000 / (b * d)))  # bound transient memory
-    pieces = []
+    pieces = [[[] for _ in etas] for _ in sigmas]
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
         samples = task.draw_batch(rng, n * b).reshape(n, b, d)
         grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
-        steps = noised_mean(weighted_gradient_sums(grads, clip_weights(rule)), b, sigma, rng)
-        w_next = w[None, :] - eta * steps
-        pieces.append(loss_before - task.population_losses(w_next))
+        totals = weighted_gradient_sums(grads, clip_weights(rule))
+        for sigma, row in zip(sigmas, pieces):
+            steps = noised_mean(totals, b, sigma, rng)
+            for eta, cell in zip(etas, row):
+                w_next = w[None, :] - eta * steps
+                cell.append(loss_before - task.population_losses(w_next))
         done += n
-    improvements = np.concatenate(pieces)
-    return (
-        float(improvements.mean()),
-        float(improvements.std(ddof=1) / np.sqrt(trials)),
-    )
+    return [
+        [
+            (float(improvements.mean()), float(improvements.std(ddof=1) / np.sqrt(trials)))
+            for improvements in map(np.concatenate, row)
+        ]
+        for row in pieces
+    ]
 
 
 class DenseQuadratic:

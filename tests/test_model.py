@@ -367,11 +367,13 @@ def test_oracle_on_the_quadratic_matches_the_dense_formulas_bit_for_bit(case):
     task = task_from_config({"kind": "quadratic", **DENSE_CASES[case]}, None)
     w = task.x_mean + 0.3
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = empirical_improvement_oracle(task, w, 0.2, 16, ClippingRule(r=1.0), 0.2, 300, rng)
+    etas, sigmas = [0.05, 0.2], [0.0, 0.2]
+    got = empirical_improvement_oracle(task, w, etas, 16, ClippingRule(r=1.0), sigmas, 300, rng)
     want = stacked_improvement_oracle(
-        DenseQuadratic(task), w, 0.2, 16, ClippingRule(r=1.0), 0.2, 300, ref_rng
+        DenseQuadratic(task), w, etas, 16, ClippingRule(r=1.0), sigmas, 300, ref_rng
     )
-    assert (got.estimate, got.standard_error) == want
+    assert [[(c.estimate, c.standard_error) for c in row] for row in got] == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPopulationStats:

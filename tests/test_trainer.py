@@ -6,7 +6,7 @@ import pytest
 
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
-from dplens.cli import _run_table, _write_csv
+from dplens.cli import _run_oracle, _run_table, _write_csv
 from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv
 from dplens import trainer
 from dplens.trainer import (
@@ -389,11 +389,16 @@ class TestContinualPretrain:
         assert first[4] == ""
 
 
+def cell_pairs(grid):
+    """(estimate, standard error) per sigma, per eta of an oracle grid."""
+    return [[(cell.estimate, cell.standard_error) for cell in row] for row in grid]
+
+
 class TestImprovementOracle:
     def test_zero_eta_is_exactly_zero(self):
         task = small_quadratic()
-        result = empirical_improvement_oracle(
-            task, np.ones(task.dimension), 0.0, 8, REPARAM1, 0.5, 200,
+        [[result]] = empirical_improvement_oracle(
+            task, np.ones(task.dimension), [0.0], 8, REPARAM1, [0.5], 200,
             np.random.default_rng(13),
         )
         assert result.estimate == 0.0
@@ -409,7 +414,7 @@ class TestImprovementOracle:
         eta, b = 0.3, 16
         inputs = ImprovementInputs.from_stats(stats, 0.0)
         closed = delta_l_priv(eta, b, inputs)
-        result = empirical_improvement_oracle(task, w, eta, b, None, 0.0, 20_000, rng)
+        [[result]] = empirical_improvement_oracle(task, w, [eta], b, None, [0.0], 20_000, rng)
         assert abs(result.estimate - closed) <= 3.0 * result.standard_error
 
     def test_large_noise_negative_improvement(self):
@@ -423,7 +428,7 @@ class TestImprovementOracle:
         inputs = ImprovementInputs.from_stats(stats, sigma)
         closed = delta_l_priv(eta, b, inputs)
         assert closed < 0
-        result = empirical_improvement_oracle(task, w, eta, b, None, sigma, 20_000, rng)
+        [[result]] = empirical_improvement_oracle(task, w, [eta], b, None, [sigma], 20_000, rng)
         assert result.estimate < 0
         assert abs(result.estimate - closed) <= 3.0 * result.standard_error
 
@@ -431,9 +436,77 @@ class TestImprovementOracle:
         task = small_quadratic()
         with pytest.raises(ValueError):
             empirical_improvement_oracle(
-                task, np.ones(task.dimension), 0.1, 4, None, 0.0, 99,
+                task, np.ones(task.dimension), [0.1], 4, None, [0.0], 99,
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize(
+        "etas, sigmas, message",
+        [([0.1, -0.1], [0.0], "eta"), ([0.1], [0.5, -0.5], "sigma")],
+        ids=["eta", "sigma"],
+    )
+    def test_a_negative_grid_value_is_rejected_before_any_draw(self, etas, sigmas, message):
+        task = small_quadratic()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{message} must be nonnegative"):
+            empirical_improvement_oracle(
+                task, np.ones(task.dimension), etas, 4, None, sigmas, 200, rng
+            )
+        assert rng.bit_generator.state == state
+
+    def test_grid_returns_one_estimate_per_sigma_and_eta(self):
+        task = small_quadratic()
+        grid = empirical_improvement_oracle(
+            task, np.ones(task.dimension), [0.05, 0.1, 0.2], 4, REPARAM1, [0.0, 0.5], 200,
+            np.random.default_rng(1),
+        )
+        assert [len(row) for row in grid] == [3, 3]
+        # sigma 0's steps are those of the sample means alone, so its cells
+        # differ from sigma 0.5's; within one sigma a longer step differs too
+        assert len({pair for row in cell_pairs(grid) for pair in row}) == 6
+
+    @pytest.mark.parametrize(
+        "d, b, trials, sigmas",
+        [
+            # one chunk: the 1x1 call's draws end where the grid's first sigma's do
+            (8, 16, 300, [0.5, 1.0]),
+            # 122/122/6-trial chunks, and the later sigma draws no noise
+            (64, 256, 250, [0.5, 0.0]),
+        ],
+    )
+    def test_first_sigma_cells_are_those_of_one_cell_calls(self, d, b, trials, sigmas):
+        task = wide_quadratic(d)
+        w = task.x_mean + 0.3 * np.random.default_rng(25).standard_normal(d)
+        etas = [0.05, 0.2, 1.0]
+        grid = empirical_improvement_oracle(
+            task, w, etas, b, REPARAM1, sigmas, trials, np.random.default_rng(26)
+        )
+        for eta, cell in zip(etas, grid[0]):
+            [[alone]] = empirical_improvement_oracle(
+                task, w, [eta], b, REPARAM1, sigmas[:1], trials, np.random.default_rng(26)
+            )
+            assert (cell.estimate, cell.standard_error) == (alone.estimate, alone.standard_error)
+
+    def test_z_scores_are_calibrated_over_seeds(self):
+        # cells that share B share batches, so their z-scores are correlated;
+        # across seeds each cell's z must still be N(0, 1) up to sampling
+        cfg = {
+            "schema": 1,
+            "task": {"kind": "quadratic", "dimension": 8, "hessian_scale": 0.5,
+                     "covariance_scale": 0.001},
+            "clipping": {"kind": "reparam", "r": 1.0},
+            "offset_scale": 0.3,
+            "eta_grid": [0.05, 0.2],
+            "batch_grid": [4, 16],
+            "sigma_grid": [0.0, 0.2],
+            "trials": 200,
+        }
+        zs = np.array([[row[6] for row in _run_oracle(cfg, seed).rows] for seed in range(100)])
+        assert zs.shape == (100, 8)
+        assert np.abs(zs.mean(axis=0)).max() <= 0.3
+        sds = zs.std(axis=0, ddof=1)
+        assert 0.75 <= sds.min() and sds.max() <= 1.25
 
 
 def wide_quadratic(d, seed=20):
@@ -450,44 +523,46 @@ class TestStreamedOracle:
     the stacked reference, and the generator ends in the same state."""
 
     @pytest.mark.parametrize(
-        "d, b, trials, rule, sigma",
+        "d, b, trials, rule, etas, sigmas",
         [
             # 122/122/6-trial chunks in blocks of 2
-            (64, 256, 250, ClippingRule(r=0.5), 0.5),
-            (64, 256, 250, None, 0.5),
-            (64, 256, 250, ClippingRule.auto(), 0.0),
+            (64, 256, 250, ClippingRule(r=0.5), [0.2], [0.5]),
+            (64, 256, 250, None, [0.2], [0.5]),
+            (64, 256, 250, ClippingRule.auto(), [0.2], [0.0]),
             # b d > 2^15: one-trial blocks, 30/30/30/10-trial chunks
-            (64, 1024, 100, ClippingRule.auto(), 0.5),
-            (64, 1024, 100, None, 0.0),
+            (64, 1024, 100, ClippingRule.auto(), [0.2], [0.5]),
+            (64, 1024, 100, None, [0.2], [0.0]),
             # blocks of 3 with a one-trial remainder in a 208-trial chunk
-            (48, 200, 250, ClippingRule(r=0.5), 0.5),
+            (48, 200, 250, ClippingRule(r=0.5), [0.2], [0.5]),
             # one chunk, and a block longer than it
-            (4, 8, 300, ClippingRule(r=0.5), 0.5),
+            (4, 8, 300, ClippingRule(r=0.5), [0.2], [0.5]),
+            # a 2x2 grid over three chunks: each chunk's samples, then the
+            # noise of sigma 0.5, then that of sigma 1
+            (64, 256, 250, ClippingRule(r=0.5), [0.05, 0.2], [0.5, 1.0]),
         ],
     )
-    def test_matches_stacked_reference(self, d, b, trials, rule, sigma):
+    def test_matches_stacked_reference(self, d, b, trials, rule, etas, sigmas):
         task = wide_quadratic(d)
         w = task.x_mean + 0.3 * np.random.default_rng(21).standard_normal(d)
         rng = np.random.default_rng(22)
         ref_rng = np.random.default_rng(22)
-        result = empirical_improvement_oracle(task, w, 0.2, b, rule, sigma, trials, rng)
-        estimate, standard_error = stacked_improvement_oracle(
-            task, w, 0.2, b, rule, sigma, trials, ref_rng
-        )
-        assert result.estimate == estimate
-        assert result.standard_error == standard_error
+        result = empirical_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng)
+        reference = stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, ref_rng)
+        assert cell_pairs(result) == reference
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_traced_peak_is_one_block(self):
-        # the oracle_quad shape: one (trials, B, d) array of a 122-trial
-        # chunk is 15 MiB, and the stacked form holds about five at once
+    @pytest.mark.parametrize("b", [16, 256])
+    def test_traced_peak_is_one_block(self, b):
+        # the oracle_quad shape and grid: at B = 256 one (trials, B, d) array
+        # of a 122-trial chunk is 15 MiB, and the stacked form holds about
+        # five at once
         task = wide_quadratic(64)
         w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
         rng = np.random.default_rng(24)
         tracemalloc.start()
         try:
             empirical_improvement_oracle(
-                task, w, 0.2, 256, ClippingRule(r=1.0), 0.5, 250, rng
+                task, w, [0.05, 0.2], b, ClippingRule(r=1.0), [0.0, 0.5], 250, rng
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:

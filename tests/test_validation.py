@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dplens.cli import CONFIG_SCHEMAS, _schema_errors, validation_message
+from dplens.cli import CONFIG_SCHEMAS, _schema_errors, run_subcommand, validation_message
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "bench"))
@@ -144,6 +144,29 @@ def test_cases_no_config_schema_reaches(value, schema):
     expected = reference_message(value, schema)
     assert expected is not None
     assert validation_message(value, schema) == expected
+
+
+@pytest.mark.parametrize(
+    "key, grid, message",
+    [
+        ("eta_grid", [0.1, -0.1], "-0.1 is less than or equal to the minimum of 0"),
+        ("eta_grid", [0.0], "0.0 is less than or equal to the minimum of 0"),
+        ("sigma_grid", [0.0, -0.5], "-0.5 is less than the minimum of 0"),
+    ],
+    ids=["negative-eta", "zero-eta", "negative-sigma"],
+)
+def test_a_bad_oracle_grid_fails_before_any_cell_runs(key, grid, message, tmp_path, capsys):
+    # one oracle call per B runs every (sigma, eta) cell, so a bad grid value
+    # must stop the run at the schema, not after the Monte-Carlo work
+    cfg = json.loads((ROOT / "configs" / "oracle_small.json").read_text(encoding="utf-8"))
+    cfg[key] = grid
+    schema = CONFIG_SCHEMAS["oracle"]
+    assert validation_message(cfg, schema) == reference_message(cfg, schema) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_subcommand(["oracle", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "oracle.csv").exists()
 
 
 def test_every_schema_keyword_is_implemented():
