@@ -1,20 +1,28 @@
-"""Alternate benchmark runs of a base checkout and this one, and compare them.
+"""Alternate benchmark runs of a base revision and HEAD, and compare them.
 
-    python3 scripts/bench_pairs.py --base /path/to/parent --workload curvature_mlp \
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload curvature_mlp \
         --workload oracle_quad --seed 41 --pairs 10 > pairs.json
 
+``--base`` is a git revision of this repository.  The script ``git clone``s
+the repository into a temporary directory twice, checks out the base
+revision in one clone and HEAD in the other, and pairs the two clones, so no
+run reads the working checkout: uncommitted edits are not measured, and both
+sides run from directories of the same shape (``peak_rss_mb`` was seen to
+differ between a working checkout and a fresh clone of the same commit).
+The clones are removed at the end.
+
 Each pair runs ``bench/run.py --workload W --seed S --trace 0`` once in the
-base checkout and once in this one, one process at a time, at the
+base clone and once in the HEAD clone, one process at a time, at the
 ``run_seconds`` of BENCHMARK.json; the base runs first in even-numbered
-pairs and second in odd ones.  Each run imports the program from its
-own checkout's ``src/``.  ``--workload`` may be given more than once; the
+pairs and second in odd ones.  Each run imports the program from its own
+clone's ``src/``.  ``--workload`` may be given more than once; the
 workloads' pairs run one workload after another.  Prints one JSON object
-with one table per workload: every run's end-to-end metrics, and per metric
-the base's and this checkout's median and quartiles, the number of pairs
-this checkout wins (better in the metric's direction) and the number of
-ties (equal values, which neither side wins).  A gain is clear when this
-checkout wins nine of ten pairs and the gap between the medians exceeds the
-base's interquartile range.
+with both revisions and one table per workload: every run's end-to-end
+metrics, and per metric the base's and HEAD's median and quartiles, the
+number of pairs HEAD wins (better in the metric's direction) and the number
+of ties (equal values, which neither side wins).  A gain is clear when HEAD
+wins nine of ten pairs and the gap between the medians exceeds the base's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -24,9 +32,22 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str, cwd: Path = ROOT) -> str:
+    proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def _clone(rev: str, dest: Path) -> Path:
+    """A fresh clone of this repository at commit ``rev``, in ``dest``."""
+    _git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
+    _git("checkout", "--quiet", "--detach", rev, cwd=dest)
+    return dest
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -66,23 +87,29 @@ def _table(spec: dict, runs: dict) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", type=Path, required=True, help="the checkout to compare against")
+    parser.add_argument("--base", required=True, help="the git revision to compare HEAD against")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload to pair; give it once per workload")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    sides = [("base", args.base.resolve()), ("change", ROOT)]
+    revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
+            "change": _git("rev-parse", "--verify", "HEAD^{commit}")}
     tables = {}
-    for workload in dict.fromkeys(args.workload):
-        runs = {"base": [], "change": []}
-        for pair in range(args.pairs):
-            for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
-                runs[side].append(_run(checkout, workload, args.seed, spec["run_seconds"]))
-                print(workload, side, runs[side][-1], file=sys.stderr)
-        tables[workload] = _table(spec, runs)
-    print(json.dumps({"seed": args.seed, "pairs": args.pairs, "workloads": tables}, indent=1))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        # equal-length directory names, so the two sides differ only in the code
+        sides = [("base", _clone(revs["base"], Path(tmp, "base"))),
+                 ("change", _clone(revs["change"], Path(tmp, "head")))]
+        spec = json.loads((sides[1][1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        for workload in dict.fromkeys(args.workload):
+            runs = {"base": [], "change": []}
+            for pair in range(args.pairs):
+                for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                    runs[side].append(_run(checkout, workload, args.seed, spec["run_seconds"]))
+                    print(workload, side, runs[side][-1], file=sys.stderr)
+            tables[workload] = _table(spec, runs)
+    print(json.dumps({"base_rev": revs["base"], "change_rev": revs["change"],
+                      "seed": args.seed, "pairs": args.pairs, "workloads": tables}, indent=1))
 
 
 if __name__ == "__main__":
