@@ -93,6 +93,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
     revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "change": _git("rev-parse", "--verify", "HEAD^{commit}")}
     tables = {}

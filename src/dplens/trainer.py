@@ -403,8 +403,7 @@ def empirical_improvement_oracle(
     Trials run in chunks of ``_ORACLE_CHUNK_FLOATS / (b d)`` trials, and the
     chunk is the unit of draw order: all of a chunk's samples come from
     ``rng`` first, then the noise of each sigma in grid order (sigma 0 draws
-    none).  The chunk size therefore fixes every output byte, and a 1x1 grid
-    draws what a chunk of samples and then its noise always drew.  Within a
+    none).  The chunk size therefore fixes every output byte.  Within a
     chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in blocks of
     ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one), so the largest
     transient is one block's ``(k b, d)`` gradients, not the chunk's.
@@ -435,13 +434,10 @@ def empirical_improvement_oracle(
             samples = task.draw_batch(rng, k * b)
             grads = task.per_sample_gradients(w, samples)
             totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
-        w_next = np.empty_like(totals)
         for i, sigma in enumerate(sigmas):
             steps = noised_mean(totals, b, sigma, rng)
             for j, eta in enumerate(etas):
-                # w - eta * steps, in one array reused across the cells
-                np.multiply(steps, eta, out=w_next)
-                np.subtract(w, w_next, out=w_next)
+                w_next = w[None, :] - eta * steps
                 improvements[i, j, done:done + n] = loss_before - task.population_losses(w_next)
         done += n
     return [

@@ -455,17 +455,6 @@ class TestImprovementOracle:
             )
         assert rng.bit_generator.state == state
 
-    def test_grid_returns_one_estimate_per_sigma_and_eta(self):
-        task = small_quadratic()
-        grid = empirical_improvement_oracle(
-            task, np.ones(task.dimension), [0.05, 0.1, 0.2], 4, REPARAM1, [0.0, 0.5], 200,
-            np.random.default_rng(1),
-        )
-        assert [len(row) for row in grid] == [3, 3]
-        # sigma 0's steps are those of the sample means alone, so its cells
-        # differ from sigma 0.5's; within one sigma a longer step differs too
-        assert len({pair for row in cell_pairs(grid) for pair in row}) == 6
-
     @pytest.mark.parametrize(
         "d, b, trials, sigmas",
         [
