@@ -11,6 +11,16 @@ sides run from directories of the same shape (``peak_rss_mb`` was seen to
 differ between a working checkout and a fresh clone of the same commit).
 The clones are removed at the end.
 
+The size of a process's environment moves its memory layout, and with it
+the metrics: on a 2-core Xeon, two runs of one commit's ``curvature_mlp``
+read a peak RSS of 37.25-37.31 MiB and 820-908 items/s with no extra
+variable, and 37.78-37.79 MiB and 951-967 items/s with a 1,000-byte one.
+So each pair runs both sides with one
+padding variable (``BENCH_PAIRS_PAD``) of the same length, drawn per pair
+from ``--seed`` between 0 and 4095 bytes: the sides of a pair see
+environments of one size, and the medians average over layouts instead of
+reporting one.
+
 Each pair runs ``bench/run.py --workload W --seed S --trace 0`` once in the
 base clone and once in the HEAD clone, one process at a time, at the
 ``run_seconds`` of BENCHMARK.json; the base runs first in even-numbered
@@ -18,17 +28,19 @@ pairs and second in odd ones.  Each run imports the program from its own
 clone's ``src/``.  ``--workload`` may be given more than once; the
 workloads' pairs run one workload after another.  Prints one JSON object
 with both revisions and one table per workload: every run's end-to-end
-metrics, and per metric the base's and HEAD's median and quartiles, the
-number of pairs HEAD wins (better in the metric's direction) and the number
-of ties (equal values, which neither side wins).  A gain is clear when HEAD
-wins nine of ten pairs and the gap between the medians exceeds the base's
-interquartile range.
+metrics with its padding length, and per metric the base's and HEAD's
+median and quartiles, the number of pairs HEAD wins (better in the metric's
+direction) and the number of ties (equal values, which neither side wins).
+A gain is clear when HEAD wins nine of ten pairs and the gap between the
+medians exceeds the base's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
@@ -50,10 +62,12 @@ def _clone(rev: str, dest: Path) -> Path:
     return dest
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: int, pad: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    env = {**os.environ, "BENCH_PAIRS_PAD": "x" * pad}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -103,12 +117,16 @@ def main() -> None:
         sides = [("base", _clone(revs["base"], Path(tmp, "base"))),
                  ("change", _clone(revs["change"], Path(tmp, "head")))]
         spec = json.loads((sides[1][1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        pads = random.Random(args.seed)
         for workload in dict.fromkeys(args.workload):
             runs = {"base": [], "change": []}
             for pair in range(args.pairs):
+                pad = pads.randrange(4096)
                 for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
-                    runs[side].append(_run(checkout, workload, args.seed, spec["run_seconds"]))
-                    print(workload, side, runs[side][-1], file=sys.stderr)
+                    runs[side].append(
+                        {"pad": pad, **_run(checkout, workload, args.seed,
+                                            spec["run_seconds"], pad)})
+                    print(workload, side, pad, runs[side][-1], file=sys.stderr)
             tables[workload] = _table(spec, runs)
     print(json.dumps({"base_rev": revs["base"], "change_rev": revs["change"],
                       "seed": args.seed, "pairs": args.pairs, "workloads": tables}, indent=1))
