@@ -72,9 +72,6 @@ class SoftmaxTask:
             p *= weight_of_norms(np.sqrt(np.einsum("km,km->m", p, p) * self._sq_norms_x1))
         return loss, np.concatenate([(p @ self.xs).ravel(), p.sum(axis=1)])
 
-    def batch_size_of(self, batch: None) -> int:
-        return self.xs.shape[0]
-
 
 @dataclass(frozen=True)
 class MiaDataset:

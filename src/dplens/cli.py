@@ -466,36 +466,40 @@ def _quadratic_diagonal(cfg: dict, name: str, d: int) -> np.ndarray:
     return values
 
 
+# what each task kind reads: (required keys, optional keys), besides "kind"
+_TASK_KEYS = {
+    "quadratic": (("dimension",), ("hessian_diag", "hessian_scale", "covariance_diag",
+                                   "covariance_scale", "x_mean")),
+    "logistic": (("dimension", "n_examples"), ("separation",)),
+    "tinymlp": (("n_in", "hidden", "n_out"), ("teacher_seed", "noise_std", "target_scale")),
+}
+
+
 def task_from_config(cfg: dict, rng: np.random.Generator):
     kind = cfg["kind"]
-    if kind == "quadratic":
-        d = cfg.get("dimension")
-        if d is None:
-            raise ConfigError("quadratic task needs a dimension")
-        a = _quadratic_diagonal(cfg, "hessian", d)
-        s = _quadratic_diagonal(cfg, "covariance", d)
-        x_mean = np.asarray(cfg.get("x_mean", np.zeros(d)), dtype=float)
-        if x_mean.shape != (d,):
-            raise ConfigError("x_mean length must match dimension")
-        return QuadraticTask(a, x_mean, s)
-    if kind == "logistic":
-        d = cfg.get("dimension")
-        n = cfg.get("n_examples")
-        if d is None or n is None:
-            raise ConfigError("logistic task needs dimension and n_examples")
-        separation = cfg.get("separation", 2.0)
-        labels = rng.integers(0, 2, size=n)
-        feats = rng.standard_normal((n, d))
-        feats[:, 0] += (labels - 0.5) * separation
-        return LogisticTask(feats, labels)
+    if kind not in _TASK_KEYS:
+        raise ConfigError(f"unknown task kind {kind!r}")
+    required, optional = _TASK_KEYS[kind]
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ConfigError(f"{kind} task needs {', '.join(missing)}")
+    unread = sorted(set(cfg) - {"kind", *required, *optional})
+    if unread:
+        raise ConfigError(f"{kind} task does not read {', '.join(unread)}")
     if kind == "tinymlp":
-        for key in ("n_in", "hidden", "n_out"):
-            if key not in cfg:
-                raise ConfigError(f"tinymlp task needs {key}")
-        return TinyMlpTask(
-            **_given(cfg, "n_in", "hidden", "n_out", "teacher_seed", "noise_std", "target_scale")
+        return TinyMlpTask(**_given(cfg, *required, *optional))
+    d = cfg["dimension"]
+    if kind == "logistic":
+        features, labels = attacks.two_blob_data(
+            cfg["n_examples"], d, rng, **_given(cfg, "separation")
         )
-    raise ConfigError(f"unknown task kind {kind!r}")
+        return LogisticTask(features, labels)
+    a = _quadratic_diagonal(cfg, "hessian", d)
+    s = _quadratic_diagonal(cfg, "covariance", d)
+    x_mean = np.asarray(cfg.get("x_mean", np.zeros(d)), dtype=float)
+    if x_mean.shape != (d,):
+        raise ConfigError("x_mean length must match dimension")
+    return QuadraticTask(a, x_mean, s)
 
 
 def _given(cfg: dict, *keys: str) -> dict:
@@ -791,8 +795,9 @@ def _fit_target(
     """
     config = trainer.OptimizerConfig(eta=lr)
     w, state = np.zeros(task.dimension), trainer.OptimizerState.zeros(task.dimension)
+    b = task.xs.shape[0]  # every batch is the whole set
     for epoch in range(epochs):
-        loss, w, state = trainer.dp_step(task, w, None, rule, sigma, config, state, rng)
+        loss, w, state = trainer.dp_step(task, w, None, b, rule, sigma, config, state, rng)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
     if not np.all(np.isfinite(w)):
@@ -842,8 +847,7 @@ _RUNNERS = {
 }
 
 
-def _seed_name(command: str, seed: int, cfg: dict) -> str:
-    multi = len(cfg.get("seeds", [0])) > 1
+def _seed_name(command: str, seed: int, multi: bool) -> str:
     stem = command.replace("-", "_")
     return f"{stem}_seed{seed}.csv" if multi else f"{stem}.csv"
 
@@ -1001,14 +1005,11 @@ def run_subcommand(argv: list[str]) -> int:
         )
         outdir.mkdir(parents=True, exist_ok=True)
         seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
-        if args.seed is not None:
-            cfg = dict(cfg)
-            cfg["seeds"] = seeds
         plot = cfg.get("plot")
         paths = []
         for seed in seeds:
             table = _RUNNERS[args.command](cfg, seed)
-            csv = _write_csv(outdir / _seed_name(args.command, seed, cfg), table)
+            csv = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
             paths.append(csv)
             if table.abort_reason is not None:
                 raise FloatingPointError(f"{table.abort_reason}; partial log kept in {csv}")

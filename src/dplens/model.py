@@ -96,10 +96,6 @@ class DifferentiableTask(abc.ABC):
     def draw_batch(self, rng: np.random.Generator, m: int) -> Any:
         """Draw ``m`` samples as a batch."""
 
-    @abc.abstractmethod
-    def batch_size_of(self, batch: Any) -> int:
-        """Number of samples in a batch object."""
-
     def _check_dim(self, w: Array) -> Array:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dimension,):
@@ -176,9 +172,6 @@ class QuadraticTask(DifferentiableTask):
         z *= self._s_sqrt
         z += self.x_mean
         return z
-
-    def batch_size_of(self, batch: Array) -> int:
-        return np.atleast_2d(batch).shape[0]
 
     # exact oracles -------------------------------------------------------
 
@@ -294,9 +287,6 @@ class LogisticTask(DifferentiableTask):
     def draw_batch(self, rng: np.random.Generator, m: int) -> Array:
         return rng.integers(len(self.labels), size=m)
 
-    def batch_size_of(self, batch: Array) -> int:
-        return len(np.atleast_1d(batch))
-
 
 def _row_sq_norms(a: Array) -> Array:
     return np.einsum("ij,ij->i", a, a)
@@ -377,7 +367,6 @@ class TinyMlpTask(DifferentiableTask):
     them bit for bit.
     """
 
-    MAX_WIDTH = 64
     # float64s in the (n_out, rows, m) array of a chunk of sample rows:
     # 2**15 * 8 B = 256 KiB, small enough to stay in cache between the passes
     # over it
@@ -392,8 +381,6 @@ class TinyMlpTask(DifferentiableTask):
         noise_std: float = 0.0,
         target_scale: float = 1.0,
     ):
-        if hidden > self.MAX_WIDTH:
-            raise ValueError(f"hidden width {hidden} exceeds {self.MAX_WIDTH}")
         if min(n_in, hidden, n_out) < 1:
             raise ValueError("all widths must be positive")
         self.n_in = n_in
@@ -576,6 +563,3 @@ class TinyMlpTask(DifferentiableTask):
             noise *= self.noise_std
             y += noise
         return x, y
-
-    def batch_size_of(self, batch: tuple[Array, Array]) -> int:
-        return np.atleast_2d(batch[0]).shape[0]

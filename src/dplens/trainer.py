@@ -131,17 +131,20 @@ def dp_step(
     task: DifferentiableTask,
     w: Array,
     batch: Any,
+    b: int,
     rule: ClippingRule | None,
     sigma: float,
     config: OptimizerConfig,
     state: OptimizerState,
     rng: np.random.Generator | None,
 ) -> tuple[float, Array, OptimizerState]:
-    """One training step; returns ``(loss, w_next, state_next)``.
+    """One training step on ``batch``; returns ``(loss, w_next, state_next)``.
 
     The task's fused pass gives the mean batch loss and ``sum_i C_i g_i``;
     the privatized gradient ``(sum_i C_i g_i + sigma * N(0, I)) / B`` goes
     through ``optimizer_direction`` and ``w_next = w - eta * direction``.
+    B is the caller's ``b``, the batch size it chose, never a count read off
+    the batch.
     ``rule=None`` sums the raw gradients and ``sigma=0`` draws no noise, so
     the same step serves public, clipped-only, noised-only and DP training.
     A non-finite loss returns ``(loss, w, state)`` at once, with no overflow
@@ -151,7 +154,7 @@ def dp_step(
         loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
     if not math.isfinite(loss):
         return loss, w, state
-    g = noised_mean(total, task.batch_size_of(batch), sigma, rng)
+    g = noised_mean(total, b, sigma, rng)
     direction, state = optimizer_direction(g, w, config, state)
     return loss, w - config.eta * direction, state
 
@@ -269,7 +272,8 @@ def _train_loop(
         batch = task.draw_batch(data_rng, batch_size)
         sigma_t = 0.0 if public else sigma
         train_loss, w, state = dp_step(
-            task, w, batch, None if public else rule, sigma_t, config, state, noise_rng
+            task, w, batch, batch_size, None if public else rule, sigma_t, config, state,
+            noise_rng,
         )
         if not math.isfinite(train_loss):
             run.abort_reason = f"non-finite training loss at iteration {t}"
@@ -328,7 +332,9 @@ def continual_pretrain(
     partially re-initialised per ``reset_policy`` (first moment by default)
     and, optionally, the task's output-parameter block is re-drawn.  Passing
     a binary alpha schedule instead forces the phase change at a fixed
-    iteration with no early stopping.  Private steps clip with ``rule``, and
+    iteration with no early stopping; an indicator schedule must span the
+    ``epochs * steps_per_epoch`` steps, and the private task must have as many
+    parameters as the public one.  Private steps clip with ``rule``, and
     ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  With
     ``curvature``, every record carries the step's curvature statistics.
     Training aborts with a diagnostic record if the loss turns non-finite.
@@ -342,6 +348,16 @@ def continual_pretrain(
     binary = ("indicator", "only_public", "only_private")
     if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
+    total_steps = epochs * steps_per_epoch
+    if schedule is not None and schedule.kind == "indicator" and schedule.total != total_steps:
+        raise ValueError(
+            f"indicator schedule spans {schedule.total} steps, but the run takes {total_steps}"
+        )
+    if task_private.dimension != task_public.dimension:
+        raise ValueError(
+            f"private task has {task_private.dimension} parameters, "
+            f"public task {task_public.dimension}"
+        )
 
     # nothing draws from the fifth stream; it is spawned so that head_rng
     # stays the sixth, which keeps the bytes of every head re-draw
@@ -351,7 +367,7 @@ def continual_pretrain(
     return _train_loop(
         task_public, task_private, config, w, val_set, switch, schedule, sigma, rule,
         data_rng, noise_rng, head_rng,
-        total_steps=epochs * steps_per_epoch, steps_per_epoch=steps_per_epoch,
+        total_steps=total_steps, steps_per_epoch=steps_per_epoch,
         batch_size=batch_size, reset_policy=reset_policy, head_reinit=head_reinit,
         curvature=curvature,
     )

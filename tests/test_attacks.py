@@ -385,7 +385,7 @@ class TestSoftmaxDpStepChecks:
         task = SoftmaxTask(*two_blob_data(10, 3, np.random.default_rng(30)), 2)
         state = OptimizerState.zeros(task.dimension)
         w = np.zeros(task.dimension)
-        return dp_step(task, w, None, rule, sigma, OptimizerConfig(eta=0.5), state, rng)
+        return dp_step(task, w, None, 10, rule, sigma, OptimizerConfig(eta=0.5), state, rng)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):

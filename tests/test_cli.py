@@ -11,8 +11,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dplens import trainer
 from dplens.cli import (
     _RUNNERS,
+    _TASK_KEYS,
+    _TASK_SCHEMA,
     _build_parser,
     CONFIG_SCHEMAS,
     ConfigError,
@@ -73,6 +76,28 @@ def continual_config():
     payload.update(task_public=payload.pop("task"), epochs=1,
                    steps_per_epoch=payload.pop("steps"))
     return payload
+
+
+def mlp_continual_config():
+    """A 4-8-2 MLP (58 parameters) that switches to private steps at step 8 of 16."""
+    return {
+        "schema": 1,
+        "task_public": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 2},
+        "optimizer": {"kind": "sgd", "eta": 0.05},
+        "sigma": 0.5,
+        "epochs": 2,
+        "steps_per_epoch": 8,
+        "batch_size": 8,
+        "schedule": {"kind": "indicator", "s": 0.5, "total": 16},
+    }
+
+
+def refuse_steps(monkeypatch):
+    """Make any training step fail the test."""
+    def step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "dp_step", step)
 
 
 def sweep_config():
@@ -441,6 +466,48 @@ class TestTaskFromConfig:
         )
         assert isinstance(task, TinyMlpTask)
 
+    def test_the_kinds_read_every_key_the_schema_takes(self):
+        read = {key for keys in _TASK_KEYS.values() for key in keys[0] + keys[1]}
+        assert read | {"kind"} == set(_TASK_SCHEMA["properties"])
+        assert set(_TASK_KEYS) == set(_TASK_SCHEMA["properties"]["kind"]["enum"])
+
+    @pytest.mark.parametrize(
+        "task, missing",
+        [
+            ({"kind": "quadratic", "x_mean": [0.0]}, "dimension"),
+            ({"kind": "logistic", "separation": 1.0}, "dimension, n_examples"),
+            ({"kind": "tinymlp", "n_in": 2, "n_out": 1}, "hidden"),
+        ],
+        ids=["quadratic", "logistic", "tinymlp"],
+    )
+    def test_a_missing_key_is_named(self, task, missing):
+        with pytest.raises(ConfigError, match=f"^{task['kind']} task needs {missing}$"):
+            task_from_config(task, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "task, unread",
+        [
+            ({"kind": "quadratic", "dimension": 2, "n_examples": 5}, "n_examples"),
+            ({"kind": "logistic", "dimension": 3, "n_examples": 20, "noise_std": 0.5,
+              "hidden": 3}, "hidden, noise_std"),
+            ({"kind": "tinymlp", "n_in": 2, "hidden": 4, "n_out": 1, "separation": 2.0},
+             "separation"),
+        ],
+        ids=["quadratic", "logistic", "tinymlp"],
+    )
+    def test_a_key_the_kind_does_not_read_is_a_config_error(
+        self, task, unread, tmp_path, capsys, monkeypatch
+    ):
+        # a logistic task once ran with noise_std and hidden silently ignored
+        message = f"{task['kind']} task does not read {unread}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            task_from_config(task, np.random.default_rng(0))
+        path = write_config(tmp_path, {**train_config(), "task": task})
+        refuse_steps(monkeypatch)
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_logistic_deterministic_given_rng(self):
         cfg = {"kind": "logistic", "dimension": 3, "n_examples": 20}
         a = task_from_config(cfg, np.random.default_rng(5))
@@ -550,6 +617,49 @@ class TestSubcommands:
         )
         phases = [line.split(",")[1] for line in lines[1:]]
         assert "public" in phases
+
+    def test_a_private_task_of_another_shape_fails_before_any_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a 4-8-3 private task once failed after the eight public steps
+        payload = {**mlp_continual_config(),
+                   "task_private": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 3}}
+        path = write_config(tmp_path, payload)
+        refuse_steps(monkeypatch)
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error: private task has 67 parameters, public task 58" in (
+            capsys.readouterr().err
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_private_task_trains_only_the_private_phase(self, tmp_path):
+        # the private task draws from its own teacher generator, not the
+        # run's, so the public phase is the single-task run's
+        logs = {}
+        for name, private in (("single", None), ("private", {"teacher_seed": 5})):
+            payload = mlp_continual_config()
+            if private is not None:
+                payload["task_private"] = {**payload["task_public"], **private}
+            path = write_config(tmp_path, payload, f"{name}.json")
+            out = tmp_path / name
+            assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
+            logs[name] = (out / "continual.csv").read_text().splitlines()[1:]
+        phases = [row.split(",")[1] for row in logs["private"]]
+        assert phases == ["public"] * 8 + ["private"] * 8
+        assert logs["single"][:8] == logs["private"][:8]
+        assert all(a != b for a, b in zip(logs["single"][8:], logs["private"][8:]))
+
+    def test_an_indicator_schedule_must_span_the_run(self, tmp_path, capsys, monkeypatch):
+        # a 1000-step horizon on a 10-step run once ran every step public
+        payload = {**continual_config(), "epochs": 2,
+                   "schedule": {"kind": "indicator", "s": 0.5, "total": 1000}}
+        path = write_config(tmp_path, payload)
+        refuse_steps(monkeypatch)
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error: indicator schedule spans 1000 steps, but the run takes 10" in (
+            capsys.readouterr().err
+        )
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_every_config_is_listed(self):
         assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CONFIGS)
@@ -740,6 +850,14 @@ class TestSubcommands:
         assert code == 0
         assert (tmp_path / "sweep_batch_seed0.csv").exists()
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
+
+    def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):
+        payload = sweep_config()
+        payload["seeds"] = [0, 1]
+        path = write_config(tmp_path, payload)
+        argv = ["sweep-batch", "--config", str(path), "--out", str(tmp_path), "--seed", "1"]
+        assert run_subcommand(argv) == 0
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["sweep_batch.csv"]
 
     def test_subcommand_output_deterministic(self, tmp_path):
         path = write_config(tmp_path, sweep_config())

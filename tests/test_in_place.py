@@ -25,12 +25,14 @@ from reference import (
 )
 
 # (seed, m, widths): the bench shape at B = 64, a 200-row batch that the
-# curvature pass takes in five chunks of 40 rows, one row, and odd widths
+# curvature pass takes in five chunks of 40 rows, one row, odd widths, and a
+# hidden layer wider than 64
 MLP_CASES = [
     (0, 64, (16, 64, 4)),
     (1, 200, (16, 64, 4)),
     (2, 1, (3, 8, 2)),
     (3, 37, (5, 7, 1)),
+    (4, 64, (16, 128, 4)),
 ]
 RULES = [None, ClippingRule(r=0.5), ClippingRule.auto()]
 
@@ -136,8 +138,8 @@ class TestNoAliasing:
         task, w, batch = mlp_case(8, 64, (16, 64, 4))
         saved = [a.copy() for a in (w, *batch)]
         config = OptimizerConfig(kind="adam", eta=0.01)
-        dp_step(task, w, batch, ClippingRule.auto(), 1.0, config, OptimizerState.zeros(w.size),
-                np.random.default_rng(9))
+        dp_step(task, w, batch, 64, ClippingRule.auto(), 1.0, config,
+                OptimizerState.zeros(w.size), np.random.default_rng(9))
         stats_snapshot(task, w, batch)
         task.batch_loss(w, batch)
         for now, before in zip((w, *batch), saved):

@@ -76,7 +76,6 @@ def test_task_interface_is_the_batched_methods():
         "loss_and_weighted_gradient_sum",
         "gradient_hessian_forms",
         "draw_batch",
-        "batch_size_of",
     }
 
 
@@ -486,10 +485,6 @@ class TestTaskConstruction:
         for _ in range(5):
             v = rng.standard_normal(task.dimension)
             assert form(task, w, batch, v) >= -1e-12
-
-    def test_mlp_width_cap(self):
-        with pytest.raises(ValueError):
-            TinyMlpTask(n_in=2, hidden=65, n_out=1)
 
     def test_population_loss_matches_mc(self):
         task = quadratic_case()

@@ -80,10 +80,11 @@ def count_loop_runs(monkeypatch):
 
 
 def first_step(task, w, batch, rule, sigma, config, rng=None, state=None):
-    """``dp_step`` from a fresh optimizer state; returns (loss, w_next, state_next)."""
+    """``dp_step`` on a quadratic's ``(B, d)`` batch from a fresh optimizer
+    state; returns (loss, w_next, state_next)."""
     if state is None:
         state = OptimizerState.zeros(task.dimension)
-    return dp_step(task, w, batch, rule, sigma, config, state, rng)
+    return dp_step(task, w, batch, len(batch), rule, sigma, config, state, rng)
 
 
 class TestSteps:
@@ -136,7 +137,7 @@ class TestSteps:
         config = OptimizerConfig(kind="adam", eta=0.1)
         state = OptimizerState.zeros(task.dimension)
         rng = np.random.default_rng(7)
-        loss, w_next, state_next = dp_step(task, w, batch, REPARAM1, 0.8, config, state, rng)
+        loss, w_next, state_next = dp_step(task, w, batch, 8, REPARAM1, 0.8, config, state, rng)
         assert math.isnan(loss)
         assert w_next is w and state_next is state
         assert state.t == 0
@@ -199,7 +200,7 @@ class TestAdamStep:
         batches = [task.draw_batch(rng, 8) for _ in range(2)]
         config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.9)
         _, w1, state = first_step(task, w, batches[0], None, 0.0, config)
-        _, w2, state = dp_step(task, w1, batches[1], None, 0.0, config, state, None)
+        _, w2, state = dp_step(task, w1, batches[1], 8, None, 0.0, config, state, None)
         g0 = per_sample_gradients(task, w, batches[0]).mean(axis=0)
         g1 = per_sample_gradients(task, w1, batches[1]).mean(axis=0)
         assert np.allclose(w2, w1 - config.eta * (0.9 * g0 + g1), rtol=1e-12)
