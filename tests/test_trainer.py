@@ -129,6 +129,19 @@ class TestSteps:
         normalized = grads / np.linalg.norm(grads, axis=1, keepdims=True)
         assert np.allclose((w - w_next) / config.eta, normalized.mean(axis=0), rtol=1e-12)
 
+    def test_the_mean_divides_by_the_callers_b(self):
+        # B is the b the caller chose, never a count read off the batch
+        task = small_quadratic()
+        w = 0.3 * np.ones(task.dimension)
+        batch = task.draw_batch(np.random.default_rng(4), 8)
+        config = OptimizerConfig(kind="sgd", eta=0.1)
+        moves = [
+            w - dp_step(task, w, batch, b, None, 0.0, config, OptimizerState.zeros(w.size),
+                        None)[1]
+            for b in (8, 16)
+        ]
+        assert np.allclose(moves[1], moves[0] / 2, rtol=1e-12, atol=0.0)
+
     def test_non_finite_loss_draws_no_noise_and_keeps_parameters(self):
         task = small_quadratic()
         w = 0.2 * np.ones(task.dimension)
