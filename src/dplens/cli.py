@@ -130,11 +130,6 @@ _INPUTS_SCHEMA = {
         "c": _NUM,
     },
 }
-# predict's one row is at inputs.batch_size, which is no predictor input
-_PREDICT_INPUTS_SCHEMA = {
-    **_INPUTS_SCHEMA,
-    "properties": {**_INPUTS_SCHEMA["properties"], "batch_size": _POS_NUM},
-}
 
 _PLOT_SCHEMA = {
     "type": "object",
@@ -183,30 +178,7 @@ CONFIG_SCHEMAS = {
             "batch_grid": _INT_GRID,
         },
     },
-    "predict": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["schema", "inputs"],
-        "properties": {
-            **_COMMON,
-            "inputs": _PREDICT_INPUTS_SCHEMA,
-            "b_public": _POS_NUM,
-            "b_private": _POS_NUM,
-        },
-    },
     "sweep-batch": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["schema", "inputs", "batch_grid"],
-        "properties": {
-            **_COMMON,
-            "inputs": _INPUTS_SCHEMA,
-            "batch_grid": _POS_NUM_GRID,
-            "b_public": _POS_NUM,
-            "b_private": _POS_NUM,
-        },
-    },
-    "fig-breakdown": {
         "type": "object",
         "additionalProperties": False,
         "required": ["schema", "cases", "batch_grid"],
@@ -218,6 +190,8 @@ CONFIG_SCHEMAS = {
                 "additionalProperties": _INPUTS_SCHEMA,
             },
             "batch_grid": _POS_NUM_GRID,
+            "b_public": _POS_NUM,
+            "b_private": _POS_NUM,
         },
     },
     "oracle": {
@@ -453,6 +427,8 @@ def canonical_config(cfg: dict) -> str:
 def _quadratic_diagonal(cfg: dict, name: str, d: int) -> np.ndarray:
     """The ``(d,)`` diagonal from ``<name>_diag``, else ``<name>_scale`` (default 1) times I."""
     key = f"{name}_diag"
+    if key in cfg and f"{name}_scale" in cfg:
+        raise ConfigError(f"quadratic task does not read {name}_scale beside {key}")
     if key in cfg:
         values = np.asarray(cfg[key], dtype=float)
         if values.shape != (d,):
@@ -615,47 +591,31 @@ def _run_calibrate(cfg: dict, seed: int) -> Table:
     return Table("B,T,sigma,mu,epsilon,delta", rows)
 
 
-PREDICT_HEADER = "B,delta_pub_star,delta_priv_star,decelerator,B_star,alpha_star"
-
-
-def _predict_row(inputs: predictor.ImprovementInputs, b: float, b_public, b_private) -> list:
-    try:
-        b_star = predictor.optimal_batch_dp(inputs)
-    except predictor.NoInteriorOptimumError:
-        b_star = ""
-    try:
-        alpha = predictor.optimal_mix_alpha(inputs, b_public, b_private)
-    except predictor.SaddleOrDegenerateError:
-        alpha = ""
-    return [
-        b,
-        predictor.delta_l_pub_star(b, inputs),
-        predictor.delta_l_priv_star(b, inputs),
-        predictor.decelerator(b, inputs),
-        b_star,
-        alpha,
-    ]
+SWEEP_HEADER = (
+    "case,B,b_ghg,tr_h_sigma,decelerator,denominator_priv,denominator_pub,"
+    "delta_priv_star,delta_pub_star,B_star,alpha_star"
+)
 
 
 def _run_sweep_batch(cfg: dict, seed: int) -> Table:
-    """One row per B: each ``batch_grid`` entry for ``sweep-batch``, and for
-    ``predict``, which has no grid, ``inputs.batch_size`` (1 when unset).
-    ``b_public`` and ``b_private`` default to the row's B."""
-    block = dict(cfg["inputs"])
-    grid = cfg.get("batch_grid") or [block.pop("batch_size", 1.0)]
-    inputs = predictor.ImprovementInputs(**block)
-    rows = [
-        _predict_row(inputs, b, cfg.get("b_public", b), cfg.get("b_private", b)) for b in grid
-    ]
-    return Table(PREDICT_HEADER, rows)
-
-
-def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
+    """One row per (case, B) pair: the cases in sorted order, each over
+    ``batch_grid``.  ``b_public`` and ``b_private`` default to the row's B.
+    ``B_star`` is empty when sigma is 0, and ``alpha_star`` when the mixed
+    quadratic has no interior maximum."""
     rows = []
     for name in sorted(cfg["cases"]):
         inputs = predictor.ImprovementInputs(**cfg["cases"][name])
-        b_star = predictor.optimal_batch_dp(inputs) if inputs.sigma > 0 else ""
+        try:
+            b_star = predictor.optimal_batch_dp(inputs)
+        except predictor.NoInteriorOptimumError:
+            b_star = ""
         for b in cfg["batch_grid"]:
+            try:
+                alpha = predictor.optimal_mix_alpha(
+                    inputs, cfg.get("b_public", b), cfg.get("b_private", b)
+                )
+            except predictor.SaddleOrDegenerateError:
+                alpha = ""
             rows.append(
                 [
                     name,
@@ -668,13 +628,10 @@ def _run_fig_breakdown(cfg: dict, seed: int) -> Table:
                     predictor.delta_l_priv_star(b, inputs),
                     predictor.delta_l_pub_star(b, inputs),
                     b_star,
+                    alpha,
                 ]
             )
-    header = (
-        "case,B,b_ghg,tr_h_sigma,decelerator,denominator_priv,denominator_pub,"
-        "delta_priv_star,delta_pub_star,B_star"
-    )
-    return Table(header, rows)
+    return Table(SWEEP_HEADER, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -738,6 +695,10 @@ def _run_train(cfg: dict, seed: int) -> Table:
 
 
 def _run_continual(cfg: dict, seed: int) -> Table:
+    schedule = cfg.get("schedule")
+    # a schedule fixes the switch, so the early-stopping policy is never read
+    if schedule is not None and "patience" in cfg:
+        raise ConfigError("patience is read only when no schedule is given")
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
@@ -745,7 +706,6 @@ def _run_continual(cfg: dict, seed: int) -> Table:
     )
     config = trainer.OptimizerConfig(**cfg["optimizer"])
     sigma = _resolve_sigma(cfg, cfg["batch_size"])
-    schedule = cfg.get("schedule")
     run = trainer.continual_pretrain(
         task_pub,
         task_priv,
@@ -836,14 +796,12 @@ def _run_mia(cfg: dict, seed: int) -> Table:
 
 _RUNNERS = {
     "calibrate": _run_calibrate,
-    "predict": _run_sweep_batch,
     "sweep-batch": _run_sweep_batch,
     "oracle": _run_oracle,
     "train": _run_train,
     "continual": _run_continual,
     "fourway": _run_fourway,
     "mia": _run_mia,
-    "fig-breakdown": _run_fig_breakdown,
 }
 
 
@@ -860,20 +818,29 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H, _MARGIN = 640, 480, 60
 
 
-def _plot_series(table: Table, wanted: list[str]) -> list[list[tuple[float, float]]]:
-    """(x, y) points of each later ``wanted`` column against the first, over
-    the rows where both cells are non-empty."""
+def _plot_series(table: Table, wanted: list[str]) -> list[tuple[str, list]]:
+    """The legend label and (x, y) points of each series: each later
+    ``wanted`` column against the first, over the rows where both cells are
+    non-empty.  When the table's first column holds two or more names, as
+    ``fourway``'s ``arm`` does, each name's rows make their own series per
+    column, labelled with the name (and the column, if there are several)."""
     header = table.header.split(",")
     for name in wanted:
         if name not in header:
             raise ValueError(f"table has no column {name!r}")
     ix, *iys = [header.index(name) for name in wanted]
-    series = [
-        [(float(row[ix]), float(row[iy])) for row in table.rows
-         if row[ix] != "" and row[iy] != ""]
-        for iy in iys
-    ]
-    if not any(series):
+    groups = list(dict.fromkeys(row[0] for row in table.rows))
+    if len(groups) < 2 or not all(isinstance(group, str) for group in groups):
+        groups = [None]
+    series = []
+    for group in groups:
+        rows = [row for row in table.rows if group is None or row[0] == group]
+        for name, iy in zip(wanted[1:], iys):
+            label = name if group is None else group if len(iys) == 1 else f"{group} {name}"
+            points = [(float(row[ix]), float(row[iy])) for row in rows
+                      if row[ix] != "" and row[iy] != ""]
+            series.append((label, points))
+    if not any(points for _, points in series):
         raise ValueError("table has no plottable rows")
     return series
 
@@ -906,18 +873,20 @@ def emit_svg_lineplot(
 ) -> Path:
     """Plot each y-column against the first (x) column into ``out_path``.
 
-    Each y-column is drawn in one colour over the rows where both it and x
-    are non-empty, one polyline per run of rows in which x never decreases,
-    so the stacked arms of a ``fourway`` table get one line each.  The output
-    bytes are a pure function of the table and arguments: fixed canvas, fixed
-    palette, fixed float formatting, no timestamps.
+    Each series (see :func:`_plot_series`) is drawn in its own colour over
+    the rows where both its column and x are non-empty, one polyline per run
+    of rows in which x never decreases, and named in the legend: a table
+    whose first column names groups, as ``fourway``'s arms, gets a colour
+    and a legend entry per group.  The output bytes are a pure function of
+    the table and arguments: fixed canvas, fixed palette, fixed float
+    formatting, no timestamps.
     """
     if len(columns) < 2:
         raise ValueError("need an x column and at least one y column")
     x_scale, y_scale = scales
     series = _plot_series(table, list(columns))
-    all_x = [x for points in series for x, _ in points]
-    all_y = [y for points in series for _, y in points]
+    all_x = [x for _, points in series for x, _ in points]
+    all_y = [y for _, points in series for _, y in points]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     parts = [
@@ -929,7 +898,7 @@ def emit_svg_lineplot(
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
     ]
-    for i, (name, points) in enumerate(zip(columns[1:], series)):
+    for i, (label, points) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         for run in _segments(points):
             xs, ys = zip(*run)
@@ -940,9 +909,10 @@ def emit_svg_lineplot(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"/>'
             )
+        text = label.replace("&", "&amp;").replace("<", "&lt;")  # a case name is free text
         parts.append(
             f'<text x="{_W - _MARGIN + 5}" y="{_MARGIN + 14 * i + 10}" '
-            f'font-size="10" fill="{color}">{name}</text>'
+            f'font-size="10" fill="{color}">{text}</text>'
         )
     labels = [
         (x_lo, _MARGIN, _H - _MARGIN + 15, "start"),

@@ -330,11 +330,12 @@ def continual_pretrain(
     set of ``val_size`` public samples, evaluated once per epoch) fails to
     improve per the switch policy; at the switch the optimizer state is
     partially re-initialised per ``reset_policy`` (first moment by default)
-    and, optionally, the task's output-parameter block is re-drawn.  Passing
-    a binary alpha schedule instead forces the phase change at a fixed
-    iteration with no early stopping; an indicator schedule must span the
-    ``epochs * steps_per_epoch`` steps, and the private task must have as many
-    parameters as the public one.  Private steps clip with ``rule``, and
+    and, with ``head_reinit``, the private task's ``head_slice`` block is
+    re-drawn.  Passing a binary alpha schedule instead forces the phase
+    change at a fixed iteration with no early stopping; an indicator schedule
+    must span the ``epochs * steps_per_epoch`` steps, and the private task
+    must have as many parameters as the public one and, with
+    ``head_reinit``, an output block.  Private steps clip with ``rule``, and
     ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  With
     ``curvature``, every record carries the step's curvature statistics.
     Training aborts with a diagnostic record if the loss turns non-finite.
@@ -358,6 +359,8 @@ def continual_pretrain(
             f"private task has {task_private.dimension} parameters, "
             f"public task {task_public.dimension}"
         )
+    if head_reinit and not hasattr(task_private, "head_slice"):
+        raise ValueError("head_reinit needs a private task with an output block (head_slice)")
 
     # nothing draws from the fifth stream; it is spawned so that head_rng
     # stays the sixth, which keeps the bytes of every head re-draw
@@ -374,11 +377,8 @@ def continual_pretrain(
 
 
 def _reinit_head(task, w: Array, rng: np.random.Generator) -> None:
-    """Re-draw the output-layer block in place, for tasks that expose one."""
-    head = getattr(task, "head_slice", None)
-    if head is None:
-        return
-    sl = head()
+    """Re-draw the output-layer block of ``task`` in place."""
+    sl = task.head_slice()
     w[sl] = 0.1 * rng.standard_normal(sl.stop - sl.start)
 
 

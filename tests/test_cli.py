@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dplens import trainer
+from dplens import predictor, trainer
 from dplens.cli import (
     _RUNNERS,
     _TASK_KEYS,
@@ -25,6 +25,7 @@ from dplens.cli import (
     load_config,
     run_subcommand,
     task_from_config,
+    validation_message,
 )
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
@@ -35,13 +36,13 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # the subcommand each shipped config is written for; scripts/config_digests.py
 # reads this map too
 SHIPPED_CONFIGS = {
-    "breakdown.json": "fig-breakdown",
+    "breakdown.json": "sweep-batch",
     "calibrate_bench.json": "calibrate",
     "continual_demo.json": "continual",
     "fourway_mlp.json": "fourway",
     "mia_toy.json": "mia",
     "oracle_small.json": "oracle",
-    "predict.json": "predict",
+    "predict.json": "sweep-batch",
     "sweep_batch.json": "sweep-batch",
     "train_logistic.json": "train",
 }
@@ -103,13 +104,15 @@ def refuse_steps(monkeypatch):
 def sweep_config():
     return {
         "schema": 1,
-        "inputs": {
-            "g_norm_sq": 1.0,
-            "g_h_g": 100.0,
-            "tr_h": 2e8,
-            "tr_h_sigma": 2e4,
-            "sigma": 0.5,
-            "c": 1.0,
+        "cases": {
+            "case": {
+                "g_norm_sq": 1.0,
+                "g_h_g": 100.0,
+                "tr_h": 2e8,
+                "tr_h_sigma": 2e4,
+                "sigma": 0.5,
+                "c": 1.0,
+            },
         },
         "batch_grid": [10.0, 100.0, 1000.0],
     }
@@ -163,7 +166,7 @@ class TestConfigHandling:
 
     def test_validation_message_is_jsonschemas_best_match(self, tmp_path):
         payload = sweep_config()
-        payload["inputs"]["g_norm_sq"] = "one"
+        payload["cases"]["case"]["g_norm_sq"] = "one"
         payload["surprise"] = 1
         path = write_config(tmp_path, payload)
         with pytest.raises(jsonschema.ValidationError) as expected:
@@ -218,35 +221,32 @@ class TestConfigHandling:
         assert canonical_config(json.loads(canon)) == canon
 
     @pytest.mark.parametrize(
-        "command, change",
+        "change",
         [
-            ("predict", {"inputs": {**sweep_config()["inputs"], "batch_size": 0}}),
-            ("sweep-batch", {"batch_grid": [10.0, 0.0]}),
-            ("sweep-batch", {"b_private": 0}),
-            ("sweep-batch", {"b_public": 0}),
-            ("fig-breakdown", {"batch_grid": [10.0, 0.0]}),
-            ("fig-breakdown", {"batch_grid": [10.0, -5.0]}),
+            {"batch_grid": [10.0, 0.0]},
+            {"batch_grid": [10.0, -5.0]},
+            {"b_private": 0},
+            {"b_public": 0},
         ],
+        ids=["grid-zero", "grid-negative", "b_private", "b_public"],
     )
-    def test_nonpositive_batch_size_is_a_config_error(self, command, change, tmp_path, capsys):
+    def test_nonpositive_batch_size_is_a_config_error(self, change, tmp_path, capsys):
         payload = {**sweep_config(), **change}
-        if command == "predict":
-            del payload["batch_grid"]
-        if command == "fig-breakdown":
-            payload["cases"] = {"case": payload.pop("inputs")}
         path = write_config(tmp_path, payload)
-        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep-batch", "fig-breakdown"])
-    def test_inputs_batch_size_only_in_predict(self, command, tmp_path, capsys):
-        # only predict reads inputs.batch_size; the grid commands take B from batch_grid
+    @pytest.mark.parametrize("where", ["case", "top-level"])
+    def test_batch_sizes_come_from_the_grid_alone(self, where, tmp_path, capsys):
+        # a batch_size in a case, or inputs given beside the cases, would
+        # state a B or an input set that no row uses
         payload = sweep_config()
-        payload["inputs"]["batch_size"] = 7
-        if command == "fig-breakdown":
-            payload["cases"] = {"case": payload.pop("inputs")}
+        if where == "case":
+            payload["cases"]["case"]["batch_size"] = 7
+        else:
+            payload["inputs"] = payload["cases"]["case"]
         path = write_config(tmp_path, payload)
-        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
@@ -278,20 +278,27 @@ class TestConfigHandling:
         assert load_config(write_config(tmp_path, payload), "train") == payload
 
     @pytest.mark.parametrize(
-        "change",
+        "change, named",
         [
-            {"schedule": {"kind": "indicator", "total": 5}},
-            {"schedule": {"kind": "indicator", "s": 0.5}},
-            {"clipping": {"kind": "reparam", "r": 0}},
+            ({"schedule": {"kind": "indicator", "total": 5}}, "s must"),
+            ({"schedule": {"kind": "indicator", "s": 0.5}}, "horizon"),
+            ({"clipping": {"kind": "reparam", "r": 0}}, "R must"),
+            ({"schedule": {"kind": "only_private"}, "patience": 2}, "patience"),
+            ({"head_reinit": True}, "head_reinit"),
         ],
-        ids=["indicator-no-s", "indicator-no-total", "reparam-r0"],
+        ids=["indicator-no-s", "indicator-no-total", "reparam-r0", "patience-with-schedule",
+             "head_reinit-without-head"],
     )
-    def test_bad_block_is_a_config_error(self, change, tmp_path, capsys):
-        # the constructors' own checks reject these blocks, after validation passes
+    def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
+        # the constructors' and the loop's own checks reject these blocks,
+        # after validation passes and before any step; patience is read only
+        # without a schedule, and the quadratic task has no output block
         path = write_config(tmp_path, {**continual_config(), **change})
         assert load_config(path, "continual")
+        refuse_steps(monkeypatch)
         assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -328,9 +335,9 @@ class TestConfigHandling:
     )
     def test_block_keys_are_the_constructor_fields(self, block, constructor):
         # a block goes to its constructor as keyword arguments, so the keys a
-        # schema accepts are the constructor's fields; predict's one row is at
-        # inputs.batch_size, its only key that is no ImprovementInputs field,
-        # and the loop runs no schedule that reads k, n_pub or n_priv
+        # schema accepts are the constructor's fields; each sweep-batch case
+        # is an inputs block, and the loop runs no schedule that reads k,
+        # n_pub or n_priv
         fields = {field.name for field in dataclasses.fields(constructor)}
         if block == "schedule":
             fields -= {"k", "n_pub", "n_priv"}
@@ -340,24 +347,24 @@ class TestConfigHandling:
             if block in schema["properties"]
         }
         if block == "inputs":
-            cases = CONFIG_SCHEMAS["fig-breakdown"]["properties"]["cases"]
-            schemas["fig-breakdown"] = cases["additionalProperties"]
+            cases = CONFIG_SCHEMAS["sweep-batch"]["properties"]["cases"]
+            schemas["sweep-batch"] = cases["additionalProperties"]
         assert schemas
         for command, schema in schemas.items():
-            extra = {"batch_size"} if command == "predict" else set()
-            assert set(schema["properties"]) == fields | extra, command
+            assert set(schema["properties"]) == fields, command
 
-    @pytest.mark.parametrize("command", ["predict", "sweep-batch"])
-    def test_g_fourth_overflow_is_named(self, command, tmp_path, capsys):
-        payload = json.loads((CONFIG_DIR / f"{command.replace('-', '_')}.json").read_text())
-        payload["inputs"]["g_norm_sq"] = 1e155
+    @pytest.mark.parametrize("name", ["breakdown.json", "predict.json", "sweep_batch.json"])
+    def test_g_fourth_overflow_is_named(self, name, tmp_path, capsys):
+        payload = json.loads((CONFIG_DIR / name).read_text())
+        for case in payload["cases"].values():
+            case["g_norm_sq"] = 1e155
         path = write_config(tmp_path, payload)
-        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "numerical error: |G|^4 overflows a float" in capsys.readouterr().err
 
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         payload = sweep_config()
-        payload["inputs"]["g_h_g"] = -100.0  # negative curvature denominator
+        payload["cases"]["case"]["g_h_g"] = -100.0  # negative curvature denominator
         path = write_config(tmp_path, payload)
         code = run_subcommand(
             ["sweep-batch", "--config", str(path), "--out", str(tmp_path)]
@@ -492,13 +499,19 @@ class TestTaskFromConfig:
               "hidden": 3}, "hidden, noise_std"),
             ({"kind": "tinymlp", "n_in": 2, "hidden": 4, "n_out": 1, "separation": 2.0},
              "separation"),
+            ({"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0],
+              "hessian_scale": 50.0}, "hessian_scale beside hessian_diag"),
+            ({"kind": "quadratic", "dimension": 2, "covariance_diag": [1.0, 2.0],
+              "covariance_scale": 50.0}, "covariance_scale beside covariance_diag"),
         ],
-        ids=["quadratic", "logistic", "tinymlp"],
+        ids=["quadratic", "logistic", "tinymlp", "hessian-diag-and-scale",
+             "covariance-diag-and-scale"],
     )
     def test_a_key_the_kind_does_not_read_is_a_config_error(
         self, task, unread, tmp_path, capsys, monkeypatch
     ):
-        # a logistic task once ran with noise_std and hidden silently ignored
+        # a logistic task once ran with noise_std and hidden silently ignored,
+        # and a quadratic task with the scale beside a diagonal
         message = f"{task['kind']} task does not read {unread}"
         with pytest.raises(ConfigError, match=f"^{message}$"):
             task_from_config(task, np.random.default_rng(0))
@@ -538,32 +551,67 @@ class TestSubcommands:
         assert all(abs(d - 1e-6) <= 1e-8 for d in deltas)
         assert (tmp_path / "calibrate.svg").exists()
 
-    def test_fig_breakdown_markers(self, tmp_path):
+    def test_breakdown_columns_are_the_predictor_forms(self, tmp_path):
+        cfg = load_config(CONFIG_DIR / "breakdown.json", "sweep-batch")
         code = run_subcommand(
-            ["fig-breakdown", "--config", str(CONFIG_DIR / "breakdown.json"),
+            ["sweep-batch", "--config", str(CONFIG_DIR / "breakdown.json"),
              "--out", str(tmp_path)]
         )
         assert code == 0
-        lines = (tmp_path / "fig_breakdown.csv").read_text().splitlines()
-        assert lines[0].startswith("case,B,")
-        by_case = {}
-        for line in lines[1:]:
-            cells = line.split(",")
-            by_case.setdefault(cells[0], []).append(cells)
-        b_star_pre = float(by_case["pretraining"][0][9])
-        b_star_fin = float(by_case["finetuning"][0][9])
-        assert b_star_pre == pytest.approx(707.11, abs=0.01)
-        assert b_star_fin == pytest.approx(70.71, abs=0.01)
+        lines = (tmp_path / "sweep_batch.csv").read_text().splitlines()
+        assert lines[0] == (
+            "case,B,b_ghg,tr_h_sigma,decelerator,denominator_priv,denominator_pub,"
+            "delta_priv_star,delta_pub_star,B_star,alpha_star"
+        )
+        rows = [line.split(",") for line in lines[1:]]
+        grid = cfg["batch_grid"]
+        assert [(r[0], float(r[1])) for r in rows] == [
+            (case, b) for case in ("finetuning", "pretraining") for b in grid
+        ]
+        for r in rows:
+            inputs = ImprovementInputs(**cfg["cases"][r[0]])
+            b = float(r[1])
+            # repr writes each float so that float() reads back its bits
+            assert [float(cell) for cell in r[2:]] == [
+                b * inputs.g_h_g,
+                inputs.tr_h_sigma,
+                predictor.decelerator(b, inputs),
+                predictor.denominator(b, inputs),
+                predictor.denominator_pub(b, inputs),
+                predictor.delta_l_priv_star(b, inputs),
+                predictor.delta_l_pub_star(b, inputs),
+                predictor.optimal_batch_dp(inputs),
+                predictor.optimal_mix_alpha(inputs, b, b),
+            ]
+        b_star = {r[0]: float(r[9]) for r in rows}
+        assert b_star["pretraining"] == pytest.approx(707.11, abs=0.01)
+        assert b_star["finetuning"] == pytest.approx(70.71, abs=0.01)
         # grid argmax of the private improvement agrees with the marker
-        for case, b_star in (("pretraining", b_star_pre), ("finetuning", b_star_fin)):
-            rows = by_case[case]
-            best = max(rows, key=lambda r: float(r[7]))
-            grid = sorted(float(r[1]) for r in rows)
-            best_b = float(best[1])
-            neighbors = [g for g in grid if g <= b_star] or [grid[0]]
-            lower = max(neighbors)
-            upper = min([g for g in grid if g >= b_star] or [grid[-1]])
-            assert best_b in (lower, upper)
+        for case in b_star:
+            best = max((r for r in rows if r[0] == case), key=lambda r: float(r[7]))
+            lower = max([g for g in grid if g <= b_star[case]] or [grid[0]])
+            upper = min([g for g in grid if g >= b_star[case]] or [grid[-1]])
+            assert float(best[1]) in (lower, upper)
+
+    def test_predict_config_is_one_row_at_its_batch_size(self, tmp_path):
+        cfg = load_config(CONFIG_DIR / "predict.json", "sweep-batch")
+        table = _RUNNERS["sweep-batch"](cfg, 0)
+        inputs = ImprovementInputs(**cfg["cases"]["pretraining"])
+        assert [row[:2] for row in table.rows] == [["pretraining", 512]]
+        assert table.rows[0][-2] == pytest.approx(707.10678 / 0.8, abs=1e-3)
+        assert table.rows[0][-1] == predictor.optimal_mix_alpha(inputs, 256, 1024)
+
+    @pytest.mark.parametrize(
+        "change, empty",
+        [({"sigma": 0.0}, "B_star"), ({"sigma": 0.0, "tr_h_sigma": 0.0}, "alpha_star")],
+        ids=["sigma-zero", "no-interior-mix"],
+    )
+    def test_an_optimum_that_does_not_exist_is_an_empty_cell(self, change, empty):
+        cfg = sweep_config()
+        cfg["cases"]["case"].update(change)
+        table = _RUNNERS["sweep-batch"](cfg, 0)
+        column = table.header.split(",").index(empty)
+        assert [row[column] for row in table.rows] == [""] * len(cfg["batch_grid"])
 
     def test_oracle_small(self, tmp_path):
         code = run_subcommand(
@@ -663,6 +711,14 @@ class TestSubcommands:
 
     def test_every_config_is_listed(self):
         assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+    def test_shipped_config_fits_only_its_own_schema(self, name):
+        # bench/report.py finds a config's subcommand as the one schema it fits
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        fits = [command for command, schema in CONFIG_SCHEMAS.items()
+                if validation_message(cfg, schema) is None]
+        assert fits == [SHIPPED_CONFIGS[name]]
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
     def test_shipped_config_runs(self, name, tmp_path):
@@ -873,21 +929,6 @@ class TestSubcommands:
         assert run_subcommand(["sweep-batch", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "sweep_batch.csv").exists()
 
-    def test_predict_single_row(self, tmp_path):
-        payload = {
-            "schema": 1,
-            "inputs": {
-                "g_norm_sq": 1.0, "g_h_g": 100.0, "tr_h": 2e8,
-                "tr_h_sigma": 2e4, "sigma": 0.5, "c": 1.0, "batch_size": 1000.0,
-            },
-        }
-        path = write_config(tmp_path, payload)
-        assert run_subcommand(["predict", "--config", str(path), "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "predict.csv").read_text().splitlines()
-        assert lines[0] == "B,delta_pub_star,delta_priv_star,decelerator,B_star,alpha_star"
-        cells = lines[1].split(",")
-        assert float(cells[4]) == pytest.approx(707.10678, abs=1e-3)
-
 
 class TestSvg:
     def test_two_columns_single_polyline(self, tmp_path):
@@ -923,15 +964,38 @@ class TestSvg:
         svg = emit_svg_lineplot(table, ["x", "y1", "y2"], tmp_path / "plot.svg")
         assert svg.read_text().count("<polyline") == 2
 
-    def test_series_splits_where_x_steps_back(self, tmp_path):
-        # a fourway-shaped table: four arms, each over iterations 0..n-1
+    @pytest.mark.parametrize("named", [True, False], ids=["arm-column", "no-name-column"])
+    def test_series_splits_where_x_steps_back(self, named, tmp_path):
+        # a fourway-shaped table: four arms, each over iterations 0..n-1; its
+        # arm column gives each arm a colour and a legend entry, and without
+        # it the one series splits where x steps back
         n = 6
         rows = [[arm, t, 1.0 + k + 0.1 * t] for k, arm in enumerate("abcd") for t in range(n)]
         table = Table("arm,iter,train_loss", rows)
+        if not named:
+            table = Table("iter,train_loss", [row[1:] for row in rows])
         text = emit_svg_lineplot(table, ["iter", "train_loss"], tmp_path / "plot.svg").read_text()
         lines = polyline_points(text)
         assert [len(points) for points in lines] == [n] * 4
-        assert len(set(re.findall(r'<polyline[^>]*stroke="([^"]+)"', text))) == 1
+        colors = re.findall(r'<polyline[^>]*stroke="([^"]+)"', text)
+        legend = re.findall(r'fill="[^"]+">([^<]*)</text>', text)
+        assert len(set(colors)) == (4 if named else 1)
+        assert legend == (list("abcd") if named else ["train_loss"])
+
+    def test_one_group_plots_as_a_table_without_names(self, tmp_path):
+        cfg = sweep_config()
+        columns = ["B", "delta_priv_star", "delta_pub_star"]
+        table = _RUNNERS["sweep-batch"](cfg, 0)
+        named = emit_svg_lineplot(table, columns, tmp_path / "named.svg").read_bytes()
+        bare = Table(table.header.split(",", 1)[1], [row[1:] for row in table.rows])
+        assert named == emit_svg_lineplot(bare, columns, tmp_path / "bare.svg").read_bytes()
+        cfg["cases"]["other"] = {**cfg["cases"]["case"], "sigma": 1.0}
+        text = emit_svg_lineplot(_RUNNERS["sweep-batch"](cfg, 0), columns,
+                                 tmp_path / "two.svg").read_text()
+        assert re.findall(r'fill="[^"]+">([^<]*)</text>', text) == [
+            "case delta_priv_star", "case delta_pub_star",
+            "other delta_priv_star", "other delta_pub_star",
+        ]
 
     def test_each_series_keeps_its_own_rows(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "continual_demo.json", "continual")
