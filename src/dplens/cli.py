@@ -601,7 +601,14 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
     """One row per (case, B) pair: the cases in sorted order, each over
     ``batch_grid``.  ``b_public`` and ``b_private`` default to the row's B.
     ``B_star`` is empty when sigma is 0, and ``alpha_star`` when the mixed
-    quadratic has no interior maximum."""
+    quadratic has no interior maximum.  A case name holding a comma, a
+    double quote or a line break is a config error: the CSV writes names
+    unquoted."""
+    for name in sorted(cfg["cases"]):
+        if set(name) & set(',"\r\n'):
+            raise ConfigError(
+                f"sweep-batch case name {name!r} holds a comma, quote or line break"
+            )
     rows = []
     for name in sorted(cfg["cases"]):
         inputs = predictor.ImprovementInputs(**cfg["cases"][name])

@@ -16,7 +16,10 @@ differ only in the clipping rule and sigma passed to it.
 (sigma, eta) grid in one call: every cell reduces the same sample batches
 (common random numbers), and the cells of one sigma share the noise too.
 Each cell's trials stay i.i.d., but the z-scores of cells that share a batch
-size are correlated.
+size are correlated.  The calling thread makes every draw from the
+generator; one worker thread, which inherits the caller's numpy error
+state, turns each sample block into its clipped gradient sums while the
+caller draws the next block, so at most two blocks are alive at once.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
@@ -24,8 +27,10 @@ generators; identical seeds and configurations produce bit-identical runs.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -388,6 +393,73 @@ _ORACLE_CHUNK_FLOATS = 2_000_000
 _ORACLE_BLOCK_FLOATS = 2**15
 
 
+class _BlockReducer:
+    """One worker thread that reduces sample blocks to ``sum_i C_i g_i``.
+
+    ``submit(out, samples)`` waits until the worker is idle, hands it one
+    ``(k b, d)`` block to reduce into the ``(k, d)`` rows ``out``, and
+    returns at once, so the caller draws the next block meanwhile.  The
+    worker holds one block at a time and drops it before it is idle again.
+    ``wait()`` returns once the last block is reduced.  Both re-raise, in
+    the caller, an exception the worker met, and leaving the ``with`` block
+    joins the worker on every path.  Two plain locks hand a block over:
+    ``_idle`` is held from a submit until the worker has reduced that block,
+    and the caller releases ``_posted`` once a block, or ``None`` to stop
+    the worker, is in ``_job``.  The worker runs in a copy of the caller's
+    context, which holds numpy's error state (``np.errstate``).
+    """
+
+    def __init__(self, task: QuadraticTask, w: Array, b: int, weights):
+        self._task, self._w, self._b, self._weights = task, w, b, weights
+        self._idle = threading.Lock()
+        self._posted = threading.Lock()
+        self._posted.acquire()
+        self._job: tuple[Array, Array] | None = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(self._serve,), daemon=True
+        )
+
+    def __enter__(self) -> "_BlockReducer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._idle.acquire()
+        self._job = None
+        self._posted.release()
+        self._thread.join()
+
+    def submit(self, out: Array, samples: Array) -> None:
+        self._idle.acquire()
+        if self._error is not None:
+            self._idle.release()
+            raise self._error
+        self._job = (out, samples)
+        self._posted.release()
+
+    def wait(self) -> None:
+        with self._idle:
+            if self._error is not None:
+                raise self._error
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            if self._job is None:
+                return
+            try:
+                self._reduce(*self._job)
+            except BaseException as exc:  # re-raised in the caller
+                self._error = exc
+            self._job = None
+            self._idle.release()
+
+    def _reduce(self, out: Array, samples: Array) -> None:
+        grads = self._task.per_sample_gradients(self._w, samples)
+        out[...] = weighted_gradient_sums(grads.reshape(len(out), self._b, -1), self._weights)
+
+
 def empirical_improvement_oracle(
     task: QuadraticTask,
     w: Array,
@@ -421,10 +493,19 @@ def empirical_improvement_oracle(
     ``rng`` first, then the noise of each sigma in grid order (sigma 0 draws
     none).  The chunk size therefore fixes every output byte.  Within a
     chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in blocks of
-    ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one), so the largest
-    transient is one block's ``(k b, d)`` gradients, not the chunk's.
-    Splitting a normal draw into consecutive pieces gives the same stream, and
-    every other step works row by row, so the block size moves no byte.
+    ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one).  Splitting a
+    normal draw into consecutive pieces gives the same stream, and every
+    other step works row by row, so the block size moves no byte.
+
+    The calling thread makes every draw from ``rng``, in the order above.
+    One worker thread computes each block's per-sample gradients and their
+    clipped sums into the chunk's rows while the caller draws the next
+    block; the noise and the population losses wait until the worker has
+    finished the chunk.  So the largest transient is two sample blocks (the
+    one drawn and the one reduced) and one block's ``(k b, d)`` gradients,
+    not the chunk's.  The worker inherits the caller's numpy error state, so
+    an ``np.errstate`` around the call covers the reduction too, and an
+    exception in the worker is re-raised here.
     """
     if not isinstance(task, QuadraticTask):
         raise TypeError("the improvement oracle requires a QuadraticTask")
@@ -442,20 +523,20 @@ def empirical_improvement_oracle(
     block = max(1, _ORACLE_BLOCK_FLOATS // (b * d))
     improvements = np.empty((len(sigmas), len(etas), trials))
     done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        totals = np.empty((n, d))
-        for start in range(0, n, block):
-            k = min(block, n - start)
-            samples = task.draw_batch(rng, k * b)
-            grads = task.per_sample_gradients(w, samples)
-            totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
-        for i, sigma in enumerate(sigmas):
-            steps = noised_mean(totals, b, sigma, rng)
-            for j, eta in enumerate(etas):
-                w_next = w[None, :] - eta * steps
-                improvements[i, j, done:done + n] = loss_before - task.population_losses(w_next)
-        done += n
+    with _BlockReducer(task, w, b, weights) as reducer:
+        while done < trials:
+            n = min(chunk, trials - done)
+            totals = np.empty((n, d))
+            for start in range(0, n, block):
+                k = min(block, n - start)
+                reducer.submit(totals[start:start + k], task.draw_batch(rng, k * b))
+            reducer.wait()
+            for i, sigma in enumerate(sigmas):
+                steps = noised_mean(totals, b, sigma, rng)
+                for j, eta in enumerate(etas):
+                    w_next = w[None, :] - eta * steps
+                    improvements[i, j, done:done + n] = loss_before - task.population_losses(w_next)
+            done += n
     return [
         [
             Estimate(

@@ -236,6 +236,19 @@ class TestConfigHandling:
         assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"],
+                             ids=["comma", "quote", "newline", "return"])
+    def test_case_name_the_csv_cannot_hold_is_a_config_error(self, name, tmp_path, capsys):
+        # the name cell is written unquoted: "a,b" once wrote a 12-cell row
+        # under the 11-column header and exited 0
+        payload = sweep_config()
+        payload["cases"][name] = payload["cases"]["case"]
+        path = write_config(tmp_path, payload)
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(name) in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("where", ["case", "top-level"])
     def test_batch_sizes_come_from_the_grid_alone(self, where, tmp_path, capsys):
         # a batch_size in a case, or inputs given beside the cases, would
@@ -1027,5 +1040,32 @@ def test_scipy_loads_with_privacy_accounting_only(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_path):
+    # the oracle's worker thread uses threading and contextvars, which every
+    # run loads already; concurrent.futures would pull in logging, and a
+    # module-level queue import was seen to raise a run's peak RSS, so a fresh
+    # process shows that neither the import nor an oracle run loads them
+    unwanted = ("concurrent.futures", "logging", "queue")
+    script = (
+        "import sys\n"
+        "import dplens.cli\n"
+        f"unwanted = {unwanted!r}\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, f'imported with dplens.cli: {loaded}'\n"
+        f"argv = ['oracle', '--config', {str(CONFIG_DIR / 'oracle_small.json')!r},"
+        f" '--out', {str(tmp_path)!r}]\n"
+        "assert dplens.cli.run_subcommand(argv) == 0\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, f'imported by an oracle run: {loaded}'\n"
+    )
+    env = dict(os.environ)
+    src = str(CONFIG_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

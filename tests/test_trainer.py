@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -558,7 +559,9 @@ class TestStreamedOracle:
     def test_traced_peak_is_one_block(self, b):
         # the oracle_quad shape and grid: at B = 256 one (trials, B, d) array
         # of a 122-trial chunk is 15 MiB, and the stacked form holds about
-        # five at once
+        # five at once; the streamed form holds two 256 KiB sample blocks,
+        # the one the worker reduces and the one drawn meanwhile, beside the
+        # reduced block's gradients
         task = wide_quadratic(64)
         w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
         rng = np.random.default_rng(24)
@@ -571,6 +574,60 @@ class TestStreamedOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("method, nth", [("per_sample_gradients", 2), ("draw_batch", 3)],
+                             ids=["worker", "caller"])
+    def test_a_failure_is_raised_here_and_the_worker_joined(self, method, nth):
+        # the gradients run on the worker thread and the draws on the
+        # caller's; a 250-trial run at B = 256 and d = 64 makes 61 two-trial
+        # blocks in its first chunk, so either failure comes partway through it
+        task = FailingQuadratic(method, nth)
+        threads = threading.active_count()
+        with pytest.raises(InjectedFailure):
+            empirical_improvement_oracle(
+                task, task.x_mean + 0.3, [0.2], 256, ClippingRule(r=0.5), [0.5], 250,
+                np.random.default_rng(25),
+            )
+        assert task.calls == nth
+        assert threading.active_count() == threads
+
+    def test_worker_runs_under_the_callers_error_state(self):
+        # A = 1e200 I: the caller's draws and its loss at w = x_mean are
+        # finite, but the squared gradient norms overflow in the worker
+        task = QuadraticTask(np.full(8, 1e200), np.zeros(8), np.full(8, 1e-3))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            empirical_improvement_oracle(
+                task, np.zeros(8), [0.1], 4, ClippingRule(r=1.0), [0.0], 100,
+                np.random.default_rng(26),
+            )
+
+
+class InjectedFailure(Exception):
+    pass
+
+
+class FailingQuadratic(QuadraticTask):
+    """``wide_quadratic(64)``, whose ``method`` raises InjectedFailure on its
+    call ``nth``."""
+
+    def __init__(self, method, nth):
+        base = wide_quadratic(64)
+        super().__init__(base.a, base.x_mean, base.s)
+        self.method, self.nth, self.calls = method, nth, 0
+
+    def _count(self, method):
+        if method == self.method:
+            self.calls += 1
+            if self.calls == self.nth:
+                raise InjectedFailure(f"{method} call {self.nth}")
+
+    def per_sample_gradients(self, w, batch):
+        self._count("per_sample_gradients")
+        return super().per_sample_gradients(w, batch)
+
+    def draw_batch(self, rng, m):
+        self._count("draw_batch")
+        return super().draw_batch(rng, m)
 
 
 class TestFourWay:
