@@ -604,7 +604,7 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
     quadratic has no interior maximum.  A case name holding a comma, a
     double quote or a line break is a config error: the CSV writes names
     unquoted."""
-    for name in sorted(cfg["cases"]):
+    for name in cfg["cases"]:
         if set(name) & set(',"\r\n'):
             raise ConfigError(
                 f"sweep-batch case name {name!r} holds a comma, quote or line break"

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -590,6 +591,37 @@ class TestStreamedOracle:
             )
         assert task.calls == nth
         assert threading.active_count() == threads
+
+    def test_concurrent_calls_under_fast_switching_match_the_reference(self):
+        # three calls at once, each with its own worker, on fewer cores than
+        # threads and switching every 10 us: a block reduced into the wrong
+        # rows, or drawn out of order, would move a byte or the end state
+        task = wide_quadratic(64)
+        w = task.x_mean + 0.3
+        grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
+        results = {}
+
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            cells = empirical_improvement_oracle(task, w, *grid, rng)
+            results[seed] = cell_pairs(cells), rng.bit_generator.state
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(seed,), daemon=True)
+                       for seed in (30, 31, 32)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in (30, 31, 32):
+            rng = np.random.default_rng(seed)
+            reference = stacked_improvement_oracle(task, w, *grid, rng)
+            assert results[seed] == (reference, rng.bit_generator.state)
 
     def test_worker_runs_under_the_callers_error_state(self):
         # A = 1e200 I: the caller's draws and its loss at w = x_mean are
