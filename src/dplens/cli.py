@@ -2,13 +2,16 @@
 
 Every subcommand is a pure function of (config, seed): its runner in
 ``_RUNNERS`` takes the config and one seed and returns a :class:`Table`, the
-header, rows and abort reason of its output, and touches no file.  Rerunning
-with the same inputs reproduces the table.  Only :func:`run_subcommand` writes
-files: per seed it names the CSV (``_seed_name``), writes it (``_write_csv``)
-and, when the config asks for a ``plot``, draws the SVG from the same
-in-memory table (:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config
-error, 2 numerical error, including a training run aborted on a non-finite
-loss or curvature statistic, whose partial CSV is kept and gets no plot.
+columns, rows and abort reason of its output, and touches no file.  Rerunning
+with the same inputs reproduces the table.  The columns are a tuple of names,
+and a ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes
+files: per seed it names the CSV (``_seed_name``), writes it with the
+standard library's ``csv`` writer (``_write_csv``), which quotes a cell
+holding a comma, a double quote or a newline, and, when the config asks for
+a ``plot``, draws the SVG from the same in-memory table
+(:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config error, 2
+numerical error, including a training run aborted on a non-finite loss or
+curvature statistic, whose partial CSV is kept and gets no plot.
 
 Each config block goes straight to its constructor as keyword arguments, and
 a run option the config leaves out is left out of the call, so each default
@@ -24,6 +27,7 @@ needs no jsonschema: a run imports numpy and the standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -509,63 +513,55 @@ def _resolve_sigma(cfg: dict, batch_size: int) -> float:
 class Table:
     """One subcommand's output for one seed, before anything is written.
 
-    ``header`` is the CSV header line, ``rows`` the cell values (an empty
-    string is an empty cell), and ``abort_reason`` says why a training or
-    oracle run stopped early, or is None for a complete table.
+    ``columns`` names the cells of each row, ``rows`` holds the cell values
+    (``None`` is an empty cell, and the writer quotes any cell that a CSV
+    cannot hold bare), and ``abort_reason`` says why a training or oracle run
+    stopped early, or is None for a complete table.
     """
 
-    header: str
+    columns: tuple[str, ...]
     rows: list[list]
     abort_reason: str | None = None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, table: Table) -> Path:
     """Write one table; every CSV the subcommands produce goes through here."""
-    lines = [table.header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows(table.rows)
     return path
 
 
-TRAIN_CSV_HEADER = "iter,phase,alpha,train_loss,val_loss,sigma"
-_HESSIAN_COLUMNS = ",tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
+TRAIN_COLUMNS = ("iter", "phase", "alpha", "train_loss", "val_loss", "sigma")
+HESSIAN_COLUMNS = ("tr_H", "tr_H_Sigma", "gHg", "g_norm_sq", "decelerator")
 
 
 def _record_row(r: trainer.IterationRecord) -> list:
-    val = "" if r.val_loss is None else r.val_loss
-    return [r.iteration, r.phase, r.alpha, r.train_loss, val, r.sigma]
+    return [r.iteration, r.phase, r.alpha, r.train_loss, r.val_loss, r.sigma]
 
 
 def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
     """The per-iteration log of one run, with its abort reason.
 
-    The Hessian columns appear when any record has curvature stats; a record
-    without them leaves those cells empty.  The decelerator column is
+    The Hessian columns appear when the records have curvature stats: a run
+    records them on every step or on none.  The decelerator column is
     :func:`predictor.decelerator` at c = 1, sigma^2 tr(H) / B: the paper's
     form divides by c^2, and no run records c yet.
     """
     rows = [_record_row(r) for r in run.records]
     if all(r.hessian is None for r in run.records):
-        return Table(TRAIN_CSV_HEADER, rows, run.abort_reason)
+        return Table(TRAIN_COLUMNS, rows, run.abort_reason)
     for row, r in zip(rows, run.records):
         h = r.hessian
-        if h is None:
-            row += [""] * 5
-        else:
-            decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
-                batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma)
-            )
-            row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
-    return Table(TRAIN_CSV_HEADER + _HESSIAN_COLUMNS, rows, run.abort_reason)
+        decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
+            batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma)
+        )
+        row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
+    return Table(TRAIN_COLUMNS + HESSIAN_COLUMNS, rows, run.abort_reason)
 
 
-MIA_CSV_HEADER = "model_id,epsilon,accuracy,precision,recall,f1,auc"
+MIA_COLUMNS = ("model_id", "epsilon", "accuracy", "precision", "recall", "f1", "auc")
 
 
 def _mia_row(model_id: str, epsilon: float, report: attacks.MiaReport) -> list:
@@ -588,41 +584,38 @@ def _run_calibrate(cfg: dict, seed: int) -> Table:
         mu = privacy.mu_of_noisy_sgd(b, n, t, sigma)
         delta = privacy.mu_to_delta(mu, budget.epsilon)
         rows.append([b, t, sigma, mu, budget.epsilon, delta])
-    return Table("B,T,sigma,mu,epsilon,delta", rows)
+    return Table(("B", "T", "sigma", "mu", "epsilon", "delta"), rows)
 
 
-SWEEP_HEADER = (
-    "case,B,b_ghg,tr_h_sigma,decelerator,denominator_priv,denominator_pub,"
-    "delta_priv_star,delta_pub_star,B_star,alpha_star"
-)
+SWEEP_COLUMNS = ("case", "B", "b_ghg", "tr_h_sigma", "decelerator", "denominator_priv",
+                 "denominator_pub", "delta_priv_star", "delta_pub_star", "B_star", "alpha_star")
 
 
 def _run_sweep_batch(cfg: dict, seed: int) -> Table:
     """One row per (case, B) pair: the cases in sorted order, each over
     ``batch_grid``.  ``b_public`` and ``b_private`` default to the row's B.
     ``B_star`` is empty when sigma is 0, and ``alpha_star`` when the mixed
-    quadratic has no interior maximum.  A case name holding a comma, a
-    double quote or a line break is a config error: the CSV writes names
-    unquoted."""
+    quadratic has no interior maximum.  A case name holding a carriage
+    return is a config error: Python 3.11's csv writer quotes a comma, a
+    double quote and a newline, but leaves a carriage return bare when the
+    line terminator is a newline, and a reader ends the row there."""
     for name in cfg["cases"]:
-        if set(name) & set(',"\r\n'):
-            raise ConfigError(
-                f"sweep-batch case name {name!r} holds a comma, quote or line break"
-            )
+        if "\r" in name:
+            raise ConfigError(f"sweep-batch case name {name!r} holds a carriage return")
     rows = []
     for name in sorted(cfg["cases"]):
         inputs = predictor.ImprovementInputs(**cfg["cases"][name])
         try:
             b_star = predictor.optimal_batch_dp(inputs)
         except predictor.NoInteriorOptimumError:
-            b_star = ""
+            b_star = None
         for b in cfg["batch_grid"]:
             try:
                 alpha = predictor.optimal_mix_alpha(
                     inputs, cfg.get("b_public", b), cfg.get("b_private", b)
                 )
             except predictor.SaddleOrDegenerateError:
-                alpha = ""
+                alpha = None
             rows.append(
                 [
                     name,
@@ -638,7 +631,7 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
                     alpha,
                 ]
             )
-    return Table(SWEEP_HEADER, rows)
+    return Table(SWEEP_COLUMNS, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -652,7 +645,7 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     sigma.  An overflow shows as the first cell, in row order, whose
     mc_mean, mc_se or closed_form is not finite: the table ends before it,
     with ``abort_reason`` set, and no RuntimeWarning is printed."""
-    header = "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
+    columns = ("eta", "B", "sigma", "mc_mean", "mc_se", "closed_form", "z_score")
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
     if not isinstance(task, QuadraticTask):
@@ -675,10 +668,10 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
                 mc = cells[j]
                 if not all(map(math.isfinite, (mc.estimate, mc.standard_error, closed))):
                     reason = f"non-finite oracle cell at eta={eta}, B={b}, sigma={sigma}"
-                    return Table(header, rows, reason)
+                    return Table(columns, rows, reason)
                 z = (mc.estimate - closed) / mc.standard_error
                 rows.append([eta, b, sigma, mc.estimate, mc.standard_error, closed, z])
-    return Table(header, rows)
+    return Table(columns, rows)
 
 
 def _run_train(cfg: dict, seed: int) -> Table:
@@ -748,7 +741,7 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
         [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
     ]
     reasons = (runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS)
-    return Table("arm," + TRAIN_CSV_HEADER, rows, next(filter(None, reasons), None))
+    return Table(("arm", *TRAIN_COLUMNS), rows, next(filter(None, reasons), None))
 
 
 def _fit_target(
@@ -798,7 +791,7 @@ def _run_mia(cfg: dict, seed: int) -> Table:
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
         rows.append(_mia_row(model_id, eps, report))
-    return Table(MIA_CSV_HEADER, rows)
+    return Table(MIA_COLUMNS, rows)
 
 
 _RUNNERS = {
@@ -827,15 +820,14 @@ _W, _H, _MARGIN = 640, 480, 60
 
 def _plot_series(table: Table, wanted: list[str]) -> list[tuple[str, list]]:
     """The legend label and (x, y) points of each series: each later
-    ``wanted`` column against the first, over the rows where both cells are
-    non-empty.  When the table's first column holds two or more names, as
+    ``wanted`` column against the first, over the rows where neither cell is
+    empty (None).  When the table's first column holds two or more names, as
     ``fourway``'s ``arm`` does, each name's rows make their own series per
     column, labelled with the name (and the column, if there are several)."""
-    header = table.header.split(",")
     for name in wanted:
-        if name not in header:
+        if name not in table.columns:
             raise ValueError(f"table has no column {name!r}")
-    ix, *iys = [header.index(name) for name in wanted]
+    ix, *iys = [table.columns.index(name) for name in wanted]
     groups = list(dict.fromkeys(row[0] for row in table.rows))
     if len(groups) < 2 or not all(isinstance(group, str) for group in groups):
         groups = [None]
@@ -845,7 +837,7 @@ def _plot_series(table: Table, wanted: list[str]) -> list[tuple[str, list]]:
         for name, iy in zip(wanted[1:], iys):
             label = name if group is None else group if len(iys) == 1 else f"{group} {name}"
             points = [(float(row[ix]), float(row[iy])) for row in rows
-                      if row[ix] != "" and row[iy] != ""]
+                      if row[ix] is not None and row[iy] is not None]
             series.append((label, points))
     if not any(points for _, points in series):
         raise ValueError("table has no plottable rows")
@@ -986,14 +978,14 @@ def run_subcommand(argv: list[str]) -> int:
         paths = []
         for seed in seeds:
             table = _RUNNERS[args.command](cfg, seed)
-            csv = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
-            paths.append(csv)
+            log = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
+            paths.append(log)
             if table.abort_reason is not None:
-                raise FloatingPointError(f"{table.abort_reason}; partial log kept in {csv}")
+                raise FloatingPointError(f"{table.abort_reason}; partial log kept in {log}")
             if plot is not None:
                 scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
                 paths.append(
-                    emit_svg_lineplot(table, plot["columns"], csv.with_suffix(".svg"), scales)
+                    emit_svg_lineplot(table, plot["columns"], log.with_suffix(".svg"), scales)
                 )
         for path in paths:
             print(path)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -17,6 +18,7 @@ from dplens.cli import (
     _TASK_KEYS,
     _TASK_SCHEMA,
     _build_parser,
+    _write_csv,
     CONFIG_SCHEMAS,
     ConfigError,
     Table,
@@ -236,18 +238,34 @@ class TestConfigHandling:
         assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"],
-                             ids=["comma", "quote", "newline", "return"])
-    def test_case_name_the_csv_cannot_hold_is_a_config_error(self, name, tmp_path, capsys):
-        # the name cell is written unquoted: "a,b" once wrote a 12-cell row
-        # under the 11-column header and exited 0
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", 'a,b"c\nd'],
+                             ids=["comma", "quote", "newline", "all-three"])
+    def test_case_name_reads_back_through_csv_reader(self, name, tmp_path):
+        # an unquoted "a,b" once wrote a 12-cell row under the 11-column header
         payload = sweep_config()
         payload["cases"][name] = payload["cases"]["case"]
         path = write_config(tmp_path, payload)
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "sweep_batch.csv").open(newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert {len(row) for row in rows} == {len(header)}
+        assert sorted({row[0] for row in rows}) == sorted(payload["cases"])
+
+    def test_case_name_with_a_carriage_return_is_a_config_error(self, tmp_path, capsys):
+        # the csv writer leaves a lone carriage return unquoted under a
+        # newline line terminator, and a reader would end the row there
+        payload = sweep_config()
+        payload["cases"]["a\rb"] = payload["cases"]["case"]
+        path = write_config(tmp_path, payload)
         assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and repr(name) in err
+        assert "config error" in err and repr("a\rb") in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_writer_writes_a_float_subclass_as_its_number(self, tmp_path):
+        # repr of a numpy 2 float64 is "np.float64(0.1)"; None is an empty cell
+        table = Table(("x", "y"), [[np.float64(0.1), None], [1, 0.25]])
+        assert _write_csv(tmp_path / "t.csv", table).read_bytes() == b"x,y\n0.1,\n1,0.25\n"
 
     @pytest.mark.parametrize("where", ["case", "top-level"])
     def test_batch_sizes_come_from_the_grid_alone(self, where, tmp_path, capsys):
@@ -623,8 +641,8 @@ class TestSubcommands:
         cfg = sweep_config()
         cfg["cases"]["case"].update(change)
         table = _RUNNERS["sweep-batch"](cfg, 0)
-        column = table.header.split(",").index(empty)
-        assert [row[column] for row in table.rows] == [""] * len(cfg["batch_grid"])
+        column = table.columns.index(empty)
+        assert [row[column] for row in table.rows] == [None] * len(cfg["batch_grid"])
 
     def test_oracle_small(self, tmp_path):
         code = run_subcommand(
@@ -945,35 +963,35 @@ class TestSubcommands:
 
 class TestSvg:
     def test_two_columns_single_polyline(self, tmp_path):
-        table = Table("x,y", [[1, 2], [2, 4], [3, 1]])
+        table = Table(("x", "y"), [[1, 2], [2, 4], [3, 1]])
         svg = emit_svg_lineplot(table, ["x", "y"], tmp_path / "plot.svg")
         text = svg.read_text()
         assert text.count("<polyline") == 1
 
     def test_empty_csv_rejected(self, tmp_path):
         # a header with no rows, or no row without an empty cell, has nothing to plot
-        for rows in ([], [[1, ""], ["", 2]]):
+        for rows in ([], [[1, None], [None, 2]]):
             with pytest.raises(ValueError):
-                emit_svg_lineplot(Table("x,y", rows), ["x", "y"], tmp_path / "plot.svg")
+                emit_svg_lineplot(Table(("x", "y"), rows), ["x", "y"], tmp_path / "plot.svg")
 
     def test_missing_column_rejected(self, tmp_path):
-        table = Table("x,y", [[1, 2]])
+        table = Table(("x", "y"), [[1, 2]])
         with pytest.raises(ValueError):
             emit_svg_lineplot(table, ["x", "z"], tmp_path / "plot.svg")
 
     def test_byte_identical_outputs(self, tmp_path):
-        table = Table("x,y", [[1, 2], [2, 4], [3, 1]])
+        table = Table(("x", "y"), [[1, 2], [2, 4], [3, 1]])
         a = emit_svg_lineplot(table, ["x", "y"], tmp_path / "a.svg")
         b = emit_svg_lineplot(table, ["x", "y"], tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
     def test_log_scale_rejects_nonpositive(self, tmp_path):
-        table = Table("x,y", [[0, 1], [1, 2]])
+        table = Table(("x", "y"), [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
             emit_svg_lineplot(table, ["x", "y"], tmp_path / "plot.svg", scales=("log", "linear"))
 
     def test_multiple_series(self, tmp_path):
-        table = Table("x,y1,y2", [[1, 2, 3], [2, 4, 5]])
+        table = Table(("x", "y1", "y2"), [[1, 2, 3], [2, 4, 5]])
         svg = emit_svg_lineplot(table, ["x", "y1", "y2"], tmp_path / "plot.svg")
         assert svg.read_text().count("<polyline") == 2
 
@@ -984,9 +1002,9 @@ class TestSvg:
         # it the one series splits where x steps back
         n = 6
         rows = [[arm, t, 1.0 + k + 0.1 * t] for k, arm in enumerate("abcd") for t in range(n)]
-        table = Table("arm,iter,train_loss", rows)
+        table = Table(("arm", "iter", "train_loss"), rows)
         if not named:
-            table = Table("iter,train_loss", [row[1:] for row in rows])
+            table = Table(("iter", "train_loss"), [row[1:] for row in rows])
         text = emit_svg_lineplot(table, ["iter", "train_loss"], tmp_path / "plot.svg").read_text()
         lines = polyline_points(text)
         assert [len(points) for points in lines] == [n] * 4
@@ -1000,7 +1018,7 @@ class TestSvg:
         columns = ["B", "delta_priv_star", "delta_pub_star"]
         table = _RUNNERS["sweep-batch"](cfg, 0)
         named = emit_svg_lineplot(table, columns, tmp_path / "named.svg").read_bytes()
-        bare = Table(table.header.split(",", 1)[1], [row[1:] for row in table.rows])
+        bare = Table(table.columns[1:], [row[1:] for row in table.rows])
         assert named == emit_svg_lineplot(bare, columns, tmp_path / "bare.svg").read_bytes()
         cfg["cases"]["other"] = {**cfg["cases"]["case"], "sigma": 1.0}
         text = emit_svg_lineplot(_RUNNERS["sweep-batch"](cfg, 0), columns,
