@@ -3,19 +3,22 @@
 Every subcommand is a pure function of (config, seed): its runner in
 ``_RUNNERS`` takes the config and one seed and returns a :class:`Table`, the
 columns, rows and abort reason of its output, and touches no file.  Rerunning
-with the same inputs reproduces the table.  The columns are a tuple of names,
-and a ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes
-files: per seed it names the CSV (``_seed_name``), writes it with the
-standard library's ``csv`` writer (``_write_csv``), which quotes a cell
-holding a comma, a double quote or a newline, and, when the config asks for
-a ``plot``, draws the SVG from the same in-memory table
-(:func:`emit_svg_lineplot`).  Exit codes: 0 success, 1 config error, 2
-numerical error, including a training run aborted on a non-finite loss or
-curvature statistic, whose partial CSV is kept and gets no plot.
+with the same inputs reproduces the table.  The columns are a tuple of names
+that :func:`table_columns` gives from the subcommand and config alone, so a
+``plot`` column the table lacks is a config error before the first seed runs.
+A ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes files:
+per seed it names the CSV (``_seed_name``), writes it with the standard
+library's ``csv`` writer (``_write_csv``), which quotes a cell holding a
+comma, a double quote or a newline, and, when the config asks for a ``plot``,
+draws the SVG from the same in-memory table (:func:`emit_svg_lineplot`).
+Exit codes: 0 success, 1 config error, 2 numerical error, including a
+training run aborted on a non-finite loss or curvature statistic, whose
+partial CSV is kept and gets no plot.
 
 Each config block goes straight to its constructor as keyword arguments, and
 a run option the config leaves out is left out of the call, so each default
-is written once, in the signature of the function that receives it.
+is written once, in the signature of the function that receives it.  A key
+that the run would not read is a config error, not a silent no-op.
 
 Configs are checked against ``CONFIG_SCHEMAS``, plain JSON Schema, by a
 validator in this module that implements the keywords those schemas use
@@ -492,7 +495,25 @@ def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
     return None if block.get("kind") == "none" else clipping.ClippingRule(**block)
 
 
+# what each optimizer kind reads besides kind, eta and weight_decay
+_OPTIMIZER_KEYS = {
+    "sgd": (),
+    "sgd_momentum": ("mu",),
+    "adam": ("beta1", "beta2", "epsilon_stabilizer"),
+}
+
+
+def optimizer_from_config(block: dict) -> trainer.OptimizerConfig:
+    config = trainer.OptimizerConfig(**block)
+    unread = sorted(set(block) - {"kind", "eta", "weight_decay", *_OPTIMIZER_KEYS[config.kind]})
+    if unread:
+        raise ConfigError(f"{config.kind} optimizer does not read {', '.join(unread)}")
+    return config
+
+
 def _resolve_sigma(cfg: dict, batch_size: int) -> float:
+    if "sigma" in cfg and "privacy" in cfg:
+        raise ConfigError("give sigma or a privacy block, not both")
     if "sigma" in cfg:
         return float(cfg["sigma"])
     if "privacy" in cfg:
@@ -535,33 +556,46 @@ def _write_csv(path: Path, table: Table) -> Path:
 
 TRAIN_COLUMNS = ("iter", "phase", "alpha", "train_loss", "val_loss", "sigma")
 HESSIAN_COLUMNS = ("tr_H", "tr_H_Sigma", "gHg", "g_norm_sq", "decelerator")
+_COLUMNS = {
+    "calibrate": ("B", "T", "sigma", "mu", "epsilon", "delta"),
+    "sweep-batch": ("case", "B", "b_ghg", "tr_h_sigma", "decelerator", "denominator_priv",
+                    "denominator_pub", "delta_priv_star", "delta_pub_star", "B_star",
+                    "alpha_star"),
+    "oracle": ("eta", "B", "sigma", "mc_mean", "mc_se", "closed_form", "z_score"),
+    "train": TRAIN_COLUMNS,
+    "continual": TRAIN_COLUMNS,
+    "fourway": ("arm", *TRAIN_COLUMNS),
+    "mia": ("model_id", "epsilon", "accuracy", "precision", "recall", "f1", "auc"),
+}
+
+
+def table_columns(command: str, cfg: dict) -> tuple[str, ...]:
+    """The columns of every table ``command``'s runner returns for ``cfg``:
+    a positive ``hessian_probes`` adds the curvature columns."""
+    return _COLUMNS[command] + (HESSIAN_COLUMNS if cfg.get("hessian_probes") else ())
 
 
 def _record_row(r: trainer.IterationRecord) -> list:
     return [r.iteration, r.phase, r.alpha, r.train_loss, r.val_loss, r.sigma]
 
 
-def _run_table(run: trainer.TrainRun, batch_size: int) -> Table:
-    """The per-iteration log of one run, with its abort reason.
+def _run_table(run: trainer.TrainRun, batch_size: int, columns: tuple[str, ...]) -> Table:
+    """The per-iteration log of one run under ``columns``, with its abort reason.
 
-    The Hessian columns appear when the records have curvature stats: a run
-    records them on every step or on none.  The decelerator column is
+    A record with curvature stats gets the Hessian cells; a run records them
+    on every step or on none.  The decelerator column is
     :func:`predictor.decelerator` at c = 1, sigma^2 tr(H) / B: the paper's
     form divides by c^2, and no run records c yet.
     """
     rows = [_record_row(r) for r in run.records]
-    if all(r.hessian is None for r in run.records):
-        return Table(TRAIN_COLUMNS, rows, run.abort_reason)
     for row, r in zip(rows, run.records):
         h = r.hessian
-        decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
-            batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma)
-        )
-        row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
-    return Table(TRAIN_COLUMNS + HESSIAN_COLUMNS, rows, run.abort_reason)
-
-
-MIA_COLUMNS = ("model_id", "epsilon", "accuracy", "precision", "recall", "f1", "auc")
+        if h is not None:
+            decel = 0.0 if r.sigma == 0.0 else predictor.decelerator(
+                batch_size, predictor.ImprovementInputs.from_stats(h, r.sigma)
+            )
+            row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
+    return Table(columns, rows, run.abort_reason)
 
 
 def _mia_row(model_id: str, epsilon: float, report: attacks.MiaReport) -> list:
@@ -584,11 +618,7 @@ def _run_calibrate(cfg: dict, seed: int) -> Table:
         mu = privacy.mu_of_noisy_sgd(b, n, t, sigma)
         delta = privacy.mu_to_delta(mu, budget.epsilon)
         rows.append([b, t, sigma, mu, budget.epsilon, delta])
-    return Table(("B", "T", "sigma", "mu", "epsilon", "delta"), rows)
-
-
-SWEEP_COLUMNS = ("case", "B", "b_ghg", "tr_h_sigma", "decelerator", "denominator_priv",
-                 "denominator_pub", "delta_priv_star", "delta_pub_star", "B_star", "alpha_star")
+    return Table(table_columns("calibrate", cfg), rows)
 
 
 def _run_sweep_batch(cfg: dict, seed: int) -> Table:
@@ -631,7 +661,7 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
                     alpha,
                 ]
             )
-    return Table(SWEEP_COLUMNS, rows)
+    return Table(table_columns("sweep-batch", cfg), rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -645,7 +675,7 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     sigma.  An overflow shows as the first cell, in row order, whose
     mc_mean, mc_se or closed_form is not finite: the table ends before it,
     with ``abort_reason`` set, and no RuntimeWarning is printed."""
-    columns = ("eta", "B", "sigma", "mc_mean", "mc_se", "closed_form", "z_score")
+    columns = table_columns("oracle", cfg)
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
     if not isinstance(task, QuadraticTask):
@@ -678,10 +708,14 @@ def _run_train(cfg: dict, seed: int) -> Table:
     """A ``train`` run is a one-phase ``continual`` run of the same config.
 
     ``task`` is the public task, ``steps`` steps make one epoch, and a
-    one-sided schedule keeps every step public (sigma 0) in ``public`` mode
-    and private in ``dp`` mode.
+    one-sided schedule keeps every step private in ``dp`` mode and public
+    (sigma 0, unclipped) in ``public`` mode, which therefore refuses
+    ``sigma``, ``privacy`` and ``clipping``.
     """
     public = cfg["mode"] == "public"
+    unread = sorted({"sigma", "privacy", "clipping"} & set(cfg)) if public else []
+    if unread:
+        raise ConfigError(f"train in public mode does not read {', '.join(unread)}")
     one_phase = {
         **cfg,
         "task_public": cfg["task"],
@@ -694,18 +728,30 @@ def _run_train(cfg: dict, seed: int) -> Table:
     return _run_continual(one_phase, seed)
 
 
+# the keys a schedule of each kind leaves unread: a schedule fixes the
+# switch, so no early-stopping policy is read; the optimizer reset and the
+# head re-draw happen only at a switch, which a one-sided schedule never
+# makes; and only_public never trains the private task
+_UNREAD_BESIDE_SCHEDULE = {
+    "indicator": ("patience",),
+    "only_private": ("patience", "reset_policy", "head_reinit"),
+    "only_public": ("patience", "reset_policy", "head_reinit", "task_private"),
+}
+
+
 def _run_continual(cfg: dict, seed: int) -> Table:
     schedule = cfg.get("schedule")
-    # a schedule fixes the switch, so the early-stopping policy is never read
-    if schedule is not None and "patience" in cfg:
-        raise ConfigError("patience is read only when no schedule is given")
+    if schedule is not None:
+        unread = [key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg]
+        if unread:
+            raise ConfigError(f"a {schedule['kind']} schedule leaves {', '.join(unread)} unread")
+    config = optimizer_from_config(cfg["optimizer"])
+    sigma = _resolve_sigma(cfg, cfg["batch_size"])
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
         task_from_config(cfg["task_private"], rng) if "task_private" in cfg else task_pub
     )
-    config = trainer.OptimizerConfig(**cfg["optimizer"])
-    sigma = _resolve_sigma(cfg, cfg["batch_size"])
     run = trainer.continual_pretrain(
         task_pub,
         task_priv,
@@ -721,7 +767,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         curvature=bool(cfg.get("hessian_probes")),
         **_given(cfg, "reset_policy", "head_reinit", "val_size"),
     )
-    return _run_table(run, cfg["batch_size"])
+    return _run_table(run, cfg["batch_size"], table_columns("continual", cfg))
 
 
 def _run_fourway(cfg: dict, seed: int) -> Table:
@@ -729,7 +775,7 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
     task = task_from_config(cfg["task"], rng)
     runs = trainer.four_way_comparison(
         task,
-        trainer.OptimizerConfig(**cfg["optimizer"]),
+        optimizer_from_config(cfg["optimizer"]),
         cfg["sigma"],
         clipping_from_config(cfg.get("clipping", {})),
         cfg["steps"],
@@ -741,7 +787,7 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
         [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
     ]
     reasons = (runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS)
-    return Table(("arm", *TRAIN_COLUMNS), rows, next(filter(None, reasons), None))
+    return Table(table_columns("fourway", cfg), rows, next(filter(None, reasons), None))
 
 
 def _fit_target(
@@ -791,7 +837,7 @@ def _run_mia(cfg: dict, seed: int) -> Table:
         report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
         rows.append(_mia_row(model_id, eps, report))
-    return Table(MIA_COLUMNS, rows)
+    return Table(table_columns("mia", cfg), rows)
 
 
 _RUNNERS = {
@@ -969,12 +1015,20 @@ def run_subcommand(argv: list[str]) -> int:
         return 1
     try:
         cfg = load_config(args.config, args.command)
+        plot = cfg.get("plot")
+        if plot is not None:
+            columns = table_columns(args.command, cfg)
+            missing = [name for name in plot["columns"] if name not in columns]
+            if missing:
+                raise ConfigError(
+                    f"plot names {', '.join(map(repr, missing))}, not in the "
+                    f"{args.command} table's columns {', '.join(columns)}"
+                )
         outdir = Path(
             args.out or os.environ.get("DPLENS_OUT") or os.getcwd()
         )
         outdir.mkdir(parents=True, exist_ok=True)
         seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
-        plot = cfg.get("plot")
         paths = []
         for seed in seeds:
             table = _RUNNERS[args.command](cfg, seed)

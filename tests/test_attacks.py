@@ -22,7 +22,7 @@ from dplens.attacks import (
     fit_mia_classifier,
     two_blob_data,
 )
-from dplens.cli import MIA_COLUMNS, Table, _fit_target, _mia_row, _write_csv, run_subcommand
+from dplens.cli import Table, _fit_target, _mia_row, _write_csv, run_subcommand, table_columns
 from dplens.clipping import ClippingRule
 from dplens.trainer import OptimizerConfig, OptimizerState, dp_step
 from reference import privatize_gradient
@@ -284,7 +284,8 @@ class TestEvaluate:
     def test_csv_row(self, tmp_path):
         report = MiaReport(accuracy=0.5, precision=0.5, recall=0.25, f1=1 / 3, auc=0.5)
         path = _write_csv(
-            tmp_path / "mia.csv", Table(MIA_COLUMNS, [_mia_row("nondp", float("inf"), report)])
+            tmp_path / "mia.csv",
+            Table(table_columns("mia", {}), [_mia_row("nondp", float("inf"), report)]),
         )
         header, row = path.read_text().splitlines()
         assert header == "model_id,epsilon,accuracy,precision,recall,f1,auc"

@@ -14,6 +14,7 @@ import pytest
 
 from dplens import predictor, trainer
 from dplens.cli import (
+    _OPTIMIZER_KEYS,
     _RUNNERS,
     _TASK_KEYS,
     _TASK_SCHEMA,
@@ -316,14 +317,42 @@ class TestConfigHandling:
             ({"clipping": {"kind": "reparam", "r": 0}}, "R must"),
             ({"schedule": {"kind": "only_private"}, "patience": 2}, "patience"),
             ({"head_reinit": True}, "head_reinit"),
+            ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
+             "sigma or a privacy block, not both"),
+            ({"optimizer": {"kind": "sgd", "eta": 0.1, "mu": 0.9, "beta1": 0.5}},
+             "sgd optimizer does not read beta1, mu"),
+            ({"optimizer": {"kind": "sgd_momentum", "eta": 0.1, "beta2": 0.9}},
+             "sgd_momentum optimizer does not read beta2"),
+            ({"optimizer": {"kind": "adam", "eta": 0.1, "mu": 0.9}},
+             "adam optimizer does not read mu"),
+            ({"optimizer": {"eta": 0.1, "epsilon_stabilizer": 1e-6}},
+             "sgd optimizer does not read epsilon_stabilizer"),
+            ({"schedule": {"kind": "only_private"}, "reset_policy": "reset_v"},
+             "only_private schedule leaves reset_policy unread"),
+            ({"schedule": {"kind": "only_private"}, "head_reinit": False},
+             "only_private schedule leaves head_reinit unread"),
+            ({"schedule": {"kind": "only_public"}, "reset_policy": "none"},
+             "only_public schedule leaves reset_policy unread"),
+            ({"schedule": {"kind": "only_public"}, "head_reinit": True},
+             "only_public schedule leaves head_reinit unread"),
+            ({"schedule": {"kind": "only_public"},
+              "task_private": {"kind": "quadratic", "dimension": 4}},
+             "only_public schedule leaves task_private unread"),
+            ({"plot": {"columns": ["iter", "tr_H"]}}, "plot names 'tr_H'"),
         ],
         ids=["indicator-no-s", "indicator-no-total", "reparam-r0", "patience-with-schedule",
-             "head_reinit-without-head"],
+             "head_reinit-without-head", "sigma-and-privacy", "sgd-mu-beta1",
+             "sgd_momentum-beta2", "adam-mu", "default-kind-epsilon",
+             "only_private-reset_policy", "only_private-head_reinit",
+             "only_public-reset_policy", "only_public-head_reinit",
+             "only_public-task_private", "plot-column-without-curvature"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # the constructors' and the loop's own checks reject these blocks,
         # after validation passes and before any step; patience is read only
-        # without a schedule, and the quadratic task has no output block
+        # without a schedule, the quadratic task has no output block, each
+        # optimizer kind reads its own keys, a one-sided schedule never
+        # switches, and tr_H is a column only of a curvature run
         path = write_config(tmp_path, {**continual_config(), **change})
         assert load_config(path, "continual")
         refuse_steps(monkeypatch)
@@ -331,6 +360,44 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
+             "sigma or a privacy block, not both"),
+            ({"mode": "public"}, "public mode does not read sigma"),
+            ({"mode": "public", "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
+                                            "sample_budget": 100}},
+             "public mode does not read privacy, sigma"),
+            ({"mode": "public", "clipping": {"kind": "auto"}},
+             "public mode does not read clipping, sigma"),
+            ({"optimizer": {"kind": "adam", "eta": 0.1, "mu": 0.9}},
+             "adam optimizer does not read mu"),
+            ({"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
+             "plot names 'tr_H', 'decelerator'"),
+        ],
+        ids=["sigma-and-privacy", "public-sigma", "public-privacy", "public-clipping",
+             "adam-mu", "plot-columns-without-curvature"],
+    )
+    def test_bad_train_key_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
+        # a public run takes no private step, so nothing reads its sigma,
+        # privacy or clipping; sigma beside a privacy block would drop the block
+        path = write_config(tmp_path, {**train_config(), **change})
+        assert load_config(path, "train")
+        refuse_steps(monkeypatch)
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_optimizer_kinds_read_every_key_the_schema_takes(self):
+        schema_keys = set(CONFIG_SCHEMAS["train"]["properties"]["optimizer"]["properties"])
+        read = {"kind", "eta", "weight_decay"}.union(*_OPTIMIZER_KEYS.values())
+        assert read == schema_keys
+        assert sorted(_OPTIMIZER_KEYS) == sorted(
+            CONFIG_SCHEMAS["train"]["properties"]["optimizer"]["properties"]["kind"]["enum"]
+        )
 
     @pytest.mark.parametrize(
         "schedule",
@@ -829,6 +896,9 @@ class TestSubcommands:
             task_public=train["task"], epochs=1, steps_per_epoch=train["steps"],
             schedule={"kind": "only_public" if mode == "public" else "only_private"},
         )
+        if mode == "public":
+            # a public run reads neither; the continual run still needs a sigma
+            del train["clipping"], train["sigma"]
         csvs = {}
         for command, payload in (("train", train), ("continual", continual)):
             path = write_config(tmp_path, payload, f"{command}.json")
@@ -901,6 +971,20 @@ class TestSubcommands:
             assert len(rows) == (91 if probes else 92)
         assert not re.search(r"inf|nan", csv.read_text())
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_a_run_that_aborts_at_its_first_step_writes_the_configs_header(
+        self, tmp_path, capsys
+    ):
+        # the first loss overflows, so no record is kept: the curvature
+        # columns come from hessian_probes, not from the records
+        task = {"kind": "quadratic", "dimension": 4, "hessian_scale": 1e200,
+                "covariance_scale": 1e200}
+        path = write_config(tmp_path, {**train_config(), "task": task, "hessian_probes": 1})
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "non-finite training loss at iteration 0" in capsys.readouterr().err
+        assert (tmp_path / "train.csv").read_text() == (
+            "iter,phase,alpha,train_loss,val_loss,sigma,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator\n"
+        )
 
     @pytest.mark.parametrize("probes", [0, 4])
     def test_diverged_mlp_curvature_keeps_partial_csv_and_exits_2(self, probes, tmp_path, capsys):

@@ -11,7 +11,7 @@ from dplens.hessian import (
     trace_h_sigma,
 )
 from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
-from dplens.cli import _run_table, _write_csv
+from dplens.cli import _run_table, _write_csv, table_columns
 from dplens.trainer import IterationRecord, TrainRun
 from reference import stacked_gradient_hessian_forms
 
@@ -271,7 +271,8 @@ class TestStatsTypesAndCsv:
             sigma=0.5, hessian=stats,
         )
         # batch size 4: decelerator sigma^2 tr_H / B = 0.25 * 2.0 / 4
-        path = _write_csv(tmp_path / "run.csv", _run_table(TrainRun(records=[record]), 4))
+        columns = table_columns("continual", {"hessian_probes": 1})
+        path = _write_csv(tmp_path / "run.csv", _run_table(TrainRun(records=[record]), 4, columns))
         header, row = (line.split(",") for line in path.read_text().strip().split("\n"))
         assert ",".join(header[:1] + header[6:]) == "iter,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
         assert ",".join(row[:1] + row[6:]) == "0,2.0,3.0,4.0,5.0,0.125"

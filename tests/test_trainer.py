@@ -8,7 +8,7 @@ import pytest
 
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
-from dplens.cli import _run_oracle, _run_table, _write_csv
+from dplens.cli import _run_oracle, _run_table, _write_csv, table_columns
 from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv
 from dplens import trainer
 from dplens.trainer import (
@@ -392,13 +392,15 @@ class TestContinualPretrain:
     def test_hessian_probes_recorded_and_csv(self, tmp_path):
         run = self._run(epochs=2, curvature=True)
         assert all(r.hessian is not None for r in run.records)
-        text = _write_csv(tmp_path / "run.csv", _run_table(run, 16)).read_text()
+        columns = table_columns("continual", {"hessian_probes": 1})
+        text = _write_csv(tmp_path / "run.csv", _run_table(run, 16, columns)).read_text()
         header = text.splitlines()[0]
         assert header == "iter,phase,alpha,train_loss,val_loss,sigma,tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator"
 
     def test_csv_without_hessian(self, tmp_path):
         run = self._run(epochs=2)
-        lines = _write_csv(tmp_path / "run.csv", _run_table(run, 16)).read_text().splitlines()
+        table = _run_table(run, 16, table_columns("continual", {}))
+        lines = _write_csv(tmp_path / "run.csv", table).read_text().splitlines()
         assert lines[0] == "iter,phase,alpha,train_loss,val_loss,sigma"
         # val_loss cell is empty except at epoch boundaries
         first = lines[1].split(",")
