@@ -504,6 +504,7 @@ _OPTIMIZER_KEYS = {
 
 
 def optimizer_from_config(block: dict) -> trainer.OptimizerConfig:
+    """The block's optimizer; a key that its kind does not read is a config error."""
     config = trainer.OptimizerConfig(**block)
     unread = sorted(set(block) - {"kind", "eta", "weight_decay", *_OPTIMIZER_KEYS[config.kind]})
     if unread:
@@ -744,7 +745,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
     if schedule is not None:
         unread = [key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg]
         if unread:
-            raise ConfigError(f"a {schedule['kind']} schedule leaves {', '.join(unread)} unread")
+            raise ConfigError(f"the {schedule['kind']} schedule leaves {', '.join(unread)} unread")
     config = optimizer_from_config(cfg["optimizer"])
     sigma = _resolve_sigma(cfg, cfg["batch_size"])
     rng = np.random.default_rng(seed)
