@@ -202,7 +202,9 @@ def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
         raise FloatingPointError("non-finite attack features")
     x = dataset.features[dataset.train_idx]
     y = dataset.labels[dataset.train_idx]
-    if len(np.unique(y)) < 2:
+    n = len(y)
+    n_pos = float(y.sum())  # the labels are 1 (member) and 0
+    if not 0.0 < n_pos < n:
         raise ValueError("attack training split is single-class")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
@@ -211,8 +213,6 @@ def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
         raise FloatingPointError("attack features overflow their standardisation")
     scale[scale == 0.0] = 1.0
     z = (x - mean) / scale
-    n = len(y)
-    n_pos = float(y.sum())
     weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
 
     design = np.concatenate([z, np.ones((len(y), 1))], axis=1)

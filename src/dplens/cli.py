@@ -11,6 +11,10 @@ per seed it names the CSV (``_seed_name``), writes it with the standard
 library's ``csv`` writer (``_write_csv``), which quotes a cell holding a
 comma, a double quote or a newline, and, when the config asks for a ``plot``,
 draws the SVG from the same in-memory table (:func:`emit_svg_lineplot`).
+A multi-seed run shares its seeds among forked workers, one per usable core
+(``os.sched_getaffinity``; ``taskset -c 0`` gives one), and writes their
+files in seed order, as a serial loop would (:func:`_seed_tables`).
+``--jobs`` stays accepted and ignored until ROADMAP item 1 deletes it.
 Exit codes: 0 success, 1 config error, 2 numerical error, including a
 training run aborted on a non-finite loss or curvature statistic, whose
 partial CSV is kept and gets no plot.
@@ -35,6 +39,8 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -709,45 +715,42 @@ def _run_train(cfg: dict, seed: int) -> Table:
     """A ``train`` run is a one-phase ``continual`` run of the same config.
 
     ``task`` is the public task, ``steps`` steps make one epoch, and a
-    one-sided schedule keeps every step private in ``dp`` mode and public
-    (sigma 0, unclipped) in ``public`` mode, which therefore refuses
-    ``sigma``, ``privacy`` and ``clipping``.
+    one-sided schedule keeps every step private in ``dp`` mode and public in
+    ``public`` mode, whose ``only_public`` schedule refuses ``sigma``,
+    ``privacy`` and ``clipping`` as it does in a ``continual`` run.
     """
-    public = cfg["mode"] == "public"
-    unread = sorted({"sigma", "privacy", "clipping"} & set(cfg)) if public else []
-    if unread:
-        raise ConfigError(f"train in public mode does not read {', '.join(unread)}")
     one_phase = {
         **cfg,
         "task_public": cfg["task"],
         "epochs": 1,
         "steps_per_epoch": cfg["steps"],
-        "schedule": {"kind": "only_public" if public else "only_private"},
+        "schedule": {"kind": "only_public" if cfg["mode"] == "public" else "only_private"},
     }
-    if public:
-        one_phase["sigma"] = 0.0
     return _run_continual(one_phase, seed)
 
 
 # the keys a schedule of each kind leaves unread: a schedule fixes the
 # switch, so no early-stopping policy is read; the optimizer reset and the
 # head re-draw happen only at a switch, which a one-sided schedule never
-# makes; and only_public never trains the private task
+# makes; and only_public takes no private step, so it reads neither the
+# private task nor the noise and clipping of one
 _UNREAD_BESIDE_SCHEDULE = {
     "indicator": ("patience",),
     "only_private": ("patience", "reset_policy", "head_reinit"),
-    "only_public": ("patience", "reset_policy", "head_reinit", "task_private"),
+    "only_public": ("patience", "reset_policy", "head_reinit", "task_private", "sigma",
+                    "privacy", "clipping"),
 }
 
 
 def _run_continual(cfg: dict, seed: int) -> Table:
     schedule = cfg.get("schedule")
     if schedule is not None:
-        unread = [key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg]
+        unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg)
         if unread:
             raise ConfigError(f"the {schedule['kind']} schedule leaves {', '.join(unread)} unread")
     config = optimizer_from_config(cfg["optimizer"])
-    sigma = _resolve_sigma(cfg, cfg["batch_size"])
+    public = schedule is not None and schedule["kind"] == "only_public"
+    sigma = 0.0 if public else _resolve_sigma(cfg, cfg["batch_size"])
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
@@ -855,6 +858,73 @@ _RUNNERS = {
 def _seed_name(command: str, seed: int, multi: bool) -> str:
     stem = command.replace("-", "_")
     return f"{stem}_seed{seed}.csv" if multi else f"{stem}.csv"
+
+
+def _seed_tables(runner, cfg: dict, seeds: list[int]):
+    """Yield ``runner(cfg, seed)`` for each seed, in seed order.
+
+    W = min(len(seeds), usable cores) workers share the seeds: this process
+    runs ``seeds[0::W]`` itself, and W - 1 children forked at the start run
+    ``seeds[k::W]``.  After each seed child k sends one pickled ``(table,
+    exception)`` message down its own pipe, and it stops after its first
+    exception or its first table with an ``abort_reason``.  A seed's
+    exception is raised when its turn comes, and a child that dies without
+    sending a seed's message is a ChildProcessError naming the seed.  When
+    the generator ends, fails or is closed, the pipes are closed and every
+    child still alive is killed and reaped.  With one seed or one core
+    nothing is forked, and this is a serial loop.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(seeds), cores)
+    children = {}  # worker k -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for _, reader in children.values():
+                        reader.close()
+                    with open(write_fd, "wb") as out:
+                        for seed in seeds[k::workers]:
+                            try:
+                                table, error = runner(cfg, seed), None
+                            except Exception as exc:
+                                table, error = None, exc
+                            out.write(pickle.dumps((table, error)))
+                            out.flush()
+                            if error is not None or table.abort_reason is not None:
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[k] = (pid, open(read_fd, "rb"))
+        for i, seed in enumerate(seeds):
+            if i % workers == 0:
+                yield runner(cfg, seed)
+                continue
+            pid, reader = children[i % workers]
+            try:
+                table, error = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pid, 0)
+                del children[i % workers]
+                raise ChildProcessError(
+                    f"the worker for seed {seed} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its table"
+                ) from None
+            if error is not None:
+                raise error
+            yield table
+    finally:
+        for _, reader in children.values():
+            reader.close()
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # --------------------------------------------------------------------------
@@ -999,7 +1069,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="accepted for compatibility; seeds always run one after another, in order",
+            help="accepted and ignored until ROADMAP item 1 deletes it: seeds run on forked "
+                 "workers, one per usable core (taskset -c 0 gives one), and are written "
+                 "in seed order",
         )
     return parser
 
@@ -1028,20 +1100,24 @@ def run_subcommand(argv: list[str]) -> int:
         outdir = Path(
             args.out or os.environ.get("DPLENS_OUT") or os.getcwd()
         )
-        outdir.mkdir(parents=True, exist_ok=True)
         seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
         paths = []
-        for seed in seeds:
-            table = _RUNNERS[args.command](cfg, seed)
-            log = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
-            paths.append(log)
-            if table.abort_reason is not None:
-                raise FloatingPointError(f"{table.abort_reason}; partial log kept in {log}")
-            if plot is not None:
-                scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
-                paths.append(
-                    emit_svg_lineplot(table, plot["columns"], log.with_suffix(".svg"), scales)
-                )
+        tables = _seed_tables(_RUNNERS[args.command], cfg, seeds)
+        try:
+            for seed, table in zip(seeds, tables):
+                if not paths:  # so a config error that a runner raises leaves no directory
+                    outdir.mkdir(parents=True, exist_ok=True)
+                log = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
+                paths.append(log)
+                if table.abort_reason is not None:
+                    raise FloatingPointError(f"{table.abort_reason}; partial log kept in {log}")
+                if plot is not None:
+                    scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
+                    paths.append(
+                        emit_svg_lineplot(table, plot["columns"], log.with_suffix(".svg"), scales)
+                    )
+        finally:
+            tables.close()
         for path in paths:
             print(path)
         return 0

@@ -332,12 +332,18 @@ class TestConfigHandling:
             ({"schedule": {"kind": "only_private"}, "head_reinit": False},
              "only_private schedule leaves head_reinit unread"),
             ({"schedule": {"kind": "only_public"}, "reset_policy": "none"},
-             "only_public schedule leaves reset_policy unread"),
+             "only_public schedule leaves reset_policy, sigma unread"),
             ({"schedule": {"kind": "only_public"}, "head_reinit": True},
-             "only_public schedule leaves head_reinit unread"),
+             "only_public schedule leaves head_reinit, sigma unread"),
             ({"schedule": {"kind": "only_public"},
               "task_private": {"kind": "quadratic", "dimension": 4}},
-             "only_public schedule leaves task_private unread"),
+             "only_public schedule leaves sigma, task_private unread"),
+            ({"schedule": {"kind": "only_public"}}, "only_public schedule leaves sigma unread"),
+            ({"schedule": {"kind": "only_public"}, "clipping": {"kind": "auto"}},
+             "only_public schedule leaves clipping, sigma unread"),
+            ({"schedule": {"kind": "only_public"},
+              "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
+             "only_public schedule leaves privacy, sigma unread"),
             ({"plot": {"columns": ["iter", "tr_H"]}}, "plot names 'tr_H'"),
         ],
         ids=["indicator-no-s", "indicator-no-total", "reparam-r0", "patience-with-schedule",
@@ -345,14 +351,17 @@ class TestConfigHandling:
              "sgd_momentum-beta2", "adam-mu", "default-kind-epsilon",
              "only_private-reset_policy", "only_private-head_reinit",
              "only_public-reset_policy", "only_public-head_reinit",
-             "only_public-task_private", "plot-column-without-curvature"],
+             "only_public-task_private", "only_public-sigma", "only_public-clipping",
+             "only_public-privacy", "plot-column-without-curvature"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # the constructors' and the loop's own checks reject these blocks,
         # after validation passes and before any step; patience is read only
         # without a schedule, the quadratic task has no output block, each
         # optimizer kind reads its own keys, a one-sided schedule never
-        # switches, and tr_H is a column only of a curvature run
+        # switches, an only_public schedule takes no private step (and
+        # continual_config() sets sigma), and tr_H is a column only of a
+        # curvature run
         path = write_config(tmp_path, {**continual_config(), **change})
         assert load_config(path, "continual")
         refuse_steps(monkeypatch)
@@ -366,12 +375,12 @@ class TestConfigHandling:
         [
             ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
              "sigma or a privacy block, not both"),
-            ({"mode": "public"}, "public mode does not read sigma"),
+            ({"mode": "public"}, "only_public schedule leaves sigma unread"),
             ({"mode": "public", "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
                                             "sample_budget": 100}},
-             "public mode does not read privacy, sigma"),
+             "only_public schedule leaves privacy, sigma unread"),
             ({"mode": "public", "clipping": {"kind": "auto"}},
-             "public mode does not read clipping, sigma"),
+             "only_public schedule leaves clipping, sigma unread"),
             ({"optimizer": {"kind": "adam", "eta": 0.1, "mu": 0.9}},
              "adam optimizer does not read mu"),
             ({"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
@@ -381,8 +390,9 @@ class TestConfigHandling:
              "adam-mu", "plot-columns-without-curvature"],
     )
     def test_bad_train_key_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
-        # a public run takes no private step, so nothing reads its sigma,
-        # privacy or clipping; sigma beside a privacy block would drop the block
+        # a public run is an only_public continual run, which takes no private
+        # step, so nothing reads its sigma, privacy or clipping; sigma beside
+        # a privacy block would drop the block
         path = write_config(tmp_path, {**train_config(), **change})
         assert load_config(path, "train")
         refuse_steps(monkeypatch)
@@ -894,8 +904,9 @@ class TestSubcommands:
             schedule={"kind": "only_public" if mode == "public" else "only_private"},
         )
         if mode == "public":
-            # a public run reads neither; the continual run still needs a sigma
-            del train["clipping"], train["sigma"]
+            # a public run reads neither, under either subcommand
+            for payload in (train, continual):
+                del payload["clipping"], payload["sigma"]
         csvs = {}
         for command, payload in (("train", train), ("continual", continual)):
             path = write_config(tmp_path, payload, f"{command}.json")
@@ -904,6 +915,23 @@ class TestSubcommands:
         assert csvs["train"] == csvs["continual"]
         phases = {line.split(b",")[1] for line in csvs["train"].splitlines()[1:]}
         assert phases == {b"public" if mode == "public" else b"private"}
+
+    def test_a_public_continual_run_refuses_sigma_and_clipping(self, tmp_path, capsys):
+        # an only_public schedule takes no private step: a sigma and a
+        # clipping block that nothing reads are config errors, and a run
+        # without them needs no sigma
+        payload = {**continual_config(), "schedule": {"kind": "only_public"}, "sigma": 7.0,
+                   "clipping": {"kind": "reparam", "r": 5.0}}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 1
+        assert "only_public schedule leaves clipping, sigma unread" in capsys.readouterr().err
+        del payload["sigma"], payload["clipping"]
+        path = write_config(tmp_path, payload)
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
+        rows = csv.DictReader((out / "continual.csv").read_text().splitlines())
+        phases = {row["phase"] for row in rows}
+        assert phases == {"public"}
 
     @pytest.mark.parametrize("command", ["train", "fourway"])
     def test_mlp_training_never_builds_per_sample_gradients(self, command, tmp_path):
@@ -1019,6 +1047,23 @@ class TestSubcommands:
         assert code == 0
         assert (tmp_path / "sweep_batch_seed0.csv").exists()
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
+
+    def test_a_config_error_from_a_runner_leaves_no_out_directory(self, tmp_path, capsys):
+        # the optimizer block passes the schema, and the runner refuses it
+        payload = {
+            "schema": 1,
+            "task": {"kind": "quadratic", "dimension": 4},
+            "optimizer": {"kind": "sgd", "mu": 0.9, "beta1": 0.5},
+            "sigma": 0.5,
+            "steps": 5,
+            "batch_size": 8,
+            "seeds": [0, 1, 2],
+        }
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "fw"
+        assert run_subcommand(["fourway", "--config", str(path), "--out", str(out)]) == 1
+        assert "sgd optimizer does not read beta1, mu" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):
         payload = sweep_config()
@@ -1145,11 +1190,14 @@ def test_scipy_loads_with_privacy_accounting_only(tmp_path):
 
 
 def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_path):
-    # the oracle's worker thread uses threading and contextvars, which every
-    # run loads already; concurrent.futures would pull in logging, and a
-    # module-level queue import was seen to raise a run's peak RSS, so a fresh
-    # process shows that neither the import nor an oracle run loads them
-    unwanted = ("concurrent.futures", "logging", "queue")
+    # the oracle's worker thread uses threading and contextvars, and the seed
+    # workers os.fork and pickle, which every run loads already;
+    # concurrent.futures would pull in logging, multiprocessing its own
+    # machinery, and numpy.ma (which np.unique imports) and a module-level
+    # queue import were seen to raise a run's peak RSS, so a fresh process
+    # shows that neither the import, an oracle run nor a multi-seed mia run
+    # loads them
+    unwanted = ("concurrent.futures", "logging", "multiprocessing", "numpy.ma", "queue")
     script = (
         "import sys\n"
         "import dplens.cli\n"
@@ -1161,6 +1209,11 @@ def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_p
         "assert dplens.cli.run_subcommand(argv) == 0\n"
         "loaded = [m for m in unwanted if m in sys.modules]\n"
         "assert not loaded, f'imported by an oracle run: {loaded}'\n"
+        f"argv = ['mia', '--config', {str(CONFIG_DIR / 'mia_toy.json')!r},"
+        f" '--out', {str(tmp_path)!r}]\n"
+        "assert dplens.cli.run_subcommand(argv) == 0\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "assert not loaded, f'imported by a multi-seed mia run: {loaded}'\n"
     )
     env = dict(os.environ)
     src = str(CONFIG_DIR.parent / "src")
