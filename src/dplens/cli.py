@@ -884,6 +884,8 @@ def _seed_tables(runner, cfg: dict, seeds: list[int]):
             if pid == 0:
                 code = 1
                 try:
+                    # keep only this pipe's write end, so that a write to a
+                    # pipe whose reader is gone fails rather than blocks
                     os.close(read_fd)
                     for _, reader in children.values():
                         reader.close()
@@ -893,7 +895,7 @@ def _seed_tables(runner, cfg: dict, seeds: list[int]):
                                 table, error = runner(cfg, seed), None
                             except Exception as exc:
                                 table, error = None, exc
-                            out.write(pickle.dumps((table, error)))
+                            pickle.dump((table, error), out)
                             out.flush()
                             if error is not None or table.abort_reason is not None:
                                 break
@@ -910,8 +912,9 @@ def _seed_tables(runner, cfg: dict, seeds: list[int]):
             try:
                 table, error = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
-                _, status = os.waitpid(pid, 0)
+                reader.close()
                 del children[i % workers]
+                _, status = os.waitpid(pid, 0)
                 raise ChildProcessError(
                     f"the worker for seed {seed} exited with code "
                     f"{os.waitstatus_to_exitcode(status)} before sending its table"
