@@ -12,12 +12,14 @@ library's ``csv`` writer (``_write_csv``), which quotes a cell holding a
 comma, a double quote or a newline, and, when the config asks for a ``plot``,
 draws the SVG from the same in-memory table (:func:`emit_svg_lineplot`).
 A multi-seed run shares its seeds among forked workers, one per usable core
-(``os.sched_getaffinity``; ``taskset -c 0`` gives one), and writes their
+(``trainer.usable_cores``; ``taskset -c 0`` gives one), and writes their
 files in seed order, as a serial loop would (:func:`_seed_tables`).
 ``--jobs`` stays accepted and ignored until ROADMAP item 1 deletes it.
-Exit codes: 0 success, 1 config error, 2 numerical error, including a
-training run aborted on a non-finite loss or curvature statistic, whose
-partial CSV is kept and gets no plot.
+Exit codes: 0 success; 1 config error, or an ``OSError`` while making the
+``--out`` directory or writing a CSV or SVG, reported on one line that
+names the path; 2 numerical error, including a training run aborted on a
+non-finite loss or curvature statistic, whose partial CSV is kept and gets
+no plot.
 
 Each config block goes straight to its constructor as keyword arguments, and
 a run option the config leaves out is left out of the call, so each default
@@ -874,8 +876,7 @@ def _seed_tables(runner, cfg: dict, seeds: list[int]):
     child still alive is killed and reaped.  With one seed or one core
     nothing is forked, and this is a serial loop.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(seeds), cores)
+    workers = min(len(seeds), trainer.usable_cores())
     children = {}  # worker k -> (pid, read end of its pipe)
     try:
         for k in range(1, workers):
@@ -1108,17 +1109,21 @@ def run_subcommand(argv: list[str]) -> int:
         tables = _seed_tables(_RUNNERS[args.command], cfg, seeds)
         try:
             for seed, table in zip(seeds, tables):
-                if not paths:  # so a config error that a runner raises leaves no directory
-                    outdir.mkdir(parents=True, exist_ok=True)
-                log = _write_csv(outdir / _seed_name(args.command, seed, len(seeds) > 1), table)
-                paths.append(log)
+                log = outdir / _seed_name(args.command, seed, len(seeds) > 1)
+                try:
+                    if not paths:  # so a config error that a runner raises leaves no directory
+                        outdir.mkdir(parents=True, exist_ok=True)
+                    paths.append(_write_csv(log, table))
+                    if table.abort_reason is None and plot is not None:
+                        scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
+                        paths.append(emit_svg_lineplot(
+                            table, plot["columns"], log.with_suffix(".svg"), scales
+                        ))
+                except OSError as exc:
+                    print(f"output error: cannot write to {outdir}: {exc}", file=sys.stderr)
+                    return 1
                 if table.abort_reason is not None:
                     raise FloatingPointError(f"{table.abort_reason}; partial log kept in {log}")
-                if plot is not None:
-                    scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
-                    paths.append(
-                        emit_svg_lineplot(table, plot["columns"], log.with_suffix(".svg"), scales)
-                    )
         finally:
             tables.close()
         for path in paths:

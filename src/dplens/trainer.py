@@ -16,10 +16,10 @@ differ only in the clipping rule and sigma passed to it.
 (sigma, eta) grid in one call: every cell reduces the same sample batches
 (common random numbers), and the cells of one sigma share the noise too.
 Each cell's trials stay i.i.d., but the z-scores of cells that share a batch
-size are correlated.  The calling thread makes every draw from the
-generator; one worker thread, which inherits the caller's numpy error
-state, turns each sample block into its clipped gradient sums while the
-caller draws the next block, so at most two blocks are alive at once.
+size are correlated.  The trials run in chunks, each drawing from its own
+generator spawned from the caller's.  The chunks run striped over the
+usable cores (:func:`usable_cores`), the calling thread being one of them,
+and the output bytes depend on the chunk size alone.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextvars
 import copy
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -393,71 +394,48 @@ _ORACLE_CHUNK_FLOATS = 2_000_000
 _ORACLE_BLOCK_FLOATS = 2**15
 
 
-class _BlockReducer:
-    """One worker thread that reduces sample blocks to ``sum_i C_i g_i``.
+def usable_cores() -> int:
+    """The number of cores this process may run on (``os.sched_getaffinity``;
+    ``taskset -c 0`` gives one), or 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    ``submit(out, samples)`` waits until the worker is idle, hands it one
-    ``(k b, d)`` block to reduce into the ``(k, d)`` rows ``out``, and
-    returns at once, so the caller draws the next block meanwhile.  The
-    worker holds one block at a time and drops it before it is idle again.
-    ``wait()`` returns once the last block is reduced.  Both re-raise, in
-    the caller, an exception the worker met, and leaving the ``with`` block
-    joins the worker on every path.  Two plain locks hand a block over:
-    ``_idle`` is held from a submit until the worker has reduced that block,
-    and the caller releases ``_posted`` once a block, or ``None`` to stop
-    the worker, is in ``_job``.  The worker runs in a copy of the caller's
-    context, which holds numpy's error state (``np.errstate``).
+
+def _run_striped(run_chunk, n_chunks: int) -> None:
+    """Call ``run_chunk(c)`` for every c in ``range(n_chunks)``, striped over
+    W = min(n_chunks, usable cores) workers.
+
+    Worker k runs the chunks with c = k (mod W) in turn.  The calling
+    thread is worker 0, and each other worker is a thread that runs in a
+    copy of the caller's context, which holds numpy's error state
+    (``np.errstate``).  A worker stops at its first failing chunk.  Every thread is joined on every path;
+    then the exception of the lowest-numbered chunk that failed is raised
+    here.  With one worker no thread starts.
     """
+    workers = min(n_chunks, usable_cores())
+    errors: dict[int, BaseException] = {}
 
-    def __init__(self, task: QuadraticTask, w: Array, b: int, weights):
-        self._task, self._w, self._b, self._weights = task, w, b, weights
-        self._idle = threading.Lock()
-        self._posted = threading.Lock()
-        self._posted.acquire()
-        self._job: tuple[Array, Array] | None = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=contextvars.copy_context().run, args=(self._serve,), daemon=True
-        )
-
-    def __enter__(self) -> "_BlockReducer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._idle.acquire()
-        self._job = None
-        self._posted.release()
-        self._thread.join()
-
-    def submit(self, out: Array, samples: Array) -> None:
-        self._idle.acquire()
-        if self._error is not None:
-            self._idle.release()
-            raise self._error
-        self._job = (out, samples)
-        self._posted.release()
-
-    def wait(self) -> None:
-        with self._idle:
-            if self._error is not None:
-                raise self._error
-
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            if self._job is None:
-                return
+    def stripe(k: int) -> None:
+        for c in range(k, n_chunks, workers):
             try:
-                self._reduce(*self._job)
+                run_chunk(c)
             except BaseException as exc:  # re-raised in the caller
-                self._error = exc
-            self._job = None
-            self._idle.release()
+                errors[c] = exc
+                return
 
-    def _reduce(self, out: Array, samples: Array) -> None:
-        grads = self._task.per_sample_gradients(self._w, samples)
-        out[...] = weighted_gradient_sums(grads.reshape(len(out), self._b, -1), self._weights)
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(stripe, k), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+        stripe(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def empirical_improvement_oracle(
@@ -488,24 +466,27 @@ def empirical_improvement_oracle(
     of different cells are correlated, most strongly between two etas at one
     sigma, whose steps differ only in length.
 
-    Trials run in chunks of ``_ORACLE_CHUNK_FLOATS / (b d)`` trials, and the
-    chunk is the unit of draw order: all of a chunk's samples come from
-    ``rng`` first, then the noise of each sigma in grid order (sigma 0 draws
-    none).  The chunk size therefore fixes every output byte.  Within a
-    chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in blocks of
-    ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one).  Splitting a
-    normal draw into consecutive pieces gives the same stream, and every
-    other step works row by row, so the block size moves no byte.
+    Trials run in chunks of ``_ORACLE_CHUNK_FLOATS / (b d)`` trials, and each
+    chunk c draws from its own generator, ``rng.spawn(n_chunks)[c]``: first
+    all of its samples, then the noise of each sigma in grid order (sigma 0
+    draws none).  ``rng`` itself draws nothing; only its spawn count moves.
+    Within a chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in
+    blocks of ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one), so the
+    largest transient per chunk is one block's samples and ``(k b, d)``
+    gradients, not the chunk's.  Splitting a normal draw into consecutive
+    pieces gives the same stream, and every other step works row by row, so
+    the block size moves no byte.
 
-    The calling thread makes every draw from ``rng``, in the order above.
-    One worker thread computes each block's per-sample gradients and their
-    clipped sums into the chunk's rows while the caller draws the next
-    block; the noise and the population losses wait until the worker has
-    finished the chunk.  So the largest transient is two sample blocks (the
-    one drawn and the one reduced) and one block's ``(k b, d)`` gradients,
-    not the chunk's.  The worker inherits the caller's numpy error state, so
-    an ``np.errstate`` around the call covers the reduction too, and an
-    exception in the worker is re-raised here.
+    The chunks run striped over the usable cores (:func:`_run_striped`): the
+    calling thread runs chunks 0, W, 2W, ... and one thread per further core
+    the others, each writing its own trials' columns of the result.  numpy
+    releases the GIL while a generator fills an array, so the draws of two
+    chunks overlap.  Since every chunk owns its stream and its columns, the
+    output bytes depend on the chunk size alone, not on the core count or
+    the thread timing.  The threads inherit the caller's numpy error state,
+    so an ``np.errstate`` around the call covers every chunk, and the
+    exception of the lowest-numbered failing chunk is raised here once every
+    thread has been joined.
     """
     if not isinstance(task, QuadraticTask):
         raise TypeError("the improvement oracle requires a QuadraticTask")
@@ -521,22 +502,25 @@ def empirical_improvement_oracle(
     loss_before = task.population_loss(w)
     chunk = max(1, int(_ORACLE_CHUNK_FLOATS / (b * d)))
     block = max(1, _ORACLE_BLOCK_FLOATS // (b * d))
+    starts = range(0, trials, chunk)
+    streams = rng.spawn(len(starts))
     improvements = np.empty((len(sigmas), len(etas), trials))
-    done = 0
-    with _BlockReducer(task, w, b, weights) as reducer:
-        while done < trials:
-            n = min(chunk, trials - done)
-            totals = np.empty((n, d))
-            for start in range(0, n, block):
-                k = min(block, n - start)
-                reducer.submit(totals[start:start + k], task.draw_batch(rng, k * b))
-            reducer.wait()
-            for i, sigma in enumerate(sigmas):
-                steps = noised_mean(totals, b, sigma, rng)
-                for j, eta in enumerate(etas):
-                    w_next = w[None, :] - eta * steps
-                    improvements[i, j, done:done + n] = loss_before - task.population_losses(w_next)
-            done += n
+
+    def run_chunk(c: int) -> None:
+        first, stream = starts[c], streams[c]
+        n = min(chunk, trials - first)
+        totals = np.empty((n, d))
+        for start in range(0, n, block):
+            k = min(block, n - start)
+            grads = task.per_sample_gradients(w, task.draw_batch(stream, k * b))
+            totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
+        for i, sigma in enumerate(sigmas):
+            steps = noised_mean(totals, b, sigma, stream)
+            for j, eta in enumerate(etas):
+                w_next = w[None, :] - eta * steps
+                improvements[i, j, first:first + n] = loss_before - task.population_losses(w_next)
+
+    _run_striped(run_chunk, len(starts))
     return [
         [
             Estimate(

@@ -5,7 +5,8 @@ vectorised or fused way: the stacked per-sample gradients of each task, the
 Hessian forms along any block of directions and along those stacked
 gradients, the scalar clip factor, the privatized gradient of an explicit
 per-sample gradient matrix, the empirical gradient moments, the improvement
-oracle that stacks each chunk's ``(trials, B, d)`` gradients at once, the
+oracle that stacks each chunk's ``(trials, B, d)`` gradients at once and
+runs the chunks one after another, the end state of a generator, the
 quadratic task's formulas on the dense ``(d, d)`` matrices of its
 diagonal A and S, and the plain, allocating expressions of the MLP passes,
 the Adam step and the noise step that the package computes in place.
@@ -143,26 +144,26 @@ def empirical_moments(task, w, m, rng):
 def stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng):
     """``trainer.empirical_improvement_oracle`` with each chunk's gradients
     stacked as one ``(n, B, d)`` array, as the oracle computed them before it
-    reduced them block by block, and with each chunk's draws in the oracle's
-    order: its samples, then the noise of each sigma in turn.  Returns the
-    improvement's (estimate, standard error) per sigma, per eta."""
+    reduced them block by block, and with the chunks run one after another,
+    each drawing from its own generator of ``rng.spawn(n_chunks)``: its
+    samples, then the noise of each sigma in turn.  Returns the improvement's
+    (estimate, standard error) per sigma, per eta."""
     w = np.asarray(w, dtype=float)
     d = task.dimension
     loss_before = task.population_loss(w)
     chunk = max(1, int(2_000_000 / (b * d)))  # bound transient memory
+    starts = range(0, trials, chunk)
     pieces = [[[] for _ in etas] for _ in sigmas]
-    done = 0
-    while done < trials:
+    for done, stream in zip(starts, rng.spawn(len(starts))):
         n = min(chunk, trials - done)
-        samples = task.draw_batch(rng, n * b).reshape(n, b, d)
+        samples = task.draw_batch(stream, n * b).reshape(n, b, d)
         grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
         totals = weighted_gradient_sums(grads, clip_weights(rule))
         for sigma, row in zip(sigmas, pieces):
-            steps = noised_mean(totals, b, sigma, rng)
+            steps = noised_mean(totals, b, sigma, stream)
             for eta, cell in zip(etas, row):
                 w_next = w[None, :] - eta * steps
                 cell.append(loss_before - task.population_losses(w_next))
-        done += n
     return [
         [
             (float(improvements.mean()), float(improvements.std(ddof=1) / np.sqrt(trials)))
@@ -170,6 +171,12 @@ def stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng):
         ]
         for row in pieces
     ]
+
+
+def generator_end_state(rng):
+    """The bit generator's state and the number of children spawned from
+    its seed sequence: what an oracle call may move of its ``rng``."""
+    return rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
 
 
 class DenseQuadratic:

@@ -477,6 +477,23 @@ class TestConfigHandling:
         assert code == 2
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["out", "sweep_batch.csv", "sweep_batch.svg"])
+    def test_an_unwritable_output_exits_1_naming_the_path(self, tmp_path, capsys, blocked):
+        # a file where the --out directory goes, or a directory where the
+        # CSV or the SVG goes
+        out = tmp_path / "out"
+        if blocked == "out":
+            out.write_text("", encoding="utf-8")
+        else:
+            (out / blocked).mkdir(parents=True)
+        path = write_config(tmp_path, {**sweep_config(), "plot": {"columns": ["B", "b_ghg"]}})
+        assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"output error: cannot write to {out}: ")
+        assert str(out / blocked if blocked != "out" else out) in line
+
 
 class TestTaskFromConfig:
     def test_quadratic_diag(self):
@@ -1190,7 +1207,7 @@ def test_scipy_loads_with_privacy_accounting_only(tmp_path):
 
 
 def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_path):
-    # the oracle's worker thread uses threading and contextvars, and the seed
+    # the oracle's chunk threads use threading and contextvars, and the seed
     # workers os.fork and pickle, which every run loads already;
     # concurrent.futures would pull in logging, multiprocessing its own
     # machinery, and numpy.ma (which np.unique imports) and a module-level

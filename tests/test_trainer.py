@@ -1,14 +1,16 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
-from dplens.cli import _run_oracle, _run_table, _write_csv, table_columns
+from dplens.cli import _run_oracle, _run_table, _write_csv, run_subcommand, table_columns
 from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv
 from dplens import trainer
 from dplens.trainer import (
@@ -22,7 +24,7 @@ from dplens.trainer import (
     four_way_comparison,
     optimizer_direction,
 )
-from reference import per_sample_gradients, stacked_improvement_oracle
+from reference import generator_end_state, per_sample_gradients, stacked_improvement_oracle
 
 REPARAM1 = ClippingRule(r=1.0)
 
@@ -525,9 +527,16 @@ def wide_quadratic(d, seed=20):
     return QuadraticTask(a, rng.standard_normal(d), s)
 
 
+def patch_cores(monkeypatch, n):
+    """Make ``trainer.usable_cores`` give ``n``, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestStreamedOracle:
-    """The oracle reduces each chunk block by block; the bytes are those of
-    the stacked reference, and the generator ends in the same state."""
+    """The oracle reduces each chunk block by block, each chunk from its own
+    spawned generator; the bytes are those of the stacked reference, which
+    runs the chunks one after another, and the generator ends in the same
+    state with the same spawn count."""
 
     @pytest.mark.parametrize(
         "d, b, trials, rule, etas, sigmas",
@@ -544,7 +553,7 @@ class TestStreamedOracle:
             # one chunk, and a block longer than it
             (4, 8, 300, ClippingRule(r=0.5), [0.2], [0.5]),
             # a 2x2 grid over three chunks: each chunk's samples, then the
-            # noise of sigma 0.5, then that of sigma 1
+            # noise of sigma 0.5, then that of sigma 1, from its own stream
             (64, 256, 250, ClippingRule(r=0.5), [0.05, 0.2], [0.5, 1.0]),
         ],
     )
@@ -556,15 +565,39 @@ class TestStreamedOracle:
         result = empirical_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng)
         reference = stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, ref_rng)
         assert cell_pairs(result) == reference
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert generator_end_state(rng) == generator_end_state(ref_rng)
+
+    def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch):
+        # three chunks run on 1, 2 or 3 workers; no thread outlives a call
+        task = wide_quadratic(64)
+        w = task.x_mean + 0.3
+        grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
+        threads = threading.active_count()
+        results = []
+        for n in (1, 2, 3):
+            patch_cores(monkeypatch, n)
+            rng = np.random.default_rng(27)
+            cells = empirical_improvement_oracle(task, w, *grid, rng)
+            results.append((cell_pairs(cells), generator_end_state(rng)))
+            assert threading.active_count() == threads
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_oracle_run_writes_the_same_bytes_on_any_core_count(self, monkeypatch, tmp_path):
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "oracle_small.json")
+        outputs = []
+        for n in (1, 2, 3):
+            patch_cores(monkeypatch, n)
+            out = tmp_path / str(n)
+            assert run_subcommand(["oracle", "--config", config, "--out", str(out)]) == 0
+            outputs.append((out / "oracle.csv").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("b", [16, 256])
     def test_traced_peak_is_one_block(self, b):
         # the oracle_quad shape and grid: at B = 256 one (trials, B, d) array
         # of a 122-trial chunk is 15 MiB, and the stacked form holds about
-        # five at once; the streamed form holds two 256 KiB sample blocks,
-        # the one the worker reduces and the one drawn meanwhile, beside the
-        # reduced block's gradients
+        # five at once; the streamed form holds, per chunk running, one
+        # 256 KiB sample block and that block's gradients
         task = wide_quadratic(64)
         w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
         rng = np.random.default_rng(24)
@@ -578,26 +611,56 @@ class TestStreamedOracle:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
-    @pytest.mark.parametrize("method, nth", [("per_sample_gradients", 2), ("draw_batch", 3)],
-                             ids=["worker", "caller"])
-    def test_a_failure_is_raised_here_and_the_worker_joined(self, method, nth):
-        # the gradients run on the worker thread and the draws on the
-        # caller's; a 250-trial run at B = 256 and d = 64 makes 61 two-trial
-        # blocks in its first chunk, so either failure comes partway through it
-        task = FailingQuadratic(method, nth)
+    @pytest.mark.parametrize("cores", [2, 3], ids=lambda n: f"{n}-core")
+    @pytest.mark.parametrize("method", ["per_sample_gradients", "draw_batch"])
+    @pytest.mark.parametrize("stripe", ["caller", "worker"])
+    def test_a_failure_is_raised_here_and_the_worker_joined(
+        self, monkeypatch, cores, method, stripe
+    ):
+        # a 250-trial run at B = 256 and d = 64 makes 122/122/6-trial chunks
+        # of two-trial blocks, chunk 0 on the caller and chunk 1 on a worker,
+        # so the failure comes partway through the stripe's first chunk
+        patch_cores(monkeypatch, cores)
+        task = FailingQuadratic(method, stripe)
         threads = threading.active_count()
         with pytest.raises(InjectedFailure):
             empirical_improvement_oracle(
                 task, task.x_mean + 0.3, [0.2], 256, ClippingRule(r=0.5), [0.5], 250,
                 np.random.default_rng(25),
             )
-        assert task.calls == nth
+        assert task.calls >= 2
         assert threading.active_count() == threads
 
-    def test_concurrent_calls_under_fast_switching_match_the_reference(self):
-        # three calls at once, each with its own worker, on fewer cores than
-        # threads and switching every 10 us: a block reduced into the wrong
-        # rows, or drawn out of order, would move a byte or the end state
+    @pytest.mark.parametrize("cores", [1, 2, 3], ids=lambda n: f"{n}-core")
+    def test_the_lowest_failing_chunk_is_raised_after_every_stripe_ends(
+        self, monkeypatch, cores
+    ):
+        # worker k runs chunks k, k + W, ...; each stripe stops at its first
+        # failure, and chunk 2 fails before chunk 3, whatever the timing
+        patch_cores(monkeypatch, cores)
+        ran = {}
+
+        def run_chunk(c):
+            ran[c] = threading.current_thread()  # an ident may be reused
+            if c in (2, 3, 5):
+                raise InjectedFailure(f"chunk {c}")
+
+        with pytest.raises(InjectedFailure, match="^chunk 2$"):
+            trainer._run_striped(run_chunk, 7)
+        stripes = {k: list(range(k, 7, cores)) for k in range(cores)}
+        for chunks in stripes.values():
+            failed = next((c for c in chunks if c in (2, 3, 5)), None)
+            want = chunks if failed is None else chunks[:chunks.index(failed) + 1]
+            assert [c for c in sorted(ran) if c in chunks] == want
+            assert len({ran[c] for c in want}) == 1
+        assert ran[0] is threading.current_thread()
+        assert len(set(ran.values())) == cores
+
+    def test_concurrent_calls_under_fast_switching_match_the_reference(self, monkeypatch):
+        # three calls at once, each with two chunk threads, on fewer cores
+        # than threads and switching every 10 us: a chunk written into the
+        # wrong columns, or drawn from the wrong stream, would move a byte
+        patch_cores(monkeypatch, 3)
         task = wide_quadratic(64)
         w = task.x_mean + 0.3
         grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
@@ -606,7 +669,7 @@ class TestStreamedOracle:
         def run(seed):
             rng = np.random.default_rng(seed)
             cells = empirical_improvement_oracle(task, w, *grid, rng)
-            results[seed] = cell_pairs(cells), rng.bit_generator.state
+            results[seed] = cell_pairs(cells), generator_end_state(rng)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -623,17 +686,28 @@ class TestStreamedOracle:
         for seed in (30, 31, 32):
             rng = np.random.default_rng(seed)
             reference = stacked_improvement_oracle(task, w, *grid, rng)
-            assert results[seed] == (reference, rng.bit_generator.state)
+            assert results[seed] == (reference, generator_end_state(rng))
 
-    def test_worker_runs_under_the_callers_error_state(self):
-        # A = 1e200 I: the caller's draws and its loss at w = x_mean are
-        # finite, but the squared gradient norms overflow in the worker
-        task = QuadraticTask(np.full(8, 1e200), np.zeros(8), np.full(8, 1e-3))
+    def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
+        # A = 1e200 I: the draws and the loss at w = x_mean are finite, but
+        # the squared gradient norms overflow; at B = 4096 and d = 8 the 100
+        # trials make 61/39-trial chunks, the second on a worker thread
+        patch_cores(monkeypatch, 2)
+        seen = set()
+
+        class Recording(QuadraticTask):
+            def per_sample_gradients(self, w, batch):
+                seen.add((threading.get_ident(), np.geterr()["over"]))
+                return super().per_sample_gradients(w, batch)
+
+        task = Recording(np.full(8, 1e200), np.zeros(8), np.full(8, 1e-3))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             empirical_improvement_oracle(
-                task, np.zeros(8), [0.1], 4, ClippingRule(r=1.0), [0.0], 100,
+                task, np.zeros(8), [0.1], 4096, ClippingRule(r=1.0), [0.0], 100,
                 np.random.default_rng(26),
             )
+        assert len(seen) == 2
+        assert {over for _, over in seen} == {"raise"}
 
 
 class InjectedFailure(Exception):
@@ -642,18 +716,24 @@ class InjectedFailure(Exception):
 
 class FailingQuadratic(QuadraticTask):
     """``wide_quadratic(64)``, whose ``method`` raises InjectedFailure on its
-    call ``nth``."""
+    second call from ``stripe``: the thread that built it ("caller") or any
+    other ("worker")."""
 
-    def __init__(self, method, nth):
+    def __init__(self, method, stripe):
         base = wide_quadratic(64)
         super().__init__(base.a, base.x_mean, base.s)
-        self.method, self.nth, self.calls = method, nth, 0
+        self.method, self.stripe, self.calls = method, stripe, 0
+        self.caller = threading.get_ident()
+        self.lock = threading.Lock()
 
     def _count(self, method):
-        if method == self.method:
-            self.calls += 1
-            if self.calls == self.nth:
-                raise InjectedFailure(f"{method} call {self.nth}")
+        on_caller = threading.get_ident() == self.caller
+        if method == self.method and on_caller == (self.stripe == "caller"):
+            with self.lock:
+                self.calls += 1
+                nth = self.calls
+            if nth == 2:
+                raise InjectedFailure(f"{method} call 2 on the {self.stripe}")
 
     def per_sample_gradients(self, w, batch):
         self._count("per_sample_gradients")
