@@ -407,9 +407,10 @@ def _run_striped(run_chunk, n_chunks: int) -> None:
     Worker k runs the chunks with c = k (mod W) in turn.  The calling
     thread is worker 0, and each other worker is a thread that runs in a
     copy of the caller's context, which holds numpy's error state
-    (``np.errstate``).  A worker stops at its first failing chunk.  Every thread is joined on every path;
-    then the exception of the lowest-numbered chunk that failed is raised
-    here.  With one worker no thread starts.
+    (``np.errstate``).  A worker stops at its first failing chunk.  Every
+    thread is joined on every path; then the exception of the
+    lowest-numbered chunk that failed is raised here.  With one worker no
+    thread starts.
     """
     workers = min(n_chunks, usable_cores())
     errors: dict[int, BaseException] = {}
