@@ -26,11 +26,13 @@ a run option the config leaves out is left out of the call, so each default
 is written once, in the signature of the function that receives it.  A key
 that the run would not read is a config error, not a silent no-op.
 
-Configs are checked against ``CONFIG_SCHEMAS``, plain JSON Schema, by a
-validator in this module that implements the keywords those schemas use
-(:func:`validation_message`).  It reports the error that jsonschema's
-``best_match`` would, with an integer type that admits only a Python int, but
-needs no jsonschema: a run imports numpy and the standard library only.
+:func:`load_config` checks a config before any seed runs, against
+``CONFIG_SCHEMAS``, plain JSON Schema, and then against ``_BLOCK_KEYS``, the
+keys that each kind of task, optimizer, clipping or schedule block reads.
+The schemas' validator (:func:`validation_message`) reports the error that
+jsonschema's ``best_match`` would, with an integer type that admits only a
+Python int, but needs no jsonschema: a run imports numpy and the standard
+library only.  The runners check the rules that tie keys of two places.
 """
 
 from __future__ import annotations
@@ -70,12 +72,32 @@ _NUM_GRID = {"type": "array", "items": _NUM, "minItems": 1}
 _POS_NUM_GRID = {"type": "array", "items": _POS_NUM, "minItems": 1}
 _INT_GRID = {"type": "array", "items": _POS_INT, "minItems": 1}
 
+# what each kind of each config block reads besides "kind": (the keys it
+# needs, the keys it may take); the block's schema takes every key some kind reads
+_BLOCK_KEYS = {
+    "task": {
+        "quadratic": (("dimension",), ("hessian_diag", "hessian_scale", "covariance_diag",
+                                       "covariance_scale", "x_mean")),
+        "logistic": (("dimension", "n_examples"), ("separation",)),
+        "tinymlp": (("n_in", "hidden", "n_out"), ("teacher_seed", "noise_std", "target_scale")),
+    },
+    "optimizer": {"sgd": ((), ("eta",)),
+                  "adam": ((), ("eta", "beta1", "beta2", "epsilon_stabilizer"))},
+    "clipping": {"auto": ((), ()), "reparam": ((), ("r",)), "none": ((), ())},
+    # the two-phase loop runs only the binary schedules
+    "schedule": {"indicator": (("s", "total"), ()), "only_public": ((), ()),
+                 "only_private": ((), ())},
+}
+# the config keys that hold a block, and the block each holds
+_BLOCK_OF = {"task": "task", "task_public": "task", "task_private": "task",
+             "optimizer": "optimizer", "clipping": "clipping", "schedule": "schedule"}
+
 _TASK_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["quadratic", "logistic", "tinymlp"]},
+        "kind": {"enum": list(_BLOCK_KEYS["task"])},
         "dimension": _POS_INT,
         "hessian_diag": _NUM_GRID,
         "hessian_scale": _NUM,
@@ -97,10 +119,8 @@ _OPTIMIZER_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "kind": {"enum": ["sgd", "sgd_momentum", "adam"]},
+        "kind": {"enum": list(_BLOCK_KEYS["optimizer"])},
         "eta": _NUM,
-        "mu": _NUM,
-        "weight_decay": _NUM,
         "beta1": _NUM,
         "beta2": _NUM,
         "epsilon_stabilizer": _NUM,
@@ -112,12 +132,9 @@ _CLIPPING_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["auto", "reparam", "none"]},
+        "kind": {"enum": list(_BLOCK_KEYS["clipping"])},
         "r": _NUM,
     },
-    # only re-parameterised clipping reads the threshold R
-    "if": {"required": ["r"]},
-    "then": {"properties": {"kind": {"const": "reparam"}}},
 }
 
 _PRIVACY_SCHEMA = {
@@ -162,14 +179,10 @@ _SCHEDULE_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        # the two-phase loop runs only the binary schedules
-        "kind": {"enum": ["indicator", "only_public", "only_private"]},
+        "kind": {"enum": list(_BLOCK_KEYS["schedule"])},
         "s": _NUM,
         "total": _POS_INT,
     },
-    # s and total are the indicator's fields: a field beside kind needs it
-    "if": {"minProperties": 2},
-    "then": {"properties": {"kind": {"const": "indicator"}}},
 }
 
 _SEEDED = {
@@ -335,13 +348,16 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     """Yield ``(rank, message)`` for each way ``value`` breaks ``schema``.
 
     Implements the JSON Schema keywords that ``CONFIG_SCHEMAS`` uses, and no
-    other: any other keyword raises NotImplementedError.  Errors come in
-    schema-keyword order with jsonschema's messages, and ``rank`` is the key
-    of ``jsonschema.exceptions.relevance``: (-depth, instance path, whether
-    ``value`` misses the type ``schema`` declares).  So the first error of
-    maximal rank is the one ``jsonschema.exceptions.best_match`` picks.
+    other: ``type``, ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``,
+    ``minItems``, ``minProperties``, ``required``, ``properties``,
+    ``additionalProperties`` and ``items``; any other raises
+    NotImplementedError.  Errors come in schema-keyword order with
+    jsonschema's messages.  No keyword applies two schemas at one path, so
+    ``rank``, (-depth, instance path), orders them as the key of
+    ``jsonschema.exceptions.relevance`` does, and the first error of maximal
+    rank is the one ``jsonschema.exceptions.best_match`` picks.
     """
-    rank = (-len(path), path, "type" not in schema or not _is_type(value, schema["type"]))
+    rank = (-len(path), path)
     for keyword, arg in schema.items():
         message = None
         if keyword == "type":
@@ -391,10 +407,7 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
             if isinstance(value, list):
                 for index, item in enumerate(value):
                     yield from _schema_errors(item, arg, path + (index,))
-        elif keyword == "if":
-            if "then" in schema and next(_schema_errors(value, arg, path), None) is None:
-                yield from _schema_errors(value, schema["then"], path)
-        elif keyword != "then":  # "then" is read by "if"
+        else:
             raise NotImplementedError(f"config schemas may not use the keyword {keyword!r}")
         if message is not None:
             yield rank, message
@@ -407,8 +420,25 @@ def validation_message(value, schema: dict) -> str | None:
     return None if error is None else error[1]
 
 
+def _block_key_message(cfg: dict) -> str | None:
+    """What is wrong with the keys of the first block of ``cfg`` whose kind
+    needs a key it lacks or does not read a key it holds, or None."""
+    for name, block in _BLOCK_OF.items():
+        if name in cfg:
+            # only an optimizer block may leave its kind out
+            kind = cfg[name].get("kind", trainer.OptimizerConfig.kind)
+            required, optional = _BLOCK_KEYS[block][kind]
+            missing = [key for key in required if key not in cfg[name]]
+            unread = sorted(set(cfg[name]) - {"kind", *required, *optional})
+            for verb, keys in (("needs", missing), ("does not read", unread)):
+                if keys:
+                    return f"{kind} {block} {verb} {', '.join(keys)}"
+    return None
+
+
 def load_config(path: str | Path, command: str) -> dict:
-    """Read and schema-validate a JSON config for one subcommand."""
+    """Read a JSON config for one subcommand and check it against its schema
+    and ``_BLOCK_KEYS``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -417,15 +447,13 @@ def load_config(path: str | Path, command: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    message = validation_message(cfg, CONFIG_SCHEMAS[command])
-    if message is not None:
-        raise ConfigError(f"config {path} fails validation: {message}")
+    message = validation_message(cfg, CONFIG_SCHEMAS[command]) or _block_key_message(cfg)
     # any positive hessian_probes turns on a curvature snapshot per step,
     # whose tr(H Sigma) estimate needs the spread of two or more gradients
-    if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
-        raise ConfigError(
-            f"config {path} fails validation: hessian_probes needs batch_size of at least 2"
-        )
+    if message is None and cfg.get("hessian_probes") and cfg["batch_size"] == 1:
+        message = "hessian_probes needs batch_size of at least 2"
+    if message is not None:
+        raise ConfigError(f"config {path} fails validation: {message}")
     return cfg
 
 
@@ -457,28 +485,11 @@ def _quadratic_diagonal(cfg: dict, name: str, d: int) -> np.ndarray:
     return values
 
 
-# what each task kind reads: (required keys, optional keys), besides "kind"
-_TASK_KEYS = {
-    "quadratic": (("dimension",), ("hessian_diag", "hessian_scale", "covariance_diag",
-                                   "covariance_scale", "x_mean")),
-    "logistic": (("dimension", "n_examples"), ("separation",)),
-    "tinymlp": (("n_in", "hidden", "n_out"), ("teacher_seed", "noise_std", "target_scale")),
-}
-
-
 def task_from_config(cfg: dict, rng: np.random.Generator):
+    """The task of a block whose keys ``load_config`` has checked."""
     kind = cfg["kind"]
-    if kind not in _TASK_KEYS:
-        raise ConfigError(f"unknown task kind {kind!r}")
-    required, optional = _TASK_KEYS[kind]
-    missing = [key for key in required if key not in cfg]
-    if missing:
-        raise ConfigError(f"{kind} task needs {', '.join(missing)}")
-    unread = sorted(set(cfg) - {"kind", *required, *optional})
-    if unread:
-        raise ConfigError(f"{kind} task does not read {', '.join(unread)}")
     if kind == "tinymlp":
-        return TinyMlpTask(**_given(cfg, *required, *optional))
+        return TinyMlpTask(**{key: value for key, value in cfg.items() if key != "kind"})
     d = cfg["dimension"]
     if kind == "logistic":
         features, labels = attacks.two_blob_data(
@@ -503,35 +514,33 @@ def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
     return None if block.get("kind") == "none" else clipping.ClippingRule(**block)
 
 
-# what each optimizer kind reads besides kind, eta and weight_decay
-_OPTIMIZER_KEYS = {
-    "sgd": (),
-    "sgd_momentum": ("mu",),
-    "adam": ("beta1", "beta2", "epsilon_stabilizer"),
-}
-
-
-def optimizer_from_config(block: dict) -> trainer.OptimizerConfig:
-    """The block's optimizer; a key that its kind does not read is a config error."""
-    config = trainer.OptimizerConfig(**block)
-    unread = sorted(set(block) - {"kind", "eta", "weight_decay", *_OPTIMIZER_KEYS[config.kind]})
-    if unread:
-        raise ConfigError(f"{config.kind} optimizer does not read {', '.join(unread)}")
-    return config
-
-
-def _resolve_sigma(cfg: dict, batch_size: int) -> float:
+def _resolve_sigma(cfg: dict) -> float:
+    """The sigma of a ``continual`` run's private steps: ``sigma``, or the
+    one that the ``privacy`` block calibrates for T = ceil(sample_budget /
+    batch_size) steps.  The block cannot deliver its budget beside unclipped
+    gradients, whose sensitivity has no bound, or beside a run that can take
+    more than T private steps: an indicator schedule's tail, else every
+    step, since the switch may fire at once.  Either is a config error."""
     if "sigma" in cfg and "privacy" in cfg:
         raise ConfigError("give sigma or a privacy block, not both")
     if "sigma" in cfg:
         return float(cfg["sigma"])
-    if "privacy" in cfg:
-        p = cfg["privacy"]
-        # n parameterises the mechanism here, not the budget annotation, so
-        # benchmark settings with delta == 1/n remain expressible
-        budget = privacy.PrivacyBudget(p["epsilon"], p["delta"])
-        return privacy.calibrate_sigma(batch_size, p["n"], p["sample_budget"], budget)
-    raise ConfigError("need either an explicit sigma or a privacy block")
+    if "privacy" not in cfg:
+        raise ConfigError("need either an explicit sigma or a privacy block")
+    p, b, schedule = cfg["privacy"], cfg["batch_size"], cfg.get("schedule", {})
+    if cfg.get("clipping", {}).get("kind") == "none":
+        raise ConfigError("a privacy block needs clipping, and the clipping kind is none")
+    steps = cfg["epochs"] * cfg["steps_per_epoch"]
+    if schedule.get("kind") == "indicator":
+        steps = schedule["total"] - math.ceil(schedule["s"] * schedule["total"])
+    horizon = math.ceil(p["sample_budget"] / b)
+    if steps > horizon:
+        raise ConfigError(f"the run can take {steps} private steps, but the privacy block "
+                          f"calibrates sigma for {horizon} (sample_budget / batch_size)")
+    # n parameterises the mechanism here, not the budget annotation, so
+    # benchmark settings with delta == 1/n remain expressible
+    budget = privacy.PrivacyBudget(p["epsilon"], p["delta"])
+    return privacy.calibrate_sigma(b, p["n"], p["sample_budget"], budget)
 
 
 # --------------------------------------------------------------------------
@@ -750,9 +759,8 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg)
         if unread:
             raise ConfigError(f"the {schedule['kind']} schedule leaves {', '.join(unread)} unread")
-    config = optimizer_from_config(cfg["optimizer"])
     public = schedule is not None and schedule["kind"] == "only_public"
-    sigma = 0.0 if public else _resolve_sigma(cfg, cfg["batch_size"])
+    sigma = 0.0 if public else _resolve_sigma(cfg)
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
@@ -761,7 +769,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
     run = trainer.continual_pretrain(
         task_pub,
         task_priv,
-        config,
+        trainer.OptimizerConfig(**cfg["optimizer"]),
         trainer.SwitchPolicy(**_given(cfg, "patience")),
         sigma,
         epochs=cfg["epochs"],
@@ -781,7 +789,7 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
     task = task_from_config(cfg["task"], rng)
     runs = trainer.four_way_comparison(
         task,
-        optimizer_from_config(cfg["optimizer"]),
+        trainer.OptimizerConfig(**cfg["optimizer"]),
         cfg["sigma"],
         clipping_from_config(cfg.get("clipping", {})),
         cfg["steps"],

@@ -8,8 +8,8 @@ Each arm of :func:`four_way_comparison` is a one-phase run of it, public
 throughout for plain SGD and private throughout for the other three, and so
 is the ``train`` subcommand.  Every training step in the package, the loop's
 and the membership-inference target's, is one :func:`dp_step`: the task's
-fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD,
-momentum or Adam update.  Public, clipped-only, noised-only and DP steps
+fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD or
+Adam update.  Public, clipped-only, noised-only and DP steps
 differ only in the clipping rule and sigma passed to it.
 
 :func:`empirical_improvement_oracle` covers one batch size's whole
@@ -51,33 +51,28 @@ RESET_POLICIES = ("none", "reset_m", "reset_v", "reset_t")
 class OptimizerConfig:
     """First-order optimizer settings shared by DP and non-DP loops."""
 
-    kind: str = "sgd"  # sgd | sgd_momentum | adam
+    kind: str = "sgd"  # sgd | adam
     eta: float = 0.1
-    mu: float = 0.0
-    weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon_stabilizer: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "sgd_momentum", "adam"):
+        if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("learning rate must be positive")
-        for name in ("mu", "beta1", "beta2"):
+        for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
 
 
 @dataclass
 class OptimizerState:
-    """Step counter, first moment ``m`` and Adam's second moment ``v``.
+    """Step counter ``t`` and Adam's moments ``m`` and ``v``; plain SGD
+    advances only ``t``.
 
-    ``m`` is Adam's first moment under ``adam`` and the momentum buffer under
-    ``sgd_momentum``, so the ``reset_m`` policy zeroes it for either kind.
     Nothing writes into ``m`` or ``v``: a step or a reset binds new arrays, so
     successive states may share the arrays a step leaves alone.
     """
@@ -103,18 +98,13 @@ class OptimizerState:
 
 
 def optimizer_direction(
-    g: Array, w: Array, config: OptimizerConfig, state: OptimizerState
+    g: Array, config: OptimizerConfig, state: OptimizerState
 ) -> tuple[Array, OptimizerState]:
     """Post-process a gradient into an update direction, advancing the state."""
     g = np.asarray(g, dtype=float)
-    if config.weight_decay > 0:
-        g = g + config.weight_decay * w
     t = state.t + 1
     if config.kind == "sgd":
         return g, OptimizerState(t, state.m, state.v)
-    if config.kind == "sgd_momentum":
-        m = config.mu * state.m + g
-        return m, OptimizerState(t, m, state.v)
     # Adam, each of m, v and the direction built in its own new array with the
     # rounding of beta1 m + (1 - beta1) g, beta2 v + (1 - beta2) g g and
     # m_hat / (sqrt(v_hat) + epsilon); scratch holds each term in turn
@@ -161,7 +151,7 @@ def dp_step(
     if not math.isfinite(loss):
         return loss, w, state
     g = noised_mean(total, b, sigma, rng)
-    direction, state = optimizer_direction(g, w, config, state)
+    direction, state = optimizer_direction(g, config, state)
     return loss, w - config.eta * direction, state
 
 

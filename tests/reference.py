@@ -324,8 +324,8 @@ def mlp_gradient_hessian_forms(task, w, batch):
 
 
 def adam_direction(g, config, state):
-    """The Adam branch of ``trainer.optimizer_direction`` on a decayed gradient
-    ``g``: the direction and the new ``(t, m, v)``."""
+    """The Adam branch of ``trainer.optimizer_direction`` on a gradient ``g``:
+    the direction and the new ``(t, m, v)``."""
     t = state.t + 1
     m = config.beta1 * state.m + (1.0 - config.beta1) * g
     v = config.beta2 * state.v + (1.0 - config.beta2) * g * g

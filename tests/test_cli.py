@@ -12,12 +12,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dplens import predictor, trainer
+from dplens import cli, predictor, privacy, trainer
 from dplens.cli import (
-    _OPTIMIZER_KEYS,
+    _BLOCK_KEYS,
     _RUNNERS,
-    _TASK_KEYS,
-    _TASK_SCHEMA,
     _build_parser,
     _write_csv,
     CONFIG_SCHEMAS,
@@ -74,12 +72,23 @@ def train_config():
     }
 
 
-def continual_config():
-    payload = train_config()
+def continual_config(payload=None):
+    """A train config, ``train_config()`` unless given, as a one-epoch continual config."""
+    payload = dict(payload or train_config())
     del payload["mode"]
     payload.update(task_public=payload.pop("task"), epochs=1,
                    steps_per_epoch=payload.pop("steps"))
     return payload
+
+
+def private_config(command, **change):
+    """A dp run of a logistic task whose privacy block calibrates sigma for
+    T = sample_budget / batch_size = 10 steps, and that takes 10 steps."""
+    payload = {**train_config(), "task": {"kind": "logistic", "dimension": 8, "n_examples": 1000},
+               "clipping": {"kind": "auto"}, "steps": 10, "batch_size": 100,
+               "privacy": {"epsilon": 1.0, "delta": 1e-5, "n": 1000, "sample_budget": 1000}}
+    del payload["sigma"]
+    return {**(continual_config(payload) if command == "continual" else payload), **change}
 
 
 def mlp_continual_config():
@@ -312,21 +321,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "change, named",
         [
-            ({"schedule": {"kind": "indicator", "total": 5}}, "s must"),
-            ({"schedule": {"kind": "indicator", "s": 0.5}}, "horizon"),
+            ({"schedule": {"kind": "indicator", "s": 0.5, "total": 4}}, "spans 4 steps"),
             ({"clipping": {"kind": "reparam", "r": 0}}, "R must"),
             ({"schedule": {"kind": "only_private"}, "patience": 2}, "patience"),
             ({"head_reinit": True}, "head_reinit"),
             ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
              "sigma or a privacy block, not both"),
-            ({"optimizer": {"kind": "sgd", "eta": 0.1, "mu": 0.9, "beta1": 0.5}},
-             "sgd optimizer does not read beta1, mu"),
-            ({"optimizer": {"kind": "sgd_momentum", "eta": 0.1, "beta2": 0.9}},
-             "sgd_momentum optimizer does not read beta2"),
-            ({"optimizer": {"kind": "adam", "eta": 0.1, "mu": 0.9}},
-             "adam optimizer does not read mu"),
-            ({"optimizer": {"eta": 0.1, "epsilon_stabilizer": 1e-6}},
-             "sgd optimizer does not read epsilon_stabilizer"),
             ({"schedule": {"kind": "only_private"}, "reset_policy": "reset_v"},
              "only_private schedule leaves reset_policy unread"),
             ({"schedule": {"kind": "only_private"}, "head_reinit": False},
@@ -346,19 +346,17 @@ class TestConfigHandling:
              "only_public schedule leaves privacy, sigma unread"),
             ({"plot": {"columns": ["iter", "tr_H"]}}, "plot names 'tr_H'"),
         ],
-        ids=["indicator-no-s", "indicator-no-total", "reparam-r0", "patience-with-schedule",
-             "head_reinit-without-head", "sigma-and-privacy", "sgd-mu-beta1",
-             "sgd_momentum-beta2", "adam-mu", "default-kind-epsilon",
-             "only_private-reset_policy", "only_private-head_reinit",
+        ids=["indicator-horizon", "reparam-r0", "patience-with-schedule",
+             "head_reinit-without-head", "sigma-and-privacy", "only_private-reset_policy", "only_private-head_reinit",
              "only_public-reset_policy", "only_public-head_reinit",
              "only_public-task_private", "only_public-sigma", "only_public-clipping",
              "only_public-privacy", "plot-column-without-curvature"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # the constructors' and the loop's own checks reject these blocks,
-        # after validation passes and before any step; patience is read only
-        # without a schedule, the quadratic task has no output block, each
-        # optimizer kind reads its own keys, a one-sided schedule never
+        # after validation passes and before any step; the indicator spans
+        # the run's steps, patience is read only without a schedule, the
+        # quadratic task has no output block, a one-sided schedule never
         # switches, an only_public schedule takes no private step (and
         # continual_config() sets sigma), and tr_H is a column only of a
         # curvature run
@@ -381,13 +379,11 @@ class TestConfigHandling:
              "only_public schedule leaves privacy, sigma unread"),
             ({"mode": "public", "clipping": {"kind": "auto"}},
              "only_public schedule leaves clipping, sigma unread"),
-            ({"optimizer": {"kind": "adam", "eta": 0.1, "mu": 0.9}},
-             "adam optimizer does not read mu"),
             ({"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
              "plot names 'tr_H', 'decelerator'"),
         ],
         ids=["sigma-and-privacy", "public-sigma", "public-privacy", "public-clipping",
-             "adam-mu", "plot-columns-without-curvature"],
+             "plot-columns-without-curvature"],
     )
     def test_bad_train_key_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # a public run is an only_public continual run, which takes no private
@@ -401,10 +397,139 @@ class TestConfigHandling:
         assert "config error" in err and named in err
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_optimizer_kinds_read_every_key_the_schema_takes(self):
-        schema = CONFIG_SCHEMAS["train"]["properties"]["optimizer"]["properties"]
-        assert sorted(_OPTIMIZER_KEYS) == sorted(schema["kind"]["enum"])
-        assert {"kind", "eta", "weight_decay"}.union(*_OPTIMIZER_KEYS.values()) == set(schema)
+    @pytest.mark.parametrize(
+        "command, change, message",
+        [
+            ("train", {"clipping": {"kind": "none"}},
+             "a privacy block needs clipping, and the clipping kind is none"),
+            ("continual", {"clipping": {"kind": "none"}},
+             "a privacy block needs clipping, and the clipping kind is none"),
+            ("train", {"steps": 1000}, "the run can take 1000 private steps, but the privacy "
+                                       "block calibrates sigma for 10 (sample_budget / batch_size)"),
+            ("continual", {"epochs": 2}, "the run can take 20 private steps"),
+            ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": 0.7, "total": 40}},
+             "the run can take 12 private steps"),
+        ],
+        ids=["train-unclipped", "continual-unclipped", "train-too-long", "continual-too-long",
+             "indicator-tail-too-long"],
+    )
+    def test_a_privacy_block_the_run_would_break_is_a_config_error(
+        self, command, change, message, tmp_path, capsys, monkeypatch
+    ):
+        # unclipped gradients have no sensitivity bound, and sigma is
+        # calibrated for 10 steps: a run that can take more private steps
+        # than that spends more than its budget (a train run once took 1000)
+        path = write_config(tmp_path, private_config(command, **change))
+        assert load_config(path, command)
+        refuse_steps(monkeypatch)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, change, sigmas",
+        [
+            ("train", {}, {"calibrated"}),
+            ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": 0.75, "total": 40}},
+             {0.0, "calibrated"}),
+            ("train", {"clipping": {"kind": "none"}, "sigma": 1.5, "privacy": None}, {1.5}),
+        ],
+        ids=["train", "indicator-tail", "noised-only"],
+    )
+    def test_a_privacy_block_the_run_keeps_runs(self, command, change, sigmas, tmp_path):
+        # an indicator schedule's public head takes no private step, and an
+        # explicit sigma without clipping makes no privacy claim
+        payload = {k: v for k, v in private_config(command, **change).items() if v is not None}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        with (tmp_path / f"{command}.csv").open(newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        calibrated = privacy.calibrate_sigma(100, 1000, 1000, privacy.PrivacyBudget(1.0, 1e-5))
+        expected = {calibrated if sigma == "calibrated" else sigma for sigma in sigmas}
+        assert {float(row["sigma"]) for row in rows} == expected
+
+    @pytest.mark.parametrize(
+        "block, constructor",
+        [("task", None), ("optimizer", OptimizerConfig), ("clipping", ClippingRule),
+         ("schedule", AlphaSchedule)],
+    )
+    def test_the_kinds_read_every_key_the_schema_takes(self, block, constructor):
+        # the schema takes the keys that some kind reads, and each of them is
+        # a field of the constructor that the block goes to; a task block
+        # goes to one of three constructors, by its kind
+        name = {"task": "task_public"}.get(block, block)
+        properties = CONFIG_SCHEMAS["continual"]["properties"][name]["properties"]
+        kinds = _BLOCK_KEYS[block]
+        assert list(kinds) == properties["kind"]["enum"]
+        read = {key for required, optional in kinds.values() for key in required + optional}
+        assert read | {"kind"} == set(properties)
+        if constructor is not None:
+            assert read <= {field.name for field in dataclasses.fields(constructor)}
+
+    @pytest.mark.parametrize(
+        "command, change, message",
+        [
+            ("train", {"task": {"kind": "quadratic", "x_mean": [0.0]}},
+             "quadratic task needs dimension"),
+            ("train", {"task": {"kind": "logistic", "separation": 1.0}},
+             "logistic task needs dimension, n_examples"),
+            ("continual", {"task_private": {"kind": "tinymlp", "n_in": 2, "n_out": 1}},
+             "tinymlp task needs hidden"),
+            ("train", {"task": {"kind": "quadratic", "dimension": 2, "n_examples": 5}},
+             "quadratic task does not read n_examples"),
+            # a logistic task once ran with noise_std and hidden silently ignored
+            ("train", {"task": {"kind": "logistic", "dimension": 3, "n_examples": 20,
+                                "noise_std": 0.5, "hidden": 3}},
+             "logistic task does not read hidden, noise_std"),
+            ("continual", {"task_public": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
+                                           "n_out": 1, "separation": 2.0}},
+             "tinymlp task does not read separation"),
+            ("train", {"optimizer": {"kind": "sgd", "eta": 0.1, "beta1": 0.5, "beta2": 0.9}},
+             "sgd optimizer does not read beta1, beta2"),
+            ("continual", {"optimizer": {"eta": 0.1, "epsilon_stabilizer": 1e-6}},
+             "sgd optimizer does not read epsilon_stabilizer"),
+            ("train", {"clipping": {"kind": "auto", "r": 5.0}}, "auto clipping does not read r"),
+            ("continual", {"clipping": {"kind": "none", "r": 5.0}},
+             "none clipping does not read r"),
+            ("continual", {"schedule": {"kind": "indicator", "total": 5}},
+             "indicator schedule needs s"),
+            ("continual", {"schedule": {"kind": "indicator", "s": 0.5}},
+             "indicator schedule needs total"),
+            ("continual", {"schedule": {"kind": "only_private", "total": 5}},
+             "only_private schedule does not read total"),
+            # a kind or key that no kind reads fails the schema
+            ("train", {"optimizer": {"kind": "sgd_momentum", "eta": 0.1}},
+             "'sgd_momentum' is not one of ['sgd', 'adam']"),
+            ("train", {"optimizer": {"kind": "sgd", "mu": 0.9}},
+             "Additional properties are not allowed ('mu' was unexpected)"),
+            ("continual", {"optimizer": {"kind": "adam", "weight_decay": 0.1}},
+             "Additional properties are not allowed ('weight_decay' was unexpected)"),
+        ],
+        ids=["quadratic-needs", "logistic-needs", "tinymlp-needs", "quadratic-unread",
+             "logistic-unread", "tinymlp-unread", "sgd-unread", "default-kind-unread",
+             "auto-unread", "none-unread", "indicator-needs-s", "indicator-needs-total",
+             "only_private-unread", "sgd_momentum", "mu", "weight_decay"],
+    )
+    def test_a_block_key_is_checked_at_load(
+        self, command, change, message, tmp_path, capsys, monkeypatch
+    ):
+        # the key rules of a block hold before any seed runs: no runner is
+        # called and no seed worker is forked
+        base = train_config() if command == "train" else continual_config()
+        path = write_config(tmp_path, {**base, **change, "seeds": [0, 1]})
+        with pytest.raises(ConfigError) as error:
+            load_config(path, command)
+        assert str(error.value) == f"config {path} fails validation: {message}"
+
+        def refuse(*args):
+            raise AssertionError("a runner ran or a worker was forked")
+
+        monkeypatch.setitem(_RUNNERS, command, refuse)
+        monkeypatch.setattr(cli.os, "fork", refuse)
+        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {error.value}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "schedule",
@@ -595,46 +720,14 @@ class TestTaskFromConfig:
         )
         assert isinstance(task, TinyMlpTask)
 
-    def test_the_kinds_read_every_key_the_schema_takes(self):
-        read = {key for keys in _TASK_KEYS.values() for key in keys[0] + keys[1]}
-        assert read | {"kind"} == set(_TASK_SCHEMA["properties"])
-        assert set(_TASK_KEYS) == set(_TASK_SCHEMA["properties"]["kind"]["enum"])
-
-    @pytest.mark.parametrize(
-        "task, missing",
-        [
-            ({"kind": "quadratic", "x_mean": [0.0]}, "dimension"),
-            ({"kind": "logistic", "separation": 1.0}, "dimension, n_examples"),
-            ({"kind": "tinymlp", "n_in": 2, "n_out": 1}, "hidden"),
-        ],
-        ids=["quadratic", "logistic", "tinymlp"],
-    )
-    def test_a_missing_key_is_named(self, task, missing):
-        with pytest.raises(ConfigError, match=f"^{task['kind']} task needs {missing}$"):
-            task_from_config(task, np.random.default_rng(0))
-
-    @pytest.mark.parametrize(
-        "task, unread",
-        [
-            ({"kind": "quadratic", "dimension": 2, "n_examples": 5}, "n_examples"),
-            ({"kind": "logistic", "dimension": 3, "n_examples": 20, "noise_std": 0.5,
-              "hidden": 3}, "hidden, noise_std"),
-            ({"kind": "tinymlp", "n_in": 2, "hidden": 4, "n_out": 1, "separation": 2.0},
-             "separation"),
-            ({"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0],
-              "hessian_scale": 50.0}, "hessian_scale beside hessian_diag"),
-            ({"kind": "quadratic", "dimension": 2, "covariance_diag": [1.0, 2.0],
-              "covariance_scale": 50.0}, "covariance_scale beside covariance_diag"),
-        ],
-        ids=["quadratic", "logistic", "tinymlp", "hessian-diag-and-scale",
-             "covariance-diag-and-scale"],
-    )
-    def test_a_key_the_kind_does_not_read_is_a_config_error(
-        self, task, unread, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("name", ["hessian", "covariance"])
+    def test_a_scale_beside_a_diagonal_is_a_config_error(
+        self, name, tmp_path, capsys, monkeypatch
     ):
-        # a logistic task once ran with noise_std and hidden silently ignored,
-        # and a quadratic task with the scale beside a diagonal
-        message = f"{task['kind']} task does not read {unread}"
+        # a quadratic task once ran with the scale beside a diagonal ignored
+        task = {"kind": "quadratic", "dimension": 2, f"{name}_diag": [1.0, 2.0],
+                f"{name}_scale": 50.0}
+        message = f"quadratic task does not read {name}_scale beside {name}_diag"
         with pytest.raises(ConfigError, match=f"^{message}$"):
             task_from_config(task, np.random.default_rng(0))
         path = write_config(tmp_path, {**train_config(), "task": task})
@@ -1066,11 +1159,11 @@ class TestSubcommands:
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
 
     def test_a_config_error_from_a_runner_leaves_no_out_directory(self, tmp_path, capsys):
-        # the optimizer block passes the schema, and the runner refuses it
+        # the task block passes load_config, and the runner refuses it
         payload = {
             "schema": 1,
-            "task": {"kind": "quadratic", "dimension": 4},
-            "optimizer": {"kind": "sgd", "mu": 0.9, "beta1": 0.5},
+            "task": {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0, 3.0]},
+            "optimizer": {"kind": "sgd"},
             "sigma": 0.5,
             "steps": 5,
             "batch_size": 8,
@@ -1079,7 +1172,7 @@ class TestSubcommands:
         path = write_config(tmp_path, payload)
         out = tmp_path / "fw"
         assert run_subcommand(["fourway", "--config", str(path), "--out", str(out)]) == 1
-        assert "sgd optimizer does not read beta1, mu" in capsys.readouterr().err
+        assert "hessian_diag length must match dimension" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):

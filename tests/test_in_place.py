@@ -86,15 +86,13 @@ def _state(rng, d, t=3):
 
 
 @pytest.mark.parametrize("t", [0, 3, 40])
-@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
-def test_adam_direction_bit_for_bit(t, weight_decay):
+def test_adam_direction_bit_for_bit(t):
     rng = np.random.default_rng(t)
-    config = OptimizerConfig(kind="adam", eta=0.01, weight_decay=weight_decay)
-    g, w = rng.standard_normal(50), rng.standard_normal(50)
+    config = OptimizerConfig(kind="adam", eta=0.01)
+    g = rng.standard_normal(50)
     state = _state(rng, 50, t)
-    direction, new_state = optimizer_direction(g, w, config, state)
-    decayed = g + weight_decay * w if weight_decay > 0 else g
-    ref_direction, (ref_t, ref_m, ref_v) = adam_direction(decayed, config, state)
+    direction, new_state = optimizer_direction(g, config, state)
+    ref_direction, (ref_t, ref_m, ref_v) = adam_direction(g, config, state)
     assert np.array_equal(direction, ref_direction)
     assert new_state.t == ref_t
     assert np.array_equal(new_state.m, ref_m)
@@ -111,15 +109,13 @@ def test_noised_mean_bit_for_bit(shape):
 
 
 class TestNoAliasing:
-    @pytest.mark.parametrize("kind", ["sgd", "sgd_momentum", "adam"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_optimizer_direction_leaves_the_state_alone(self, kind):
         rng = np.random.default_rng(5)
         state = _state(rng, 20)
         m_before, v_before = state.m.copy(), state.v.copy()
-        config = OptimizerConfig(kind=kind, eta=0.1, mu=0.9, weight_decay=0.01)
-        direction, new_state = optimizer_direction(
-            rng.standard_normal(20), rng.standard_normal(20), config, state
-        )
+        config = OptimizerConfig(kind=kind, eta=0.1)
+        direction, new_state = optimizer_direction(rng.standard_normal(20), config, state)
         assert np.array_equal(state.m, m_before) and np.array_equal(state.v, v_before)
         built = [direction] + ([new_state.m, new_state.v] if kind == "adam" else [])
         for out in built:

@@ -22,7 +22,6 @@ from dplens.trainer import (
     dp_step,
     empirical_improvement_oracle,
     four_way_comparison,
-    optimizer_direction,
 )
 from reference import generator_end_state, per_sample_gradients, stacked_improvement_oracle
 
@@ -191,38 +190,6 @@ class TestAdamStep:
         expected = w - config.eta * g / (np.abs(g) + 1e-8)
         assert np.allclose(w_next, expected, rtol=1e-12)
 
-    def test_weight_decay_added_for_momentum_kind(self):
-        task = small_quadratic()
-        rng = np.random.default_rng(6)
-        w = 0.3 * np.ones(task.dimension)
-        batch = task.draw_batch(rng, 8)
-        config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.0, weight_decay=0.5)
-        _, w_next, _ = first_step(task, w, batch, None, 0.0, config)
-        g = per_sample_gradients(task, w, batch).mean(axis=0)
-        assert np.allclose(w_next, w - config.eta * (g + 0.5 * w), rtol=1e-12)
-
-    def test_momentum_buffer_accumulates(self):
-        config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.9)
-        state = OptimizerState.zeros(2)
-        g = np.array([1.0, 0.0])
-        d1, state = optimizer_direction(g, np.zeros(2), config, state)
-        d2, state = optimizer_direction(g, np.zeros(2), config, state)
-        assert np.allclose(d1, [1.0, 0.0])
-        assert np.allclose(d2, [1.9, 0.0])
-
-    def test_momentum_steps_carry_the_buffer(self):
-        task = small_quadratic()
-        rng = np.random.default_rng(9)
-        w = 0.3 * np.ones(task.dimension)
-        batches = [task.draw_batch(rng, 8) for _ in range(2)]
-        config = OptimizerConfig(kind="sgd_momentum", eta=0.1, mu=0.9)
-        _, w1, state = first_step(task, w, batches[0], None, 0.0, config)
-        _, w2, state = dp_step(task, w1, batches[1], 8, None, 0.0, config, state, None)
-        g0 = per_sample_gradients(task, w, batches[0]).mean(axis=0)
-        g1 = per_sample_gradients(task, w1, batches[1]).mean(axis=0)
-        assert np.allclose(w2, w1 - config.eta * (0.9 * g0 + g1), rtol=1e-12)
-        assert state.t == 2
-
     def test_fixed_seed_bit_identical_adam(self):
         task = small_quadratic()
         w = 0.2 * np.ones(task.dimension)
@@ -330,11 +297,21 @@ class TestContinualPretrain:
         before, after = self._reset_norms(monkeypatch, reset_policy="none")
         assert after == before > 0.0
 
-    def test_momentum_reset_zeroes_the_sgd_momentum_buffer(self, monkeypatch):
-        config = OptimizerConfig(kind="sgd_momentum", eta=0.05, mu=0.9)
-        before, after = self._reset_norms(monkeypatch, config=config, reset_policy="reset_m")
-        assert before > 0.0
-        assert after == 0.0
+    def test_momentum_reset_zeroes_adams_m_alone(self, monkeypatch):
+        states = []
+        apply_reset = OptimizerState.apply_reset
+
+        def spy(state, policy):
+            before = OptimizerState(state.t, state.m, state.v)
+            apply_reset(state, policy)
+            states.append((before, state))
+
+        monkeypatch.setattr(OptimizerState, "apply_reset", spy)
+        self._run(config=OptimizerConfig(kind="adam", eta=0.05, beta1=0.5),
+                  reset_policy="reset_m")
+        [(before, after)] = states
+        assert np.any(before.m) and not np.any(after.m)
+        assert after.v is before.v and np.any(after.v) and after.t == before.t > 0
 
     def test_all_reset_policies_produce_valid_runs(self):
         for policy in ("none", "reset_m", "reset_v", "reset_t"):
