@@ -516,11 +516,11 @@ def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
 
 def _resolve_sigma(cfg: dict) -> float:
     """The sigma of a ``continual`` run's private steps: ``sigma``, or the
-    one that the ``privacy`` block calibrates for T = ceil(sample_budget /
-    batch_size) steps.  The block cannot deliver its budget beside unclipped
-    gradients, whose sensitivity has no bound, or beside a run that can take
-    more than T private steps: an indicator schedule's tail, else every
-    step, since the switch may fire at once.  Either is a config error."""
+    one the ``privacy`` block calibrates for T = ceil(sample_budget /
+    batch_size) steps.  The block is a config error beside unclipped
+    gradients, whose sensitivity has no bound, or a run that can take more
+    than T private steps: an indicator schedule's steps from ceil(s total)
+    on, else all, since the switch may fire at once."""
     if "sigma" in cfg and "privacy" in cfg:
         raise ConfigError("give sigma or a privacy block, not both")
     if "sigma" in cfg:
@@ -532,7 +532,7 @@ def _resolve_sigma(cfg: dict) -> float:
         raise ConfigError("a privacy block needs clipping, and the clipping kind is none")
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if schedule.get("kind") == "indicator":
-        steps = schedule["total"] - math.ceil(schedule["s"] * schedule["total"])
+        steps -= math.ceil(schedule["s"] * schedule["total"])
     horizon = math.ceil(p["sample_budget"] / b)
     if steps > horizon:
         raise ConfigError(f"the run can take {steps} private steps, but the privacy block "
@@ -759,7 +759,8 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg)
         if unread:
             raise ConfigError(f"the {schedule['kind']} schedule leaves {', '.join(unread)} unread")
-    public = schedule is not None and schedule["kind"] == "only_public"
+        schedule = predictor.AlphaSchedule(**schedule)
+    public = schedule is not None and schedule.kind == "only_public"
     sigma = 0.0 if public else _resolve_sigma(cfg)
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
@@ -777,7 +778,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         batch_size=cfg["batch_size"],
         steps_per_epoch=cfg["steps_per_epoch"],
         rule=clipping_from_config(cfg.get("clipping", {})),
-        schedule=None if schedule is None else predictor.AlphaSchedule(**schedule),
+        schedule=schedule,
         curvature=bool(cfg.get("hessian_probes")),
         **_given(cfg, "reset_policy", "head_reinit", "val_size"),
     )

@@ -347,8 +347,8 @@ class TestConfigHandling:
             ({"plot": {"columns": ["iter", "tr_H"]}}, "plot names 'tr_H'"),
         ],
         ids=["indicator-horizon", "reparam-r0", "patience-with-schedule",
-             "head_reinit-without-head", "sigma-and-privacy", "only_private-reset_policy", "only_private-head_reinit",
-             "only_public-reset_policy", "only_public-head_reinit",
+             "head_reinit-without-head", "sigma-and-privacy", "only_private-reset_policy",
+             "only_private-head_reinit", "only_public-reset_policy", "only_public-head_reinit",
              "only_public-task_private", "only_public-sigma", "only_public-clipping",
              "only_public-privacy", "plot-column-without-curvature"],
     )
@@ -404,14 +404,18 @@ class TestConfigHandling:
              "a privacy block needs clipping, and the clipping kind is none"),
             ("continual", {"clipping": {"kind": "none"}},
              "a privacy block needs clipping, and the clipping kind is none"),
-            ("train", {"steps": 1000}, "the run can take 1000 private steps, but the privacy "
-                                       "block calibrates sigma for 10 (sample_budget / batch_size)"),
+            ("train", {"steps": 1000},
+             "the run can take 1000 private steps, but the privacy block calibrates sigma "
+             "for 10 (sample_budget / batch_size)"),
             ("continual", {"epochs": 2}, "the run can take 20 private steps"),
             ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": 0.7, "total": 40}},
              "the run can take 12 private steps"),
+            # the schedule's own rule comes first, so no count rests on a bad s
+            ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": -1.0, "total": 40}},
+             "indicator switch fraction s must lie in (0, 1)"),
         ],
         ids=["train-unclipped", "continual-unclipped", "train-too-long", "continual-too-long",
-             "indicator-tail-too-long"],
+             "indicator-tail-too-long", "indicator-bad-s"],
     )
     def test_a_privacy_block_the_run_would_break_is_a_config_error(
         self, command, change, message, tmp_path, capsys, monkeypatch
