@@ -32,7 +32,7 @@ keys that each kind of task, optimizer, clipping or schedule block reads.
 The schemas' validator (:func:`validation_message`) reports the error that
 jsonschema's ``best_match`` would, with an integer type that admits only a
 Python int, but needs no jsonschema: a run imports numpy and the standard
-library only.  The runners check the rules that tie keys of two places.
+library only.  A rule tying a key to one outside its block is a runner's.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ throughout for plain SGD and private throughout for the other three, and so
 is the ``train`` subcommand.  Every training step in the package, the loop's
 and the membership-inference target's, is one :func:`dp_step`: the task's
 fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD or
-Adam update.  Public, clipped-only, noised-only and DP steps
-differ only in the clipping rule and sigma passed to it.
+Adam update.  Public, clipped-only, noised-only and DP steps differ only in
+the clipping rule and sigma passed to it.
 
 :func:`empirical_improvement_oracle` covers one batch size's whole
 (sigma, eta) grid in one call: every cell reduces the same sample batches
