@@ -27,12 +27,15 @@ is written once, in the signature of the function that receives it.  A key
 that the run would not read is a config error, not a silent no-op.
 
 :func:`load_config` checks a config before any seed runs, against
-``CONFIG_SCHEMAS``, plain JSON Schema, and then against ``_BLOCK_KEYS``, the
-keys that each kind of task, optimizer, clipping or schedule block reads.
-The schemas' validator (:func:`validation_message`) reports the error that
+``CONFIG_SCHEMAS``, plain JSON Schema, then against ``_BLOCK_KEYS``, the
+keys that each kind of task, optimizer, clipping or schedule block reads,
+and then against the rules that tie keys together (:func:`_rule_message`).
+It is the one place that checks a rule reading the config alone, and the
+only raiser of :class:`ConfigError`: the runners only build and run.  The
+schemas' validator (:func:`validation_message`) reports the error that
 jsonschema's ``best_match`` would, with an integer type that admits only a
 Python int, but needs no jsonschema: a run imports numpy and the standard
-library only.  A rule tying a key to one outside its block is a runner's.
+library only.
 """
 
 from __future__ import annotations
@@ -228,7 +231,9 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "task", "eta_grid", "batch_grid", "sigma_grid", "trials"],
         "properties": {
             **_COMMON,
-            "task": _TASK_SCHEMA,
+            # the oracle's closed-form population loss needs a quadratic task
+            "task": {**_TASK_SCHEMA, "properties": {**_TASK_SCHEMA["properties"],
+                                                    "kind": {"enum": ["quadratic"]}}},
             "clipping": _CLIPPING_SCHEMA,
             "eta_grid": _POS_NUM_GRID,
             "batch_grid": _INT_GRID,
@@ -273,8 +278,6 @@ CONFIG_SCHEMAS = {
             "batch_size": _POS_INT,
             "patience": _POS_INT,
             "schedule": _SCHEDULE_SCHEMA,
-            "reset_policy": {"enum": list(trainer.RESET_POLICIES)},
-            "head_reinit": {"type": "boolean"},
             "val_size": _POS_INT,
             "hessian_probes": {"type": "integer", "minimum": 0},
         },
@@ -420,9 +423,31 @@ def validation_message(value, schema: dict) -> str | None:
     return None if error is None else error[1]
 
 
-def _block_key_message(cfg: dict) -> str | None:
-    """What is wrong with the keys of the first block of ``cfg`` whose kind
-    needs a key it lacks or does not read a key it holds, or None."""
+def _quadratic_message(block: dict) -> str | None:
+    """What is wrong with the values of a quadratic task block, or None: a
+    ``<name>_scale`` beside its ``<name>_diag`` would go unread, a diagonal
+    or ``x_mean`` has ``dimension`` entries, and a diagonal or scale is
+    finite and nonnegative."""
+    d = block["dimension"]
+    for name in ("hessian", "covariance"):
+        diag, scale = f"{name}_diag", f"{name}_scale"
+        if diag in block and scale in block:
+            return f"quadratic task does not read {scale} beside {diag}"
+        if diag in block and len(block[diag]) != d:
+            return f"{diag} length must match dimension"
+        values = block[diag] if diag in block else [block[scale]] if scale in block else []
+        # NaN fails both comparisons
+        if not all(0.0 <= value < math.inf for value in values):
+            return f"{diag if diag in block else scale} must be finite and nonnegative"
+    if "x_mean" in block and len(block["x_mean"]) != d:
+        return "x_mean length must match dimension"
+    return None
+
+
+def _block_message(cfg: dict) -> str | None:
+    """What is wrong with the first block of ``cfg`` whose kind needs a key
+    it lacks or does not read a key it holds, or whose quadratic task breaks
+    :func:`_quadratic_message`, or None."""
     for name, block in _BLOCK_OF.items():
         if name in cfg:
             # only an optimizer block may leave its kind out
@@ -433,12 +458,112 @@ def _block_key_message(cfg: dict) -> str | None:
             for verb, keys in (("needs", missing), ("does not read", unread)):
                 if keys:
                     return f"{kind} {block} {verb} {', '.join(keys)}"
+            if kind == "quadratic" and (message := _quadratic_message(cfg[name])):
+                return message
     return None
 
 
+def _refusal(constructor, *args, **kwargs) -> str | None:
+    """The message of the ValueError that ``constructor(*args, **kwargs)``
+    raises, or None, so that a constructor's own value rule is checked at load."""
+    try:
+        constructor(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _one_phase(cfg: dict) -> dict:
+    """The ``continual`` config that a ``train`` config runs as: one epoch of
+    ``steps`` steps on ``task``, under the one-sided schedule of its mode."""
+    return {**cfg, "task_public": cfg["task"], "epochs": 1, "steps_per_epoch": cfg["steps"],
+            "schedule": {"kind": "only_public" if cfg["mode"] == "public" else "only_private"}}
+
+
+# the keys a schedule of each kind leaves unread: a schedule fixes the
+# switch, so no early-stopping policy is read, and only_public takes no
+# private step, so it reads neither the private task nor the noise and
+# clipping of one
+_UNREAD_BESIDE_SCHEDULE = {
+    "indicator": ("patience",),
+    "only_private": ("patience",),
+    "only_public": ("patience", "task_private", "sigma", "privacy", "clipping"),
+}
+
+
+def _rule_message(cfg: dict, command: str) -> str | None:
+    """What breaks the first rule that ties keys of a ``command`` config
+    together, or None.
+
+    A positive ``hessian_probes`` turns on a curvature snapshot per step,
+    whose tr(H Sigma) estimate needs two or more gradients.  A ``plot``
+    names columns of the table.  No ``sweep-batch`` case name holds a
+    carriage return, which Python 3.11's csv writer leaves bare under a
+    newline line terminator, so that a reader ends the row there.  A
+    ``mia`` delta lies below 1/n_members.  A ``train`` config is checked as
+    the ``continual`` config it runs as (:func:`_one_phase`): a schedule
+    leaves its ``_UNREAD_BESIDE_SCHEDULE`` keys unread, and an indicator
+    spans the run.  A run with private steps gives ``sigma`` or a
+    ``privacy`` block, not both.  The block calibrates sigma for T =
+    ceil(sample_budget / batch_size) steps of batch_size out of n samples,
+    so it needs clipping, which bounds the sensitivity, batch_size <= n, and
+    a run that can take no more than T private steps: those from ceil(s
+    total) on under an indicator, else all, since the switch may fire at once.
+    """
+    if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
+        return "hessian_probes needs batch_size of at least 2"
+    columns = table_columns(command, cfg)
+    missing = [name for name in cfg.get("plot", {}).get("columns", ()) if name not in columns]
+    if missing:
+        return (f"plot names {', '.join(map(repr, missing))}, not in the "
+                f"{command} table's columns {', '.join(columns)}")
+    if command == "sweep-batch":
+        return next((f"sweep-batch case name {name!r} holds a carriage return"
+                     for name in cfg["cases"] if "\r" in name), None)
+    if command == "mia":
+        return _refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"], cfg["n_members"])
+    if command not in ("train", "continual"):
+        return None
+    cfg = _one_phase(cfg) if command == "train" else cfg
+    schedule = cfg.get("schedule", {})
+    kind = schedule.get("kind")
+    unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE.get(kind, ()) if key in cfg)
+    if unread:
+        return f"the {kind} schedule leaves {', '.join(unread)} unread"
+    steps = cfg["epochs"] * cfg["steps_per_epoch"]
+    if kind == "indicator":
+        if message := _refusal(predictor.AlphaSchedule, **schedule):
+            return message
+        if schedule["total"] != steps:
+            return f"indicator schedule spans {schedule['total']} steps, but the run takes {steps}"
+        steps -= math.ceil(schedule["s"] * steps)
+    if kind == "only_public":
+        return None
+    if "sigma" in cfg and "privacy" in cfg:
+        return "give sigma or a privacy block, not both"
+    if "sigma" in cfg:
+        return None
+    if "privacy" not in cfg:
+        return "need either an explicit sigma or a privacy block"
+    p, b = cfg["privacy"], cfg["batch_size"]
+    if cfg.get("clipping", {}).get("kind") == "none":
+        return "a privacy block needs clipping, and the clipping kind is none"
+    if b > p["n"]:
+        return f"batch_size {b} exceeds the privacy block's n {p['n']}"
+    horizon = math.ceil(p["sample_budget"] / b)
+    if steps > horizon:
+        return (f"the run can take {steps} private steps, but the privacy block "
+                f"calibrates sigma for {horizon} (sample_budget / batch_size)")
+    # n parameterises the mechanism here, not the budget annotation, so
+    # benchmark settings with delta == 1/n remain expressible
+    return _refusal(privacy.PrivacyBudget, p["epsilon"], p["delta"])
+
+
 def load_config(path: str | Path, command: str) -> dict:
-    """Read a JSON config for one subcommand and check it against its schema
-    and ``_BLOCK_KEYS``."""
+    """Read a JSON config for one subcommand and check every rule that reads
+    the config alone: its schema, then ``_BLOCK_KEYS`` and the values of a
+    quadratic task (:func:`_block_message`), then the rules that tie its keys
+    together (:func:`_rule_message`)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -447,11 +572,8 @@ def load_config(path: str | Path, command: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    message = validation_message(cfg, CONFIG_SCHEMAS[command]) or _block_key_message(cfg)
-    # any positive hessian_probes turns on a curvature snapshot per step,
-    # whose tr(H Sigma) estimate needs the spread of two or more gradients
-    if message is None and cfg.get("hessian_probes") and cfg["batch_size"] == 1:
-        message = "hessian_probes needs batch_size of at least 2"
+    message = (validation_message(cfg, CONFIG_SCHEMAS[command]) or _block_message(cfg)
+               or _rule_message(cfg, command))
     if message is not None:
         raise ConfigError(f"config {path} fails validation: {message}")
     return cfg
@@ -469,24 +591,13 @@ def canonical_config(cfg: dict) -> str:
 
 def _quadratic_diagonal(cfg: dict, name: str, d: int) -> np.ndarray:
     """The ``(d,)`` diagonal from ``<name>_diag``, else ``<name>_scale`` (default 1) times I."""
-    key = f"{name}_diag"
-    if key in cfg and f"{name}_scale" in cfg:
-        raise ConfigError(f"quadratic task does not read {name}_scale beside {key}")
-    if key in cfg:
-        values = np.asarray(cfg[key], dtype=float)
-        if values.shape != (d,):
-            raise ConfigError(f"{key} length must match dimension")
-    else:
-        key = f"{name}_scale"
-        values = np.full(d, float(cfg.get(key, 1.0)))
-    # NaN fails both comparisons
-    if not np.all((values >= 0.0) & (values < np.inf)):
-        raise ConfigError(f"{key} must be finite and nonnegative")
-    return values
+    if f"{name}_diag" in cfg:
+        return np.asarray(cfg[f"{name}_diag"], dtype=float)
+    return np.full(d, float(cfg.get(f"{name}_scale", 1.0)))
 
 
 def task_from_config(cfg: dict, rng: np.random.Generator):
-    """The task of a block whose keys ``load_config`` has checked."""
+    """The task of a block that ``load_config`` has checked."""
     kind = cfg["kind"]
     if kind == "tinymlp":
         return TinyMlpTask(**{key: value for key, value in cfg.items() if key != "kind"})
@@ -496,12 +607,8 @@ def task_from_config(cfg: dict, rng: np.random.Generator):
             cfg["n_examples"], d, rng, **_given(cfg, "separation")
         )
         return LogisticTask(features, labels)
-    a = _quadratic_diagonal(cfg, "hessian", d)
-    s = _quadratic_diagonal(cfg, "covariance", d)
-    x_mean = np.asarray(cfg.get("x_mean", np.zeros(d)), dtype=float)
-    if x_mean.shape != (d,):
-        raise ConfigError("x_mean length must match dimension")
-    return QuadraticTask(a, x_mean, s)
+    return QuadraticTask(_quadratic_diagonal(cfg, "hessian", d), cfg.get("x_mean", np.zeros(d)),
+                         _quadratic_diagonal(cfg, "covariance", d))
 
 
 def _given(cfg: dict, *keys: str) -> dict:
@@ -512,35 +619,6 @@ def _given(cfg: dict, *keys: str) -> dict:
 def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
     """``None`` for ``"kind": "none"``, else the block's rule; ``{}`` is the default rule."""
     return None if block.get("kind") == "none" else clipping.ClippingRule(**block)
-
-
-def _resolve_sigma(cfg: dict) -> float:
-    """The sigma of a ``continual`` run's private steps: ``sigma``, or the
-    one the ``privacy`` block calibrates for T = ceil(sample_budget /
-    batch_size) steps.  The block is a config error beside unclipped
-    gradients, whose sensitivity has no bound, or a run that can take more
-    than T private steps: an indicator schedule's steps from ceil(s total)
-    on, else all, since the switch may fire at once."""
-    if "sigma" in cfg and "privacy" in cfg:
-        raise ConfigError("give sigma or a privacy block, not both")
-    if "sigma" in cfg:
-        return float(cfg["sigma"])
-    if "privacy" not in cfg:
-        raise ConfigError("need either an explicit sigma or a privacy block")
-    p, b, schedule = cfg["privacy"], cfg["batch_size"], cfg.get("schedule", {})
-    if cfg.get("clipping", {}).get("kind") == "none":
-        raise ConfigError("a privacy block needs clipping, and the clipping kind is none")
-    steps = cfg["epochs"] * cfg["steps_per_epoch"]
-    if schedule.get("kind") == "indicator":
-        steps -= math.ceil(schedule["s"] * schedule["total"])
-    horizon = math.ceil(p["sample_budget"] / b)
-    if steps > horizon:
-        raise ConfigError(f"the run can take {steps} private steps, but the privacy block "
-                          f"calibrates sigma for {horizon} (sample_budget / batch_size)")
-    # n parameterises the mechanism here, not the budget annotation, so
-    # benchmark settings with delta == 1/n remain expressible
-    budget = privacy.PrivacyBudget(p["epsilon"], p["delta"])
-    return privacy.calibrate_sigma(b, p["n"], p["sample_budget"], budget)
 
 
 # --------------------------------------------------------------------------
@@ -643,13 +721,7 @@ def _run_sweep_batch(cfg: dict, seed: int) -> Table:
     """One row per (case, B) pair: the cases in sorted order, each over
     ``batch_grid``.  ``b_public`` and ``b_private`` default to the row's B.
     ``B_star`` is empty when sigma is 0, and ``alpha_star`` when the mixed
-    quadratic has no interior maximum.  A case name holding a carriage
-    return is a config error: Python 3.11's csv writer quotes a comma, a
-    double quote and a newline, but leaves a carriage return bare when the
-    line terminator is a newline, and a reader ends the row there."""
-    for name in cfg["cases"]:
-        if "\r" in name:
-            raise ConfigError(f"sweep-batch case name {name!r} holds a carriage return")
+    quadratic has no interior maximum."""
     rows = []
     for name in sorted(cfg["cases"]):
         inputs = predictor.ImprovementInputs(**cfg["cases"][name])
@@ -696,8 +768,6 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     columns = table_columns("oracle", cfg)
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
-    if not isinstance(task, QuadraticTask):
-        raise ConfigError("the oracle subcommand requires a quadratic task")
     rule = clipping_from_config(cfg.get("clipping", {}))
     offset = cfg.get("offset_scale", 1.0)
     w = task.x_mean + offset * np.ones(task.dimension) / math.sqrt(task.dimension)
@@ -723,45 +793,21 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
 
 
 def _run_train(cfg: dict, seed: int) -> Table:
-    """A ``train`` run is a one-phase ``continual`` run of the same config.
-
-    ``task`` is the public task, ``steps`` steps make one epoch, and a
-    one-sided schedule keeps every step private in ``dp`` mode and public in
-    ``public`` mode, whose ``only_public`` schedule refuses ``sigma``,
-    ``privacy`` and ``clipping`` as it does in a ``continual`` run.
-    """
-    one_phase = {
-        **cfg,
-        "task_public": cfg["task"],
-        "epochs": 1,
-        "steps_per_epoch": cfg["steps"],
-        "schedule": {"kind": "only_public" if cfg["mode"] == "public" else "only_private"},
-    }
-    return _run_continual(one_phase, seed)
-
-
-# the keys a schedule of each kind leaves unread: a schedule fixes the
-# switch, so no early-stopping policy is read; the optimizer reset and the
-# head re-draw happen only at a switch, which a one-sided schedule never
-# makes; and only_public takes no private step, so it reads neither the
-# private task nor the noise and clipping of one
-_UNREAD_BESIDE_SCHEDULE = {
-    "indicator": ("patience",),
-    "only_private": ("patience", "reset_policy", "head_reinit"),
-    "only_public": ("patience", "reset_policy", "head_reinit", "task_private", "sigma",
-                    "privacy", "clipping"),
-}
+    """A ``train`` run is the one-phase ``continual`` run :func:`_one_phase` maps it to."""
+    return _run_continual(_one_phase(cfg), seed)
 
 
 def _run_continual(cfg: dict, seed: int) -> Table:
+    """The private steps take ``sigma``, or the sigma that the ``privacy``
+    block calibrates for T = ceil(sample_budget / batch_size) steps; an
+    ``only_public`` run, which gives neither, takes sigma 0."""
     schedule = cfg.get("schedule")
-    if schedule is not None:
-        unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE[schedule["kind"]] if key in cfg)
-        if unread:
-            raise ConfigError(f"the {schedule['kind']} schedule leaves {', '.join(unread)} unread")
-        schedule = predictor.AlphaSchedule(**schedule)
-    public = schedule is not None and schedule.kind == "only_public"
-    sigma = 0.0 if public else _resolve_sigma(cfg)
+    schedule = None if schedule is None else predictor.AlphaSchedule(**schedule)
+    sigma = float(cfg.get("sigma", 0.0))
+    if "privacy" in cfg:
+        p = cfg["privacy"]
+        budget = privacy.PrivacyBudget(p["epsilon"], p["delta"])
+        sigma = privacy.calibrate_sigma(cfg["batch_size"], p["n"], p["sample_budget"], budget)
     rng = np.random.default_rng(seed)
     task_pub = task_from_config(cfg["task_public"], rng)
     task_priv = (
@@ -780,7 +826,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         rule=clipping_from_config(cfg.get("clipping", {})),
         schedule=schedule,
         curvature=bool(cfg.get("hessian_probes")),
-        **_given(cfg, "reset_policy", "head_reinit", "val_size"),
+        **_given(cfg, "val_size"),
     )
     return _run_table(run, cfg["batch_size"], table_columns("continual", cfg))
 
@@ -1102,14 +1148,6 @@ def run_subcommand(argv: list[str]) -> int:
     try:
         cfg = load_config(args.config, args.command)
         plot = cfg.get("plot")
-        if plot is not None:
-            columns = table_columns(args.command, cfg)
-            missing = [name for name in plot["columns"] if name not in columns]
-            if missing:
-                raise ConfigError(
-                    f"plot names {', '.join(map(repr, missing))}, not in the "
-                    f"{args.command} table's columns {', '.join(columns)}"
-                )
         outdir = Path(
             args.out or os.environ.get("DPLENS_OUT") or os.getcwd()
         )
@@ -1120,7 +1158,7 @@ def run_subcommand(argv: list[str]) -> int:
             for seed, table in zip(seeds, tables):
                 log = outdir / _seed_name(args.command, seed, len(seeds) > 1)
                 try:
-                    if not paths:  # so a config error that a runner raises leaves no directory
+                    if not paths:  # so a run that fails before its first table leaves none
                         outdir.mkdir(parents=True, exist_ok=True)
                     paths.append(_write_csv(log, table))
                     if table.abort_reason is None and plot is not None:

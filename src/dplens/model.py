@@ -427,10 +427,6 @@ class TinyMlpTask(DifferentiableTask):
         b2 = w[..., i : i + nout]
         return w1, b1, w2, b2
 
-    def head_slice(self) -> slice:
-        """Index range of the output-layer block (W2 and b2)."""
-        return slice(self.hidden * (self.n_in + 1), self._d)
-
     def _hidden_and_output(self, w: Array, x: Array) -> tuple[Array, Array]:
         """Hidden activations ``tanh(x W1^T + b1)`` and outputs ``h W2^T + b2``
         of a checked ``w``, each a new array."""

@@ -44,8 +44,6 @@ from .predictor import AlphaSchedule, alpha_schedule_value
 
 Array = np.ndarray
 
-RESET_POLICIES = ("none", "reset_m", "reset_v", "reset_t")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -73,8 +71,9 @@ class OptimizerState:
     """Step counter ``t`` and Adam's moments ``m`` and ``v``; plain SGD
     advances only ``t``.
 
-    Nothing writes into ``m`` or ``v``: a step or a reset binds new arrays, so
-    successive states may share the arrays a step leaves alone.
+    Nothing writes into ``m`` or ``v``: a step, or the switch to private
+    steps, which zeroes ``m``, binds new arrays, so successive states may
+    share the arrays a step leaves alone.
     """
 
     t: int
@@ -84,17 +83,6 @@ class OptimizerState:
     @classmethod
     def zeros(cls, d: int) -> "OptimizerState":
         return cls(t=0, m=np.zeros(d), v=np.zeros(d))
-
-    def apply_reset(self, policy: str) -> None:
-        """Re-initialise part of the state when switching training phases."""
-        if policy not in RESET_POLICIES:
-            raise ValueError(f"unknown reset policy {policy!r}")
-        if policy == "reset_m":
-            self.m = np.zeros_like(self.m)
-        elif policy == "reset_v":
-            self.v = np.zeros_like(self.v)
-        elif policy == "reset_t":
-            self.t = 0
 
 
 def optimizer_direction(
@@ -233,9 +221,7 @@ def _train_loop(
     switch: SwitchPolicy | None, schedule: AlphaSchedule | None,
     sigma: float, rule: ClippingRule | None,
     data_rng: np.random.Generator, noise_rng: np.random.Generator,
-    head_rng: np.random.Generator | None,
-    *, total_steps: int, steps_per_epoch: int, batch_size: int,
-    reset_policy: str, head_reinit: bool, curvature: bool,
+    *, total_steps: int, steps_per_epoch: int, batch_size: int, curvature: bool,
 ) -> TrainRun:
     """The one training loop: public steps, then at most one switch to private.
 
@@ -244,13 +230,13 @@ def _train_loop(
     ``schedule`` gives alpha 0 at iteration 0.  Otherwise it switches when
     ``schedule`` first gives alpha 0 or, with no schedule, when ``switch``
     fires on the held-out loss, which is measured on ``val_set`` after every
-    ``steps_per_epoch`` steps.  The switch applies ``reset_policy`` to the
-    optimizer state and, with ``head_reinit``, re-draws the output block.
-    A one-sided schedule makes a one-phase run.  With ``curvature``, each
-    record carries a :func:`~dplens.hessian.stats_snapshot` of the step's
-    task at the updated parameters on the step's batch.  A non-finite loss,
-    or a snapshot with a non-finite statistic, ends the run with
-    ``abort_reason`` set and the records before that iteration kept.
+    ``steps_per_epoch`` steps.  The switch zeroes Adam's first moment ``m``
+    and keeps ``v`` and ``t``.  A one-sided schedule makes a one-phase run.
+    With ``curvature``, each record carries a
+    :func:`~dplens.hessian.stats_snapshot` of the step's task at the updated
+    parameters on the step's batch.  A non-finite loss, or a snapshot with a
+    non-finite statistic, ends the run with ``abort_reason`` set and the
+    records before that iteration kept.
     """
     state = OptimizerState.zeros(task_public.dimension)
     run = TrainRun()
@@ -260,9 +246,7 @@ def _train_loop(
         if public and schedule is not None:
             fired = alpha_schedule_value(schedule, t) == 0.0
         if public and fired:
-            state.apply_reset(reset_policy)
-            if head_reinit:
-                _reinit_head(task_private, w, head_rng)
+            state = OptimizerState(state.t, np.zeros_like(state.m), state.v)
             public = False
         task = task_public if public else task_private
         batch = task.draw_batch(data_rng, batch_size)
@@ -314,8 +298,6 @@ def continual_pretrain(
     steps_per_epoch: int = 50,
     rule: ClippingRule | None = ClippingRule(),
     schedule: AlphaSchedule | None = None,
-    reset_policy: str = "reset_m",
-    head_reinit: bool = False,
     val_size: int = 1024,
     w0: Array | None = None,
     curvature: bool = False,
@@ -324,58 +306,35 @@ def continual_pretrain(
 
     The public phase ends when the validation loss (mean loss on a held-out
     set of ``val_size`` public samples, evaluated once per epoch) fails to
-    improve per the switch policy; at the switch the optimizer state is
-    partially re-initialised per ``reset_policy`` (first moment by default)
-    and, with ``head_reinit``, the private task's ``head_slice`` block is
-    re-drawn.  Passing a binary alpha schedule instead forces the phase
-    change at a fixed iteration with no early stopping; an indicator schedule
-    must span the ``epochs * steps_per_epoch`` steps, and the private task
-    must have as many parameters as the public one and, with
-    ``head_reinit``, an output block.  Private steps clip with ``rule``, and
-    ``rule=None`` leaves them unclipped, as in :func:`dp_step`.  With
-    ``curvature``, every record carries the step's curvature statistics.
-    Training aborts with a diagnostic record if the loss turns non-finite.
+    improve per the switch policy; the switch zeroes Adam's first moment.
+    Passing a binary alpha schedule instead forces the phase change at a
+    fixed iteration with no early stopping: an indicator schedule switches
+    at step ceil(s total).  The private task must have as many parameters
+    as the public one.  Private steps clip with ``rule``, and ``rule=None``
+    leaves them unclipped, as in :func:`dp_step`.  With ``curvature``, every
+    record carries the step's curvature statistics.  Training aborts with a
+    diagnostic record if the loss turns non-finite.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if epochs < 1 or steps_per_epoch < 1 or batch_size < 1:
         raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
-    if reset_policy not in RESET_POLICIES:
-        raise ValueError(f"unknown reset policy {reset_policy!r}")
     binary = ("indicator", "only_public", "only_private")
     if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
-    total_steps = epochs * steps_per_epoch
-    if schedule is not None and schedule.kind == "indicator" and schedule.total != total_steps:
-        raise ValueError(
-            f"indicator schedule spans {schedule.total} steps, but the run takes {total_steps}"
-        )
     if task_private.dimension != task_public.dimension:
         raise ValueError(
             f"private task has {task_private.dimension} parameters, "
             f"public task {task_public.dimension}"
         )
-    if head_reinit and not hasattr(task_private, "head_slice"):
-        raise ValueError("head_reinit needs a private task with an output block (head_slice)")
-
-    # nothing draws from the fifth stream; it is spawned so that head_rng
-    # stays the sixth, which keeps the bytes of every head re-draw
-    init_rng, val_rng, data_rng, noise_rng, _, head_rng = rng.spawn(6)
+    init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
     w = _initial_parameters(task_public, init_rng, w0)
     val_set = task_public.draw_batch(val_rng, val_size)
     return _train_loop(
         task_public, task_private, config, w, val_set, switch, schedule, sigma, rule,
-        data_rng, noise_rng, head_rng,
-        total_steps=total_steps, steps_per_epoch=steps_per_epoch,
-        batch_size=batch_size, reset_policy=reset_policy, head_reinit=head_reinit,
-        curvature=curvature,
+        data_rng, noise_rng, total_steps=epochs * steps_per_epoch,
+        steps_per_epoch=steps_per_epoch, batch_size=batch_size, curvature=curvature,
     )
-
-
-def _reinit_head(task, w: Array, rng: np.random.Generator) -> None:
-    """Re-draw the output-layer block of ``task`` in place."""
-    sl = task.head_slice()
-    w[sl] = 0.1 * rng.standard_normal(sl.stop - sl.start)
 
 
 # The oracle's draw-order unit (floats of samples per chunk) and its memory
@@ -567,9 +526,8 @@ def four_way_comparison(
         name: _train_loop(
             task, task, config, w_init.copy(), eval_set, None,
             AlphaSchedule.only_public() if name == "sgd" else AlphaSchedule.only_private(),
-            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng, None,
-            total_steps=steps, steps_per_epoch=steps, batch_size=batch_size,
-            reset_policy="none", head_reinit=False, curvature=False,
+            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng,
+            total_steps=steps, steps_per_epoch=steps, batch_size=batch_size, curvature=False,
         )
         for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs)
     }

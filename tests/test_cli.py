@@ -105,6 +105,20 @@ def mlp_continual_config():
     }
 
 
+def base_config(base):
+    """The subcommand and config that a load-time case changes: a shipped
+    config by file name, ``private_config`` of a command as ``"private
+    <command>"``, or ``train_config``, ``continual_config`` or
+    ``sweep_config`` by their subcommand."""
+    if base in SHIPPED_CONFIGS:
+        return SHIPPED_CONFIGS[base], json.loads((CONFIG_DIR / base).read_text())
+    if base.startswith("private "):
+        command = base.removeprefix("private ")
+        return command, private_config(command)
+    makers = {"train": train_config, "continual": continual_config, "sweep-batch": sweep_config}
+    return base, makers[base]()
+
+
 def refuse_steps(monkeypatch):
     """Make any training step fail the test."""
     def step(*args):
@@ -320,115 +334,19 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "change, named",
-        [
-            ({"schedule": {"kind": "indicator", "s": 0.5, "total": 4}}, "spans 4 steps"),
-            ({"clipping": {"kind": "reparam", "r": 0}}, "R must"),
-            ({"schedule": {"kind": "only_private"}, "patience": 2}, "patience"),
-            ({"head_reinit": True}, "head_reinit"),
-            ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
-             "sigma or a privacy block, not both"),
-            ({"schedule": {"kind": "only_private"}, "reset_policy": "reset_v"},
-             "only_private schedule leaves reset_policy unread"),
-            ({"schedule": {"kind": "only_private"}, "head_reinit": False},
-             "only_private schedule leaves head_reinit unread"),
-            ({"schedule": {"kind": "only_public"}, "reset_policy": "none"},
-             "only_public schedule leaves reset_policy, sigma unread"),
-            ({"schedule": {"kind": "only_public"}, "head_reinit": True},
-             "only_public schedule leaves head_reinit, sigma unread"),
-            ({"schedule": {"kind": "only_public"},
-              "task_private": {"kind": "quadratic", "dimension": 4}},
-             "only_public schedule leaves sigma, task_private unread"),
-            ({"schedule": {"kind": "only_public"}}, "only_public schedule leaves sigma unread"),
-            ({"schedule": {"kind": "only_public"}, "clipping": {"kind": "auto"}},
-             "only_public schedule leaves clipping, sigma unread"),
-            ({"schedule": {"kind": "only_public"},
-              "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
-             "only_public schedule leaves privacy, sigma unread"),
-            ({"plot": {"columns": ["iter", "tr_H"]}}, "plot names 'tr_H'"),
-        ],
-        ids=["indicator-horizon", "reparam-r0", "patience-with-schedule",
-             "head_reinit-without-head", "sigma-and-privacy", "only_private-reset_policy",
-             "only_private-head_reinit", "only_public-reset_policy", "only_public-head_reinit",
-             "only_public-task_private", "only_public-sigma", "only_public-clipping",
-             "only_public-privacy", "plot-column-without-curvature"],
+        [({"clipping": {"kind": "reparam", "r": 0}}, "R must")],
+        ids=["reparam-r0"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
-        # the constructors' and the loop's own checks reject these blocks,
-        # after validation passes and before any step; the indicator spans
-        # the run's steps, patience is read only without a schedule, the
-        # quadratic task has no output block, a one-sided schedule never
-        # switches, an only_public schedule takes no private step (and
-        # continual_config() sets sigma), and tr_H is a column only of a
-        # curvature run
+        # a constructor's own value check rejects the block after validation
+        # passes and before any step; every rule that ties keys together is
+        # checked at load (test_a_block_key_is_checked_at_load)
         path = write_config(tmp_path, {**continual_config(), **change})
         assert load_config(path, "continual")
         refuse_steps(monkeypatch)
         assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and named in err
-        assert not list(tmp_path.glob("*.csv"))
-
-    @pytest.mark.parametrize(
-        "change, named",
-        [
-            ({"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000, "sample_budget": 100}},
-             "sigma or a privacy block, not both"),
-            ({"mode": "public"}, "only_public schedule leaves sigma unread"),
-            ({"mode": "public", "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
-                                            "sample_budget": 100}},
-             "only_public schedule leaves privacy, sigma unread"),
-            ({"mode": "public", "clipping": {"kind": "auto"}},
-             "only_public schedule leaves clipping, sigma unread"),
-            ({"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
-             "plot names 'tr_H', 'decelerator'"),
-        ],
-        ids=["sigma-and-privacy", "public-sigma", "public-privacy", "public-clipping",
-             "plot-columns-without-curvature"],
-    )
-    def test_bad_train_key_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
-        # a public run is an only_public continual run, which takes no private
-        # step, so nothing reads its sigma, privacy or clipping; sigma beside
-        # a privacy block would drop the block
-        path = write_config(tmp_path, {**train_config(), **change})
-        assert load_config(path, "train")
-        refuse_steps(monkeypatch)
-        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and named in err
-        assert not list(tmp_path.glob("*.csv"))
-
-    @pytest.mark.parametrize(
-        "command, change, message",
-        [
-            ("train", {"clipping": {"kind": "none"}},
-             "a privacy block needs clipping, and the clipping kind is none"),
-            ("continual", {"clipping": {"kind": "none"}},
-             "a privacy block needs clipping, and the clipping kind is none"),
-            ("train", {"steps": 1000},
-             "the run can take 1000 private steps, but the privacy block calibrates sigma "
-             "for 10 (sample_budget / batch_size)"),
-            ("continual", {"epochs": 2}, "the run can take 20 private steps"),
-            ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": 0.7, "total": 40}},
-             "the run can take 12 private steps"),
-            # the schedule's own rule comes first, so no count rests on a bad s
-            ("continual", {"epochs": 4, "schedule": {"kind": "indicator", "s": -1.0, "total": 40}},
-             "indicator switch fraction s must lie in (0, 1)"),
-        ],
-        ids=["train-unclipped", "continual-unclipped", "train-too-long", "continual-too-long",
-             "indicator-tail-too-long", "indicator-bad-s"],
-    )
-    def test_a_privacy_block_the_run_would_break_is_a_config_error(
-        self, command, change, message, tmp_path, capsys, monkeypatch
-    ):
-        # unclipped gradients have no sensitivity bound, and sigma is
-        # calibrated for 10 steps: a run that can take more private steps
-        # than that spends more than its budget (a train run once took 1000)
-        path = write_config(tmp_path, private_config(command, **change))
-        assert load_config(path, command)
-        refuse_steps(monkeypatch)
-        assert run_subcommand([command, "--config", str(path), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -472,7 +390,7 @@ class TestConfigHandling:
             assert read <= {field.name for field in dataclasses.fields(constructor)}
 
     @pytest.mark.parametrize(
-        "command, change, message",
+        "base, change, message",
         [
             ("train", {"task": {"kind": "quadratic", "x_mean": [0.0]}},
              "quadratic task needs dimension"),
@@ -509,19 +427,121 @@ class TestConfigHandling:
              "Additional properties are not allowed ('mu' was unexpected)"),
             ("continual", {"optimizer": {"kind": "adam", "weight_decay": 0.1}},
              "Additional properties are not allowed ('weight_decay' was unexpected)"),
+            # the switch zeroes Adam's m and re-draws nothing, with no knob
+            ("continual", {"reset_policy": "reset_m"},
+             "Additional properties are not allowed ('reset_policy' was unexpected)"),
+            ("continual", {"head_reinit": False},
+             "Additional properties are not allowed ('head_reinit' was unexpected)"),
+            # the values of a quadratic task block
+            ("train", {"task": {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0],
+                                "hessian_scale": 50.0}},
+             "quadratic task does not read hessian_scale beside hessian_diag"),
+            ("train", {"task": {"kind": "quadratic", "dimension": 2,
+                                "covariance_diag": [1.0, 2.0], "covariance_scale": 50.0}},
+             "quadratic task does not read covariance_scale beside covariance_diag"),
+            ("train", {"task": {"kind": "quadratic", "dimension": 2,
+                                "hessian_diag": [1.0, 2.0, 3.0]}},
+             "hessian_diag length must match dimension"),
+            ("oracle_small.json", {"task": {"kind": "quadratic", "dimension": 8,
+                                            "covariance_scale": -1.0}},
+             "covariance_scale must be finite and nonnegative"),
+            ("continual", {"task_private": {"kind": "quadratic", "dimension": 4,
+                                            "x_mean": [0.0]}},
+             "x_mean length must match dimension"),
+            ("oracle_small.json", {"task": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
+                                            "n_out": 1}},
+             "'tinymlp' is not one of ['quadratic']"),
+            # the keys a schedule leaves unread, and an indicator's horizon
+            ("continual", {"schedule": {"kind": "only_private"}, "patience": 2},
+             "the only_private schedule leaves patience unread"),
+            ("continual_demo.json", {"schedule": {"kind": "only_private"}},
+             "the only_private schedule leaves patience unread"),
+            ("continual", {"schedule": {"kind": "only_public"},
+                           "task_private": {"kind": "quadratic", "dimension": 4}},
+             "the only_public schedule leaves sigma, task_private unread"),
+            ("continual", {"schedule": {"kind": "only_public"}},
+             "the only_public schedule leaves sigma unread"),
+            ("continual", {"schedule": {"kind": "only_public"}, "clipping": {"kind": "auto"}},
+             "the only_public schedule leaves clipping, sigma unread"),
+            ("continual", {"schedule": {"kind": "only_public"},
+                           "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
+                                       "sample_budget": 100}},
+             "the only_public schedule leaves privacy, sigma unread"),
+            ("train", {"mode": "public"}, "the only_public schedule leaves sigma unread"),
+            ("train", {"mode": "public", "clipping": {"kind": "auto"}},
+             "the only_public schedule leaves clipping, sigma unread"),
+            ("train", {"mode": "public", "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
+                                                     "sample_budget": 100}},
+             "the only_public schedule leaves privacy, sigma unread"),
+            ("continual", {"schedule": {"kind": "indicator", "s": 0.5, "total": 4}},
+             "indicator schedule spans 4 steps, but the run takes 5"),
+            # sigma, or a privacy block the run keeps
+            ("continual", {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
+                                       "sample_budget": 100}},
+             "give sigma or a privacy block, not both"),
+            ("train", {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
+                                   "sample_budget": 100}},
+             "give sigma or a privacy block, not both"),
+            ("continual", {"sigma": None}, "need either an explicit sigma or a privacy block"),
+            ("private train", {"clipping": {"kind": "none"}},
+             "a privacy block needs clipping, and the clipping kind is none"),
+            ("private continual", {"clipping": {"kind": "none"}},
+             "a privacy block needs clipping, and the clipping kind is none"),
+            ("private train", {"steps": 1000},
+             "the run can take 1000 private steps, but the privacy block calibrates sigma "
+             "for 10 (sample_budget / batch_size)"),
+            ("private continual", {"epochs": 2},
+             "the run can take 20 private steps, but the privacy block calibrates sigma "
+             "for 10 (sample_budget / batch_size)"),
+            ("private continual",
+             {"epochs": 4, "schedule": {"kind": "indicator", "s": 0.7, "total": 40}},
+             "the run can take 12 private steps, but the privacy block calibrates sigma "
+             "for 10 (sample_budget / batch_size)"),
+            # the schedule's own rule comes first, so no count rests on a bad s
+            ("private continual",
+             {"epochs": 4, "schedule": {"kind": "indicator", "s": -1.0, "total": 40}},
+             "indicator switch fraction s must lie in (0, 1)"),
+            ("continual_demo.json",
+             {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 8, "sample_budget": 100000}},
+             "batch_size 16 exceeds the privacy block's n 8"),
+            ("private train",
+             {"privacy": {"epsilon": 0.0, "delta": 1e-5, "n": 1000, "sample_budget": 1000}},
+             "epsilon must be positive"),
+            ("mia_toy.json", {"delta": 0.5}, "delta must be below 1/n for a dataset of size n"),
+            # the table's columns, and what its csv writer can write
+            ("continual", {"plot": {"columns": ["iter", "tr_H"]}},
+             "plot names 'tr_H', not in the continual table's columns iter, phase, alpha, "
+             "train_loss, val_loss, sigma"),
+            ("train", {"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
+             "plot names 'tr_H', 'decelerator', not in the train table's columns iter, phase, "
+             "alpha, train_loss, val_loss, sigma"),
+            ("sweep-batch", {"cases": {"a\rb": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
+                                                 "tr_h_sigma": 1.0, "sigma": 0.5}}},
+             "sweep-batch case name 'a\\rb' holds a carriage return"),
         ],
         ids=["quadratic-needs", "logistic-needs", "tinymlp-needs", "quadratic-unread",
              "logistic-unread", "tinymlp-unread", "sgd-unread", "default-kind-unread",
              "auto-unread", "none-unread", "indicator-needs-s", "indicator-needs-total",
-             "only_private-unread", "sgd_momentum", "mu", "weight_decay"],
+             "only_private-unread", "sgd_momentum", "mu", "weight_decay", "reset_policy",
+             "head_reinit", "hessian-diag-and-scale", "covariance-diag-and-scale",
+             "diag-length", "negative-scale", "x_mean-length", "oracle-tinymlp",
+             "patience-with-schedule", "demo-only_private", "only_public-task_private",
+             "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
+             "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy",
+             "train-sigma-and-privacy", "no-sigma", "train-unclipped", "continual-unclipped",
+             "train-too-long", "continual-too-long", "indicator-tail-too-long",
+             "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half",
+             "plot-column-without-curvature", "train-plot-columns", "carriage-return"],
     )
     def test_a_block_key_is_checked_at_load(
-        self, command, change, message, tmp_path, capsys, monkeypatch
+        self, base, change, message, tmp_path, capsys, monkeypatch
     ):
-        # the key rules of a block hold before any seed runs: no runner is
-        # called and no seed worker is forked
-        base = train_config() if command == "train" else continual_config()
-        path = write_config(tmp_path, {**base, **change, "seeds": [0, 1]})
+        # every rule that reads the config alone holds before any seed runs:
+        # no runner is called and no seed worker is forked; a None in
+        # ``change`` drops the key
+        command, payload = base_config(base)
+        payload = {key: value for key, value in {**payload, **change}.items() if value is not None}
+        path = write_config(tmp_path, {**payload, "seeds": [0, 1]})
         with pytest.raises(ConfigError) as error:
             load_config(path, command)
         assert str(error.value) == f"config {path} fails validation: {message}"
@@ -636,13 +656,6 @@ class TestTaskFromConfig:
         assert np.array_equal(task.a, [1.0, 2.0, 3.0])
         assert np.array_equal(task.s, [0.5, 0.5, 0.5])
 
-    def test_quadratic_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            task_from_config(
-                {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0, 3.0]},
-                np.random.default_rng(0),
-            )
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0],
                              ids=["nan", "inf", "-inf", "negative"])
     @pytest.mark.parametrize(
@@ -653,15 +666,16 @@ class TestTaskFromConfig:
                 key: [1.0, bad] if key.endswith("_diag") else bad}
         payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
                    "sigma_grid": [0.0], "trials": 200}
-        with pytest.raises(ConfigError, match=f"{key} must be finite and nonnegative"):
-            task_from_config(task, np.random.default_rng(0))
         # json writes NaN and Infinity as the bare tokens json.loads reads back
         path = write_config(tmp_path, payload)
+        message = f"fails validation: {key} must be finite and nonnegative"
+        with pytest.raises(ConfigError, match=message):
+            load_config(path, "oracle")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_subcommand(["oracle", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert f"config error: {key} must be finite and nonnegative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -723,22 +737,6 @@ class TestTaskFromConfig:
             np.random.default_rng(0),
         )
         assert isinstance(task, TinyMlpTask)
-
-    @pytest.mark.parametrize("name", ["hessian", "covariance"])
-    def test_a_scale_beside_a_diagonal_is_a_config_error(
-        self, name, tmp_path, capsys, monkeypatch
-    ):
-        # a quadratic task once ran with the scale beside a diagonal ignored
-        task = {"kind": "quadratic", "dimension": 2, f"{name}_diag": [1.0, 2.0],
-                f"{name}_scale": 50.0}
-        message = f"quadratic task does not read {name}_scale beside {name}_diag"
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            task_from_config(task, np.random.default_rng(0))
-        path = write_config(tmp_path, {**train_config(), "task": task})
-        refuse_steps(monkeypatch)
-        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
 
     def test_logistic_deterministic_given_rng(self):
         cfg = {"kind": "logistic", "dimension": 3, "n_examples": 20}
@@ -923,7 +921,7 @@ class TestSubcommands:
         path = write_config(tmp_path, payload)
         refuse_steps(monkeypatch)
         assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert "config error: indicator schedule spans 1000 steps, but the run takes 10" in (
+        assert "fails validation: indicator schedule spans 1000 steps, but the run takes 10" in (
             capsys.readouterr().err
         )
         assert not list(tmp_path.glob("*.csv"))
@@ -1163,10 +1161,10 @@ class TestSubcommands:
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
 
     def test_a_config_error_from_a_runner_leaves_no_out_directory(self, tmp_path, capsys):
-        # the task block passes load_config, and the runner refuses it
+        # the task block passes load_config, and the task's constructor refuses it
         payload = {
             "schema": 1,
-            "task": {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0, 3.0]},
+            "task": {"kind": "tinymlp", "n_in": 2, "hidden": 3, "n_out": 1, "noise_std": -0.5},
             "optimizer": {"kind": "sgd"},
             "sigma": 0.5,
             "steps": 5,
@@ -1176,7 +1174,7 @@ class TestSubcommands:
         path = write_config(tmp_path, payload)
         out = tmp_path / "fw"
         assert run_subcommand(["fourway", "--config", str(path), "--out", str(out)]) == 1
-        assert "hessian_diag length must match dimension" in capsys.readouterr().err
+        assert "noise_std must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):

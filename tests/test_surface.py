@@ -164,12 +164,12 @@ def test_a_method_only_tests_call_is_flagged():
 
 
 def test_a_constant_getattr_reaches_a_method():
-    # trainer's one read of TinyMlpTask.head_slice, rewritten as a getattr
+    # trainer's one read of SwitchPolicy.observe, rewritten as a getattr
     # with a constant name, still reaches it; without the read, nothing does
     sources = package_sources()
-    read = "task.head_slice()"
+    read = "switch.observe(val_loss)"
     assert read in sources["trainer"]
-    sources["trainer"] = sources["trainer"].replace(read, 'getattr(task, "head_slice")()')
+    sources["trainer"] = sources["trainer"].replace(read, 'getattr(switch, "observe")(val_loss)')
     assert unreachable(sources, AWAITING_CALLER) == []
-    sources["trainer"] = sources["trainer"].replace('getattr(task, "head_slice")()', "None")
-    assert unreachable(sources, AWAITING_CALLER) == ["model.TinyMlpTask.head_slice"]
+    sources["trainer"] = sources["trainer"].replace('getattr(switch, "observe")(val_loss)', "None")
+    assert unreachable(sources, AWAITING_CALLER) == ["trainer.SwitchPolicy.observe"]

@@ -273,51 +273,35 @@ class TestContinualPretrain:
             else:
                 assert record.sigma == 0.4 and record.alpha == 0.0
 
-    def _reset_norms(self, monkeypatch, **kwargs):
-        """Norms of the first moment just before and after the switch's reset."""
-        norms = []
-        apply_reset = OptimizerState.apply_reset
+    def _switch_states(self, monkeypatch, **kwargs):
+        """The optimizer state the last public step leaves, and the one the
+        first private step starts from."""
+        states = []  # each step's state in, then its state out
+        direction = trainer.optimizer_direction
 
-        def spy(state, policy):
-            before = float(np.linalg.norm(state.m))
-            apply_reset(state, policy)
-            norms.append((before, float(np.linalg.norm(state.m))))
+        def spy(g, config, state):
+            states.append(state)
+            g, state = direction(g, config, state)
+            states.append(state)
+            return g, state
 
-        monkeypatch.setattr(OptimizerState, "apply_reset", spy)
-        self._run(**kwargs)
-        [pair] = norms
-        return pair
+        monkeypatch.setattr(trainer, "optimizer_direction", spy)
+        k = switch_iteration(self._run(**kwargs))
+        assert k is not None and k > 0
+        return states[2 * k - 1], states[2 * k]
 
     def test_momentum_reset_applied(self, monkeypatch):
-        before, after = self._reset_norms(monkeypatch, reset_policy="reset_m")
-        assert before > 0.0
-        assert after == 0.0
-
-    def test_no_reset_keeps_momentum(self, monkeypatch):
-        before, after = self._reset_norms(monkeypatch, reset_policy="none")
-        assert after == before > 0.0
+        before, after = self._switch_states(monkeypatch)
+        assert np.linalg.norm(before.m) > 0.0
+        assert np.linalg.norm(after.m) == 0.0
 
     def test_momentum_reset_zeroes_adams_m_alone(self, monkeypatch):
-        states = []
-        apply_reset = OptimizerState.apply_reset
-
-        def spy(state, policy):
-            before = OptimizerState(state.t, state.m, state.v)
-            apply_reset(state, policy)
-            states.append((before, state))
-
-        monkeypatch.setattr(OptimizerState, "apply_reset", spy)
-        self._run(config=OptimizerConfig(kind="adam", eta=0.05, beta1=0.5),
-                  reset_policy="reset_m")
-        [(before, after)] = states
+        # the switch binds a new m, so the last public state keeps its own
+        before, after = self._switch_states(
+            monkeypatch, config=OptimizerConfig(kind="adam", eta=0.05, beta1=0.5)
+        )
         assert np.any(before.m) and not np.any(after.m)
         assert after.v is before.v and np.any(after.v) and after.t == before.t > 0
-
-    def test_all_reset_policies_produce_valid_runs(self):
-        for policy in ("none", "reset_m", "reset_v", "reset_t"):
-            run = self._run(reset_policy=policy)
-            assert phase_order_ok(run)
-            assert run.abort_reason is None
 
     def test_indicator_schedule_flips_at_fraction(self):
         total = 60  # 12 epochs x 5 steps
@@ -349,24 +333,6 @@ class TestContinualPretrain:
         )
         assert "non-finite" in run.abort_reason
         assert run.records  # partial log retained
-
-    def test_head_reinit_for_mlp(self):
-        task = TinyMlpTask(n_in=2, hidden=4, n_out=2, teacher_seed=1, noise_std=0.05)
-        rng = np.random.default_rng(12)
-        run = continual_pretrain(
-            task, task,
-            OptimizerConfig(kind="sgd", eta=0.05),
-            SwitchPolicy(patience=1),
-            sigma=0.3,
-            epochs=4,
-            rng=rng,
-            batch_size=8,
-            steps_per_epoch=4,
-            schedule=AlphaSchedule("indicator", s=0.5, total=16),
-            head_reinit=True,
-            val_size=32,
-        )
-        assert phase_order_ok(run)
 
     def test_hessian_probes_recorded_and_csv(self, tmp_path):
         run = self._run(epochs=2, curvature=True)
