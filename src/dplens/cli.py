@@ -499,16 +499,18 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     whose tr(H Sigma) estimate needs two or more gradients.  A ``plot``
     names columns of the table.  No ``sweep-batch`` case name holds a
     carriage return, which Python 3.11's csv writer leaves bare under a
-    newline line terminator, so that a reader ends the row there.  A
-    ``mia`` delta lies below 1/n_members.  A ``train`` config is checked as
-    the ``continual`` config it runs as (:func:`_one_phase`): a schedule
-    leaves its ``_UNREAD_BESIDE_SCHEDULE`` keys unread, and an indicator
-    spans the run.  A run with private steps gives ``sigma`` or a
+    newline line terminator, so that a reader ends the row there.  Each
+    ``calibrate`` batch is at most n, and a ``mia`` delta lies below
+    1/n_members, beside each budget's own rules.  A ``train`` config is
+    checked as the ``continual`` config it runs as (:func:`_one_phase`): a
+    schedule leaves its ``_UNREAD_BESIDE_SCHEDULE`` keys unread, and an
+    indicator spans the run.  A run with private steps gives ``sigma`` or a
     ``privacy`` block, not both.  The block calibrates sigma for T =
     ceil(sample_budget / batch_size) steps of batch_size out of n samples,
-    so it needs clipping, which bounds the sensitivity, batch_size <= n, and
-    a run that can take no more than T private steps: those from ceil(s
-    total) on under an indicator, else all, since the switch may fire at once.
+    so it needs clipping, which bounds the sensitivity, batch_size <= n, a
+    valid budget, and a run that can take no more than T private steps:
+    those from ceil(s total) on under an indicator, else all, since the
+    switch may fire at once.
     """
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         return "hessian_probes needs batch_size of at least 2"
@@ -520,6 +522,11 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     if command == "sweep-batch":
         return next((f"sweep-batch case name {name!r} holds a carriage return"
                      for name in cfg["cases"] if "\r" in name), None)
+    if command == "calibrate":
+        too_large = [b for b in cfg["batch_grid"] if b > cfg["n"]]
+        if too_large:
+            return f"batch_grid entry {too_large[0]} exceeds n {cfg['n']}"
+        return _refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"])
     if command == "mia":
         return _refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"], cfg["n_members"])
     if command not in ("train", "continual"):

@@ -508,6 +508,9 @@ class TestConfigHandling:
              {"privacy": {"epsilon": 0.0, "delta": 1e-5, "n": 1000, "sample_budget": 1000}},
              "epsilon must be positive"),
             ("mia_toy.json", {"delta": 0.5}, "delta must be below 1/n for a dataset of size n"),
+            ("calibrate_bench.json", {"batch_grid": [10, 10000000]},
+             "batch_grid entry 10000000 exceeds n 1000000"),
+            ("calibrate_bench.json", {"delta": 1.5}, "delta must lie strictly in (0, 1)"),
             # the table's columns, and what its csv writer can write
             ("continual", {"plot": {"columns": ["iter", "tr_H"]}},
              "plot names 'tr_H', not in the continual table's columns iter, phase, alpha, "
@@ -531,6 +534,7 @@ class TestConfigHandling:
              "train-sigma-and-privacy", "no-sigma", "train-unclipped", "continual-unclipped",
              "train-too-long", "continual-too-long", "indicator-tail-too-long",
              "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half",
+             "calibrate-batch-over-n", "calibrate-delta",
              "plot-column-without-curvature", "train-plot-columns", "carriage-return"],
     )
     def test_a_block_key_is_checked_at_load(
