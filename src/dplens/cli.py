@@ -26,10 +26,15 @@ a run option the config leaves out is left out of the call, so each default
 is written once, in the signature of the function that receives it.  A key
 that the run would not read is a config error, not a silent no-op.
 
-:func:`load_config` checks a config before any seed runs, against
-``CONFIG_SCHEMAS``, plain JSON Schema, then against ``_BLOCK_KEYS``, the
-keys that each kind of task, optimizer, clipping or schedule block reads,
-and then against the rules that tie keys together (:func:`_rule_message`).
+``_BLOCK_KEYS`` is the one table of config blocks: for each kind of task,
+optimizer, clipping or schedule block, the keys it needs and may take, each
+with its schema.  The blocks' schemas in ``CONFIG_SCHEMAS``, plain JSON
+Schema, are built from it.  :func:`load_config` checks a config before any
+seed runs, against its schema, then against the table, then each block's
+values, and then the rules that tie keys together (:func:`_rule_message`).
+An optimizer, clipping or schedule block is built once at load, by the
+constructor its runner calls, so each value rule is written once, in that
+constructor; a task block is not built, since a task draws data.
 It is the one place that checks a rule reading the config alone, and the
 only raiser of :class:`ConfigError`: the runners only build and run.  The
 schemas' validator (:func:`validation_message`) reports the error that
@@ -75,70 +80,55 @@ _NUM_GRID = {"type": "array", "items": _NUM, "minItems": 1}
 _POS_NUM_GRID = {"type": "array", "items": _POS_NUM, "minItems": 1}
 _INT_GRID = {"type": "array", "items": _POS_INT, "minItems": 1}
 
-# what each kind of each config block reads besides "kind": (the keys it
-# needs, the keys it may take); the block's schema takes every key some kind reads
+# what each kind of each config block reads besides "kind": the keys it
+# needs and the keys it may take, each with its schema; a schedule's kind
+# also names the config keys it leaves unread: a schedule fixes the switch,
+# so no early-stopping policy is read, and only_public takes no private
+# step, so it reads neither the private task nor the noise and clipping of one
 _BLOCK_KEYS = {
     "task": {
-        "quadratic": (("dimension",), ("hessian_diag", "hessian_scale", "covariance_diag",
-                                       "covariance_scale", "x_mean")),
-        "logistic": (("dimension", "n_examples"), ("separation",)),
-        "tinymlp": (("n_in", "hidden", "n_out"), ("teacher_seed", "noise_std", "target_scale")),
+        "quadratic": ({"dimension": _POS_INT},
+                      {"hessian_diag": _NUM_GRID, "hessian_scale": _NUM,
+                       "covariance_diag": _NUM_GRID, "covariance_scale": _NUM,
+                       "x_mean": _NUM_GRID}),
+        "logistic": ({"dimension": _POS_INT, "n_examples": _POS_INT}, {"separation": _NUM}),
+        "tinymlp": ({"n_in": _POS_INT, "hidden": _POS_INT, "n_out": _POS_INT},
+                    {"teacher_seed": {"type": "integer"}, "noise_std": _NUM,
+                     "target_scale": _NUM}),
     },
-    "optimizer": {"sgd": ((), ("eta",)),
-                  "adam": ((), ("eta", "beta1", "beta2", "epsilon_stabilizer"))},
-    "clipping": {"auto": ((), ()), "reparam": ((), ("r",)), "none": ((), ())},
+    "optimizer": {"sgd": ({}, {"eta": _NUM}),
+                  "adam": ({}, {"eta": _NUM, "beta1": _NUM, "beta2": _NUM,
+                                "epsilon_stabilizer": _NUM})},
+    "clipping": {"auto": ({}, {}), "reparam": ({}, {"r": _NUM}), "none": ({}, {})},
     # the two-phase loop runs only the binary schedules
-    "schedule": {"indicator": (("s", "total"), ()), "only_public": ((), ()),
-                 "only_private": ((), ())},
+    "schedule": {
+        "indicator": ({"s": _NUM, "total": _POS_INT}, {}, ("patience",)),
+        "only_public": ({}, {}, ("patience", "task_private", "sigma", "privacy", "clipping")),
+        "only_private": ({}, {}, ("patience",)),
+    },
 }
 # the config keys that hold a block, and the block each holds
 _BLOCK_OF = {"task": "task", "task_public": "task", "task_private": "task",
              "optimizer": "optimizer", "clipping": "clipping", "schedule": "schedule"}
+# only an optimizer block may leave its kind out, which then is its constructor's default
+_DEFAULT_KIND = {"optimizer": trainer.OptimizerConfig.kind}
 
-_TASK_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_BLOCK_KEYS["task"])},
-        "dimension": _POS_INT,
-        "hessian_diag": _NUM_GRID,
-        "hessian_scale": _NUM,
-        "covariance_diag": _NUM_GRID,
-        "covariance_scale": _NUM,
-        "x_mean": _NUM_GRID,
-        "n_examples": _POS_INT,
-        "separation": _NUM,
-        "n_in": _POS_INT,
-        "hidden": _POS_INT,
-        "n_out": _POS_INT,
-        "teacher_seed": {"type": "integer"},
-        "noise_std": _NUM,
-        "target_scale": _NUM,
-    },
-}
 
-_OPTIMIZER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(_BLOCK_KEYS["optimizer"])},
-        "eta": _NUM,
-        "beta1": _NUM,
-        "beta2": _NUM,
-        "epsilon_stabilizer": _NUM,
-    },
-}
+def _blocks(*names: str) -> dict:
+    """The schema of each config key in ``names`` that holds a block: an
+    object whose ``kind`` names a row of the block's ``_BLOCK_KEYS``, and
+    that takes each key some kind reads."""
+    schemas = {}
+    for name in names:
+        kinds = _BLOCK_KEYS[_BLOCK_OF[name]]
+        properties = {"kind": {"enum": list(kinds)}}
+        for needed, optional, *_ in kinds.values():
+            properties.update(needed, **optional)
+        required = {} if _BLOCK_OF[name] in _DEFAULT_KIND else {"required": ["kind"]}
+        schemas[name] = {"type": "object", "additionalProperties": False, **required,
+                         "properties": properties}
+    return schemas
 
-_CLIPPING_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_BLOCK_KEYS["clipping"])},
-        "r": _NUM,
-    },
-}
 
 _PRIVACY_SCHEMA = {
     "type": "object",
@@ -174,17 +164,6 @@ _PLOT_SCHEMA = {
         "columns": {"type": "array", "items": {"type": "string"}, "minItems": 2},
         "x_scale": {"enum": ["linear", "log"]},
         "y_scale": {"enum": ["linear", "log"]},
-    },
-}
-
-_SCHEDULE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(_BLOCK_KEYS["schedule"])},
-        "s": _NUM,
-        "total": _POS_INT,
     },
 }
 
@@ -231,10 +210,7 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "task", "eta_grid", "batch_grid", "sigma_grid", "trials"],
         "properties": {
             **_COMMON,
-            # the oracle's closed-form population loss needs a quadratic task
-            "task": {**_TASK_SCHEMA, "properties": {**_TASK_SCHEMA["properties"],
-                                                    "kind": {"enum": ["quadratic"]}}},
-            "clipping": _CLIPPING_SCHEMA,
+            **_blocks("task", "clipping"),
             "eta_grid": _POS_NUM_GRID,
             "batch_grid": _INT_GRID,
             "sigma_grid": {"type": "array", "items": {"type": "number", "minimum": 0},
@@ -249,9 +225,7 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "task", "optimizer", "steps", "batch_size", "mode"],
         "properties": {
             **_COMMON,
-            "task": _TASK_SCHEMA,
-            "optimizer": _OPTIMIZER_SCHEMA,
-            "clipping": _CLIPPING_SCHEMA,
+            **_blocks("task", "optimizer", "clipping"),
             "mode": {"enum": ["public", "dp"]},
             "sigma": _NUM,
             "privacy": _PRIVACY_SCHEMA,
@@ -267,17 +241,13 @@ CONFIG_SCHEMAS = {
                      "batch_size"],
         "properties": {
             **_COMMON,
-            "task_public": _TASK_SCHEMA,
-            "task_private": _TASK_SCHEMA,
-            "optimizer": _OPTIMIZER_SCHEMA,
-            "clipping": _CLIPPING_SCHEMA,
+            **_blocks("task_public", "task_private", "optimizer", "clipping", "schedule"),
             "sigma": _NUM,
             "privacy": _PRIVACY_SCHEMA,
             "epochs": _POS_INT,
             "steps_per_epoch": _POS_INT,
             "batch_size": _POS_INT,
             "patience": _POS_INT,
-            "schedule": _SCHEDULE_SCHEMA,
             "val_size": _POS_INT,
             "hessian_probes": {"type": "integer", "minimum": 0},
         },
@@ -288,9 +258,7 @@ CONFIG_SCHEMAS = {
         "required": ["schema", "task", "optimizer", "sigma", "steps", "batch_size"],
         "properties": {
             **_COMMON,
-            "task": _TASK_SCHEMA,
-            "optimizer": _OPTIMIZER_SCHEMA,
-            "clipping": _CLIPPING_SCHEMA,
+            **_blocks("task", "optimizer", "clipping"),
             "sigma": _NUM,
             "steps": _POS_INT,
             "batch_size": _POS_INT,
@@ -318,6 +286,8 @@ CONFIG_SCHEMAS = {
         },
     },
 }
+# the oracle's closed-form population loss needs a quadratic task
+CONFIG_SCHEMAS["oracle"]["properties"]["task"]["properties"]["kind"] = {"enum": ["quadratic"]}
 
 
 # --------------------------------------------------------------------------
@@ -446,19 +416,27 @@ def _quadratic_message(block: dict) -> str | None:
 
 def _block_message(cfg: dict) -> str | None:
     """What is wrong with the first block of ``cfg`` whose kind needs a key
-    it lacks or does not read a key it holds, or whose quadratic task breaks
-    :func:`_quadratic_message`, or None."""
+    it lacks or does not read a key it holds, or whose values break a rule,
+    or None.  An optimizer, clipping or schedule block is built once, by the
+    constructor that its runner calls, so each value rule is the
+    constructor's own; a task draws data when built, so only a quadratic
+    task's values are checked, by :func:`_quadratic_message`."""
+    builders = {"optimizer": trainer.OptimizerConfig, "clipping": clipping_from_config,
+                "schedule": predictor.AlphaSchedule}
     for name, block in _BLOCK_OF.items():
         if name in cfg:
-            # only an optimizer block may leave its kind out
-            kind = cfg[name].get("kind", trainer.OptimizerConfig.kind)
-            required, optional = _BLOCK_KEYS[block][kind]
+            kind = cfg[name].get("kind", _DEFAULT_KIND.get(block))
+            required, optional, *_ = _BLOCK_KEYS[block][kind]
             missing = [key for key in required if key not in cfg[name]]
             unread = sorted(set(cfg[name]) - {"kind", *required, *optional})
             for verb, keys in (("needs", missing), ("does not read", unread)):
                 if keys:
                     return f"{kind} {block} {verb} {', '.join(keys)}"
-            if kind == "quadratic" and (message := _quadratic_message(cfg[name])):
+            if block != "task":
+                message = _refusal(builders[block], **cfg[name])
+            else:
+                message = _quadratic_message(cfg[name]) if kind == "quadratic" else None
+            if message is not None:
                 return message
     return None
 
@@ -480,17 +458,6 @@ def _one_phase(cfg: dict) -> dict:
             "schedule": {"kind": "only_public" if cfg["mode"] == "public" else "only_private"}}
 
 
-# the keys a schedule of each kind leaves unread: a schedule fixes the
-# switch, so no early-stopping policy is read, and only_public takes no
-# private step, so it reads neither the private task nor the noise and
-# clipping of one
-_UNREAD_BESIDE_SCHEDULE = {
-    "indicator": ("patience",),
-    "only_private": ("patience",),
-    "only_public": ("patience", "task_private", "sigma", "privacy", "clipping"),
-}
-
-
 def _rule_message(cfg: dict, command: str) -> str | None:
     """What breaks the first rule that ties keys of a ``command`` config
     together, or None.
@@ -503,7 +470,7 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     ``calibrate`` batch is at most n, and a ``mia`` delta lies below
     1/n_members, beside each budget's own rules.  A ``train`` config is
     checked as the ``continual`` config it runs as (:func:`_one_phase`): a
-    schedule leaves its ``_UNREAD_BESIDE_SCHEDULE`` keys unread, and an
+    schedule leaves the keys its ``_BLOCK_KEYS`` row names unread, and an
     indicator spans the run.  A run with private steps gives ``sigma`` or a
     ``privacy`` block, not both.  The block calibrates sigma for T =
     ceil(sample_budget / batch_size) steps of batch_size out of n samples,
@@ -534,13 +501,12 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     cfg = _one_phase(cfg) if command == "train" else cfg
     schedule = cfg.get("schedule", {})
     kind = schedule.get("kind")
-    unread = sorted(key for key in _UNREAD_BESIDE_SCHEDULE.get(kind, ()) if key in cfg)
+    *_, beside = _BLOCK_KEYS["schedule"][kind] if kind else ((),)
+    unread = sorted(set(beside) & set(cfg))
     if unread:
         return f"the {kind} schedule leaves {', '.join(unread)} unread"
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if kind == "indicator":
-        if message := _refusal(predictor.AlphaSchedule, **schedule):
-            return message
         if schedule["total"] != steps:
             return f"indicator schedule spans {schedule['total']} steps, but the run takes {steps}"
         steps -= math.ceil(schedule["s"] * steps)
@@ -568,8 +534,8 @@ def _rule_message(cfg: dict, command: str) -> str | None:
 
 def load_config(path: str | Path, command: str) -> dict:
     """Read a JSON config for one subcommand and check every rule that reads
-    the config alone: its schema, then ``_BLOCK_KEYS`` and the values of a
-    quadratic task (:func:`_block_message`), then the rules that tie its keys
+    the config alone: its schema, then ``_BLOCK_KEYS`` and each block's
+    values (:func:`_block_message`), then the rules that tie its keys
     together (:func:`_rule_message`)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -623,8 +589,8 @@ def _given(cfg: dict, *keys: str) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def clipping_from_config(block: dict) -> clipping.ClippingRule | None:
-    """``None`` for ``"kind": "none"``, else the block's rule; ``{}`` is the default rule."""
+def clipping_from_config(**block) -> clipping.ClippingRule | None:
+    """``None`` for ``"kind": "none"``, else the block's rule; no keys give the default rule."""
     return None if block.get("kind") == "none" else clipping.ClippingRule(**block)
 
 
@@ -775,7 +741,7 @@ def _run_oracle(cfg: dict, seed: int) -> Table:
     columns = table_columns("oracle", cfg)
     rng = np.random.default_rng(seed)
     task = task_from_config(cfg["task"], rng)
-    rule = clipping_from_config(cfg.get("clipping", {}))
+    rule = clipping_from_config(**cfg.get("clipping", {}))
     offset = cfg.get("offset_scale", 1.0)
     w = task.x_mean + offset * np.ones(task.dimension) / math.sqrt(task.dimension)
     stats = population_stats(task, w)
@@ -830,7 +796,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         rng=rng,
         batch_size=cfg["batch_size"],
         steps_per_epoch=cfg["steps_per_epoch"],
-        rule=clipping_from_config(cfg.get("clipping", {})),
+        rule=clipping_from_config(**cfg.get("clipping", {})),
         schedule=schedule,
         curvature=bool(cfg.get("hessian_probes")),
         **_given(cfg, "val_size"),
@@ -845,7 +811,7 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
         task,
         trainer.OptimizerConfig(**cfg["optimizer"]),
         cfg["sigma"],
-        clipping_from_config(cfg.get("clipping", {})),
+        clipping_from_config(**cfg.get("clipping", {})),
         cfg["steps"],
         rng,
         batch_size=cfg["batch_size"],
