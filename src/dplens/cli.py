@@ -397,7 +397,7 @@ def _quadratic_message(block: dict) -> str | None:
     """What is wrong with the values of a quadratic task block, or None: a
     ``<name>_scale`` beside its ``<name>_diag`` would go unread, a diagonal
     or ``x_mean`` has ``dimension`` entries, and a diagonal or scale is
-    finite and nonnegative."""
+    nonnegative (every number of a config is finite, :func:`_finite`)."""
     d = block["dimension"]
     for name in ("hessian", "covariance"):
         diag, scale = f"{name}_diag", f"{name}_scale"
@@ -406,8 +406,7 @@ def _quadratic_message(block: dict) -> str | None:
         if diag in block and len(block[diag]) != d:
             return f"{diag} length must match dimension"
         values = block[diag] if diag in block else [block[scale]] if scale in block else []
-        # NaN fails both comparisons
-        if not all(0.0 <= value < math.inf for value in values):
+        if any(value < 0 for value in values):
             return f"{diag if diag in block else scale} must be finite and nonnegative"
     if "x_mean" in block and len(block["x_mean"]) != d:
         return "x_mean length must match dimension"
@@ -532,6 +531,15 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     return _refusal(privacy.PrivacyBudget, p["epsilon"], p["delta"])
 
 
+def _finite(token: str) -> float:
+    """The float of a JSON number token; NaN, Infinity, -Infinity and a
+    number that overflows a float, such as 1e309, are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def load_config(path: str | Path, command: str) -> dict:
     """Read a JSON config for one subcommand and check every rule that reads
     the config alone: its schema, then ``_BLOCK_KEYS`` and each block's
@@ -542,8 +550,8 @@ def load_config(path: str | Path, command: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except ValueError as exc:  # a JSONDecodeError, or a number _finite refuses
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     message = (validation_message(cfg, CONFIG_SCHEMAS[command]) or _block_message(cfg)
                or _rule_message(cfg, command))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -54,6 +55,12 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def not_finite(bad):
+    """The end of the load message of a config that ``json.dumps`` wrote the
+    non-finite ``bad`` into, as the bare token that ``json.loads`` reads back."""
+    return f"is not valid JSON: {json.dumps(bad)} is not a finite number"
 
 
 def polyline_points(svg_text):
@@ -155,6 +162,22 @@ class TestConfigHandling:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert run_subcommand(["sweep-batch", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e309", "-1e309"])
+    def test_a_number_that_is_not_finite_is_refused_at_parse(self, token, tmp_path, capsys):
+        # a NaN sigma once dropped the noise: sigma > 0 is False for NaN, so
+        # the noised fourway arms wrote the bytes of the noiseless ones
+        text = (CONFIG_DIR / "fourway_mlp.json").read_text(encoding="utf-8")
+        assert text.count('"sigma": 0.5,') == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"sigma": 0.5,', f'"sigma": {token},'), encoding="utf-8")
+        message = f"config {path} is not valid JSON: {token} is not a finite number"
+        with pytest.raises(ConfigError) as error:
+            load_config(path, "fourway")
+        assert str(error.value) == message
+        assert run_subcommand(["fourway", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_key_rejected(self, tmp_path):
         payload = sweep_config()
@@ -678,10 +701,10 @@ class TestTaskFromConfig:
                 key: [1.0, bad] if key.endswith("_diag") else bad}
         payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
                    "sigma_grid": [0.0], "trials": 200}
-        # json writes NaN and Infinity as the bare tokens json.loads reads back
         path = write_config(tmp_path, payload)
-        message = f"fails validation: {key} must be finite and nonnegative"
-        with pytest.raises(ConfigError, match=message):
+        message = (f"fails validation: {key} must be finite and nonnegative"
+                   if math.isfinite(bad) else not_finite(bad))
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path, "oracle")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -704,18 +727,18 @@ class TestTaskFromConfig:
             warnings.simplefilter("error")
             code = run_subcommand([command, "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert "config error: x_mean must have finite entries" in capsys.readouterr().err
+        assert f"config error: config {path} {not_finite(bad)}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "key, bad, message",
         [
             ("noise_std", -0.5, "noise_std must be finite and nonnegative"),
-            ("noise_std", float("nan"), "noise_std must be finite and nonnegative"),
-            ("noise_std", float("inf"), "noise_std must be finite and nonnegative"),
-            ("target_scale", float("inf"), "target_scale must be finite"),
-            ("target_scale", float("-inf"), "target_scale must be finite"),
-            ("target_scale", float("nan"), "target_scale must be finite"),
+            ("noise_std", float("nan"), not_finite(float("nan"))),
+            ("noise_std", float("inf"), not_finite(float("inf"))),
+            ("target_scale", float("inf"), not_finite(float("inf"))),
+            ("target_scale", float("-inf"), not_finite(float("-inf"))),
+            ("target_scale", float("nan"), not_finite(float("nan"))),
         ],
         ids=["noise-negative", "noise-nan", "noise-inf", "scale-inf", "scale-neginf", "scale-nan"],
     )
@@ -728,7 +751,8 @@ class TestTaskFromConfig:
             warnings.simplefilter("error")
             code = run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert f"config error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_overflowing_noise_loss_is_left_to_the_run(self, tmp_path, capsys):
