@@ -75,6 +75,7 @@ class ConfigError(ValueError):
 
 _NUM = {"type": "number"}
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG_NUM = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _NUM_GRID = {"type": "array", "items": _NUM, "minItems": 1}
 _POS_NUM_GRID = {"type": "array", "items": _POS_NUM, "minItems": 1}
@@ -93,7 +94,7 @@ _BLOCK_KEYS = {
                        "x_mean": _NUM_GRID}),
         "logistic": ({"dimension": _POS_INT, "n_examples": _POS_INT}, {"separation": _NUM}),
         "tinymlp": ({"n_in": _POS_INT, "hidden": _POS_INT, "n_out": _POS_INT},
-                    {"teacher_seed": {"type": "integer"}, "noise_std": _NUM,
+                    {"teacher_seed": {"type": "integer"}, "noise_std": _NONNEG_NUM,
                      "target_scale": _NUM}),
     },
     "optimizer": {"sgd": ({}, {"eta": _NUM}),
@@ -213,9 +214,8 @@ CONFIG_SCHEMAS = {
             **_blocks("task", "clipping"),
             "eta_grid": _POS_NUM_GRID,
             "batch_grid": _INT_GRID,
-            "sigma_grid": {"type": "array", "items": {"type": "number", "minimum": 0},
-                           "minItems": 1},
-            "trials": _POS_INT,
+            "sigma_grid": {"type": "array", "items": _NONNEG_NUM, "minItems": 1},
+            "trials": {"type": "integer", "minimum": 100},
             "offset_scale": _NUM,
         },
     },
@@ -227,7 +227,7 @@ CONFIG_SCHEMAS = {
             **_COMMON,
             **_blocks("task", "optimizer", "clipping"),
             "mode": {"enum": ["public", "dp"]},
-            "sigma": _NUM,
+            "sigma": _NONNEG_NUM,
             "privacy": _PRIVACY_SCHEMA,
             "steps": _POS_INT,
             "batch_size": _POS_INT,
@@ -242,7 +242,7 @@ CONFIG_SCHEMAS = {
         "properties": {
             **_COMMON,
             **_blocks("task_public", "task_private", "optimizer", "clipping", "schedule"),
-            "sigma": _NUM,
+            "sigma": _NONNEG_NUM,
             "privacy": _PRIVACY_SCHEMA,
             "epochs": _POS_INT,
             "steps_per_epoch": _POS_INT,
@@ -259,7 +259,7 @@ CONFIG_SCHEMAS = {
         "properties": {
             **_COMMON,
             **_blocks("task", "optimizer", "clipping"),
-            "sigma": _NUM,
+            "sigma": _POS_NUM,
             "steps": _POS_INT,
             "batch_size": _POS_INT,
             "eval_size": _POS_INT,
@@ -276,13 +276,13 @@ CONFIG_SCHEMAS = {
             "n_nonmembers": _POS_INT,
             "dim": _POS_INT,
             "separation": _NUM,
-            "label_flip": _NUM,
+            "label_flip": {"type": "number", "minimum": 0, "maximum": 1},
             "epochs": _POS_INT,
-            "lr": _NUM,
+            "lr": _POS_NUM,
             "epsilon": _NUM,
             "delta": _NUM,
-            "split_fraction": _NUM,
-            "member_train_fraction": _NUM,
+            "split_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            "member_train_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         },
     },
 }
@@ -322,10 +322,10 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
 
     Implements the JSON Schema keywords that ``CONFIG_SCHEMAS`` uses, and no
     other: ``type``, ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``,
-    ``minItems``, ``minProperties``, ``required``, ``properties``,
-    ``additionalProperties`` and ``items``; any other raises
-    NotImplementedError.  Errors come in schema-keyword order with
-    jsonschema's messages.  No keyword applies two schemas at one path, so
+    ``maximum``, ``exclusiveMaximum``, ``minItems``, ``minProperties``,
+    ``required``, ``properties``, ``additionalProperties`` and ``items``; any
+    other raises NotImplementedError.  Errors come in schema-keyword order
+    with jsonschema's messages.  No keyword applies two schemas at one path, so
     ``rank``, (-depth, instance path), orders them as the key of
     ``jsonschema.exceptions.relevance`` does, and the first error of maximal
     rank is the one ``jsonschema.exceptions.best_match`` picks.
@@ -348,6 +348,12 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
         elif keyword == "exclusiveMinimum":
             if _is_type(value, "number") and value <= arg:
                 message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "maximum":
+            if _is_type(value, "number") and value > arg:
+                message = f"{value!r} is greater than the maximum of {arg!r}"
+        elif keyword == "exclusiveMaximum":
+            if _is_type(value, "number") and value >= arg:
+                message = f"{value!r} is greater than or equal to the maximum of {arg!r}"
         elif keyword == "minItems":
             if isinstance(value, list) and len(value) < arg:
                 message = f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
@@ -465,7 +471,8 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     whose tr(H Sigma) estimate needs two or more gradients.  A ``plot``
     names columns of the table.  No ``sweep-batch`` case name holds a
     carriage return, which Python 3.11's csv writer leaves bare under a
-    newline line terminator, so that a reader ends the row there.  Each
+    newline line terminator, so that a reader ends the row there, and each
+    case's inputs pass :class:`predictor.ImprovementInputs`' own rules.  Each
     ``calibrate`` batch is at most n, and a ``mia`` delta lies below
     1/n_members, beside each budget's own rules.  A ``train`` config is
     checked as the ``continual`` config it runs as (:func:`_one_phase`): a
@@ -486,8 +493,12 @@ def _rule_message(cfg: dict, command: str) -> str | None:
         return (f"plot names {', '.join(map(repr, missing))}, not in the "
                 f"{command} table's columns {', '.join(columns)}")
     if command == "sweep-batch":
-        return next((f"sweep-batch case name {name!r} holds a carriage return"
-                     for name in cfg["cases"] if "\r" in name), None)
+        for name, case in cfg["cases"].items():
+            if "\r" in name:
+                return f"sweep-batch case name {name!r} holds a carriage return"
+            if message := _refusal(predictor.ImprovementInputs, **case):
+                return f"sweep-batch case {name!r}: {message}"
+        return None
     if command == "calibrate":
         too_large = [b for b in cfg["batch_grid"] if b > cfg["n"]]
         if too_large:

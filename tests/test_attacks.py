@@ -487,21 +487,28 @@ def test_target_diverging_in_its_last_step_exits_2_without_csv(lr, tmp_path, cap
 
 @pytest.mark.parametrize("lr", [0.0, -0.5])
 def test_nonpositive_learning_rate_exits_1_without_csv(lr, tmp_path, capsys):
+    # the mia schema bounds each value at load, before any seed runs;
+    # OptimizerConfig and build_mia_dataset keep their checks for library callers
     assert run_mia(tmp_path, lr=lr) == 1
-    assert "learning rate must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"fails validation: {lr!r} is less than or equal to the minimum of 0\n"
+    )
     assert not list(tmp_path.glob("out/*.csv"))
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("member_train_fraction", -1.0),
-        ("member_train_fraction", 0.0),
-        ("label_flip", 2.0),
-        ("label_flip", -0.3),
-    ],
-)
+# the message of the schema bound that each value breaks
+FRACTION_MESSAGES = {
+    ("member_train_fraction", -1.0): "-1.0 is less than or equal to the minimum of 0",
+    ("member_train_fraction", 0.0): "0.0 is less than or equal to the minimum of 0",
+    ("label_flip", 2.0): "2.0 is greater than the maximum of 1",
+    ("label_flip", -0.3): "-0.3 is less than the minimum of 0",
+}
+
+
+@pytest.mark.parametrize("key, value", list(FRACTION_MESSAGES))
 def test_out_of_range_fraction_exits_1_without_csv(key, value, tmp_path, capsys):
     assert run_mia(tmp_path, **{key: value}) == 1
-    assert "must lie in" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"fails validation: {FRACTION_MESSAGES[key, value]}\n"
+    )
     assert not list(tmp_path.glob("out/*.csv"))

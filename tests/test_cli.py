@@ -591,6 +591,70 @@ class TestConfigHandling:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "base, change, message",
+        [
+            ("continual", {"optimizer": {"kind": "sgd", "eta": -0.1}},
+             "fails validation: learning rate must be positive"),
+            ("train", {"optimizer": {"kind": "adam", "beta1": 1.5}},
+             "fails validation: beta1 must lie in [0, 1)"),
+            ("continual", {"clipping": {"kind": "reparam", "r": 0}},
+             "fails validation: clipping threshold R must be positive"),
+            ("mia_toy.json", {"lr": 0}, "fails validation: 0 is less than or equal to the minimum of 0"),
+            ("mia_toy.json", {"split_fraction": 1.0},
+             "fails validation: 1.0 is greater than or equal to the maximum of 1"),
+            ("mia_toy.json", {"split_fraction": 0.0},
+             "fails validation: 0.0 is less than or equal to the minimum of 0"),
+            ("mia_toy.json", {"member_train_fraction": 1.5},
+             "fails validation: 1.5 is greater than the maximum of 1"),
+            ("mia_toy.json", {"label_flip": -0.1},
+             "fails validation: -0.1 is less than the minimum of 0"),
+            ("train", {"sigma": -0.5}, "fails validation: -0.5 is less than the minimum of 0"),
+            ("continual", {"sigma": -0.5}, "fails validation: -0.5 is less than the minimum of 0"),
+            ("fourway_mlp.json", {"sigma": 0.0},
+             "fails validation: 0.0 is less than or equal to the minimum of 0"),
+            ("oracle_small.json", {"trials": 99},
+             "fails validation: 99 is less than the minimum of 100"),
+            ("fourway_mlp.json", {"task": {"kind": "tinymlp", "n_in": 4, "hidden": 16,
+                                           "n_out": 2, "noise_std": -0.5}},
+             "fails validation: -0.5 is less than the minimum of 0"),
+            ("fourway_mlp.json", {"sigma": float("nan")}, not_finite(float("nan"))),
+            ("sweep-batch", {"cases": {"a": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
+                                             "tr_h_sigma": 1.0, "sigma": 0.5, "c": 2.0}}},
+             "fails validation: sweep-batch case 'a': clip scale c must lie in (0, 1]"),
+            ("sweep-batch", {}, None),
+        ],
+        ids=["eta", "beta1", "reparam-r", "mia-lr", "split-one", "split-zero",
+             "member-train-over-one", "label-flip", "train-sigma", "continual-sigma",
+             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "sweep-batch-c",
+             "valid-forks-once"],
+    )
+    def test_a_bad_value_exits_1_before_any_fork(
+        self, base, change, message, tmp_path, capsys, monkeypatch
+    ):
+        # two seeds on two usable cores fork one worker, so a rule checked
+        # in a runner would fork before it exits 1; a valid config shows
+        # that the probe counts the fork
+        command, payload = base_config(base)
+        path = write_config(tmp_path, {**payload, **change, "seeds": [0, 1]})
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
+        out = tmp_path / "out"
+        code = run_subcommand([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, len(forks), err) == (0, 1, "")
+            return
+        assert (code, len(forks)) == (1, 0)
+        assert err == f"config error: config {path} {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "schedule",
         [
             {"kind": "dpmd"},
@@ -733,7 +797,7 @@ class TestTaskFromConfig:
     @pytest.mark.parametrize(
         "key, bad, message",
         [
-            ("noise_std", -0.5, "noise_std must be finite and nonnegative"),
+            ("noise_std", -0.5, "fails validation: -0.5 is less than the minimum of 0"),
             ("noise_std", float("nan"), not_finite(float("nan"))),
             ("noise_std", float("inf"), not_finite(float("inf"))),
             ("target_scale", float("inf"), not_finite(float("inf"))),
@@ -1197,20 +1261,14 @@ class TestSubcommands:
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
 
     def test_a_config_error_from_a_runner_leaves_no_out_directory(self, tmp_path, capsys):
-        # the task block passes load_config, and the task's constructor refuses it
-        payload = {
-            "schema": 1,
-            "task": {"kind": "tinymlp", "n_in": 2, "hidden": 3, "n_out": 1, "noise_std": -0.5},
-            "optimizer": {"kind": "sgd"},
-            "sigma": 0.5,
-            "steps": 5,
-            "batch_size": 8,
-            "seeds": [0, 1, 2],
-        }
+        # the config passes load_config, and continual_pretrain refuses the
+        # private task, whose parameter count needs the built tasks
+        payload = {**mlp_continual_config(), "seeds": [0, 1, 2],
+                   "task_private": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 3}}
         path = write_config(tmp_path, payload)
-        out = tmp_path / "fw"
-        assert run_subcommand(["fourway", "--config", str(path), "--out", str(out)]) == 1
-        assert "noise_std must be finite and nonnegative" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 1
+        assert "private task has 67 parameters, public task 58" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):

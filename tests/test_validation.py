@@ -74,6 +74,16 @@ VALUES = [
 ]
 
 
+BOUND_KEYWORDS = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum")
+BOUNDS = sorted({
+    sub[keyword] for schema in CONFIG_SCHEMAS.values() for sub in subschemas(schema)
+    for keyword in BOUND_KEYWORDS if keyword in sub
+})
+# each bound of a config schema, and one either side of it, as an int and as a float
+BOUNDARY_VALUES = [kind(bound + step) for bound in BOUNDS for step in (-1, 0, 1)
+                   for kind in (int, float)]
+
+
 def nodes(value, path=()):
     """(path, node) of ``value`` and of every container or leaf inside it."""
     yield path, value
@@ -90,12 +100,14 @@ def mutate(cfg, rng):
     cfg = json.loads(json.dumps(cfg))
     for _ in range(rng.randint(1, 3)):
         path, node = rng.choice(list(nodes(cfg)))
-        edit = rng.randrange(4)
+        parent = cfg
+        for step in path[:-1]:
+            parent = parent[step]
+        edit = rng.randrange(5)
         if edit == 0 and path:  # replace a value
-            parent = cfg
-            for step in path[:-1]:
-                parent = parent[step]
             parent[path[-1]] = json.loads(json.dumps(rng.choice(VALUES)))
+        elif edit == 4 and path and type(node) in (int, float):  # move a number to a bound
+            parent[path[-1]] = rng.choice(BOUNDARY_VALUES)
         elif edit == 1 and isinstance(node, dict) and node:  # drop a key
             del node[rng.choice(list(node))]
         elif edit == 2 and isinstance(node, dict):  # add or overwrite a key
@@ -111,6 +123,9 @@ def mutate(cfg, rng):
 def test_verdict_and_message_are_jsonschemas_best_match():
     rng = random.Random(20240229)
     verdicts = {True: 0, False: 0}
+    # how often jsonschema's chosen error is each bound keyword's
+    phrases = {"is less than the minimum": 0, "is less than or equal to the minimum": 0,
+               "is greater than the maximum": 0, "is greater than or equal to the maximum": 0}
     for command, base in base_configs():
         # each config also against every other subcommand's schema
         for schema in CONFIG_SCHEMAS.values():
@@ -121,7 +136,10 @@ def test_verdict_and_message_are_jsonschemas_best_match():
             expected = reference_message(cfg, schema)
             assert validation_message(cfg, schema) == expected, (command, cfg)
             verdicts[expected is None] += 1
+            for phrase in phrases:
+                phrases[phrase] += phrase in (expected or "")
     assert min(verdicts.values()) > 2000, verdicts
+    assert min(phrases.values()) >= 5, phrases
 
 
 @pytest.mark.parametrize(
@@ -175,7 +193,7 @@ def test_every_schema_keyword_is_implemented():
 
 @pytest.mark.parametrize(
     "schema",
-    [{"maximum": 3}, {"type": "object", "properties": {"n": {"multipleOf": 2}}},
+    [{"maxLength": 3}, {"type": "object", "properties": {"n": {"multipleOf": 2}}},
      {"if": {}, "then": {}}],
     ids=["top", "nested", "if"],
 )
