@@ -29,13 +29,17 @@ that the run would not read is a config error, not a silent no-op.
 ``_BLOCK_KEYS`` is the one table of config blocks: for each kind of task,
 optimizer, clipping or schedule block, the keys it needs and may take, each
 with its schema.  The blocks' schemas in ``CONFIG_SCHEMAS``, plain JSON
-Schema, are built from it.  :func:`load_config` checks a config before any
-seed runs, against its schema, then against the table, then each block's
-values, and then the rules that tie keys together (:func:`_rule_message`).
-An optimizer, clipping or schedule block is built once at load, by the
-constructor its runner calls, so each value rule is written once, in that
-constructor; a task block is not built, since a task draws data.
-It is the one place that checks a rule reading the config alone, and the
+Schema, are built from it.  :func:`load_config` parses a config with every
+number finite: NaN, Infinity, -Infinity and a number that overflows a
+float, such as 1e309, are config errors (:func:`_finite`), so no later rule
+checks finiteness.  It checks the config before any seed runs, against its
+schema, then against the table, then each block's values, and then the
+rules that tie keys together (:func:`_rule_message`).  An optimizer,
+clipping or schedule block is built once at load, by the constructor its
+runner calls, so each value rule is written once, in that constructor.  A
+task block is not built, since a task draws data: a quadratic task's values
+are checked by :func:`_quadratic_message`, the others' by schema bounds.
+:func:`load_config` is the one place that checks a rule reading the config alone, and the
 only raiser of :class:`ConfigError`: the runners only build and run.  The
 schemas' validator (:func:`validation_message`) reports the error that
 jsonschema's ``best_match`` would, with an integer type that admits only a
@@ -511,7 +515,7 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     cfg = _one_phase(cfg) if command == "train" else cfg
     schedule = cfg.get("schedule", {})
     kind = schedule.get("kind")
-    *_, beside = _BLOCK_KEYS["schedule"][kind] if kind else ((),)
+    beside = _BLOCK_KEYS["schedule"][kind][2] if kind else ()
     unread = sorted(set(beside) & set(cfg))
     if unread:
         return f"the {kind} schedule leaves {', '.join(unread)} unread"

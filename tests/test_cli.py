@@ -1428,3 +1428,20 @@ def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_p
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_loading_every_shipped_config_leaves_out_numpy_random():
+    # load_config builds no task, whose teacher or data draw would import
+    # numpy.random into every run's setup before the runner needs it
+    script = (
+        "import sys\n"
+        "import dplens.cli\n"
+        f"for name, command in {SHIPPED_CONFIGS!r}.items():\n"
+        f"    dplens.cli.load_config({str(CONFIG_DIR)!r} + '/' + name, command)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
