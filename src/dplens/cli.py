@@ -516,7 +516,7 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     schedule = cfg.get("schedule", {})
     kind = schedule.get("kind")
     beside = _BLOCK_KEYS["schedule"][kind][2] if kind else ()
-    unread = sorted(set(beside) & set(cfg))
+    unread = sorted(key for key in beside if key in cfg)
     if unread:
         return f"the {kind} schedule leaves {', '.join(unread)} unread"
     steps = cfg["epochs"] * cfg["steps_per_epoch"]

@@ -360,12 +360,9 @@ class TestConfigHandling:
         "change, named",
         [
             ({"clipping": {"kind": "reparam", "r": 0}}, "clipping threshold R must be positive"),
-            ({"optimizer": {"kind": "sgd", "eta": 0.0}}, "learning rate must be positive"),
             ({"optimizer": {"kind": "adam", "beta2": 1.0}}, "beta2 must lie in [0, 1)"),
-            ({"schedule": {"kind": "indicator", "s": 1.0, "total": 5}},
-             "indicator switch fraction s must lie in (0, 1)"),
         ],
-        ids=["reparam-r0", "eta-zero", "beta2-one", "indicator-s-one"],
+        ids=["reparam-r0", "beta2-one"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # load_config builds each optimizer, clipping and schedule block with
