@@ -93,6 +93,30 @@ def _row_keys(xs: Array) -> set[bytes]:
     return {np.ascontiguousarray(row).tobytes() for row in np.atleast_2d(xs)}
 
 
+def mia_split_sizes(
+    n_members: int,
+    n_nonmembers: int,
+    split_fraction: float = 0.5,
+    member_train_fraction: float = 0.1,
+) -> tuple[int, int]:
+    """``(n_test, n_train_members)`` of :func:`build_mia_dataset`'s split.
+
+    The test split takes ``n_test`` non-members and as many members, at
+    least one of each and at most all but one; the attack's training split
+    takes ``n_train_members``, at least one, of the members left over.
+    """
+    if not 0.0 < split_fraction < 1.0:
+        raise ValueError("split fraction must lie in (0, 1)")
+    if not 0.0 < member_train_fraction <= 1.0:
+        raise ValueError("member train fraction must lie in (0, 1]")
+    n_test = int(round(split_fraction * n_nonmembers))
+    n_test = max(1, min(n_test, n_nonmembers - 1, n_members - 1))
+    n_train_members = max(1, int(round(member_train_fraction * n_members)))
+    if n_members - n_test < n_train_members:
+        raise ValueError("not enough members left for the attack training split")
+    return n_test, n_train_members
+
+
 def build_mia_dataset(
     target: SoftmaxTask,
     w: Array,
@@ -106,8 +130,9 @@ def build_mia_dataset(
 
     The test split takes ``split_fraction`` of the non-members plus the same
     number of members; the attack's training split gets all remaining
-    non-members and a ``member_train_fraction`` share of the members.  Member
-    and non-member example sets must be disjoint.
+    non-members and a ``member_train_fraction`` share of the members
+    (:func:`mia_split_sizes`).  Member and non-member example sets must be
+    disjoint.
     """
     x_mem, y_mem = member_set
     x_non, y_non = nonmember_set
@@ -115,24 +140,17 @@ def build_mia_dataset(
     x_non = np.atleast_2d(np.asarray(x_non, dtype=float))
     if x_mem.shape[0] == 0 or x_non.shape[0] == 0:
         raise ValueError("member and non-member sets must be nonempty")
-    if not 0.0 < split_fraction < 1.0:
-        raise ValueError("split fraction must lie in (0, 1)")
-    if not 0.0 < member_train_fraction <= 1.0:
-        raise ValueError("member train fraction must lie in (0, 1]")
+    n_test, n_train_mem = mia_split_sizes(
+        x_mem.shape[0], x_non.shape[0], split_fraction, member_train_fraction
+    )
     if _row_keys(x_mem) & _row_keys(x_non):
         raise ValueError("member and non-member sets overlap")
 
-    n_test = int(round(split_fraction * x_non.shape[0]))
-    n_test = max(1, min(n_test, x_non.shape[0] - 1, x_mem.shape[0] - 1))
     perm_non = rng.permutation(x_non.shape[0])
     perm_mem = rng.permutation(x_mem.shape[0])
     test_non, train_non = perm_non[:n_test], perm_non[n_test:]
     test_mem = perm_mem[:n_test]
-    n_train_mem = max(1, int(round(member_train_fraction * x_mem.shape[0])))
-    remaining = perm_mem[n_test:]
-    if len(remaining) < n_train_mem:
-        raise ValueError("not enough members left for the attack training split")
-    train_mem = remaining[:n_train_mem]
+    train_mem = perm_mem[n_test:n_test + n_train_mem]
 
     def _features(xs, ys):
         # huge weights overflow here; fit_mia_classifier rejects what is not finite

@@ -101,9 +101,7 @@ _BLOCK_KEYS = {
                     {"teacher_seed": {"type": "integer"}, "noise_std": _NONNEG_NUM,
                      "target_scale": _NUM}),
     },
-    "optimizer": {"sgd": ({}, {"eta": _NUM}),
-                  "adam": ({}, {"eta": _NUM, "beta1": _NUM, "beta2": _NUM,
-                                "epsilon_stabilizer": _NUM})},
+    "optimizer": {"sgd": ({"eta": _NUM}, {}), "adam": ({"eta": _NUM}, {})},
     "clipping": {"auto": ({}, {}), "reparam": ({}, {"r": _NUM}), "none": ({}, {})},
     # the two-phase loop runs only the binary schedules
     "schedule": {
@@ -115,23 +113,22 @@ _BLOCK_KEYS = {
 # the config keys that hold a block, and the block each holds
 _BLOCK_OF = {"task": "task", "task_public": "task", "task_private": "task",
              "optimizer": "optimizer", "clipping": "clipping", "schedule": "schedule"}
-# only an optimizer block may leave its kind out, which then is its constructor's default
-_DEFAULT_KIND = {"optimizer": trainer.OptimizerConfig.kind}
 
 
 def _blocks(*names: str) -> dict:
     """The schema of each config key in ``names`` that holds a block: an
-    object whose ``kind`` names a row of the block's ``_BLOCK_KEYS``, and
-    that takes each key some kind reads."""
+    object whose ``kind`` names a row of the block's ``_BLOCK_KEYS``, that
+    has ``kind`` and each key every kind needs, and that takes each key some
+    kind reads."""
     schemas = {}
     for name in names:
         kinds = _BLOCK_KEYS[_BLOCK_OF[name]]
+        needed_by_all = set.intersection(*(set(needed) for needed, *_ in kinds.values()))
         properties = {"kind": {"enum": list(kinds)}}
         for needed, optional, *_ in kinds.values():
             properties.update(needed, **optional)
-        required = {} if _BLOCK_OF[name] in _DEFAULT_KIND else {"required": ["kind"]}
-        schemas[name] = {"type": "object", "additionalProperties": False, **required,
-                         "properties": properties}
+        schemas[name] = {"type": "object", "additionalProperties": False,
+                         "required": ["kind", *sorted(needed_by_all)], "properties": properties}
     return schemas
 
 
@@ -434,7 +431,7 @@ def _block_message(cfg: dict) -> str | None:
                 "schedule": predictor.AlphaSchedule}
     for name, block in _BLOCK_OF.items():
         if name in cfg:
-            kind = cfg[name].get("kind", _DEFAULT_KIND.get(block))
+            kind = cfg[name]["kind"]
             required, optional, *_ = _BLOCK_KEYS[block][kind]
             missing = [key for key in required if key not in cfg[name]]
             unread = sorted(set(cfg[name]) - {"kind", *required, *optional})
@@ -460,6 +457,13 @@ def _refusal(constructor, *args, **kwargs) -> str | None:
     return None
 
 
+def _parameter_count(block: dict) -> int:
+    """The dimension of the task a checked task block builds, without building it."""
+    if block["kind"] == "tinymlp":
+        return TinyMlpTask.parameter_count(block["n_in"], block["hidden"], block["n_out"])
+    return block["dimension"]
+
+
 def _one_phase(cfg: dict) -> dict:
     """The ``continual`` config that a ``train`` config runs as: one epoch of
     ``steps`` steps on ``task``, under the one-sided schedule of its mode."""
@@ -478,16 +482,18 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     newline line terminator, so that a reader ends the row there, and each
     case's inputs pass :class:`predictor.ImprovementInputs`' own rules.  Each
     ``calibrate`` batch is at most n, and a ``mia`` delta lies below
-    1/n_members, beside each budget's own rules.  A ``train`` config is
-    checked as the ``continual`` config it runs as (:func:`_one_phase`): a
-    schedule leaves the keys its ``_BLOCK_KEYS`` row names unread, and an
-    indicator spans the run.  A run with private steps gives ``sigma`` or a
-    ``privacy`` block, not both.  The block calibrates sigma for T =
-    ceil(sample_budget / batch_size) steps of batch_size out of n samples,
-    so it needs clipping, which bounds the sensitivity, batch_size <= n, a
-    valid budget, and a run that can take no more than T private steps:
-    those from ceil(s total) on under an indicator, else all, since the
-    switch may fire at once.
+    1/n_members, beside each budget's own rules, and a ``mia`` split leaves
+    enough members for the attack's training split
+    (:func:`attacks.mia_split_sizes`).  A ``train`` config is checked as the
+    ``continual`` config it runs as (:func:`_one_phase`): a schedule leaves
+    the keys its ``_BLOCK_KEYS`` row names unread, the private task has as
+    many parameters as the public one, and an indicator spans the run.  A
+    run with private steps gives ``sigma`` or a ``privacy`` block, not both.
+    The block calibrates sigma for T = ceil(sample_budget / batch_size) steps
+    of batch_size out of n samples, so it needs clipping, which bounds the
+    sensitivity, batch_size <= n, a valid budget, and a run that can take no
+    more than T private steps: those from ceil(s total) on under an
+    indicator, else all, since the switch may fire at once.
     """
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         return "hessian_probes needs batch_size of at least 2"
@@ -509,7 +515,9 @@ def _rule_message(cfg: dict, command: str) -> str | None:
             return f"batch_grid entry {too_large[0]} exceeds n {cfg['n']}"
         return _refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"])
     if command == "mia":
-        return _refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"], cfg["n_members"])
+        return (_refusal(privacy.PrivacyBudget, cfg["epsilon"], cfg["delta"], cfg["n_members"])
+                or _refusal(attacks.mia_split_sizes, cfg["n_members"], cfg["n_nonmembers"],
+                            **_given(cfg, "split_fraction", "member_train_fraction")))
     if command not in ("train", "continual"):
         return None
     cfg = _one_phase(cfg) if command == "train" else cfg
@@ -519,6 +527,10 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     unread = sorted(key for key in beside if key in cfg)
     if unread:
         return f"the {kind} schedule leaves {', '.join(unread)} unread"
+    if "task_private" in cfg:
+        n_pub, n_priv = map(_parameter_count, (cfg["task_public"], cfg["task_private"]))
+        if n_priv != n_pub:
+            return f"private task has {n_priv} parameters, public task {n_pub}"
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if kind == "indicator":
         if schedule["total"] != steps:
@@ -856,7 +868,7 @@ def _fit_target(
     A non-finite loss, or non-finite weights after the last step, is a
     FloatingPointError.
     """
-    config = trainer.OptimizerConfig(eta=lr)
+    config = trainer.OptimizerConfig("sgd", lr)
     w, state = np.zeros(task.dimension), trainer.OptimizerState.zeros(task.dimension)
     b = task.xs.shape[0]  # every batch is the whole set
     for epoch in range(epochs):

@@ -45,25 +45,24 @@ from .predictor import AlphaSchedule, alpha_schedule_value
 Array = np.ndarray
 
 
+# Adam's moment decay rates and the stabilizer added to sqrt(v_hat)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """First-order optimizer settings shared by DP and non-DP loops."""
 
-    kind: str = "sgd"  # sgd | adam
-    eta: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_stabilizer: float = 1e-8
+    kind: str  # sgd | adam
+    eta: float
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("learning rate must be positive")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
 
 
 @dataclass
@@ -96,17 +95,17 @@ def optimizer_direction(
     # Adam, each of m, v and the direction built in its own new array with the
     # rounding of beta1 m + (1 - beta1) g, beta2 v + (1 - beta2) g g and
     # m_hat / (sqrt(v_hat) + epsilon); scratch holds each term in turn
-    m = state.m * config.beta1
-    scratch = g * (1.0 - config.beta1)
+    m = state.m * ADAM_BETA1
+    scratch = g * (1.0 - ADAM_BETA1)
     m += scratch
-    v = state.v * config.beta2
-    np.multiply(g, 1.0 - config.beta2, out=scratch)
+    v = state.v * ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= g
     v += scratch
-    direction = m / (1.0 - config.beta1**t)
-    np.divide(v, 1.0 - config.beta2**t, out=scratch)
+    direction = m / (1.0 - ADAM_BETA1**t)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += config.epsilon_stabilizer
+    scratch += ADAM_EPSILON
     direction /= scratch
     return direction, OptimizerState(t, m, v)
 

@@ -323,15 +323,16 @@ def mlp_gradient_hessian_forms(task, w, batch):
     return g_hat, (forms + shared) / m, g_h_g, float(traces.mean())
 
 
-def adam_direction(g, config, state):
-    """The Adam branch of ``trainer.optimizer_direction`` on a gradient ``g``:
-    the direction and the new ``(t, m, v)``."""
+def adam_direction(g, state):
+    """The Adam branch of ``trainer.optimizer_direction`` on a gradient ``g``,
+    with the usual beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8: the
+    direction and the new ``(t, m, v)``."""
     t = state.t + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * g
-    v = config.beta2 * state.v + (1.0 - config.beta2) * g * g
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    return m_hat / (np.sqrt(v_hat) + config.epsilon_stabilizer), (t, m, v)
+    m = 0.9 * state.m + (1.0 - 0.9) * g
+    v = 0.999 * state.v + (1.0 - 0.999) * g * g
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return m_hat / (np.sqrt(v_hat) + 1e-8), (t, m, v)
 
 
 def plain_noised_mean(totals, b, sigma, rng):

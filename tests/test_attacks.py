@@ -20,6 +20,7 @@ from dplens.attacks import (
     build_mia_dataset,
     evaluate_mia,
     fit_mia_classifier,
+    mia_split_sizes,
     two_blob_data,
 )
 from dplens.cli import Table, _fit_target, _mia_row, _write_csv, run_subcommand, table_columns
@@ -91,6 +92,16 @@ class TestBuildDataset:
         train_labels = ds.labels[ds.train_idx]
         assert (train_labels == 1).sum() == 10
         assert (train_labels == 0).sum() == 60
+        assert mia_split_sizes(100, 100, 0.4, 0.1) == (40, 10)
+
+    def test_too_few_members_rejected(self):
+        # the test split takes the one member, and the attack's training
+        # split needs one more; the counts alone decide it
+        with pytest.raises(ValueError, match="not enough members left"):
+            mia_split_sizes(1, 20)
+        with pytest.raises(ValueError, match="not enough members left"):
+            build_mia_dataset(*toy_target(2, 3), blobs(1, 3, 4), blobs(20, 3, 5),
+                              np.random.default_rng(0))
 
 
 class TestFitClassifier:
@@ -386,7 +397,7 @@ class TestSoftmaxDpStepChecks:
         task = SoftmaxTask(*two_blob_data(10, 3, np.random.default_rng(30)), 2)
         state = OptimizerState.zeros(task.dimension)
         w = np.zeros(task.dimension)
-        return dp_step(task, w, None, 10, rule, sigma, OptimizerConfig(eta=0.5), state, rng)
+        return dp_step(task, w, None, 10, rule, sigma, OptimizerConfig("sgd", 0.5), state, rng)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -360,9 +360,9 @@ class TestConfigHandling:
         "change, named",
         [
             ({"clipping": {"kind": "reparam", "r": 0}}, "clipping threshold R must be positive"),
-            ({"optimizer": {"kind": "adam", "beta2": 1.0}}, "beta2 must lie in [0, 1)"),
+            ({"optimizer": {"kind": "adam", "eta": 0.0}}, "learning rate must be positive"),
         ],
-        ids=["reparam-r0", "beta2-one"],
+        ids=["reparam-r0", "adam-eta0"],
     )
     def test_bad_block_is_a_config_error(self, change, named, tmp_path, capsys, monkeypatch):
         # load_config builds each optimizer, clipping and schedule block with
@@ -435,10 +435,10 @@ class TestConfigHandling:
             ("continual", {"task_public": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
                                            "n_out": 1, "separation": 2.0}},
              "tinymlp task does not read separation"),
-            ("train", {"optimizer": {"kind": "sgd", "eta": 0.1, "beta1": 0.5, "beta2": 0.9}},
-             "sgd optimizer does not read beta1, beta2"),
-            ("continual", {"optimizer": {"eta": 0.1, "epsilon_stabilizer": 1e-6}},
-             "sgd optimizer does not read epsilon_stabilizer"),
+            ("train", {"optimizer": {"kind": "adam", "eta": 0.1, "beta1": 0.5}},
+             "Additional properties are not allowed ('beta1' was unexpected)"),
+            ("continual", {"optimizer": {"eta": 0.1}}, "'kind' is a required property"),
+            ("train", {"optimizer": {"kind": "adam"}}, "'eta' is a required property"),
             ("train", {"clipping": {"kind": "auto", "r": 5.0}}, "auto clipping does not read r"),
             ("continual", {"clipping": {"kind": "none", "r": 5.0}},
              "none clipping does not read r"),
@@ -503,6 +503,9 @@ class TestConfigHandling:
              "the only_public schedule leaves privacy, sigma unread"),
             ("continual", {"schedule": {"kind": "indicator", "s": 0.5, "total": 4}},
              "indicator schedule spans 4 steps, but the run takes 5"),
+            ("continual", {"task_private": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
+                                            "n_out": 1}},
+             "private task has 17 parameters, public task 4"),
             # sigma, or a privacy block the run keeps
             ("continual", {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
                                        "sample_budget": 100}},
@@ -536,6 +539,8 @@ class TestConfigHandling:
              {"privacy": {"epsilon": 0.0, "delta": 1e-5, "n": 1000, "sample_budget": 1000}},
              "epsilon must be positive"),
             ("mia_toy.json", {"delta": 0.5}, "delta must be below 1/n for a dataset of size n"),
+            ("mia_toy.json", {"n_members": 4, "member_train_fraction": 0.9},
+             "not enough members left for the attack training split"),
             ("calibrate_bench.json", {"batch_grid": [10, 10000000]},
              "batch_grid entry 10000000 exceeds n 1000000"),
             ("calibrate_bench.json", {"delta": 1.5}, "delta must lie strictly in (0, 1)"),
@@ -551,17 +556,18 @@ class TestConfigHandling:
              "sweep-batch case name 'a\\rb' holds a carriage return"),
         ],
         ids=["quadratic-needs", "logistic-needs", "tinymlp-needs", "quadratic-unread",
-             "logistic-unread", "tinymlp-unread", "sgd-unread", "default-kind-unread",
+             "logistic-unread", "tinymlp-unread", "adam-beta1", "no-kind", "no-eta",
              "auto-unread", "none-unread", "indicator-needs-s", "indicator-needs-total",
              "only_private-unread", "sgd_momentum", "mu", "weight_decay", "reset_policy",
              "head_reinit", "hessian-diag-and-scale", "covariance-diag-and-scale",
              "diag-length", "negative-scale", "x_mean-length", "oracle-tinymlp",
              "patience-with-schedule", "demo-only_private", "only_public-task_private",
              "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
-             "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy",
+             "public-clipping", "public-privacy", "indicator-horizon", "private-task-count",
+             "sigma-and-privacy",
              "train-sigma-and-privacy", "no-sigma", "train-unclipped", "continual-unclipped",
              "train-too-long", "continual-too-long", "indicator-tail-too-long",
-             "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half",
+             "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half", "mia-split",
              "calibrate-batch-over-n", "calibrate-delta",
              "plot-column-without-curvature", "train-plot-columns", "carriage-return"],
     )
@@ -592,8 +598,6 @@ class TestConfigHandling:
         [
             ("continual", {"optimizer": {"kind": "sgd", "eta": -0.1}},
              "fails validation: learning rate must be positive"),
-            ("train", {"optimizer": {"kind": "adam", "beta1": 1.5}},
-             "fails validation: beta1 must lie in [0, 1)"),
             ("continual", {"clipping": {"kind": "reparam", "r": 0}},
              "fails validation: clipping threshold R must be positive"),
             ("mia_toy.json", {"lr": 0}, "fails validation: 0 is less than or equal to the minimum of 0"),
@@ -615,15 +619,19 @@ class TestConfigHandling:
                                            "n_out": 2, "noise_std": -0.5}},
              "fails validation: -0.5 is less than the minimum of 0"),
             ("fourway_mlp.json", {"sigma": float("nan")}, not_finite(float("nan"))),
+            ("continual_demo.json", {"task_private": {"kind": "quadratic", "dimension": 3}},
+             "fails validation: private task has 3 parameters, public task 6"),
+            ("mia_toy.json", {"n_members": 1},
+             "fails validation: not enough members left for the attack training split"),
             ("sweep-batch", {"cases": {"a": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
                                              "tr_h_sigma": 1.0, "sigma": 0.5, "c": 2.0}}},
              "fails validation: sweep-batch case 'a': clip scale c must lie in (0, 1]"),
             ("sweep-batch", {}, None),
         ],
-        ids=["eta", "beta1", "reparam-r", "mia-lr", "split-one", "split-zero",
+        ids=["eta", "reparam-r", "mia-lr", "split-one", "split-zero",
              "member-train-over-one", "label-flip", "train-sigma", "continual-sigma",
-             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "sweep-batch-c",
-             "valid-forks-once"],
+             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "private-task-count",
+             "mia-members", "sweep-batch-c", "valid-forks-once"],
     )
     def test_a_bad_value_exits_1_before_any_fork(
         self, base, change, message, tmp_path, capsys, monkeypatch
@@ -983,14 +991,16 @@ class TestSubcommands:
     def test_a_private_task_of_another_shape_fails_before_any_step(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a 4-8-3 private task once failed after the eight public steps
+        # a 4-8-3 private task once failed after the eight public steps;
+        # its parameter count reads the config alone, so load_config refuses it
         payload = {**mlp_continual_config(),
                    "task_private": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 3}}
         path = write_config(tmp_path, payload)
         refuse_steps(monkeypatch)
         assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert "config error: private task has 67 parameters, public task 58" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: config {path} fails validation: "
+            "private task has 67 parameters, public task 58\n"
         )
         assert not list(tmp_path.glob("*.csv"))
 
@@ -1257,15 +1267,19 @@ class TestSubcommands:
         assert (tmp_path / "sweep_batch_seed0.csv").exists()
         assert (tmp_path / "sweep_batch_seed1.csv").exists()
 
-    def test_a_config_error_from_a_runner_leaves_no_out_directory(self, tmp_path, capsys):
-        # the config passes load_config, and continual_pretrain refuses the
-        # private task, whose parameter count needs the built tasks
-        payload = {**mlp_continual_config(), "seeds": [0, 1, 2],
-                   "task_private": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 3}}
-        path = write_config(tmp_path, payload)
+    def test_a_config_error_from_a_runner_leaves_no_out_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the config passes load_config, and a library check that load_config
+        # does not repeat refuses every seed, in this process and in the workers
+        def refuse(*args, **kwargs):
+            raise ValueError("refused in the runner")
+
+        monkeypatch.setattr(trainer, "continual_pretrain", refuse)
+        path = write_config(tmp_path, {**mlp_continual_config(), "seeds": [0, 1, 2]})
         out = tmp_path / "out"
         assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 1
-        assert "private task has 67 parameters, public task 58" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: refused in the runner\n"
         assert not out.exists()
 
     def test_seed_flag_runs_one_seed_under_the_plain_name(self, tmp_path):

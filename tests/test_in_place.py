@@ -92,7 +92,7 @@ def test_adam_direction_bit_for_bit(t):
     g = rng.standard_normal(50)
     state = _state(rng, 50, t)
     direction, new_state = optimizer_direction(g, config, state)
-    ref_direction, (ref_t, ref_m, ref_v) = adam_direction(g, config, state)
+    ref_direction, (ref_t, ref_m, ref_v) = adam_direction(g, state)
     assert np.array_equal(direction, ref_direction)
     assert new_state.t == ref_t
     assert np.array_equal(new_state.m, ref_m)

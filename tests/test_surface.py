@@ -8,8 +8,8 @@ definition refers to, as a bare name, as an attribute (``module.name``,
 reached class brings in its bases, decorators, class-level statements and
 dunder methods, which Python calls for it; its other methods are reached
 only when reached code reads an attribute of that name.  Names are matched
-by spelling across the package; ``import`` statements and ``__init__.py``
-re-exports reach nothing.  A public name or method the walk never reaches
+by spelling across the package; ``import`` statements reach nothing, and
+``__init__.py`` imports nothing: each caller imports the module it uses.  A public name or method the walk never reaches
 fails the test unless the allowlist maps its name to the open ROADMAP item
 that will call it; allowlisted names are walked as extra roots, so what only
 they use passes too.
@@ -125,6 +125,12 @@ def unreachable(sources: dict[str, str], extra_roots=()) -> list[str]:
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreachable(package_sources(), AWAITING_CALLER) == []
+
+
+def test_the_package_root_imports_nothing():
+    # ``from dplens import X`` names a module, so the root re-exports no name
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_allowlist_names_exist_and_still_lack_a_caller():
