@@ -564,9 +564,9 @@ class TestConfigHandling:
              "patience-with-schedule", "demo-only_private", "only_public-task_private",
              "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
              "public-clipping", "public-privacy", "indicator-horizon", "private-task-count",
-             "sigma-and-privacy",
-             "train-sigma-and-privacy", "no-sigma", "train-unclipped", "continual-unclipped",
-             "train-too-long", "continual-too-long", "indicator-tail-too-long",
+             "sigma-and-privacy", "train-sigma-and-privacy", "no-sigma", "train-unclipped",
+             "continual-unclipped", "train-too-long", "continual-too-long",
+             "indicator-tail-too-long",
              "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half", "mia-split",
              "calibrate-batch-over-n", "calibrate-delta",
              "plot-column-without-curvature", "train-plot-columns", "carriage-return"],

@@ -9,10 +9,11 @@ reached class brings in its bases, decorators, class-level statements and
 dunder methods, which Python calls for it; its other methods are reached
 only when reached code reads an attribute of that name.  Names are matched
 by spelling across the package; ``import`` statements reach nothing, and
-``__init__.py`` imports nothing: each caller imports the module it uses.  A public name or method the walk never reaches
-fails the test unless the allowlist maps its name to the open ROADMAP item
-that will call it; allowlisted names are walked as extra roots, so what only
-they use passes too.
+``__init__.py`` imports nothing: each caller imports the module it uses.  A
+public name or method the walk never reaches fails the test unless the
+allowlist maps its name to the open ROADMAP item that will call it;
+allowlisted names are walked as extra roots, so what only they use passes
+too.
 """
 
 import ast
