@@ -13,7 +13,8 @@ comma, a double quote or a newline, and, when the config asks for a ``plot``,
 draws the SVG from the same in-memory table (:func:`emit_svg_lineplot`).
 A multi-seed run shares its seeds among forked workers, one per usable core
 (``trainer.usable_cores``; ``taskset -c 0`` gives one), and writes their
-files in seed order, as a serial loop would (:func:`_seed_tables`).
+files in seed order, as a serial loop would (``trainer._run_striped``, which
+runs the oracle's chunks too).
 ``--jobs`` stays accepted and ignored until ROADMAP item 1 deletes it.
 Exit codes: 0 success; 1 config error, or an ``OSError`` while making the
 ``--out`` directory or writing a CSV or SVG, reported on one line that
@@ -55,8 +56,6 @@ import functools
 import json
 import math
 import os
-import pickle
-import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -925,75 +924,6 @@ def _seed_name(command: str, seed: int, multi: bool) -> str:
     return f"{stem}_seed{seed}.csv" if multi else f"{stem}.csv"
 
 
-def _seed_tables(runner, cfg: dict, seeds: list[int]):
-    """Yield ``runner(cfg, seed)`` for each seed, in seed order.
-
-    W = min(len(seeds), usable cores) workers share the seeds: this process
-    runs ``seeds[0::W]`` itself, and W - 1 children forked at the start run
-    ``seeds[k::W]``.  After each seed child k sends one pickled ``(table,
-    exception)`` message down its own pipe, and it stops after its first
-    exception or its first table with an ``abort_reason``.  A seed's
-    exception is raised when its turn comes, and a child that dies without
-    sending a seed's message is a ChildProcessError naming the seed.  When
-    the generator ends, fails or is closed, the pipes are closed and every
-    child still alive is killed and reaped.  With one seed or one core
-    nothing is forked, and this is a serial loop.
-    """
-    workers = min(len(seeds), trainer.usable_cores())
-    children = {}  # worker k -> (pid, read end of its pipe)
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    # keep only this pipe's write end, so that a write to a
-                    # pipe whose reader is gone fails rather than blocks
-                    os.close(read_fd)
-                    for _, reader in children.values():
-                        reader.close()
-                    with open(write_fd, "wb") as out:
-                        for seed in seeds[k::workers]:
-                            try:
-                                table, error = runner(cfg, seed), None
-                            except Exception as exc:
-                                table, error = None, exc
-                            pickle.dump((table, error), out)
-                            out.flush()
-                            if error is not None or table.abort_reason is not None:
-                                break
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children[k] = (pid, open(read_fd, "rb"))
-        for i, seed in enumerate(seeds):
-            if i % workers == 0:
-                yield runner(cfg, seed)
-                continue
-            pid, reader = children[i % workers]
-            try:
-                table, error = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                reader.close()
-                del children[i % workers]
-                _, status = os.waitpid(pid, 0)
-                raise ChildProcessError(
-                    f"the worker for seed {seed} exited with code "
-                    f"{os.waitstatus_to_exitcode(status)} before sending its table"
-                ) from None
-            if error is not None:
-                raise error
-            yield table
-    finally:
-        for _, reader in children.values():
-            reader.close()
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 # --------------------------------------------------------------------------
 # SVG line plots
 # --------------------------------------------------------------------------
@@ -1161,7 +1091,7 @@ def run_subcommand(argv: list[str]) -> int:
         )
         seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
         paths = []
-        tables = _seed_tables(_RUNNERS[args.command], cfg, seeds)
+        tables = trainer._run_striped(functools.partial(_RUNNERS[args.command], cfg), seeds)
         try:
             for seed, table in zip(seeds, tables):
                 log = outdir / _seed_name(args.command, seed, len(seeds) > 1)

@@ -18,8 +18,10 @@ the clipping rule and sigma passed to it.
 Each cell's trials stay i.i.d., but the z-scores of cells that share a batch
 size are correlated.  The trials run in chunks, each drawing from its own
 generator spawned from the caller's.  The chunks run striped over the
-usable cores (:func:`usable_cores`), the calling thread being one of them,
-and the output bytes depend on the chunk size alone.
+usable cores (:func:`usable_cores`) by :func:`_run_striped`, the one way the
+package uses more than one core: the calling process is one worker and a
+forked child each other one.  ``cli`` runs a multi-seed run's seeds on it
+too.  The output bytes depend on the chunk size alone.
 
 Determinism contract: every stochastic choice flows through caller-owned
 generators; identical seeds and configurations produce bit-identical runs.
@@ -27,11 +29,11 @@ generators; identical seeds and configurations produce bit-identical runs.
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import math
 import os
-import threading
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -348,43 +350,74 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_striped(run_chunk, n_chunks: int) -> None:
-    """Call ``run_chunk(c)`` for every c in ``range(n_chunks)``, striped over
-    W = min(n_chunks, usable cores) workers.
+def _run_striped(run, jobs: Sequence):
+    """Yield ``run(job)`` for each job, in job order.
 
-    Worker k runs the chunks with c = k (mod W) in turn.  The calling
-    thread is worker 0, and each other worker is a thread that runs in a
-    copy of the caller's context, which holds numpy's error state
-    (``np.errstate``).  A worker stops at its first failing chunk.  Every
-    thread is joined on every path; then the exception of the
-    lowest-numbered chunk that failed is raised here.  With one worker no
-    thread starts.
+    W = min(len(jobs), usable cores) workers share the jobs: this process
+    is worker 0 and runs ``jobs[0::W]`` itself, and W - 1 children forked at
+    the start run ``jobs[k::W]``.  After each job child k sends one pickled
+    ``(result, exception)`` message down its own pipe, and it stops after
+    its first exception.  A job's exception is raised when its turn comes,
+    and a child that dies without sending a job's message is a
+    ChildProcessError naming the job.  When the generator ends, fails or is
+    closed, the pipes are closed and every child still alive is killed and
+    reaped.  A child inherits the caller's numpy error state
+    (``np.errstate``).  With one job or one core nothing is forked, and this
+    is a serial loop.
     """
-    workers = min(n_chunks, usable_cores())
-    errors: dict[int, BaseException] = {}
-
-    def stripe(k: int) -> None:
-        for c in range(k, n_chunks, workers):
-            try:
-                run_chunk(c)
-            except BaseException as exc:  # re-raised in the caller
-                errors[c] = exc
-                return
-
-    threads = []
+    workers = min(len(jobs), usable_cores())
+    children = {}  # worker k -> (pid, read end of its pipe)
     try:
         for k in range(1, workers):
-            thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(stripe, k), daemon=True
-            )
-            thread.start()
-            threads.append(thread)
-        stripe(0)
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    # keep only this pipe's write end, so that a write to a
+                    # pipe whose reader is gone fails rather than blocks
+                    os.close(read_fd)
+                    for _, reader in children.values():
+                        reader.close()
+                    with open(write_fd, "wb") as out:
+                        for job in jobs[k::workers]:
+                            try:
+                                result, error = run(job), None
+                            except Exception as exc:
+                                result, error = None, exc
+                            pickle.dump((result, error), out)
+                            out.flush()
+                            if error is not None:
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[k] = (pid, open(read_fd, "rb"))
+        for i, job in enumerate(jobs):
+            if i % workers == 0:
+                yield run(job)
+                continue
+            pid, reader = children[i % workers]
+            try:
+                result, error = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                reader.close()
+                del children[i % workers]
+                _, status = os.waitpid(pid, 0)
+                raise ChildProcessError(
+                    f"the worker for job {job!r} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its result"
+                ) from None
+            if error is not None:
+                raise error
+            yield result
     finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+        for _, reader in children.values():
+            reader.close()
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def empirical_improvement_oracle(
@@ -427,15 +460,14 @@ def empirical_improvement_oracle(
     the block size moves no byte.
 
     The chunks run striped over the usable cores (:func:`_run_striped`): the
-    calling thread runs chunks 0, W, 2W, ... and one thread per further core
-    the others, each writing its own trials' columns of the result.  numpy
-    releases the GIL while a generator fills an array, so the draws of two
-    chunks overlap.  Since every chunk owns its stream and its columns, the
-    output bytes depend on the chunk size alone, not on the core count or
-    the thread timing.  The threads inherit the caller's numpy error state,
-    so an ``np.errstate`` around the call covers every chunk, and the
-    exception of the lowest-numbered failing chunk is raised here once every
-    thread has been joined.
+    calling process runs chunks 0, W, 2W, ... and one forked child per
+    further core the others.  Each chunk returns its trials' block of the
+    result, and the blocks are joined in chunk order.  Since every chunk
+    owns its stream, the output bytes depend on the chunk size alone, not on
+    the core count or the timing.  A forked child inherits the caller's
+    numpy error state, so an ``np.errstate`` around the call covers every
+    chunk, and the exception of the lowest-numbered failing chunk is raised
+    here.
     """
     if not isinstance(task, QuadraticTask):
         raise TypeError("the improvement oracle requires a QuadraticTask")
@@ -453,23 +485,24 @@ def empirical_improvement_oracle(
     block = max(1, _ORACLE_BLOCK_FLOATS // (b * d))
     starts = range(0, trials, chunk)
     streams = rng.spawn(len(starts))
-    improvements = np.empty((len(sigmas), len(etas), trials))
 
-    def run_chunk(c: int) -> None:
-        first, stream = starts[c], streams[c]
-        n = min(chunk, trials - first)
+    def run_chunk(c: int) -> Array:
+        stream = streams[c]
+        n = min(chunk, trials - starts[c])
         totals = np.empty((n, d))
         for start in range(0, n, block):
             k = min(block, n - start)
             grads = task.per_sample_gradients(w, task.draw_batch(stream, k * b))
             totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
+        out = np.empty((len(sigmas), len(etas), n))
         for i, sigma in enumerate(sigmas):
             steps = noised_mean(totals, b, sigma, stream)
             for j, eta in enumerate(etas):
                 w_next = w[None, :] - eta * steps
-                improvements[i, j, first:first + n] = loss_before - task.population_losses(w_next)
+                out[i, j] = loss_before - task.population_losses(w_next)
+        return out
 
-    _run_striped(run_chunk, len(starts))
+    improvements = np.concatenate(list(_run_striped(run_chunk, range(len(starts)))), axis=2)
     return [
         [
             Estimate(

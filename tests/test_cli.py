@@ -948,28 +948,42 @@ class TestSubcommands:
         assert sum(z <= 4.0 for z in zs) >= 7
 
     @pytest.mark.parametrize(
-        "scales, sigma_grid, kept",
-        [((1e200, 1e200), [0.0], 0), ((0.5, 0.001), [0.0, 1e200], 1)],
-        ids=["first-cell", "second-cell"],
+        "scales, sigma_grid, kept, d, b, trials",
+        [
+            ((1e200, 1e200), [0.0], 0, 8, 4, 200),
+            ((0.5, 0.001), [0.0, 1e200], 1, 8, 4, 200),
+            # 122/122/6-trial chunks, so on two cores a forked worker runs
+            # chunk 1, whose noise product sigma * z overflows; without
+            # _run_oracle's np.errstate there it would warn
+            ((0.5, 0.001), [0.0, 1e308], 1, 64, 256, 250),
+        ],
+        ids=["first-cell", "second-cell", "second-cell-three-chunks"],
     )
     def test_oracle_non_finite_cell_keeps_rows_before_it_and_exits_2(
-        self, scales, sigma_grid, kept, tmp_path, capsys
+        self, scales, sigma_grid, kept, d, b, trials, tmp_path, capsys, monkeypatch
     ):
         # finite, schema-valid values whose products overflow: with both
         # scales at 1e200 the first cell is all nan, and sigma = 1e200
-        # overflows the noised step
-        task = {"kind": "quadratic", "dimension": 8, "hessian_scale": scales[0],
+        # overflows the noised step; a warning raised anywhere, a worker
+        # included, would be an error, not exit 2
+        task = {"kind": "quadratic", "dimension": d, "hessian_scale": scales[0],
                 "covariance_scale": scales[1]}
-        payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [4],
-                   "sigma_grid": sigma_grid, "trials": 200}
+        payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [b],
+                   "sigma_grid": sigma_grid, "trials": trials}
         path = write_config(tmp_path, payload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_subcommand(["oracle", "--config", str(path), "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"non-finite oracle cell at eta=0.1, B=4, sigma={sigma_grid[-1]}" in err
-        lines = (tmp_path / "oracle.csv").read_text().splitlines()
+        outputs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            out = tmp_path / f"{cores}-core"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_subcommand(["oracle", "--config", str(path), "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"non-finite oracle cell at eta=0.1, B={b}, sigma={sigma_grid[-1]}" in err
+            outputs.append((out / "oracle.csv").read_text())
+        assert outputs[1] == outputs[0]
+        lines = outputs[0].splitlines()
         assert lines[0] == "eta,B,sigma,mc_mean,mc_se,closed_form,z_score"
         assert len(lines) == 1 + kept
         assert not re.search(r"inf|nan", "\n".join(lines))
@@ -1407,13 +1421,13 @@ def test_scipy_loads_with_privacy_accounting_only(tmp_path):
 
 
 def test_cli_import_and_oracle_run_leave_out_the_queue_and_logging_modules(tmp_path):
-    # the oracle's chunk threads use threading and contextvars, and the seed
-    # workers os.fork and pickle, which every run loads already;
-    # concurrent.futures would pull in logging, multiprocessing its own
-    # machinery, and numpy.ma (which np.unique imports) and a module-level
-    # queue import were seen to raise a run's peak RSS, so a fresh process
-    # shows that neither the import, an oracle run nor a multi-seed mia run
-    # loads them
+    # the oracle's chunks and a run's seeds run on one forked-worker
+    # primitive, trainer._run_striped, whose os.fork and pickle every run
+    # loads already; concurrent.futures would pull in logging,
+    # multiprocessing its own machinery, and numpy.ma (which np.unique
+    # imports) and a module-level queue import were seen to raise a run's
+    # peak RSS, so a fresh process shows that neither the import, an oracle
+    # run nor a multi-seed mia run loads them
     unwanted = ("concurrent.futures", "logging", "multiprocessing", "numpy.ma", "queue")
     script = (
         "import sys\n"

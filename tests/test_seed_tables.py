@@ -1,4 +1,5 @@
-"""The seed workers of ``cli._seed_tables``, driven by fake runners.
+"""The forked workers of ``trainer._run_striped``, driven by fake jobs, and
+the seeds of ``cli.run_subcommand``, which it runs.
 
 ``os.sched_getaffinity`` is patched to give 1, 2 or 3 usable cores, so each
 case runs with that many workers whatever the machine has.  After every case
@@ -12,17 +13,14 @@ import time
 import pytest
 
 from dplens import cli
-from dplens.cli import ConfigError, Table, _seed_tables, run_subcommand
+from dplens.cli import ConfigError, Table, run_subcommand
+from dplens.trainer import _run_striped
 
 SEEDS = [7, 3, 11, 0, 5]
 
 
-def table_of(seed):
-    return Table(("seed", "value"), [[seed, seed * seed], [seed, 0.1 * seed]])
-
-
-def fake_runner(cfg, seed):
-    return table_of(seed)
+def result_of(job):
+    return (job, job * job, 0.1 * job)
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-core")
@@ -34,18 +32,15 @@ def cores(request, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_tables_match_the_serial_loop(cores, n):
-    seeds = SEEDS[:n]
-    assert list(_seed_tables(fake_runner, {}, seeds)) == [table_of(s) for s in seeds]
+def test_results_match_the_serial_loop(cores, n):
+    jobs = SEEDS[:n]
+    assert list(_run_striped(result_of, jobs)) == [result_of(j) for j in jobs]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_each_worker_runs_every_wth_seed(cores, n):
-    # this process runs seeds[0::W] and child k seeds[k::W]
-    def runner(cfg, seed):
-        return Table(("pid",), [[os.getpid()]])
-
-    pids = [table.rows[0][0] for table in _seed_tables(runner, {}, SEEDS[:n])]
+def test_each_worker_runs_every_wth_job(cores, n):
+    # this process runs jobs[0::W] and child k jobs[k::W]
+    pids = list(_run_striped(lambda job: os.getpid(), SEEDS[:n]))
     workers = min(n, cores)
     for i, pid in enumerate(pids):
         assert pid == pids[i % workers]
@@ -54,21 +49,21 @@ def test_each_worker_runs_every_wth_seed(cores, n):
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(n)])
-def test_an_exception_is_raised_at_its_seeds_turn(cores, n, k):
-    seeds = SEEDS[:n]
+def test_an_exception_is_raised_at_its_jobs_turn(cores, n, k):
+    jobs = SEEDS[:n]
 
-    def runner(cfg, seed):
-        if seed == seeds[k]:
-            raise ConfigError(f"seed {seed} is refused")
-        return table_of(seed)
+    def run(job):
+        if job == jobs[k]:
+            raise ConfigError(f"job {job} is refused")
+        return result_of(job)
 
     got = []
     with pytest.raises(ConfigError) as caught:
-        for table in _seed_tables(runner, {}, seeds):
-            got.append(table)
+        for result in _run_striped(run, jobs):
+            got.append(result)
     assert type(caught.value) is ConfigError
-    assert str(caught.value) == f"seed {seeds[k]} is refused"
-    assert got == [table_of(s) for s in seeds[:k]]
+    assert str(caught.value) == f"job {jobs[k]} is refused"
+    assert got == [result_of(j) for j in jobs[:k]]
 
 
 @pytest.mark.parametrize("k", range(len(SEEDS)))
@@ -106,41 +101,37 @@ def test_an_aborted_table_writes_the_serial_runs_files_and_exits_2(
 
 
 @pytest.mark.parametrize("cores", [2, 3], indirect=True)
-def test_a_child_that_dies_is_an_error_naming_its_seed(cores):
+def test_a_child_that_dies_is_an_error_naming_its_job(cores):
     parent = os.getpid()
-    index = 1 + cores  # child 1's second seed
-    seeds = SEEDS
+    index = 1 + cores  # child 1's second job
+    jobs = SEEDS
 
-    def runner(cfg, seed):
-        if seed == seeds[index] and os.getpid() != parent:
+    def run(job):
+        if job == jobs[index] and os.getpid() != parent:
             os._exit(3)
-        return table_of(seed)
+        return result_of(job)
 
     got = []
-    message = f"the worker for seed {seeds[index]} exited with code 3 before sending its table"
+    message = f"the worker for job {jobs[index]} exited with code 3 before sending its result"
     with pytest.raises(ChildProcessError, match=f"^{message}$"):
-        for table in _seed_tables(runner, {}, seeds):
-            got.append(table)
-    assert got == [table_of(s) for s in seeds[:index]]
+        for result in _run_striped(run, jobs):
+            got.append(result)
+    assert got == [result_of(j) for j in jobs[:index]]
 
 
 @pytest.mark.parametrize("cores", [2, 3], indirect=True)
 def test_an_error_in_this_process_kills_the_busy_children(cores):
-    def runner(cfg, seed):
-        if seed == SEEDS[0]:
-            raise FloatingPointError("first seed diverged")
+    def run(job):
+        if job == SEEDS[0]:
+            raise FloatingPointError("first job diverged")
         time.sleep(60)
 
     start = time.monotonic()
-    with pytest.raises(FloatingPointError, match="first seed diverged"):
-        list(_seed_tables(runner, {}, SEEDS))
+    with pytest.raises(FloatingPointError, match="first job diverged"):
+        list(_run_striped(run, SEEDS))
     assert time.monotonic() - start < 30
 
 
 def test_without_sched_getaffinity_nothing_is_forked(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-
-    def runner(cfg, seed):
-        return Table(("pid",), [[os.getpid()]])
-
-    assert [t.rows for t in _seed_tables(runner, {}, SEEDS)] == [[[os.getpid()]]] * len(SEEDS)
+    assert list(_run_striped(lambda job: os.getpid(), SEEDS)) == [os.getpid()] * len(SEEDS)

@@ -460,6 +460,12 @@ def patch_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def assert_no_child_left():
+    """No forked worker is left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestStreamedOracle:
     """The oracle reduces each chunk block by block, each chunk from its own
     spawned generator; the bytes are those of the stacked reference, which
@@ -496,18 +502,17 @@ class TestStreamedOracle:
         assert generator_end_state(rng) == generator_end_state(ref_rng)
 
     def test_bytes_do_not_depend_on_the_core_count(self, monkeypatch):
-        # three chunks run on 1, 2 or 3 workers; no thread outlives a call
+        # three chunks run on 1, 2 or 3 workers; no child outlives a call
         task = wide_quadratic(64)
         w = task.x_mean + 0.3
         grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
-        threads = threading.active_count()
         results = []
         for n in (1, 2, 3):
             patch_cores(monkeypatch, n)
             rng = np.random.default_rng(27)
             cells = empirical_improvement_oracle(task, w, *grid, rng)
             results.append((cell_pairs(cells), generator_end_state(rng)))
-            assert threading.active_count() == threads
+            assert_no_child_left()
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_oracle_run_writes_the_same_bytes_on_any_core_count(self, monkeypatch, tmp_path):
@@ -521,11 +526,13 @@ class TestStreamedOracle:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("b", [16, 256])
-    def test_traced_peak_is_one_block(self, b):
+    def test_traced_peak_is_one_block(self, monkeypatch, b):
         # the oracle_quad shape and grid: at B = 256 one (trials, B, d) array
         # of a 122-trial chunk is 15 MiB, and the stacked form holds about
-        # five at once; the streamed form holds, per chunk running, one
-        # 256 KiB sample block and that block's gradients
+        # five at once; the streamed form holds one 256 KiB sample block and
+        # that block's gradients.  On one core every chunk runs in this
+        # process, where tracemalloc sees it, not in a forked worker
+        patch_cores(monkeypatch, 1)
         task = wide_quadratic(64)
         w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
         rng = np.random.default_rng(24)
@@ -542,52 +549,65 @@ class TestStreamedOracle:
     @pytest.mark.parametrize("cores", [2, 3], ids=lambda n: f"{n}-core")
     @pytest.mark.parametrize("method", ["per_sample_gradients", "draw_batch"])
     @pytest.mark.parametrize("stripe", ["caller", "worker"])
-    def test_a_failure_is_raised_here_and_the_worker_joined(
+    def test_a_failure_is_raised_here_and_the_worker_reaped(
         self, monkeypatch, cores, method, stripe
     ):
         # a 250-trial run at B = 256 and d = 64 makes 122/122/6-trial chunks
-        # of two-trial blocks, chunk 0 on the caller and chunk 1 on a worker,
-        # so the failure comes partway through the stripe's first chunk
+        # of two-trial blocks, chunk 0 in this process and chunk 1 in a
+        # forked worker, so the failure comes partway through the stripe's
+        # first chunk; the exception names the process that raised it
         patch_cores(monkeypatch, cores)
         task = FailingQuadratic(method, stripe)
-        threads = threading.active_count()
-        with pytest.raises(InjectedFailure):
+        with pytest.raises(InjectedFailure) as caught:
             empirical_improvement_oracle(
                 task, task.x_mean + 0.3, [0.2], 256, ClippingRule(r=0.5), [0.5], 250,
                 np.random.default_rng(25),
             )
-        assert task.calls >= 2
-        assert threading.active_count() == threads
+        assert str(caught.value) == f"{method} call 2 on the {stripe}"
+        assert (caught.value.pid == os.getpid()) == (stripe == "caller")
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cores", [1, 2, 3], ids=lambda n: f"{n}-core")
-    def test_the_lowest_failing_chunk_is_raised_after_every_stripe_ends(
-        self, monkeypatch, cores
-    ):
-        # worker k runs chunks k, k + W, ...; each stripe stops at its first
-        # failure, and chunk 2 fails before chunk 3, whatever the timing
+    def test_the_lowest_failing_chunk_is_raised_at_its_turn(self, monkeypatch, cores, tmp_path):
+        # worker k runs chunks k, k + W, ... and stops at its first failure;
+        # chunk 2 is raised once chunks 0 and 1 are yielded, whatever the
+        # timing, and every worker is then killed and reaped.  Each chunk
+        # logs itself and its process, since a worker's memory is its own
         patch_cores(monkeypatch, cores)
-        ran = {}
+        log = tmp_path / "ran"
 
         def run_chunk(c):
-            ran[c] = threading.current_thread()  # an ident may be reused
+            with open(log, "a") as f:
+                f.write(f"{c} {os.getpid()}\n")
             if c in (2, 3, 5):
                 raise InjectedFailure(f"chunk {c}")
+            return os.getpid()
 
-        with pytest.raises(InjectedFailure, match="^chunk 2$"):
-            trainer._run_striped(run_chunk, 7)
-        stripes = {k: list(range(k, 7, cores)) for k in range(cores)}
-        for chunks in stripes.values():
+        got = []
+        with pytest.raises(InjectedFailure, match="^chunk 2$") as caught:
+            for pid in trainer._run_striped(run_chunk, range(7)):
+                got.append(pid)
+        assert_no_child_left()
+        assert len(got) == 2 and got[0] == os.getpid()
+        assert (got[1] == os.getpid()) == (cores == 1)
+        assert (caught.value.pid == os.getpid()) == (2 % cores == 0)
+        ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        pids = {c: pid for c, pid in ran}
+        assert len(pids) == len(ran)
+        for k in range(cores):
+            chunks = [c for c in range(k, 7, cores) if c in pids]
             failed = next((c for c in chunks if c in (2, 3, 5)), None)
-            want = chunks if failed is None else chunks[:chunks.index(failed) + 1]
-            assert [c for c in sorted(ran) if c in chunks] == want
-            assert len({ran[c] for c in want}) == 1
-        assert ran[0] is threading.current_thread()
-        assert len(set(ran.values())) == cores
+            assert chunks == list(range(k, 7, cores))[:len(chunks)]
+            assert failed is None or chunks[-1] == failed
+            assert len({pids[c] for c in chunks}) == 1
+            assert (pids[k] == os.getpid()) == (k == 0)
+        assert [c for c in pids if pids[c] == os.getpid()] == [c for c in range(3) if c % cores == 0]
+        assert len(set(pids.values())) == cores
 
     def test_concurrent_calls_under_fast_switching_match_the_reference(self, monkeypatch):
-        # three calls at once, each with two chunk threads, on fewer cores
-        # than threads and switching every 10 us: a chunk written into the
-        # wrong columns, or drawn from the wrong stream, would move a byte
+        # three calls at once from threads, each forking two workers, with
+        # the threads switching every 10 us: a chunk joined in the wrong
+        # place, or drawn from the wrong stream, would move a byte
         patch_cores(monkeypatch, 3)
         task = wide_quadratic(64)
         w = task.x_mean + 0.3
@@ -611,56 +631,64 @@ class TestStreamedOracle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
+        assert_no_child_left()
         for seed in (30, 31, 32):
             rng = np.random.default_rng(seed)
             reference = stacked_improvement_oracle(task, w, *grid, rng)
             assert results[seed] == (reference, generator_end_state(rng))
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
-        # A = 1e200 I: the draws and the loss at w = x_mean are finite, but
-        # the squared gradient norms overflow; at B = 4096 and d = 8 the 100
-        # trials make 61/39-trial chunks, the second on a worker thread
+        # at B = 4096 and d = 8 the 100 trials make 61/39-trial chunks, the
+        # second in a forked worker, whose exception carries the worker's
+        # overflow mode back; this process records its own
         patch_cores(monkeypatch, 2)
-        seen = set()
+        caller = os.getpid()
+        modes = []
 
         class Recording(QuadraticTask):
             def per_sample_gradients(self, w, batch):
-                seen.add((threading.get_ident(), np.geterr()["over"]))
+                if os.getpid() != caller:
+                    raise InjectedFailure("worker")
+                modes.append(np.geterr()["over"])
                 return super().per_sample_gradients(w, batch)
 
-        task = Recording(np.full(8, 1e200), np.zeros(8), np.full(8, 1e-3))
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        task = Recording(np.ones(8), np.zeros(8), np.full(8, 1e-3))
+        with np.errstate(over="raise"), pytest.raises(InjectedFailure) as caught:
             empirical_improvement_oracle(
                 task, np.zeros(8), [0.1], 4096, ClippingRule(r=1.0), [0.0], 100,
                 np.random.default_rng(26),
             )
-        assert len(seen) == 2
-        assert {over for _, over in seen} == {"raise"}
+        assert caught.value.pid != caller
+        assert caught.value.over == "raise"
+        assert modes and set(modes) == {"raise"}
+        assert np.geterr()["over"] != "raise"
 
 
 class InjectedFailure(Exception):
-    pass
+    """A test's failure; ``pid`` and ``over`` are the raising process's id
+    and numpy overflow mode, which pickling carries back from a worker."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.pid, self.over = os.getpid(), np.geterr()["over"]
 
 
 class FailingQuadratic(QuadraticTask):
     """``wide_quadratic(64)``, whose ``method`` raises InjectedFailure on its
-    second call from ``stripe``: the thread that built it ("caller") or any
-    other ("worker")."""
+    second call in ``stripe``: the process that built it ("caller") or a
+    forked worker ("worker").  Each process counts its own calls."""
 
     def __init__(self, method, stripe):
         base = wide_quadratic(64)
         super().__init__(base.a, base.x_mean, base.s)
         self.method, self.stripe, self.calls = method, stripe, 0
-        self.caller = threading.get_ident()
-        self.lock = threading.Lock()
+        self.caller = os.getpid()
 
     def _count(self, method):
-        on_caller = threading.get_ident() == self.caller
+        on_caller = os.getpid() == self.caller
         if method == self.method and on_caller == (self.stripe == "caller"):
-            with self.lock:
-                self.calls += 1
-                nth = self.calls
-            if nth == 2:
+            self.calls += 1
+            if self.calls == 2:
                 raise InjectedFailure(f"{method} call 2 on the {self.stripe}")
 
     def per_sample_gradients(self, w, batch):
