@@ -1,7 +1,5 @@
 import math
 import os
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -603,39 +601,6 @@ class TestStreamedOracle:
             assert (pids[k] == os.getpid()) == (k == 0)
         assert [c for c in pids if pids[c] == os.getpid()] == [c for c in range(3) if c % cores == 0]
         assert len(set(pids.values())) == cores
-
-    def test_concurrent_calls_under_fast_switching_match_the_reference(self, monkeypatch):
-        # three calls at once from threads, each forking two workers, with
-        # the threads switching every 10 us: a chunk joined in the wrong
-        # place, or drawn from the wrong stream, would move a byte
-        patch_cores(monkeypatch, 3)
-        task = wide_quadratic(64)
-        w = task.x_mean + 0.3
-        grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
-        results = {}
-
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            cells = empirical_improvement_oracle(task, w, *grid, rng)
-            results[seed] = cell_pairs(cells), generator_end_state(rng)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=run, args=(seed,), daemon=True)
-                       for seed in (30, 31, 32)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert_no_child_left()
-        for seed in (30, 31, 32):
-            rng = np.random.default_rng(seed)
-            reference = stacked_improvement_oracle(task, w, *grid, rng)
-            assert results[seed] == (reference, generator_end_state(rng))
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
         # at B = 4096 and d = 8 the 100 trials make 61/39-trial chunks, the
