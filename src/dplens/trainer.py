@@ -350,6 +350,10 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+# True in a child forked by _run_striped, whose nested calls run serially
+_in_worker = False
+
+
 def _run_striped(run, jobs: Sequence):
     """Yield ``run(job)`` for each job, in job order.
 
@@ -363,15 +367,19 @@ def _run_striped(run, jobs: Sequence):
     closed, the pipes are closed and every child still alive is killed and
     reaped.  A child inherits the caller's numpy error state
     (``np.errstate``).  With one job or one core nothing is forked, and this
-    is a serial loop.
+    is a serial loop; so is a call made inside a child, such as an oracle
+    run's chunks in a seed's worker, so that killing a child stops its jobs'
+    work and W workers never fork W^2 processes.
     """
-    workers = min(len(jobs), usable_cores())
+    global _in_worker
+    workers = 1 if _in_worker else min(len(jobs), usable_cores())
     children = {}  # worker k -> (pid, read end of its pipe)
     try:
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
+                _in_worker = True
                 code = 1
                 try:
                     # keep only this pipe's write end, so that a write to a

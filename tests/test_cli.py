@@ -988,6 +988,38 @@ class TestSubcommands:
         assert len(lines) == 1 + kept
         assert not re.search(r"inf|nan", "\n".join(lines))
 
+    def test_a_multi_seed_oracle_forks_from_this_process_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # seeds [0, 1] on two cores, each a three-chunk oracle run: seed 1's
+        # worker runs its chunks itself, so every fork is this process's and
+        # none outlives the run when seed 0's non-finite cell exits 2
+        forkers = tmp_path / "forkers"
+        fork = os.fork
+
+        def logged_fork():
+            with open(forkers, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        task = {"kind": "quadratic", "dimension": 64, "hessian_scale": 0.5,
+                "covariance_scale": 0.001}
+        payload = {"schema": 1, "task": task, "eta_grid": [0.1], "batch_grid": [256],
+                   "sigma_grid": [0.0, 1e308], "trials": 250, "seeds": [0, 1]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_subcommand(["oracle", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "non-finite oracle cell at eta=0.1, B=256, sigma=1e+308" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["oracle_seed0.csv"]
+        assert set(forkers.read_text().split()) == {str(os.getpid())}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_continual_demo(self, tmp_path):
         code = run_subcommand(
             ["continual", "--config", str(CONFIG_DIR / "continual_demo.json"),

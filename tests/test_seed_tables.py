@@ -49,10 +49,15 @@ def test_each_worker_runs_every_wth_job(cores, n):
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(n)])
-def test_an_exception_is_raised_at_its_jobs_turn(cores, n, k):
+def test_an_exception_is_raised_at_its_jobs_turn(cores, n, k, tmp_path):
+    # each job logs itself, since a child's memory is its own: no later job
+    # of the failing job's stripe runs, as its worker stops there
     jobs = SEEDS[:n]
+    log = tmp_path / "ran"
 
     def run(job):
+        with open(log, "a") as f:
+            f.write(f"{job}\n")
         if job == jobs[k]:
             raise ConfigError(f"job {job} is refused")
         return result_of(job)
@@ -64,6 +69,10 @@ def test_an_exception_is_raised_at_its_jobs_turn(cores, n, k):
     assert type(caught.value) is ConfigError
     assert str(caught.value) == f"job {jobs[k]} is refused"
     assert got == [result_of(j) for j in jobs[:k]]
+    ran = [int(job) for job in log.read_text().split()]
+    workers = min(n, cores)
+    assert jobs[k] in ran and set(jobs[:k]) <= set(ran)
+    assert not set(ran) & set(jobs[k + workers::workers])
 
 
 @pytest.mark.parametrize("k", range(len(SEEDS)))
@@ -130,6 +139,22 @@ def test_an_error_in_this_process_kills_the_busy_children(cores):
     with pytest.raises(FloatingPointError, match="first job diverged"):
         list(_run_striped(run, SEEDS))
     assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("cores", [2, 3], indirect=True)
+def test_a_call_inside_a_child_forks_nothing(cores):
+    # each job runs three jobs of its own: the caller's on every worker, a
+    # child's serially on itself, so killing a child ends all of its work
+    def pids(job):
+        return os.getpid(), list(_run_striped(lambda inner: os.getpid(), range(3)))
+
+    outer = list(_run_striped(pids, SEEDS))
+    assert len({pid for pid, _ in outer}) == cores
+    for pid, inner in outer:
+        if pid == os.getpid():
+            assert inner[0] == pid and len(set(inner)) == cores
+        else:
+            assert inner == [pid] * 3
 
 
 def test_without_sched_getaffinity_nothing_is_forked(monkeypatch):

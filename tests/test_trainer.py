@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -565,42 +567,39 @@ class TestStreamedOracle:
         assert (caught.value.pid == os.getpid()) == (stripe == "caller")
         assert_no_child_left()
 
-    @pytest.mark.parametrize("cores", [1, 2, 3], ids=lambda n: f"{n}-core")
-    def test_the_lowest_failing_chunk_is_raised_at_its_turn(self, monkeypatch, cores, tmp_path):
-        # worker k runs chunks k, k + W, ... and stops at its first failure;
-        # chunk 2 is raised once chunks 0 and 1 are yielded, whatever the
-        # timing, and every worker is then killed and reaped.  Each chunk
-        # logs itself and its process, since a worker's memory is its own
-        patch_cores(monkeypatch, cores)
-        log = tmp_path / "ran"
+    def test_concurrent_calls_under_fast_switching_match_the_reference(self, monkeypatch):
+        # three calls at once from threads, each forking two workers, on
+        # fewer cores than processes and switching every 10 us: a chunk
+        # joined in the wrong place, or drawn from the wrong stream, would
+        # move a byte
+        patch_cores(monkeypatch, 3)
+        task = wide_quadratic(64)
+        w = task.x_mean + 0.3
+        grid = ([0.05, 0.2], 256, ClippingRule(r=0.5), [0.0, 0.5], 250)
+        results = {}
 
-        def run_chunk(c):
-            with open(log, "a") as f:
-                f.write(f"{c} {os.getpid()}\n")
-            if c in (2, 3, 5):
-                raise InjectedFailure(f"chunk {c}")
-            return os.getpid()
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            cells = empirical_improvement_oracle(task, w, *grid, rng)
+            results[seed] = cell_pairs(cells), generator_end_state(rng)
 
-        got = []
-        with pytest.raises(InjectedFailure, match="^chunk 2$") as caught:
-            for pid in trainer._run_striped(run_chunk, range(7)):
-                got.append(pid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(seed,), daemon=True)
+                       for seed in (30, 31, 32)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
         assert_no_child_left()
-        assert len(got) == 2 and got[0] == os.getpid()
-        assert (got[1] == os.getpid()) == (cores == 1)
-        assert (caught.value.pid == os.getpid()) == (2 % cores == 0)
-        ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        pids = {c: pid for c, pid in ran}
-        assert len(pids) == len(ran)
-        for k in range(cores):
-            chunks = [c for c in range(k, 7, cores) if c in pids]
-            failed = next((c for c in chunks if c in (2, 3, 5)), None)
-            assert chunks == list(range(k, 7, cores))[:len(chunks)]
-            assert failed is None or chunks[-1] == failed
-            assert len({pids[c] for c in chunks}) == 1
-            assert (pids[k] == os.getpid()) == (k == 0)
-        assert [c for c in pids if pids[c] == os.getpid()] == [c for c in range(3) if c % cores == 0]
-        assert len(set(pids.values())) == cores
+        for seed in (30, 31, 32):
+            rng = np.random.default_rng(seed)
+            reference = stacked_improvement_oracle(task, w, *grid, rng)
+            assert results[seed] == (reference, generator_end_state(rng))
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
         # at B = 4096 and d = 8 the 100 trials make 61/39-trial chunks, the
