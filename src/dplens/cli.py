@@ -3,7 +3,11 @@
 Every subcommand is a pure function of (config, seed): its runner in
 ``_RUNNERS`` takes the config and one seed and returns a :class:`Table`, the
 columns, rows and abort reason of its output, and touches no file.  Rerunning
-with the same inputs reproduces the table.  The columns are a tuple of names
+with the same inputs reproduces the table.  Every training run is one
+``trainer.continual_pretrain`` call: a ``train`` config runs as the
+one-phase ``continual`` config :func:`_one_phase` maps it to, and a
+``fourway`` seed is four ``train`` runs of that seed, one per arm
+(``_FOURWAY_ARMS``).  The columns are a tuple of names
 that :func:`table_columns` gives from the subcommand and config alone, so a
 ``plot`` column the table lacks is a config error before the first seed runs.
 A ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes files:
@@ -262,7 +266,7 @@ CONFIG_SCHEMAS = {
             "sigma": _POS_NUM,
             "steps": _POS_INT,
             "batch_size": _POS_INT,
-            "eval_size": _POS_INT,
+            "val_size": _POS_INT,
         },
     },
     "mia": {
@@ -838,23 +842,26 @@ def _run_continual(cfg: dict, seed: int) -> Table:
     return _run_table(run, cfg["batch_size"], table_columns("continual", cfg))
 
 
+# each fourway arm's keys over its config, which make the one-phase train
+# config the arm runs as; a None value drops the key
+_FOURWAY_ARMS = {
+    "sgd": {"mode": "public", "sigma": None, "clipping": None},
+    "sgd_clip": {"mode": "dp", "sigma": 0.0},
+    "sgd_noise": {"mode": "dp", "clipping": {"kind": "none"}},
+    "dp_sgd": {"mode": "dp"},
+}
+
+
 def _run_fourway(cfg: dict, seed: int) -> Table:
-    rng = np.random.default_rng(seed)
-    task = task_from_config(cfg["task"], rng)
-    runs = trainer.four_way_comparison(
-        task,
-        trainer.OptimizerConfig(**cfg["optimizer"]),
-        cfg["sigma"],
-        clipping_from_config(**cfg.get("clipping", {})),
-        cfg["steps"],
-        rng,
-        batch_size=cfg["batch_size"],
-        **_given(cfg, "eval_size"),
-    )
-    rows = [
-        [arm] + _record_row(r) for arm in trainer.FOUR_WAY_ARMS for r in runs[arm].records
-    ]
-    reasons = (runs[arm].abort_reason for arm in trainer.FOUR_WAY_ARMS)
+    """The four arms in turn, each a ``train`` run at this seed, so all
+    share the initial point, the held-out set, the data and the noise; each
+    row starts with its arm, and the first arm that aborted gives the reason."""
+    rows, reasons = [], []
+    for arm, keys in _FOURWAY_ARMS.items():
+        merged = {**cfg, **keys}
+        table = _run_train({key: v for key, v in merged.items() if v is not None}, seed)
+        rows += [[arm, *row] for row in table.rows]
+        reasons.append(table.abort_reason)
     return Table(table_columns("fourway", cfg), rows, next(filter(None, reasons), None))
 
 

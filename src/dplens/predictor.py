@@ -334,14 +334,6 @@ class AlphaSchedule:
     def sample(cls, n_pub: int, n_priv: int) -> "AlphaSchedule":
         return cls(kind="sample", n_pub=n_pub, n_priv=n_priv)
 
-    @classmethod
-    def only_public(cls) -> "AlphaSchedule":
-        return cls(kind="only_public")
-
-    @classmethod
-    def only_private(cls) -> "AlphaSchedule":
-        return cls(kind="only_private")
-
 
 def alpha_schedule_value(schedule: AlphaSchedule, t: int) -> float:
     """Public weight alpha_t at iteration t, always in [0, 1]."""

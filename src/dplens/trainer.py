@@ -1,16 +1,17 @@
-"""Training: the public-then-private continual pre-training loop, the
-four-way clip/noise comparison, and the Monte-Carlo oracle that validates the
-closed-form improvement predictors.
+"""Training: the public-then-private continual pre-training loop, and the
+Monte-Carlo oracle that validates the closed-form improvement predictors.
 
-There is one training loop, ``_train_loop``: public steps, then at most one
-permanent switch to private steps.  :func:`continual_pretrain` runs it once.
-Each arm of :func:`four_way_comparison` is a one-phase run of it, public
-throughout for plain SGD and private throughout for the other three, and so
-is the ``train`` subcommand.  Every training step in the package, the loop's
-and the membership-inference target's, is one :func:`dp_step`: the task's
-fused loss and clipped-gradient-sum pass, the Gaussian noise, and the SGD or
-Adam update.  Public, clipped-only, noised-only and DP steps differ only in
-the clipping rule and sigma passed to it.
+There is one training loop, :func:`continual_pretrain`: public steps, then
+at most one permanent switch to private steps.  A ``train`` run is a
+one-phase run of it, public or private throughout, and ``fourway`` is four
+such runs of one seed (``cli``): plain SGD public, and clipped-only,
+noised-only and DP-SGD private, each with its own rule and sigma, so the
+arms share the initial point, the held-out set, the data and the noise.
+Every training step in the package, the loop's and the membership-inference
+target's, is one :func:`dp_step`: the task's fused loss and
+clipped-gradient-sum pass, the Gaussian noise, and the SGD or Adam update.
+Public, clipped-only, noised-only and DP steps differ only in the clipping
+rule and sigma passed to it.
 
 :func:`empirical_improvement_oracle` covers one batch size's whole
 (sigma, eta) grid in one call: every cell reduces the same sample batches
@@ -29,7 +30,6 @@ generators; identical seeds and configurations produce bit-identical runs.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import pickle
@@ -205,45 +205,73 @@ class TrainRun:
     abort_reason: str | None = None
 
 
-def _initial_parameters(
-    task: DifferentiableTask, rng: np.random.Generator, w0: Array | None
-) -> Array:
-    if w0 is not None:
-        return np.asarray(w0, dtype=float).copy()
-    initializer = getattr(task, "random_parameters", None)
-    if initializer is not None:
-        return initializer(rng)
-    return 0.1 * rng.standard_normal(task.dimension)
-
-
-def _train_loop(
-    task_public: DifferentiableTask, task_private: DifferentiableTask,
-    config: OptimizerConfig, w: Array, val_set: Any,
-    switch: SwitchPolicy | None, schedule: AlphaSchedule | None,
-    sigma: float, rule: ClippingRule | None,
-    data_rng: np.random.Generator, noise_rng: np.random.Generator,
-    *, total_steps: int, steps_per_epoch: int, batch_size: int, curvature: bool,
+def continual_pretrain(
+    task_public: DifferentiableTask,
+    task_private: DifferentiableTask,
+    config: OptimizerConfig,
+    switch: SwitchPolicy,
+    sigma: float,
+    epochs: int,
+    rng: np.random.Generator,
+    *,
+    batch_size: int = 32,
+    steps_per_epoch: int = 50,
+    rule: ClippingRule | None = ClippingRule(),
+    schedule: AlphaSchedule | None = None,
+    val_size: int = 1024,
+    w0: Array | None = None,
+    curvature: bool = False,
 ) -> TrainRun:
-    """The one training loop: public steps, then at most one switch to private.
+    """The one training loop: public steps, then at most one switch to DP steps.
 
     A public step is :func:`dp_step` with no clipping and sigma 0; a private
-    step uses ``rule`` and ``sigma``.  The run starts private when
-    ``schedule`` gives alpha 0 at iteration 0.  Otherwise it switches when
-    ``schedule`` first gives alpha 0 or, with no schedule, when ``switch``
-    fires on the held-out loss, which is measured on ``val_set`` after every
-    ``steps_per_epoch`` steps.  The switch zeroes Adam's first moment ``m``
-    and keeps ``v`` and ``t``.  A one-sided schedule makes a one-phase run.
-    With ``curvature``, each record carries a
+    step clips with ``rule`` (``rule=None`` leaves it unclipped) and noises
+    with ``sigma``.  The validation loss is the mean loss on a held-out set
+    of ``val_size`` public samples, evaluated once per epoch.  The run starts
+    private when ``schedule`` gives alpha 0 at iteration 0.  Otherwise it
+    switches when ``schedule`` first gives alpha 0 (an indicator schedule
+    switches at step ceil(s total), with no early stopping) or, with no
+    schedule, when ``switch`` fires on the validation loss.  The switch
+    zeroes Adam's first moment ``m`` and keeps ``v`` and ``t``.  A one-sided
+    schedule makes a one-phase run.  The private task must have as many
+    parameters as the public one.  With ``curvature``, each record carries a
     :func:`~dplens.hessian.stats_snapshot` of the step's task at the updated
     parameters on the step's batch.  A non-finite loss, or a snapshot with a
     non-finite statistic, ends the run with ``abort_reason`` set and the
     records before that iteration kept.
+
+    ``rng`` spawns four streams, for the initial point (``w0`` if given,
+    else the task's ``random_parameters``, else 0.1 N(0, I)), the held-out
+    set, the batches and the noise, so runs of one seed with other clipping
+    rules, sigmas or schedules share the first three, and the noise too.
     """
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if epochs < 1 or steps_per_epoch < 1 or batch_size < 1:
+        raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
+    binary = ("indicator", "only_public", "only_private")
+    if schedule is not None and schedule.kind not in binary:
+        raise ValueError("only binary alpha schedules drive the two-phase loop")
+    if task_private.dimension != task_public.dimension:
+        raise ValueError(
+            f"private task has {task_private.dimension} parameters, "
+            f"public task {task_public.dimension}"
+        )
+    init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
+    initializer = getattr(task_public, "random_parameters", None)
+    if w0 is not None:
+        w = np.asarray(w0, dtype=float).copy()
+    elif initializer is not None:
+        w = initializer(init_rng)
+    else:
+        w = 0.1 * init_rng.standard_normal(task_public.dimension)
+    val_set = task_public.draw_batch(val_rng, val_size)
+
     state = OptimizerState.zeros(task_public.dimension)
     run = TrainRun()
     public = schedule is None or alpha_schedule_value(schedule, 0) != 0.0
     fired = False
-    for t in range(total_steps):
+    for t in range(epochs * steps_per_epoch):
         if public and schedule is not None:
             fired = alpha_schedule_value(schedule, t) == 0.0
         if public and fired:
@@ -284,58 +312,6 @@ def _train_loop(
         if schedule is None and public and val_loss is not None:
             fired = switch.observe(val_loss)
     return run
-
-
-def continual_pretrain(
-    task_public: DifferentiableTask,
-    task_private: DifferentiableTask,
-    config: OptimizerConfig,
-    switch: SwitchPolicy,
-    sigma: float,
-    epochs: int,
-    rng: np.random.Generator,
-    *,
-    batch_size: int = 32,
-    steps_per_epoch: int = 50,
-    rule: ClippingRule | None = ClippingRule(),
-    schedule: AlphaSchedule | None = None,
-    val_size: int = 1024,
-    w0: Array | None = None,
-    curvature: bool = False,
-) -> TrainRun:
-    """Two-phase training: public steps, then a permanent switch to DP steps.
-
-    The public phase ends when the validation loss (mean loss on a held-out
-    set of ``val_size`` public samples, evaluated once per epoch) fails to
-    improve per the switch policy; the switch zeroes Adam's first moment.
-    Passing a binary alpha schedule instead forces the phase change at a
-    fixed iteration with no early stopping: an indicator schedule switches
-    at step ceil(s total).  The private task must have as many parameters
-    as the public one.  Private steps clip with ``rule``, and ``rule=None``
-    leaves them unclipped, as in :func:`dp_step`.  With ``curvature``, every
-    record carries the step's curvature statistics.  Training aborts with a
-    diagnostic record if the loss turns non-finite.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if epochs < 1 or steps_per_epoch < 1 or batch_size < 1:
-        raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
-    binary = ("indicator", "only_public", "only_private")
-    if schedule is not None and schedule.kind not in binary:
-        raise ValueError("only binary alpha schedules drive the two-phase loop")
-    if task_private.dimension != task_public.dimension:
-        raise ValueError(
-            f"private task has {task_private.dimension} parameters, "
-            f"public task {task_public.dimension}"
-        )
-    init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
-    w = _initial_parameters(task_public, init_rng, w0)
-    val_set = task_public.draw_batch(val_rng, val_size)
-    return _train_loop(
-        task_public, task_private, config, w, val_set, switch, schedule, sigma, rule,
-        data_rng, noise_rng, total_steps=epochs * steps_per_epoch,
-        steps_per_epoch=steps_per_epoch, batch_size=batch_size, curvature=curvature,
-    )
 
 
 # The oracle's draw-order unit (floats of samples per chunk) and its memory
@@ -521,53 +497,3 @@ def empirical_improvement_oracle(
         ]
         for row in improvements
     ]
-
-
-FOUR_WAY_ARMS = ("sgd", "sgd_clip", "sgd_noise", "dp_sgd")
-
-
-def four_way_comparison(
-    task: DifferentiableTask,
-    config: OptimizerConfig,
-    sigma: float,
-    rule: ClippingRule,
-    steps: int,
-    rng: np.random.Generator,
-    *,
-    batch_size: int = 32,
-    w0: Array | None = None,
-    eval_size: int = 512,
-) -> dict[str, TrainRun]:
-    """Four training arms on one shared data stream.
-
-    Arms: plain SGD, clipped SGD without noise, noisy SGD without clipping,
-    and full DP-SGD, each a one-phase run of the training loop: public for
-    ``sgd``, private with its own rule and sigma for the others.  All arms
-    start from the same parameters and replay one data stream, each from its
-    own copy of the data generator; each owns a separate noise substream, so
-    arms differ only where the algorithm differs.  A shared held-out set is
-    evaluated at the final iterate of each arm.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive to make the noisy arms distinct")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    init_rng, data_rng, eval_rng, *noise_rngs = rng.spawn(3 + len(FOUR_WAY_ARMS))
-    w_init = _initial_parameters(task, init_rng, w0)
-    eval_set = task.draw_batch(eval_rng, eval_size)
-
-    arms = {
-        "sgd": (None, 0.0),
-        "sgd_clip": (rule, 0.0),
-        "sgd_noise": (None, sigma),
-        "dp_sgd": (rule, sigma),
-    }
-    return {
-        name: _train_loop(
-            task, task, config, w_init.copy(), eval_set, None,
-            AlphaSchedule.only_public() if name == "sgd" else AlphaSchedule.only_private(),
-            arm_sigma, arm_rule, copy.deepcopy(data_rng), noise_rng,
-            total_steps=steps, steps_per_epoch=steps, batch_size=batch_size, curvature=False,
-        )
-        for (name, (arm_rule, arm_sigma)), noise_rng in zip(arms.items(), noise_rngs)
-    }

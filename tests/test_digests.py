@@ -8,7 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _label(line: str) -> str:
+    """The config label of an output line, ``<label>/<file> <sha256>`` or
+    ``<label> exit <code>``."""
+    name, *rest = line.split(" ")
+    return name if rest[0] == "exit" else name.rsplit("/", 1)[0]
 
 
 def test_config_outputs_match_committed_digests():
@@ -18,4 +27,8 @@ def test_config_outputs_match_committed_digests():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     expected = (ROOT / "scripts" / "config_digests.txt").read_text(encoding="utf-8")
-    assert result.stdout == expected
+    if result.stdout != expected:
+        # name the configs whose digests moved, not the two whole outputs
+        moved = set(result.stdout.splitlines()) ^ set(expected.splitlines())
+        labels = sorted({_label(line) for line in moved}) or ["none; the line order differs"]
+        pytest.fail(f"digests differ for: {', '.join(labels)}")

@@ -455,8 +455,8 @@ class TestAlphaSchedules:
         assert values == [1.0, 1.0, 1.0] + [0.0] * 7
 
     def test_constants(self):
-        assert pred.alpha_schedule_value(pred.AlphaSchedule.only_public(), 3) == 1.0
-        assert pred.alpha_schedule_value(pred.AlphaSchedule.only_private(), 3) == 0.0
+        assert pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_public"), 3) == 1.0
+        assert pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_private"), 3) == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -464,7 +464,7 @@ class TestAlphaSchedules:
         with pytest.raises(ValueError):
             pred.AlphaSchedule("indicator", s=1.5, total=10)
         with pytest.raises(ValueError):
-            pred.alpha_schedule_value(pred.AlphaSchedule.only_public(), -1)
+            pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_public"), -1)
 
 
 class TestScheduleCumulative:

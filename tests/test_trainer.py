@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -10,18 +11,19 @@ import pytest
 
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
-from dplens.cli import _run_oracle, _run_table, _write_csv, run_subcommand, table_columns
+from dplens.cli import (
+    _run_fourway, _run_oracle, _run_table, _write_csv, load_config, run_subcommand,
+    table_columns,
+)
 from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv
 from dplens import trainer
 from dplens.trainer import (
-    FOUR_WAY_ARMS,
     OptimizerConfig,
     OptimizerState,
     SwitchPolicy,
     continual_pretrain,
     dp_step,
     empirical_improvement_oracle,
-    four_way_comparison,
 )
 from reference import generator_end_state, per_sample_gradients, stacked_improvement_oracle
 
@@ -66,19 +68,6 @@ def count_dp_steps(monkeypatch):
         return dp_step(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "dp_step", counted)
-    return calls
-
-
-def count_loop_runs(monkeypatch):
-    """Patch the shared training loop to count its runs; returns the live counter."""
-    calls = []
-    loop = trainer._train_loop
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return loop(*args, **kwargs)
-
-    monkeypatch.setattr(trainer, "_train_loop", counted)
     return calls
 
 
@@ -240,11 +229,6 @@ class TestContinualPretrain:
         assert len(run.records) == 12 * 5
         assert len(calls) == len(run.records)
 
-    def test_one_run_of_the_shared_loop(self, monkeypatch):
-        loops = count_loop_runs(monkeypatch)
-        self._run()
-        assert len(loops) == 1
-
     def test_switch_fires_and_audit_passes(self):
         run = self._run()
         assert switch_iteration(run) is not None
@@ -298,7 +282,7 @@ class TestContinualPretrain:
         assert switch_iteration(run) == cut
 
     def test_only_public_schedule_never_switches(self):
-        run = self._run(schedule=AlphaSchedule.only_public())
+        run = self._run(schedule=AlphaSchedule(kind="only_public"))
         assert all(p == "public" for p in phase_log(run))
 
     def test_fractional_schedule_rejected(self):
@@ -314,7 +298,7 @@ class TestContinualPretrain:
     def test_divergence_aborts_with_diagnostic(self):
         run = self._run(
             config=OptimizerConfig(kind="sgd", eta=1e6),
-            schedule=AlphaSchedule.only_public(),
+            schedule=AlphaSchedule(kind="only_public"),
         )
         assert "non-finite" in run.abort_reason
         assert run.records  # partial log retained
@@ -664,88 +648,119 @@ class FailingQuadratic(QuadraticTask):
         return super().draw_batch(rng, m)
 
 
+FOURWAY_ARMS = ("sgd", "sgd_clip", "sgd_noise", "dp_sgd")
+
+
+def arm_rows(table):
+    """Each fourway arm's rows without the arm cell: iter, phase, alpha,
+    train_loss, val_loss, sigma."""
+    rows = {}
+    for arm, *row in table.rows:
+        rows.setdefault(arm, []).append(row)
+    return rows
+
+
 class TestFourWay:
-    def _task(self):
-        return TinyMlpTask(n_in=3, hidden=8, n_out=2, teacher_seed=2,
-                           noise_std=0.02, target_scale=0.3)
+    def _cfg(self, steps=10, batch_size=8, **task):
+        return {
+            "schema": 1,
+            "task": {"kind": "tinymlp", "n_in": 3, "hidden": 8, "n_out": 2, "teacher_seed": 2,
+                     "noise_std": 0.02, "target_scale": 0.3, **task},
+            "optimizer": {"kind": "sgd", "eta": 0.05},
+            "clipping": {"kind": "reparam", "r": 1.0},
+            "sigma": 0.5, "steps": steps, "batch_size": batch_size, "val_size": 32,
+        }
+
+    def _inactive_clipping(self):
+        # at hessian scale 0.05 every per-sample gradient norm stays below
+        # R = 1, where the reparam factor min(1/|g|, 1/R) is exactly 1
+        cfg = {**self._cfg(steps=20), "task": {"kind": "quadratic", "dimension": 4,
+                                                "hessian_scale": 0.05}}
+        return {arm: [(row[3], row[4]) for row in rows]
+                for arm, rows in arm_rows(_run_fourway(cfg, 18)).items()}
 
     def test_noiseless_arms_coincide_when_clipping_inactive(self):
-        # small targets and a small initial point keep every per-sample
-        # gradient norm below R = 1, so the clipped arm is the plain arm
-        task = TinyMlpTask(n_in=3, hidden=8, n_out=2, teacher_seed=2,
-                           noise_std=0.01, target_scale=0.1)
-        w0 = 0.2 * task.random_parameters(np.random.default_rng(99))
-        runs = four_way_comparison(
-            task, OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 40,
-            np.random.default_rng(18), batch_size=16, eval_size=64, w0=w0,
-        )
-        sgd = [r.train_loss for r in runs["sgd"].records]
-        clip = [r.train_loss for r in runs["sgd_clip"].records]
-        assert np.allclose(sgd, clip, rtol=1e-10)
+        losses = self._inactive_clipping()
+        assert losses["sgd_clip"] == losses["sgd"]
+        assert losses["sgd_noise"] != losses["sgd"]
 
-    def test_arms_share_data_but_not_noise(self):
-        task = self._task()
-        runs = four_way_comparison(
-            task, OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 30,
-            np.random.default_rng(19), batch_size=16, eval_size=64,
-        )
-        first_losses = {name: runs[name].records[0].train_loss for name in runs}
-        # identical initial point and first batch: the first loss agrees everywhere
-        assert len(set(first_losses.values())) == 1
-        noisy = [r.train_loss for r in runs["sgd_noise"].records]
-        dp = [r.train_loss for r in runs["dp_sgd"].records]
-        assert not np.allclose(noisy, dp)
+    def test_noised_arms_coincide_when_clipping_inactive(self):
+        # common random numbers: the noised arms draw the same noise
+        losses = self._inactive_clipping()
+        assert losses["dp_sgd"] == losses["sgd_noise"]
+
+    def test_all_arms_have_the_same_first_loss(self):
+        # identical initial point and first batch
+        rows = arm_rows(_run_fourway(self._cfg(steps=30, batch_size=16), 19))
+        assert list(rows) == list(FOURWAY_ARMS)
+        assert len({arm[0][3] for arm in rows.values()}) == 1
 
     def test_final_eval_recorded(self):
-        task = self._task()
-        runs = four_way_comparison(
-            task, OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 10,
-            np.random.default_rng(20), batch_size=8, eval_size=32,
-        )
-        for run in runs.values():
-            assert run.records[-1].val_loss > 0.0
+        for rows in arm_rows(_run_fourway(self._cfg(), 20)).values():
+            assert rows[-1][4] > 0.0
 
     def test_deterministic(self):
-        task = self._task()
-        kwargs = dict(batch_size=8, eval_size=32)
-        a = four_way_comparison(
-            task, OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 10,
-            np.random.default_rng(21), **kwargs,
-        )
-        b = four_way_comparison(
-            task, OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 10,
-            np.random.default_rng(21), **kwargs,
-        )
-        for name in a:
-            assert a[name].records == b[name].records
+        assert _run_fourway(self._cfg(), 21) == _run_fourway(self._cfg(), 21)
 
     def test_every_step_of_every_arm_is_one_dp_step(self, monkeypatch):
         calls = count_dp_steps(monkeypatch)
         steps = 7
-        runs = four_way_comparison(
-            self._task(), OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, steps,
-            np.random.default_rng(23), batch_size=8, eval_size=32,
-        )
-        assert all(len(run.records) == steps for run in runs.values())
-        assert len(calls) == len(FOUR_WAY_ARMS) * steps
+        rows = arm_rows(_run_fourway(self._cfg(steps=steps), 23))
+        assert all(len(arm) == steps for arm in rows.values())
+        assert len(calls) == len(FOURWAY_ARMS) * steps
 
-    def test_each_arm_is_a_one_phase_run_of_the_shared_loop(self, monkeypatch):
-        loops = count_loop_runs(monkeypatch)
-        runs = four_way_comparison(
-            self._task(), OptimizerConfig(kind="sgd", eta=0.05), 0.5, REPARAM1, 5,
-            np.random.default_rng(24), batch_size=8, eval_size=32,
-        )
-        assert len(loops) == len(FOUR_WAY_ARMS)
-        for name in FOUR_WAY_ARMS:
-            phase = "public" if name == "sgd" else "private"
-            assert phase_log(runs[name]) == [phase] * 5
+    def test_each_arm_is_one_continual_pretrain_call(self, monkeypatch):
+        schedules = []
+        loop = trainer.continual_pretrain
 
-    def test_sigma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            four_way_comparison(
-                self._task(), OptimizerConfig(kind="sgd", eta=0.05), 0.0, REPARAM1,
-                10, np.random.default_rng(22),
-            )
+        def counted(*args, **kwargs):
+            schedules.append(kwargs["schedule"].kind)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "continual_pretrain", counted)
+        rows = arm_rows(_run_fourway(self._cfg(steps=5), 24))
+        assert schedules == ["only_public"] + ["only_private"] * 3
+        for arm in FOURWAY_ARMS:
+            phase = "public" if arm == "sgd" else "private"
+            assert [row[1] for row in rows[arm]] == [phase] * 5
+
+    def test_each_arms_rows_are_its_continual_runs_csv(self, tmp_path):
+        cfg = self._cfg(steps=12, batch_size=4)
+        cfg_path = tmp_path / "fourway.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_subcommand(["fourway", "--config", str(cfg_path), "--seed", "3",
+                               "--out", str(tmp_path)]) == 0
+        fourway = (tmp_path / "fourway.csv").read_text(encoding="utf-8").splitlines()
+        common = {"schema": 1, "task_public": cfg["task"], "optimizer": cfg["optimizer"],
+                  "epochs": 1, "steps_per_epoch": 12, "batch_size": 4, "val_size": 32}
+        private = {"schedule": {"kind": "only_private"}, "clipping": cfg["clipping"],
+                   "sigma": 0.5}
+        arms = {
+            "sgd": {"schedule": {"kind": "only_public"}},
+            "sgd_clip": {**private, "sigma": 0.0},
+            "sgd_noise": {**private, "clipping": {"kind": "none"}},
+            "dp_sgd": private,
+        }
+        for arm, keys in arms.items():
+            out = tmp_path / arm
+            path = tmp_path / f"{arm}.json"
+            path.write_text(json.dumps({**common, **keys}), encoding="utf-8")
+            assert run_subcommand(["continual", "--config", str(path), "--seed", "3",
+                                   "--out", str(out)]) == 0
+            header, *rows = (out / "continual.csv").read_text(encoding="utf-8").splitlines()
+            assert fourway[0] == "arm," + header
+            assert [line for line in fourway[1:] if line.startswith(arm + ",")] == [
+                f"{arm},{row}" for row in rows
+            ]
+
+    def test_clipping_costs_less_than_noise_in_every_shipped_seed(self):
+        # the paper's claim that noise, not clipping, slows DP training: the
+        # clipped-only arm ends below the noised-only arm on held-out loss
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "fourway_mlp.json", "fourway")
+        assert len(cfg["seeds"]) == 5
+        for seed in cfg["seeds"]:
+            final = {arm: rows[-1][4] for arm, rows in arm_rows(_run_fourway(cfg, seed)).items()}
+            assert final["sgd_clip"] < final["sgd_noise"], (seed, final)
 
 
 class TestOptimizerConfigValidation:
