@@ -3,12 +3,12 @@
 Every subcommand is a pure function of (config, seed): its runner in
 ``_RUNNERS`` takes the config and one seed and returns a :class:`Table`, the
 columns, rows and abort reason of its output, and touches no file.  Rerunning
-with the same inputs reproduces the table.  Every training run is one
-``trainer.continual_pretrain`` call: a ``train`` config runs as the
-one-phase ``continual`` config :func:`_one_phase` maps it to, and a
+with the same inputs reproduces the table.  A ``continual`` or ``train``
+run is one ``trainer.continual_pretrain`` call: a ``train`` config runs as
+the one-phase ``continual`` config :func:`_one_phase` maps it to.  A
 ``fourway`` seed is four ``train`` runs of that seed, one per arm
-(``_FOURWAY_ARMS``).  The columns are a tuple of names
-that :func:`table_columns` gives from the subcommand and config alone, so a
+(``_FOURWAY_ARMS``).  The columns are a tuple of names that
+:func:`table_columns` gives from the subcommand and config alone, so a
 ``plot`` column the table lacks is a config error before the first seed runs.
 A ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes files:
 per seed it names the CSV (``_seed_name``), writes it with the standard
@@ -858,8 +858,8 @@ def _run_fourway(cfg: dict, seed: int) -> Table:
     row starts with its arm, and the first arm that aborted gives the reason."""
     rows, reasons = [], []
     for arm, keys in _FOURWAY_ARMS.items():
-        merged = {**cfg, **keys}
-        table = _run_train({key: v for key, v in merged.items() if v is not None}, seed)
+        arm_cfg = {key: value for key, value in {**cfg, **keys}.items() if value is not None}
+        table = _run_train(arm_cfg, seed)
         rows += [[arm, *row] for row in table.rows]
         reasons.append(table.abort_reason)
     return Table(table_columns("fourway", cfg), rows, next(filter(None, reasons), None))

@@ -242,8 +242,8 @@ def continual_pretrain(
 
     ``rng`` spawns four streams, for the initial point (``w0`` if given,
     else the task's ``random_parameters``, else 0.1 N(0, I)), the held-out
-    set, the batches and the noise, so runs of one seed with other clipping
-    rules, sigmas or schedules share the first three, and the noise too.
+    set, the batches and the noise, so runs of one seed that differ only in
+    the clipping rule, sigma or schedule share all four streams.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")

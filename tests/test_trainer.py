@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dplens.clipping import ClippingRule
-from dplens.model import QuadraticTask, TinyMlpTask
+from dplens.model import QuadraticTask
 from dplens.cli import (
     _run_fourway, _run_oracle, _run_table, _write_csv, load_config, run_subcommand,
     table_columns,
@@ -661,11 +661,11 @@ def arm_rows(table):
 
 
 class TestFourWay:
-    def _cfg(self, steps=10, batch_size=8, **task):
+    def _cfg(self, steps=10, batch_size=8):
         return {
             "schema": 1,
             "task": {"kind": "tinymlp", "n_in": 3, "hidden": 8, "n_out": 2, "teacher_seed": 2,
-                     "noise_std": 0.02, "target_scale": 0.3, **task},
+                     "noise_std": 0.02, "target_scale": 0.3},
             "optimizer": {"kind": "sgd", "eta": 0.05},
             "clipping": {"kind": "reparam", "r": 1.0},
             "sigma": 0.5, "steps": steps, "batch_size": batch_size, "val_size": 32,
