@@ -123,15 +123,15 @@ def build_mia_dataset(
     member_set: tuple[Array, Array],
     nonmember_set: tuple[Array, Array],
     rng: np.random.Generator,
-    split_fraction: float = 0.5,
-    member_train_fraction: float = 0.1,
+    **split: float,
 ) -> MiaDataset:
     """Assemble attack features of the target at ``w`` and a balanced test split.
 
     The test split takes ``split_fraction`` of the non-members plus the same
     number of members; the attack's training split gets all remaining
-    non-members and a ``member_train_fraction`` share of the members
-    (:func:`mia_split_sizes`).  Member and non-member example sets must be
+    non-members and a ``member_train_fraction`` share of the members.  The
+    two fractions in ``split`` go to :func:`mia_split_sizes`, whose
+    defaults they take.  Member and non-member example sets must be
     disjoint.
     """
     x_mem, y_mem = member_set
@@ -140,9 +140,7 @@ def build_mia_dataset(
     x_non = np.atleast_2d(np.asarray(x_non, dtype=float))
     if x_mem.shape[0] == 0 or x_non.shape[0] == 0:
         raise ValueError("member and non-member sets must be nonempty")
-    n_test, n_train_mem = mia_split_sizes(
-        x_mem.shape[0], x_non.shape[0], split_fraction, member_train_fraction
-    )
+    n_test, n_train_mem = mia_split_sizes(x_mem.shape[0], x_non.shape[0], **split)
     if _row_keys(x_mem) & _row_keys(x_non):
         raise ValueError("member and non-member sets overlap")
 

@@ -23,8 +23,8 @@ runs the oracle's chunks too).
 Exit codes: 0 success; 1 config error, or an ``OSError`` while making the
 ``--out`` directory or writing a CSV or SVG, reported on one line that
 names the path; 2 numerical error, including a training run aborted on a
-non-finite loss or curvature statistic, whose partial CSV is kept and gets
-no plot.
+non-finite training or held-out loss or curvature statistic, whose partial
+CSV is kept and gets no plot.
 
 Each config block goes straight to its constructor as keyword arguments, and
 a run option the config leaves out is left out of the call, so each default
@@ -92,7 +92,7 @@ _INT_GRID = {"type": "array", "items": _POS_INT, "minItems": 1}
 # needs and the keys it may take, each with its schema; a schedule's kind
 # also names the config keys it leaves unread: a schedule fixes the switch,
 # so no early-stopping policy is read, and only_public takes no private
-# step, so it reads neither the private task nor the noise and clipping of one
+# step, so it reads neither the noise nor the clipping of one
 _BLOCK_KEYS = {
     "task": {
         "quadratic": ({"dimension": _POS_INT},
@@ -109,13 +109,13 @@ _BLOCK_KEYS = {
     # the two-phase loop runs only the binary schedules
     "schedule": {
         "indicator": ({"s": _NUM, "total": _POS_INT}, {}, ("patience",)),
-        "only_public": ({}, {}, ("patience", "task_private", "sigma", "privacy", "clipping")),
+        "only_public": ({}, {}, ("patience", "sigma", "privacy", "clipping")),
         "only_private": ({}, {}, ("patience",)),
     },
 }
 # the config keys that hold a block, and the block each holds
-_BLOCK_OF = {"task": "task", "task_public": "task", "task_private": "task",
-             "optimizer": "optimizer", "clipping": "clipping", "schedule": "schedule"}
+_BLOCK_OF = {"task": "task", "task_public": "task", "optimizer": "optimizer",
+             "clipping": "clipping", "schedule": "schedule"}
 
 
 def _blocks(*names: str) -> dict:
@@ -245,7 +245,7 @@ CONFIG_SCHEMAS = {
                      "batch_size"],
         "properties": {
             **_COMMON,
-            **_blocks("task_public", "task_private", "optimizer", "clipping", "schedule"),
+            **_blocks("task_public", "optimizer", "clipping", "schedule"),
             "sigma": _NONNEG_NUM,
             "privacy": _PRIVACY_SCHEMA,
             "epochs": _POS_INT,
@@ -460,13 +460,6 @@ def _refusal(constructor, *args, **kwargs) -> str | None:
     return None
 
 
-def _parameter_count(block: dict) -> int:
-    """The dimension of the task a checked task block builds, without building it."""
-    if block["kind"] == "tinymlp":
-        return TinyMlpTask.parameter_count(block["n_in"], block["hidden"], block["n_out"])
-    return block["dimension"]
-
-
 def _one_phase(cfg: dict) -> dict:
     """The ``continual`` config that a ``train`` config runs as: one epoch of
     ``steps`` steps on ``task``, under the one-sided schedule of its mode."""
@@ -489,14 +482,14 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     enough members for the attack's training split
     (:func:`attacks.mia_split_sizes`).  A ``train`` config is checked as the
     ``continual`` config it runs as (:func:`_one_phase`): a schedule leaves
-    the keys its ``_BLOCK_KEYS`` row names unread, the private task has as
-    many parameters as the public one, and an indicator spans the run.  A
-    run with private steps gives ``sigma`` or a ``privacy`` block, not both.
-    The block calibrates sigma for T = ceil(sample_budget / batch_size) steps
-    of batch_size out of n samples, so it needs clipping, which bounds the
-    sensitivity, batch_size <= n, a valid budget, and a run that can take no
-    more than T private steps: those from ceil(s total) on under an
-    indicator, else all, since the switch may fire at once.
+    the keys its ``_BLOCK_KEYS`` row names unread, and an indicator spans
+    the run.  A run with private steps gives ``sigma`` or a ``privacy``
+    block, not both.  The block calibrates sigma for T = ceil(sample_budget
+    / batch_size) steps of batch_size out of n samples, so it needs
+    clipping, which bounds the sensitivity, batch_size <= n, a valid budget,
+    and a run that can take no more than T private steps: those from
+    ceil(s total) on under an indicator, else all, since the switch may fire
+    at once.
     """
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         return "hessian_probes needs batch_size of at least 2"
@@ -530,10 +523,6 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     unread = sorted(key for key in beside if key in cfg)
     if unread:
         return f"the {kind} schedule leaves {', '.join(unread)} unread"
-    if "task_private" in cfg:
-        n_pub, n_priv = map(_parameter_count, (cfg["task_public"], cfg["task_private"]))
-        if n_priv != n_pub:
-            return f"private task has {n_priv} parameters, public task {n_pub}"
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if kind == "indicator":
         if schedule["total"] != steps:
@@ -820,15 +809,9 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         budget = privacy.PrivacyBudget(p["epsilon"], p["delta"])
         sigma = privacy.calibrate_sigma(cfg["batch_size"], p["n"], p["sample_budget"], budget)
     rng = np.random.default_rng(seed)
-    task_pub = task_from_config(cfg["task_public"], rng)
-    task_priv = (
-        task_from_config(cfg["task_private"], rng) if "task_private" in cfg else task_pub
-    )
     run = trainer.continual_pretrain(
-        task_pub,
-        task_priv,
+        task_from_config(cfg["task_public"], rng),
         trainer.OptimizerConfig(**cfg["optimizer"]),
-        trainer.SwitchPolicy(**_given(cfg, "patience")),
         sigma,
         epochs=cfg["epochs"],
         rng=rng,
@@ -837,7 +820,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         rule=clipping_from_config(**cfg.get("clipping", {})),
         schedule=schedule,
         curvature=bool(cfg.get("hessian_probes")),
-        **_given(cfg, "val_size"),
+        **_given(cfg, "patience", "val_size"),
     )
     return _run_table(run, cfg["batch_size"], table_columns("continual", cfg))
 
@@ -1062,6 +1045,13 @@ def emit_svg_lineplot(
 # --------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: a nonnegative integer, as each of a config's ``seeds`` is."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dplens", description=__doc__)
@@ -1069,7 +1059,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", default=None)
         p.add_argument(
             "--jobs", type=int, default=1,

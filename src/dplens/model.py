@@ -392,14 +392,9 @@ class TinyMlpTask(DifferentiableTask):
             raise ValueError("noise_std must be finite and nonnegative")
         if not np.isfinite(target_scale):
             raise ValueError("target_scale must be finite")
-        self._d = self.parameter_count(n_in, hidden, n_out)
+        self._d = hidden * (n_in + 1) + n_out * (hidden + 1)
         teacher_rng = np.random.default_rng(teacher_seed)
         self._teacher = self.random_parameters(teacher_rng) * target_scale
-
-    @staticmethod
-    def parameter_count(n_in: int, hidden: int, n_out: int) -> int:
-        """The dimension of a network of these widths: (W1, b1), then (W2, b2)."""
-        return hidden * (n_in + 1) + n_out * (hidden + 1)
 
     @property
     def dimension(self) -> int:

@@ -155,7 +155,7 @@ class SwitchPolicy:
     "switch when the loss goes up".
     """
 
-    patience: int = 1
+    patience: int
     _prev: float | None = field(default=None, repr=False)
     _best: float = field(default=math.inf, repr=False)
     _streak: int = field(default=0, repr=False)
@@ -206,44 +206,42 @@ class TrainRun:
 
 
 def continual_pretrain(
-    task_public: DifferentiableTask,
-    task_private: DifferentiableTask,
+    task: DifferentiableTask,
     config: OptimizerConfig,
-    switch: SwitchPolicy,
     sigma: float,
     epochs: int,
     rng: np.random.Generator,
     *,
-    batch_size: int = 32,
-    steps_per_epoch: int = 50,
-    rule: ClippingRule | None = ClippingRule(),
+    batch_size: int,
+    steps_per_epoch: int,
+    rule: ClippingRule | None,
     schedule: AlphaSchedule | None = None,
+    patience: int = 1,
     val_size: int = 1024,
-    w0: Array | None = None,
     curvature: bool = False,
 ) -> TrainRun:
     """The one training loop: public steps, then at most one switch to DP steps.
 
-    A public step is :func:`dp_step` with no clipping and sigma 0; a private
-    step clips with ``rule`` (``rule=None`` leaves it unclipped) and noises
-    with ``sigma``.  The validation loss is the mean loss on a held-out set
-    of ``val_size`` public samples, evaluated once per epoch.  The run starts
-    private when ``schedule`` gives alpha 0 at iteration 0.  Otherwise it
-    switches when ``schedule`` first gives alpha 0 (an indicator schedule
-    switches at step ceil(s total), with no early stopping) or, with no
-    schedule, when ``switch`` fires on the validation loss.  The switch
-    zeroes Adam's first moment ``m`` and keeps ``v`` and ``t``.  A one-sided
-    schedule makes a one-phase run.  The private task must have as many
-    parameters as the public one.  With ``curvature``, each record carries a
-    :func:`~dplens.hessian.stats_snapshot` of the step's task at the updated
-    parameters on the step's batch.  A non-finite loss, or a snapshot with a
-    non-finite statistic, ends the run with ``abort_reason`` set and the
-    records before that iteration kept.
+    Every step trains ``task``.  A public step is :func:`dp_step` with no
+    clipping and sigma 0; a private step clips with ``rule`` (``rule=None``
+    leaves it unclipped) and noises with ``sigma``.  The validation loss is
+    the mean loss on a held-out set of ``val_size`` samples, evaluated once
+    per epoch.  The run starts private when ``schedule`` gives alpha 0 at
+    iteration 0.  Otherwise it switches when ``schedule`` first gives alpha 0
+    (an indicator schedule switches at step ceil(s total), with no early
+    stopping) or, with no schedule, when a ``SwitchPolicy(patience)`` fires
+    on the validation loss.  The switch zeroes Adam's first moment ``m`` and
+    keeps ``v`` and ``t``.  A one-sided schedule makes a one-phase run.  With
+    ``curvature``, each record carries a
+    :func:`~dplens.hessian.stats_snapshot` of the task at the updated
+    parameters on the step's batch.  A non-finite training or held-out loss,
+    or a snapshot with a non-finite statistic, ends the run with
+    ``abort_reason`` set and the records before that iteration kept.
 
-    ``rng`` spawns four streams, for the initial point (``w0`` if given,
-    else the task's ``random_parameters``, else 0.1 N(0, I)), the held-out
-    set, the batches and the noise, so runs of one seed that differ only in
-    the clipping rule, sigma or schedule share all four streams.
+    ``rng`` spawns four streams, for the initial point (the task's
+    ``random_parameters``, else 0.1 N(0, I)), the held-out set, the batches
+    and the noise, so runs of one seed that differ only in the clipping rule,
+    sigma or schedule share all four streams.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -252,22 +250,16 @@ def continual_pretrain(
     binary = ("indicator", "only_public", "only_private")
     if schedule is not None and schedule.kind not in binary:
         raise ValueError("only binary alpha schedules drive the two-phase loop")
-    if task_private.dimension != task_public.dimension:
-        raise ValueError(
-            f"private task has {task_private.dimension} parameters, "
-            f"public task {task_public.dimension}"
-        )
+    switch = SwitchPolicy(patience)
     init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
-    initializer = getattr(task_public, "random_parameters", None)
-    if w0 is not None:
-        w = np.asarray(w0, dtype=float).copy()
-    elif initializer is not None:
+    initializer = getattr(task, "random_parameters", None)
+    if initializer is not None:
         w = initializer(init_rng)
     else:
-        w = 0.1 * init_rng.standard_normal(task_public.dimension)
-    val_set = task_public.draw_batch(val_rng, val_size)
+        w = 0.1 * init_rng.standard_normal(task.dimension)
+    val_set = task.draw_batch(val_rng, val_size)
 
-    state = OptimizerState.zeros(task_public.dimension)
+    state = OptimizerState.zeros(task.dimension)
     run = TrainRun()
     public = schedule is None or alpha_schedule_value(schedule, 0) != 0.0
     fired = False
@@ -277,7 +269,6 @@ def continual_pretrain(
         if public and fired:
             state = OptimizerState(state.t, np.zeros_like(state.m), state.v)
             public = False
-        task = task_public if public else task_private
         batch = task.draw_batch(data_rng, batch_size)
         sigma_t = 0.0 if public else sigma
         train_loss, w, state = dp_step(
@@ -297,7 +288,11 @@ def continual_pretrain(
                 break
         val_loss = None
         if (t + 1) % steps_per_epoch == 0:
-            val_loss = task_public.batch_loss(w, val_set)
+            with np.errstate(over="ignore", invalid="ignore"):
+                val_loss = task.batch_loss(w, val_set)
+            if not math.isfinite(val_loss):
+                run.abort_reason = f"non-finite held-out loss at iteration {t}"
+                break
         run.records.append(
             IterationRecord(
                 iteration=t,

@@ -47,7 +47,7 @@ class TestBuildDataset:
         rng = np.random.default_rng(1)
         members = blobs(100, 4, 2)
         nonmembers = blobs(100, 4, 3)
-        ds = build_mia_dataset(*toy_target(), members, nonmembers, rng, 0.5)
+        ds = build_mia_dataset(*toy_target(), members, nonmembers, rng, split_fraction=0.5)
         test_labels = ds.labels[ds.test_idx]
         assert (test_labels == 1).sum() == 50
         assert (test_labels == 0).sum() == 50

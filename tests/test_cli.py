@@ -424,7 +424,7 @@ class TestConfigHandling:
              "quadratic task needs dimension"),
             ("train", {"task": {"kind": "logistic", "separation": 1.0}},
              "logistic task needs dimension, n_examples"),
-            ("continual", {"task_private": {"kind": "tinymlp", "n_in": 2, "n_out": 1}},
+            ("continual", {"task_public": {"kind": "tinymlp", "n_in": 2, "n_out": 1}},
              "tinymlp task needs hidden"),
             ("train", {"task": {"kind": "quadratic", "dimension": 2, "n_examples": 5}},
              "quadratic task does not read n_examples"),
@@ -460,6 +460,9 @@ class TestConfigHandling:
              "Additional properties are not allowed ('reset_policy' was unexpected)"),
             ("continual", {"head_reinit": False},
              "Additional properties are not allowed ('head_reinit' was unexpected)"),
+            # every step trains the one task
+            ("continual", {"task_private": {"kind": "quadratic", "dimension": 4}},
+             "Additional properties are not allowed ('task_private' was unexpected)"),
             # the values of a quadratic task block
             ("train", {"task": {"kind": "quadratic", "dimension": 2, "hessian_diag": [1.0, 2.0],
                                 "hessian_scale": 50.0}},
@@ -473,8 +476,8 @@ class TestConfigHandling:
             ("oracle_small.json", {"task": {"kind": "quadratic", "dimension": 8,
                                             "covariance_scale": -1.0}},
              "covariance_scale must be finite and nonnegative"),
-            ("continual", {"task_private": {"kind": "quadratic", "dimension": 4,
-                                            "x_mean": [0.0]}},
+            ("continual", {"task_public": {"kind": "quadratic", "dimension": 4,
+                                           "x_mean": [0.0]}},
              "x_mean length must match dimension"),
             ("oracle_small.json", {"task": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
                                             "n_out": 1}},
@@ -484,9 +487,6 @@ class TestConfigHandling:
              "the only_private schedule leaves patience unread"),
             ("continual_demo.json", {"schedule": {"kind": "only_private"}},
              "the only_private schedule leaves patience unread"),
-            ("continual", {"schedule": {"kind": "only_public"},
-                           "task_private": {"kind": "quadratic", "dimension": 4}},
-             "the only_public schedule leaves sigma, task_private unread"),
             ("continual", {"schedule": {"kind": "only_public"}},
              "the only_public schedule leaves sigma unread"),
             ("continual", {"schedule": {"kind": "only_public"}, "clipping": {"kind": "auto"}},
@@ -503,9 +503,6 @@ class TestConfigHandling:
              "the only_public schedule leaves privacy, sigma unread"),
             ("continual", {"schedule": {"kind": "indicator", "s": 0.5, "total": 4}},
              "indicator schedule spans 4 steps, but the run takes 5"),
-            ("continual", {"task_private": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
-                                            "n_out": 1}},
-             "private task has 17 parameters, public task 4"),
             # sigma, or a privacy block the run keeps
             ("continual", {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
                                        "sample_budget": 100}},
@@ -559,12 +556,10 @@ class TestConfigHandling:
              "logistic-unread", "tinymlp-unread", "adam-beta1", "no-kind", "no-eta",
              "auto-unread", "none-unread", "indicator-needs-s", "indicator-needs-total",
              "only_private-unread", "sgd_momentum", "mu", "weight_decay", "reset_policy",
-             "head_reinit", "hessian-diag-and-scale", "covariance-diag-and-scale",
+             "head_reinit", "task_private", "hessian-diag-and-scale", "covariance-diag-and-scale",
              "diag-length", "negative-scale", "x_mean-length", "oracle-tinymlp",
-             "patience-with-schedule", "demo-only_private", "only_public-task_private",
-             "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
-             "public-clipping", "public-privacy", "indicator-horizon", "private-task-count",
-             "sigma-and-privacy", "train-sigma-and-privacy", "no-sigma", "train-unclipped",
+             "patience-with-schedule", "demo-only_private", "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
+             "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy", "train-sigma-and-privacy", "no-sigma", "train-unclipped",
              "continual-unclipped", "train-too-long", "continual-too-long",
              "indicator-tail-too-long",
              "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half", "mia-split",
@@ -619,8 +614,6 @@ class TestConfigHandling:
                                            "n_out": 2, "noise_std": -0.5}},
              "fails validation: -0.5 is less than the minimum of 0"),
             ("fourway_mlp.json", {"sigma": float("nan")}, not_finite(float("nan"))),
-            ("continual_demo.json", {"task_private": {"kind": "quadratic", "dimension": 3}},
-             "fails validation: private task has 3 parameters, public task 6"),
             ("mia_toy.json", {"n_members": 1},
              "fails validation: not enough members left for the attack training split"),
             ("sweep-batch", {"cases": {"a": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
@@ -630,8 +623,7 @@ class TestConfigHandling:
         ],
         ids=["eta", "reparam-r", "mia-lr", "split-one", "split-zero",
              "member-train-over-one", "label-flip", "train-sigma", "continual-sigma",
-             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "private-task-count",
-             "mia-members", "sweep-batch-c", "valid-forks-once"],
+             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "mia-members", "sweep-batch-c", "valid-forks-once"],
     )
     def test_a_bad_value_exits_1_before_any_fork(
         self, base, change, message, tmp_path, capsys, monkeypatch
@@ -1034,39 +1026,6 @@ class TestSubcommands:
         phases = [line.split(",")[1] for line in lines[1:]]
         assert "public" in phases
 
-    def test_a_private_task_of_another_shape_fails_before_any_step(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # a 4-8-3 private task once failed after the eight public steps;
-        # its parameter count reads the config alone, so load_config refuses it
-        payload = {**mlp_continual_config(),
-                   "task_private": {"kind": "tinymlp", "n_in": 4, "hidden": 8, "n_out": 3}}
-        path = write_config(tmp_path, payload)
-        refuse_steps(monkeypatch)
-        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: config {path} fails validation: "
-            "private task has 67 parameters, public task 58\n"
-        )
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_a_private_task_trains_only_the_private_phase(self, tmp_path):
-        # the private task draws from its own teacher generator, not the
-        # run's, so the public phase is the single-task run's
-        logs = {}
-        for name, private in (("single", None), ("private", {"teacher_seed": 5})):
-            payload = mlp_continual_config()
-            if private is not None:
-                payload["task_private"] = {**payload["task_public"], **private}
-            path = write_config(tmp_path, payload, f"{name}.json")
-            out = tmp_path / name
-            assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
-            logs[name] = (out / "continual.csv").read_text().splitlines()[1:]
-        phases = [row.split(",")[1] for row in logs["private"]]
-        assert phases == ["public"] * 8 + ["private"] * 8
-        assert logs["single"][:8] == logs["private"][:8]
-        assert all(a != b for a, b in zip(logs["single"][8:], logs["private"][8:]))
-
     def test_an_indicator_schedule_must_span_the_run(self, tmp_path, capsys, monkeypatch):
         # a 1000-step horizon on a 10-step run once ran every step public
         payload = {**continual_config(), "epochs": 2,
@@ -1277,6 +1236,18 @@ class TestSubcommands:
             "tr_H,tr_H_Sigma,gHg,g_norm_sq,decelerator\n"
         )
 
+    def test_a_non_finite_held_out_loss_keeps_partial_csv_and_exits_2(self, tmp_path, capsys):
+        # step 1's loss is finite, but its iterate overflows the held-out
+        # loss: the run once exited 0 with an inf val_loss on its last row
+        payload = {"schema": 1, "task": {"kind": "quadratic", "dimension": 1},
+                   "optimizer": {"kind": "sgd", "eta": 1e100}, "mode": "public", "steps": 2,
+                   "batch_size": 4}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "non-finite held-out loss at iteration 1" in capsys.readouterr().err
+        rows = (tmp_path / "train.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0"]
+
     @pytest.mark.parametrize("probes", [0, 4])
     def test_diverged_mlp_curvature_keeps_partial_csv_and_exits_2(self, probes, tmp_path, capsys):
         # with probes, the curvature statistics overflow while the loss stays
@@ -1335,6 +1306,23 @@ class TestSubcommands:
         argv = ["sweep-batch", "--config", str(path), "--out", str(tmp_path), "--seed", "1"]
         assert run_subcommand(argv) == 0
         assert [p.name for p in tmp_path.glob("*.csv")] == ["sweep_batch.csv"]
+
+    @pytest.mark.parametrize("command", list(_RUNNERS))
+    def test_a_negative_seed_flag_exits_1_before_loading(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # the seeds rule binds --seed too: calibrate and sweep-batch once ran
+        # with -1, and the others failed in numpy naming neither flag nor rule
+        def refuse(*args):
+            raise AssertionError("the config was loaded")
+
+        monkeypatch.setattr(cli, "load_config", refuse)
+        config = next(name for name, cmd in SHIPPED_CONFIGS.items() if cmd == command)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--seed", "-1"]
+        assert run_subcommand(argv) == 1
+        assert "argument --seed: '-1' is not a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_subcommand_output_deterministic(self, tmp_path):
         path = write_config(tmp_path, sweep_config())

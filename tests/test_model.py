@@ -229,8 +229,8 @@ def test_mlp_ghost_curvature_matches_stacked_gradients(seed, m, scale, widths):
     task = TinyMlpTask(**shape)
     rng = np.random.default_rng(seed)
     w = scale * task.random_parameters(rng)
-    # the count that the config check reads without building a task
-    assert w.size == TinyMlpTask.parameter_count(n_in, hidden, n_out)
+    # the parameters are (W1, b1), then (W2, b2)
+    assert w.size == task.dimension == hidden * (n_in + 1) + n_out * (hidden + 1)
     x, y = task.draw_batch(rng, m)
     # row 0's target is the model's own prediction, so its gradient is exactly 0
     y[0] = task.forward(w, x)[0]

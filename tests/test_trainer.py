@@ -207,10 +207,12 @@ class TestSwitchPolicy:
 
 class TestContinualPretrain:
     def _run(self, **kwargs):
-        task = small_quadratic(cov=0.3, seed=10)
+        # x_mean moved by -0.8 per coordinate puts the 0.1 N(0, I) start as
+        # far from the optimum as a start at 0.8 is from the base task's
+        base = small_quadratic(cov=0.3, seed=10)
         defaults = dict(
+            task=QuadraticTask(base.a, base.x_mean - 0.8, base.s),
             config=OptimizerConfig(kind="adam", eta=0.05),
-            switch=SwitchPolicy(patience=1),
             sigma=0.4,
             epochs=12,
             rng=np.random.default_rng(11),
@@ -218,10 +220,9 @@ class TestContinualPretrain:
             steps_per_epoch=5,
             rule=ClippingRule.auto(),
             val_size=64,
-            w0=0.8 * np.ones(task.dimension),
         )
         defaults.update(kwargs)
-        return continual_pretrain(task, task, **defaults)
+        return continual_pretrain(**defaults)
 
     def test_every_step_is_one_dp_step(self, monkeypatch):
         calls = count_dp_steps(monkeypatch)
@@ -242,6 +243,17 @@ class TestContinualPretrain:
             else:
                 assert record.sigma == 0.4 and record.alpha == 0.0
 
+    @pytest.mark.parametrize("patience", [1, 2])
+    def test_patience_switches_where_its_policy_fires(self, patience):
+        # a SwitchPolicy(patience) fed the run's held-out losses fires at
+        # the epoch after which the first private step runs: iteration 25
+        # for patience 1 and 30 for patience 2
+        run = self._run(patience=patience)
+        policy = SwitchPolicy(patience)
+        val_losses = [r.val_loss for r in run.records if r.val_loss is not None]
+        epoch = next(e for e, loss in enumerate(val_losses) if policy.observe(loss))
+        assert switch_iteration(run) == 5 * (epoch + 1) == 20 + 5 * patience
+
     def _switch_states(self, monkeypatch):
         """The optimizer state the last public step leaves, and the one the
         first private step starts from."""
@@ -258,13 +270,6 @@ class TestContinualPretrain:
         k = switch_iteration(self._run())
         assert k is not None and k > 0
         return states[2 * k - 1], states[2 * k]
-
-    def test_a_private_task_of_another_dimension_rejected(self):
-        # the cli checks the count at load; the library keeps its own check
-        with pytest.raises(ValueError, match="private task has 3 parameters, public task 4"):
-            continual_pretrain(small_quadratic(), small_quadratic(d=3),
-                               OptimizerConfig(kind="sgd", eta=0.1), SwitchPolicy(), 0.0,
-                               epochs=1, rng=np.random.default_rng(0))
 
     def test_momentum_reset_zeroes_adams_m_alone(self, monkeypatch):
         # the switch binds a new m, so the last public state keeps its own
