@@ -556,10 +556,12 @@ class TestConfigHandling:
              "logistic-unread", "tinymlp-unread", "adam-beta1", "no-kind", "no-eta",
              "auto-unread", "none-unread", "indicator-needs-s", "indicator-needs-total",
              "only_private-unread", "sgd_momentum", "mu", "weight_decay", "reset_policy",
-             "head_reinit", "task_private", "hessian-diag-and-scale", "covariance-diag-and-scale",
-             "diag-length", "negative-scale", "x_mean-length", "oracle-tinymlp",
-             "patience-with-schedule", "demo-only_private", "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
-             "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy", "train-sigma-and-privacy", "no-sigma", "train-unclipped",
+             "head_reinit", "task_private", "hessian-diag-and-scale",
+             "covariance-diag-and-scale", "diag-length", "negative-scale", "x_mean-length",
+             "oracle-tinymlp", "patience-with-schedule", "demo-only_private",
+             "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
+             "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy",
+             "train-sigma-and-privacy", "no-sigma", "train-unclipped",
              "continual-unclipped", "train-too-long", "continual-too-long",
              "indicator-tail-too-long",
              "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half", "mia-split",
@@ -623,7 +625,8 @@ class TestConfigHandling:
         ],
         ids=["eta", "reparam-r", "mia-lr", "split-one", "split-zero",
              "member-train-over-one", "label-flip", "train-sigma", "continual-sigma",
-             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "mia-members", "sweep-batch-c", "valid-forks-once"],
+             "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "mia-members",
+             "sweep-batch-c", "valid-forks-once"],
     )
     def test_a_bad_value_exits_1_before_any_fork(
         self, base, change, message, tmp_path, capsys, monkeypatch
