@@ -1,7 +1,7 @@
 """SHA-256 of every file each shipped and benchmark config writes.
 
-Runs every ``configs/*.json``, two of them again with a ``plot`` of their
-training table added, and, for each workload in ``bench/workloads.py``, the
+Runs every ``configs/*.json``, three of them again with some keys replaced
+(``VARIANTS``), and, for each workload in ``bench/workloads.py``, the
 configs of workload seed 1, repetitions 0 to 2, through
 ``dplens.cli.run_subcommand``, each into its own temporary directory.  Prints
 one ``<config>/<file> <sha256>`` line per output file.  BLAS runs on one
@@ -36,11 +36,21 @@ from dplens.cli import run_subcommand  # noqa: E402
 from test_cli import SHIPPED_CONFIGS  # noqa: E402
 from workloads import WORKLOADS, config_for  # noqa: E402
 
-# plots of training tables: most continual rows have empty val_loss and tr_H
-# cells, and the fourway table holds five seeds on a log y axis
-PLOTS = {
-    "continual_demo.json": {"columns": ["iter", "val_loss", "tr_H"]},
-    "fourway_mlp.json": {"columns": ["iter", "train_loss"], "y_scale": "log"},
+# (config, label suffix) -> the keys that replace the config's.  Plots of
+# training tables: most continual rows have empty val_loss and tr_H cells,
+# and the fourway table holds five seeds on a log y axis.  The oracle on a
+# general diagonal quadratic: with A no power of two times I and a nonzero
+# mean, a change in how a per-sample gradient rounds moves a byte, which it
+# does not on oracle_small's A = 0.5 I and zero mean
+VARIANTS = {
+    ("continual_demo.json", "plot"): {"plot": {"columns": ["iter", "val_loss", "tr_H"]}},
+    ("fourway_mlp.json", "plot"): {
+        "plot": {"columns": ["iter", "train_loss"], "y_scale": "log"}},
+    ("oracle_small.json", "general"): {"task": {
+        "kind": "quadratic", "dimension": 8,
+        "hessian_diag": [0.3, 0.45, 0.6, 0.75, 0.9, 1.1, 1.3, 1.7],
+        "covariance_scale": 0.001,
+        "x_mean": [0.5, -1.0, 0.25, 2.0, -0.75, 1.5, 0.1, -2.5]}},
 }
 BENCH_SEED = 1
 BENCH_REPS = range(3)
@@ -50,11 +60,11 @@ def _runs(scratch: Path):
     """(label, subcommand, config path) of every config to digest."""
     for path in sorted((ROOT / "configs").glob("*.json")):
         yield f"configs/{path.name}", SHIPPED_CONFIGS[path.name], path
-    for name, plot in sorted(PLOTS.items()):
-        path = scratch / f"plot-{name}"
+    for (name, suffix), keys in sorted(VARIANTS.items()):
+        path = scratch / f"{suffix}-{name}"
         cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**cfg, "plot": plot}), encoding="utf-8")
-        yield f"configs/{name}+plot", SHIPPED_CONFIGS[name], path
+        path.write_text(json.dumps({**cfg, **keys}), encoding="utf-8")
+        yield f"configs/{name}+{suffix}", SHIPPED_CONFIGS[name], path
     for name, workload in sorted(WORKLOADS.items()):
         for rep in BENCH_REPS:
             label = f"bench/{name}-{BENCH_SEED}-{rep}"

@@ -174,7 +174,9 @@ _PLOT_SCHEMA = {
 
 _SEEDED = {
     "schema": {"const": SCHEMA_VERSION},
-    "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+    # a repeated seed would run twice and write its files twice
+    "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1,
+              "uniqueItems": True},
 }
 # every subcommand but mia writes a numeric table that can be plotted
 _COMMON = {**_SEEDED, "plot": _PLOT_SCHEMA}
@@ -326,9 +328,9 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
 
     Implements the JSON Schema keywords that ``CONFIG_SCHEMAS`` uses, and no
     other: ``type``, ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``,
-    ``maximum``, ``exclusiveMaximum``, ``minItems``, ``minProperties``,
-    ``required``, ``properties``, ``additionalProperties`` and ``items``; any
-    other raises NotImplementedError.  Errors come in schema-keyword order
+    ``maximum``, ``exclusiveMaximum``, ``minItems``, ``uniqueItems``,
+    ``minProperties``, ``required``, ``properties``, ``additionalProperties``
+    and ``items``; any other raises NotImplementedError.  Errors come in schema-keyword order
     with jsonschema's messages.  No keyword applies two schemas at one path, so
     ``rank``, (-depth, instance path), orders them as the key of
     ``jsonschema.exceptions.relevance`` does, and the first error of maximal
@@ -361,6 +363,11 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
         elif keyword == "minItems":
             if isinstance(value, list) and len(value) < arg:
                 message = f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif keyword == "uniqueItems":
+            if arg and isinstance(value, list) and any(
+                _equal(a, b) for i, a in enumerate(value) for b in value[i + 1:]
+            ):
+                message = f"{value!r} has non-unique elements"
         elif keyword == "minProperties":
             if isinstance(value, dict) and len(value) < arg:
                 message = f"{value!r} " + (

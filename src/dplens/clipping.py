@@ -75,15 +75,19 @@ def clip_weights(rule: ClippingRule | None) -> NormWeights | None:
     return lambda g_norms: clip_factors(g_norms, rule)
 
 
-def weighted_gradient_sums(grads: Array, weight_of_norms: NormWeights | None) -> Array:
+def weighted_gradient_sums(
+    grads: Array, weight_of_norms: NormWeights | None, scratch: Array | None = None
+) -> Array:
     """``sum_i C_i g_i`` along axis -2, with ``C = weight_of_norms(|g_i|)``.
 
-    ``weight_of_norms=None`` gives the raw sum.
+    ``weight_of_norms=None`` gives the raw sum.  The squares of ``grads``
+    go into ``scratch``, an array of its shape, or a new one without it.
     """
     if weight_of_norms is None:
         return grads.sum(axis=-2)
     # what np.linalg.norm computes, without its copy from grads.conj()
-    factors = weight_of_norms(np.sqrt(np.add.reduce(grads * grads, axis=-1)))
+    squares = np.multiply(grads, grads, out=scratch)
+    factors = weight_of_norms(np.sqrt(np.add.reduce(squares, axis=-1)))
     return np.einsum("...i,...ij->...j", factors, grads)
 
 

@@ -120,6 +120,12 @@ class QuadraticTask(DifferentiableTask):
     * population Hessian   H = A
     * gradient covariance  Sigma = A S A, diagonal too
     * population loss      0.5 (w - x_mean)^T A (w - x_mean) + 0.5 tr(A S)
+
+    A sample is ``x = sqrt(S) z + x_mean`` with z standard normal, so its
+    gradient is ``A (w - x) = c - D z`` with ``c = A (w - x_mean)`` and
+    ``D = A sqrt(S)``.  :meth:`draw_gradients` draws the gradients of fresh
+    samples in that form, from the normals ``draw_batch`` would draw, into
+    the caller's array; D is computed once, here.
     """
 
     def __init__(self, a: Array, x_mean: Array, s: Array):
@@ -135,6 +141,7 @@ class QuadraticTask(DifferentiableTask):
             raise ValueError("S dimension mismatch with A")
         self._d = d
         self._s_sqrt = np.sqrt(self.s)
+        self._a_s_sqrt = self.a * self._s_sqrt
 
     @property
     def dimension(self) -> int:
@@ -172,6 +179,22 @@ class QuadraticTask(DifferentiableTask):
         z *= self._s_sqrt
         z += self.x_mean
         return z
+
+    def draw_gradients(self, rng: np.random.Generator, w: Array, out: Array) -> Array:
+        """Fill the ``(m, d)`` array ``out`` with the per-sample gradients of m
+        fresh samples at ``w``, and return it.
+
+        ``out`` first holds the normals z that ``draw_batch(rng, m)`` draws,
+        in the same order, so the generator ends where that call leaves it;
+        two in-place passes then make each row ``c - D z`` (class docstring).
+        This is ``per_sample_gradients(w, draw_batch(rng, m))`` up to the last
+        bits, and equal to it bit for bit when A = 2^k I and x_mean = 0.
+        """
+        c = self.population_gradient(w)
+        rng.standard_normal(out=out)
+        out *= self._a_s_sqrt
+        np.subtract(c, out, out=out)
+        return out
 
     # exact oracles -------------------------------------------------------
 

@@ -431,12 +431,15 @@ def empirical_improvement_oracle(
     chunk c draws from its own generator, ``rng.spawn(n_chunks)[c]``: first
     all of its samples, then the noise of each sigma in grid order (sigma 0
     draws none).  ``rng`` itself draws nothing; only its spawn count moves.
-    Within a chunk, samples are drawn and reduced to ``sum_i C_i g_i`` in
-    blocks of ``_ORACLE_BLOCK_FLOATS / (b d)`` trials (at least one), so the
-    largest transient per chunk is one block's samples and ``(k b, d)``
-    gradients, not the chunk's.  Splitting a normal draw into consecutive
-    pieces gives the same stream, and every other step works row by row, so
-    the block size moves no byte.
+    Within a chunk, per-sample gradients are drawn and reduced to
+    ``sum_i C_i g_i`` in blocks of ``_ORACLE_BLOCK_FLOATS / (b d)`` trials
+    (at least one).  The chunk owns two ``(k b, d)`` buffers of one block,
+    one that :meth:`~dplens.model.QuadraticTask.draw_gradients` fills with
+    the gradients and one that holds their squares for the norms, and every
+    block reuses them: no block allocates an array of its size, and both
+    are freed before the (sigma, eta) loop.  Splitting a normal draw into
+    consecutive pieces gives the same stream, and every other step works row
+    by row, so the block size moves no byte.
 
     The chunks run striped over the usable cores (:func:`_run_striped`): the
     calling process runs chunks 0, W, 2W, ... and one forked child per
@@ -469,10 +472,13 @@ def empirical_improvement_oracle(
         stream = streams[c]
         n = min(chunk, trials - starts[c])
         totals = np.empty((n, d))
+        grads = np.empty((min(block, n), b, d))
+        squares = np.empty_like(grads)
         for start in range(0, n, block):
             k = min(block, n - start)
-            grads = task.per_sample_gradients(w, task.draw_batch(stream, k * b))
-            totals[start:start + k] = weighted_gradient_sums(grads.reshape(k, b, d), weights)
+            task.draw_gradients(stream, w, grads[:k].reshape(k * b, d))
+            totals[start:start + k] = weighted_gradient_sums(grads[:k], weights, squares[:k])
+        del grads, squares
         out = np.empty((len(sigmas), len(etas), n))
         for i, sigma in enumerate(sigmas):
             steps = noised_mean(totals, b, sigma, stream)

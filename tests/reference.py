@@ -146,8 +146,9 @@ def stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng):
     stacked as one ``(n, B, d)`` array, as the oracle computed them before it
     reduced them block by block, and with the chunks run one after another,
     each drawing from its own generator of ``rng.spawn(n_chunks)``: its
-    samples, then the noise of each sigma in turn.  Returns the improvement's
-    (estimate, standard error) per sigma, per eta."""
+    samples' gradients, by ``task.draw_gradients`` into one new array, then
+    the noise of each sigma in turn.  Returns the improvement's (estimate,
+    standard error) per sigma, per eta."""
     w = np.asarray(w, dtype=float)
     d = task.dimension
     loss_before = task.population_loss(w)
@@ -156,8 +157,7 @@ def stacked_improvement_oracle(task, w, etas, b, rule, sigmas, trials, rng):
     pieces = [[[] for _ in etas] for _ in sigmas]
     for done, stream in zip(starts, rng.spawn(len(starts))):
         n = min(chunk, trials - done)
-        samples = task.draw_batch(stream, n * b).reshape(n, b, d)
-        grads = task.per_sample_gradients(w, samples.reshape(-1, d)).reshape(n, b, d)
+        grads = task.draw_gradients(stream, w, np.empty((n * b, d))).reshape(n, b, d)
         totals = weighted_gradient_sums(grads, clip_weights(rule))
         for sigma, row in zip(sigmas, pieces):
             steps = noised_mean(totals, b, sigma, stream)
@@ -182,7 +182,8 @@ def generator_end_state(rng):
 class DenseQuadratic:
     """A ``QuadraticTask``'s formulas on the dense matrices ``A = diag(a)``
     and ``S = diag(s)``: a draw through the ``eigh`` factor F of S, products
-    with A, and traces of matrix products.
+    with A, and traces of matrix products.  Drawn gradients take the task's
+    closed form ``c - (A F) z``, with ``c = A (w - x_mean)``.
 
     Each entry of these products has one nonzero term, so every result equals
     the task's elementwise one bit for bit whenever ``eigh`` keeps the order
@@ -203,6 +204,11 @@ class DenseQuadratic:
     def draw_batch(self, rng, m):
         z = rng.standard_normal((m, self.dimension))
         return self.x_mean[None, :] + z @ self.s_factor.T
+
+    def draw_gradients(self, rng, w, out):
+        z = rng.standard_normal(out.shape)
+        out[...] = self.population_gradient(w)[None, :] - z @ (self.a @ self.s_factor).T
+        return out
 
     def per_sample_gradients(self, w, batch):
         return (w[None, :] - np.atleast_2d(batch)) @ self.a

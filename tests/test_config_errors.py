@@ -8,9 +8,17 @@ function's body holds.  A rule checked in a runner fails this test.
 """
 
 import ast
+import json
+import os
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dplens"
+import pytest
+
+from dplens.cli import run_subcommand
+from test_cli import SHIPPED_CONFIGS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dplens"
 
 
 def package_sources() -> dict[str, str]:
@@ -66,3 +74,23 @@ def test_a_rule_checked_in_a_runner_is_flagged():
     assert unreached_config_errors(sources) == [
         "cli._run_continual", "cli._runner_rule", "trainer.check",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_a_repeated_seed_is_refused_before_any_fork(name, tmp_path, monkeypatch, capsys):
+    # run twice, a repeated seed would print its files' paths twice, and the
+    # second run would overwrite the first's files
+    cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+    path = tmp_path / name
+    path.write_text(json.dumps({**cfg, "seeds": [3, 5, 3]}), encoding="utf-8")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a seed worker"))
+    out = tmp_path / "out"
+    command = SHIPPED_CONFIGS[name]
+    assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: config {path} fails validation: [3, 5, 3] has non-unique elements\n"
+    )
+    assert not out.exists()

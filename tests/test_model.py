@@ -346,6 +346,9 @@ def test_quadratic_matches_the_dense_formulas_bit_for_bit(case):
     assert np.array_equal(batch, dense.draw_batch(np.random.default_rng(1), 33))
     rng = np.random.default_rng(2)
     w = task.x_mean + 0.5 * rng.standard_normal(d)
+    drawn = [source.draw_gradients(np.random.default_rng(1), w, np.empty((33, d)))
+             for source in (task, dense)]
+    assert np.array_equal(*drawn)
     assert np.array_equal(task.per_sample_gradients(w, batch), dense.per_sample_gradients(w, batch))
     assert task.batch_loss(w, batch) == dense.batch_loss(w, batch)
     for rule in (None, ClippingRule.auto(), ClippingRule(r=0.7)):
@@ -376,6 +379,53 @@ def test_oracle_on_the_quadratic_matches_the_dense_formulas_bit_for_bit(case):
     )
     assert [[(c.estimate, c.standard_error) for c in row] for row in got] == want
     assert generator_end_state(rng) == generator_end_state(ref_rng)
+
+
+class TestDrawGradients:
+    """``QuadraticTask.draw_gradients`` gives the gradients of the samples
+    that ``draw_batch`` draws from the same generator state."""
+
+    M = 300
+
+    def draws(self, task, w, seed=1):
+        """(draw_gradients' rows, the gradients of draw_batch's samples, and
+        each call's generator end state)."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = task.draw_gradients(rng, w, np.empty((self.M, task.dimension)))
+        batch = task.draw_batch(ref_rng, self.M)
+        want = task.per_sample_gradients(w, batch)
+        return got, want, batch, generator_end_state(rng), generator_end_state(ref_rng)
+
+    def test_matches_the_gradients_of_drawn_samples_to_a_few_ulps(self):
+        task = quadratic_case(d=16)
+        w = task.x_mean + 0.5 * np.random.default_rng(2).standard_normal(16)
+        got, want, batch, *_ = self.draws(task, w)
+        # the two forms round ten times between them, each by at most half an
+        # ulp of a term no larger than A (|w| + |x_mean| + |x|), which can far
+        # exceed the gradient they differ by; 1.37 ulps of it were seen
+        scale = task.a * (np.abs(w) + np.abs(task.x_mean) + np.abs(batch))
+        assert not np.array_equal(got, want)  # on this A and mean the last bits move
+        assert np.all(np.abs(got - want) <= 5 * np.finfo(float).eps * scale)
+
+    def test_leaves_the_generator_where_draw_batch_does(self):
+        task = quadratic_case(d=16)
+        *_, end, ref_end = self.draws(task, task.x_mean + 0.3)
+        assert end == ref_end
+
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_is_bit_for_bit_when_a_is_a_power_of_two_and_the_mean_zero(self, k):
+        d = 16
+        s = np.geomspace(0.001, 2.5, d)[np.random.default_rng(3).permutation(d)]
+        task = QuadraticTask(np.full(d, 2.0**k), np.zeros(d), s)
+        got, want, *_ = self.draws(task, 0.3 * np.random.default_rng(4).standard_normal(d))
+        assert np.array_equal(got, want)
+
+    def test_writes_into_out_and_returns_it(self):
+        task = quadratic_case(d=4)
+        buffer = np.full((10, 4), np.nan)
+        out = buffer[:6]
+        assert task.draw_gradients(np.random.default_rng(5), task.x_mean, out) is out
+        assert np.all(np.isfinite(buffer[:6])) and np.all(np.isnan(buffer[6:]))
 
 
 class TestPopulationStats:

@@ -518,9 +518,12 @@ class TestStreamedOracle:
     def test_traced_peak_is_one_block(self, monkeypatch, b):
         # the oracle_quad shape and grid: at B = 256 one (trials, B, d) array
         # of a 122-trial chunk is 15 MiB, and the stacked form holds about
-        # five at once; the streamed form holds one 256 KiB sample block and
-        # that block's gradients.  On one core every chunk runs in this
-        # process, where tracemalloc sees it, not in a forked worker
+        # five at once; the streamed form holds a chunk's two 256 KiB block
+        # buffers, of gradients and of their squares, and no third array of
+        # a block's size (the traced peak read 708 KiB at B = 16 and 647 KiB
+        # at B = 256, against 963 and 902 KiB when each block drew new
+        # samples, gradients and squares).  On one core every chunk runs in
+        # this process, where tracemalloc sees it, not in a forked worker
         patch_cores(monkeypatch, 1)
         task = wide_quadratic(64)
         w = task.x_mean + 0.3 * np.random.default_rng(23).standard_normal(64)
@@ -533,26 +536,27 @@ class TestStreamedOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 3 * 2**18
 
     @pytest.mark.parametrize("cores", [2, 3], ids=lambda n: f"{n}-core")
-    @pytest.mark.parametrize("method", ["per_sample_gradients", "draw_batch"])
+    @pytest.mark.parametrize("call", [1, 2], ids=["first-block", "second-block"])
     @pytest.mark.parametrize("stripe", ["caller", "worker"])
     def test_a_failure_is_raised_here_and_the_worker_reaped(
-        self, monkeypatch, cores, method, stripe
+        self, monkeypatch, cores, call, stripe
     ):
         # a 250-trial run at B = 256 and d = 64 makes 122/122/6-trial chunks
         # of two-trial blocks, chunk 0 in this process and chunk 1 in a
-        # forked worker, so the failure comes partway through the stripe's
-        # first chunk; the exception names the process that raised it
+        # forked worker, so the failure comes at the start of, or partway
+        # through, the stripe's first chunk; the exception names the process
+        # that raised it
         patch_cores(monkeypatch, cores)
-        task = FailingQuadratic(method, stripe)
+        task = FailingQuadratic(call, stripe)
         with pytest.raises(InjectedFailure) as caught:
             empirical_improvement_oracle(
                 task, task.x_mean + 0.3, [0.2], 256, ClippingRule(r=0.5), [0.5], 250,
                 np.random.default_rng(25),
             )
-        assert str(caught.value) == f"{method} call 2 on the {stripe}"
+        assert str(caught.value) == f"draw_gradients call {call} on the {stripe}"
         assert (caught.value.pid == os.getpid()) == (stripe == "caller")
         assert_no_child_left()
 
@@ -599,11 +603,11 @@ class TestStreamedOracle:
         modes = []
 
         class Recording(QuadraticTask):
-            def per_sample_gradients(self, w, batch):
+            def draw_gradients(self, rng, w, out):
                 if os.getpid() != caller:
                     raise InjectedFailure("worker")
                 modes.append(np.geterr()["over"])
-                return super().per_sample_gradients(w, batch)
+                return super().draw_gradients(rng, w, out)
 
         task = Recording(np.ones(8), np.zeros(8), np.full(8, 1e-3))
         with np.errstate(over="raise"), pytest.raises(InjectedFailure) as caught:
@@ -627,30 +631,23 @@ class InjectedFailure(Exception):
 
 
 class FailingQuadratic(QuadraticTask):
-    """``wide_quadratic(64)``, whose ``method`` raises InjectedFailure on its
-    second call in ``stripe``: the process that built it ("caller") or a
-    forked worker ("worker").  Each process counts its own calls."""
+    """``wide_quadratic(64)``, whose ``draw_gradients`` raises
+    InjectedFailure on its ``failing_call``-th call in ``stripe``: the
+    process that built it ("caller") or a forked worker ("worker").  Each
+    process counts its own calls."""
 
-    def __init__(self, method, stripe):
+    def __init__(self, failing_call, stripe):
         base = wide_quadratic(64)
         super().__init__(base.a, base.x_mean, base.s)
-        self.method, self.stripe, self.calls = method, stripe, 0
+        self.failing_call, self.stripe, self.calls = failing_call, stripe, 0
         self.caller = os.getpid()
 
-    def _count(self, method):
-        on_caller = os.getpid() == self.caller
-        if method == self.method and on_caller == (self.stripe == "caller"):
+    def draw_gradients(self, rng, w, out):
+        if (os.getpid() == self.caller) == (self.stripe == "caller"):
             self.calls += 1
-            if self.calls == 2:
-                raise InjectedFailure(f"{method} call 2 on the {self.stripe}")
-
-    def per_sample_gradients(self, w, batch):
-        self._count("per_sample_gradients")
-        return super().per_sample_gradients(w, batch)
-
-    def draw_batch(self, rng, m):
-        self._count("draw_batch")
-        return super().draw_batch(rng, m)
+            if self.calls == self.failing_call:
+                raise InjectedFailure(f"draw_gradients call {self.calls} on the {self.stripe}")
+        return super().draw_gradients(rng, w, out)
 
 
 FOURWAY_ARMS = ("sgd", "sgd_clip", "sgd_noise", "dp_sgd")
