@@ -330,11 +330,11 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     other: ``type``, ``enum``, ``const``, ``minimum``, ``exclusiveMinimum``,
     ``maximum``, ``exclusiveMaximum``, ``minItems``, ``uniqueItems``,
     ``minProperties``, ``required``, ``properties``, ``additionalProperties``
-    and ``items``; any other raises NotImplementedError.  Errors come in schema-keyword order
-    with jsonschema's messages.  No keyword applies two schemas at one path, so
-    ``rank``, (-depth, instance path), orders them as the key of
-    ``jsonschema.exceptions.relevance`` does, and the first error of maximal
-    rank is the one ``jsonschema.exceptions.best_match`` picks.
+    and ``items``; any other raises NotImplementedError.  Errors come in
+    schema-keyword order with jsonschema's messages.  No keyword applies two
+    schemas at one path, so ``rank``, (-depth, instance path), orders them as
+    the key of ``jsonschema.exceptions.relevance`` does, and the first error
+    of maximal rank is the one ``jsonschema.exceptions.best_match`` picks.
     """
     rank = (-len(path), path)
     for keyword, arg in schema.items():

@@ -4,7 +4,8 @@
 alone, before any seed runs or any seed worker is forked.  So every
 ``ConfigError(...)`` in ``src/dplens`` sits in ``load_config`` or in a
 function that it reaches: a top-level ``cli`` function whose name a reached
-function's body holds.  A rule checked in a runner fails this test.
+function's body holds.  A rule checked in a runner fails this test.  A
+repeated seed is refused there too, with exit 1 and before any fork.
 """
 
 import ast
@@ -78,8 +79,8 @@ def test_a_rule_checked_in_a_runner_is_flagged():
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
 def test_a_repeated_seed_is_refused_before_any_fork(name, tmp_path, monkeypatch, capsys):
-    # run twice, a repeated seed would print its files' paths twice, and the
-    # second run would overwrite the first's files
+    # a repeated seed would run twice, print its files' paths twice, and
+    # leave the second run's files over the first's
     cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
     path = tmp_path / name
     path.write_text(json.dumps({**cfg, "seeds": [3, 5, 3]}), encoding="utf-8")
