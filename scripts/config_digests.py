@@ -38,11 +38,14 @@ from workloads import WORKLOADS, config_for  # noqa: E402
 
 # (config, label suffix) -> the keys that replace the config's.  Plots of
 # training tables: most continual rows have empty val_loss and tr_H cells,
+# a log y axis leaves out the continual sigma's zeros on the public steps,
 # and the fourway table holds five seeds on a log y axis.  The oracle on a
 # general diagonal quadratic: with A no power of two times I and a nonzero
 # mean, a change in how a per-sample gradient rounds moves a byte, which it
 # does not on oracle_small's A = 0.5 I and zero mean
 VARIANTS = {
+    ("continual_demo.json", "logplot"): {
+        "plot": {"columns": ["iter", "train_loss", "sigma"], "y_scale": "log"}},
     ("continual_demo.json", "plot"): {"plot": {"columns": ["iter", "val_loss", "tr_H"]}},
     ("fourway_mlp.json", "plot"): {
         "plot": {"columns": ["iter", "train_loss"], "y_scale": "log"}},

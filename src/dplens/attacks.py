@@ -103,7 +103,8 @@ def mia_split_sizes(
 
     The test split takes ``n_test`` non-members and as many members, at
     least one of each and at most all but one; the attack's training split
-    takes ``n_train_members``, at least one, of the members left over.
+    takes ``n_train_members``, at least one, of the members left over, and
+    every non-member left over, at least one.
     """
     if not 0.0 < split_fraction < 1.0:
         raise ValueError("split fraction must lie in (0, 1)")
@@ -114,6 +115,8 @@ def mia_split_sizes(
     n_train_members = max(1, int(round(member_train_fraction * n_members)))
     if n_members - n_test < n_train_members:
         raise ValueError("not enough members left for the attack training split")
+    if n_nonmembers <= n_test:
+        raise ValueError("not enough non-members left for the attack training split")
     return n_test, n_train_members
 
 
@@ -138,8 +141,6 @@ def build_mia_dataset(
     x_non, y_non = nonmember_set
     x_mem = np.atleast_2d(np.asarray(x_mem, dtype=float))
     x_non = np.atleast_2d(np.asarray(x_non, dtype=float))
-    if x_mem.shape[0] == 0 or x_non.shape[0] == 0:
-        raise ValueError("member and non-member sets must be nonempty")
     n_test, n_train_mem = mia_split_sizes(x_mem.shape[0], x_non.shape[0], **split)
     if _row_keys(x_mem) & _row_keys(x_non):
         raise ValueError("member and non-member sets overlap")
@@ -219,9 +220,7 @@ def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
     x = dataset.features[dataset.train_idx]
     y = dataset.labels[dataset.train_idx]
     n = len(y)
-    n_pos = float(y.sum())  # the labels are 1 (member) and 0
-    if not 0.0 < n_pos < n:
-        raise ValueError("attack training split is single-class")
+    n_pos = float(y.sum())  # the labels are 1 (member) and 0, both present (MiaDataset)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
@@ -299,8 +298,6 @@ def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
     Both come from the attack's logits: a score of 0.5 is a logit of 0, and
     ranking logits keeps the order that saturated scores of 0.0 or 1.0 lose.
     """
-    if len(dataset.test_idx) == 0:
-        raise ValueError("empty test split")
     x = dataset.features[dataset.test_idx]
     y = dataset.labels[dataset.test_idx]
     logits = classifier.logits(x)

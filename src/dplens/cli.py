@@ -9,12 +9,13 @@ the one-phase ``continual`` config :func:`_one_phase` maps it to.  A
 ``fourway`` seed is four ``train`` runs of that seed, one per arm
 (``_FOURWAY_ARMS``).  The columns are a tuple of names that
 :func:`table_columns` gives from the subcommand and config alone, so a
-``plot`` column the table lacks is a config error before the first seed runs.
-A ``None`` cell is an empty cell.  Only :func:`run_subcommand` writes files:
-per seed it names the CSV (``_seed_name``), writes it with the standard
-library's ``csv`` writer (``_write_csv``), which quotes a cell holding a
-comma, a double quote or a newline, and, when the config asks for a ``plot``,
-draws the SVG from the same in-memory table (:func:`emit_svg_lineplot`).
+``plot`` column the table lacks, or holds as text, is a config error before
+the first seed runs.  A ``None`` cell is an empty cell.  Only
+:func:`run_subcommand` writes files: per seed it names the CSV
+(``_seed_name``), writes it with the standard library's ``csv`` writer
+(``_write_csv``), which quotes a cell holding a comma, a double quote or a
+newline, and, when the config asks for a ``plot``, draws the SVG from the
+same in-memory table (:func:`emit_svg_lineplot`).
 A multi-seed run shares its seeds among forked workers, one per usable core
 (``trainer.usable_cores``; ``taskset -c 0`` gives one), and writes their
 files in seed order, as a serial loop would (``trainer._run_striped``, which
@@ -480,8 +481,8 @@ def _rule_message(cfg: dict, command: str) -> str | None:
 
     A positive ``hessian_probes`` turns on a curvature snapshot per step,
     whose tr(H Sigma) estimate needs two or more gradients.  A ``plot``
-    names columns of the table.  No ``sweep-batch`` case name holds a
-    carriage return, which Python 3.11's csv writer leaves bare under a
+    names numeric columns of the table.  No ``sweep-batch`` case name holds
+    a carriage return, which Python 3.11's csv writer leaves bare under a
     newline line terminator, so that a reader ends the row there, and each
     case's inputs pass :class:`predictor.ImprovementInputs`' own rules.  Each
     ``calibrate`` batch is at most n, and a ``mia`` delta lies below
@@ -505,6 +506,9 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     if missing:
         return (f"plot names {', '.join(map(repr, missing))}, not in the "
                 f"{command} table's columns {', '.join(columns)}")
+    text = [name for name in cfg.get("plot", {}).get("columns", ()) if name in _TEXT_COLUMNS]
+    if text:
+        return f"plot names {', '.join(map(repr, text))}, which the {command} table holds as text"
     if command == "sweep-batch":
         for name, case in cfg["cases"].items():
             if "\r" in name:
@@ -670,16 +674,13 @@ _COLUMNS = {
     "fourway": ("arm", *TRAIN_COLUMNS),
     "mia": ("model_id", "epsilon", "accuracy", "precision", "recall", "f1", "auc"),
 }
+_TEXT_COLUMNS = ("case", "phase", "arm")  # names, which no plot axis can place
 
 
 def table_columns(command: str, cfg: dict) -> tuple[str, ...]:
     """The columns of every table ``command``'s runner returns for ``cfg``:
     a positive ``hessian_probes`` adds the curvature columns."""
     return _COLUMNS[command] + (HESSIAN_COLUMNS if cfg.get("hessian_probes") else ())
-
-
-def _record_row(r: trainer.IterationRecord) -> list:
-    return [r.iteration, r.phase, r.alpha, r.train_loss, r.val_loss, r.sigma]
 
 
 def _run_table(run: trainer.TrainRun, batch_size: int, columns: tuple[str, ...]) -> Table:
@@ -690,7 +691,8 @@ def _run_table(run: trainer.TrainRun, batch_size: int, columns: tuple[str, ...])
     :func:`predictor.decelerator` at c = 1, sigma^2 tr(H) / B: the paper's
     form divides by c^2, and no run records c yet.
     """
-    rows = [_record_row(r) for r in run.records]
+    rows = [[r.iteration, r.phase, r.alpha, r.train_loss, r.val_loss, r.sigma]
+            for r in run.records]
     for row, r in zip(rows, run.records):
         h = r.hessian
         if h is not None:
@@ -929,12 +931,18 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H, _MARGIN = 640, 480, 60
 
 
-def _plot_series(table: Table, wanted: list[str]) -> list[tuple[str, list]]:
+def _on_axis(value, scale: str) -> bool:
+    """Whether a cell has a place on an axis: not empty (None), and positive on a log one."""
+    return value is not None and (scale != "log" or value > 0)
+
+
+def _plot_series(table: Table, wanted: list[str], scales: tuple) -> list[tuple[str, list]]:
     """The legend label and (x, y) points of each series: each later
-    ``wanted`` column against the first, over the rows where neither cell is
-    empty (None).  When the table's first column holds two or more names, as
-    ``fourway``'s ``arm`` does, each name's rows make their own series per
-    column, labelled with the name (and the column, if there are several)."""
+    ``wanted`` column against the first, over the rows where both cells have
+    a place on their axes of ``scales`` (:func:`_on_axis`).  When the
+    table's first column holds two or more names, as ``fourway``'s ``arm``
+    does, each name's rows make their own series per column, labelled with
+    the name (and the column, if there are several)."""
     for name in wanted:
         if name not in table.columns:
             raise ValueError(f"table has no column {name!r}")
@@ -948,7 +956,7 @@ def _plot_series(table: Table, wanted: list[str]) -> list[tuple[str, list]]:
         for name, iy in zip(wanted[1:], iys):
             label = name if group is None else group if len(iys) == 1 else f"{group} {name}"
             points = [(float(row[ix]), float(row[iy])) for row in rows
-                      if row[ix] is not None and row[iy] is not None]
+                      if _on_axis(row[ix], scales[0]) and _on_axis(row[iy], scales[1])]
             series.append((label, points))
     if not any(points for _, points in series):
         raise ValueError("table has no plottable rows")
@@ -967,8 +975,6 @@ def _segments(points: list[tuple[float, float]]) -> list[list[tuple[float, float
 
 def _scaled(values: list[float], scale: str, lo: float, hi: float, out_lo, out_hi):
     if scale == "log":
-        if lo <= 0:
-            raise ValueError("log scale requires positive values")
         lo, hi = math.log10(lo), math.log10(hi)
         values = [math.log10(v) for v in values]
     span = hi - lo if hi > lo else 1.0
@@ -983,18 +989,18 @@ def emit_svg_lineplot(
 ) -> Path:
     """Plot each y-column against the first (x) column into ``out_path``.
 
-    Each series (see :func:`_plot_series`) is drawn in its own colour over
-    the rows where both its column and x are non-empty, one polyline per run
-    of rows in which x never decreases, and named in the legend: a table
-    whose first column names groups, as ``fourway``'s arms, gets a colour
-    and a legend entry per group.  The output bytes are a pure function of
-    the table and arguments: fixed canvas, fixed palette, fixed float
-    formatting, no timestamps.
+    Each series (see :func:`_plot_series`) is drawn in its own colour, one
+    polyline per run of rows in which x never decreases, and named in the
+    legend.  It leaves out each row whose x or y cell is empty, or is at or
+    below 0 on a log axis.  A table whose first column names groups, as
+    ``fourway``'s arms, gets a colour and a legend entry per group.  The
+    output bytes are a pure function of the table and arguments: fixed
+    canvas, fixed palette, fixed float formatting, no timestamps.
     """
     if len(columns) < 2:
         raise ValueError("need an x column and at least one y column")
     x_scale, y_scale = scales
-    series = _plot_series(table, list(columns))
+    series = _plot_series(table, list(columns), scales)
     all_x = [x for _, points in series for x, _ in points]
     all_y = [y for _, points in series for _, y in points]
     x_lo, x_hi = min(all_x), max(all_x)

@@ -6,9 +6,9 @@ fused training-step pass (``loss_and_weighted_gradient_sum``: mean batch loss
 and a norm-weighted sum of per-sample gradients), the curvature pass
 (``gradient_hessian_forms``: the batch gradient, the Hessian forms of its
 centered per-sample gradients, and the exact trace of the Hessian of the mean
-batch loss), and seeded batch drawing.  Each task has its own closed forms
-for them; the logistic and MLP ones never build the ``(m, d)`` matrix of
-per-sample gradients.
+batch loss), seeded batch drawing, and a seeded start (``random_parameters``).
+Each task has its own closed forms for them; the logistic and MLP ones never
+build the ``(m, d)`` matrix of per-sample gradients.
 
 No method builds the Hessian H or a product ``H v``.  The snapshot reads H
 through the forms ``v^T H v`` along the batch's own centered gradients and
@@ -96,6 +96,10 @@ class DifferentiableTask(abc.ABC):
     def draw_batch(self, rng: np.random.Generator, m: int) -> Any:
         """Draw ``m`` samples as a batch."""
 
+    def random_parameters(self, rng: np.random.Generator) -> Array:
+        """A run's starting point, 0.1 N(0, I)."""
+        return 0.1 * rng.standard_normal(self.dimension)
+
     def _check_dim(self, w: Array) -> Array:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dimension,):
@@ -167,7 +171,8 @@ class QuadraticTask(DifferentiableTask):
     def gradient_hessian_forms(
         self, w: Array, batch: Array
     ) -> tuple[Array, Array, float, float]:
-        grads = self.per_sample_gradients(w, batch)
+        grads = self._residuals(w, batch)
+        grads *= self.a
         g_hat = grads.mean(axis=0)
         # v^T A v of the centered rows and of g_hat, stacked
         vs = np.vstack([grads - g_hat[None, :], g_hat])
@@ -187,8 +192,8 @@ class QuadraticTask(DifferentiableTask):
         ``out`` first holds the normals z that ``draw_batch(rng, m)`` draws,
         in the same order, so the generator ends where that call leaves it;
         two in-place passes then make each row ``c - D z`` (class docstring).
-        This is ``per_sample_gradients(w, draw_batch(rng, m))`` up to the last
-        bits, and equal to it bit for bit when A = 2^k I and x_mean = 0.
+        These are the gradients ``A (w - x_i)`` of ``draw_batch(rng, m)``'s
+        samples up to the last bits, and exactly them when A = 2^k I and x_mean = 0.
         """
         c = self.population_gradient(w)
         rng.standard_normal(out=out)
@@ -197,12 +202,6 @@ class QuadraticTask(DifferentiableTask):
         return out
 
     # exact oracles -------------------------------------------------------
-
-    def per_sample_gradients(self, w: Array, batch: Array) -> Array:
-        """The ``(m, d)`` per-sample gradients ``A (w - x_i)``, one row each."""
-        grads = self._residuals(w, batch)
-        grads *= self.a
-        return grads
 
     def population_gradient(self, w: Array) -> Array:
         w = self._check_dim(w)

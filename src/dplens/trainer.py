@@ -239,9 +239,9 @@ def continual_pretrain(
     ``abort_reason`` set and the records before that iteration kept.
 
     ``rng`` spawns four streams, for the initial point (the task's
-    ``random_parameters``, else 0.1 N(0, I)), the held-out set, the batches
-    and the noise, so runs of one seed that differ only in the clipping rule,
-    sigma or schedule share all four streams.
+    ``random_parameters``), the held-out set, the batches and the noise, so
+    runs of one seed that differ only in the clipping rule, sigma or
+    schedule share all four streams.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -252,11 +252,7 @@ def continual_pretrain(
         raise ValueError("only binary alpha schedules drive the two-phase loop")
     switch = SwitchPolicy(patience)
     init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
-    initializer = getattr(task, "random_parameters", None)
-    if initializer is not None:
-        w = initializer(init_rng)
-    else:
-        w = 0.1 * init_rng.standard_normal(task.dimension)
+    w = task.random_parameters(init_rng)
     val_set = task.draw_batch(val_rng, val_size)
 
     state = OptimizerState.zeros(task.dimension)

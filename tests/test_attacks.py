@@ -103,6 +103,13 @@ class TestBuildDataset:
             build_mia_dataset(*toy_target(2, 3), blobs(1, 3, 4), blobs(20, 3, 5),
                               np.random.default_rng(0))
 
+    def test_too_few_nonmembers_rejected(self):
+        # the test split takes the one non-member, and would leave the
+        # attack's training split a single class
+        with pytest.raises(ValueError, match="not enough non-members left"):
+            mia_split_sizes(20, 1)
+        assert mia_split_sizes(20, 2) == (1, 2)
+
 
 class TestFitClassifier:
     def test_separable_features_reach_full_training_accuracy(self):

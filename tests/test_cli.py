@@ -548,6 +548,12 @@ class TestConfigHandling:
             ("train", {"plot": {"columns": ["iter", "tr_H", "decelerator"]}},
              "plot names 'tr_H', 'decelerator', not in the train table's columns iter, phase, "
              "alpha, train_loss, val_loss, sigma"),
+            ("continual", {"plot": {"columns": ["iter", "phase"]}},
+             "plot names 'phase', which the continual table holds as text"),
+            ("fourway_mlp.json", {"plot": {"columns": ["iter", "arm", "train_loss"]}},
+             "plot names 'arm', which the fourway table holds as text"),
+            ("sweep-batch", {"plot": {"columns": ["case", "B"]}},
+             "plot names 'case', which the sweep-batch table holds as text"),
             ("sweep-batch", {"cases": {"a\rb": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
                                                  "tr_h_sigma": 1.0, "sigma": 0.5}}},
              "sweep-batch case name 'a\\rb' holds a carriage return"),
@@ -566,7 +572,8 @@ class TestConfigHandling:
              "indicator-tail-too-long",
              "indicator-bad-s", "demo-n-8", "epsilon-zero", "mia-delta-half", "mia-split",
              "calibrate-batch-over-n", "calibrate-delta",
-             "plot-column-without-curvature", "train-plot-columns", "carriage-return"],
+             "plot-column-without-curvature", "train-plot-columns", "plot-phase", "plot-arm",
+             "plot-case", "carriage-return"],
     )
     def test_a_block_key_is_checked_at_load(
         self, base, change, message, tmp_path, capsys, monkeypatch
@@ -618,6 +625,8 @@ class TestConfigHandling:
             ("fourway_mlp.json", {"sigma": float("nan")}, not_finite(float("nan"))),
             ("mia_toy.json", {"n_members": 1},
              "fails validation: not enough members left for the attack training split"),
+            ("mia_toy.json", {"n_nonmembers": 1},
+             "fails validation: not enough non-members left for the attack training split"),
             ("sweep-batch", {"cases": {"a": {"g_norm_sq": 1.0, "g_h_g": 1.0, "tr_h": 1.0,
                                              "tr_h_sigma": 1.0, "sigma": 0.5, "c": 2.0}}},
              "fails validation: sweep-batch case 'a': clip scale c must lie in (0, 1]"),
@@ -626,7 +635,7 @@ class TestConfigHandling:
         ids=["eta", "reparam-r", "mia-lr", "split-one", "split-zero",
              "member-train-over-one", "label-flip", "train-sigma", "continual-sigma",
              "fourway-sigma", "oracle-trials", "noise-std", "sigma-nan", "mia-members",
-             "sweep-batch-c", "valid-forks-once"],
+             "mia-nonmembers", "sweep-batch-c", "valid-forks-once"],
     )
     def test_a_bad_value_exits_1_before_any_fork(
         self, base, change, message, tmp_path, capsys, monkeypatch
@@ -1366,10 +1375,16 @@ class TestSvg:
         b = emit_svg_lineplot(table, ["x", "y"], tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_log_scale_rejects_nonpositive(self, tmp_path):
-        table = Table(("x", "y"), [[0, 1], [1, 2]])
-        with pytest.raises(ValueError):
-            emit_svg_lineplot(table, ["x", "y"], tmp_path / "plot.svg", scales=("log", "linear"))
+    @pytest.mark.parametrize("scales", [("log", "linear"), ("linear", "log")])
+    def test_log_scale_leaves_out_nonpositive_points(self, scales, tmp_path):
+        # as an empty cell: the point goes, the rest of the series stays
+        rows = [[0, 0], [1, 2], [-1, -2], [2, 4]]
+        svg = emit_svg_lineplot(Table(("x", "y"), rows), ["x", "y"], tmp_path / "a.svg", scales)
+        assert [len(points) for points in polyline_points(svg.read_text())] == [2]
+        # a plot with no point left has nothing to draw
+        with pytest.raises(ValueError, match="no plottable rows"):
+            emit_svg_lineplot(Table(("x", "y"), rows[::2]), ["x", "y"], tmp_path / "b.svg",
+                              scales)
 
     def test_multiple_series(self, tmp_path):
         table = Table(("x", "y1", "y2"), [[1, 2, 3], [2, 4, 5]])
@@ -1416,6 +1431,26 @@ class TestSvg:
         text = emit_svg_lineplot(table, columns, tmp_path / "plot.svg").read_text()
         # val_loss is set at the 10 epoch ends, tr_H on all 80 rows
         assert [len(points) for points in polyline_points(text)] == [10, 80]
+
+    def test_a_log_axis_leaves_out_the_public_steps_zero_sigma(self, tmp_path):
+        # sigma is 0 on the public steps, so only the private steps have a
+        # place on a log y axis, and every seed writes its table and plot
+        cfg = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
+        plot = {"columns": ["iter", "sigma"], "y_scale": "log"}
+        path = write_config(tmp_path, {**cfg, "seeds": [0, 1], "plot": plot})
+        out = tmp_path / "out"
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "continual_seed0.csv", "continual_seed0.svg",
+            "continual_seed1.csv", "continual_seed1.svg",
+        ]
+        for seed in (0, 1):
+            table = (out / f"continual_seed{seed}.csv").read_text()
+            rows = list(csv.DictReader(table.splitlines()))
+            private = sum(float(row["sigma"]) > 0 for row in rows)
+            assert 0 < private < len(rows)
+            text = (out / f"continual_seed{seed}.svg").read_text()
+            assert sum(len(points) for points in polyline_points(text)) == private
 
 
 def test_scipy_loads_with_privacy_accounting_only(tmp_path):

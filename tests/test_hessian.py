@@ -13,7 +13,7 @@ from dplens.hessian import (
 from dplens.model import LogisticTask, QuadraticTask, TinyMlpTask, population_stats
 from dplens.cli import _run_table, _write_csv, table_columns
 from dplens.trainer import IterationRecord, TrainRun
-from reference import stacked_gradient_hessian_forms
+from reference import per_sample_gradients, stacked_gradient_hessian_forms
 
 
 def diag_action(values):
@@ -155,7 +155,7 @@ class TestQuadraticForm:
         task = QuadraticTask(a, rng.standard_normal(6), np.ones(6))
         w = rng.standard_normal(6)
         batch = task.draw_batch(rng, 3)
-        gs = task.per_sample_gradients(w, batch)
+        gs = per_sample_gradients(task, w, batch)
         dense = [float(g @ np.diag(a) @ g) for g in gs - gs.mean(axis=0)]
         assert quadratic_forms(task, w, batch)[0] == pytest.approx(dense, rel=1e-10)
 
