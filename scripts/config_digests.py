@@ -1,8 +1,8 @@
 """SHA-256 of every file each shipped and benchmark config writes.
 
 Runs every ``configs/*.json``, three of them again with some keys replaced
-(``VARIANTS``), and, for each workload in ``bench/workloads.py``, the
-configs of workload seed 1, repetitions 0 to 2, through
+or dropped (``VARIANTS``), and, for each workload in ``bench/workloads.py``,
+the configs of workload seed 1, repetitions 0 to 2, through
 ``dplens.cli.run_subcommand``, each into its own temporary directory.  Prints
 one ``<config>/<file> <sha256>`` line per output file.  BLAS runs on one
 thread, as in ``bench/run.py``, so the bytes do not depend on the thread count.
@@ -36,16 +36,22 @@ from dplens.cli import run_subcommand  # noqa: E402
 from test_cli import SHIPPED_CONFIGS  # noqa: E402
 from workloads import WORKLOADS, config_for  # noqa: E402
 
-# (config, label suffix) -> the keys that replace the config's.  Plots of
-# training tables: most continual rows have empty val_loss and tr_H cells,
-# a log y axis leaves out the continual sigma's zeros on the public steps,
-# and the fourway table holds five seeds on a log y axis.  The oracle on a
+# (config, label suffix) -> the keys that replace the config's; a None value
+# drops the key.  Plots of training tables: most continual rows have empty
+# val_loss and tr_H cells, a log y axis leaves out the continual sigma's
+# zeros on the public steps, a public-only run leaves a log sigma axis no
+# point, so each of its seeds writes a CSV and no SVG, and the fourway
+# table holds five seeds on a log y axis.  The oracle on a
 # general diagonal quadratic: with A no power of two times I and a nonzero
 # mean, a change in how a per-sample gradient rounds moves a byte, which it
 # does not on oracle_small's A = 0.5 I and zero mean
 VARIANTS = {
     ("continual_demo.json", "logplot"): {
         "plot": {"columns": ["iter", "train_loss", "sigma"], "y_scale": "log"}},
+    ("continual_demo.json", "nopoints"): {
+        "schedule": {"kind": "only_public"}, "privacy": None, "clipping": None,
+        "patience": None, "seeds": [0, 1],
+        "plot": {"columns": ["iter", "sigma"], "y_scale": "log"}},
     ("continual_demo.json", "plot"): {"plot": {"columns": ["iter", "val_loss", "tr_H"]}},
     ("fourway_mlp.json", "plot"): {
         "plot": {"columns": ["iter", "train_loss"], "y_scale": "log"}},
@@ -66,7 +72,8 @@ def _runs(scratch: Path):
     for (name, suffix), keys in sorted(VARIANTS.items()):
         path = scratch / f"{suffix}-{name}"
         cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**cfg, **keys}), encoding="utf-8")
+        cfg = {key: value for key, value in {**cfg, **keys}.items() if value is not None}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         yield f"configs/{name}+{suffix}", SHIPPED_CONFIGS[name], path
     for name, workload in sorted(WORKLOADS.items()):
         for rep in BENCH_REPS:

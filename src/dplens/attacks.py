@@ -49,12 +49,6 @@ class SoftmaxTask:
         weights, bias = self._unpack(w)
         return np.atleast_2d(np.asarray(xs, dtype=float)) @ weights.T + bias
 
-    def example_losses(self, w: Array, xs: Array, ys: Array) -> Array:
-        z = self.logits(w, xs)
-        z = z - z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        return log_norm - z[np.arange(len(ys)), np.asarray(ys, dtype=int)]
-
     def loss_and_weighted_gradient_sum(
         self, w: Array, batch: None, weight_of_norms: NormWeights | None = None
     ) -> tuple[float, Array]:
@@ -73,20 +67,11 @@ class SoftmaxTask:
         return loss, np.concatenate([(p @ self.xs).ravel(), p.sum(axis=1)])
 
 
-@dataclass(frozen=True)
-class MiaDataset:
-    """Membership features/labels with a train/test partition."""
-
-    features: Array  # (N, n_classes + 1): logits then scalar loss
-    labels: Array  # 1 = member, 0 = non-member
-    train_idx: Array
-    test_idx: Array
-
-    def __post_init__(self):
-        for idx in (self.train_idx, self.test_idx):
-            part = self.labels[idx]
-            if not (np.any(part == 1) and np.any(part == 0)):
-                raise ValueError("each split must contain both classes")
+def _example_losses(logits: Array, ys: Array) -> Array:
+    """Each example's cross-entropy loss from its row of ``logits``."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    return log_norm - z[np.arange(len(ys)), np.asarray(ys, dtype=int)]
 
 
 def _row_keys(xs: Array) -> set[bytes]:
@@ -127,20 +112,24 @@ def build_mia_dataset(
     nonmember_set: tuple[Array, Array],
     rng: np.random.Generator,
     **split: float,
-) -> MiaDataset:
-    """Assemble attack features of the target at ``w`` and a balanced test split.
+) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
+    """The attack's training and test splits, each ``(features, labels)``.
 
-    The test split takes ``split_fraction`` of the non-members plus the same
-    number of members; the attack's training split gets all remaining
-    non-members and a ``member_train_fraction`` share of the members.  The
-    two fractions in ``split`` go to :func:`mia_split_sizes`, whose
-    defaults they take.  Member and non-member example sets must be
-    disjoint.
+    A feature row is the target's logits at ``w`` for one example, then
+    that example's loss; a label is 1 for a member and 0 for a non-member,
+    and each split lists its members first.  The test split takes
+    ``split_fraction`` of the non-members plus the same number of members;
+    the attack's training split gets all remaining non-members and a
+    ``member_train_fraction`` share of the members.  The two fractions in
+    ``split`` go to :func:`mia_split_sizes`, whose defaults they take and
+    which leaves both labels in each split.  Member and non-member example
+    sets must be disjoint.
     """
     x_mem, y_mem = member_set
     x_non, y_non = nonmember_set
     x_mem = np.atleast_2d(np.asarray(x_mem, dtype=float))
     x_non = np.atleast_2d(np.asarray(x_non, dtype=float))
+    y_mem, y_non = np.asarray(y_mem), np.asarray(y_non)
     n_test, n_train_mem = mia_split_sizes(x_mem.shape[0], x_non.shape[0], **split)
     if _row_keys(x_mem) & _row_keys(x_non):
         raise ValueError("member and non-member sets overlap")
@@ -152,34 +141,19 @@ def build_mia_dataset(
     train_mem = perm_mem[n_test:n_test + n_train_mem]
 
     def _features(xs, ys):
-        # huge weights overflow here; fit_mia_classifier rejects what is not finite
+        # huge weights overflow here; fit_mia_classifier and evaluate_mia
+        # reject what is not finite
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = target.example_losses(w, xs, ys)
-            return np.concatenate([target.logits(w, xs), losses[:, None]], axis=1)
+            logits = target.logits(w, xs)
+            return np.concatenate([logits, _example_losses(logits, ys)[:, None]], axis=1)
 
-    feats = np.concatenate(
-        [
-            _features(x_mem[train_mem], np.asarray(y_mem)[train_mem]),
-            _features(x_non[train_non], np.asarray(y_non)[train_non]),
-            _features(x_mem[test_mem], np.asarray(y_mem)[test_mem]),
-            _features(x_non[test_non], np.asarray(y_non)[test_non]),
-        ]
-    )
-    labels = np.concatenate(
-        [
-            np.ones(len(train_mem)),
-            np.zeros(len(train_non)),
-            np.ones(len(test_mem)),
-            np.zeros(len(test_non)),
-        ]
-    )
-    n_train = len(train_mem) + len(train_non)
-    return MiaDataset(
-        features=feats,
-        labels=labels,
-        train_idx=np.arange(n_train),
-        test_idx=np.arange(n_train, len(labels)),
-    )
+    def _split(mem, non):
+        features = np.concatenate(
+            [_features(x_mem[mem], y_mem[mem]), _features(x_non[non], y_non[non])]
+        )
+        return features, np.concatenate([np.ones(len(mem)), np.zeros(len(non))])
+
+    return _split(train_mem, train_non), _split(test_mem, test_non)
 
 
 @dataclass(frozen=True)
@@ -202,25 +176,30 @@ _NEWTON_GTOL = 1e-9
 _NEWTON_MAX_ITER = 50
 
 
-def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
-    """Fit the attack's logistic regression on the training split.
+def _check_finite(features: Array) -> None:
+    if not np.all(np.isfinite(features)):
+        raise FloatingPointError("non-finite attack features")
+
+
+def fit_mia_classifier(x: Array, y: Array) -> MiaClassifier:
+    """Fit the attack's logistic regression on the training split ``(x, y)``.
 
     Newton's method (iteratively reweighted least squares) on the
     inverse-frequency weighted logistic loss, from zero on standardised
     features, run until the gradient norm falls below 1e-9 or for at most 50
     iterations.  A 1e-12 ridge on the Hessian keeps each Newton system
     solvable on a separable split, where the loss has no minimiser and the
-    iterates grow until the gradient is below the tolerance.  Non-finite
-    features (of either split), features whose standardisation overflows, a
+    iterates grow until the gradient is below the tolerance.  The labels
+    are 1 (member) and 0; a split without both raises :class:`ValueError`.
+    Non-finite features, features whose standardisation overflows, a
     singular system or non-finite coefficients raise
     :class:`FloatingPointError`.
     """
-    if not np.all(np.isfinite(dataset.features)):
-        raise FloatingPointError("non-finite attack features")
-    x = dataset.features[dataset.train_idx]
-    y = dataset.labels[dataset.train_idx]
+    if not (np.any(y == 1) and np.any(y == 0)):
+        raise ValueError("the attack's training split needs members and non-members")
+    _check_finite(x)
     n = len(y)
-    n_pos = float(y.sum())  # the labels are 1 (member) and 0, both present (MiaDataset)
+    n_pos = float(y.sum())
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
@@ -254,15 +233,6 @@ def fit_mia_classifier(dataset: MiaDataset) -> MiaClassifier:
     )
 
 
-@dataclass(frozen=True)
-class MiaReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    auc: float
-
-
 def _midranks(values: Array) -> Array:
     """1-based ranks of ``values``, each tie run given the mean rank of the run.
 
@@ -292,14 +262,16 @@ def auc_from_scores(scores: Array, labels: Array) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
-    """Threshold-0.5 classification metrics plus rank AUC on the test split.
+def evaluate_mia(classifier: MiaClassifier, x: Array, y: Array) -> list[float]:
+    """``[accuracy, precision, recall, f1, auc]`` of the attack on the test
+    split ``(x, y)``: threshold-0.5 classification metrics plus rank AUC.
 
     Both come from the attack's logits: a score of 0.5 is a logit of 0, and
     ranking logits keeps the order that saturated scores of 0.0 or 1.0 lose.
+    Non-finite features raise :class:`FloatingPointError`, and a split
+    without both labels :class:`ValueError` (:func:`auc_from_scores`).
     """
-    x = dataset.features[dataset.test_idx]
-    y = dataset.labels[dataset.test_idx]
+    _check_finite(x)
     logits = classifier.logits(x)
     pred = (logits >= 0.0).astype(float)
     tp = float(np.sum((pred == 1) & (y == 1)))
@@ -309,13 +281,7 @@ def evaluate_mia(classifier: MiaClassifier, dataset: MiaDataset) -> MiaReport:
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return MiaReport(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=auc_from_scores(logits, y),
-    )
+    return [accuracy, precision, recall, f1, auc_from_scores(logits, y)]
 
 
 def two_blob_data(

@@ -15,7 +15,9 @@ the first seed runs.  A ``None`` cell is an empty cell.  Only
 (``_seed_name``), writes it with the standard library's ``csv`` writer
 (``_write_csv``), which quotes a cell holding a comma, a double quote or a
 newline, and, when the config asks for a ``plot``, draws the SVG from the
-same in-memory table (:func:`emit_svg_lineplot`).
+same in-memory table (:func:`emit_svg_lineplot`).  Whether a table leaves a
+point on the plot's axes depends on its values, so a table that leaves
+none gets no SVG and a line on stderr naming its CSV, and the run goes on.
 A multi-seed run shares its seeds among forked workers, one per usable core
 (``trainer.usable_cores``; ``taskset -c 0`` gives one), and writes their
 files in seed order, as a serial loop would (``trainer._run_striped``, which
@@ -527,13 +529,16 @@ def _rule_message(cfg: dict, command: str) -> str | None:
                             **_given(cfg, "split_fraction", "member_train_fraction")))
     if command not in ("train", "continual"):
         return None
-    cfg = _one_phase(cfg) if command == "train" else cfg
+    mode = cfg["mode"] if command == "train" else None
+    cfg = _one_phase(cfg) if mode else cfg
     schedule = cfg.get("schedule", {})
     kind = schedule.get("kind")
     beside = _BLOCK_KEYS["schedule"][kind][2] if kind else ()
     unread = sorted(key for key in beside if key in cfg)
     if unread:
-        return f"the {kind} schedule leaves {', '.join(unread)} unread"
+        # a train config names its mode, not the schedule that _one_phase maps it to
+        what = f"a {mode}-mode train run" if mode else f"the {kind} schedule"
+        return f"{what} leaves {', '.join(unread)} unread"
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if kind == "indicator":
         if schedule["total"] != steps:
@@ -701,11 +706,6 @@ def _run_table(run: trainer.TrainRun, batch_size: int, columns: tuple[str, ...])
             )
             row += [h.tr_h, h.tr_h_sigma, h.g_h_g, h.g_norm_sq, decel]
     return Table(columns, rows, run.abort_reason)
-
-
-def _mia_row(model_id: str, epsilon: float, report: attacks.MiaReport) -> list:
-    return [model_id, epsilon, report.accuracy, report.precision, report.recall,
-            report.f1, report.auc]
 
 
 # --------------------------------------------------------------------------
@@ -897,13 +897,13 @@ def _run_mia(cfg: dict, seed: int) -> Table:
     }
     rows = []
     for model_id, w in weights.items():
-        dataset = attacks.build_mia_dataset(
+        train, test = attacks.build_mia_dataset(
             target, w, (x_mem, y_mem), (x_non, y_non), rng,
             **_given(cfg, "split_fraction", "member_train_fraction"),
         )
-        report = attacks.evaluate_mia(attacks.fit_mia_classifier(dataset), dataset)
         eps = cfg["epsilon"] if model_id == "dp" else float("inf")
-        rows.append(_mia_row(model_id, eps, report))
+        rows.append([model_id, eps,
+                     *attacks.evaluate_mia(attacks.fit_mia_classifier(*train), *test)])
     return Table(table_columns("mia", cfg), rows)
 
 
@@ -929,6 +929,10 @@ def _seed_name(command: str, seed: int, multi: bool) -> str:
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _W, _H, _MARGIN = 640, 480, 60
+
+
+class EmptyPlotError(ValueError):
+    """A table leaves no point on the plot's axes."""
 
 
 def _on_axis(value, scale: str) -> bool:
@@ -959,7 +963,7 @@ def _plot_series(table: Table, wanted: list[str], scales: tuple) -> list[tuple[s
                       if _on_axis(row[ix], scales[0]) and _on_axis(row[iy], scales[1])]
             series.append((label, points))
     if not any(points for _, points in series):
-        raise ValueError("table has no plottable rows")
+        raise EmptyPlotError("table has no plottable rows")
     return series
 
 
@@ -992,7 +996,8 @@ def emit_svg_lineplot(
     Each series (see :func:`_plot_series`) is drawn in its own colour, one
     polyline per run of rows in which x never decreases, and named in the
     legend.  It leaves out each row whose x or y cell is empty, or is at or
-    below 0 on a log axis.  A table whose first column names groups, as
+    below 0 on a log axis, and a table that leaves no point raises
+    :class:`EmptyPlotError`.  A table whose first column names groups, as
     ``fourway``'s arms, gets a colour and a legend entry per group.  The
     output bytes are a pure function of the table and arguments: fixed
     canvas, fixed palette, fixed float formatting, no timestamps.
@@ -1111,9 +1116,13 @@ def run_subcommand(argv: list[str]) -> int:
                     paths.append(_write_csv(log, table))
                     if table.abort_reason is None and plot is not None:
                         scales = (plot.get("x_scale", "linear"), plot.get("y_scale", "linear"))
-                        paths.append(emit_svg_lineplot(
-                            table, plot["columns"], log.with_suffix(".svg"), scales
-                        ))
+                        try:
+                            paths.append(emit_svg_lineplot(
+                                table, plot["columns"], log.with_suffix(".svg"), scales
+                            ))
+                        except EmptyPlotError:
+                            print(f"no plot: {log} has no point on the plot's axes",
+                                  file=sys.stderr)
                 except OSError as exc:
                     print(f"output error: cannot write to {outdir}: {exc}", file=sys.stderr)
                     return 1

@@ -248,28 +248,13 @@ def _mixed_stationary_point(
 def optimal_mixed_improvement(
     inputs: ImprovementInputs, b_public: float, b_private: float
 ) -> float:
-    """Improvement at the jointly optimal split learning rates."""
+    """Improvement at the jointly optimal split learning rates.
+
+    Restricted to one gradient, the optimum is ``b_public *``
+    :func:`delta_l_pub_star` at ``b_public`` (public only) or ``b_private *``
+    :func:`delta_l_priv_star` at ``b_private`` (private only).
+    """
     return _mixed_stationary_point(inputs, b_public, b_private)[2]
-
-
-def only_public_optimum(
-    inputs: ImprovementInputs, b_public: float, b_private: float
-) -> float:
-    """Best improvement restricted to the public gradient alone."""
-    a, _, c_lin, _, _ = mixed_quadratic_coefficients(inputs, b_public, b_private)
-    if a <= 0:
-        raise SaddleOrDegenerateError("public-only improvement is unbounded")
-    return c_lin**2 / (4.0 * a)
-
-
-def only_private_optimum(
-    inputs: ImprovementInputs, b_public: float, b_private: float
-) -> float:
-    """Best improvement restricted to the privatized gradient alone."""
-    _, b, _, d_lin, _ = mixed_quadratic_coefficients(inputs, b_public, b_private)
-    if b <= 0:
-        raise SaddleOrDegenerateError("private-only improvement is unbounded")
-    return d_lin**2 / (4.0 * b)
 
 
 def optimal_mix_alpha(
@@ -325,14 +310,6 @@ class AlphaSchedule:
                 raise ValueError("sample schedule needs nonnegative sizes, not both 0")
         elif self.kind not in ("only_public", "only_private"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    @classmethod
-    def dpmd(cls, k: int) -> "AlphaSchedule":
-        return cls(kind="dpmd", k=k)
-
-    @classmethod
-    def sample(cls, n_pub: int, n_priv: int) -> "AlphaSchedule":
-        return cls(kind="sample", n_pub=n_pub, n_priv=n_priv)
 
 
 def alpha_schedule_value(schedule: AlphaSchedule, t: int) -> float:

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dplens import attacks
 from dplens.attacks import (
     MiaClassifier,
-    MiaDataset,
-    MiaReport,
     SoftmaxTask,
+    _example_losses,
     auc_from_scores,
     build_mia_dataset,
     evaluate_mia,
@@ -23,7 +23,7 @@ from dplens.attacks import (
     mia_split_sizes,
     two_blob_data,
 )
-from dplens.cli import Table, _fit_target, _mia_row, _write_csv, run_subcommand, table_columns
+from dplens.cli import Table, _fit_target, _write_csv, run_subcommand, table_columns
 from dplens.clipping import ClippingRule
 from dplens.trainer import OptimizerConfig, OptimizerState, dp_step
 from reference import privatize_gradient
@@ -47,8 +47,9 @@ class TestBuildDataset:
         rng = np.random.default_rng(1)
         members = blobs(100, 4, 2)
         nonmembers = blobs(100, 4, 3)
-        ds = build_mia_dataset(*toy_target(), members, nonmembers, rng, split_fraction=0.5)
-        test_labels = ds.labels[ds.test_idx]
+        _, (_, test_labels) = build_mia_dataset(
+            *toy_target(), members, nonmembers, rng, split_fraction=0.5
+        )
         assert (test_labels == 1).sum() == 50
         assert (test_labels == 0).sum() == 50
 
@@ -71,25 +72,27 @@ class TestBuildDataset:
         members = (members[0], members[1] % 3)
         nonmembers = blobs(30, 5, 8)
         nonmembers = (nonmembers[0], nonmembers[1] % 3)
-        ds = build_mia_dataset(*target, members, nonmembers, np.random.default_rng(9))
-        assert ds.features.shape[1] == 4
+        (x_train, _), (x_test, _) = build_mia_dataset(
+            *target, members, nonmembers, np.random.default_rng(9)
+        )
+        assert x_train.shape[1] == x_test.shape[1] == 4
 
     def test_deterministic_under_seed(self):
         members = blobs(40, 4, 10)
         nonmembers = blobs(40, 4, 11)
         a = build_mia_dataset(*toy_target(), members, nonmembers, np.random.default_rng(12))
         b = build_mia_dataset(*toy_target(), members, nonmembers, np.random.default_rng(12))
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.train_idx, b.train_idx)
+        for split_a, split_b in zip(a, b):
+            assert np.array_equal(split_a[0], split_b[0])
+            assert np.array_equal(split_a[1], split_b[1])
 
     def test_member_train_fraction(self):
         members = blobs(100, 4, 13)
         nonmembers = blobs(100, 4, 14)
-        ds = build_mia_dataset(
+        (_, train_labels), _ = build_mia_dataset(
             *toy_target(), members, nonmembers, np.random.default_rng(15),
             split_fraction=0.4, member_train_fraction=0.1,
         )
-        train_labels = ds.labels[ds.train_idx]
         assert (train_labels == 1).sum() == 10
         assert (train_labels == 0).sum() == 60
         assert mia_split_sizes(100, 100, 0.4, 0.1) == (40, 10)
@@ -110,6 +113,41 @@ class TestBuildDataset:
             mia_split_sizes(20, 1)
         assert mia_split_sizes(20, 2) == (1, 2)
 
+    def test_each_split_holds_both_labels_at_every_admitted_size(self):
+        # every count up to 8 and fractions at and near their bounds: where
+        # mia_split_sizes admits the counts, each split holds both labels, in
+        # the sizes it gives, members first
+        fractions = [(s, m) for s in (0.01, 0.5, 0.99) for m in (0.01, 0.5, 1.0)]
+        admitted = 0
+        for n_mem in range(1, 9):
+            for n_non in range(1, 9):
+                for split_fraction, member_train_fraction in fractions:
+                    fracs = {"split_fraction": split_fraction,
+                             "member_train_fraction": member_train_fraction}
+                    try:
+                        n_test, n_train_mem = mia_split_sizes(n_mem, n_non, **fracs)
+                    except ValueError:
+                        continue
+                    admitted += 1
+                    (_, train_labels), (_, test_labels) = build_mia_dataset(
+                        *toy_target(2, 3), blobs(n_mem, 3, 40), blobs(n_non, 3, 41),
+                        np.random.default_rng(n_mem * 10 + n_non), **fracs,
+                    )
+                    assert set(train_labels) == set(test_labels) == {0.0, 1.0}
+                    want_train = [1.0] * n_train_mem + [0.0] * (n_non - n_test)
+                    assert train_labels.tolist() == want_train
+                    assert test_labels.tolist() == [1.0] * n_test + [0.0] * n_test
+        assert admitted > 100
+
+    def test_one_logits_pass_per_example_set(self, monkeypatch):
+        # the loss feature comes from the same logits as the logit features
+        target, w = toy_target()
+        calls = []
+        logits = target.logits
+        monkeypatch.setattr(target, "logits", lambda *a: calls.append(1) or logits(*a))
+        build_mia_dataset(target, w, blobs(40, 4, 42), blobs(40, 4, 43), np.random.default_rng(44))
+        assert len(calls) == 4  # members and non-members of each split
+
 
 class TestFitClassifier:
     def test_separable_features_reach_full_training_accuracy(self):
@@ -117,11 +155,7 @@ class TestFitClassifier:
         n = 60
         feats = np.concatenate([rng.standard_normal((n, 2)) + 4, rng.standard_normal((n, 2)) - 4])
         labels = np.concatenate([np.ones(n), np.zeros(n)])
-        ds = MiaDataset(
-            features=feats, labels=labels,
-            train_idx=np.arange(2 * n), test_idx=np.arange(2 * n),
-        )
-        clf = fit_mia_classifier(ds)
+        clf = fit_mia_classifier(feats, labels)
         pred = (clf.logits(feats) >= 0).astype(float)
         assert (pred == labels).mean() == 1.0
 
@@ -132,25 +166,19 @@ class TestFitClassifier:
             feats = rng.standard_normal((400, 3))
             labels = np.concatenate([np.ones(200), np.zeros(200)])
             rng.shuffle(labels)
-            split = rng.permutation(400)
-            ds = MiaDataset(
-                features=feats, labels=labels,
-                train_idx=split[:200], test_idx=split[200:],
-            )
-            report = evaluate_mia(fit_mia_classifier(ds), ds)
-            aucs.append(report.auc)
+            train, test = np.split(rng.permutation(400), 2)
+            clf = fit_mia_classifier(feats[train], labels[train])
+            *_, auc = evaluate_mia(clf, feats[test], labels[test])
+            aucs.append(auc)
         assert abs(np.mean(aucs) - 0.5) <= 0.05
 
     def test_identical_distributions_give_chance_auc(self):
         rng = np.random.default_rng(17)
         feats = rng.standard_normal((600, 4))
         labels = np.tile([1.0, 0.0], 300)  # both classes in both halves
-        ds = MiaDataset(
-            features=feats, labels=labels,
-            train_idx=np.arange(300), test_idx=np.arange(300, 600),
-        )
-        report = evaluate_mia(fit_mia_classifier(ds), ds)
-        assert abs(report.auc - 0.5) <= 0.1
+        clf = fit_mia_classifier(feats[:300], labels[:300])
+        *_, auc = evaluate_mia(clf, feats[300:], labels[300:])
+        assert abs(auc - 0.5) <= 0.1
 
     def test_separable_split_gives_finite_coefficients_and_full_auc(self):
         # the weighted loss has no minimiser here; the fit stops on its
@@ -161,16 +189,13 @@ class TestFitClassifier:
         sides = np.concatenate([rng.uniform(1.0, 3.0, 80), rng.uniform(-3.0, -1.0, 80)])
         feats = np.column_stack([sides, 2.0 * sides, rng.standard_normal(160)])
         labels = np.concatenate([np.ones(80), np.zeros(80)])
-        ds = MiaDataset(
-            features=feats, labels=labels,
-            train_idx=np.r_[0:20, 80:140], test_idx=np.r_[20:80, 140:160],
-        )
+        train, test = np.r_[0:20, 80:140], np.r_[20:80, 140:160]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            clf = fit_mia_classifier(ds)
-            report = evaluate_mia(clf, ds)
+            clf = fit_mia_classifier(feats[train], labels[train])
+            *_, auc = evaluate_mia(clf, feats[test], labels[test])
         assert np.all(np.isfinite(clf.coef)) and math.isfinite(clf.intercept)
-        assert report.auc == 1.0
+        assert auc == 1.0
 
     def test_fit_matches_scipy_lbfgs_reference(self):
         from scipy.optimize import minimize
@@ -180,13 +205,9 @@ class TestFitClassifier:
             [rng.standard_normal((40, 3)) + [0.8, 0.0, -0.5], rng.standard_normal((160, 3))]
         ) * [1.0, 10.0, 0.1]
         labels = np.concatenate([np.ones(40), np.zeros(160)])
-        ds = MiaDataset(
-            features=feats, labels=labels,
-            train_idx=np.arange(0, 200, 2), test_idx=np.arange(1, 200, 2),
-        )
-        clf = fit_mia_classifier(ds)
+        x, y = feats[::2], labels[::2]
+        clf = fit_mia_classifier(x, y)
 
-        x, y = feats[ds.train_idx], labels[ds.train_idx]
         design = np.column_stack([(x - x.mean(axis=0)) / x.std(axis=0), np.ones(len(y))])
         weights = np.where(y == 1, len(y) / (2 * y.sum()), len(y) / (2 * (len(y) - y.sum())))
         signs = 2 * y - 1
@@ -210,7 +231,7 @@ class TestFitClassifier:
         rng = np.random.default_rng(20)
         feats = rng.standard_normal((40, 3))
         if case == "nan-feature":
-            feats[-1, 0] = np.nan  # in the test split: a fit checks both
+            feats[-1, 0] = np.nan
         if case == "overflowing-scale":
             feats *= 1e300
         if case == "singular-system":
@@ -219,21 +240,28 @@ class TestFitClassifier:
             monkeypatch.setattr(np.linalg, "solve", solve)
         if case == "non-finite-step":
             monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
-        ds = MiaDataset(
-            features=feats, labels=np.tile([1.0, 0.0], 20),
-            train_idx=np.arange(20), test_idx=np.arange(20, 40),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                fit_mia_classifier(ds)
+                fit_mia_classifier(feats, np.tile([1.0, 0.0], 20))
 
-    def test_dataset_requires_both_classes_per_split(self):
-        feats = np.zeros((4, 2))
+    @pytest.mark.parametrize("label", [1.0, 0.0], ids=["members-only", "nonmembers-only"])
+    def test_one_label_split_is_refused(self, label):
+        feats = np.arange(8.0).reshape(4, 2)
+        labels = np.full(4, label)
+        with pytest.raises(ValueError, match="needs members and non-members"):
+            fit_mia_classifier(feats, labels)
+        clf = fit_mia_classifier(feats, np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="AUC needs both classes"):
+            evaluate_mia(clf, feats, labels)
+
+    def test_non_finite_test_features_are_a_floating_point_error(self):
+        feats = np.arange(8.0).reshape(4, 2)
         labels = np.array([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            MiaDataset(features=feats, labels=labels,
-                       train_idx=np.array([0, 1]), test_idx=np.array([2, 3]))
+        clf = fit_mia_classifier(feats, labels)
+        feats[-1, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite attack features"):
+            evaluate_mia(clf, feats, labels)
 
 
 class TestEvaluate:
@@ -245,16 +273,11 @@ class TestEvaluate:
     def test_perfect_scores(self):
         labels = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         feats = np.array([[10.0], [9.0], [-9.0], [-10.0], [8.0], [-8.0]])
-        ds = MiaDataset(features=feats, labels=labels,
-                        train_idx=np.arange(6), test_idx=np.arange(6))
         clf = MiaClassifier(
             coef=np.array([5.0]), intercept=0.0,
             feature_mean=np.zeros(1), feature_scale=np.ones(1),
         )
-        report = evaluate_mia(clf, ds)
-        assert report.accuracy == report.precision == report.recall == 1.0
-        assert report.f1 == 1.0
-        assert report.auc == 1.0
+        assert evaluate_mia(clf, feats, labels) == [1.0] * 5
 
     def test_constant_scores_auc_half(self):
         assert auc_from_scores(np.zeros(10), np.array([1, 0] * 5)) == 0.5
@@ -275,16 +298,14 @@ class TestEvaluate:
             coef=np.array([1.0]), intercept=-0.5,
             feature_mean=np.zeros(1), feature_scale=np.ones(1),
         )
-        ds = MiaDataset(features=feats, labels=labels,
-                        train_idx=np.arange(4), test_idx=np.arange(4))
-        report = evaluate_mia(clf, ds)
+        accuracy, precision, recall, f1, auc = evaluate_mia(clf, feats, labels)
         # threshold 0.5 on sigmoid(x - 0.5): predicted 1 iff x > 0.5
         # TP=1 (0.9), FP=1 (0.6), FN=1 (0.4), TN=1 (0.1)
-        assert report.accuracy == 0.5
-        assert report.precision == 0.5
-        assert report.recall == 0.5
-        assert report.f1 == 0.5
-        assert report.auc == pytest.approx(0.75)
+        assert accuracy == 0.5
+        assert precision == 0.5
+        assert recall == 0.5
+        assert f1 == 0.5
+        assert auc == pytest.approx(0.75)
 
     def test_f1_consistent(self):
         rng = np.random.default_rng(20)
@@ -292,19 +313,23 @@ class TestEvaluate:
         labels = (rng.random(80) < 0.5).astype(float)
         if labels.sum() in (0, 80):
             labels[0] = 1 - labels[0]
-        ds = MiaDataset(features=feats, labels=labels,
-                        train_idx=np.arange(80), test_idx=np.arange(80))
-        report = evaluate_mia(fit_mia_classifier(ds), ds)
-        if report.precision + report.recall > 0:
-            expected = 2 * report.precision * report.recall / (report.precision + report.recall)
-            assert report.f1 == pytest.approx(expected)
+        _, precision, recall, f1, _ = evaluate_mia(
+            fit_mia_classifier(feats, labels), feats, labels
+        )
+        if precision + recall > 0:
+            assert f1 == pytest.approx(2 * precision * recall / (precision + recall))
 
     def test_csv_row(self, tmp_path):
-        report = MiaReport(accuracy=0.5, precision=0.5, recall=0.25, f1=1 / 3, auc=0.5)
-        path = _write_csv(
-            tmp_path / "mia.csv",
-            Table(table_columns("mia", {}), [_mia_row("nondp", float("inf"), report)]),
+        # members [0.9, 0.2, 0.3, 0.4], non-members [0.8, 0.45, 0.35, 0.1]:
+        # TP=1, FN=3, FP=1, TN=3, and members outrank 8 of the 16 pairs
+        feats = np.array([[0.9], [0.2], [0.3], [0.4], [0.8], [0.45], [0.35], [0.1]])
+        labels = np.repeat([1.0, 0.0], 4)
+        clf = MiaClassifier(
+            coef=np.array([1.0]), intercept=-0.5,
+            feature_mean=np.zeros(1), feature_scale=np.ones(1),
         )
+        row = ["nondp", float("inf"), *evaluate_mia(clf, feats, labels)]
+        path = _write_csv(tmp_path / "mia.csv", Table(table_columns("mia", {}), [row]))
         header, row = path.read_text().splitlines()
         assert header == "model_id,epsilon,accuracy,precision,recall,f1,auc"
         assert row == f"nondp,inf,0.5,0.5,0.25,{1 / 3!r},0.5"
@@ -334,7 +359,7 @@ class TestSoftmaxTraining:
         rng = np.random.default_rng(24)
         xs = rng.standard_normal((10, 4))
         ys = rng.integers(0, 3, size=10)
-        batched = task.example_losses(w, xs, ys)
+        batched = _example_losses(task.logits(w, xs), ys)
 
         def example_loss(x, y):
             z = weights @ x + bias
@@ -351,7 +376,7 @@ class TestSoftmaxTraining:
         task = SoftmaxTask(xs, ys, 3)
         w = rng.standard_normal(task.dimension)
         loss, _ = task.loss_and_weighted_gradient_sum(w, None)
-        assert loss == pytest.approx(task.example_losses(w, xs, ys).mean(), rel=1e-13)
+        assert loss == pytest.approx(_example_losses(task.logits(w, xs), ys).mean(), rel=1e-13)
 
 
 def reference_softmax_training(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
@@ -448,11 +473,9 @@ def test_saturated_logits_still_separate_members():
         feature_mean=np.zeros(1), feature_scale=np.ones(1),
     )
     assert np.all(0.5 * (1.0 + np.tanh(0.5 * clf.logits(feats))) == 0.0)
-    ds = MiaDataset(features=feats, labels=labels,
-                    train_idx=np.arange(6), test_idx=np.arange(6))
-    report = evaluate_mia(clf, ds)
-    assert report.auc == 1.0
-    assert report.accuracy == 0.5  # every logit is below the 0.5-score threshold
+    accuracy, *_, auc = evaluate_mia(clf, feats, labels)
+    assert auc == 1.0
+    assert accuracy == 0.5  # every logit is below the 0.5-score threshold
 
 
 def test_mia_run_does_not_import_scipy_stats(tmp_path):
@@ -485,6 +508,19 @@ def run_mia(tmp_path, **changes):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return run_subcommand(["mia", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_non_finite_test_features_exit_2_without_csv(tmp_path, capsys, monkeypatch):
+    # the fit reads only the training split; the test split is checked too
+    def build(*args, **kwargs):
+        train, (x_test, y_test) = build_mia_dataset(*args, **kwargs)
+        x_test[-1, 0] = np.nan
+        return train, (x_test, y_test)
+
+    monkeypatch.setattr(attacks, "build_mia_dataset", build)
+    assert run_mia(tmp_path) == 2
+    assert "numerical error: non-finite attack features" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def test_overflowing_target_training_exits_2_without_csv(tmp_path, capsys):

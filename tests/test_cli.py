@@ -495,12 +495,12 @@ class TestConfigHandling:
                            "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
                                        "sample_budget": 100}},
              "the only_public schedule leaves privacy, sigma unread"),
-            ("train", {"mode": "public"}, "the only_public schedule leaves sigma unread"),
+            ("train", {"mode": "public"}, "a public-mode train run leaves sigma unread"),
             ("train", {"mode": "public", "clipping": {"kind": "auto"}},
-             "the only_public schedule leaves clipping, sigma unread"),
+             "a public-mode train run leaves clipping, sigma unread"),
             ("train", {"mode": "public", "privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 1000,
                                                      "sample_budget": 100}},
-             "the only_public schedule leaves privacy, sigma unread"),
+             "a public-mode train run leaves privacy, sigma unread"),
             ("continual", {"schedule": {"kind": "indicator", "s": 0.5, "total": 4}},
              "indicator schedule spans 4 steps, but the run takes 5"),
             # sigma, or a privacy block the run keeps
@@ -1451,6 +1451,25 @@ class TestSvg:
             assert 0 < private < len(rows)
             text = (out / f"continual_seed{seed}.svg").read_text()
             assert sum(len(points) for points in polyline_points(text)) == private
+
+    def test_a_table_with_no_point_on_the_axes_gets_no_plot(self, tmp_path, capsys):
+        # a run of public steps only has sigma 0 on every row, so a log y
+        # axis leaves it no point; each seed still writes its table
+        cfg = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
+        for key in ("privacy", "clipping", "patience"):
+            del cfg[key]
+        plot = {"columns": ["iter", "sigma"], "y_scale": "log"}
+        path = write_config(tmp_path, {**cfg, "schedule": {"kind": "only_public"},
+                                       "seeds": [0, 1], "plot": plot})
+        out = tmp_path / "out"
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "continual_seed0.csv", "continual_seed1.csv",
+        ]
+        assert capsys.readouterr().err.splitlines() == [
+            f"no plot: {out / f'continual_seed{seed}.csv'} has no point on the plot's axes"
+            for seed in (0, 1)
+        ]
 
 
 def test_scipy_loads_with_privacy_accounting_only(tmp_path):

@@ -407,9 +407,16 @@ class TestOptimalMixAlpha:
         rng = np.random.default_rng(19)
         for _ in range(300):
             mix = random_mix(rng)  # sigma > 0 by construction
+            inputs, b_public, b_private = mix
+            public = b_public * pred.delta_l_pub_star(b_public, inputs)
+            private = b_private * pred.delta_l_priv_star(b_private, inputs)
+            # each is the optimum of the mixed quadratic along its own axis
+            a, b, c_lin, d_lin, _ = pred.mixed_quadratic_coefficients(*mix)
+            assert pred.mixed_improvement(-c_lin / (2 * a), 0.0, *mix) == pytest.approx(public)
+            assert pred.mixed_improvement(0.0, -d_lin / (2 * b), *mix) == pytest.approx(private)
             mixed = pred.optimal_mixed_improvement(*mix)
-            assert mixed > pred.only_public_optimum(*mix)
-            assert mixed > pred.only_private_optimum(*mix)
+            assert mixed > public
+            assert mixed > private
             assert 0.0 < pred.optimal_mix_alpha(*mix) < 1.0
 
 
@@ -436,17 +443,17 @@ def test_nonpositive_batch_size_rejected(name, b):
 
 class TestAlphaSchedules:
     def test_dpmd_endpoints(self):
-        schedule = pred.AlphaSchedule.dpmd(50)
+        schedule = pred.AlphaSchedule("dpmd", k=50)
         assert pred.alpha_schedule_value(schedule, 0) == 0.0
         assert pred.alpha_schedule_value(schedule, 50) == pytest.approx(1.0)
 
     def test_dpmd_clamped(self):
-        schedule = pred.AlphaSchedule.dpmd(10)
+        schedule = pred.AlphaSchedule("dpmd", k=10)
         for t in range(0, 40):
             assert 0.0 <= pred.alpha_schedule_value(schedule, t) <= 1.0
 
     def test_sample_ratio(self):
-        schedule = pred.AlphaSchedule.sample(1, 3)
+        schedule = pred.AlphaSchedule("sample", n_pub=1, n_priv=3)
         assert pred.alpha_schedule_value(schedule, 7) == 0.25
 
     def test_indicator(self):
@@ -460,7 +467,7 @@ class TestAlphaSchedules:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            pred.AlphaSchedule.dpmd(0)
+            pred.AlphaSchedule("dpmd", k=0)
         with pytest.raises(ValueError):
             pred.AlphaSchedule("indicator", s=1.5, total=10)
         with pytest.raises(ValueError):

@@ -25,10 +25,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dplens"
 AWAITING_CALLER = {
     "mixed_improvement": "item 4: oracle check of the mixed public/private step",
     "optimal_mixed_improvement": "item 4: oracle check of the mixed public/private step",
-    "only_public_optimum": "item 4: oracle check of the mixed public/private step",
-    "only_private_optimum": "item 4: oracle check of the mixed public/private step",
-    "dpmd": "item 4: oracle check of the mixed public/private step",
-    "sample": "item 4: oracle check of the mixed public/private step",
     "schedule_cumulative": "item 5: switch-point prediction from recorded stats",
     "canonical_config": "item 5: config hash in the run manifest",
     "sigma_sq_over_b": "item 2: how B* moves under the tight accountant",

@@ -292,7 +292,7 @@ class TestContinualPretrain:
 
     def test_fractional_schedule_rejected(self):
         with pytest.raises(ValueError):
-            self._run(schedule=AlphaSchedule.dpmd(10))
+            self._run(schedule=AlphaSchedule("dpmd", k=10))
 
     def test_deterministic(self):
         a = self._run(rng=np.random.default_rng(123))
