@@ -44,8 +44,12 @@ from workloads import WORKLOADS, config_for  # noqa: E402
 # table holds five seeds on a log y axis.  The oracle on a
 # general diagonal quadratic: with A no power of two times I and a nonzero
 # mean, a change in how a per-sample gradient rounds moves a byte, which it
-# does not on oracle_small's A = 0.5 I and zero mean
+# does not on oracle_small's A = 0.5 I and zero mean.  An indicator whose
+# s total, 0.33 * 80 = 26.4, is not an integer pins the rounding of the
+# first private step
 VARIANTS = {
+    ("continual_demo.json", "indicator"): {
+        "schedule": {"kind": "indicator", "s": 0.33, "total": 80}, "patience": None},
     ("continual_demo.json", "logplot"): {
         "plot": {"columns": ["iter", "train_loss", "sigma"], "y_scale": "log"}},
     ("continual_demo.json", "nopoints"): {
