@@ -42,11 +42,12 @@ number finite: NaN, Infinity, -Infinity and a number that overflows a
 float, such as 1e309, are config errors (:func:`_finite`), so no later rule
 checks finiteness.  It checks the config before any seed runs, against its
 schema, then against the table, then each block's values, and then the
-rules that tie keys together (:func:`_rule_message`).  An optimizer,
-clipping or schedule block is built once at load, by the constructor its
-runner calls, so each value rule is written once, in that constructor.  A
-task block is not built, since a task draws data: a quadratic task's values
-are checked by :func:`_quadratic_message`, the others' by schema bounds.
+rules that tie keys together (:func:`_rule_message`).  An optimizer or
+clipping block is built once at load, by the constructor its runner calls,
+so each value rule is written once, in that constructor.  A task block is
+not built, since a task draws data: a quadratic task's values are checked
+by :func:`_quadratic_message`, the others' by schema bounds, as are a
+schedule's, which :func:`_switch_step` turns into the first private step.
 :func:`load_config` is the one place that checks a rule reading the config alone, and the
 only raiser of :class:`ConfigError`: the runners only build and run.  The
 schemas' validator (:func:`validation_message`) reports the error that
@@ -92,10 +93,7 @@ _POS_NUM_GRID = {"type": "array", "items": _POS_NUM, "minItems": 1}
 _INT_GRID = {"type": "array", "items": _POS_INT, "minItems": 1}
 
 # what each kind of each config block reads besides "kind": the keys it
-# needs and the keys it may take, each with its schema; a schedule's kind
-# also names the config keys it leaves unread: a schedule fixes the switch,
-# so no early-stopping policy is read, and only_public takes no private
-# step, so it reads neither the noise nor the clipping of one
+# needs and the keys it may take, each with its schema
 _BLOCK_KEYS = {
     "task": {
         "quadratic": ({"dimension": _POS_INT},
@@ -109,11 +107,13 @@ _BLOCK_KEYS = {
     },
     "optimizer": {"sgd": ({"eta": _NUM}, {}), "adam": ({"eta": _NUM}, {})},
     "clipping": {"auto": ({}, {}), "reparam": ({}, {"r": _NUM}), "none": ({}, {})},
-    # the two-phase loop runs only the binary schedules
+    # each fixes the first private step (_switch_step): the indicator's at
+    # ceil(s total), inside a run of total steps
     "schedule": {
-        "indicator": ({"s": _NUM, "total": _POS_INT}, {}, ("patience",)),
-        "only_public": ({}, {}, ("patience", "sigma", "privacy", "clipping")),
-        "only_private": ({}, {}, ("patience",)),
+        "indicator": ({"s": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                       "total": _POS_INT}, {}),
+        "only_public": ({}, {}),
+        "only_private": ({}, {}),
     },
 }
 # the config keys that hold a block, and the block each holds
@@ -129,9 +129,9 @@ def _blocks(*names: str) -> dict:
     schemas = {}
     for name in names:
         kinds = _BLOCK_KEYS[_BLOCK_OF[name]]
-        needed_by_all = set.intersection(*(set(needed) for needed, *_ in kinds.values()))
+        needed_by_all = set.intersection(*(set(needed) for needed, _ in kinds.values()))
         properties = {"kind": {"enum": list(kinds)}}
-        for needed, optional, *_ in kinds.values():
+        for needed, optional in kinds.values():
             properties.update(needed, **optional)
         schemas[name] = {"type": "object", "additionalProperties": False,
                          "required": ["kind", *sorted(needed_by_all)], "properties": properties}
@@ -436,22 +436,22 @@ def _quadratic_message(block: dict) -> str | None:
 def _block_message(cfg: dict) -> str | None:
     """What is wrong with the first block of ``cfg`` whose kind needs a key
     it lacks or does not read a key it holds, or whose values break a rule,
-    or None.  An optimizer, clipping or schedule block is built once, by the
+    or None.  An optimizer or clipping block is built once, by the
     constructor that its runner calls, so each value rule is the
     constructor's own; a task draws data when built, so only a quadratic
-    task's values are checked, by :func:`_quadratic_message`."""
-    builders = {"optimizer": trainer.OptimizerConfig, "clipping": clipping_from_config,
-                "schedule": predictor.AlphaSchedule}
+    task's values are checked, by :func:`_quadratic_message`, and a
+    schedule is no object, so its schema bounds its values."""
+    builders = {"optimizer": trainer.OptimizerConfig, "clipping": clipping_from_config}
     for name, block in _BLOCK_OF.items():
         if name in cfg:
             kind = cfg[name]["kind"]
-            required, optional, *_ = _BLOCK_KEYS[block][kind]
+            required, optional = _BLOCK_KEYS[block][kind]
             missing = [key for key in required if key not in cfg[name]]
             unread = sorted(set(cfg[name]) - {"kind", *required, *optional})
             for verb, keys in (("needs", missing), ("does not read", unread)):
                 if keys:
                     return f"{kind} {block} {verb} {', '.join(keys)}"
-            if block != "task":
+            if block in builders:
                 message = _refusal(builders[block], **cfg[name])
             else:
                 message = _quadratic_message(cfg[name]) if kind == "quadratic" else None
@@ -477,6 +477,18 @@ def _one_phase(cfg: dict) -> dict:
             "schedule": {"kind": "only_public" if cfg["mode"] == "public" else "only_private"}}
 
 
+def _switch_step(cfg: dict) -> int | None:
+    """The index of the first private step that the ``schedule`` of a
+    ``continual`` config fixes: 0 under only_private, ceil(s total) under an
+    indicator, and the run's step count under only_public; None with no
+    schedule, when early stopping picks it."""
+    kind = cfg.get("schedule", {}).get("kind")
+    if kind == "indicator":
+        return math.ceil(cfg["schedule"]["s"] * cfg["schedule"]["total"])
+    steps = cfg["epochs"] * cfg["steps_per_epoch"]
+    return {"only_private": 0, "only_public": steps}.get(kind)
+
+
 def _rule_message(cfg: dict, command: str) -> str | None:
     """What breaks the first rule that ties keys of a ``command`` config
     together, or None.
@@ -491,15 +503,18 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     1/n_members, beside each budget's own rules, and a ``mia`` split leaves
     enough members for the attack's training split
     (:func:`attacks.mia_split_sizes`).  A ``train`` config is checked as the
-    ``continual`` config it runs as (:func:`_one_phase`): a schedule leaves
-    the keys its ``_BLOCK_KEYS`` row names unread, and an indicator spans
-    the run.  A run with private steps gives ``sigma`` or a ``privacy``
-    block, not both.  The block calibrates sigma for T = ceil(sample_budget
-    / batch_size) steps of batch_size out of n samples, so it needs
-    clipping, which bounds the sensitivity, batch_size <= n, a valid budget,
-    and a run that can take no more than T private steps: those from
-    ceil(s total) on under an indicator, else all, since the switch may fire
-    at once.
+    ``continual`` config it runs as (:func:`_one_phase`): an indicator spans
+    the run, a schedule leaves ``patience`` unread, and a run that can take
+    no private step leaves ``sigma``, ``privacy`` and ``clipping`` unread.
+    Its earliest first private step is the schedule's (:func:`_switch_step`),
+    or with none the step after the held-out reading patience + 1, the first
+    at which early stopping can fire.  A run with private steps gives
+    ``sigma`` or a ``privacy`` block, not both.  The block calibrates sigma
+    for T = ceil(sample_budget / batch_size) steps of batch_size out of n
+    samples, so it needs clipping, which bounds the sensitivity,
+    batch_size <= n, a valid budget, and a run that can take no more than T
+    private steps: those from the schedule's first private step on, else
+    all of them.
     """
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         return "hessian_probes needs batch_size of at least 2"
@@ -533,19 +548,27 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     cfg = _one_phase(cfg) if mode else cfg
     schedule = cfg.get("schedule", {})
     kind = schedule.get("kind")
-    beside = _BLOCK_KEYS["schedule"][kind][2] if kind else ()
-    unread = sorted(key for key in beside if key in cfg)
+    steps = cfg["epochs"] * cfg["steps_per_epoch"]
+    if kind == "indicator" and schedule["total"] != steps:
+        return f"indicator schedule spans {schedule['total']} steps, but the run takes {steps}"
+    switch = _switch_step(cfg)
+    # one held-out reading per epoch; 1 is the loop's default patience
+    earliest = switch if kind else (cfg.get("patience", 1) + 1) * cfg["steps_per_epoch"]
+    unread = ["patience"] if kind else []
+    if earliest >= steps:
+        unread += ["clipping", "privacy", "sigma"]
+    unread = sorted(key for key in unread if key in cfg)
     if unread:
         # a train config names its mode, not the schedule that _one_phase maps it to
-        what = f"a {mode}-mode train run" if mode else f"the {kind} schedule"
+        if mode or kind in ("only_public", "only_private"):
+            what = f"a {mode}-mode train run" if mode else f"the {kind} schedule"
+        else:
+            how = "indicator schedule switches" if kind else "early stopping can switch"
+            what = f"a {steps}-step run whose {how} at step {earliest}"
         return f"{what} leaves {', '.join(unread)} unread"
-    steps = cfg["epochs"] * cfg["steps_per_epoch"]
-    if kind == "indicator":
-        if schedule["total"] != steps:
-            return f"indicator schedule spans {schedule['total']} steps, but the run takes {steps}"
-        steps -= math.ceil(schedule["s"] * steps)
-    if kind == "only_public":
+    if earliest >= steps:
         return None
+    private_steps = steps - (switch or 0)
     if "sigma" in cfg and "privacy" in cfg:
         return "give sigma or a privacy block, not both"
     if "sigma" in cfg:
@@ -558,8 +581,8 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     if b > p["n"]:
         return f"batch_size {b} exceeds the privacy block's n {p['n']}"
     horizon = math.ceil(p["sample_budget"] / b)
-    if steps > horizon:
-        return (f"the run can take {steps} private steps, but the privacy block "
+    if private_steps > horizon:
+        return (f"the run can take {private_steps} private steps, but the privacy block "
                 f"calibrates sigma for {horizon} (sample_budget / batch_size)")
     # n parameterises the mechanism here, not the budget annotation, so
     # benchmark settings with delta == 1/n remain expressible
@@ -696,8 +719,8 @@ def _run_table(run: trainer.TrainRun, batch_size: int, columns: tuple[str, ...])
     :func:`predictor.decelerator` at c = 1, sigma^2 tr(H) / B: the paper's
     form divides by c^2, and no run records c yet.
     """
-    rows = [[r.iteration, r.phase, r.alpha, r.train_loss, r.val_loss, r.sigma]
-            for r in run.records]
+    rows = [[r.iteration, r.phase, 1.0 if r.phase == "public" else 0.0, r.train_loss,
+             r.val_loss, r.sigma] for r in run.records]
     for row, r in zip(rows, run.records):
         h = r.hessian
         if h is not None:
@@ -808,10 +831,8 @@ def _run_train(cfg: dict, seed: int) -> Table:
 
 def _run_continual(cfg: dict, seed: int) -> Table:
     """The private steps take ``sigma``, or the sigma that the ``privacy``
-    block calibrates for T = ceil(sample_budget / batch_size) steps; an
-    ``only_public`` run, which gives neither, takes sigma 0."""
-    schedule = cfg.get("schedule")
-    schedule = None if schedule is None else predictor.AlphaSchedule(**schedule)
+    block calibrates for T = ceil(sample_budget / batch_size) steps; a run
+    that takes no private step, which gives neither, takes sigma 0."""
     sigma = float(cfg.get("sigma", 0.0))
     if "privacy" in cfg:
         p = cfg["privacy"]
@@ -827,7 +848,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         batch_size=cfg["batch_size"],
         steps_per_epoch=cfg["steps_per_epoch"],
         rule=clipping_from_config(**cfg.get("clipping", {})),
-        schedule=schedule,
+        switch_at=_switch_step(cfg),
         curvature=bool(cfg.get("hessian_probes")),
         **_given(cfg, "patience", "val_size"),
     )
@@ -893,7 +914,7 @@ def _run_mia(cfg: dict, seed: int) -> Table:
     epochs, lr = cfg["epochs"], cfg["lr"]
     weights = {
         "nondp": _fit_target(target, epochs, lr, None, 0.0, None),
-        "dp": _fit_target(target, epochs, lr, clipping.ClippingRule.auto(), sigma, rng),
+        "dp": _fit_target(target, epochs, lr, clipping.ClippingRule("auto"), sigma, rng),
     }
     rows = []
     for model_id, w in weights.items():

@@ -43,10 +43,6 @@ class ClippingRule:
         if self.kind == "reparam" and self.r <= 0:
             raise ValueError("clipping threshold R must be positive")
 
-    @classmethod
-    def auto(cls) -> "ClippingRule":
-        return cls(kind="auto")
-
 
 def clip_factors(g_norms: Array, rule: ClippingRule) -> Array:
     """The clip factor C of each per-sample gradient norm in ``g_norms``.

@@ -279,54 +279,6 @@ def optimal_mix_alpha(
     return alpha
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """Public-weight schedule alpha_t for mixed data training."""
-
-    kind: str
-    s: float | None = None
-    total: int | None = None
-    k: int | None = None
-    n_pub: int | None = None
-    n_priv: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "indicator":
-            if self.s is None or not 0.0 < self.s < 1.0:
-                raise ValueError("indicator switch fraction s must lie in (0, 1)")
-            if self.total is None or self.total <= 0:
-                raise ValueError("indicator schedule needs a positive horizon T")
-        elif self.kind == "dpmd":
-            if self.k is None or self.k <= 0:
-                raise ValueError("dpmd schedule needs K > 0")
-        elif self.kind == "sample":
-            if (
-                self.n_pub is None
-                or self.n_priv is None
-                or self.n_pub < 0
-                or self.n_priv < 0
-                or self.n_pub + self.n_priv <= 0
-            ):
-                raise ValueError("sample schedule needs nonnegative sizes, not both 0")
-        elif self.kind not in ("only_public", "only_private"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
-def alpha_schedule_value(schedule: AlphaSchedule, t: int) -> float:
-    """Public weight alpha_t at iteration t, always in [0, 1]."""
-    if t < 0:
-        raise ValueError("iteration index must be nonnegative")
-    if schedule.kind == "indicator":
-        return 1.0 if t < schedule.s * schedule.total else 0.0
-    if schedule.kind == "dpmd":
-        return min(max(1.0 - math.cos(math.pi * t / (2.0 * schedule.k)), 0.0), 1.0)
-    if schedule.kind == "sample":
-        return schedule.n_pub / (schedule.n_pub + schedule.n_priv)
-    if schedule.kind == "only_public":
-        return 1.0
-    return 0.0
-
-
 # -- cumulative schedules ------------------------------------------------------
 
 

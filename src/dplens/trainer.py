@@ -2,7 +2,8 @@
 Monte-Carlo oracle that validates the closed-form improvement predictors.
 
 There is one training loop, :func:`continual_pretrain`: public steps, then
-at most one permanent switch to private steps.  A ``train`` run is a
+at most one permanent switch to private steps, at a step the caller fixes
+or one that early stopping on the held-out loss picks.  A ``train`` run is a
 one-phase run of it, public or private throughout, and ``fourway`` is four
 such runs of one seed (``cli``): plain SGD public, and clipped-only,
 noised-only and DP-SGD private, each with its own rule and sigma, so the
@@ -42,7 +43,6 @@ import numpy as np
 from .clipping import ClippingRule, clip_weights, noised_mean, weighted_gradient_sums
 from .hessian import Estimate, HessianStats, stats_snapshot
 from .model import DifferentiableTask, QuadraticTask
-from .predictor import AlphaSchedule, alpha_schedule_value
 
 Array = np.ndarray
 
@@ -187,7 +187,6 @@ class SwitchPolicy:
 class IterationRecord:
     iteration: int
     phase: str  # public | private
-    alpha: float
     train_loss: float
     val_loss: float | None
     sigma: float
@@ -215,7 +214,7 @@ def continual_pretrain(
     batch_size: int,
     steps_per_epoch: int,
     rule: ClippingRule | None,
-    schedule: AlphaSchedule | None = None,
+    switch_at: int | None = None,
     patience: int = 1,
     val_size: int = 1024,
     curvature: bool = False,
@@ -226,13 +225,12 @@ def continual_pretrain(
     clipping and sigma 0; a private step clips with ``rule`` (``rule=None``
     leaves it unclipped) and noises with ``sigma``.  The validation loss is
     the mean loss on a held-out set of ``val_size`` samples, evaluated once
-    per epoch.  The run starts private when ``schedule`` gives alpha 0 at
-    iteration 0.  Otherwise it switches when ``schedule`` first gives alpha 0
-    (an indicator schedule switches at step ceil(s total), with no early
-    stopping) or, with no schedule, when a ``SwitchPolicy(patience)`` fires
-    on the validation loss.  The switch zeroes Adam's first moment ``m`` and
-    keeps ``v`` and ``t``.  A one-sided schedule makes a one-phase run.  With
-    ``curvature``, each record carries a
+    per epoch.  ``switch_at`` is the index of the first private step: 0
+    runs private throughout, and a value at or past the step count public
+    throughout.  With ``switch_at=None`` a ``SwitchPolicy(patience)`` on the
+    validation loss picks it: the step after the reading at which the policy
+    fires.  The switch zeroes Adam's first moment ``m`` and keeps ``v`` and
+    ``t``.  With ``curvature``, each record carries a
     :func:`~dplens.hessian.stats_snapshot` of the task at the updated
     parameters on the step's batch.  A non-finite training or held-out loss,
     or a snapshot with a non-finite statistic, ends the run with
@@ -241,15 +239,14 @@ def continual_pretrain(
     ``rng`` spawns four streams, for the initial point (the task's
     ``random_parameters``), the held-out set, the batches and the noise, so
     runs of one seed that differ only in the clipping rule, sigma or
-    schedule share all four streams.
+    switch share all four streams.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if epochs < 1 or steps_per_epoch < 1 or batch_size < 1:
         raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
-    binary = ("indicator", "only_public", "only_private")
-    if schedule is not None and schedule.kind not in binary:
-        raise ValueError("only binary alpha schedules drive the two-phase loop")
+    if switch_at is not None and switch_at < 0:
+        raise ValueError("switch_at must be nonnegative")
     switch = SwitchPolicy(patience)
     init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
     w = task.random_parameters(init_rng)
@@ -257,14 +254,10 @@ def continual_pretrain(
 
     state = OptimizerState.zeros(task.dimension)
     run = TrainRun()
-    public = schedule is None or alpha_schedule_value(schedule, 0) != 0.0
-    fired = False
     for t in range(epochs * steps_per_epoch):
-        if public and schedule is not None:
-            fired = alpha_schedule_value(schedule, t) == 0.0
-        if public and fired:
+        if t == switch_at:
             state = OptimizerState(state.t, np.zeros_like(state.m), state.v)
-            public = False
+        public = switch_at is None or t < switch_at
         batch = task.draw_batch(data_rng, batch_size)
         sigma_t = 0.0 if public else sigma
         train_loss, w, state = dp_step(
@@ -293,15 +286,14 @@ def continual_pretrain(
             IterationRecord(
                 iteration=t,
                 phase="public" if public else "private",
-                alpha=1.0 if public else 0.0,
                 train_loss=train_loss,
                 val_loss=val_loss,
                 sigma=sigma_t,
                 hessian=stats,
             )
         )
-        if schedule is None and public and val_loss is not None:
-            fired = switch.observe(val_loss)
+        if switch_at is None and val_loss is not None and switch.observe(val_loss):
+            switch_at = t + 1
     return run
 
 

@@ -335,7 +335,7 @@ class TestEvaluate:
         assert row == f"nondp,inf,0.5,0.5,0.25,{1 / 3!r},0.5"
 
 
-AUTO = ClippingRule.auto()
+AUTO = ClippingRule("auto")
 
 
 class TestSoftmaxTraining:
@@ -403,7 +403,7 @@ def reference_softmax_training(xs, ys, n_classes, epochs, lr, rng, sigma, rule):
     epochs=st.integers(min_value=1, max_value=6),
     scale=st.floats(min_value=0.05, max_value=5.0),
     sigma=st.sampled_from([0.0, 0.3, 2.0]),
-    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule(r=0.7)]),
+    rule=st.sampled_from([None, ClippingRule("auto"), ClippingRule(r=0.7)]),
 )
 @settings(max_examples=80, deadline=None)
 def test_dp_steps_on_softmax_task_match_per_sample_gradient_reference(

@@ -32,7 +32,7 @@ from dplens.cli import (
 )
 from dplens.clipping import ClippingRule
 from dplens.model import QuadraticTask, TinyMlpTask
-from dplens.predictor import AlphaSchedule, ImprovementInputs
+from dplens.predictor import ImprovementInputs
 from dplens.trainer import OptimizerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -81,11 +81,13 @@ def train_config():
 
 
 def continual_config(payload=None):
-    """A train config, ``train_config()`` unless given, as a one-epoch continual config."""
+    """A dp-mode train config, ``train_config()`` unless given, as the
+    one-epoch continual config that runs it, private throughout, as
+    :func:`dplens.cli._one_phase` maps it."""
     payload = dict(payload or train_config())
     del payload["mode"]
     payload.update(task_public=payload.pop("task"), epochs=1,
-                   steps_per_epoch=payload.pop("steps"))
+                   steps_per_epoch=payload.pop("steps"), schedule={"kind": "only_private"})
     return payload
 
 
@@ -402,8 +404,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "block, constructor",
-        [("task", TinyMlpTask), ("optimizer", OptimizerConfig), ("clipping", ClippingRule),
-         ("schedule", AlphaSchedule)],
+        [("task", TinyMlpTask), ("optimizer", OptimizerConfig), ("clipping", ClippingRule)],
     )
     def test_the_kinds_read_every_key_the_schema_takes(self, block, constructor):
         # the schemas are built from _BLOCK_KEYS, so they take the keys some
@@ -414,7 +415,7 @@ class TestConfigHandling:
         if block == "task":
             kinds = {"tinymlp": kinds["tinymlp"]}
         keywords = set(inspect.signature(constructor).parameters)
-        for kind, (needed, optional, *_) in kinds.items():
+        for kind, (needed, optional) in kinds.items():
             assert {*needed, *optional} <= keywords, kind
 
     @pytest.mark.parametrize(
@@ -528,7 +529,7 @@ class TestConfigHandling:
             # the schedule's own rule comes first, so no count rests on a bad s
             ("private continual",
              {"epochs": 4, "schedule": {"kind": "indicator", "s": -1.0, "total": 40}},
-             "indicator switch fraction s must lie in (0, 1)"),
+             "-1.0 is less than or equal to the minimum of 0"),
             ("continual_demo.json",
              {"privacy": {"epsilon": 8.0, "delta": 1e-5, "n": 8, "sample_budget": 100000}},
              "batch_size 16 exceeds the privacy block's n 8"),
@@ -691,18 +692,14 @@ class TestConfigHandling:
         [
             ("optimizer", OptimizerConfig),
             ("clipping", ClippingRule),
-            ("schedule", AlphaSchedule),
             ("inputs", ImprovementInputs),
         ],
     )
     def test_block_keys_are_the_constructor_fields(self, block, constructor):
         # a block goes to its constructor as keyword arguments, so the keys a
         # schema accepts are the constructor's fields; each sweep-batch case
-        # is an inputs block, and the loop runs no schedule that reads k,
-        # n_pub or n_priv
+        # is an inputs block
         fields = {field.name for field in dataclasses.fields(constructor)}
-        if block == "schedule":
-            fields -= {"k", "n_pub", "n_priv"}
         schemas = {
             command: schema["properties"][block]
             for command, schema in CONFIG_SCHEMAS.items()
@@ -714,6 +711,28 @@ class TestConfigHandling:
         assert schemas
         for command, schema in schemas.items():
             assert set(schema["properties"]) == fields, command
+
+    @pytest.mark.parametrize("kind", sorted(_BLOCK_KEYS["schedule"]))
+    def test_the_switch_rules_read_every_key_of_a_schedule(self, kind):
+        # a schedule block goes to no constructor: _switch_step and the
+        # rules that tie keys together read each key its kind takes
+        class Logged(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        needed, optional = _BLOCK_KEYS["schedule"][kind]
+        values = {"s": 0.5, "total": 10}
+        read = set()
+        schedule = Logged(kind=kind, **{key: values[key] for key in {*needed, *optional}})
+        cfg = {**continual_config(), "epochs": 2, "schedule": schedule}
+        cli._switch_step(cfg)
+        cli._rule_message(cfg, "continual")
+        assert {"kind", *needed, *optional} <= read
 
     @pytest.mark.parametrize("name", ["breakdown.json", "predict.json", "sweep_batch.json"])
     def test_g_fourth_overflow_is_named(self, name, tmp_path, capsys):
@@ -1169,6 +1188,86 @@ class TestSubcommands:
         phases = {row["phase"] for row in rows}
         assert phases == {"public"}
 
+    @pytest.mark.parametrize(
+        "base, change, message, dropped",
+        [
+            # ceil(0.95 * 10) = 10: every step is public
+            ("continual", {"epochs": 2, "schedule": {"kind": "indicator", "s": 0.95, "total": 10},
+                           "sigma": 7.0},
+             "a 10-step run whose indicator schedule switches at step 10 leaves sigma unread",
+             ("sigma",)),
+            # one held-out reading per 8-step epoch: patience 1 can fire at
+            # the second, after the last step
+            ("continual_demo.json", {"epochs": 2},
+             "a 16-step run whose early stopping can switch at step 16 leaves clipping, "
+             "privacy unread",
+             ("clipping", "privacy")),
+        ],
+        ids=["indicator", "patience"],
+    )
+    def test_a_run_that_can_take_no_private_step_refuses_its_private_keys(
+        self, base, change, message, dropped, tmp_path, capsys, monkeypatch
+    ):
+        # such a run once exited 0 with its noise and clipping unread, and
+        # without them was refused for want of a sigma
+        command, payload = base_config(base)
+        payload = {**payload, **change}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            refuse_steps(patch)
+            assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: config {path} fails validation: {message}\n"
+        assert not out.exists()
+        path = write_config(tmp_path, {k: v for k, v in payload.items() if k not in dropped})
+        assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "continual.csv").read_text().splitlines()))
+        assert {row["phase"] for row in rows} == {"public"}
+        assert len(rows) == payload["epochs"] * payload["steps_per_epoch"]
+
+    @pytest.mark.parametrize(
+        "s, epochs, steps_per_epoch",
+        [(0.33, 4, 20), (0.29, 10, 10), (0.57, 5, 20), (0.1, 1, 3), (0.7, 5, 1), (0.5, 2, 5),
+         (0.99, 2, 100)],
+    )
+    def test_an_indicator_runs_private_from_step_ceil_s_total(
+        self, s, epochs, steps_per_epoch, tmp_path
+    ):
+        total = epochs * steps_per_epoch
+        payload = {**continual_config(), "epochs": epochs, "steps_per_epoch": steps_per_epoch,
+                   "schedule": {"kind": "indicator", "s": s, "total": total}}
+        path = write_config(tmp_path, payload)
+        assert run_subcommand(["continual", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader((tmp_path / "continual.csv").read_text().splitlines()))
+        first = math.ceil(s * total)
+        assert [row["phase"] for row in rows] == ["public"] * first + ["private"] * (total - first)
+        assert [float(row["alpha"]) for row in rows] == [1.0] * first + [0.0] * (total - first)
+
+    @pytest.mark.parametrize(
+        "change, longer",
+        [
+            ({"schedule": {"kind": "only_private"}, "steps_per_epoch": 10},
+             {"steps_per_epoch": 11}),
+            ({"schedule": {"kind": "indicator", "s": 0.75, "total": 40}, "epochs": 4},
+             {"schedule": {"kind": "indicator", "s": 0.75, "total": 44}, "epochs": 11,
+              "steps_per_epoch": 4}),
+            # early stopping counts every step, though it cannot fire before
+            # the step after the second reading
+            ({"schedule": None, "epochs": 5, "steps_per_epoch": 2},
+             {"epochs": 11, "steps_per_epoch": 1}),
+        ],
+        ids=["only_private", "indicator", "early-stopping"],
+    )
+    def test_the_private_steps_may_reach_the_privacy_horizon(self, change, longer, tmp_path):
+        # the privacy block calibrates sigma for 1000 / 100 = 10 steps
+        payload = {k: v for k, v in private_config("continual", **change).items()
+                   if v is not None}
+        load_config(write_config(tmp_path, payload), "continual")
+        path = write_config(tmp_path, {**payload, **longer})
+        with pytest.raises(ConfigError, match="the run can take 11 private steps, but the "
+                                              "privacy block calibrates sigma for 10 "):
+            load_config(path, "continual")
+
     @pytest.mark.parametrize("command", ["train", "fourway"])
     def test_mlp_training_never_builds_per_sample_gradients(self, command, tmp_path):
         # the MLP has no way to build the per-sample gradient matrix
@@ -1210,9 +1309,11 @@ class TestSubcommands:
             "plot": {"columns": ["iter", "train_loss"]},
         }
         if command == "continual":
+            # one epoch gives early stopping one held-out reading, too few
+            # to fire, so the run is public throughout and reads no sigma
             payload["task_public"] = payload.pop("task")
             del payload["mode"]
-            payload.update(sigma=0.5, epochs=1, steps_per_epoch=payload.pop("steps"))
+            payload.update(epochs=1, steps_per_epoch=payload.pop("steps"))
         elif command == "fourway":
             del payload["mode"]
             payload["sigma"] = 0.5
@@ -1263,12 +1364,13 @@ class TestSubcommands:
     @pytest.mark.parametrize("probes", [0, 4])
     def test_diverged_mlp_curvature_keeps_partial_csv_and_exits_2(self, probes, tmp_path, capsys):
         # with probes, the curvature statistics overflow while the loss stays
-        # finite; without, the step's pass overflows, with no RuntimeWarning
+        # finite; without, the step's pass overflows, with no RuntimeWarning.
+        # Early stopping can fire at the second reading, after the last step,
+        # so the run is public throughout and reads no sigma
         payload = {
             "schema": 1,
             "task_public": {"kind": "tinymlp", "n_in": 8, "hidden": 16, "n_out": 4},
             "optimizer": {"kind": "sgd", "eta": 1e6},
-            "sigma": 0.5,
             "epochs": 2,
             "steps_per_epoch": 50,
             "batch_size": 16,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dplens.clipping import ClippingRule, clip_factors, noised_mean, weighted_gradient_sums
 from reference import clip_factor, privatize_gradient
 
-AUTO = ClippingRule.auto()
+AUTO = ClippingRule("auto")
 REPARAM1 = ClippingRule(r=1.0)
 
 

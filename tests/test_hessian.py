@@ -267,7 +267,7 @@ class TestStatsTypesAndCsv:
     def test_csv_layout(self, tmp_path):
         stats = HessianStats(2.0, 3.0, 4.0, 5.0, standard_error_tr_h=0.1)
         record = IterationRecord(
-            iteration=0, phase="private", alpha=0.0, train_loss=1.5, val_loss=None,
+            iteration=0, phase="private", train_loss=1.5, val_loss=None,
             sigma=0.5, hessian=stats,
         )
         # batch size 4: decelerator sigma^2 tr_H / B = 0.25 * 2.0 / 4

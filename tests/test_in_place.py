@@ -34,7 +34,7 @@ MLP_CASES = [
     (3, 37, (5, 7, 1)),
     (4, 64, (16, 128, 4)),
 ]
-RULES = [None, ClippingRule(r=0.5), ClippingRule.auto()]
+RULES = [None, ClippingRule(r=0.5), ClippingRule("auto")]
 
 
 def mlp_case(seed, m, widths):
@@ -134,7 +134,7 @@ class TestNoAliasing:
         task, w, batch = mlp_case(8, 64, (16, 64, 4))
         saved = [a.copy() for a in (w, *batch)]
         config = OptimizerConfig(kind="adam", eta=0.01)
-        dp_step(task, w, batch, 64, ClippingRule.auto(), 1.0, config,
+        dp_step(task, w, batch, 64, ClippingRule("auto"), 1.0, config,
                 OptimizerState.zeros(w.size), np.random.default_rng(9))
         stats_snapshot(task, w, batch)
         task.batch_loss(w, batch)

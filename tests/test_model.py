@@ -193,7 +193,7 @@ def test_mlp_hvp_homogeneous():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     m=st.integers(min_value=1, max_value=12),
     scale=st.floats(min_value=0.1, max_value=3.0),
-    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule(r=0.7)]),
+    rule=st.sampled_from([None, ClippingRule("auto"), ClippingRule(r=0.7)]),
 )
 @settings(max_examples=60, deadline=None)
 def test_mlp_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, rule):
@@ -287,7 +287,7 @@ def logistic_batch_with_zero_row(seed, m, scale):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     m=st.integers(min_value=1, max_value=12),
     scale=st.floats(min_value=0.1, max_value=3.0),
-    rule=st.sampled_from([None, ClippingRule.auto(), ClippingRule(r=0.7)]),
+    rule=st.sampled_from([None, ClippingRule("auto"), ClippingRule(r=0.7)]),
 )
 @settings(max_examples=60, deadline=None)
 def test_logistic_fused_pass_matches_explicit_per_sample_gradients(seed, m, scale, rule):
@@ -363,7 +363,7 @@ def test_quadratic_matches_the_dense_formulas_bit_for_bit(case):
              for source in (task, dense)]
     assert np.array_equal(*drawn)
     assert task.batch_loss(w, batch) == dense.batch_loss(w, batch)
-    for rule in (None, ClippingRule.auto(), ClippingRule(r=0.7)):
+    for rule in (None, ClippingRule("auto"), ClippingRule(r=0.7)):
         loss, total = task.loss_and_weighted_gradient_sum(w, batch, clip_weights(rule))
         assert loss == dense.batch_loss(w, batch)
         assert np.array_equal(total, dense.weighted_gradient_sum(w, batch, clip_weights(rule)))

@@ -441,39 +441,6 @@ def test_nonpositive_batch_size_rejected(name, b):
         call(b)
 
 
-class TestAlphaSchedules:
-    def test_dpmd_endpoints(self):
-        schedule = pred.AlphaSchedule("dpmd", k=50)
-        assert pred.alpha_schedule_value(schedule, 0) == 0.0
-        assert pred.alpha_schedule_value(schedule, 50) == pytest.approx(1.0)
-
-    def test_dpmd_clamped(self):
-        schedule = pred.AlphaSchedule("dpmd", k=10)
-        for t in range(0, 40):
-            assert 0.0 <= pred.alpha_schedule_value(schedule, t) <= 1.0
-
-    def test_sample_ratio(self):
-        schedule = pred.AlphaSchedule("sample", n_pub=1, n_priv=3)
-        assert pred.alpha_schedule_value(schedule, 7) == 0.25
-
-    def test_indicator(self):
-        schedule = pred.AlphaSchedule("indicator", s=0.3, total=10)
-        values = [pred.alpha_schedule_value(schedule, t) for t in range(10)]
-        assert values == [1.0, 1.0, 1.0] + [0.0] * 7
-
-    def test_constants(self):
-        assert pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_public"), 3) == 1.0
-        assert pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_private"), 3) == 0.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            pred.AlphaSchedule("dpmd", k=0)
-        with pytest.raises(ValueError):
-            pred.AlphaSchedule("indicator", s=1.5, total=10)
-        with pytest.raises(ValueError):
-            pred.alpha_schedule_value(pred.AlphaSchedule(kind="only_public"), -1)
-
-
 class TestScheduleCumulative:
     def _sequence(self, rng, n, sigma):
         return [random_inputs(rng, sigma=sigma, batch=64.0)[0] for _ in range(n)]

@@ -153,7 +153,7 @@ def test_a_method_only_tests_call_is_flagged():
     # ClippingRule is reached, but nothing in src reads .scaled, and the
     # private helper that only scaled uses goes unwalked with it
     sources = package_sources()
-    anchor = "    @classmethod\n    def auto(cls)"
+    anchor = "    def __post_init__(self):"
     assert anchor in sources["clipping"]
     method = "    def scaled(self, factor):\n        return _scaled_rule(self, factor)\n\n"
     helpers = (

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from dplens.cli import (
     _run_fourway, _run_oracle, _run_table, _write_csv, load_config, run_subcommand,
     table_columns,
 )
-from dplens.predictor import AlphaSchedule, ImprovementInputs, delta_l_priv
+from dplens.predictor import ImprovementInputs, delta_l_priv
 from dplens import trainer
 from dplens.trainer import (
     OptimizerConfig,
@@ -115,7 +116,7 @@ class TestSteps:
         w = 0.5 * np.ones(task.dimension)
         batch = task.draw_batch(rng, 8)
         config = OptimizerConfig(kind="sgd", eta=0.2)
-        _, w_next, _ = first_step(task, w, batch, ClippingRule.auto(), 0.0, config)
+        _, w_next, _ = first_step(task, w, batch, ClippingRule("auto"), 0.0, config)
         grads = per_sample_gradients(task, w, batch)
         normalized = grads / np.linalg.norm(grads, axis=1, keepdims=True)
         assert np.allclose((w - w_next) / config.eta, normalized.mean(axis=0), rtol=1e-12)
@@ -170,7 +171,7 @@ class TestAdamStep:
         batch = task.draw_batch(np.random.default_rng(3), 8)
         config = OptimizerConfig(kind="adam", eta=0.05)
         runs = [
-            first_step(task, w, batch, ClippingRule.auto(), 0.8, config, np.random.default_rng(7))
+            first_step(task, w, batch, ClippingRule("auto"), 0.8, config, np.random.default_rng(7))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -218,7 +219,7 @@ class TestContinualPretrain:
             rng=np.random.default_rng(11),
             batch_size=16,
             steps_per_epoch=5,
-            rule=ClippingRule.auto(),
+            rule=ClippingRule("auto"),
             val_size=64,
         )
         defaults.update(kwargs)
@@ -238,10 +239,10 @@ class TestContinualPretrain:
         assert phases[0] == "public"
         assert phases[-1] == "private"
         for record in run.records:
-            if record.phase == "public":
-                assert record.sigma == 0.0 and record.alpha == 1.0
-            else:
-                assert record.sigma == 0.4 and record.alpha == 0.0
+            assert record.sigma == (0.0 if record.phase == "public" else 0.4)
+        # the table's alpha column is the public weight of each row's phase
+        rows = _run_table(run, 16, table_columns("continual", {})).rows
+        assert [row[2] for row in rows] == [1.0 if p == "public" else 0.0 for p in phases]
 
     @pytest.mark.parametrize("patience", [1, 2])
     def test_patience_switches_where_its_policy_fires(self, patience):
@@ -277,22 +278,28 @@ class TestContinualPretrain:
         assert np.any(before.m) and not np.any(after.m)
         assert after.v is before.v and np.any(after.v) and after.t == before.t > 0
 
-    def test_indicator_schedule_flips_at_fraction(self):
-        total = 60  # 12 epochs x 5 steps
-        run = self._run(schedule=AlphaSchedule("indicator", s=0.4, total=total))
-        phases = phase_log(run)
-        cut = int(math.ceil(0.4 * total))
-        assert all(p == "public" for p in phases[:cut])
-        assert all(p == "private" for p in phases[cut:])
-        assert switch_iteration(run) == cut
+    @pytest.mark.parametrize("patience", [1, 2])
+    def test_early_stopping_switches_at_its_earliest_step(self, patience, monkeypatch):
+        # a held-out loss that rises at every reading, one per 5-step epoch,
+        # fires the policy at reading patience + 1, the earliest it can, and
+        # the next step is the first private one
+        readings = itertools.count(1.0)
+        monkeypatch.setattr(QuadraticTask, "batch_loss", lambda self, w, batch: next(readings))
+        run = self._run(patience=patience)
+        assert switch_iteration(run) == (patience + 1) * 5
 
-    def test_only_public_schedule_never_switches(self):
-        run = self._run(schedule=AlphaSchedule(kind="only_public"))
-        assert all(p == "public" for p in phase_log(run))
+    @pytest.mark.parametrize("switch_at", [0, 1, 24, 59, 60, 1000])
+    def test_switch_at_is_the_first_private_step(self, switch_at, monkeypatch):
+        # a fixed switch reads no held-out loss for it, and one at or past
+        # the 60 steps runs public throughout
+        monkeypatch.setattr(SwitchPolicy, "observe", None)
+        phases = phase_log(self._run(switch_at=switch_at))
+        cut = min(switch_at, 60)
+        assert phases == ["public"] * cut + ["private"] * (60 - cut)
 
-    def test_fractional_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            self._run(schedule=AlphaSchedule("dpmd", k=10))
+    def test_a_negative_switch_step_is_refused(self):
+        with pytest.raises(ValueError, match="switch_at must be nonnegative"):
+            self._run(switch_at=-1)
 
     def test_deterministic(self):
         a = self._run(rng=np.random.default_rng(123))
@@ -303,7 +310,7 @@ class TestContinualPretrain:
     def test_divergence_aborts_with_diagnostic(self):
         run = self._run(
             config=OptimizerConfig(kind="sgd", eta=1e6),
-            schedule=AlphaSchedule(kind="only_public"),
+            switch_at=60,
         )
         assert "non-finite" in run.abort_reason
         assert run.records  # partial log retained
@@ -467,9 +474,9 @@ class TestStreamedOracle:
             # 122/122/6-trial chunks in blocks of 2
             (64, 256, 250, ClippingRule(r=0.5), [0.2], [0.5]),
             (64, 256, 250, None, [0.2], [0.5]),
-            (64, 256, 250, ClippingRule.auto(), [0.2], [0.0]),
+            (64, 256, 250, ClippingRule("auto"), [0.2], [0.0]),
             # b d > 2^15: one-trial blocks, 30/30/30/10-trial chunks
-            (64, 1024, 100, ClippingRule.auto(), [0.2], [0.5]),
+            (64, 1024, 100, ClippingRule("auto"), [0.2], [0.5]),
             (64, 1024, 100, None, [0.2], [0.0]),
             # blocks of 3 with a one-trial remainder in a 208-trial chunk
             (48, 200, 250, ClippingRule(r=0.5), [0.2], [0.5]),
@@ -712,16 +719,17 @@ class TestFourWay:
         assert len(calls) == len(FOURWAY_ARMS) * steps
 
     def test_each_arm_is_one_continual_pretrain_call(self, monkeypatch):
-        schedules = []
+        switches = []
         loop = trainer.continual_pretrain
 
         def counted(*args, **kwargs):
-            schedules.append(kwargs["schedule"].kind)
+            switches.append(kwargs["switch_at"])
             return loop(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "continual_pretrain", counted)
         rows = arm_rows(_run_fourway(self._cfg(steps=5), 24))
-        assert schedules == ["only_public"] + ["only_private"] * 3
+        # the public arm's first private step is past its last step
+        assert switches == [5] + [0] * 3
         for arm in FOURWAY_ARMS:
             phase = "public" if arm == "sgd" else "private"
             assert [row[1] for row in rows[arm]] == [phase] * 5
