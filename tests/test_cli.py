@@ -1217,7 +1217,8 @@ class TestSubcommands:
         with monkeypatch.context() as patch:
             refuse_steps(patch)
             assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: config {path} fails validation: {message}\n"
+        err = capsys.readouterr().err
+        assert err == f"config error: config {path} fails validation: {message}\n"
         assert not out.exists()
         path = write_config(tmp_path, {k: v for k, v in payload.items() if k not in dropped})
         assert run_subcommand([command, "--config", str(path), "--out", str(out)]) == 0
