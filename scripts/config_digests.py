@@ -37,11 +37,11 @@ from test_cli import SHIPPED_CONFIGS  # noqa: E402
 from workloads import WORKLOADS, config_for  # noqa: E402
 
 # (config, label suffix) -> the keys that replace the config's; a None value
-# drops the key.  Plots of training tables: most continual rows have empty
-# val_loss and tr_H cells, a log y axis leaves out the continual sigma's
-# zeros on the public steps, a public-only run leaves a log sigma axis no
-# point, so each of its seeds writes a CSV and no SVG, and the fourway
-# table holds five seeds on a log y axis.  The oracle on a
+# drops the key, which the config must have.  Plots of training tables: most
+# continual rows have empty val_loss and tr_H cells, a log y axis leaves out
+# the continual sigma's zeros on the public steps, a public-only run leaves a
+# log sigma axis no point, so each of its seeds writes a CSV and no SVG, and
+# the fourway table holds five seeds on a log y axis.  The oracle on a
 # general diagonal quadratic: with A no power of two times I and a nonzero
 # mean, a change in how a per-sample gradient rounds moves a byte, which it
 # does not on oracle_small's A = 0.5 I and zero mean.  An indicator whose
@@ -49,12 +49,12 @@ from workloads import WORKLOADS, config_for  # noqa: E402
 # first private step
 VARIANTS = {
     ("continual_demo.json", "indicator"): {
-        "schedule": {"kind": "indicator", "s": 0.33, "total": 80}, "patience": None},
+        "schedule": {"kind": "indicator", "s": 0.33, "total": 80}},
     ("continual_demo.json", "logplot"): {
         "plot": {"columns": ["iter", "train_loss", "sigma"], "y_scale": "log"}},
     ("continual_demo.json", "nopoints"): {
         "schedule": {"kind": "only_public"}, "privacy": None, "clipping": None,
-        "patience": None, "seeds": [0, 1],
+        "seeds": [0, 1],
         "plot": {"columns": ["iter", "sigma"], "y_scale": "log"}},
     ("continual_demo.json", "plot"): {"plot": {"columns": ["iter", "val_loss", "tr_H"]}},
     ("fourway_mlp.json", "plot"): {
@@ -76,6 +76,11 @@ def _runs(scratch: Path):
     for (name, suffix), keys in sorted(VARIANTS.items()):
         path = scratch / f"{suffix}-{name}"
         cfg = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+        absent = sorted(key for key, value in keys.items() if value is None and key not in cfg)
+        if absent:
+            # a drop that drops nothing tests nothing
+            raise ValueError(f"variant {suffix!r} of {name} drops {', '.join(absent)}, "
+                             "which the config does not have")
         cfg = {key: value for key, value in {**cfg, **keys}.items() if value is not None}
         path.write_text(json.dumps(cfg), encoding="utf-8")
         yield f"configs/{name}+{suffix}", SHIPPED_CONFIGS[name], path

@@ -256,7 +256,6 @@ CONFIG_SCHEMAS = {
             "epochs": _POS_INT,
             "steps_per_epoch": _POS_INT,
             "batch_size": _POS_INT,
-            "patience": _POS_INT,
             "val_size": _POS_INT,
             "hessian_probes": {"type": "integer", "minimum": 0},
         },
@@ -504,17 +503,16 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     enough members for the attack's training split
     (:func:`attacks.mia_split_sizes`).  A ``train`` config is checked as the
     ``continual`` config it runs as (:func:`_one_phase`): an indicator spans
-    the run, a schedule leaves ``patience`` unread, and a run that can take
-    no private step leaves ``sigma``, ``privacy`` and ``clipping`` unread.
-    Its earliest first private step is the schedule's (:func:`_switch_step`),
-    or with none the step after the held-out reading patience + 1, the first
-    at which early stopping can fire.  A run with private steps gives
-    ``sigma`` or a ``privacy`` block, not both.  The block calibrates sigma
-    for T = ceil(sample_budget / batch_size) steps of batch_size out of n
+    the run, and a run that can take no private step leaves ``sigma``,
+    ``privacy`` and ``clipping`` unread.  Its earliest first private step is
+    the schedule's (:func:`_switch_step`), or with none the step after the
+    second epoch, whose held-out reading is the first that can rise above
+    the one before it.  A run with private steps gives ``sigma`` or a
+    ``privacy`` block, not both.  The block calibrates sigma for
+    T = ceil(sample_budget / batch_size) steps of batch_size out of n
     samples, so it needs clipping, which bounds the sensitivity,
     batch_size <= n, a valid budget, and a run that can take no more than T
-    private steps: those from the schedule's first private step on, else
-    all of them.
+    private steps: those from its earliest first private step on.
     """
     if cfg.get("hessian_probes") and cfg["batch_size"] == 1:
         return "hessian_probes needs batch_size of at least 2"
@@ -551,24 +549,21 @@ def _rule_message(cfg: dict, command: str) -> str | None:
     steps = cfg["epochs"] * cfg["steps_per_epoch"]
     if kind == "indicator" and schedule["total"] != steps:
         return f"indicator schedule spans {schedule['total']} steps, but the run takes {steps}"
-    switch = _switch_step(cfg)
-    # one held-out reading per epoch; 1 is the loop's default patience
-    earliest = switch if kind else (cfg.get("patience", 1) + 1) * cfg["steps_per_epoch"]
-    unread = ["patience"] if kind else []
+    # early stopping reads the held-out loss once per epoch, so the loss can
+    # first rise at the second reading
+    earliest = _switch_step(cfg) if kind else 2 * cfg["steps_per_epoch"]
     if earliest >= steps:
-        unread += ["clipping", "privacy", "sigma"]
-    unread = sorted(key for key in unread if key in cfg)
-    if unread:
+        unread = [key for key in ("clipping", "privacy", "sigma") if key in cfg]
+        if not unread:
+            return None
         # a train config names its mode, not the schedule that _one_phase maps it to
-        if mode or kind in ("only_public", "only_private"):
+        if mode or kind == "only_public":
             what = f"a {mode}-mode train run" if mode else f"the {kind} schedule"
         else:
             how = "indicator schedule switches" if kind else "early stopping can switch"
             what = f"a {steps}-step run whose {how} at step {earliest}"
         return f"{what} leaves {', '.join(unread)} unread"
-    if earliest >= steps:
-        return None
-    private_steps = steps - (switch or 0)
+    private_steps = steps - earliest
     if "sigma" in cfg and "privacy" in cfg:
         return "give sigma or a privacy block, not both"
     if "sigma" in cfg:
@@ -850,7 +845,7 @@ def _run_continual(cfg: dict, seed: int) -> Table:
         rule=clipping_from_config(**cfg.get("clipping", {})),
         switch_at=_switch_step(cfg),
         curvature=bool(cfg.get("hessian_probes")),
-        **_given(cfg, "patience", "val_size"),
+        **_given(cfg, "val_size"),
     )
     return _run_table(run, cfg["batch_size"], table_columns("continual", cfg))
 
@@ -1122,9 +1117,7 @@ def run_subcommand(argv: list[str]) -> int:
     try:
         cfg = load_config(args.config, args.command)
         plot = cfg.get("plot")
-        outdir = Path(
-            args.out or os.environ.get("DPLENS_OUT") or os.getcwd()
-        )
+        outdir = Path(args.out or os.getcwd())
         seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
         paths = []
         tables = trainer._run_striped(functools.partial(_RUNNERS[args.command], cfg), seeds)

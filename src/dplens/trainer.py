@@ -3,16 +3,17 @@ Monte-Carlo oracle that validates the closed-form improvement predictors.
 
 There is one training loop, :func:`continual_pretrain`: public steps, then
 at most one permanent switch to private steps, at a step the caller fixes
-or one that early stopping on the held-out loss picks.  A ``train`` run is a
-one-phase run of it, public or private throughout, and ``fourway`` is four
-such runs of one seed (``cli``): plain SGD public, and clipped-only,
-noised-only and DP-SGD private, each with its own rule and sigma, so the
-arms share the initial point, the held-out set, the data and the noise.
-Every training step in the package, the loop's and the membership-inference
-target's, is one :func:`dp_step`: the task's fused loss and
-clipped-gradient-sum pass, the Gaussian noise, and the SGD or Adam update.
-Public, clipped-only, noised-only and DP steps differ only in the clipping
-rule and sigma passed to it.
+or, by early stopping, the step after the first held-out loss reading above
+the one before it.  A ``train`` run is a one-phase run of it, public or
+private throughout, and ``fourway`` is four such runs of one seed
+(``cli``): plain SGD public, and clipped-only, noised-only and DP-SGD
+private, each with its own rule and sigma, so the arms share the initial
+point, the held-out set, the data and the noise.  Every training step in
+the package, the loop's and the membership-inference target's, is one
+:func:`dp_step`: the task's fused loss and clipped-gradient-sum pass, the
+Gaussian noise, and the SGD or Adam update.  Public, clipped-only,
+noised-only and DP steps differ only in the clipping rule and sigma passed
+to it.
 
 :func:`empirical_improvement_oracle` covers one batch size's whole
 (sigma, eta) grid in one call: every cell reduces the same sample batches
@@ -145,45 +146,6 @@ def dp_step(
 
 
 @dataclass
-class SwitchPolicy:
-    """Early-stopping trigger that flips training from public to private.
-
-    A reading strictly worse than the previous one lengthens the
-    non-improvement streak; a new best resets it; anything in between leaves
-    it unchanged.  The policy fires once, when the streak reaches
-    ``patience``.  With patience 1 this is exactly the single-step rule
-    "switch when the loss goes up".
-    """
-
-    patience: int
-    _prev: float | None = field(default=None, repr=False)
-    _best: float = field(default=math.inf, repr=False)
-    _streak: int = field(default=0, repr=False)
-    fired: bool = field(default=False, repr=False)
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-
-    def observe(self, value: float) -> bool:
-        """Feed one validation reading; True exactly when the switch fires."""
-        if self.fired:
-            return False
-        if self._prev is not None:
-            if value > self._prev:
-                self._streak += 1
-            elif value < self._best:
-                self._streak = 0
-        if value < self._best:
-            self._best = value
-        self._prev = value
-        if self._streak >= self.patience:
-            self.fired = True
-            return True
-        return False
-
-
-@dataclass
 class IterationRecord:
     iteration: int
     phase: str  # public | private
@@ -215,7 +177,6 @@ def continual_pretrain(
     steps_per_epoch: int,
     rule: ClippingRule | None,
     switch_at: int | None = None,
-    patience: int = 1,
     val_size: int = 1024,
     curvature: bool = False,
 ) -> TrainRun:
@@ -227,10 +188,11 @@ def continual_pretrain(
     the mean loss on a held-out set of ``val_size`` samples, evaluated once
     per epoch.  ``switch_at`` is the index of the first private step: 0
     runs private throughout, and a value at or past the step count public
-    throughout.  With ``switch_at=None`` a ``SwitchPolicy(patience)`` on the
-    validation loss picks it: the step after the reading at which the policy
-    fires.  The switch zeroes Adam's first moment ``m`` and keeps ``v`` and
-    ``t``.  With ``curvature``, each record carries a
+    throughout.  With ``switch_at=None`` early stopping picks it: the step
+    after the first validation reading strictly above the one before it, so
+    at the earliest the step after the second epoch.  The switch zeroes
+    Adam's first moment ``m`` and keeps ``v`` and ``t``.  With
+    ``curvature``, each record carries a
     :func:`~dplens.hessian.stats_snapshot` of the task at the updated
     parameters on the step's batch.  A non-finite training or held-out loss,
     or a snapshot with a non-finite statistic, ends the run with
@@ -247,13 +209,13 @@ def continual_pretrain(
         raise ValueError("epochs, steps_per_epoch and batch_size must be positive")
     if switch_at is not None and switch_at < 0:
         raise ValueError("switch_at must be nonnegative")
-    switch = SwitchPolicy(patience)
     init_rng, val_rng, data_rng, noise_rng = rng.spawn(4)
     w = task.random_parameters(init_rng)
     val_set = task.draw_batch(val_rng, val_size)
 
     state = OptimizerState.zeros(task.dimension)
     run = TrainRun()
+    prev_val_loss = math.inf
     for t in range(epochs * steps_per_epoch):
         if t == switch_at:
             state = OptimizerState(state.t, np.zeros_like(state.m), state.v)
@@ -282,6 +244,9 @@ def continual_pretrain(
             if not math.isfinite(val_loss):
                 run.abort_reason = f"non-finite held-out loss at iteration {t}"
                 break
+            if switch_at is None and val_loss > prev_val_loss:
+                switch_at = t + 1
+            prev_val_loss = val_loss
         run.records.append(
             IterationRecord(
                 iteration=t,
@@ -292,8 +257,6 @@ def continual_pretrain(
                 hessian=stats,
             )
         )
-        if switch_at is None and val_loss is not None and switch.observe(val_loss):
-            switch_at = t + 1
     return run
 
 

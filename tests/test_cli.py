@@ -483,11 +483,11 @@ class TestConfigHandling:
             ("oracle_small.json", {"task": {"kind": "tinymlp", "n_in": 2, "hidden": 4,
                                             "n_out": 1}},
              "'tinymlp' is not one of ['quadratic']"),
+            # early stopping switches at the first rise of the held-out loss,
+            # with no knob
+            ("continual_demo.json", {"patience": 1},
+             "Additional properties are not allowed ('patience' was unexpected)"),
             # the keys a schedule leaves unread, and an indicator's horizon
-            ("continual", {"schedule": {"kind": "only_private"}, "patience": 2},
-             "the only_private schedule leaves patience unread"),
-            ("continual_demo.json", {"schedule": {"kind": "only_private"}},
-             "the only_private schedule leaves patience unread"),
             ("continual", {"schedule": {"kind": "only_public"}},
              "the only_public schedule leaves sigma unread"),
             ("continual", {"schedule": {"kind": "only_public"}, "clipping": {"kind": "auto"}},
@@ -565,7 +565,7 @@ class TestConfigHandling:
              "only_private-unread", "sgd_momentum", "mu", "weight_decay", "reset_policy",
              "head_reinit", "task_private", "hessian-diag-and-scale",
              "covariance-diag-and-scale", "diag-length", "negative-scale", "x_mean-length",
-             "oracle-tinymlp", "patience-with-schedule", "demo-only_private",
+             "oracle-tinymlp", "patience",
              "only_public-sigma", "only_public-clipping", "only_public-privacy", "public-sigma",
              "public-clipping", "public-privacy", "indicator-horizon", "sigma-and-privacy",
              "train-sigma-and-privacy", "no-sigma", "train-unclipped",
@@ -1092,7 +1092,6 @@ class TestSubcommands:
         command = SHIPPED_CONFIGS[name]
         cfg = load_config(CONFIG_DIR / name, command)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("DPLENS_OUT", str(tmp_path))
         table = _RUNNERS[command](cfg, cfg.get("seeds", [0])[0])
         assert isinstance(table, Table)
         assert table.rows and table.abort_reason is None
@@ -1196,14 +1195,14 @@ class TestSubcommands:
                            "sigma": 7.0},
              "a 10-step run whose indicator schedule switches at step 10 leaves sigma unread",
              ("sigma",)),
-            # one held-out reading per 8-step epoch: patience 1 can fire at
-            # the second, after the last step
+            # one held-out reading per 8-step epoch: the loss can first rise
+            # at the second, after the last step
             ("continual_demo.json", {"epochs": 2},
              "a 16-step run whose early stopping can switch at step 16 leaves clipping, "
              "privacy unread",
              ("clipping", "privacy")),
         ],
-        ids=["indicator", "patience"],
+        ids=["indicator", "early-stopping"],
     )
     def test_a_run_that_can_take_no_private_step_refuses_its_private_keys(
         self, base, change, message, dropped, tmp_path, capsys, monkeypatch
@@ -1252,10 +1251,9 @@ class TestSubcommands:
             ({"schedule": {"kind": "indicator", "s": 0.75, "total": 40}, "epochs": 4},
              {"schedule": {"kind": "indicator", "s": 0.75, "total": 44}, "epochs": 11,
               "steps_per_epoch": 4}),
-            # early stopping counts every step, though it cannot fire before
-            # the step after the second reading
-            ({"schedule": None, "epochs": 5, "steps_per_epoch": 2},
-             {"epochs": 11, "steps_per_epoch": 1}),
+            # early stopping cannot switch before the step after the second
+            # held-out reading, so the steps up to it are public
+            ({"schedule": None, "epochs": 12, "steps_per_epoch": 1}, {"epochs": 13}),
         ],
         ids=["only_private", "indicator", "early-stopping"],
     )
@@ -1447,11 +1445,12 @@ class TestSubcommands:
         assert run_subcommand(["sweep-batch", "--config", str(path), "--out", str(out2)]) == 0
         assert (out1 / "sweep_batch.csv").read_bytes() == (out2 / "sweep_batch.csv").read_bytes()
 
-    def test_env_default_outdir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPLENS_OUT", str(tmp_path / "envout"))
+    def test_a_run_without_out_writes_into_the_working_directory(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, sweep_config())
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
         assert run_subcommand(["sweep-batch", "--config", str(path)]) == 0
-        assert (tmp_path / "envout" / "sweep_batch.csv").exists()
+        assert [p.name for p in (tmp_path / "cwd").iterdir()] == ["sweep_batch.csv"]
 
 
 class TestSvg:
@@ -1559,7 +1558,7 @@ class TestSvg:
         # a run of public steps only has sigma 0 on every row, so a log y
         # axis leaves it no point; each seed still writes its table
         cfg = json.loads((CONFIG_DIR / "continual_demo.json").read_text())
-        for key in ("privacy", "clipping", "patience"):
+        for key in ("privacy", "clipping"):
             del cfg[key]
         plot = {"columns": ["iter", "sigma"], "y_scale": "log"}
         path = write_config(tmp_path, {**cfg, "schedule": {"kind": "only_public"},

@@ -69,7 +69,7 @@ def test_a_rule_checked_in_a_runner_is_flagged():
     anchor = "def _run_continual(cfg: dict, seed: int) -> Table:\n"
     assert anchor in sources["cli"]
     sources["cli"] = sources["cli"].replace(
-        anchor, anchor + '    if "patience" in cfg:\n        raise ConfigError("patience")\n'
+        anchor, anchor + '    if "val_size" in cfg:\n        raise ConfigError("val_size")\n'
     ) + '\n\ndef _runner_rule(cfg):\n    raise ConfigError("rule")\n'
     sources["trainer"] += '\n\ndef check(cfg):\n    raise cli.ConfigError("rule")\n'
     assert unreached_config_errors(sources) == [

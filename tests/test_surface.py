@@ -167,12 +167,14 @@ def test_a_method_only_tests_call_is_flagged():
 
 
 def test_a_constant_getattr_reaches_a_method():
-    # trainer's one read of SwitchPolicy.observe, rewritten as a getattr
-    # with a constant name, still reaches it; without the read, nothing does
+    # the oracle's one read of QuadraticTask.draw_gradients, rewritten as a
+    # getattr with a constant name, still reaches it; without the read,
+    # nothing does
     sources = package_sources()
-    read = "switch.observe(val_loss)"
-    assert read in sources["trainer"]
-    sources["trainer"] = sources["trainer"].replace(read, 'getattr(switch, "observe")(val_loss)')
+    read = "task.draw_gradients(stream, w, grads[:k].reshape(k * b, d))"
+    assert sources["trainer"].count(read) == 1
+    rewritten = 'getattr(task, "draw_gradients")(stream, w, grads[:k].reshape(k * b, d))'
+    sources["trainer"] = sources["trainer"].replace(read, rewritten)
     assert unreachable(sources, AWAITING_CALLER) == []
-    sources["trainer"] = sources["trainer"].replace('getattr(switch, "observe")(val_loss)', "None")
-    assert unreachable(sources, AWAITING_CALLER) == ["trainer.SwitchPolicy.observe"]
+    sources["trainer"] = sources["trainer"].replace(rewritten, "None")
+    assert unreachable(sources, AWAITING_CALLER) == ["model.QuadraticTask.draw_gradients"]

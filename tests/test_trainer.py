@@ -21,7 +21,6 @@ from dplens import trainer
 from dplens.trainer import (
     OptimizerConfig,
     OptimizerState,
-    SwitchPolicy,
     continual_pretrain,
     dp_step,
     empirical_improvement_oracle,
@@ -179,33 +178,6 @@ class TestAdamStep:
         assert np.array_equal(runs[0][2].v, runs[1][2].v)
 
 
-class TestSwitchPolicy:
-    def test_patience_one_documented_trace(self):
-        policy = SwitchPolicy(patience=1)
-        fired = [policy.observe(v) for v in (3.0, 2.0, 1.5, 1.6)]
-        assert fired == [False, False, False, True]
-
-    def test_patience_two_documented_trace(self):
-        policy = SwitchPolicy(patience=2)
-        fired = [policy.observe(v) for v in (3.0, 2.0, 2.1, 2.05, 2.2)]
-        assert fired == [False, False, False, False, True]
-
-    def test_new_best_resets_streak(self):
-        policy = SwitchPolicy(patience=2)
-        fired = [policy.observe(v) for v in (3.0, 2.0, 2.1, 1.5, 1.9, 2.0)]
-        # the new best at 1.5 clears the earlier non-improvement
-        assert fired == [False, False, False, False, False, True]
-
-    def test_fires_at_most_once(self):
-        policy = SwitchPolicy(patience=1)
-        fired = [policy.observe(v) for v in (1.0, 2.0, 3.0, 4.0)]
-        assert fired == [False, True, False, False]
-
-    def test_patience_validated(self):
-        with pytest.raises(ValueError):
-            SwitchPolicy(patience=0)
-
-
 class TestContinualPretrain:
     def _run(self, **kwargs):
         # x_mean moved by -0.8 per coordinate puts the 0.1 N(0, I) start as
@@ -244,16 +216,46 @@ class TestContinualPretrain:
         rows = _run_table(run, 16, table_columns("continual", {})).rows
         assert [row[2] for row in rows] == [1.0 if p == "public" else 0.0 for p in phases]
 
-    @pytest.mark.parametrize("patience", [1, 2])
-    def test_patience_switches_where_its_policy_fires(self, patience):
-        # a SwitchPolicy(patience) fed the run's held-out losses fires at
-        # the epoch after which the first private step runs: iteration 25
-        # for patience 1 and 30 for patience 2
-        run = self._run(patience=patience)
-        policy = SwitchPolicy(patience)
+    def test_the_switch_follows_the_first_rise_of_the_runs_held_out_loss(self):
+        # the first private step follows the epoch whose held-out loss is
+        # the first above the one before it: iteration 25
+        run = self._run()
         val_losses = [r.val_loss for r in run.records if r.val_loss is not None]
-        epoch = next(e for e, loss in enumerate(val_losses) if policy.observe(loss))
-        assert switch_iteration(run) == 5 * (epoch + 1) == 20 + 5 * patience
+        epoch = next(e for e in range(1, len(val_losses)) if val_losses[e] > val_losses[e - 1])
+        assert switch_iteration(run) == 5 * (epoch + 1) == 25
+
+    @pytest.mark.parametrize(
+        "readings, first_private",
+        [
+            # the fourth reading is the first above the one before it
+            ((3.0, 2.0, 1.5, 1.6), 20),
+            # no reading rises: an equal one does not, nor the constant tail
+            ((3.0, 2.0, 2.0, 1.5), 30),
+            # every reading after the first rises, and only the first rise switches
+            ((1.0, 2.0, 3.0, 4.0), 10),
+        ],
+        ids=["first-rise", "no-rise", "rises-after-the-switch"],
+    )
+    def test_early_stopping_switches_once_after_the_first_rise(
+        self, readings, first_private, monkeypatch
+    ):
+        # one held-out reading per 5-step epoch: the given ones, then 0.0 at
+        # each later epoch.  Adam's m is zero on entry to the first step and,
+        # as the switch zeroes it, to the first private step, and to no other
+        values = itertools.chain(readings, itertools.repeat(0.0))
+        monkeypatch.setattr(QuadraticTask, "batch_loss", lambda self, w, batch: next(values))
+        states = []
+        direction = trainer.optimizer_direction
+
+        def spy(g, config, state):
+            states.append(state)
+            return direction(g, config, state)
+
+        monkeypatch.setattr(trainer, "optimizer_direction", spy)
+        run = self._run(epochs=6)
+        assert phase_log(run) == ["public"] * first_private + ["private"] * (30 - first_private)
+        zeroed = [t for t, state in enumerate(states) if not np.any(state.m)]
+        assert zeroed == ([0] if first_private == 30 else [0, first_private])
 
     def _switch_states(self, monkeypatch):
         """The optimizer state the last public step leaves, and the one the
@@ -278,21 +280,21 @@ class TestContinualPretrain:
         assert np.any(before.m) and not np.any(after.m)
         assert after.v is before.v and np.any(after.v) and after.t == before.t > 0
 
-    @pytest.mark.parametrize("patience", [1, 2])
-    def test_early_stopping_switches_at_its_earliest_step(self, patience, monkeypatch):
+    def test_early_stopping_switches_at_its_earliest_step(self, monkeypatch):
         # a held-out loss that rises at every reading, one per 5-step epoch,
-        # fires the policy at reading patience + 1, the earliest it can, and
-        # the next step is the first private one
+        # first rises at the second reading, the earliest it can, and the
+        # next step is the first private one
         readings = itertools.count(1.0)
         monkeypatch.setattr(QuadraticTask, "batch_loss", lambda self, w, batch: next(readings))
-        run = self._run(patience=patience)
-        assert switch_iteration(run) == (patience + 1) * 5
+        run = self._run()
+        assert switch_iteration(run) == 10
 
     @pytest.mark.parametrize("switch_at", [0, 1, 24, 59, 60, 1000])
     def test_switch_at_is_the_first_private_step(self, switch_at, monkeypatch):
-        # a fixed switch reads no held-out loss for it, and one at or past
-        # the 60 steps runs public throughout
-        monkeypatch.setattr(SwitchPolicy, "observe", None)
+        # a fixed switch wins over a held-out loss that rises at every
+        # reading, and one at or past the 60 steps runs public throughout
+        readings = itertools.count(1.0)
+        monkeypatch.setattr(QuadraticTask, "batch_loss", lambda self, w, batch: next(readings))
         phases = phase_log(self._run(switch_at=switch_at))
         cut = min(switch_at, 60)
         assert phases == ["public"] * cut + ["private"] * (60 - cut)
