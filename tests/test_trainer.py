@@ -233,8 +233,17 @@ class TestContinualPretrain:
             ((3.0, 2.0, 2.0, 1.5), 30),
             # every reading after the first rises, and only the first rise switches
             ((1.0, 2.0, 3.0, 4.0), 10),
+            # an equal reading is no rise, and the next reading is held to it
+            ((3.0, 2.0, 2.0, 2.1), 20),
+            # a rise is against the reading before, not the first one
+            ((3.0, 1.0, 2.0), 15),
+            # the least rise a float can make still switches
+            ((1.0, float(np.nextafter(1.0, 2.0))), 10),
+            # a rise at the last reading leaves no step to run private
+            ((3.0, 2.5, 2.0, 1.5, 1.0, 1.1), 30),
         ],
-        ids=["first-rise", "no-rise", "rises-after-the-switch"],
+        ids=["first-rise", "no-rise", "rises-after-the-switch", "equal-then-rise",
+             "rise-below-the-first-reading", "least-rise", "rise-at-the-last-reading"],
     )
     def test_early_stopping_switches_once_after_the_first_rise(
         self, readings, first_private, monkeypatch
